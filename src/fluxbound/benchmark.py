@@ -117,9 +117,7 @@ class RunConfig:
     strategy: str = "both"
     solver_tol: float = 1e-12
     out: str | None = None
-    seq: bool = True
     verbose: bool = False
-    seed: int | None = None
     conformity: bool = False
 
     def __post_init__(self):
@@ -217,30 +215,27 @@ class CsvSink:
         return buf.getvalue()
 
 
-def sweep_kappa(config: RunConfig, kappa1_list=None) -> CsvSink:
-    """One CSV row per kappa1 (default sweep 1e-3 ... 1e6 at the configured M)."""
-    values = DEFAULT_KAPPA1_SWEEP if kappa1_list is None else kappa1_list
+def _sweep(config: RunConfig, field: str, values) -> CsvSink:
     sink = CsvSink(config.out)
     try:
-        for k1 in values:
-            _, row = run_benchmark(replace(config, kappa1=float(k1), out=None))
+        for value in values:
+            _, row = run_benchmark(replace(config, out=None, **{field: value}))
             sink.add(row)
     finally:
         sink.close()
     return sink
+
+
+def sweep_kappa(config: RunConfig, kappa1_list=None) -> CsvSink:
+    """One CSV row per kappa1 (default sweep 1e-3 ... 1e6 at the configured M)."""
+    values = DEFAULT_KAPPA1_SWEEP if kappa1_list is None else kappa1_list
+    return _sweep(config, "kappa1", [float(k1) for k1 in values])
 
 
 def sweep_mesh(config: RunConfig, m_list=None) -> CsvSink:
     """One CSV row per mesh size M (default 2, 4, 8, 16, 32)."""
     values = DEFAULT_MESH_SWEEP if m_list is None else m_list
-    sink = CsvSink(config.out)
-    try:
-        for m in values:
-            _, row = run_benchmark(replace(config, m=int(m), out=None))
-            sink.add(row)
-    finally:
-        sink.close()
-    return sink
+    return _sweep(config, "m", [int(m) for m in values])
 
 
 def run_single(config: RunConfig, mesh_path: str | None = None) -> CsvSink:

@@ -39,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--strategy", choices=("tau", "taustar", "both"), default="both")
     est.add_argument("--mesh", metavar="FILE", help="run on a mesh file instead of the cube")
     est.add_argument("--out", metavar="FILE.csv", help="write CSV here (default: stdout)")
-    est.add_argument("--seq", action="store_true",
-                     help="sequential reference mode (the only implemented mode)")
     est.add_argument("--verbose", action="store_true")
     return parser
 
@@ -50,8 +48,7 @@ def main(argv=None) -> int:
     # during a kappa sweep the base kappa1 is replaced per row; keep it valid
     kappa1 = args.kappa1 if args.sweep_kappa is None else min(args.kappa1, args.kappa2)
     config = RunConfig(dim=args.dim, m=args.m, kappa1=kappa1, kappa2=args.kappa2,
-                       strategy=args.strategy, out=args.out, seq=True,
-                       verbose=args.verbose)
+                       strategy=args.strategy, out=args.out, verbose=args.verbose)
     try:
         if args.sweep_kappa is not None:
             values = None if args.sweep_kappa == "default" else _float_list(args.sweep_kappa)

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConstraints
-from .fem import (FemSolution, ProblemData, _mass_inverse_times,
+from .fem import (FemSolution, ProblemData, _mass_inverse_times, data_values,
                   element_loads, element_stiffness_mass, neumann_loads)
-from .geometry import NEUMANN, Mesh, barycentric_gradients, simplex_volume
+from .geometry import (NEUMANN, Mesh, geometric_quantities, locate, simplex_gradients,
+                       simplex_measure, simplex_volume)
 from .quadrature import rule_for
 
 RANK_TOL = 1e-12        # relative singular value cutoff in the patch solves
@@ -61,9 +62,7 @@ def dual_basis(facet_vertices) -> np.ndarray:
     """
     facet_vertices = np.asarray(facet_vertices, dtype=float)
     d = facet_vertices.shape[1]
-    v = facet_vertices[1:] - facet_vertices[0]
-    meas = math.sqrt(max(np.linalg.det(v @ v.T), 0.0)) / math.factorial(d - 1)
-    return _mass_inverse_times(np.eye(d), meas, d - 1)
+    return _mass_inverse_times(np.eye(d), simplex_measure(facet_vertices), d - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -92,42 +91,24 @@ class ExtensionFunction:
     def evaluate(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.plain:
-            g = barycentric_gradients(self.vertices)
-            lam = (x - self.vertices[0]) @ g[self.vertex_index]
-            if self.vertex_index == 0:
-                lam += 1.0
-            return lam
-        out = np.full(len(x), np.nan)
-        best = np.full(len(x), -np.inf)
-        for sub, vals in zip(self.subsimplices, self.subvalues):
-            g = barycentric_gradients(sub)
-            lam = (x - sub[0]) @ g.T
-            lam[:, 0] += 1.0
-            lo = lam.min(axis=1)
-            better = lo > best
-            out[better] = lam[better] @ vals
-            best[better] = lo[better]
-        return out
+            return locate(self.vertices[None], x)[1][:, self.vertex_index]
+        which, lam = locate(self.subsimplices, x)
+        return np.einsum("pn,pn->p", lam, self.subvalues[which])
 
     def l2_norm_sq(self) -> float:
         """int_K (theta*)^2, exact (the integrand is piecewise quadratic)."""
-        if self.plain:
-            d = self.vertices.shape[1]
-            vol = simplex_volume(self.vertices)
-            return 2.0 * vol / ((d + 1) * (d + 2))
-        total = 0.0
         d = self.vertices.shape[1]
-        for sub, vals in zip(self.subsimplices, self.subvalues):
-            vol = abs(np.linalg.det(sub[1:] - sub[0])) / math.factorial(d)
-            total += vol * (vals @ vals + vals.sum() ** 2) / ((d + 1) * (d + 2))
-        return total
+        if self.plain:
+            return 2.0 * simplex_volume(self.vertices) / ((d + 1) * (d + 2))
+        vals = self.subvalues
+        sq = (vals ** 2).sum(axis=1) + vals.sum(axis=1) ** 2
+        return float(simplex_measure(self.subsimplices) @ sq) / ((d + 1) * (d + 2))
 
 
 def extension(vertices, kappa: float, n: int) -> ExtensionFunction:
     """Approximate minimum-energy extension of the hat of local vertex n."""
     vertices = np.asarray(vertices, dtype=float)
     d = vertices.shape[1]
-    from .geometry import geometric_quantities
     q = geometric_quantities(vertices)
     if kappa * q.inradius <= 1.0:
         return ExtensionFunction(vertices=vertices, vertex_index=n, kappa=kappa, plain=True)
@@ -174,7 +155,6 @@ class ResidualData:
 def residual_functionals(mesh: Mesh, sol: FemSolution, data: ProblemData,
                          avg_jump=None) -> ResidualData:
     d = mesh.dim
-    ne = mesh.n_elements
     if avg_jump is None:
         avg_jump = facet_average_and_jump(mesh, sol.grad)
     avg, jump = avg_jump
@@ -236,21 +216,15 @@ def _extension_volume_terms(mesh: Mesh, sol: FemSolution, data: ProblemData,
                 continue   # theta* vanishes on the subsimplex opposite its vertex
             keep = others[i]
             sverts = np.concatenate([pts[:, keep], x_p[:, None, :]], axis=1)
-            edges = np.swapaxes(sverts[:, 1:] - sverts[:, :1], 1, 2)
-            svol = np.abs(np.linalg.det(edges)) / dfact
-            inv = np.linalg.inv(edges)
-            sgrads = np.empty_like(sverts)
-            sgrads[:, 1:] = inv
-            sgrads[:, 0] = -inv.sum(axis=1)
+            svol = simplex_measure(sverts)
+            sgrads = simplex_gradients(sverts)
             local_slot = int(np.searchsorted(keep, n))
-            svals = np.zeros(d + 1)
-            svals[local_slot] = 1.0
             su = np.concatenate([uloc[:, keep], u_p[:, None]], axis=1)
             # int f theta* by quadrature; the remaining terms are exact
             ft = np.zeros(len(sel))
             for lam, w in zip(rule.points, rule.weights):
                 x = np.einsum("j,kjd->kd", lam, sverts)
-                ft += w * np.asarray(data.f(x)) * lam[local_slot]
+                ft += w * data_values(data.f, x, "f") * lam[local_slot]
             ft *= svol * dfact
             stiff = svol * np.einsum("kd,kd->k", grad_u, sgrads[:, local_slot])
             mass = (svol / ((d + 1) * (d + 2)) * k2

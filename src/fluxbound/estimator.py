@@ -22,10 +22,10 @@ import numpy as np
 
 from .equilibration import equilibrate
 from .errors import NegativeDifference
-from .fem import (FemSolution, ProblemData, project_element_bulk,
-                  project_facet)
-from .geometry import NEUMANN, Mesh
-from .quadrature import integrate_facet, rule_for
+from .fem import (FemSolution, ProblemData, _mass_inverse_times, data_values,
+                  neumann_loads, project_element_bulk)
+from .geometry import NEUMANN, Mesh, geometric_quantities
+from .quadrature import rule_for
 from . import reconstruction as rec
 
 TRUE_ERROR_DEGREE = 10
@@ -75,7 +75,6 @@ def verify_trace_inequality(vertices, kappa: float, samples: int,
     the inequality is not stated) and max ||v - mean_gamma v||_gamma / |||v|||_K.
     Each entry must stay below the corresponding closed-form constant.
     """
-    from .geometry import geometric_quantities
     vertices = np.asarray(vertices, dtype=float)
     d = vertices.shape[1]
     q = geometric_quantities(vertices)
@@ -126,14 +125,11 @@ def oscillation_f(mesh: Mesh, f: Callable, degree: int = 8) -> np.ndarray:
     acc = np.zeros(mesh.n_elements)
     for lam, w in zip(rule.points, rule.weights):
         x = np.einsum("j,ejd->ed", lam, pts)
-        diff = np.asarray(f(x)) - proj @ lam
+        diff = data_values(f, x, "f") - proj @ lam
         acc += w * diff ** 2
     norm = np.sqrt(np.maximum(acc * mesh.volumes * math.factorial(d), 0.0))
-    with np.errstate(divide="ignore"):
-        weight = np.where(mesh.kappa > 0,
-                          np.minimum(mesh.diameters / math.pi,
-                                     1.0 / np.where(mesh.kappa > 0, mesh.kappa, 1.0)),
-                          mesh.diameters / math.pi)
+    with np.errstate(divide="ignore"):   # 1/kappa = inf where kappa = 0
+        weight = np.minimum(mesh.diameters / math.pi, 1.0 / mesh.kappa)
     return weight * norm
 
 
@@ -143,21 +139,22 @@ def oscillation_gN(mesh: Mesh, g_N: Callable | None, degree: int = 8) -> np.ndar
     if g_N is None:
         return out
     neu = np.flatnonzero(mesh.facet_tag == NEUMANN)
-    for fi in neu:
-        e, i = mesh.facet_elems[fi, 0], mesh.facet_local[fi, 0]
-        fverts = mesh.points[mesh.facets[fi]]
-        proj = project_facet(g_N, fverts, degree)
-
-        def residual_sq(x, proj=proj, fverts=fverts):
-            mu = np.linalg.lstsq(
-                (fverts[1:] - fverts[0]).T, (x - fverts[0]).T, rcond=None)[0].T
-            lam = np.column_stack([1.0 - mu.sum(axis=1), mu])
-            return (np.asarray(g_N(x)) - lam @ proj) ** 2
-
-        norm2 = integrate_facet(residual_sq, fverts, degree)
-        tc = trace_constants(mesh.dim, mesh.diameters[e], mesh.volumes[e],
+    d = mesh.dim
+    meas = mesh.facet_measures[neu]
+    # vertex values of the L2(gamma) projection, as equilibrate builds g_K
+    proj = _mass_inverse_times(neumann_loads(mesh, g_N, degree)[neu], meas[:, None], d - 1)
+    fpts = mesh.points[mesh.facets[neu]]
+    rule = rule_for(d - 1, degree)
+    acc = np.zeros(len(neu))
+    for lam, w in zip(rule.points, rule.weights):
+        x = np.einsum("j,fjd->fd", lam, fpts)
+        acc += w * (data_values(g_N, x, "g_N") - proj @ lam) ** 2
+    norm = np.sqrt(np.maximum(acc * meas * math.factorial(d - 1), 0.0))
+    for fi, nf in zip(neu, norm):
+        e = mesh.facet_elems[fi, 0]
+        tc = trace_constants(d, mesh.diameters[e], mesh.volumes[e],
                              mesh.facet_measures[fi], mesh.kappa[e])
-        out[fi] = math.sqrt(tc.min2) * math.sqrt(max(norm2, 0.0))
+        out[fi] = math.sqrt(tc.min2) * nf
     return out
 
 
@@ -217,7 +214,6 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
     """
     if strategy not in ("tau", "taustar", "both"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    d = mesh.dim
     fluxes = equilibrate(mesh, sol, data, patch_report_path=patch_report_path)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     pf_vals = project_element_bulk(mesh, data.f, data.data_degree)

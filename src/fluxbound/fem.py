@@ -16,7 +16,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import NoConvergence, UnsolvableProblem
-from .geometry import NEUMANN, Mesh
+from .geometry import NEUMANN, Mesh, simplex_measure, simplex_volume
 from .quadrature import rule_for
 
 DENSE_CUTOFF = 200
@@ -35,6 +35,20 @@ class ProblemData:
     data_degree: int = 8
 
 
+def data_values(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
+    """Values of the data callable ``fn`` at the (n, d) points ``x``.
+
+    A NaN or infinite datum would turn the bound into NaN, so it raises
+    UnsolvableProblem instead.
+    """
+    vals = np.asarray(fn(x), dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        i = int(np.flatnonzero(np.broadcast_to(bad, (len(x),)))[0])
+        raise UnsolvableProblem(f"{name} is not finite at x = {x[i].tolist()}")
+    return vals
+
+
 def element_stiffness_mass(mesh: Mesh):
     """Per-element stiffness |K| G G^T and unit mass |K| (1 + I) / ((d+1)(d+2))."""
     d = mesh.dim
@@ -45,16 +59,21 @@ def element_stiffness_mass(mesh: Mesh):
     return stiff, mass
 
 
-def element_loads(mesh: Mesh, f: Callable, degree: int) -> np.ndarray:
-    """(ne, d+1) array of the integrals of f against the element hat functions."""
-    d = mesh.dim
-    rule = rule_for(d, degree)
-    pts = mesh.points[mesh.simplices]           # (ne, d+1, d)
-    acc = np.zeros((mesh.n_elements, d + 1))
+def _hat_loads(fn: Callable, name: str, pts: np.ndarray, measures: np.ndarray,
+               degree: int) -> np.ndarray:
+    # integrals of fn against the hat functions of the k-simplices pts (n, k+1, d)
+    k = pts.shape[1] - 1
+    rule = rule_for(k, degree)
+    acc = np.zeros((len(pts), k + 1))
     for lam, w in zip(rule.points, rule.weights):
         x = np.einsum("j,ejd->ed", lam, pts)
-        acc += (w * np.asarray(f(x)))[:, None] * lam
-    return acc * (mesh.volumes * math.factorial(d))[:, None]
+        acc += (w * data_values(fn, x, name))[:, None] * lam
+    return acc * (measures * math.factorial(k))[:, None]
+
+
+def element_loads(mesh: Mesh, f: Callable, degree: int) -> np.ndarray:
+    """(ne, d+1) array of the integrals of f against the element hat functions."""
+    return _hat_loads(f, "f", mesh.points[mesh.simplices], mesh.volumes, degree)
 
 
 def neumann_loads(mesh: Mesh, g_N: Callable | None, degree: int) -> np.ndarray:
@@ -65,14 +84,8 @@ def neumann_loads(mesh: Mesh, g_N: Callable | None, degree: int) -> np.ndarray:
     idx = np.flatnonzero(mesh.facet_tag == NEUMANN)
     if len(idx) == 0:
         return out
-    d = mesh.dim
-    rule = rule_for(d - 1, degree)
-    pts = mesh.points[mesh.facets[idx]]         # (k, d, d)
-    acc = np.zeros((len(idx), d))
-    for lam, w in zip(rule.points, rule.weights):
-        x = np.einsum("j,ejd->ed", lam, pts)
-        acc += (w * np.asarray(g_N(x)))[:, None] * lam
-    out[idx] = acc * (mesh.facet_measures[idx] * math.factorial(d - 1))[:, None]
+    out[idx] = _hat_loads(g_N, "g_N", mesh.points[mesh.facets[idx]],
+                          mesh.facet_measures[idx], degree)
     return out
 
 
@@ -240,28 +253,23 @@ def _mass_inverse_times(values: np.ndarray, measure, k: int):
 
 def project_element(f: Callable, vertices, degree: int = 8) -> np.ndarray:
     """Vertex values of the L2(K)-orthogonal projection of f onto affine functions."""
-    vertices = np.asarray(vertices, dtype=float)
-    d = vertices.shape[1]
-    rule = rule_for(d, degree)
-    x = rule.points @ vertices
-    from .geometry import simplex_volume
-    vol = simplex_volume(vertices)
-    rhs = (rule.weights[:, None] * rule.points * np.asarray(f(x))[:, None]).sum(axis=0)
-    rhs *= vol * math.factorial(d)
-    return _mass_inverse_times(rhs, vol, d)
+    simplex_volume(vertices)   # degeneracy guard
+    return project_facet(f, vertices, degree)
 
 
 def project_facet(g: Callable, vertices, degree: int = 8) -> np.ndarray:
-    """Facet-vertex values of the L2(gamma)-orthogonal projection onto affine functions."""
+    """Facet-vertex values of the L2(gamma)-orthogonal projection onto affine functions.
+
+    Works on any k-simplex given by its k+1 vertices.
+    """
     vertices = np.asarray(vertices, dtype=float)
-    d = vertices.shape[1]
-    rule = rule_for(d - 1, degree)
+    k = len(vertices) - 1
+    rule = rule_for(k, degree)
     x = rule.points @ vertices
-    v = vertices[1:] - vertices[0]
-    meas = math.sqrt(max(np.linalg.det(v @ v.T), 0.0)) / math.factorial(d - 1)
+    meas = simplex_measure(vertices)
     rhs = (rule.weights[:, None] * rule.points * np.asarray(g(x))[:, None]).sum(axis=0)
-    rhs *= meas * math.factorial(d - 1)
-    return _mass_inverse_times(rhs, meas, d - 1)
+    rhs *= meas * math.factorial(k)
+    return _mass_inverse_times(rhs, meas, k)
 
 
 def project_element_bulk(mesh: Mesh, f: Callable, degree: int = 8) -> np.ndarray:

@@ -24,6 +24,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,45 +37,96 @@ DEGENERACY_FACTOR = 1e-14  # reject elements with volume < factor * h^d
 
 
 # ---------------------------------------------------------------------------
-# single-simplex operations
+# simplex geometry
 # ---------------------------------------------------------------------------
 
-def _diameter(pts: np.ndarray) -> float:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((diff ** 2).sum(-1)).max())
+def simplex_measure(verts):
+    """k-dimensional measure of the simplices in a (..., k+1, d) vertex array.
+
+    Full-dimensional simplices (k = d) use |det E| / d!; lower-dimensional ones
+    embedded in R^d (facets) use the Gram determinant of the edge vectors. No
+    degeneracy check: sub-simplices of cones and extensions are legitimately thin.
+    """
+    verts = np.asarray(verts, dtype=float)
+    k, d = verts.shape[-2] - 1, verts.shape[-1]
+    edges = verts[..., 1:, :] - verts[..., :1, :]
+    if k == d:
+        return np.abs(np.linalg.det(np.swapaxes(edges, -1, -2))) / math.factorial(d)
+    gram = edges @ np.swapaxes(edges, -1, -2)
+    return np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / math.factorial(k)
+
+
+def simplex_gradients(pts) -> np.ndarray:
+    """(k, d+1, d) barycentric gradients of the d-simplices in a (k, d+1, d)
+    vertex array; no degeneracy check, as for simplex_measure."""
+    pts = np.asarray(pts, dtype=float)
+    inv = np.linalg.inv(np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2))  # row i-1 = grad lambda_i
+    grads = np.empty_like(pts)
+    grads[:, 1:] = inv
+    grads[:, 0] = -inv.sum(axis=1)
+    return grads
+
+
+class SimplexGeometry(NamedTuple):
+    volumes: np.ndarray         # (k,)
+    grads: np.ndarray           # (k, d+1, d) barycentric gradients
+    facet_measures: np.ndarray  # (k, d+1), facet opposite each vertex
+    diameters: np.ndarray       # (k,)
+    inradii: np.ndarray         # (k,)
+    incentres: np.ndarray       # (k, d)
+    centroids: np.ndarray       # (k, d)
+
+
+def simplex_geometry(pts) -> SimplexGeometry:
+    """Geometry of the d-simplices in a (k, d+1, d) vertex array.
+
+    A simplex of volume below DEGENERACY_FACTOR * h^d raises DegenerateSimplex.
+    """
+    pts = np.asarray(pts, dtype=float)
+    d = pts.shape[2]
+    volumes = simplex_measure(pts)
+    i, j = np.triu_indices(d + 1, 1)
+    diameters = np.sqrt(((pts[:, i] - pts[:, j]) ** 2).sum(-1).max(axis=1))
+    bad = volumes < DEGENERACY_FACTOR * diameters ** d
+    if np.any(bad):
+        e = int(np.flatnonzero(bad)[0])
+        raise DegenerateSimplex(f"simplex {e}: volume {volumes[e]:.3e} below "
+                                f"threshold for h={diameters[e]:.3e}")
+    grads = simplex_gradients(pts)
+    # |gamma_i| = d |K| |grad lambda_i|
+    facet_measures = d * volumes[:, None] * np.linalg.norm(grads, axis=2)
+    total = facet_measures.sum(axis=1)
+    return SimplexGeometry(
+        volumes=volumes, grads=grads, facet_measures=facet_measures, diameters=diameters,
+        inradii=d * volumes / total,
+        incentres=(facet_measures[:, :, None] * pts).sum(axis=1) / total[:, None],
+        centroids=pts.mean(axis=1))
 
 
 def simplex_volume(pts) -> float:
     """Volume |det(p_1-p_0, ..., p_d-p_0)| / d! of a non-degenerate d-simplex."""
-    pts = np.asarray(pts, dtype=float)
-    d = pts.shape[1]
-    vol = abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(d)
-    h = _diameter(pts)
-    if vol < DEGENERACY_FACTOR * h ** d:
-        raise DegenerateSimplex(f"volume {vol:.3e} below threshold for h={h:.3e}")
-    return vol
+    return float(simplex_geometry([pts]).volumes[0])
 
 
 def barycentric_gradients(pts) -> np.ndarray:
     """Gradients of the d+1 barycentric coordinates; rows sum to zero."""
-    pts = np.asarray(pts, dtype=float)
-    simplex_volume(pts)  # degeneracy guard
-    edges = (pts[1:] - pts[0]).T  # columns are edge vectors
-    ginv = np.linalg.inv(edges)   # row i-1 is grad(lambda_i)
-    grads = np.empty_like(pts)
-    grads[1:] = ginv
-    grads[0] = -ginv.sum(axis=0)
-    return grads
+    return simplex_geometry([pts]).grads[0]
 
 
-def _facet_measures_single(pts: np.ndarray) -> np.ndarray:
-    d = pts.shape[1]
-    meas = np.empty(d + 1)
-    for i in range(d + 1):
-        fpts = np.delete(pts, i, axis=0)
-        v = fpts[1:] - fpts[0]
-        meas[i] = math.sqrt(max(np.linalg.det(v @ v.T), 0.0)) / math.factorial(d - 1)
-    return meas
+def locate(simplices, x):
+    """Place each point of ``x`` (p, d) in one of ``simplices`` (s, d+1, d).
+
+    Returns ``(which, lam)``: the simplex whose smallest barycentric coordinate
+    at the point is largest (the one containing it), and the (p, d+1)
+    barycentric coordinates there. The pieces may be thin, so no degeneracy
+    check.
+    """
+    simplices = np.asarray(simplices, dtype=float)
+    g = simplex_gradients(simplices)
+    lam = np.einsum("snd,psd->psn", g, x[:, None, :] - simplices[None, :, 0])
+    lam[:, :, 0] += 1.0
+    which = lam.min(axis=2).argmax(axis=1)
+    return which, lam[np.arange(len(x)), which]
 
 
 @dataclass(frozen=True)
@@ -90,21 +142,15 @@ class GeometricQuantities:
 
 def geometric_quantities(pts) -> GeometricQuantities:
     """Diameter, inradius, incentre, centroid, facet measures and altitudes of a simplex."""
-    pts = np.asarray(pts, dtype=float)
-    d = pts.shape[1]
-    vol = simplex_volume(pts)
-    meas = _facet_measures_single(pts)
-    total = meas.sum()
-    rho = d * vol / total
-    incentre = (meas[:, None] * pts).sum(axis=0) / total
+    g = simplex_geometry([pts])
     return GeometricQuantities(
-        volume=vol,
-        diameter=_diameter(pts),
-        inradius=rho,
-        incentre=incentre,
-        centroid=pts.mean(axis=0),
-        facet_measures=meas,
-        altitudes=d * vol / meas,
+        volume=float(g.volumes[0]),
+        diameter=float(g.diameters[0]),
+        inradius=float(g.inradii[0]),
+        incentre=g.incentres[0],
+        centroid=g.centroids[0],
+        facet_measures=g.facet_measures[0],
+        altitudes=1.0 / np.linalg.norm(g.grads[0], axis=1),   # d |K| / |gamma_i|
     )
 
 
@@ -117,16 +163,11 @@ def local_facet_frame(pts, facet_index: int):
     inradius at the incentre.
     """
     pts = np.asarray(pts, dtype=float)
-    d = pts.shape[1]
     grads = barycentric_gradients(pts)
     e_d = grads[facet_index] / np.linalg.norm(grads[facet_index])
     fpts = np.delete(pts, facet_index, axis=0)
-    edges = (fpts[1:] - fpts[0]).T  # (d, d-1)
-    q, _ = np.linalg.qr(edges)
-    frame = np.empty((d, d))
-    frame[:d - 1] = q.T
-    frame[d - 1] = e_d
-    return fpts[0].copy(), frame
+    q, _ = np.linalg.qr((fpts[1:] - fpts[0]).T)  # (d, d-1), orthonormal columns
+    return fpts[0].copy(), np.vstack([q.T, e_d])
 
 
 # ---------------------------------------------------------------------------
@@ -283,32 +324,6 @@ class Mesh:
         return -g / np.linalg.norm(g, axis=2, keepdims=True)
 
 
-def _bulk_geometry(points: np.ndarray, simplices: np.ndarray):
-    d = points.shape[1]
-    pts = points[simplices]                      # (ne, d+1, d)
-    edges = np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)  # (ne, d, d), columns = edges
-    det = np.linalg.det(edges)
-    volumes = np.abs(det) / math.factorial(d)
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    diameters = np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
-    bad = volumes < DEGENERACY_FACTOR * diameters ** d
-    if np.any(bad):
-        e = int(np.flatnonzero(bad)[0])
-        raise DegenerateSimplex(f"element {e} is degenerate (volume {volumes[e]:.3e})")
-    inv = np.linalg.inv(edges)                  # (ne, d, d), row i-1 = grad lambda_i
-    grads = np.empty((len(simplices), d + 1, d))
-    grads[:, 1:] = inv
-    grads[:, 0] = -inv.sum(axis=1)
-    # |gamma_i| = d |K| |grad lambda_i|
-    gnorm = np.linalg.norm(grads, axis=2)
-    facet_meas_local = d * volumes[:, None] * gnorm
-    total = facet_meas_local.sum(axis=1)
-    inradii = d * volumes / total
-    incentres = (facet_meas_local[:, :, None] * pts).sum(axis=1) / total[:, None]
-    centroids = pts.mean(axis=1)
-    return volumes, grads, facet_meas_local, diameters, inradii, incentres, centroids
-
-
 def _facet_slots(simplices: np.ndarray, facets: np.ndarray, elem_facets: np.ndarray):
     # slot[e, i, n]: index of global vertex simplices[e, n] within facet elem_facets[e, i]
     fverts = facets[elem_facets]                    # (ne, d+1, d)
@@ -377,9 +392,9 @@ def build_mesh(points, cells, kappa, boundary, *, kappa_jump_warn: float = 100.0
             key = next(iter(tags))
             raise MeshFormatError(f"tagged facet {key} is not a boundary facet of the mesh")
 
-    volumes, grads, fml, diameters, inradii, incentres, centroids = _bulk_geometry(points, cells)
+    geom = simplex_geometry(points[cells])
     facet_measures = np.zeros(len(facets))
-    facet_measures[elem_facets.ravel()] = fml.ravel()
+    facet_measures[elem_facets.ravel()] = geom.facet_measures.ravel()
 
     ne, dp1 = cells.shape
     veo, (ve_elem, ve_loc) = _csr(cells.ravel(), len(points),
@@ -395,8 +410,9 @@ def build_mesh(points, cells, kappa, boundary, *, kappa_jump_warn: float = 100.0
         facets=facets, facet_elems=facet_elems, facet_local=facet_local,
         facet_tag=facet_tag, elem_facets=elem_facets, elem_sigma=elem_sigma,
         elem_facet_slot=_facet_slots(cells, facets, elem_facets),
-        volumes=volumes, bary_grads=grads, facet_measures=facet_measures,
-        diameters=diameters, inradii=inradii, incentres=incentres, centroids=centroids,
+        volumes=geom.volumes, bary_grads=geom.grads, facet_measures=facet_measures,
+        diameters=geom.diameters, inradii=geom.inradii, incentres=geom.incentres,
+        centroids=geom.centroids,
         _vertex_elem_offsets=veo, _vertex_elem_data=np.column_stack([ve_elem, ve_loc]),
         _vertex_facet_offsets=vfo, _vertex_facet_data=np.column_stack([vf_fac, vf_slot]),
     )
@@ -475,13 +491,10 @@ def _tokens(text: str):
         yield from body.split()
 
 
-def read_mesh(path_or_text, **kwargs) -> Mesh:
-    """Parse the mesh text format; accepts a filesystem path or raw text."""
-    text = str(path_or_text)
-    if "\n" not in text and not text.lstrip().startswith("DIM"):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    toks = list(_tokens(text))
+def read_mesh(path, **kwargs) -> Mesh:
+    """Read a mesh file in the text format (see module docstring)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        toks = list(_tokens(fh.read()))
     pos = 0
 
     def expect(kw):

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnsupportedDegree
+from .geometry import simplex_measure
 
 MAX_DEGREE = 12
 
@@ -78,20 +79,11 @@ def rule_for(dim: int, degree: int) -> QuadratureRule:
     return QuadratureRule(dim, exact, np.array(pts, dtype=float), np.array(wts, dtype=float))
 
 
-def _measure(vertices: np.ndarray) -> float:
-    """k-volume of the simplex spanned by k+1 vertices embedded in R^d (Gram determinant)."""
-    v = vertices[1:] - vertices[0]
-    k = len(vertices) - 1
-    gram = v @ v.T
-    det = np.linalg.det(gram)
-    return math.sqrt(max(det, 0.0)) / math.factorial(k)
-
-
 def _integrate(f: Callable, vertices: np.ndarray, k: int, degree: int) -> float:
     rule = rule_for(k, degree)
     x = rule.points @ vertices
     vals = np.asarray(f(x), dtype=float)
-    return float(rule.weights @ vals) * _measure(vertices) * math.factorial(k)
+    return float(rule.weights @ vals) * simplex_measure(vertices) * math.factorial(k)
 
 
 def integrate(f: Callable, vertices, degree: int) -> float:

@@ -22,7 +22,8 @@ import numpy as np
 
 from .equilibration import BoundaryFluxSet
 from .errors import DivergenceAuditFailed, InvalidVariant
-from .geometry import Mesh, barycentric_gradients, geometric_quantities, simplex_volume
+from .geometry import (Mesh, barycentric_gradients, geometric_quantities, locate,
+                       simplex_geometry, simplex_measure)
 from .quadrature import rule_for
 
 ETA1_DEGREE = 4   # |tau_L + tau_Q|^2 has degree 4
@@ -62,37 +63,55 @@ class Variant1Bulk:
     div_l: np.ndarray    # (ne,) constant divergence of tau_L
     grad_r: np.ndarray   # (ne, d) gradient of r = Pi_K f - kappa^2 u_h
     r_bar: np.ndarray    # (ne,) centroid value of r
-    r_vals: np.ndarray   # (ne, d+1) vertex values of r
 
 
-def variant1_bulk(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray) -> Variant1Bulk:
-    pts = mesh.points[mesh.simplices]
-    g = mesh.bary_grads
-    rv = _r_to_local_vertices(mesh, R)                  # (ne, m, n)
+def _variant1_coeffs(pts, g, rv, r_vals) -> Variant1Bulk:
+    # rv[e, m, n]: residual of facet m at local vertex n, zero on the diagonal
     w = rv * np.linalg.norm(g, axis=2)[:, :, None]      # weight of edge (n -> m)
     c = np.einsum("emn,emd->end", w, pts) - w.sum(axis=1)[:, :, None] * pts
     div_l = -np.einsum("end,end->e", g, c)
     grad_r = np.einsum("end,en->ed", g, r_vals)
-    return Variant1Bulk(c=c, div_l=div_l, grad_r=grad_r,
-                        r_bar=r_vals.mean(axis=1), r_vals=r_vals)
+    return Variant1Bulk(c=c, div_l=div_l, grad_r=grad_r, r_bar=r_vals.mean(axis=1))
 
 
-def _pairs(dp1: int):
-    return [(n, m) for n in range(dp1) for m in range(n + 1, dp1)]
+def variant1_bulk(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray) -> Variant1Bulk:
+    return _variant1_coeffs(mesh.points[mesh.simplices], mesh.bary_grads,
+                            _r_to_local_vertices(mesh, R), r_vals)
+
+
+def _tau_q_pairs(pts, grad_r):
+    """Per vertex pair n < m of each element: (n, m, t = x_m - x_n, t.grad_r / (d+1))."""
+    dp1 = pts.shape[1]
+    pairs = []
+    for n in range(dp1):
+        for m in range(n + 1, dp1):
+            t = pts[:, m] - pts[:, n]
+            pairs.append((n, m, t, np.einsum("ed,ed->e", t, grad_r) / dp1))
+    return pairs
+
+
+def variant1_field(lam, c, pairs):
+    """tau_L + tau_Q at barycentric coordinates ``lam`` (..., d+1).
+
+    tau_L = -sum_n lam_n c_n matches the facet residuals; tau_Q = sum_{n<m}
+    lam_n lam_m t (t.grad_r) / (d+1) has zero normal trace. The leading axes of
+    ``lam`` broadcast against the elements of ``c`` and ``pairs``
+    (see _tau_q_pairs).
+    """
+    field = -np.einsum("...n,...nd->...d", lam, c)
+    for n, m, t, tg in pairs:
+        field += (lam[..., n] * lam[..., m] * tg)[..., None] * t
+    return field
 
 
 def eta1_terms(mesh: Mesh, v1: Variant1Bulk, degree: int = ETA1_DEGREE):
     """(||tau_L + tau_Q||_K^2, divergence residual constant) per element."""
     d = mesh.dim
-    pts = mesh.points[mesh.simplices]
     rule = rule_for(d, degree)
     acc = np.zeros(mesh.n_elements)
-    pair_t = {(n, m): pts[:, m] - pts[:, n] for n, m in _pairs(d + 1)}
-    pair_tg = {k: np.einsum("ed,ed->e", t, v1.grad_r) for k, t in pair_t.items()}
+    pairs = _tau_q_pairs(mesh.points[mesh.simplices], v1.grad_r)
     for lam, w in zip(rule.points, rule.weights):
-        field = -np.einsum("n,end->ed", lam, v1.c)
-        for (n, m), t in pair_t.items():
-            field += (lam[n] * lam[m] / (d + 1)) * t * pair_tg[(n, m)][:, None]
+        field = variant1_field(lam[None], v1.c, pairs)
         acc += w * (field ** 2).sum(axis=1)
     first = acc * mesh.volumes * math.factorial(d)
     resid_const = v1.div_l + v1.r_bar
@@ -138,41 +157,53 @@ def split_cone_frustum(facet_vertices, apex, cut: float):
     f = np.asarray(facet_vertices, dtype=float)
     apex = np.asarray(apex, dtype=float)
     d = f.shape[1]
-    q = geometric_quantities(np.vstack([f, apex]))
-    height = d * q.volume / math.sqrt(max(np.linalg.det(
-        (f[1:] - f[0]) @ (f[1:] - f[0]).T), 0.0)) * math.factorial(d - 1)
+    height = geometric_quantities(np.vstack([f, apex])).altitudes[d]
     if not 0.0 < cut < height:
         raise ValueError(f"cut {cut} must lie strictly between 0 and the apex height {height}")
     s = cut / height
     g = f + s * (apex - f)
-    pieces = np.empty((d, d + 1, d))
-    for j in range(1, d + 1):
-        pieces[j - 1] = np.vstack([f[:j], g[j - 1:]])
+    pieces = np.array([np.vstack([f[:j], g[j - 1:]]) for j in range(1, d + 1)])
     top = np.vstack([g, apex[None, :]])
     return pieces, top
 
 
-def _facet_extension_coeffs(F, Rv, ed):
-    """Affine extension of the facet residual, constant along the facet normal.
+def _facet_setup(pts, g, Rf, i: int):
+    """Local facet i (opposite vertex i) of a batch of elements.
 
-    Returns (a, b) with R(x) = a.x + b, a orthogonal to ed.
+    ``pts``/``g`` are the (k, d+1, d) element vertices and barycentric
+    gradients, ``Rf`` (k, d) the facet residual values at the facet vertices.
+    Returns ``(F, a, b, ed)``: the facet vertices in element order (the
+    canonical facet order, element vertices being sorted), the affine extension
+    R(x) = a.x + b of the residual, constant along the facet normal (a
+    orthogonal to ed), and the inward unit normal ed.
     """
-    ns, d = F.shape[0], F.shape[2]
-    A = np.empty((ns, d, d))
+    k, dp1, d = pts.shape
+    F = pts[:, [j for j in range(dp1) if j != i]]
+    ed = g[:, i] / np.linalg.norm(g[:, i], axis=1, keepdims=True)
+    A = np.empty((k, d, d))
     A[:, :d - 1] = F[:, 1:] - F[:, :1]
     A[:, d - 1] = ed
-    rhs = np.empty((ns, d))
-    rhs[:, :d - 1] = Rv[:, 1:] - Rv[:, :1]
-    rhs[:, d - 1] = 0.0
+    rhs = np.zeros((k, d))
+    rhs[:, :d - 1] = Rf[:, 1:] - Rf[:, :1]
     a = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
-    b = Rv[:, 0] - np.einsum("sd,sd->s", a, F[:, 0])
-    return a, b
+    b = Rf[:, 0] - np.einsum("sd,sd->s", a, F[:, 0])
+    return F, a, b, ed
 
 
-def _batch_volumes(verts):
-    d = verts.shape[2]
-    edges = np.swapaxes(verts[:, 1:] - verts[:, :1], 1, 2)
-    return np.abs(np.linalg.det(edges)) / math.factorial(d)
+def variant2_field(x, xd, a, b, ed, apex, rho, kappa):
+    """Layer field tau_O = s w on the cone of one facet, w = x - apex.
+
+    ``xd`` is the distance of x from the facet plane; pass exact zeros for
+    points on the facet. s = (1 - kappa xd)_+ (a.x + b) / rho, so tau_O
+    vanishes beyond the cutoff height 1/kappa. Returns ``(s, w, div tau_O)``.
+    """
+    d = x.shape[-1]
+    fac = np.maximum(1.0 - kappa * xd, 0.0)
+    rt = np.einsum("pd,pd->p", a, x) + b
+    w = x - apex
+    div = (fac * (d * rt + np.einsum("pd,pd->p", a, w))
+           - kappa * np.einsum("pd,pd->p", w, ed) * rt) / rho
+    return fac * rt / rho, w, np.where(fac > 0.0, div, 0.0)
 
 
 def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray,
@@ -194,7 +225,6 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray,
     grad_r = np.einsum("end,en->ed", mesh.bary_grads[sel], r_vals[sel])
     cut = 1.0 / kap
     split = cut < rho
-    sfrac = np.where(split, cut / rho, 1.0)
 
     rule_a = rule_for(d, degree)
     rule_t = rule_for(d, top_degree)
@@ -202,55 +232,47 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray,
     first = np.zeros(len(sel))
     second = np.zeros(len(sel))
 
-    def integrate_active(verts, rows, meta):
-        a, b, p0, ed = meta
-        vol = _batch_volumes(verts) * dfact
+    def integrate_active(verts, rows, F, a, b, ed):
+        vol = simplex_measure(verts) * dfact
+        p0, a, b, ed = F[rows, 0], a[rows], b[rows], ed[rows]
+        ap, rh, kp = apex[rows], rho[rows], kap[rows]
+        rb, gr, ce = r_bar[rows], grad_r[rows], cent[rows]
         acc1 = np.zeros(len(rows))
         acc2 = np.zeros(len(rows))
-        kap_r, rho_r = kap[rows], rho[rows]
         for lam, w in zip(rule_a.points, rule_a.weights):
             x = np.einsum("j,pjd->pd", lam, verts)
             xd = np.einsum("pd,pd->p", x - p0, ed)
-            fac = np.maximum(1.0 - kap_r * xd, 0.0)
-            rt = np.einsum("pd,pd->p", a, x) + b
-            wvec = x - apex[rows]
-            acc1 += w * fac ** 2 * rt ** 2 * (wvec ** 2).sum(axis=1)
-            div_o = (fac * (d * rt + np.einsum("pd,pd->p", a, wvec))
-                     - kap_r * np.einsum("pd,pd->p", wvec, ed) * rt) / rho_r
-            rx = r_bar[rows] + np.einsum("pd,pd->p", grad_r[rows], x - cent[rows])
+            s, wvec, div_o = variant2_field(x, xd, a, b, ed, ap, rh, kp)
+            acc1 += w * s ** 2 * (wvec ** 2).sum(axis=1)
+            rx = rb + np.einsum("pd,pd->p", gr, x - ce)
             acc2 += w * (rx + div_o) ** 2
-        np.add.at(first, rows, acc1 / rho_r ** 2 * vol)
-        np.add.at(second, rows, acc2 * vol)
+        first[rows] += acc1 * vol
+        second[rows] += acc2 * vol
 
     def integrate_top(verts, rows):
-        vol = _batch_volumes(verts) * dfact
+        vol = simplex_measure(verts) * dfact
+        rb, gr, ce = r_bar[rows], grad_r[rows], cent[rows]
         acc = np.zeros(len(rows))
         for lam, w in zip(rule_t.points, rule_t.weights):
             x = np.einsum("j,pjd->pd", lam, verts)
-            rx = r_bar[rows] + np.einsum("pd,pd->p", grad_r[rows], x - cent[rows])
-            acc += w * rx ** 2
-        np.add.at(second, rows, acc * vol)
+            acc += w * (rb + np.einsum("pd,pd->p", gr, x - ce)) ** 2
+        second[rows] += acc * vol
 
+    pts = mesh.points[mesh.simplices[sel]]
+    g = mesh.bary_grads[sel]
+    sp = np.flatnonzero(split)
+    un = np.flatnonzero(~split)
     for i in range(d + 1):
-        fid = mesh.elem_facets[sel, i]
-        F = mesh.points[mesh.facets[fid]]           # (ns, d, d)
-        Rv = R[sel, i]
-        g = mesh.bary_grads[sel, i]
-        ed = g / np.linalg.norm(g, axis=1, keepdims=True)
-        a, b = _facet_extension_coeffs(F, Rv, ed)
-        p0 = F[:, 0]
-        G = F + sfrac[:, None, None] * (apex[:, None, :] - F)
-        sp = np.flatnonzero(split)
+        F, a, b, ed = _facet_setup(pts, g, R[sel, i], i)
         if len(sp):
+            G = F[sp] + (cut[sp] / rho[sp])[:, None, None] * (apex[sp, None, :] - F[sp])
             for j in range(1, d + 1):
-                verts = np.concatenate([F[sp, :j], G[sp, j - 1:]], axis=1)
-                integrate_active(verts, sp, (a[sp], b[sp], p0[sp], ed[sp]))
-            top = np.concatenate([G[sp], apex[sp, None, :]], axis=1)
-            integrate_top(top, sp)
-        un = np.flatnonzero(~split)
+                verts = np.concatenate([F[sp, :j], G[:, j - 1:]], axis=1)
+                integrate_active(verts, sp, F, a, b, ed)
+            integrate_top(np.concatenate([G, apex[sp, None, :]], axis=1), sp)
         if len(un):
             verts = np.concatenate([F[un], apex[un, None, :]], axis=1)
-            integrate_active(verts, un, (a[un], b[un], p0[un], ed[un]))
+            integrate_active(verts, un, F, a, b, ed)
     return first, second
 
 
@@ -267,22 +289,14 @@ class FluxVariant1:
     grad_uh: np.ndarray
     c: np.ndarray
     grad_r: np.ndarray
-    r_bar: np.ndarray
     centroid: np.ndarray
     div_l: float
 
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        g = barycentric_gradients(self.vertices)
-        lam = (x - self.vertices[0]) @ g.T
-        lam[:, 0] += 1.0
-        out = np.broadcast_to(self.grad_uh, x.shape).copy()
-        out -= lam @ self.c
-        d = x.shape[1]
-        for n, m in _pairs(d + 1):
-            t = self.vertices[m] - self.vertices[n]
-            out += np.outer(lam[:, n] * lam[:, m], t) * (t @ self.grad_r) / (d + 1)
-        return out
+        lam = locate(self.vertices[None], x)[1]
+        pairs = _tau_q_pairs(self.vertices[None], self.grad_r[None])
+        return self.grad_uh + variant1_field(lam, self.c[None], pairs)
 
     def divergence(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -292,19 +306,15 @@ class FluxVariant1:
 def build_variant1(vertices, Rv, r_vals, grad_uh=None) -> FluxVariant1:
     """Polynomial reconstruction on one element from local-vertex residual values."""
     vertices = np.asarray(vertices, dtype=float)
-    Rv = np.asarray(Rv, dtype=float)
+    Rv = np.where(np.eye(len(vertices), dtype=bool), 0.0, np.asarray(Rv, dtype=float))
     r_vals = np.asarray(r_vals, dtype=float)
-    g = barycentric_gradients(vertices)
-    w = Rv * np.linalg.norm(g, axis=1)[:, None]
-    np.fill_diagonal(w, 0.0)
-    c = np.einsum("mn,md->nd", w, vertices) - w.sum(axis=0)[:, None] * vertices
-    grad_r = g.T @ r_vals
+    v1 = _variant1_coeffs(vertices[None], barycentric_gradients(vertices)[None],
+                          Rv[None], r_vals[None])
     base = np.zeros(vertices.shape[1]) if grad_uh is None \
         else np.asarray(grad_uh, dtype=float)
     return FluxVariant1(vertices=vertices, grad_uh=base,
-                        c=c, grad_r=grad_r, r_bar=float(r_vals.mean()),
-                        centroid=vertices.mean(axis=0),
-                        div_l=float(-np.einsum("nd,nd->", g, c)))
+                        c=v1.c[0], grad_r=v1.grad_r[0], centroid=vertices.mean(axis=0),
+                        div_l=float(v1.div_l[0]))
 
 
 @dataclass(frozen=True)
@@ -320,45 +330,24 @@ class FluxVariant2:
     a: np.ndarray                # (d+1, d) in-plane residual gradients
     b: np.ndarray                # (d+1,)
     ed: np.ndarray               # (d+1, d) inward facet normals
-    p0: np.ndarray               # (d+1, d) facet plane origins
 
     def _locate(self, x):
-        best = np.full(len(x), -np.inf)
-        which = np.zeros(len(x), dtype=int)
-        d = x.shape[1]
-        for i in range(d + 1):
-            cone = np.vstack([self.facet_vertices[i], self.incentre[None, :]])
-            g = barycentric_gradients(cone)
-            lam = (x - cone[0]) @ g.T
-            lam[:, 0] += 1.0
-            lo = lam.min(axis=1)
-            better = lo > best
-            which[better] = i
-            best[better] = lo[better]
-        return which
+        apex = np.broadcast_to(self.incentre, (len(self.facet_vertices), 1, len(self.incentre)))
+        return locate(np.concatenate([self.facet_vertices, apex], axis=1), x)[0]
 
-    def _tau_o(self, x, which):
-        xd = np.einsum("pd,pd->p", x - self.p0[which], self.ed[which])
-        fac = np.maximum(1.0 - self.kappa * xd, 0.0)
-        rt = np.einsum("pd,pd->p", self.a[which], x) + self.b[which]
-        return (fac * rt / self.rho)[:, None] * (x - self.incentre)
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.grad_uh + self._tau_o(x, self._locate(x))
-
-    def divergence(self, x) -> np.ndarray:
+    def _tau_o(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         which = self._locate(x)
-        d = x.shape[1]
-        xd = np.einsum("pd,pd->p", x - self.p0[which], self.ed[which])
-        active = xd < 1.0 / self.kappa
-        fac = np.maximum(1.0 - self.kappa * xd, 0.0)
-        rt = np.einsum("pd,pd->p", self.a[which], x) + self.b[which]
-        wvec = x - self.incentre
-        div = (fac * (d * rt + np.einsum("pd,pd->p", self.a[which], wvec))
-               - self.kappa * np.einsum("pd,pd->p", wvec, self.ed[which]) * rt) / self.rho
-        return np.where(active, div, 0.0)
+        xd = np.einsum("pd,pd->p", x - self.facet_vertices[which, 0], self.ed[which])
+        return variant2_field(x, xd, self.a[which], self.b[which], self.ed[which],
+                              self.incentre, self.rho, self.kappa)
+
+    def __call__(self, x) -> np.ndarray:
+        s, w, _ = self._tau_o(x)
+        return self.grad_uh + s[:, None] * w
+
+    def divergence(self, x) -> np.ndarray:
+        return self._tau_o(x)[2]
 
 
 def build_variant2(vertices, Rv, kappa: float, grad_uh=None) -> FluxVariant2:
@@ -372,90 +361,57 @@ def build_variant2(vertices, Rv, kappa: float, grad_uh=None) -> FluxVariant2:
     vertices = np.asarray(vertices, dtype=float)
     Rv = np.asarray(Rv, dtype=float)
     d = vertices.shape[1]
-    q = geometric_quantities(vertices)
-    g = barycentric_gradients(vertices)
-    fverts = np.empty((d + 1, d, d))
-    eds = np.empty((d + 1, d))
-    avals = np.empty((d + 1, d))
-    bvals = np.empty(d + 1)
-    for i in range(d + 1):
-        fverts[i] = np.delete(vertices, i, axis=0)
-        eds[i] = g[i] / np.linalg.norm(g[i])
-        rv = np.delete(Rv[i], i)
-        a, b = _facet_extension_coeffs(fverts[None, i], rv[None, :], eds[None, i])
-        avals[i], bvals[i] = a[0], b[0]
+    geom = simplex_geometry(vertices[None])
+    F, a, b, ed = (np.concatenate(parts) for parts in zip(*(
+        _facet_setup(vertices[None], geom.grads, np.delete(Rv[i], i)[None], i)
+        for i in range(d + 1))))
     base = np.zeros(d) if grad_uh is None else np.asarray(grad_uh, dtype=float)
     return FluxVariant2(vertices=vertices, grad_uh=base, kappa=float(kappa),
-                        rho=q.inradius, incentre=q.incentre, facet_vertices=fverts,
-                        a=avals, b=bvals, ed=eds, p0=fverts[:, 0].copy())
+                        rho=float(geom.inradii[0]), incentre=geom.incentres[0],
+                        facet_vertices=F, a=a, b=b, ed=ed)
 
 
 def eta_K(flux, kappa: float, r_vals, degree: int | None = None) -> float:
-    """Single-element indicator by quadrature of the flux closure.
+    """Single-element layer indicator by quadrature of a FluxVariant2 closure.
 
     ``flux.grad_uh`` must be set to the element gradient of u_h; ``r_vals`` are
-    the vertex values of Pi_K f - kappa^2 u_h. For the polynomial variant on an
-    element with kappa*rho <= 1 the divergence term is audited and excluded.
+    the vertex values of Pi_K f - kappa^2 u_h. The cones are split with
+    split_cone_frustum and the closure located pointwise, a route independent
+    of the staircase batches of eta2_terms.
     """
-    if isinstance(flux, FluxVariant1):
-        vertices = flux.vertices
-        d = vertices.shape[1]
-        degree = ETA1_DEGREE if degree is None else degree
-        q = geometric_quantities(vertices)
-        rule = rule_for(d, degree)
-        x = rule.points @ vertices
-        diff = flux(x) - flux.grad_uh
-        first = float(rule.weights @ (diff ** 2).sum(axis=1)) * q.volume * math.factorial(d)
-        rx = rule.points @ np.asarray(r_vals, dtype=float)
-        resid = rx + flux.divergence(x)
-        second = float(rule.weights @ resid ** 2) * q.volume * math.factorial(d)
-        if kappa * q.inradius <= 1.0:
-            scale = math.sqrt(_affine_norm_sq(q.volume, np.asarray(r_vals, dtype=float))) + 1.0
-            if math.sqrt(max(second, 0.0)) > AUDIT_TOL * scale:
-                raise DivergenceAuditFailed(
-                    f"divergence residual {math.sqrt(second):.3e} on a kappa*rho <= 1 element")
-            return math.sqrt(max(first, 0.0))
-        return math.sqrt(max(first + second / kappa ** 2, 0.0))
+    if not isinstance(flux, FluxVariant2):
+        raise TypeError(f"unknown flux object {type(flux)!r}")
+    vertices = flux.vertices
+    d = vertices.shape[1]
+    degree = ETA2_DEGREE if degree is None else degree
+    rule = rule_for(d, degree)
+    rule_top = rule_for(d, TOP_DEGREE)
+    r_vals = np.asarray(r_vals, dtype=float)
 
-    if isinstance(flux, FluxVariant2):
-        vertices = flux.vertices
-        d = vertices.shape[1]
-        degree = ETA2_DEGREE if degree is None else degree
-        rule = rule_for(d, degree)
-        rule_top = rule_for(d, TOP_DEGREE)
-        g = barycentric_gradients(vertices)
-        r_vals = np.asarray(r_vals, dtype=float)
-        grad_r = g.T @ r_vals
+    def r_of(x):
+        return locate(vertices[None], x)[1] @ r_vals
 
-        def r_of(x):
-            lam = (x - vertices[0]) @ g.T
-            lam[:, 0] += 1.0
-            return lam @ r_vals
-
-        first = 0.0
-        second = 0.0
-        cut = 1.0 / flux.kappa
-        for i in range(d + 1):
-            cone = np.vstack([flux.facet_vertices[i], flux.incentre[None, :]])
-            if cut < flux.rho:
-                pieces, top = split_cone_frustum(flux.facet_vertices[i], flux.incentre, cut)
-                tops = [top]
-            else:
-                pieces, tops = cone[None, :, :], []
-            for piece in pieces:
-                vol = simplex_volume(piece) * math.factorial(d)
-                x = rule.points @ piece
-                tau = flux(x) - flux.grad_uh
-                first += float(rule.weights @ (tau ** 2).sum(axis=1)) * vol
-                resid = r_of(x) + flux.divergence(x)
-                second += float(rule.weights @ resid ** 2) * vol
-            for piece in tops:
-                vol = simplex_volume(piece) * math.factorial(d)
-                x = rule_top.points @ piece
-                second += float(rule_top.weights @ r_of(x) ** 2) * vol
-        return math.sqrt(max(first + second / flux.kappa ** 2, 0.0))
-
-    raise TypeError(f"unknown flux object {type(flux)!r}")
+    first = 0.0
+    second = 0.0
+    cut = 1.0 / flux.kappa
+    for i in range(d + 1):
+        if cut < flux.rho:
+            pieces, top = split_cone_frustum(flux.facet_vertices[i], flux.incentre, cut)
+            tops = [top]
+        else:
+            pieces, tops = [np.vstack([flux.facet_vertices[i], flux.incentre])], []
+        for piece in pieces:
+            vol = simplex_measure(piece) * math.factorial(d)
+            x = rule.points @ piece
+            tau = flux(x) - flux.grad_uh
+            first += float(rule.weights @ (tau ** 2).sum(axis=1)) * vol
+            resid = r_of(x) + flux.divergence(x)
+            second += float(rule.weights @ resid ** 2) * vol
+        for piece in tops:
+            vol = simplex_measure(piece) * math.factorial(d)
+            x = rule_top.points @ piece
+            second += float(rule_top.weights @ r_of(x) ** 2) * vol
+    return math.sqrt(max(first + second / flux.kappa ** 2, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -474,41 +430,25 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
     """
     d = mesh.dim
     rule = rule_for(d - 1, degree)
-    nq = rule.n_points
     ne = mesh.n_elements
     pts = mesh.points[mesh.simplices]
-    fpts = mesh.points[mesh.facets]              # (nf, d, d)
     normals = mesh.outward_normals()
-    trace = np.empty((ne, d + 1, nq))
-    g_exact = np.empty((ne, d + 1, nq))
-    is2 = variant == 2
-    kap = mesh.kappa
+    pairs = _tau_q_pairs(pts, v1.grad_r)
+    trace = np.empty((ne, d + 1, rule.n_points))
+    g_exact = np.empty((ne, d + 1, rule.n_points))
+    is2 = (variant == 2)[:, None]
+    on_facet = np.zeros(ne)   # normal distance of the trace points, exactly zero
     for i in range(d + 1):
-        fid = mesh.elem_facets[:, i]
-        F = fpts[fid]
-        Rv = R[:, i]
-        ed = mesh.bary_grads[:, i] / np.linalg.norm(mesh.bary_grads[:, i], axis=1, keepdims=True)
-        a, b = _facet_extension_coeffs(F, Rv, ed)
+        F, a, b, ed = _facet_setup(pts, mesh.bary_grads, R[:, i], i)
         gn = np.einsum("ed,ed->e", grad, normals[:, i])
         for qi, mu in enumerate(rule.points):
             x = np.einsum("j,fjd->fd", mu, F)
-            # variant 1 trace
-            lam = np.einsum("end,ed->en", mesh.bary_grads, x - pts[:, 0])
-            lam[:, 0] += 1.0
-            field = grad - np.einsum("en,end->ed", lam, v1.c)
-            for n, m in _pairs(d + 1):
-                t = pts[:, m] - pts[:, n]
-                field = field + (lam[:, n] * lam[:, m] / (d + 1))[:, None] * t \
-                    * np.einsum("ed,ed->e", t, v1.grad_r)[:, None]
-            tr1 = np.einsum("ed,ed->e", field, normals[:, i])
-            # variant 2 trace; x lies in the facet plane by construction, so the
-            # normal coordinate vanishes identically and the cutoff factor is 1
-            rt = np.einsum("ed,ed->e", a, x) + b
-            wvec = x - mesh.incentres
-            tau_o = (rt / mesh.inradii)[:, None] * wvec
-            tr2 = np.einsum("ed,ed->e", grad + tau_o, normals[:, i])
-            trace[:, i, qi] = np.where(is2, tr2, tr1)
-            g_exact[:, i, qi] = Rv @ mu + gn
+            tau1 = variant1_field(np.insert(mu, i, 0.0)[None], v1.c, pairs)
+            s, w, _ = variant2_field(x, on_facet, a, b, ed, mesh.incentres,
+                                     mesh.inradii, mesh.kappa)
+            tau = grad + np.where(is2, s[:, None] * w, tau1)
+            trace[:, i, qi] = np.einsum("ed,ed->e", tau, normals[:, i])
+            g_exact[:, i, qi] = R[:, i] @ mu + gn
     return trace, g_exact
 
 

@@ -132,6 +132,53 @@ def test_extension_norm_quadrature_cross_check(unit_triangle):
     assert ext.l2_norm_sq() == pytest.approx(total, rel=1e-11)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_extension_volume_terms_match_subsimplex_integrals(dim):
+    # the volume part of Dstar, int f theta* - int grad u_h . grad theta*
+    # - kappa^2 int u_h theta*, rebuilt sub-simplex by sub-simplex from the
+    # collapsed extension closures
+    kappa = 30.0
+    mesh = geo.build_cube_mesh(2, dim, kappa)
+    coef = np.arange(1.0, dim + 1)
+
+    def f(x):
+        return 1.0 + x @ coef   # affine, so every integrand below is quadratic
+
+    data = fem.ProblemData(f=f)
+    sol = fem.solve_problem(mesh, data)
+    sel = np.flatnonzero(mesh.kappa * mesh.inradii > 1.0)
+    assert len(sel) == mesh.n_elements
+    got = eq._extension_volume_terms(mesh, sol, data, sel)
+    for row, e in enumerate(sel):
+        pts = mesh.points[mesh.simplices[e]]
+        g = geo.barycentric_gradients(pts)
+        uloc = sol.u[mesh.simplices[e]]
+
+        def u_h(x):
+            lam = (x - pts[0]) @ g.T
+            lam[:, 0] += 1.0
+            return lam @ uloc
+
+        for n in range(dim + 1):
+            ext = eq.extension(pts, kappa, n)
+            assert not ext.plain
+            load = stiff = mass = 0.0
+            for sub, vals in zip(ext.subsimplices, ext.subvalues):
+                gs = geo.barycentric_gradients(sub)
+
+                def theta(x):
+                    lam = (x - sub[0]) @ gs.T
+                    lam[:, 0] += 1.0
+                    return lam @ vals
+
+                load += integrate(lambda x: f(x) * theta(x), sub, 4)
+                mass += kappa ** 2 * integrate(lambda x: u_h(x) * theta(x), sub, 4)
+                stiff += geo.simplex_volume(sub) * sol.grad[e] @ (gs.T @ vals)
+            ref = load - stiff - mass
+            scale = abs(load) + abs(stiff) + abs(mass)
+            assert abs(got[row, n] - ref) <= 1e-10 * scale
+
+
 # ---------------------------------------------------------------------------
 # residual functionals
 # ---------------------------------------------------------------------------

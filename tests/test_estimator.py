@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import fluxbound.equilibration as eq
 import fluxbound.estimator as est
 import fluxbound.fem as fem
 import fluxbound.geometry as geo
-from fluxbound.errors import NegativeDifference
+from fluxbound.errors import NegativeDifference, UnsolvableProblem
 
 from conftest import dense_projection_oracle, random_simplex
 from test_fem import one_element_mesh
@@ -278,3 +279,41 @@ def test_report_json_dump(tmp_path, two_triangle_square):
     assert back["strategy"] == "tau"
     assert len(back["eta_k_tau"]) == mesh.n_elements
     assert back["eta_taustar"] is None
+
+
+# ---------------------------------------------------------------------------
+# non-finite data
+# ---------------------------------------------------------------------------
+
+def test_non_finite_data_raises_typed_error():
+    # a NaN source on part of the domain and an infinite Neumann datum
+    mesh = geo.build_cube_mesh(4, 2, 1.0)
+    assert np.any(mesh.facet_tag == geo.NEUMANN)
+
+    def one(x):
+        return np.ones(len(x))
+
+    def nan_f(x):
+        return np.where(x[:, 0] > 0.5, np.nan, 1.0)
+
+    def inf_g(x):
+        return np.full(len(x), np.inf)
+
+    for data in (fem.ProblemData(f=nan_f), fem.ProblemData(f=one, g_N=inf_g)):
+        with pytest.raises(UnsolvableProblem):
+            fem.solve_problem(mesh, data)
+    with pytest.raises(UnsolvableProblem):
+        est.oscillation_f(mesh, nan_f)
+    with pytest.raises(UnsolvableProblem):
+        est.oscillation_gN(mesh, inf_g)
+    # the collapsed extensions (kappa*rho > 1) evaluate f at their own points
+    layer = geo.build_cube_mesh(4, 2, 100.0)
+    sol = fem.solve_problem(layer, fem.ProblemData(f=one))
+    with pytest.raises(UnsolvableProblem):
+        eq._extension_volume_terms(layer, sol, fem.ProblemData(f=nan_f),
+                                   np.arange(layer.n_elements))
+    # through the estimator: a solution from finite data, then bad data
+    sol = fem.solve_problem(mesh, fem.ProblemData(f=one, g_N=one))
+    for data in (fem.ProblemData(f=nan_f, g_N=one), fem.ProblemData(f=one, g_N=inf_g)):
+        with pytest.raises(UnsolvableProblem):
+            est.estimate(mesh, sol, data)

@@ -206,12 +206,13 @@ def test_vertex_patch_consistency():
 # mesh file format
 # ---------------------------------------------------------------------------
 
-def test_mesh_file_roundtrip(tmp_path):
+def test_mesh_file_roundtrip(tmp_path, monkeypatch):
     mesh = geo.build_cube_mesh(2, 2, lambda c: np.where(c[:, 0] < 0, 2.0, 3.0),
                                kappa_jump_warn=np.inf)
-    path = tmp_path / "square.mesh"
-    geo.write_mesh(mesh, str(path))
-    back = geo.read_mesh(str(path))
+    # a relative file name starting with the DIM keyword is still a path
+    monkeypatch.chdir(tmp_path)
+    geo.write_mesh(mesh, "DIM_square.mesh")
+    back = geo.read_mesh("DIM_square.mesh")
     assert back.dim == mesh.dim
     assert np.array_equal(back.simplices, mesh.simplices)
     assert np.allclose(back.points, mesh.points)
@@ -219,7 +220,13 @@ def test_mesh_file_roundtrip(tmp_path):
     assert np.allclose(back.kappa, mesh.kappa)
 
 
-def test_mesh_text_parsing_with_comments():
+def _mesh_file(tmp_path, text):
+    path = tmp_path / "input.mesh"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_mesh_text_parsing_with_comments(tmp_path):
     text = """
     # a single reference triangle with one Dirichlet edge
     DIM 2
@@ -234,21 +241,21 @@ def test_mesh_text_parsing_with_comments():
     0 2 N
     1 2 N
     """
-    mesh = geo.read_mesh(text)
+    mesh = geo.read_mesh(_mesh_file(tmp_path, text))
     assert mesh.n_elements == 1
     assert mesh.kappa[0] == 0.5
     assert (mesh.facet_tag == geo.DIRICHLET).sum() == 1
 
 
-def test_mesh_file_errors():
+def test_mesh_file_errors(tmp_path):
     with pytest.raises(MeshFormatError):
-        geo.read_mesh("DIM 2\nPOINTS 1\n0 0\nCELLS 0\nBOUNDARY 0\nJUNK")
+        geo.read_mesh(_mesh_file(tmp_path, "DIM 2\nPOINTS 1\n0 0\nCELLS 0\nBOUNDARY 0\nJUNK"))
     # untagged boundary facet
     with pytest.raises(MeshFormatError):
-        geo.read_mesh("DIM 2\nPOINTS 3\n0 0\n1 0\n0 1\nCELLS 1\n0 1 2 1.0\n"
-                      "BOUNDARY 2\n0 1 D\n0 2 N")
+        geo.read_mesh(_mesh_file(tmp_path, "DIM 2\nPOINTS 3\n0 0\n1 0\n0 1\nCELLS 1\n"
+                                 "0 1 2 1.0\nBOUNDARY 2\n0 1 D\n0 2 N"))
     # tag for a non-boundary facet
     with pytest.raises(MeshFormatError):
-        geo.read_mesh("DIM 2\nPOINTS 4\n0 0\n1 0\n0 1\n1 1\nCELLS 2\n"
-                      "0 1 2 1.0\n1 3 2 1.0\nBOUNDARY 5\n0 1 D\n0 2 N\n1 3 N\n"
-                      "2 3 N\n1 2 N")
+        geo.read_mesh(_mesh_file(tmp_path, "DIM 2\nPOINTS 4\n0 0\n1 0\n0 1\n1 1\nCELLS 2\n"
+                                 "0 1 2 1.0\n1 3 2 1.0\nBOUNDARY 5\n0 1 D\n0 2 N\n"
+                                 "1 3 N\n2 3 N\n1 2 N"))
