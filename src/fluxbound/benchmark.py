@@ -115,7 +115,6 @@ class RunConfig:
     kappa1: float = 100.0
     kappa2: float = 1.0e6
     strategy: str = "both"
-    solver_tol: float = 1e-12
     out: str | None = None
     verbose: bool = False
     conformity: bool = False
@@ -153,7 +152,7 @@ def run_benchmark(config: RunConfig, mesh: Mesh | None = None):
         mesh = benchmark_mesh(config)
         exact = exact_solution(config.kappa1, config.kappa2, config.dim)
     data = benchmark_data(config)
-    sol = solve_problem(mesh, data, tol=config.solver_tol)
+    sol = solve_problem(mesh, data)
     patches = f"{config.out}.patches.csv" if (config.verbose and config.out) else None
     report = estimate(mesh, sol, data, config.strategy, exact,
                       check_conformity=config.conformity,

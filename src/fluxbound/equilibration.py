@@ -17,17 +17,16 @@ is minimized in the least-squares sense, with minimal-norm tie-breaking.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleConstraints
-from .fem import (FemSolution, ProblemData, _mass_inverse_times, data_values,
-                  element_loads, element_stiffness_mass, neumann_loads)
+from .fem import (FemSolution, ProblemData, _mass_inverse_times, _mass_times, data_values,
+                  element_loads, neumann_loads)
 from .geometry import (NEUMANN, Mesh, geometric_quantities, locate, simplex_gradients,
                        simplex_measure, simplex_volume)
-from .quadrature import rule_for
+from .quadrature import integrate_simplices
 
 RANK_TOL = 1e-12        # relative singular value cutoff in the patch solves
 CONSTRAINT_TOL = 1e-9   # residual threshold (times local scale) for feasibility
@@ -152,20 +151,16 @@ class ResidualData:
     kapparho: np.ndarray
 
 
-def residual_functionals(mesh: Mesh, sol: FemSolution, data: ProblemData,
-                         avg_jump=None) -> ResidualData:
+def residual_functionals(mesh: Mesh, sol: FemSolution, data: ProblemData) -> ResidualData:
     d = mesh.dim
-    if avg_jump is None:
-        avg_jump = facet_average_and_jump(mesh, sol.grad)
-    avg, jump = avg_jump
+    avg, jump = facet_average_and_jump(mesh, sol.grad)
 
     F1 = element_loads(mesh, data.f, data.data_degree)
     gnl = neumann_loads(mesh, data.g_N, data.data_degree)
 
-    _, mass = element_stiffness_mass(mesh)
     uloc = sol.u[mesh.simplices]
     b_stiff = np.einsum("ed,end->en", sol.grad, mesh.bary_grads) * mesh.volumes[:, None]
-    b_mass = mesh.kappa[:, None] ** 2 * np.einsum("eij,ej->ei", mass, uloc)
+    b_mass = mesh.kappa[:, None] ** 2 * _mass_times(uloc, mesh.volumes[:, None], d)
 
     slot = mesh.elem_facet_slot                       # (ne, d+1, d+1)
     fids = mesh.elem_facets
@@ -202,10 +197,8 @@ def _extension_volume_terms(mesh: Mesh, sol: FemSolution, data: ProblemData,
     grad_u = sol.grad[sel]
     k2 = mesh.kappa[sel] ** 2
     delta = 1.0 / (d * mesh.kappa[sel] * mesh.inradii[sel])  # kappa*rho > 1 on sel
-    rule = rule_for(d, EXTENSION_DEGREE)
     out = np.zeros((len(sel), d + 1))
     others = [np.delete(np.arange(d + 1), i) for i in range(d + 1)]
-    dfact = math.factorial(d)
     for n in range(d + 1):
         coeff = np.full((len(sel), d + 1), delta[:, None])
         coeff[:, n] = 1.0 - d * delta
@@ -221,14 +214,11 @@ def _extension_volume_terms(mesh: Mesh, sol: FemSolution, data: ProblemData,
             local_slot = int(np.searchsorted(keep, n))
             su = np.concatenate([uloc[:, keep], u_p[:, None]], axis=1)
             # int f theta* by quadrature; the remaining terms are exact
-            ft = np.zeros(len(sel))
-            for lam, w in zip(rule.points, rule.weights):
-                x = np.einsum("j,kjd->kd", lam, sverts)
-                ft += w * data_values(data.f, x, "f") * lam[local_slot]
-            ft *= svol * dfact
+            ft = integrate_simplices(
+                lambda x, lam: data_values(data.f, x, "f") * lam[local_slot],
+                sverts, svol, EXTENSION_DEGREE)
             stiff = svol * np.einsum("kd,kd->k", grad_u, sgrads[:, local_slot])
-            mass = (svol / ((d + 1) * (d + 2)) * k2
-                    * (su.sum(axis=1) + su[:, local_slot]))
+            mass = k2 * _mass_times(su, svol[:, None], d)[:, local_slot]
             out[:, n] += ft - stiff - mass
     return out
 

@@ -22,13 +22,13 @@ import numpy as np
 
 from .equilibration import equilibrate
 from .errors import NegativeDifference
-from .fem import (FemSolution, ProblemData, _mass_inverse_times, data_values,
-                  neumann_loads, project_element_bulk)
+from .fem import FemSolution, ProblemData, data_values, project_element_bulk
 from .geometry import NEUMANN, Mesh, geometric_quantities
-from .quadrature import rule_for
+from .quadrature import integrate_simplices, rule_for
 from . import reconstruction as rec
 
 TRUE_ERROR_DEGREE = 10
+OSC_DEGREE = 8     # quadrature degree of ||data - projection||^2
 
 
 # ---------------------------------------------------------------------------
@@ -116,40 +116,37 @@ def verify_trace_inequality(vertices, kappa: float, samples: int,
 # data oscillation
 # ---------------------------------------------------------------------------
 
-def oscillation_f(mesh: Mesh, f: Callable, degree: int = 8) -> np.ndarray:
-    """osc_K(f) = min(h_K/pi, 1/kappa_K) ||f - Pi_K f||_K per element."""
-    d = mesh.dim
-    proj = project_element_bulk(mesh, f, degree)
-    rule = rule_for(d, degree)
-    pts = mesh.points[mesh.simplices]
-    acc = np.zeros(mesh.n_elements)
-    for lam, w in zip(rule.points, rule.weights):
-        x = np.einsum("j,ejd->ed", lam, pts)
-        diff = data_values(f, x, "f") - proj @ lam
-        acc += w * diff ** 2
-    norm = np.sqrt(np.maximum(acc * mesh.volumes * math.factorial(d), 0.0))
+def oscillation_f(mesh: Mesh, f: Callable, proj: np.ndarray,
+                  degree: int = OSC_DEGREE) -> np.ndarray:
+    """osc_K(f) = min(h_K/pi, 1/kappa_K) ||f - Pi_K f||_K per element.
+
+    ``proj`` (ne, d+1) holds the vertex values of Pi_K f, the projection that
+    enters the divergence residual.
+    """
+    sq = integrate_simplices(lambda x, lam: (data_values(f, x, "f") - proj @ lam) ** 2,
+                             mesh.points[mesh.simplices], mesh.volumes, degree)
+    norm = np.sqrt(np.maximum(sq, 0.0))
     with np.errstate(divide="ignore"):   # 1/kappa = inf where kappa = 0
         weight = np.minimum(mesh.diameters / math.pi, 1.0 / mesh.kappa)
     return weight * norm
 
 
-def oscillation_gN(mesh: Mesh, g_N: Callable | None, degree: int = 8) -> np.ndarray:
-    """(nf,) per-facet osc_gamma(g_N); nonzero only on Neumann facets."""
+def oscillation_gN(mesh: Mesh, g_N: Callable | None, proj: np.ndarray) -> np.ndarray:
+    """(nf,) per-facet osc_gamma(g_N); nonzero only on Neumann facets.
+
+    ``proj`` (nf, d) holds facet-vertex values whose Neumann rows are the
+    L2(gamma) projection Pi_gamma g_N, as in ``BoundaryFluxSet.gplus``.
+    """
     out = np.zeros(mesh.n_facets)
     if g_N is None:
         return out
     neu = np.flatnonzero(mesh.facet_tag == NEUMANN)
     d = mesh.dim
-    meas = mesh.facet_measures[neu]
-    # vertex values of the L2(gamma) projection, as equilibrate builds g_K
-    proj = _mass_inverse_times(neumann_loads(mesh, g_N, degree)[neu], meas[:, None], d - 1)
-    fpts = mesh.points[mesh.facets[neu]]
-    rule = rule_for(d - 1, degree)
-    acc = np.zeros(len(neu))
-    for lam, w in zip(rule.points, rule.weights):
-        x = np.einsum("j,fjd->fd", lam, fpts)
-        acc += w * (data_values(g_N, x, "g_N") - proj @ lam) ** 2
-    norm = np.sqrt(np.maximum(acc * meas * math.factorial(d - 1), 0.0))
+    pn = proj[neu]
+    sq = integrate_simplices(lambda x, lam: (data_values(g_N, x, "g_N") - pn @ lam) ** 2,
+                             mesh.points[mesh.facets[neu]], mesh.facet_measures[neu],
+                             OSC_DEGREE)
+    norm = np.sqrt(np.maximum(sq, 0.0))
     for fi, nf in zip(neu, norm):
         e = mesh.facet_elems[fi, 0]
         tc = trace_constants(d, mesh.diameters[e], mesh.volumes[e],
@@ -201,8 +198,6 @@ def _total(eta_k, osc_f, osc_gn) -> float:
 
 def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
              strategy: str = "both", exact=None, *,
-             eta1_degree: int = rec.ETA1_DEGREE, eta2_degree: int = rec.ETA2_DEGREE,
-             osc_degree: int = 8, trace_degree: int = 4,
              check_conformity: bool = False,
              patch_report_path: str | None = None) -> ErrorReport:
     """Equilibrate, reconstruct, and evaluate the guaranteed error bound.
@@ -221,7 +216,7 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
     r_vals = pf_vals - mesh.kappa[:, None] ** 2 * u_loc
 
     v1 = rec.variant1_bulk(mesh, R, r_vals)
-    eta1_first, resid_const = rec.eta1_terms(mesh, v1, eta1_degree)
+    eta1_first, resid_const = rec.eta1_terms(mesh, v1)
     audit_worst = rec.divergence_audit(mesh, resid_const, pf_vals, u_loc)
     kapparho = mesh.kappa * mesh.inradii
     pos = mesh.kappa > 0
@@ -235,11 +230,11 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
     sel = np.flatnonzero(need2)
     eta2_sq = np.full(mesh.n_elements, np.inf)
     if len(sel):
-        first2, second2 = rec.eta2_terms(mesh, R, r_vals, sel, eta2_degree)
+        first2, second2 = rec.eta2_terms(mesh, R, r_vals, sel)
         eta2_sq[sel] = first2 + second2 / mesh.kappa[sel] ** 2
 
-    osc_f = oscillation_f(mesh, data.f, osc_degree)
-    osc_facet = oscillation_gN(mesh, data.g_N, osc_degree)
+    osc_f = oscillation_f(mesh, data.f, pf_vals)
+    osc_facet = oscillation_gN(mesh, data.g_N, fluxes.gplus)
     osc_gn = np.zeros(mesh.n_elements)
     neu = np.flatnonzero(mesh.facet_tag == NEUMANN)
     if len(neu):
@@ -270,7 +265,7 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
     if check_conformity:
         variant = report.variant_tau if report.variant_tau is not None \
             else report.variant_taustar
-        trace, _ = rec.facet_trace_values(mesh, sol.grad, v1, R, variant, trace_degree)
+        trace, _ = rec.facet_trace_values(mesh, sol.grad, v1, R, variant)
         scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
         report.audits["hdiv_mismatch"] = rec.trace_mismatch(mesh, trace, scale)
 
@@ -301,18 +296,16 @@ def true_error(mesh: Mesh, sol: FemSolution, exact, degree: int = TRUE_ERROR_DEG
     gu_of = exact.gradient
 
     # evaluate u_h and its gradient elementwise at quadrature points
-    d = mesh.dim
-    rule = rule_for(d, degree)
-    pts = mesh.points[mesh.simplices]
     uloc = sol.u[mesh.simplices]
-    acc = np.zeros(mesh.n_elements)
     k2 = mesh.kappa ** 2
-    for lam, w in zip(rule.points, rule.weights):
-        x = np.einsum("j,ejd->ed", lam, pts)
+
+    def integrand(x, lam):
         du = np.asarray(gu_of(x)) - sol.grad
         dv = np.asarray(u_of(x)) - uloc @ lam
-        acc += w * ((du ** 2).sum(axis=1) + k2 * dv ** 2)
-    direct = math.sqrt(max(float(acc @ (mesh.volumes * math.factorial(d))), 0.0))
+        return (du ** 2).sum(axis=1) + k2 * dv ** 2
+
+    sq = integrate_simplices(integrand, mesh.points[mesh.simplices], mesh.volumes, degree)
+    direct = math.sqrt(max(float(sq.sum()), 0.0))
 
     energy2 = getattr(exact, "energy2", None)
     if energy2 is None:

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .errors import NoConvergence, UnsolvableProblem
 from .geometry import NEUMANN, Mesh, simplex_measure, simplex_volume
-from .quadrature import rule_for
+from .quadrature import integrate_simplices, rule_for
 
 DENSE_CUTOFF = 200
 
@@ -54,21 +54,14 @@ def element_stiffness_mass(mesh: Mesh):
     d = mesh.dim
     g = mesh.bary_grads
     stiff = np.einsum("eid,ejd->eij", g, g) * mesh.volumes[:, None, None]
-    one = (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
-    mass = mesh.volumes[:, None, None] * one
-    return stiff, mass
+    return stiff, _mass_times(np.eye(d + 1), mesh.volumes[:, None, None], d)
 
 
 def _hat_loads(fn: Callable, name: str, pts: np.ndarray, measures: np.ndarray,
                degree: int) -> np.ndarray:
     # integrals of fn against the hat functions of the k-simplices pts (n, k+1, d)
-    k = pts.shape[1] - 1
-    rule = rule_for(k, degree)
-    acc = np.zeros((len(pts), k + 1))
-    for lam, w in zip(rule.points, rule.weights):
-        x = np.einsum("j,ejd->ed", lam, pts)
-        acc += (w * data_values(fn, x, name))[:, None] * lam
-    return acc * (measures * math.factorial(k))[:, None]
+    return integrate_simplices(lambda x, lam: data_values(fn, x, name)[:, None] * lam,
+                               pts, measures, degree)
 
 
 def element_loads(mesh: Mesh, f: Callable, degree: int) -> np.ndarray:
@@ -228,11 +221,10 @@ class FemSolution:
                    ndof=0, energy2=float("nan"), compliance=float("nan"))
 
 
-def solve_problem(mesh: Mesh, data: ProblemData, tol: float = 1e-12,
-                  max_iter: int | None = None) -> FemSolution:
+def solve_problem(mesh: Mesh, data: ProblemData) -> FemSolution:
     """Assemble and solve; the returned solution carries the Galerkin energies."""
     system = assemble(mesh, data)
-    x, iters, res = solve(system.A, system.b, tol=tol, max_iter=max_iter)
+    x, iters, res = solve(system.A, system.b)
     u = np.zeros(mesh.n_points)
     u[system.free] = x
     grad = np.einsum("eid,ei->ed", mesh.bary_grads, u[mesh.simplices])
@@ -244,6 +236,11 @@ def solve_problem(mesh: Mesh, data: ProblemData, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 # L2 projections onto affine functions
 # ---------------------------------------------------------------------------
+
+def _mass_times(values: np.ndarray, measure, k: int):
+    # P1 mass matrix of a k-simplex: measure (I + 11^T) / ((k+1)(k+2))
+    return measure * (values + values.sum(axis=-1, keepdims=True)) / ((k + 1) * (k + 2))
+
 
 def _mass_inverse_times(values: np.ndarray, measure, k: int):
     # inverse of the P1 mass matrix of a k-simplex: (I + 11^T)^-1 = I - 11^T/(k+2)
@@ -287,25 +284,18 @@ def energy_norm(mesh: Mesh, v: Callable, grad_v: Callable, degree: int) -> float
 
     ``grad_v`` maps (n, d) points to (n, d) gradients.
     """
-    d = mesh.dim
-    rule = rule_for(d, degree)
-    pts = mesh.points[mesh.simplices]
-    acc = np.zeros(mesh.n_elements)
     k2 = mesh.kappa ** 2
-    for lam, w in zip(rule.points, rule.weights):
-        x = np.einsum("j,ejd->ed", lam, pts)
-        gv = np.asarray(grad_v(x))
-        vv = np.asarray(v(x))
-        acc += w * ((gv ** 2).sum(axis=1) + k2 * vv ** 2)
-    total = acc @ (mesh.volumes * math.factorial(d))
-    return math.sqrt(max(total, 0.0))
+    sq = integrate_simplices(
+        lambda x, lam: (np.asarray(grad_v(x)) ** 2).sum(axis=1) + k2 * np.asarray(v(x)) ** 2,
+        mesh.points[mesh.simplices], mesh.volumes, degree)
+    return math.sqrt(max(float(sq.sum()), 0.0))
 
 
 def energy_norm_fe(sol: FemSolution) -> float:
     """Exact energy norm of a P1 finite element function."""
     mesh = sol.mesh
-    _, mass = element_stiffness_mass(mesh)
     uloc = sol.u[mesh.simplices]
     grad_part = (sol.grad ** 2).sum(axis=1) * mesh.volumes
-    mass_part = mesh.kappa ** 2 * np.einsum("ei,eij,ej->e", uloc, mass, uloc)
+    mass_part = mesh.kappa ** 2 * np.einsum(
+        "ei,ei->e", uloc, _mass_times(uloc, mesh.volumes[:, None], mesh.dim))
     return math.sqrt(max(float((grad_part + mass_part).sum()), 0.0))

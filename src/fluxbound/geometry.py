@@ -312,12 +312,6 @@ class Mesh:
         data = self._vertex_facet_data[lo:hi]
         return data[:, 0], data[:, 1]
 
-    def facet_points(self, facet_ids) -> np.ndarray:
-        return self.points[self.facets[facet_ids]]
-
-    def element_points(self, elem_ids) -> np.ndarray:
-        return self.points[self.simplices[elem_ids]]
-
     def outward_normals(self) -> np.ndarray:
         """(ne, d+1, d) unit outward normal of the facet opposite each local vertex."""
         g = self.bary_grads

@@ -7,6 +7,9 @@ so an integral over a physical simplex K is
 
     sum_q  w_q * |K| * d! * f(x_q).
 
+Every mesh integral goes through the batched ``integrate_simplices``; the
+single-simplex ``integrate``/``integrate_facet`` serve as independent references.
+
 Weights of the family alternate in sign; only exactness is guaranteed to
 callers, not node placement.
 """
@@ -77,6 +80,26 @@ def rule_for(dim: int, degree: int) -> QuadratureRule:
             pts.append([(2 * b + 1) / denom for b in beta])
             wts.append(w)
     return QuadratureRule(dim, exact, np.array(pts, dtype=float), np.array(wts, dtype=float))
+
+
+def integrate_simplices(integrand: Callable, pts: np.ndarray, measures,
+                        degree: int) -> np.ndarray:
+    """Integrals over a batch of k-simplices ``pts`` (n, k+1, d) with measures (n,).
+
+    ``integrand(x, lam)`` returns the (n, ...) values at the physical points
+    x (n, d) of one node with barycentric coordinates lam (k+1,); the nodes
+    are visited one at a time. Exact when the integrand is a polynomial of
+    total degree <= `degree` on every simplex.
+    """
+    k = pts.shape[1] - 1
+    rule = rule_for(k, degree)
+    corners = [np.ascontiguousarray(pts[:, j]) for j in range(k + 1)]
+    acc = 0.0   # the first node turns it into the (n, ...) array, later ones add in place
+    for lam, w in zip(rule.points, rule.weights):
+        x = sum(lj * cj for lj, cj in zip(lam, corners))
+        acc += w * np.asarray(integrand(x, lam), dtype=float)
+    scale = np.asarray(measures, dtype=float) * math.factorial(k)
+    return acc * scale.reshape(scale.shape + (1,) * (acc.ndim - 1))
 
 
 def _integrate(f: Callable, vertices: np.ndarray, k: int, degree: int) -> float:

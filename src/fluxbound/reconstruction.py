@@ -24,11 +24,12 @@ from .equilibration import BoundaryFluxSet
 from .errors import DivergenceAuditFailed, InvalidVariant
 from .geometry import (Mesh, barycentric_gradients, geometric_quantities, locate,
                        simplex_geometry, simplex_measure)
-from .quadrature import rule_for
+from .quadrature import integrate_simplices, rule_for
 
 ETA1_DEGREE = 4   # |tau_L + tau_Q|^2 has degree 4
 ETA2_DEGREE = 6   # |tau_O|^2 has degree 6 on the active pieces
 TOP_DEGREE = 2    # (affine)^2 beyond the cutoff
+TRACE_DEGREE = 4  # facet rule of the normal-trace audit
 AUDIT_TOL = 1e-9
 
 
@@ -106,14 +107,11 @@ def variant1_field(lam, c, pairs):
 
 def eta1_terms(mesh: Mesh, v1: Variant1Bulk, degree: int = ETA1_DEGREE):
     """(||tau_L + tau_Q||_K^2, divergence residual constant) per element."""
-    d = mesh.dim
-    rule = rule_for(d, degree)
-    acc = np.zeros(mesh.n_elements)
-    pairs = _tau_q_pairs(mesh.points[mesh.simplices], v1.grad_r)
-    for lam, w in zip(rule.points, rule.weights):
-        field = variant1_field(lam[None], v1.c, pairs)
-        acc += w * (field ** 2).sum(axis=1)
-    first = acc * mesh.volumes * math.factorial(d)
+    pts = mesh.points[mesh.simplices]
+    pairs = _tau_q_pairs(pts, v1.grad_r)
+    first = integrate_simplices(
+        lambda x, lam: (variant1_field(lam[None], v1.c, pairs) ** 2).sum(axis=1),
+        pts, mesh.volumes, degree)
     resid_const = v1.div_l + v1.r_bar
     return first, resid_const
 
@@ -124,7 +122,7 @@ def _affine_norm_sq(vol, vals):
 
 
 def divergence_audit(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
-                     u_vals: np.ndarray, raise_on_fail: bool = True) -> float:
+                     u_vals: np.ndarray) -> float:
     """Check Pi_K f - kappa^2 u_h + div tau = 0 on elements with kappa*rho <= 1.
 
     The residual is constant on each element; it must vanish there because the
@@ -136,7 +134,7 @@ def divergence_audit(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
     norm = np.sqrt(mesh.volumes) * np.abs(resid_const)
     sel = mesh.kappa * mesh.inradii <= 1.0
     worst = float((norm[sel] / scale[sel]).max()) if np.any(sel) else 0.0
-    if raise_on_fail and worst > AUDIT_TOL:
+    if worst > AUDIT_TOL:
         raise DivergenceAuditFailed(
             f"divergence residual {worst:.3e} (scaled) exceeds {AUDIT_TOL:g} "
             f"on an element with kappa*rho <= 1")
@@ -226,37 +224,29 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray,
     cut = 1.0 / kap
     split = cut < rho
 
-    rule_a = rule_for(d, degree)
-    rule_t = rule_for(d, top_degree)
-    dfact = math.factorial(d)
     first = np.zeros(len(sel))
     second = np.zeros(len(sel))
 
     def integrate_active(verts, rows, F, a, b, ed):
-        vol = simplex_measure(verts) * dfact
         p0, a, b, ed = F[rows, 0], a[rows], b[rows], ed[rows]
         ap, rh, kp = apex[rows], rho[rows], kap[rows]
         rb, gr, ce = r_bar[rows], grad_r[rows], cent[rows]
-        acc1 = np.zeros(len(rows))
-        acc2 = np.zeros(len(rows))
-        for lam, w in zip(rule_a.points, rule_a.weights):
-            x = np.einsum("j,pjd->pd", lam, verts)
+
+        def integrand(x, lam):
             xd = np.einsum("pd,pd->p", x - p0, ed)
             s, wvec, div_o = variant2_field(x, xd, a, b, ed, ap, rh, kp)
-            acc1 += w * s ** 2 * (wvec ** 2).sum(axis=1)
             rx = rb + np.einsum("pd,pd->p", gr, x - ce)
-            acc2 += w * (rx + div_o) ** 2
-        first[rows] += acc1 * vol
-        second[rows] += acc2 * vol
+            return np.column_stack([s ** 2 * (wvec ** 2).sum(axis=1), (rx + div_o) ** 2])
+
+        both = integrate_simplices(integrand, verts, simplex_measure(verts), degree)
+        first[rows] += both[:, 0]
+        second[rows] += both[:, 1]
 
     def integrate_top(verts, rows):
-        vol = simplex_measure(verts) * dfact
         rb, gr, ce = r_bar[rows], grad_r[rows], cent[rows]
-        acc = np.zeros(len(rows))
-        for lam, w in zip(rule_t.points, rule_t.weights):
-            x = np.einsum("j,pjd->pd", lam, verts)
-            acc += w * (rb + np.einsum("pd,pd->p", gr, x - ce)) ** 2
-        second[rows] += acc * vol
+        second[rows] += integrate_simplices(
+            lambda x, lam: (rb + np.einsum("pd,pd->p", gr, x - ce)) ** 2,
+            verts, simplex_measure(verts), top_degree)
 
     pts = mesh.points[mesh.simplices[sel]]
     g = mesh.bary_grads[sel]
@@ -419,7 +409,7 @@ def eta_K(flux, kappa: float, r_vals, degree: int | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
-                       R: np.ndarray, variant: np.ndarray, degree: int = 4):
+                       R: np.ndarray, variant: np.ndarray):
     """Normal trace of the assembled flux on every (element, facet) pair.
 
     Returns ``(trace, g_exact)`` of shape (ne, d+1, nq): the flux evaluated at
@@ -429,7 +419,7 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
     elements.
     """
     d = mesh.dim
-    rule = rule_for(d - 1, degree)
+    rule = rule_for(d - 1, TRACE_DEGREE)
     ne = mesh.n_elements
     pts = mesh.points[mesh.simplices]
     normals = mesh.outward_normals()
@@ -452,17 +442,14 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
     return trace, g_exact
 
 
-def trace_mismatch(mesh: Mesh, trace: np.ndarray, scale: np.ndarray | None = None) -> float:
+def trace_mismatch(mesh: Mesh, trace: np.ndarray, scale: np.ndarray) -> float:
     """Worst interior-facet mismatch tau_K.n_K + tau_K'.n_K' over the trace points.
 
-    Pass ``scale`` (nf,) as max(1, facet flux magnitude) to test structural
-    H(div) conformity at machine precision regardless of the data size;
-    the default divides by 1.
+    ``scale`` (nf,) is max(1, facet flux magnitude), so that structural H(div)
+    conformity is tested at machine precision regardless of the data size.
     """
     interior = np.flatnonzero(mesh.facet_elems[:, 1] >= 0)
     ep, lp = mesh.facet_elems[interior, 0], mesh.facet_local[interior, 0]
     em, lm = mesh.facet_elems[interior, 1], mesh.facet_local[interior, 1]
     mism = np.abs(trace[ep, lp] + trace[em, lm]).max(axis=1)
-    if scale is None:
-        scale = np.ones(mesh.n_facets)
     return float((mism / scale[interior]).max()) if len(interior) else 0.0

@@ -239,8 +239,8 @@ def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):
 
     # oscillation oracle: elevated degree; when f is (near-)affine both values
     # are round-off noise, so the tolerance floors at the data scale
-    o_lo = est.oscillation_f(mesh, data.f, 8)
-    o_hi = est.oscillation_f(mesh, data.f, 12)
+    o_lo = est.oscillation_f(mesh, data.f, pf, 8)
+    o_hi = est.oscillation_f(mesh, data.f, pf, 12)
     fc = np.asarray(data.f(mesh.centroids))
     with np.errstate(divide="ignore"):
         weight = np.where(mesh.kappa > 0,

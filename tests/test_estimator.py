@@ -68,10 +68,20 @@ def test_trace_inequality_monte_carlo(rng):
 # oscillations
 # ---------------------------------------------------------------------------
 
+def _element_osc(mesh, f, degree=8):
+    return est.oscillation_f(mesh, f, fem.project_element_bulk(mesh, f, degree), degree)
+
+
+def _neumann_projection(mesh, g_N, degree=8):
+    # facet-vertex values of Pi_gamma g_N, the Neumann rows of BoundaryFluxSet.gplus
+    return fem._mass_inverse_times(fem.neumann_loads(mesh, g_N, degree),
+                                   mesh.facet_measures[:, None], mesh.dim - 1)
+
+
 def test_oscillation_f_zero_for_affine(two_triangle_square):
     mesh = two_triangle_square
-    assert np.abs(est.oscillation_f(mesh, lambda x: np.full(len(x), 3.0))).max() < 1e-13
-    assert np.abs(est.oscillation_f(
+    assert np.abs(_element_osc(mesh, lambda x: np.full(len(x), 3.0))).max() < 1e-13
+    assert np.abs(_element_osc(
         mesh, lambda x: 1.0 + x[:, 0] - 2.0 * x[:, 1])).max() < 1e-12
 
 
@@ -82,7 +92,7 @@ def test_oscillation_f_oracle(unit_triangle):
         lam1 = 1.0 - x[:, 0] - x[:, 1]
         return lam1 ** 2
 
-    osc = est.oscillation_f(mesh, f, degree=8)[0]
+    osc = _element_osc(mesh, f, degree=8)[0]
     proj = dense_projection_oracle(f, unit_triangle, degree=10)
     from fluxbound.quadrature import integrate
 
@@ -101,15 +111,23 @@ def test_oscillation_gn_zero_and_affine():
     cells = np.array([[0, 1, 2], [1, 3, 2]])
     tags = {(0, 2): "D", (0, 1): "N", (1, 3): "N", (2, 3): "N"}
     mesh = geo.build_mesh(pts, cells, 1.0, tags)
-    assert np.abs(est.oscillation_gN(mesh, None)).max() == 0.0
-    vals = est.oscillation_gN(mesh, lambda x: 1.0 + x[:, 0] + x[:, 1])
+    assert np.abs(est.oscillation_gN(mesh, None, np.zeros((mesh.n_facets, 2)))).max() == 0.0
+
+    def g(x):
+        return 1.0 + x[:, 0] + x[:, 1]
+
+    vals = est.oscillation_gN(mesh, g, _neumann_projection(mesh, g))
     assert np.abs(vals).max() < 1e-12
 
 
 def test_oscillation_gn_quadratic_hand_value(unit_triangle):
     # gamma = unit segment, g_N = x^2: residual norm is 1/sqrt(180)
     mesh = one_element_mesh(unit_triangle, 1.0, dirichlet=(0,))  # hypotenuse Dirichlet
-    vals = est.oscillation_gN(mesh, lambda x: x[:, 0] ** 2)
+
+    def g(x):
+        return x[:, 0] ** 2
+
+    vals = est.oscillation_gN(mesh, g, _neumann_projection(mesh, g))
     xaxis = None
     for fi in np.flatnonzero(mesh.facet_tag == geo.NEUMANN):
         fpts = mesh.points[mesh.facets[fi]]
@@ -120,6 +138,71 @@ def test_oscillation_gn_quadratic_hand_value(unit_triangle):
                              mesh.facet_measures[xaxis], mesh.kappa[e])
     expected = math.sqrt(tc.min2) / math.sqrt(180.0)
     assert vals[xaxis] == pytest.approx(expected, rel=1e-10)
+
+
+def test_oscillation_measures_the_indicator_projection():
+    # with a low data degree, osc_K(f) measures f - Pi_K f for the Pi_K f that
+    # enters the divergence residual, and osc_gamma(g_N) the Neumann rows of g_K
+    mesh = geo.build_cube_mesh(8, 3, 1.0)
+
+    def f(x):
+        return np.exp(x[:, 0]) * np.cos(2.0 * x[:, 1]) + np.sin(x[:, 2])
+
+    def g(x):
+        return np.cos(x[:, 0] + 2.0 * x[:, 1]) * np.exp(-x[:, 2])
+
+    data = fem.ProblemData(f=f, g_N=g, data_degree=2)
+    sol = fem.solve_problem(mesh, data)
+    report = est.estimate(mesh, sol, data, "both")
+
+    pf = fem.project_element_bulk(mesh, f, 2)
+    np.testing.assert_allclose(report.osc_f, est.oscillation_f(mesh, f, pf), rtol=1e-14)
+    # an inexact projection can only raise the oscillation above the accurate one's
+    assert np.all(report.osc_f >= _element_osc(mesh, f) * (1.0 - 1e-12))
+
+    per_facet = est.oscillation_gN(mesh, g, eq.equilibrate(mesh, sol, data).gplus)
+    neu = np.flatnonzero(mesh.facet_tag == geo.NEUMANN)
+    per_elem = np.zeros(mesh.n_elements)
+    np.add.at(per_elem, mesh.facet_elems[neu, 0], per_facet[neu])
+    np.testing.assert_allclose(report.osc_gn, per_elem, rtol=1e-14)
+    assert np.all(per_facet[neu] >= est.oscillation_gN(mesh, g, _neumann_projection(mesh, g))[neu]
+                  * (1.0 - 1e-12))
+
+
+class CountingData:
+    """Vectorized data callable that counts the points it is evaluated at."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.points = 0
+
+    def __call__(self, x):
+        self.points += len(x)
+        return self.fn(x)
+
+
+def test_data_evaluation_counts():
+    # one estimate evaluates f for the loads, Pi_K f and the oscillation, and
+    # g_N for the Neumann loads and the oscillation, at no other points
+    from fluxbound.quadrature import rule_for
+    mesh = geo.build_cube_mesh(4, 3, 0.0)
+
+    def nq(k, degree):
+        return rule_for(k, degree).n_points
+
+    f = CountingData(lambda x: np.exp(x[:, 0]) + x[:, 1] ** 3)
+    g = CountingData(lambda x: np.sin(x[:, 1] + x[:, 2]))
+    data = fem.ProblemData(f=f, g_N=g, data_degree=4)
+    sol = fem.solve_problem(mesh, data)
+    f.points = g.points = 0
+    est.estimate(mesh, sol, data, "both")
+    n_neu = int(np.sum(mesh.facet_tag == geo.NEUMANN))
+    assert n_neu > 0
+    # one nq(3, 4) per element is the load of Pi_K f built twice, once in
+    # residual_functionals and once by project_element_bulk; sharing those
+    # loads lowers this count to nq(3, 4) + nq(3, 8)
+    assert f.points == mesh.n_elements * (2 * nq(3, 4) + nq(3, 8))
+    assert g.points == n_neu * (nq(2, 4) + nq(2, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +385,11 @@ def test_non_finite_data_raises_typed_error():
     for data in (fem.ProblemData(f=nan_f), fem.ProblemData(f=one, g_N=inf_g)):
         with pytest.raises(UnsolvableProblem):
             fem.solve_problem(mesh, data)
+    # a zero projection leaves the oscillation's own evaluation to raise
     with pytest.raises(UnsolvableProblem):
-        est.oscillation_f(mesh, nan_f)
+        est.oscillation_f(mesh, nan_f, np.zeros((mesh.n_elements, 3)))
     with pytest.raises(UnsolvableProblem):
-        est.oscillation_gN(mesh, inf_g)
+        est.oscillation_gN(mesh, inf_g, np.zeros((mesh.n_facets, 2)))
     # the collapsed extensions (kappa*rho > 1) evaluate f at their own points
     layer = geo.build_cube_mesh(4, 2, 100.0)
     sol = fem.solve_problem(layer, fem.ProblemData(f=one))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxbound.errors import UnsupportedDegree
-from fluxbound.quadrature import integrate, integrate_facet, rule_for
+from fluxbound.quadrature import integrate, integrate_facet, integrate_simplices, rule_for
 
 from conftest import bary_monomial_integral, random_simplex
 
@@ -126,3 +126,33 @@ def test_affine_invariance(d, degree, data):
     vol = abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(d)
     ref = bary_monomial_integral(expo, vol)
     assert integrate(f, pts, degree) == pytest.approx(ref, rel=1e-11, abs=1e-15)
+
+    # the batched route on several simplices, with a trailing vector axis; the
+    # integrand recovers the barycentric coordinates from the physical points
+    batch = np.stack([pts] + [random_simplex(d, rng) for _ in range(3)])
+    grads = geo.simplex_gradients(batch)
+    vols = np.array([abs(np.linalg.det(p[1:] - p[0])) for p in batch]) / math.factorial(d)
+
+    def f_batch(x, lam):
+        bary = np.einsum("nd,nid->ni", x - batch[:, 0], grads)
+        bary[:, 0] += 1.0
+        mono = np.prod(bary ** expo, axis=1)
+        return np.stack([mono, -2.0 * mono], axis=-1)
+
+    got = integrate_simplices(f_batch, batch, vols, degree)
+    want = np.array([bary_monomial_integral(expo, v) for v in vols])
+    assert got.shape == (len(batch), 2)
+    assert np.allclose(got, want[:, None] * [1.0, -2.0], rtol=1e-11, atol=1e-15)
+
+    # and on facets: (d-1)-simplices embedded in R^d
+    facets = batch[:, 1:]
+    edges = facets[:, 1:] - facets[:, :1]
+    fmeas = np.sqrt(np.linalg.det(edges @ np.swapaxes(edges, 1, 2))) / math.factorial(d - 1)
+
+    def f_facet(x, lam):
+        assert np.allclose(x, np.einsum("j,njd->nd", lam, facets))
+        return np.prod(lam ** expo[1:], axis=0) * np.ones(len(x))
+
+    got = integrate_simplices(f_facet, facets, fmeas, degree)
+    want = np.array([bary_monomial_integral(expo[1:], m) for m in fmeas])
+    assert np.allclose(got, want, rtol=1e-11, atol=1e-15)
