@@ -8,8 +8,7 @@ bound on the energy-norm error that is robust in both kappa and the mesh size.
 from . import errors
 from .geometry import (Mesh, build_cube_mesh, build_facet_adjacency, build_mesh,
                        read_mesh, write_mesh, simplex_volume,
-                       barycentric_gradients, geometric_quantities,
-                       local_facet_frame)
+                       barycentric_gradients, geometric_quantities)
 from .quadrature import QuadratureRule, rule_for, integrate, integrate_facet
 from .fem import (ProblemData, FemSolution, assemble, solve, solve_problem,
                   project_element, project_facet, energy_norm, energy_norm_fe)
@@ -29,7 +28,6 @@ __all__ = [
     "Mesh", "build_cube_mesh", "build_facet_adjacency", "build_mesh",
     "read_mesh", "write_mesh",
     "simplex_volume", "barycentric_gradients", "geometric_quantities",
-    "local_facet_frame",
     "QuadratureRule", "rule_for", "integrate", "integrate_facet",
     "ProblemData", "FemSolution", "assemble", "solve", "solve_problem",
     "project_element", "project_facet", "energy_norm", "energy_norm_fe",

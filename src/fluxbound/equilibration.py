@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConstraints
-from .fem import (FemSolution, ProblemData, _mass_inverse_times, _mass_times, data_values,
-                  element_loads, neumann_loads)
-from .geometry import (NEUMANN, Mesh, geometric_quantities, locate, simplex_gradients,
-                       simplex_measure, simplex_volume)
+from .fem import (FemSolution, ProblemData, _mass_inverse_times, _mass_norm_sq, _mass_times,
+                  data_values, element_loads, neumann_loads)
+from .geometry import (NEUMANN, Mesh, geometric_quantities, locate, simplex_measure,
+                       simplex_volume)
 from .quadrature import integrate_simplices
 
 RANK_TOL = 1e-12        # relative singular value cutoff in the patch solves
@@ -98,10 +98,9 @@ class ExtensionFunction:
         """int_K (theta*)^2, exact (the integrand is piecewise quadratic)."""
         d = self.vertices.shape[1]
         if self.plain:
-            return 2.0 * simplex_volume(self.vertices) / ((d + 1) * (d + 2))
-        vals = self.subvalues
-        sq = (vals ** 2).sum(axis=1) + vals.sum(axis=1) ** 2
-        return float(simplex_measure(self.subsimplices) @ sq) / ((d + 1) * (d + 2))
+            return float(_mass_norm_sq(np.eye(d + 1)[self.vertex_index],
+                                       simplex_volume(self.vertices), d))
+        return float(_mass_norm_sq(self.subvalues, simplex_measure(self.subsimplices), d).sum())
 
 
 def extension(vertices, kappa: float, n: int) -> ExtensionFunction:
@@ -147,13 +146,20 @@ class ResidualData:
     scale: np.ndarray
     gn_loads: np.ndarray
     avg: np.ndarray
-    jump: np.ndarray
     kapparho: np.ndarray
+
+
+def _to_local_vertices(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
+    """out[e, i, n]: value at local vertex n of the (ne, d+1, d) facet-vertex data
+    ``vals[e, i]`` of facet i (opposite local vertex i), zero on the diagonal."""
+    slot = mesh.elem_facet_slot
+    out = np.take_along_axis(vals, np.clip(slot, 0, mesh.dim - 1), axis=2)
+    return np.where(slot >= 0, out, 0.0)
 
 
 def residual_functionals(mesh: Mesh, sol: FemSolution, data: ProblemData) -> ResidualData:
     d = mesh.dim
-    avg, jump = facet_average_and_jump(mesh, sol.grad)
+    avg, _ = facet_average_and_jump(mesh, sol.grad)
 
     F1 = element_loads(mesh, data.f, data.data_degree)
     gnl = neumann_loads(mesh, data.g_N, data.data_degree)
@@ -162,13 +168,9 @@ def residual_functionals(mesh: Mesh, sol: FemSolution, data: ProblemData) -> Res
     b_stiff = np.einsum("ed,end->en", sol.grad, mesh.bary_grads) * mesh.volumes[:, None]
     b_mass = mesh.kappa[:, None] ** 2 * _mass_times(uloc, mesh.volumes[:, None], d)
 
-    slot = mesh.elem_facet_slot                       # (ne, d+1, d+1)
     fids = mesh.elem_facets
     tags = mesh.facet_tag[fids]                       # (ne, d+1)
-    valid = slot >= 0
-
-    gather = gnl[fids[:, :, None], np.clip(slot, 0, d - 1)]   # (ne, d+1, d+1)
-    Fg = np.where(valid & (tags[:, :, None] == NEUMANN), gather, 0.0).sum(axis=1)
+    Fg = _to_local_vertices(mesh, gnl[fids]).sum(axis=1)   # gnl is zero off Neumann facets
 
     per_facet = np.where(tags != NEUMANN,
                          mesh.elem_sigma * avg[fids] * mesh.facet_measures[fids] / d, 0.0)
@@ -182,21 +184,27 @@ def residual_functionals(mesh: Mesh, sol: FemSolution, data: ProblemData) -> Res
     Dstar = D.copy()
     sel = np.flatnonzero(kapparho > 1.0)
     if len(sel):
-        Dstar[sel] = (_extension_volume_terms(mesh, sol, data, sel)
+        # theta* = theta_n on dK and u_h is affine, so int grad u_h . grad theta*
+        # = int_dK du_h/dn theta* = int grad u_h . grad theta_n = b_stiff
+        Dstar[sel] = (_extension_volume_terms(mesh, sol, data, sel) - b_stiff[sel]
                       + Fg[sel] + avgterm[sel])
     return ResidualData(D=D, Dstar=Dstar, scale=scale, gn_loads=gnl,
-                        avg=avg, jump=jump, kapparho=kapparho)
+                        avg=avg, kapparho=kapparho)
 
 
 def _extension_volume_terms(mesh: Mesh, sol: FemSolution, data: ProblemData,
                             sel: np.ndarray) -> np.ndarray:
-    """int_K f theta* - B_K(u_h, theta*) for the collapsed extensions, per vertex."""
+    """int_K f theta* - kappa^2 int_K u_h theta* for the collapsed extensions, per vertex.
+
+    The stiffness part of B_K(u_h, theta*) equals that of the plain hat and is
+    left to the caller.
+    """
     d = mesh.dim
     pts = mesh.points[mesh.simplices[sel]]            # (k, d+1, d)
     uloc = sol.u[mesh.simplices[sel]]
-    grad_u = sol.grad[sel]
     k2 = mesh.kappa[sel] ** 2
     delta = 1.0 / (d * mesh.kappa[sel] * mesh.inradii[sel])  # kappa*rho > 1 on sel
+    svol = delta * mesh.volumes[sel]   # |S_i| = lambda_i(x_P) |K| for every i != n
     out = np.zeros((len(sel), d + 1))
     others = [np.delete(np.arange(d + 1), i) for i in range(d + 1)]
     for n in range(d + 1):
@@ -209,17 +217,14 @@ def _extension_volume_terms(mesh: Mesh, sol: FemSolution, data: ProblemData,
                 continue   # theta* vanishes on the subsimplex opposite its vertex
             keep = others[i]
             sverts = np.concatenate([pts[:, keep], x_p[:, None, :]], axis=1)
-            svol = simplex_measure(sverts)
-            sgrads = simplex_gradients(sverts)
             local_slot = int(np.searchsorted(keep, n))
             su = np.concatenate([uloc[:, keep], u_p[:, None]], axis=1)
-            # int f theta* by quadrature; the remaining terms are exact
+            # int f theta* by quadrature; the mass term is exact
             ft = integrate_simplices(
                 lambda x, lam: data_values(data.f, x, "f") * lam[local_slot],
                 sverts, svol, EXTENSION_DEGREE)
-            stiff = svol * np.einsum("kd,kd->k", grad_u, sgrads[:, local_slot])
             mass = k2 * _mass_times(su, svol[:, None], d)[:, local_slot]
-            out[:, n] += ft - stiff - mass
+            out[:, n] += ft - mass
     return out
 
 
@@ -318,7 +323,6 @@ class BoundaryFluxSet:
     gplus: np.ndarray       # (nf, d) facet-vertex values seen from the plus side
     alphas: np.ndarray      # (nf, d) coefficients (fixed on Neumann facets)
     avg: np.ndarray         # (nf,) plus-side average normal flux
-    jump: np.ndarray        # (nf,) plus-side flux jump
     eps_max_rel: float      # worst scaled equality residual over constrained elements
 
     def g_on(self, mesh: Mesh, e: int, local_facet: int) -> np.ndarray:
@@ -329,13 +333,9 @@ class BoundaryFluxSet:
 
 def equilibration_residuals(mesh: Mesh, resid: ResidualData, alphas: np.ndarray):
     """Assembled residuals eps[e, n] = D[e, n] + sum sigma * alpha over the vertex's facets."""
-    d = mesh.dim
-    slot = mesh.elem_facet_slot
     fids = mesh.elem_facets
-    tags = mesh.facet_tag[fids]
-    gathered = alphas[fids[:, :, None], np.clip(slot, 0, d - 1)]
-    mask = (slot >= 0) & (tags[:, :, None] != NEUMANN)
-    return resid.D + np.where(mask, mesh.elem_sigma[:, :, None] * gathered, 0.0).sum(axis=1)
+    sigma = np.where(mesh.facet_tag[fids] != NEUMANN, mesh.elem_sigma, 0)
+    return resid.D + _to_local_vertices(mesh, sigma[:, :, None] * alphas[fids]).sum(axis=1)
 
 
 def equilibrate(mesh: Mesh, sol: FemSolution, data: ProblemData, *,
@@ -388,4 +388,4 @@ def equilibrate(mesh: Mesh, sol: FemSolution, data: ProblemData, *,
                 fh.write(f"{row[0]},{row[1]},{row[2]},{row[3]:.6e},{row[4]:.6e}\n")
 
     return BoundaryFluxSet(gplus=gplus, alphas=alphas, avg=resid.avg,
-                           jump=resid.jump, eps_max_rel=eps_max_rel)
+                           eps_max_rel=eps_max_rel)

@@ -282,7 +282,7 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
     return report
 
 
-def true_error(mesh: Mesh, sol: FemSolution, exact, degree: int = TRUE_ERROR_DEGREE):
+def true_error(mesh: Mesh, sol: FemSolution, exact):
     """Energy-norm error by two routes: direct quadrature and energy differences.
 
     Route (a) integrates |grad(u - u_h)|^2 + kappa^2 (u - u_h)^2 elementwise.
@@ -304,7 +304,8 @@ def true_error(mesh: Mesh, sol: FemSolution, exact, degree: int = TRUE_ERROR_DEG
         dv = np.asarray(u_of(x)) - uloc @ lam
         return (du ** 2).sum(axis=1) + k2 * dv ** 2
 
-    sq = integrate_simplices(integrand, mesh.points[mesh.simplices], mesh.volumes, degree)
+    sq = integrate_simplices(integrand, mesh.points[mesh.simplices], mesh.volumes,
+                             TRUE_ERROR_DEGREE)
     direct = math.sqrt(max(float(sq.sum()), 0.0))
 
     energy2 = getattr(exact, "energy2", None)

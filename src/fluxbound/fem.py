@@ -20,6 +20,8 @@ from .geometry import NEUMANN, Mesh, simplex_measure, simplex_volume
 from .quadrature import integrate_simplices, rule_for
 
 DENSE_CUTOFF = 200
+SOLVE_TOL = 1e-12         # relative residual target of the linear solve
+PROJECTION_DEGREE = 8     # quadrature degree of the single-simplex projections
 
 
 @dataclass(frozen=True)
@@ -126,11 +128,11 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
     return LinearSystem(A=A, b=b, free=free, vertex_to_dof=vertex_to_dof)
 
 
-def solve(A, b, tol: float = 1e-12, max_iter: int | None = None):
+def solve(A, b, max_iter: int | None = None):
     """Solve an SPD system: dense Cholesky below 200 unknowns, Jacobi-PCG above.
 
     Returns ``(x, iterations, relative_residual)`` with
-    ||b - A x|| <= tol * ||b|| whenever that is attainable in float64; when the
+    ||b - A x|| <= SOLVE_TOL * ||b|| whenever that is attainable in float64; when the
     round-off floor eps * || |A| |x| || lies above the target the iteration
     stops there and reports the achieved residual instead of stalling. Raises
     NoConvergence after max_iter (default 10n) and UnsolvableProblem when the
@@ -174,13 +176,13 @@ def solve(A, b, tol: float = 1e-12, max_iter: int | None = None):
         alpha = rz / float(p @ Ap)
         x += alpha * p
         r -= alpha * Ap
-        if np.linalg.norm(r) <= tol * nb or it % 64 == 0:
+        if np.linalg.norm(r) <= SOLVE_TOL * nb or it % 64 == 0:
             true_r = b - A @ x   # recurrence drift check
             res = float(np.linalg.norm(true_r))
             if abs_A is None:
                 abs_A = abs(A)
             floor = 128.0 * eps * (float(np.linalg.norm(abs_A @ np.abs(x))) + nb)
-            if res <= max(tol * nb, floor):
+            if res <= max(SOLVE_TOL * nb, floor):
                 return x, it, res / nb
             # a plateau at the round-off floor counts as converged; a plateau
             # well above it is a genuine failure
@@ -196,7 +198,7 @@ def solve(A, b, tol: float = 1e-12, max_iter: int | None = None):
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise NoConvergence(f"PCG did not reach {tol:g} within {max_iter} iterations")
+    raise NoConvergence(f"PCG did not reach {SOLVE_TOL:g} within {max_iter} iterations")
 
 
 @dataclass(frozen=True)
@@ -242,26 +244,31 @@ def _mass_times(values: np.ndarray, measure, k: int):
     return measure * (values + values.sum(axis=-1, keepdims=True)) / ((k + 1) * (k + 2))
 
 
+def _mass_norm_sq(values: np.ndarray, measure, k: int):
+    # v^T M v for the P1 mass matrix M of a k-simplex (see _mass_times)
+    return measure * ((values ** 2).sum(axis=-1) + values.sum(axis=-1) ** 2) / ((k + 1) * (k + 2))
+
+
 def _mass_inverse_times(values: np.ndarray, measure, k: int):
     # inverse of the P1 mass matrix of a k-simplex: (I + 11^T)^-1 = I - 11^T/(k+2)
     scale = (k + 1) * (k + 2) / measure
     return scale * (values - values.sum(axis=-1, keepdims=True) / (k + 2))
 
 
-def project_element(f: Callable, vertices, degree: int = 8) -> np.ndarray:
+def project_element(f: Callable, vertices) -> np.ndarray:
     """Vertex values of the L2(K)-orthogonal projection of f onto affine functions."""
     simplex_volume(vertices)   # degeneracy guard
-    return project_facet(f, vertices, degree)
+    return project_facet(f, vertices)
 
 
-def project_facet(g: Callable, vertices, degree: int = 8) -> np.ndarray:
+def project_facet(g: Callable, vertices) -> np.ndarray:
     """Facet-vertex values of the L2(gamma)-orthogonal projection onto affine functions.
 
     Works on any k-simplex given by its k+1 vertices.
     """
     vertices = np.asarray(vertices, dtype=float)
     k = len(vertices) - 1
-    rule = rule_for(k, degree)
+    rule = rule_for(k, PROJECTION_DEGREE)
     x = rule.points @ vertices
     meas = simplex_measure(vertices)
     rhs = (rule.weights[:, None] * rule.points * np.asarray(g(x))[:, None]).sum(axis=0)
@@ -296,6 +303,5 @@ def energy_norm_fe(sol: FemSolution) -> float:
     mesh = sol.mesh
     uloc = sol.u[mesh.simplices]
     grad_part = (sol.grad ** 2).sum(axis=1) * mesh.volumes
-    mass_part = mesh.kappa ** 2 * np.einsum(
-        "ei,ei->e", uloc, _mass_times(uloc, mesh.volumes[:, None], mesh.dim))
+    mass_part = mesh.kappa ** 2 * _mass_norm_sq(uloc, mesh.volumes, mesh.dim)
     return math.sqrt(max(float((grad_part + mass_part).sum()), 0.0))

@@ -34,6 +34,7 @@ from .errors import (DegenerateSimplex, KappaJumpWarning, MeshFormatError,
 INTERIOR, DIRICHLET, NEUMANN = 0, 1, 2
 
 DEGENERACY_FACTOR = 1e-14  # reject elements with volume < factor * h^d
+KAPPA_JUMP_WARN = 100.0    # warn when kappa jumps by more than this within a vertex patch
 
 
 # ---------------------------------------------------------------------------
@@ -154,22 +155,6 @@ def geometric_quantities(pts) -> GeometricQuantities:
     )
 
 
-def local_facet_frame(pts, facet_index: int):
-    """Orthonormal frame attached to facet `facet_index` (opposite that vertex).
-
-    Returns ``(origin, frame)`` where frame rows e_1..e_{d-1} span the facet
-    plane and e_d is the unit normal pointing into the simplex, so that
-    x_d = (x - origin) . e_d is >= 0 on K, zero on the facet, and equals the
-    inradius at the incentre.
-    """
-    pts = np.asarray(pts, dtype=float)
-    grads = barycentric_gradients(pts)
-    e_d = grads[facet_index] / np.linalg.norm(grads[facet_index])
-    fpts = np.delete(pts, facet_index, axis=0)
-    q, _ = np.linalg.qr((fpts[1:] - fpts[0]).T)  # (d, d-1), orthonormal columns
-    return fpts[0].copy(), np.vstack([q.T, e_d])
-
-
 # ---------------------------------------------------------------------------
 # facet adjacency
 # ---------------------------------------------------------------------------
@@ -210,22 +195,13 @@ def build_facet_adjacency(simplices: np.ndarray):
     elems_sorted = owner_elem[order]
     locals_sorted = owner_local[order]
     starts = np.flatnonzero(new_group)
-    # within a group, order sides by element id so side 0 is the plus side
-    first_e = elems_sorted[starts]
-    facet_elems[:, 0] = first_e
+    # lexsort is stable and faces are laid out element by element, so the first
+    # face of a group belongs to the smaller element id: side 0 is the plus side
+    facet_elems[:, 0] = elems_sorted[starts]
     facet_local[:, 0] = locals_sorted[starts]
     two = counts == 2
-    second_e = elems_sorted[starts[two] + 1]
-    second_l = locals_sorted[starts[two] + 1]
-    swap = second_e < facet_elems[two, 0]
-    fe = facet_elems[two]
-    fl = facet_local[two]
-    fe[:, 1] = np.where(swap, fe[:, 0], second_e)
-    fl[:, 1] = np.where(swap, fl[:, 0], second_l)
-    fe[:, 0] = np.where(swap, second_e, fe[:, 0])
-    fl[:, 0] = np.where(swap, second_l, fl[:, 0])
-    facet_elems[two] = fe
-    facet_local[two] = fl
+    facet_elems[two, 1] = elems_sorted[starts[two] + 1]
+    facet_local[two, 1] = locals_sorted[starts[two] + 1]
 
     elem_facets = np.empty((ne, dp1), dtype=np.int64)
     elem_sigma = np.empty((ne, dp1), dtype=np.int8)
@@ -329,13 +305,14 @@ def _facet_slots(simplices: np.ndarray, facets: np.ndarray, elem_facets: np.ndar
     return slot
 
 
-def build_mesh(points, cells, kappa, boundary, *, kappa_jump_warn: float = 100.0) -> Mesh:
+def build_mesh(points, cells, kappa, boundary) -> Mesh:
     """Construct a canonical immutable mesh.
 
     ``boundary`` is either a dict mapping sorted boundary-facet vertex tuples to
     'D'/'N', or a callable receiving the (k, d) centroids of the discovered
     boundary facets and returning a boolean array (True = Dirichlet).
-    Dirichlet and Neumann facets must cover the whole boundary.
+    Dirichlet and Neumann facets must cover the whole boundary. A kappa jump by
+    more than KAPPA_JUMP_WARN within a vertex patch emits a KappaJumpWarning.
     """
     points = np.ascontiguousarray(points, dtype=float)
     if points.ndim != 2:
@@ -397,7 +374,7 @@ def build_mesh(points, cells, kappa, boundary, *, kappa_jump_warn: float = 100.0
     vfo, (vf_fac, vf_slot) = _csr(facets.ravel(), len(points),
                                   np.repeat(np.arange(nf), d), np.tile(np.arange(d), nf))
 
-    _warn_kappa_jumps(cells, kappa, veo, ve_elem, kappa_jump_warn)
+    _warn_kappa_jumps(kappa, veo, ve_elem)
 
     return Mesh(
         dim=d, points=points, simplices=cells, kappa=kappa,
@@ -412,9 +389,7 @@ def build_mesh(points, cells, kappa, boundary, *, kappa_jump_warn: float = 100.0
     )
 
 
-def _warn_kappa_jumps(cells, kappa, offsets, elems_sorted, threshold):
-    if threshold is None or not np.isfinite(threshold):
-        return
+def _warn_kappa_jumps(kappa, offsets, elems_sorted):
     pos = kappa > 0
     if not np.any(pos):
         return
@@ -428,10 +403,10 @@ def _warn_kappa_jumps(cells, kappa, offsets, elems_sorted, threshold):
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(kmax > 0, kmax / kmin, 1.0)
     worst = np.nanmax(ratios) if len(ratios) else 1.0
-    if worst > threshold:
+    if worst > KAPPA_JUMP_WARN:
         warnings.warn(
             f"reaction coefficient jumps by a factor {worst:.3g} within a vertex patch "
-            f"(warning threshold {threshold:g}); robustness assumptions may be stretched",
+            f"(warning threshold {KAPPA_JUMP_WARN:g}); robustness assumptions may be stretched",
             KappaJumpWarning, stacklevel=3)
 
 
@@ -439,15 +414,13 @@ def _warn_kappa_jumps(cells, kappa, offsets, elems_sorted, threshold):
 # structured cube mesh (Kuhn / Freudenthal triangulation)
 # ---------------------------------------------------------------------------
 
-def build_cube_mesh(M: int, dim: int, kappa_fn, boundary_rule=None, *,
-                    kappa_jump_warn: float = 100.0) -> Mesh:
+def build_cube_mesh(M: int, dim: int, kappa_fn) -> Mesh:
     """Mesh of the cube (-1, 1)^dim: M^dim subcubes, each split into dim! simplices.
 
     The Kuhn (sort-based) triangulation is used, which is conforming across
     subcube faces and shares the main diagonal of each subcube. ``kappa_fn``
     maps element centroids (ne, d) to kappa values (a scalar is broadcast).
-    ``boundary_rule`` maps boundary-facet centroids to a Dirichlet mask; the
-    default tags the faces x_1 = +-1 Dirichlet and the rest Neumann.
+    The faces x_1 = +-1 are Dirichlet, the rest Neumann.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -470,9 +443,7 @@ def build_cube_mesh(M: int, dim: int, kappa_fn, boundary_rule=None, *,
     centroids = points[cells].mean(axis=1)
     kappa = kappa_fn(centroids) if callable(kappa_fn) else kappa_fn
 
-    if boundary_rule is None:
-        boundary_rule = lambda c: np.abs(np.abs(c[:, 0]) - 1.0) < 1e-12
-    return build_mesh(points, cells, kappa, boundary_rule, kappa_jump_warn=kappa_jump_warn)
+    return build_mesh(points, cells, kappa, lambda c: np.abs(np.abs(c[:, 0]) - 1.0) < 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +456,7 @@ def _tokens(text: str):
         yield from body.split()
 
 
-def read_mesh(path, **kwargs) -> Mesh:
+def read_mesh(path) -> Mesh:
     """Read a mesh file in the text format (see module docstring)."""
     with open(path, "r", encoding="utf-8") as fh:
         toks = list(_tokens(fh.read()))
@@ -533,7 +504,7 @@ def read_mesh(path, **kwargs) -> Mesh:
         raise MeshFormatError(f"trailing tokens starting at {toks[pos]!r}")
     if np.any(cells < 0) or np.any(cells >= n):
         raise MeshFormatError("cell vertex id out of range")
-    return build_mesh(points, cells, kappa, boundary, **kwargs)
+    return build_mesh(points, cells, kappa, boundary)
 
 
 def write_mesh(mesh: Mesh, path: str) -> None:

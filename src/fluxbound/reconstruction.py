@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibration import BoundaryFluxSet
+from .equilibration import BoundaryFluxSet, _to_local_vertices
 from .errors import DivergenceAuditFailed, InvalidVariant
+from .fem import _mass_norm_sq
 from .geometry import (Mesh, barycentric_gradients, geometric_quantities, locate,
                        simplex_geometry, simplex_measure)
 from .quadrature import integrate_simplices, rule_for
@@ -42,14 +43,6 @@ def facet_residuals(mesh: Mesh, fluxes: BoundaryFluxSet, grad: np.ndarray) -> np
     normals = mesh.outward_normals()
     gn = np.einsum("ed,eid->ei", grad, normals)
     return g_all - gn[:, :, None]
-
-
-def _r_to_local_vertices(mesh: Mesh, R: np.ndarray) -> np.ndarray:
-    """Rv[e, m, n]: residual of facet m at local vertex n (zero on the diagonal)."""
-    d = mesh.dim
-    slot = mesh.elem_facet_slot
-    vals = np.take_along_axis(R, np.clip(slot, 0, d - 1), axis=2)
-    return np.where(slot >= 0, vals, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +70,7 @@ def _variant1_coeffs(pts, g, rv, r_vals) -> Variant1Bulk:
 
 def variant1_bulk(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray) -> Variant1Bulk:
     return _variant1_coeffs(mesh.points[mesh.simplices], mesh.bary_grads,
-                            _r_to_local_vertices(mesh, R), r_vals)
+                            _to_local_vertices(mesh, R), r_vals)
 
 
 def _tau_q_pairs(pts, grad_r):
@@ -116,11 +109,6 @@ def eta1_terms(mesh: Mesh, v1: Variant1Bulk, degree: int = ETA1_DEGREE):
     return first, resid_const
 
 
-def _affine_norm_sq(vol, vals):
-    dp1 = vals.shape[-1]
-    return vol * ((vals ** 2).sum(axis=-1) + vals.sum(axis=-1) ** 2) / (dp1 * (dp1 + 1))
-
-
 def divergence_audit(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
                      u_vals: np.ndarray) -> float:
     """Check Pi_K f - kappa^2 u_h + div tau = 0 on elements with kappa*rho <= 1.
@@ -129,8 +117,9 @@ def divergence_audit(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
     equilibrated fluxes integrate the data residual exactly against constants.
     Returns the worst scaled residual norm.
     """
-    scale = (np.sqrt(_affine_norm_sq(mesh.volumes, pf_vals))
-             + mesh.kappa ** 2 * np.sqrt(_affine_norm_sq(mesh.volumes, u_vals)) + 1.0)
+    d = mesh.dim
+    scale = (np.sqrt(_mass_norm_sq(pf_vals, mesh.volumes, d))
+             + mesh.kappa ** 2 * np.sqrt(_mass_norm_sq(u_vals, mesh.volumes, d)) + 1.0)
     norm = np.sqrt(mesh.volumes) * np.abs(resid_const)
     sel = mesh.kappa * mesh.inradii <= 1.0
     worst = float((norm[sel] / scale[sel]).max()) if np.any(sel) else 0.0
@@ -361,7 +350,7 @@ def build_variant2(vertices, Rv, kappa: float, grad_uh=None) -> FluxVariant2:
                         facet_vertices=F, a=a, b=b, ed=ed)
 
 
-def eta_K(flux, kappa: float, r_vals, degree: int | None = None) -> float:
+def eta_K(flux, kappa: float, r_vals) -> float:
     """Single-element layer indicator by quadrature of a FluxVariant2 closure.
 
     ``flux.grad_uh`` must be set to the element gradient of u_h; ``r_vals`` are
@@ -373,8 +362,7 @@ def eta_K(flux, kappa: float, r_vals, degree: int | None = None) -> float:
         raise TypeError(f"unknown flux object {type(flux)!r}")
     vertices = flux.vertices
     d = vertices.shape[1]
-    degree = ETA2_DEGREE if degree is None else degree
-    rule = rule_for(d, degree)
+    rule = rule_for(d, ETA2_DEGREE)
     rule_top = rule_for(d, TOP_DEGREE)
     r_vals = np.asarray(r_vals, dtype=float)
 

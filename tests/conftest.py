@@ -1,9 +1,11 @@
 """Shared fixtures and independent oracles for the test suite."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from fluxbound.errors import KappaJumpWarning
 from fluxbound.geometry import build_cube_mesh, build_mesh, simplex_volume
 from fluxbound.quadrature import rule_for
 
@@ -86,7 +88,7 @@ def random_small_mesh(rng, dim=None, allow_zero_kappa=True):
     """Perturbed cube mesh with random piecewise-constant kappa (solvable setup)."""
     dim = int(rng.integers(2, 4)) if dim is None else dim
     m = int(rng.integers(1, 3 if dim == 3 else 4))
-    base = build_cube_mesh(m, dim, 1.0, kappa_jump_warn=np.inf)
+    base = build_cube_mesh(m, dim, 1.0)
     pts = base.points.copy()
     interior = np.abs(np.abs(pts).max(axis=1) - 1.0) > 1e-12
     h = 2.0 / m
@@ -98,7 +100,9 @@ def random_small_mesh(rng, dim=None, allow_zero_kappa=True):
     for fi in np.flatnonzero(base.facet_tag != 0):
         tags[tuple(int(v) for v in base.facets[fi])] = \
             "D" if base.facet_tag[fi] == 1 else "N"
-    return build_mesh(pts, base.simplices, kappa, tags, kappa_jump_warn=np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KappaJumpWarning)  # random kappa jumps freely
+        return build_mesh(pts, base.simplices, kappa, tags)
 
 
 def random_problem_data(rng, dim):

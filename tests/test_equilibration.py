@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ import pytest
 import fluxbound.equilibration as eq
 import fluxbound.fem as fem
 import fluxbound.geometry as geo
-from fluxbound.errors import InfeasibleConstraints
+from fluxbound.errors import InfeasibleConstraints, KappaJumpWarning
 from fluxbound.quadrature import integrate, integrate_facet
 
-from conftest import kkt_min_norm_oracle, random_simplex
+from conftest import kkt_min_norm_oracle, random_simplex, random_small_mesh
 from test_fem import one_element_mesh
 
 
@@ -132,13 +133,17 @@ def test_extension_norm_quadrature_cross_check(unit_triangle):
     assert ext.l2_norm_sq() == pytest.approx(total, rel=1e-11)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_extension_volume_terms_match_subsimplex_integrals(dim):
+@pytest.mark.parametrize("case", [2, 3, 4, "perturbed"])
+def test_extension_volume_terms_match_subsimplex_integrals(case):
     # the volume part of Dstar, int f theta* - int grad u_h . grad theta*
     # - kappa^2 int u_h theta*, rebuilt sub-simplex by sub-simplex from the
-    # collapsed extension closures
-    kappa = 30.0
-    mesh = geo.build_cube_mesh(2, dim, kappa)
+    # collapsed extension closures; the code takes the stiffness term from the
+    # plain hat, |K| grad u_h . grad lambda_n, as theta* = theta_n on dK
+    if case == "perturbed":
+        mesh = random_small_mesh(np.random.default_rng(7), dim=3, allow_zero_kappa=False)
+    else:
+        mesh = geo.build_cube_mesh(2, case, 30.0)
+    dim = mesh.dim
     coef = np.arange(1.0, dim + 1)
 
     def f(x):
@@ -147,12 +152,17 @@ def test_extension_volume_terms_match_subsimplex_integrals(dim):
     data = fem.ProblemData(f=f)
     sol = fem.solve_problem(mesh, data)
     sel = np.flatnonzero(mesh.kappa * mesh.inradii > 1.0)
-    assert len(sel) == mesh.n_elements
+    if case == "perturbed":
+        assert 0 < len(sel) < mesh.n_elements
+    else:
+        assert len(sel) == mesh.n_elements
+    assert np.abs(sol.grad[sel]).max() > 0.0
     got = eq._extension_volume_terms(mesh, sol, data, sel)
     for row, e in enumerate(sel):
         pts = mesh.points[mesh.simplices[e]]
         g = geo.barycentric_gradients(pts)
         uloc = sol.u[mesh.simplices[e]]
+        kappa = mesh.kappa[e]
 
         def u_h(x):
             lam = (x - pts[0]) @ g.T
@@ -176,7 +186,8 @@ def test_extension_volume_terms_match_subsimplex_integrals(dim):
                 stiff += geo.simplex_volume(sub) * sol.grad[e] @ (gs.T @ vals)
             ref = load - stiff - mass
             scale = abs(load) + abs(stiff) + abs(mass)
-            assert abs(got[row, n] - ref) <= 1e-10 * scale
+            hat_stiff = geo.simplex_volume(pts) * sol.grad[e] @ g[n]
+            assert abs(got[row, n] - hat_stiff - ref) <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +291,9 @@ def test_patch_against_dense_kkt_oracle(rng):
 
 def test_patch_with_objective_against_oracle(rng):
     # mixed patch: some elements constrained, some in the least-squares term
-    mesh = geo.build_cube_mesh(2, 2, lambda c: np.where(c[:, 0] < 0, 0.5, 4000.0),
-                               kappa_jump_warn=np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KappaJumpWarning)  # the jump is the test case
+        mesh = geo.build_cube_mesh(2, 2, lambda c: np.where(c[:, 0] < 0, 0.5, 4000.0))
     data = fem.ProblemData(f=lambda x: np.full(len(x), 0.25), data_degree=2)
     sol = fem.solve_problem(mesh, data)
     resid = eq.residual_functionals(mesh, sol, data)
@@ -363,7 +375,7 @@ def test_neumann_facets_copy_projection():
     sol = fem.solve_problem(mesh, data)
     fluxes = eq.equilibrate(mesh, sol, data)
     for fi in np.flatnonzero(mesh.facet_tag == geo.NEUMANN):
-        proj = fem.project_facet(g_n, mesh.points[mesh.facets[fi]], degree=8)
+        proj = fem.project_facet(g_n, mesh.points[mesh.facets[fi]])
         assert np.abs(fluxes.gplus[fi] - proj).max() < 1e-12 * max(1.0, np.abs(proj).max())
 
 
@@ -379,14 +391,12 @@ def test_benchmark_equilibration_audit():
 
 
 def test_equilibrate_deterministic_under_permutation(rng):
-    base = geo.build_cube_mesh(2, 2, lambda c: np.where(c[:, 0] < 0, 0.5, 30.0),
-                               kappa_jump_warn=np.inf)
+    base = geo.build_cube_mesh(2, 2, lambda c: np.where(c[:, 0] < 0, 0.5, 30.0))
     tags = {tuple(int(v) for v in base.facets[fi]):
             ("D" if base.facet_tag[fi] == geo.DIRICHLET else "N")
             for fi in np.flatnonzero(base.facet_tag != geo.INTERIOR)}
     perm = rng.permutation(base.n_elements)
-    other = geo.build_mesh(base.points, base.simplices[perm], base.kappa[perm],
-                           tags, kappa_jump_warn=np.inf)
+    other = geo.build_mesh(base.points, base.simplices[perm], base.kappa[perm], tags)
     data = fem.ProblemData(f=lambda x: 1.0 + x[:, 1], data_degree=4)
     g1 = eq.equilibrate(base, fem.solve_problem(base, data), data)
     g2 = eq.equilibrate(other, fem.solve_problem(other, data), data)

@@ -87,24 +87,6 @@ def test_incentre_distance_to_facets_is_inradius(rng):
             assert dist == pytest.approx(q.inradius, rel=1e-12)
 
 
-def test_local_facet_frame(unit_triangle, rng):
-    origin, frame = geo.local_facet_frame(unit_triangle, 2)  # facet on the x-axis
-    assert np.allclose(frame[-1], [0.0, 1.0], atol=1e-14)
-    for d in (2, 3, 4):
-        pts = random_simplex(d, rng)
-        q = geo.geometric_quantities(pts)
-        inside = rng.dirichlet(np.ones(d + 1), size=30) @ pts
-        for i in range(d + 1):
-            origin, frame = geo.local_facet_frame(pts, i)
-            assert np.abs(frame @ frame.T - np.eye(d)).max() < 1e-12
-            xd = (q.incentre - origin) @ frame[-1]
-            assert xd == pytest.approx(q.inradius, rel=1e-11)
-            # facet vertices sit at height zero, the rest of K above it
-            fpts = np.delete(pts, i, axis=0)
-            assert np.abs((fpts - origin) @ frame[-1]).max() < 1e-12 * q.diameter
-            assert ((inside - origin) @ frame[-1]).min() > -1e-12 * q.diameter
-
-
 # ---------------------------------------------------------------------------
 # facet adjacency and meshes
 # ---------------------------------------------------------------------------
@@ -117,12 +99,26 @@ def test_two_triangle_square_facets(two_triangle_square):
     assert (~interior).sum() == 4
 
 
-def test_sigma_signs_cancel():
+def test_sigma_signs_cancel(rng):
     mesh = geo.build_cube_mesh(2, 3, 1.0)
     for fi in np.flatnonzero(mesh.facet_elems[:, 1] >= 0):
         (ea, eb), (la, lb) = mesh.facet_elems[fi], mesh.facet_local[fi]
         assert mesh.elem_sigma[ea, la] + mesh.elem_sigma[eb, lb] == 0
         assert ea < eb and mesh.elem_sigma[ea, la] == 1
+    # straight from a row-sorted element list in shuffled order: side 0 is
+    # still the smaller element id and carries sigma = +1
+    for m, d in ((3, 2), (2, 3), (1, 4)):
+        base = geo.build_cube_mesh(m, d, 1.0)
+        cells = base.simplices[rng.permutation(base.n_elements)]
+        _, facet_elems, facet_local, elem_facets, elem_sigma = \
+            geo.build_facet_adjacency(cells)
+        two = np.flatnonzero(facet_elems[:, 1] >= 0)
+        assert len(two) == (base.facet_elems[:, 1] >= 0).sum()
+        (ea, eb), (la, lb) = facet_elems[two].T, facet_local[two].T
+        assert np.all(ea < eb)
+        assert np.all(elem_sigma[ea, la] == 1) and np.all(elem_sigma[eb, lb] == -1)
+        assert np.array_equal(elem_facets[ea, la], two)
+        assert np.array_equal(elem_facets[eb, lb], two)
 
 
 def test_t_junction_raises():
@@ -207,8 +203,7 @@ def test_vertex_patch_consistency():
 # ---------------------------------------------------------------------------
 
 def test_mesh_file_roundtrip(tmp_path, monkeypatch):
-    mesh = geo.build_cube_mesh(2, 2, lambda c: np.where(c[:, 0] < 0, 2.0, 3.0),
-                               kappa_jump_warn=np.inf)
+    mesh = geo.build_cube_mesh(2, 2, lambda c: np.where(c[:, 0] < 0, 2.0, 3.0))
     # a relative file name starting with the DIM keyword is still a path
     monkeypatch.chdir(tmp_path)
     geo.write_mesh(mesh, "DIM_square.mesh")

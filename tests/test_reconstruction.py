@@ -50,8 +50,7 @@ def test_residual_constant_field(unit_triangle):
         fid = mesh.elem_facets[0, i]
         gplus[fid] = C @ normals[i]
     fluxes = eq.BoundaryFluxSet(gplus=gplus, alphas=np.zeros_like(gplus),
-                                avg=np.zeros(mesh.n_facets),
-                                jump=np.zeros(mesh.n_facets), eps_max_rel=0.0)
+                                avg=np.zeros(mesh.n_facets), eps_max_rel=0.0)
     sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points))
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     for i in range(3):
@@ -127,7 +126,7 @@ def test_variant1_divergence_vs_fd(rng):
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     for e in (0, 3, 5):
         pts = mesh.points[mesh.simplices[e]]
-        Rv = rec._r_to_local_vertices(mesh, R)[e]
+        Rv = eq._to_local_vertices(mesh, R)[e]
         flux = rec.build_variant1(pts, Rv, r_vals[e])
         h = mesh.diameters[e]
         x = rng.dirichlet(np.full(3, 3.0), size=20) @ pts
@@ -144,7 +143,7 @@ def test_variant1_divergence_vs_fd(rng):
 def test_variant1_bulk_matches_single_element():
     mesh, data, sol, fluxes, R, r_vals = benchmark_setup(3, 2, 1.0, 4.0)
     v1 = rec.variant1_bulk(mesh, R, r_vals)
-    Rv_all = rec._r_to_local_vertices(mesh, R)
+    Rv_all = eq._to_local_vertices(mesh, R)
     for e in (0, 10, 20):
         flux = rec.build_variant1(mesh.points[mesh.simplices[e]], Rv_all[e], r_vals[e])
         assert np.allclose(flux.c, v1.c[e], atol=1e-12 * max(1, np.abs(v1.c[e]).max()))
@@ -298,7 +297,7 @@ def test_eta2_bulk_matches_single_element_quadrature():
     mesh, data, sol, fluxes, R, r_vals = benchmark_setup(2, 2, 2.0, 40.0)
     sel = np.arange(mesh.n_elements)
     f2, s2 = rec.eta2_terms(mesh, R, r_vals, sel)
-    Rv_all = rec._r_to_local_vertices(mesh, R)
+    Rv_all = eq._to_local_vertices(mesh, R)
     for e in (0, 3, 6):
         pts = mesh.points[mesh.simplices[e]]
         flux = rec.build_variant2(pts, Rv_all[e], mesh.kappa[e], grad_uh=sol.grad[e])
@@ -320,7 +319,7 @@ def test_eta1_hand_case_single_element(unit_triangle):
         meas = mesh.facet_measures[fi]
         gplus[fi] = c_hyp if abs(meas - math.sqrt(2)) < 1e-12 else c_leg
     fluxes = eq.BoundaryFluxSet(gplus=gplus, alphas=np.zeros_like(gplus),
-                                avg=np.zeros(3), jump=np.zeros(3), eps_max_rel=0.0)
+                                avg=np.zeros(3), eps_max_rel=0.0)
     sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points))
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     r_vals = np.ones((1, 3))  # Pi_K f = 1, kappa = 0
@@ -328,7 +327,7 @@ def test_eta1_hand_case_single_element(unit_triangle):
     first, resid_const = rec.eta1_terms(mesh, v1)
     # exact equilibration by construction: div tau_L = -1 = -Pi_K f
     assert resid_const[0] == pytest.approx(0.0, abs=1e-13)
-    Rv = rec._r_to_local_vertices(mesh, R)[0]
+    Rv = eq._to_local_vertices(mesh, R)[0]
     flux = rec.build_variant1(unit_triangle, Rv, r_vals[0])
     oracle = integrate(lambda x: (flux(x) ** 2).sum(axis=1), unit_triangle, 8)
     assert first[0] == pytest.approx(oracle, rel=1e-10)
