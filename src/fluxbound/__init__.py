@@ -12,7 +12,7 @@ from .geometry import (Mesh, build_cube_mesh, build_facet_adjacency, build_mesh,
 from .quadrature import QuadratureRule, rule_for, integrate, integrate_facet
 from .fem import (ProblemData, FemSolution, assemble, solve, solve_problem,
                   project_element, project_facet, energy_norm, energy_norm_fe)
-from .equilibration import (BoundaryFluxSet, equilibrate, facet_average_and_jump,
+from .equilibration import (BoundaryFluxSet, equilibrate, facet_average,
                             dual_basis, extension, residual_functionals,
                             solve_vertex_patch)
 from .reconstruction import (facet_residuals, build_variant1, build_variant2,
@@ -31,7 +31,7 @@ __all__ = [
     "QuadratureRule", "rule_for", "integrate", "integrate_facet",
     "ProblemData", "FemSolution", "assemble", "solve", "solve_problem",
     "project_element", "project_facet", "energy_norm", "energy_norm_fe",
-    "BoundaryFluxSet", "equilibrate", "facet_average_and_jump", "dual_basis",
+    "BoundaryFluxSet", "equilibrate", "facet_average", "dual_basis",
     "extension", "residual_functionals", "solve_vertex_patch",
     "facet_residuals", "build_variant1", "build_variant2", "split_cone_frustum",
     "eta_K",

@@ -32,25 +32,22 @@ RANK_TOL = 1e-12        # relative singular value cutoff in the patch solves
 CONSTRAINT_TOL = 1e-9   # residual threshold (times local scale) for feasibility
 
 EXTENSION_DEGREE = 2    # quadrature degree for the extension volume terms
+PATCH_CHUNK = 2 ** 17   # sign-matrix entries of the same-shape patches solved at a time
 
 
-def facet_average_and_jump(mesh: Mesh, grad: np.ndarray):
-    """Average and jump of the normal flux of u_h per facet, seen from the plus side.
+def facet_average(mesh: Mesh, grad: np.ndarray) -> np.ndarray:
+    """Average normal flux of u_h per facet, seen from the plus side.
 
-    Boundary facets use the one-sided convention: average = own flux, jump = 0.
+    Boundary facets use the one-sided convention: average = own flux.
     """
     ep, lp = mesh.facet_elems[:, 0], mesh.facet_local[:, 0]
     g = mesh.bary_grads[ep, lp]
     n_plus = -g / np.linalg.norm(g, axis=1, keepdims=True)
-    flux_plus = np.einsum("fd,fd->f", n_plus, grad[ep])
+    avg = np.einsum("fd,fd->f", n_plus, grad[ep])
     interior = mesh.facet_elems[:, 1] >= 0
     em = mesh.facet_elems[interior, 1]
-    flux_minus = np.einsum("fd,fd->f", n_plus[interior], grad[em])
-    avg = flux_plus.copy()
-    jump = np.zeros_like(flux_plus)
-    avg[interior] = 0.5 * (flux_plus[interior] + flux_minus)
-    jump[interior] = flux_plus[interior] - flux_minus
-    return avg, jump
+    avg[interior] = 0.5 * (avg[interior] + np.einsum("fd,fd->f", n_plus[interior], grad[em]))
+    return avg
 
 
 def dual_basis(facet_vertices) -> np.ndarray:
@@ -159,7 +156,7 @@ def _to_local_vertices(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
 
 def residual_functionals(mesh: Mesh, sol: FemSolution, data: ProblemData) -> ResidualData:
     d = mesh.dim
-    avg, _ = facet_average_and_jump(mesh, sol.grad)
+    avg = facet_average(mesh, sol.grad)
 
     F1 = element_loads(mesh, data.f, data.data_degree)
     gnl = neumann_loads(mesh, data.g_N, data.data_degree)
@@ -232,8 +229,8 @@ def _extension_volume_terms(mesh: Mesh, sol: FemSolution, data: ProblemData,
 # patch solves and assembly
 # ---------------------------------------------------------------------------
 
-def _min_norm_lstsq(A: np.ndarray, b: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Minimal-norm least squares with the rank cutoff floored at `floor`.
+def _pinv(A: np.ndarray, floor=0.0) -> np.ndarray:
+    """Stacked minimal-norm pseudo-inverses of A (..., m, n), rank cutoff floored at `floor`.
 
     The floor matters in the reduced problem E Z: when an objective row lies in
     the constraint row space, E Z is pure round-off noise and a cutoff relative
@@ -241,79 +238,144 @@ def _min_norm_lstsq(A: np.ndarray, b: np.ndarray, floor: float = 0.0) -> np.ndar
     coefficient vector that wrecks the constraints.
     """
     if A.size == 0:
-        return np.zeros(A.shape[1])
+        return np.zeros(A.shape[:-2] + A.shape[:-3:-1])
     u, s, vt = np.linalg.svd(A, full_matrices=False)
-    cutoff = RANK_TOL * max(s[0] if len(s) else 0.0, floor)
-    keep = s > cutoff
-    if not np.any(keep):
-        return np.zeros(A.shape[1])
-    return vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
+    cutoff = RANK_TOL * np.maximum(s[..., 0], floor)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff[..., None])
+    return np.einsum("...ki,...k,...jk->...ij", vt, inv, u)
+
+
+def _patch_maps(M: np.ndarray, nc: int):
+    """Linear solution maps of the patch systems M (n, k, nu), constrained rows first.
+
+    With c the first nc and e the other right-hand side entries, the min-norm
+    solution of min |E a - e| subject to C a = c is ``L @ [c; e]`` and its
+    constraint-only part alpha0 is ``P @ c``: alpha0 = C^+ c, then the objective
+    is fitted in the nullspace Z of C, alpha = alpha0 + Z (E Z)^+ (e - E alpha0).
+    ``stepped`` marks the systems where that objective step is taken.
+    """
+    n, k, nu = M.shape
+    if nc == 0:
+        return _pinv(M), None, np.zeros(n, dtype=bool)
+    C, E = M[:, :nc], M[:, nc:]
+    uc, s, vt = np.linalg.svd(C, full_matrices=True)
+    rank = np.sum(s > RANK_TOL * s[:, :1], axis=1)
+    m = s.shape[1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=np.arange(m) < rank[:, None])
+    P = np.einsum("nki,nk,njk->nij", vt[:, :m], inv, uc[:, :, :m])
+    L = np.concatenate([P, np.zeros((n, nu, k - nc))], axis=2)
+    stepped = (rank < nu) & (k > nc)
+    for r in np.unique(rank[stepped]):
+        sel = np.flatnonzero(stepped & (rank == r))
+        Z = vt[sel, r:].transpose(0, 2, 1)
+        ZP = Z @ _pinv(E[sel] @ Z, floor=np.linalg.norm(E[sel], 2, axis=(1, 2)))
+        L[sel, :, :nc] -= ZP @ E[sel] @ P[sel]
+        L[sel, :, nc:] = ZP
+    return L, P, stepped
+
+
+def _raise_worst(bad, vals, tol, verts, message: str):
+    """InfeasibleConstraints naming the vertex with the largest vals/tol among the bad ones."""
+    if bad.any():
+        j = np.flatnonzero(bad)[np.argmax(vals[bad] / tol[bad])]
+        raise InfeasibleConstraints(message.format(v=verts[j], res=vals[j], tol=tol[j]))
+
+
+def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, unknown, k: int, nc: int):
+    """Solve the patches of `verts`, all with k elements, nc of them constrained, and
+    the (n, nu) non-Neumann facets `unknown`; returns (alpha (n, nu), objective, residual)."""
+    nu = unknown.shape[1]
+    pos = mesh._vertex_elem_offsets[verts][:, None] + np.arange(k)
+    els, locs = mesh._vertex_elem_data[pos, 0], mesh._vertex_elem_data[pos, 1]
+    order = np.argsort(resid.kapparho[els] > 1.0, axis=1, kind="stable")
+    els, locs = np.take_along_axis(els, order, 1), np.take_along_axis(locs, order, 1)
+
+    rhs = -np.where(np.arange(k) < nc, resid.D[els, locs], resid.Dstar[els, locs])
+    tol = CONSTRAINT_TOL * np.maximum(resid.scale[els, locs].max(axis=1), 1e-300)
+    if nu == 0:
+        res = np.abs(rhs[:, :nc]).max(axis=1, initial=0.0)
+        _raise_worst(res > tol, res, tol, verts,
+                     "vertex {v}: constraint residual {res:.3e} with no free coefficients")
+        return np.zeros((len(verts), 0)), np.zeros(len(verts)), res
+
+    # the facets of a patch element that contain v are exactly its facets other
+    # than the one opposite v, so matching facet ids gives the +-1 pattern
+    fac = mesh.elem_facets[els]
+    M = (mesh.elem_sigma[els][..., None] * (fac[..., None] == unknown[:, None, None, :])
+         ).sum(axis=2, dtype=np.int8)
+    # patches with byte-identical sign matrices share one factorization
+    keys = M.reshape(len(M), -1).view(np.dtype((np.void, k * nu)))[:, 0]
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    L, P, stepped = _patch_maps(M[first].astype(float), nc)
+    alpha = np.einsum("nik,nk->ni", L[which], rhs)
+    fit = np.einsum("nki,ni->nk", M, alpha) - rhs
+    res = np.abs(fit[:, :nc]).max(axis=1, initial=0.0)
+    if nc:
+        step = stepped[which]
+        c = rhs[:, :nc]
+        res0 = res.copy()
+        alpha0 = np.einsum("nic,nc->ni", P[which[step]], c[step])
+        res0[step] = np.abs(np.einsum("nci,ni->nc", M[step, :nc], alpha0) - c[step]).max(axis=1)
+        _raise_worst(res0 > tol, res0, tol, verts,
+                     "vertex {v}: equality-constraint residual {res:.3e} exceeds {tol:.3e}")
+        _raise_worst(step & (res > tol), res, tol, verts,
+                     "vertex {v}: constraints degraded to {res:.3e} by the objective step")
+    return alpha, (fit[:, nc:] ** 2).sum(axis=1), res
+
+
+def _solve_patches(mesh: Mesh, resid: ResidualData, vertices):
+    """Coefficients of the non-Neumann facets around each of `vertices`.
+
+    Patches are grouped by shape (elements, unknowns, constrained elements) and
+    solved in chunks of at most PATCH_CHUNK sign-matrix entries. Returns
+    ``(alphas, info)``: alphas (nf, d) holds the coefficients by facet and
+    facet vertex (zero where no patch of `vertices` sets one), and info
+    (len(vertices), 4) the number of constraints, the number of unknowns, the
+    objective and the constraint residual of each patch. Raises
+    InfeasibleConstraints when the equality constraints of a patch cannot be met.
+    """
+    vertices = np.asarray(vertices, dtype=np.int64)
+    vfd = mesh._vertex_facet_data
+    free = np.flatnonzero(mesh.facet_tag[vfd[:, 0]] != NEUMANN)
+    nu_all = np.bincount(mesh.facets[mesh.facet_tag != NEUMANN].ravel(),
+                         minlength=mesh.n_points)
+    first = np.concatenate([[0], np.cumsum(nu_all)])[vertices]
+    k = np.diff(mesh._vertex_elem_offsets)[vertices]
+    nu = nu_all[vertices]
+    nc = np.bincount(mesh.simplices[resid.kapparho <= 1.0].ravel(),
+                     minlength=mesh.n_points)[vertices]
+    alphas = np.zeros((mesh.n_facets, mesh.dim))
+    info = np.zeros((len(vertices), 4))
+    info[:, 0], info[:, 1] = nc, nu
+
+    shapes, group = np.unique(np.column_stack([k, nu, nc]), axis=0, return_inverse=True)
+    for g, (kg, nug, ncg) in enumerate(shapes):
+        if kg == 0:
+            continue
+        members = np.flatnonzero(group.ravel() == g)
+        size = max(1, PATCH_CHUNK // max(kg * nug, 1))
+        for lo in range(0, len(members), size):
+            j = members[lo:lo + size]
+            rows = vfd[free[first[j][:, None] + np.arange(nug)]]   # (n, nu, 2): facet, slot
+            a, info[j, 2], info[j, 3] = _solve_patch_chunk(mesh, resid, vertices[j],
+                                                           rows[..., 0], kg, ncg)
+            alphas[rows[..., 0], rows[..., 1]] = a
+    return alphas, info
+
 
 def solve_vertex_patch(mesh: Mesh, v: int, resid: ResidualData):
-    """Coefficients for the non-Neumann facets containing vertex v.
+    """Coefficients for the non-Neumann facets containing vertex v (a batch of one).
 
-    Returns ``(facet_ids, alphas, info)``; info carries the constraint residual
-    and objective value for diagnostics. Raises InfeasibleConstraints when the
+    Returns ``(facet_ids, alphas, info)``; info is (n_constraints, n_unknowns,
+    objective, constraint residual). Raises InfeasibleConstraints when the
     equality constraints cannot be met.
     """
-    els, locs = mesh.vertex_patch(v)
-    fids, _ = mesh.vertex_facets(v)
-    unknown = fids[mesh.facet_tag[fids] != NEUMANN]
-    nu = len(unknown)
-    k = len(els)
-    if k == 0:
-        return unknown, np.zeros(nu), (0, nu, 0.0, 0.0)
-
-    fac = mesh.elem_facets[els]
-    sig = mesh.elem_sigma[els]
-    keep = np.ones_like(fac, dtype=bool)
-    keep[np.arange(k), locs] = False
-    keep &= mesh.facet_tag[fac] != NEUMANN
-    M = np.zeros((k, nu))
-    rr, cc = np.nonzero(keep)
-    M[rr, np.searchsorted(unknown, fac[rr, cc])] = sig[rr, cc]
-
-    cons = resid.kapparho[els] <= 1.0
-    C, c = M[cons], -resid.D[els[cons], locs[cons]]
-    E, e = M[~cons], -resid.Dstar[els[~cons], locs[~cons]]
-    scale = float(resid.scale[els, locs].max()) if k else 0.0
-    tol = CONSTRAINT_TOL * max(scale, 1e-300)
-
-    if nu == 0:
-        bad = np.abs(c).max() if len(c) else 0.0
-        if bad > tol:
-            raise InfeasibleConstraints(
-                f"vertex {v}: constraint residual {bad:.3e} with no free coefficients")
-        return unknown, np.zeros(0), (len(c), 0, 0.0, float(bad))
-
-    if len(c) == 0:
-        alpha = _min_norm_lstsq(E, e) if len(e) else np.zeros(nu)
-        obj = float(np.sum((E @ alpha - e) ** 2)) if len(e) else 0.0
-        return unknown, alpha, (0, nu, obj, 0.0)
-
-    u_svd, s, vt = np.linalg.svd(C, full_matrices=True)
-    rank = int(np.sum(s > RANK_TOL * s[0])) if len(s) and s[0] > 0 else 0
-    if rank:
-        alpha0 = vt[:rank].T @ ((u_svd[:, :rank].T @ c) / s[:rank])
-    else:
-        alpha0 = np.zeros(nu)
-    res = float(np.abs(C @ alpha0 - c).max())
-    if res > tol:
-        raise InfeasibleConstraints(
-            f"vertex {v}: equality-constraint residual {res:.3e} exceeds {tol:.3e}")
-    Z = vt[rank:].T
-    if len(e) and Z.shape[1]:
-        beta = _min_norm_lstsq(E @ Z, e - E @ alpha0,
-                               floor=float(np.linalg.norm(E, 2)))
-        alpha = alpha0 + Z @ beta
-        res = float(np.abs(C @ alpha - c).max())
-        if res > tol:
-            raise InfeasibleConstraints(
-                f"vertex {v}: constraints degraded to {res:.3e} by the objective step")
-    else:
-        alpha = alpha0
-    obj = float(np.sum((E @ alpha - e) ** 2)) if len(e) else 0.0
-    return unknown, alpha, (len(c), nu, obj, res)
+    alphas, info = _solve_patches(mesh, resid, [v])
+    fids, slots = mesh.vertex_facets(v)
+    free = mesh.facet_tag[fids] != NEUMANN
+    nc, nu, obj, res = info[0]
+    fids, slots = fids[free], slots[free]
+    return fids, alphas[fids, slots], (int(nc), int(nu), float(obj), float(res))
 
 
 @dataclass(frozen=True)
@@ -348,24 +410,12 @@ def equilibrate(mesh: Mesh, sol: FemSolution, data: ProblemData, *,
     """
     d = mesh.dim
     resid = residual_functionals(mesh, sol, data)
-    alphas = np.zeros((mesh.n_facets, d))
+    alphas, info = _solve_patches(mesh, resid, np.arange(mesh.n_points))
 
     neu = np.flatnonzero(mesh.facet_tag == NEUMANN)
     if len(neu):
         alphas[neu] = resid.gn_loads[neu] - resid.avg[neu, None] * \
             (mesh.facet_measures[neu] / d)[:, None]
-
-    report = [] if patch_report_path else None
-    slot_cache = mesh._vertex_facet_data
-    offsets = mesh._vertex_facet_offsets
-    for v in range(mesh.n_points):
-        unknown, alpha, info = solve_vertex_patch(mesh, v, resid)
-        if len(unknown):
-            rows = slot_cache[offsets[v]:offsets[v + 1]]
-            keep = mesh.facet_tag[rows[:, 0]] != NEUMANN
-            alphas[rows[keep, 0], rows[keep, 1]] = alpha
-        if report is not None:
-            report.append((v, *info))
 
     gplus = resid.avg[:, None] + _mass_inverse_times(
         alphas, mesh.facet_measures[:, None], d - 1)
@@ -382,10 +432,9 @@ def equilibrate(mesh: Mesh, sol: FemSolution, data: ProblemData, *,
             f"assembled equilibration residual {eps_max_rel:.3e} exceeds {CONSTRAINT_TOL:g}")
 
     if patch_report_path:
-        with open(patch_report_path, "w", encoding="utf-8") as fh:
-            fh.write("vertex,n_constraints,n_unknowns,objective,constraint_residual\n")
-            for row in report:
-                fh.write(f"{row[0]},{row[1]},{row[2]},{row[3]:.6e},{row[4]:.6e}\n")
+        np.savetxt(patch_report_path, np.column_stack([np.arange(mesh.n_points), info]),
+                   fmt="%d,%d,%d,%.6e,%.6e", comments="",
+                   header="vertex,n_constraints,n_unknowns,objective,constraint_residual")
 
     return BoundaryFluxSet(gplus=gplus, alphas=alphas, avg=resid.avg,
                            eps_max_rel=eps_max_rel)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,19 +11,61 @@ import fluxbound.geometry as geo
 from fluxbound.errors import InfeasibleConstraints, KappaJumpWarning
 from fluxbound.quadrature import integrate, integrate_facet
 
-from conftest import kkt_min_norm_oracle, random_simplex, random_small_mesh
+from conftest import kkt_min_norm_oracle, random_problem_data, random_simplex, random_small_mesh
+from oracles import solve_vertex_patch_reference
 from test_fem import one_element_mesh
+
+
+def _kappa_jump_mesh():
+    """d=2 M=2 cube with kappa 0.5 left of x1 = 0 and 4000 right of it (mixed patches)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KappaJumpWarning)  # the jump is the test case
+        return geo.build_cube_mesh(2, 2, lambda c: np.where(c[:, 0] < 0, 0.5, 4000.0))
+
+
+def _rebuilt(mesh, kappa=None, perm=None):
+    """The same mesh with another kappa and/or vertex v relabelled perm[v]."""
+    perm = np.arange(mesh.n_points) if perm is None else perm
+    tags = {tuple(sorted(int(perm[v]) for v in mesh.facets[fi])):
+            ("D" if mesh.facet_tag[fi] == geo.DIRICHLET else "N")
+            for fi in np.flatnonzero(mesh.facet_tag != geo.INTERIOR)}
+    pts = np.empty_like(mesh.points)
+    pts[perm] = mesh.points
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KappaJumpWarning)
+        return geo.build_mesh(pts, perm[mesh.simplices],
+                              mesh.kappa if kappa is None else kappa, tags)
 
 
 # ---------------------------------------------------------------------------
 # averages and jumps
 # ---------------------------------------------------------------------------
 
+def _average_and_jump(mesh, grad):
+    """Per-facet average and plus-minus jump of the normal flux, each side using
+    its own outward normal (one-sided average and zero jump on the boundary)."""
+    avg = np.zeros(mesh.n_facets)
+    jump = np.zeros(mesh.n_facets)
+    for fi, (ep, em) in enumerate(mesh.facet_elems):
+        lp, lm = mesh.facet_local[fi]
+        g = mesh.bary_grads[ep, lp]
+        flux_plus = -g @ grad[ep] / np.linalg.norm(g)
+        if em < 0:
+            avg[fi] = flux_plus
+            continue
+        g = mesh.bary_grads[em, lm]
+        flux_minus = g @ grad[em] / np.linalg.norm(g)   # along the plus normal
+        avg[fi] = 0.5 * (flux_plus + flux_minus)
+        jump[fi] = flux_plus - flux_minus
+    return avg, jump
+
+
 def test_affine_field_has_zero_jumps(two_triangle_square):
     mesh = two_triangle_square
     sol = fem.FemSolution.from_vertex_values(mesh, mesh.points @ [2.0, -1.0] + 0.5)
-    avg, jump = eq.facet_average_and_jump(mesh, sol.grad)
+    avg, jump = _average_and_jump(mesh, sol.grad)
     assert np.abs(jump).max() < 1e-13
+    assert np.abs(eq.facet_average(mesh, sol.grad) - avg).max() < 1e-14
 
 
 def test_hat_function_jump_magnitude_two():
@@ -32,13 +75,14 @@ def test_hat_function_jump_magnitude_two():
     tags = {(0, 1): "N", (0, 2): "N", (1, 3): "N", (2, 3): "N"}
     mesh = geo.build_mesh(pts, cells, 1.0, tags)
     sol = fem.FemSolution.from_vertex_values(mesh, np.abs(mesh.points[:, 0]))
-    avg, jump = eq.facet_average_and_jump(mesh, sol.grad)
+    avg, jump = _average_and_jump(mesh, sol.grad)
     interior = np.flatnonzero(mesh.facet_tag == geo.INTERIOR)
     assert len(interior) == 1
     assert abs(jump[interior[0]]) == pytest.approx(2.0, rel=1e-14)
     assert abs(avg[interior[0]]) < 1e-14
     boundary = mesh.facet_tag != geo.INTERIOR
     assert np.abs(jump[boundary]).max() == 0.0  # stated convention
+    assert np.abs(eq.facet_average(mesh, sol.grad) - avg).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +335,7 @@ def test_patch_against_dense_kkt_oracle(rng):
 
 def test_patch_with_objective_against_oracle(rng):
     # mixed patch: some elements constrained, some in the least-squares term
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", KappaJumpWarning)  # the jump is the test case
-        mesh = geo.build_cube_mesh(2, 2, lambda c: np.where(c[:, 0] < 0, 0.5, 4000.0))
+    mesh = _kappa_jump_mesh()
     data = fem.ProblemData(f=lambda x: np.full(len(x), 0.25), data_degree=2)
     sol = fem.solve_problem(mesh, data)
     resid = eq.residual_functionals(mesh, sol, data)
@@ -322,6 +364,54 @@ def test_patch_with_objective_against_oracle(rng):
         assert np.abs(alpha - oracle).max() < 1e-9 * scale
         checked += 1
     assert checked >= 4
+
+
+def _compare_with_reference(mesh, data):
+    """Batched patch solves against the per-vertex reference on every vertex."""
+    sol = fem.solve_problem(mesh, data)
+    resid = eq.residual_functionals(mesh, sol, data)
+    got, info = eq._solve_patches(mesh, resid, np.arange(mesh.n_points))
+    ref = np.zeros_like(got)
+    for v in range(mesh.n_points):
+        unknown, a, (nc, nu, obj, res) = solve_vertex_patch_reference(mesh, v, resid)
+        fids, slots = mesh.vertex_facets(v)
+        free = mesh.facet_tag[fids] != geo.NEUMANN
+        assert np.array_equal(fids[free], unknown)
+        ref[fids[free], slots[free]] = a
+        els, locs = mesh.vertex_patch(v)
+        scale = resid.scale[els, locs].max()
+        assert tuple(info[v, :2]) == (nc, nu)
+        assert abs(info[v, 2] - obj) <= 1e-12 * scale ** 2   # a squared residual
+        assert abs(info[v, 3] - res) <= 1e-12 * scale
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_batched_patch_solves_match_reference(monkeypatch):
+    from fluxbound.benchmark import RunConfig, benchmark_data, benchmark_mesh
+    factored = []   # patch systems factored, one entry per chunk
+    maps = eq._patch_maps
+    monkeypatch.setattr(eq, "_patch_maps", lambda M, nc: factored.append(len(M)) or maps(M, nc))
+    cfg = RunConfig(dim=3, m=4, kappa1=1.0, kappa2=1e6)
+    mesh, data = benchmark_mesh(cfg), benchmark_data(cfg)
+    kapparho = mesh.kappa * mesh.inradii
+    assert (kapparho <= 1).any() and (kapparho > 1).any()
+    # the cube's patches repeat a few sign patterns, which are factored once
+    _compare_with_reference(mesh, data)
+    assert sum(factored) < mesh.n_points / 2
+    # relabelling the vertices reorders elements and facets, so nearly every
+    # patch has a sign matrix of its own
+    factored.clear()
+    perm = np.random.default_rng(3).permutation(mesh.n_points)
+    _compare_with_reference(_rebuilt(mesh, perm=perm), data)
+    assert sum(factored) > 0.9 * mesh.n_points
+
+    for seed in range(50):
+        rng = np.random.default_rng(1000 + seed)
+        dim = (2, 3, 4)[seed % 3]
+        mesh = random_small_mesh(rng, dim=dim, allow_zero_kappa=seed % 2 == 0)
+        if seed % 5 == 4:
+            mesh = _rebuilt(mesh, kappa=0.0)
+        _compare_with_reference(mesh, random_problem_data(rng, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +499,41 @@ def test_infeasible_constraints_raised(unit_triangle):
     mesh = one_element_mesh(unit_triangle, 1.0)
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
     fake = fem.FemSolution.from_vertex_values(mesh, np.array([5.0, -3.0, 2.0]))
-    with pytest.raises(InfeasibleConstraints):
+    with pytest.raises(InfeasibleConstraints, match=r"vertex \d+"):
         eq.equilibrate(mesh, fake, data)
+
+
+def test_infeasible_patch_error_names_an_infeasible_vertex():
+    # kappa = 0 and all-Neumann: a non-Galerkin u_h breaks the patch
+    # compatibility conditions; the vertex the error names is infeasible for
+    # the per-vertex reference too, with the same message
+    base = geo.build_cube_mesh(2, 2, 0.0)
+    mesh = geo.build_mesh(base.points, base.simplices, 0.0,
+                          lambda c: np.zeros(len(c), dtype=bool))
+    data = fem.ProblemData(f=lambda x: np.ones(len(x)))
+    fake = fem.FemSolution.from_vertex_values(
+        mesh, np.random.default_rng(5).standard_normal(mesh.n_points))
+    with pytest.raises(InfeasibleConstraints, match=r"vertex \d+") as err:
+        eq.equilibrate(mesh, fake, data)
+    v = int(re.search(r"vertex (\d+)", str(err.value)).group(1))
+    resid = eq.residual_functionals(mesh, fake, data)
+    with pytest.raises(InfeasibleConstraints) as ref_err:
+        solve_vertex_patch_reference(mesh, v, resid)
+    assert str(err.value) == str(ref_err.value)
+
+
+def test_objective_rows_without_free_coefficients_do_not_raise(unit_triangle):
+    # kappa*rho > 1 on a single all-Neumann element: no coefficient is free and
+    # the only rows are objective rows, so there is no constraint to violate
+    mesh = one_element_mesh(unit_triangle, 10.0)
+    assert mesh.kappa[0] * mesh.inradii[0] > 1.0
+    data = fem.ProblemData(f=lambda x: np.ones(len(x)))
+    fake = fem.FemSolution.from_vertex_values(mesh, np.array([5.0, -3.0, 2.0]))
+    assert eq.equilibrate(mesh, fake, data).eps_max_rel == 0.0
+    resid = eq.residual_functionals(mesh, fake, data)
+    assert np.abs(resid.Dstar).max() > 0.0
+    for v in range(mesh.n_points):
+        assert eq.solve_vertex_patch(mesh, v, resid)[2] == (0, 0, 0.0, 0.0)
 
 
 def test_patch_report_csv(tmp_path, two_triangle_square):
@@ -422,3 +545,22 @@ def test_patch_report_csv(tmp_path, two_triangle_square):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("vertex,")
     assert len(lines) == 1 + mesh.n_points
+
+    # mixed patches: one row per vertex, in vertex order, counting the
+    # kappa*rho <= 1 patch elements and the non-Neumann facets of the vertex
+    mesh = _kappa_jump_mesh()
+    data = fem.ProblemData(f=lambda x: np.full(len(x), 0.25), data_degree=2)
+    eq.equilibrate(mesh, fem.solve_problem(mesh, data), data, patch_report_path=str(path))
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "vertex,n_constraints,n_unknowns,objective,constraint_residual"
+    number = r"-?\d\.\d{6}e[+-]\d\d"
+    assert all(re.fullmatch(rf"\d+,\d+,\d+,{number},{number}", line) for line in lines[1:])
+    rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    assert np.array_equal(rows[:, 0], np.arange(mesh.n_points))
+    kapparho = mesh.kappa * mesh.inradii
+    n_cons = [np.sum(kapparho[mesh.vertex_patch(v)[0]] <= 1.0) for v in range(mesh.n_points)]
+    n_free = [np.sum(mesh.facet_tag[mesh.vertex_facets(v)[0]] != geo.NEUMANN)
+              for v in range(mesh.n_points)]
+    assert np.array_equal(rows[:, 1], n_cons)
+    assert np.array_equal(rows[:, 2], n_free)
+    assert 0 < rows[:, 1].sum() < sum(len(mesh.vertex_patch(v)[0]) for v in range(mesh.n_points))
