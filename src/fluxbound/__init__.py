@@ -15,8 +15,7 @@ from .fem import (ProblemData, FemSolution, assemble, solve, solve_problem,
 from .equilibration import (BoundaryFluxSet, equilibrate, facet_average,
                             dual_basis, extension, residual_functionals,
                             solve_vertex_patch)
-from .reconstruction import (facet_residuals, build_variant1, build_variant2,
-                             split_cone_frustum, eta_K)
+from .reconstruction import facet_residuals, build_variant1, build_variant2
 from .estimator import (TraceConstants, trace_constants, verify_trace_inequality,
                         oscillation_f, oscillation_gN, estimate, true_error,
                         ErrorReport)
@@ -33,8 +32,7 @@ __all__ = [
     "project_element", "project_facet", "energy_norm", "energy_norm_fe",
     "BoundaryFluxSet", "equilibrate", "facet_average", "dual_basis",
     "extension", "residual_functionals", "solve_vertex_patch",
-    "facet_residuals", "build_variant1", "build_variant2", "split_cone_frustum",
-    "eta_K",
+    "facet_residuals", "build_variant1", "build_variant2",
     "TraceConstants", "trace_constants", "verify_trace_inequality",
     "oscillation_f", "oscillation_gN", "estimate", "true_error", "ErrorReport",
     "ExactBenchmarkSolution", "RunConfig", "exact_solution", "run_benchmark",

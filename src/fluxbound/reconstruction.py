@@ -8,10 +8,10 @@ the divergence condition exact, so the indicator reduces to ||tau_L + tau_Q||.
 
 Variant 2 (layer): tau = grad u_h + tau_O, with tau_O supported on the cones
 joining each facet to the incentre and cut off at height 1/kappa, matching the
-boundary-layer structure for kappa*rho > 1. Element norms are computed by
-splitting each cone at the cutoff into a frustum (triangulated into d
-simplices) plus a shrunken cone, so that the integrands are polynomial on
-every piece and the quadrature is exact.
+boundary-layer structure for kappa*rho > 1. Element norms are integrated in
+the collapsed (Duffy) coordinates of each cone, x = apex + t (y - apex) with y
+on the facet: the integrands are polynomial in t below and above the cutoff
+and polynomial in y, so a facet rule times Gauss-Legendre nodes in t is exact.
 """
 from __future__ import annotations
 
@@ -23,14 +23,12 @@ import numpy as np
 from .equilibration import BoundaryFluxSet, _to_local_vertices
 from .errors import DivergenceAuditFailed, InvalidVariant
 from .fem import _mass_norm_sq
-from .geometry import (Mesh, barycentric_gradients, geometric_quantities, locate,
-                       simplex_geometry, simplex_measure)
+from .geometry import Mesh, barycentric_gradients, locate, simplex_geometry
 from .quadrature import integrate_simplices, rule_for
 
-ETA1_DEGREE = 4   # |tau_L + tau_Q|^2 has degree 4
-ETA2_DEGREE = 6   # |tau_O|^2 has degree 6 on the active pieces
-TOP_DEGREE = 2    # (affine)^2 beyond the cutoff
-TRACE_DEGREE = 4  # facet rule of the normal-trace audit
+ETA1_DEGREE = 4         # |tau_L + tau_Q|^2 has degree 4
+ETA2_FACET_DEGREE = 4   # the layer integrands have degree <= 4 along each facet
+TRACE_DEGREE = 4        # facet rule of the normal-trace audit
 AUDIT_TOL = 1e-9
 
 
@@ -134,26 +132,6 @@ def divergence_audit(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
 # variant 2
 # ---------------------------------------------------------------------------
 
-def split_cone_frustum(facet_vertices, apex, cut: float):
-    """Split the cone conv(facet, apex) at height ``cut`` above the facet plane.
-
-    Returns ``(pieces, top)``: the frustum below the cut triangulated into d
-    simplices (staircase pattern; the lateral faces are planar because they lie
-    in the cone's facets), and the shrunken top cone above the cut.
-    """
-    f = np.asarray(facet_vertices, dtype=float)
-    apex = np.asarray(apex, dtype=float)
-    d = f.shape[1]
-    height = geometric_quantities(np.vstack([f, apex])).altitudes[d]
-    if not 0.0 < cut < height:
-        raise ValueError(f"cut {cut} must lie strictly between 0 and the apex height {height}")
-    s = cut / height
-    g = f + s * (apex - f)
-    pieces = np.array([np.vstack([f[:j], g[j - 1:]]) for j in range(1, d + 1)])
-    top = np.vstack([g, apex[None, :]])
-    return pieces, top
-
-
 def _facet_setup(pts, g, Rf, i: int):
     """Local facet i (opposite vertex i) of a batch of elements.
 
@@ -193,65 +171,80 @@ def variant2_field(x, xd, a, b, ed, apex, rho, kappa):
     return fac * rt / rho, w, np.where(fac > 0.0, div, 0.0)
 
 
-def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray,
-               degree: int = ETA2_DEGREE, top_degree: int = TOP_DEGREE):
+def _cone_nodes(d: int, q: np.ndarray, rho: np.ndarray):
+    """Gauss-Legendre nodes in t on [0, t0] and on [t0, 1], per element.
+
+    ``q`` = kappa rho and ``rho`` are (n, 1). Returns the (n, nt) nodes and
+    weights (times the Jacobian rho t^(d-1)) of each interval, and
+    c_d = fac t / rho and c_rt = (d fac + q t) / rho at the upper nodes, so that
+    above t0 tau_O = c_d rt (y - apex) and r + div tau_O = r(apex) + t G +
+    c_rt rt + c_d D. The upper length h = 1 - t0 is min(1, 1/q): formed as
+    1 - t0 it would lose about log10(kappa rho) digits.
+    """
+    xi, wi = np.polynomial.legendre.leggauss(math.ceil((d + 6) / 2))
+    h = np.minimum(1.0, 1.0 / q)
+    t_lo = (1.0 - h) * (1.0 + xi) / 2
+    s = h * (1.0 - xi) / 2              # 1 - t on [t0, 1]
+    t_hi = 1.0 - s
+    w_lo = (1.0 - h) * wi / 2 * rho * t_lo ** (d - 1)
+    w_hi = h * wi / 2 * rho * t_hi ** (d - 1)
+    fac = 1.0 - q * s
+    return t_lo, w_lo, t_hi, w_hi, fac * t_hi / rho, (d * fac + q * t_hi) / rho
+
+
+def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
     """(||tau_O||_K^2, ||r + div tau_O||_K^2) for the selected elements.
 
-    Requires kappa > 0 on the selection. Each facet cone is integrated exactly:
-    split at the cutoff height 1/kappa when that lies inside the cone, whole
-    otherwise.
+    Requires kappa > 0 on the selection. Each facet cone is integrated in the
+    collapsed coordinates x = apex + t (y - apex), y on the facet and t in
+    [0, 1]: dx = rho t^(d-1) dt dy, and x lies (1 - t) rho above the facet
+    plane, so the cutoff height 1/kappa sits at t0 = max(0, 1 - 1/(kappa rho))
+    and tau_O vanishes below it. With A0 = R(apex), D = a.(y - apex),
+    G = grad r.(y - apex), rt = A0 + t D and fac = 1 - kappa rho (1 - t),
+
+        |tau_O|^2 = (fac t rt / rho)^2 |y - apex|^2,
+        r + div tau_O = r(apex) + t G + [fac (d rt + t D) + kappa rho t rt] / rho
+
+    above t0, and r + div tau_O = r(apex) + t G below. These are polynomials
+    of degree <= d+5 in t on each interval and <= 4 in y, so a degree-4 facet
+    rule times ceil((d+6)/2) Gauss-Legendre nodes per interval is exact.
     """
     d = mesh.dim
     kap = mesh.kappa[sel]
     if np.any(kap == 0):
         raise InvalidVariant("layer reconstruction requires kappa > 0")
-    rho = mesh.inradii[sel]
+    rho = mesh.inradii[sel][:, None]
     apex = mesh.incentres[sel]
-    cent = mesh.centroids[sel]
-    r_bar = r_vals[sel].mean(axis=1)
     grad_r = np.einsum("end,en->ed", mesh.bary_grads[sel], r_vals[sel])
-    cut = 1.0 / kap
-    split = cut < rho
+    r_apex = (r_vals[sel].mean(axis=1)
+              + np.einsum("ed,ed->e", grad_r, apex - mesh.centroids[sel]))[:, None]
 
-    first = np.zeros(len(sel))
-    second = np.zeros(len(sel))
-
-    def integrate_active(verts, rows, F, a, b, ed):
-        p0, a, b, ed = F[rows, 0], a[rows], b[rows], ed[rows]
-        ap, rh, kp = apex[rows], rho[rows], kap[rows]
-        rb, gr, ce = r_bar[rows], grad_r[rows], cent[rows]
-
-        def integrand(x, lam):
-            xd = np.einsum("pd,pd->p", x - p0, ed)
-            s, wvec, div_o = variant2_field(x, xd, a, b, ed, ap, rh, kp)
-            rx = rb + np.einsum("pd,pd->p", gr, x - ce)
-            return np.column_stack([s ** 2 * (wvec ** 2).sum(axis=1), (rx + div_o) ** 2])
-
-        both = integrate_simplices(integrand, verts, simplex_measure(verts), degree)
-        first[rows] += both[:, 0]
-        second[rows] += both[:, 1]
-
-    def integrate_top(verts, rows):
-        rb, gr, ce = r_bar[rows], grad_r[rows], cent[rows]
-        second[rows] += integrate_simplices(
-            lambda x, lam: (rb + np.einsum("pd,pd->p", gr, x - ce)) ** 2,
-            verts, simplex_measure(verts), top_degree)
+    t_lo, w_lo, t_hi, w_hi, c_d, c_rt = _cone_nodes(d, kap[:, None] * rho, rho)
 
     pts = mesh.points[mesh.simplices[sel]]
     g = mesh.bary_grads[sel]
-    sp = np.flatnonzero(split)
-    un = np.flatnonzero(~split)
+    first = np.zeros(len(sel))
+    second = np.zeros(len(sel))
     for i in range(d + 1):
-        F, a, b, ed = _facet_setup(pts, g, R[sel, i], i)
-        if len(sp):
-            G = F[sp] + (cut[sp] / rho[sp])[:, None, None] * (apex[sp, None, :] - F[sp])
-            for j in range(1, d + 1):
-                verts = np.concatenate([F[sp, :j], G[:, j - 1:]], axis=1)
-                integrate_active(verts, sp, F, a, b, ed)
-            integrate_top(np.concatenate([G, apex[sp, None, :]], axis=1), sp)
-        if len(un):
-            verts = np.concatenate([F[un], apex[un, None, :]], axis=1)
-            integrate_active(verts, un, F, a, b, ed)
+        F, a, b, _ = _facet_setup(pts, g, R[sel, i], i)
+        A0 = (np.einsum("ed,ed->e", a, apex) + b)[:, None]
+
+        def integrand(y, lam):
+            w = y - apex
+            D = np.einsum("ed,ed->e", a, w)[:, None]
+            G = np.einsum("ed,ed->e", grad_r, w)[:, None]
+            r_lo = t_lo * G + r_apex
+            rt = t_hi * D + A0
+            r_hi = c_rt * rt + c_d * D + t_hi * G + r_apex
+            rt *= c_d
+            return np.column_stack([np.einsum("ep,ep,ep->e", w_hi, rt, rt) * (w ** 2).sum(axis=1),
+                                    np.einsum("ep,ep,ep->e", w_lo, r_lo, r_lo)
+                                    + np.einsum("ep,ep,ep->e", w_hi, r_hi, r_hi)])
+
+        both = integrate_simplices(integrand, F, mesh.facet_measures[mesh.elem_facets[sel, i]],
+                                   ETA2_FACET_DEGREE)
+        first += both[:, 0]
+        second += both[:, 1]
     return first, second
 
 
@@ -350,48 +343,6 @@ def build_variant2(vertices, Rv, kappa: float, grad_uh=None) -> FluxVariant2:
                         facet_vertices=F, a=a, b=b, ed=ed)
 
 
-def eta_K(flux, kappa: float, r_vals) -> float:
-    """Single-element layer indicator by quadrature of a FluxVariant2 closure.
-
-    ``flux.grad_uh`` must be set to the element gradient of u_h; ``r_vals`` are
-    the vertex values of Pi_K f - kappa^2 u_h. The cones are split with
-    split_cone_frustum and the closure located pointwise, a route independent
-    of the staircase batches of eta2_terms.
-    """
-    if not isinstance(flux, FluxVariant2):
-        raise TypeError(f"unknown flux object {type(flux)!r}")
-    vertices = flux.vertices
-    d = vertices.shape[1]
-    rule = rule_for(d, ETA2_DEGREE)
-    rule_top = rule_for(d, TOP_DEGREE)
-    r_vals = np.asarray(r_vals, dtype=float)
-
-    def r_of(x):
-        return locate(vertices[None], x)[1] @ r_vals
-
-    first = 0.0
-    second = 0.0
-    cut = 1.0 / flux.kappa
-    for i in range(d + 1):
-        if cut < flux.rho:
-            pieces, top = split_cone_frustum(flux.facet_vertices[i], flux.incentre, cut)
-            tops = [top]
-        else:
-            pieces, tops = [np.vstack([flux.facet_vertices[i], flux.incentre])], []
-        for piece in pieces:
-            vol = simplex_measure(piece) * math.factorial(d)
-            x = rule.points @ piece
-            tau = flux(x) - flux.grad_uh
-            first += float(rule.weights @ (tau ** 2).sum(axis=1)) * vol
-            resid = r_of(x) + flux.divergence(x)
-            second += float(rule.weights @ resid ** 2) * vol
-        for piece in tops:
-            vol = simplex_measure(piece) * math.factorial(d)
-            x = rule_top.points @ piece
-            second += float(rule_top.weights @ r_of(x) ** 2) * vol
-    return math.sqrt(max(first + second / flux.kappa ** 2, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # normal traces (H(div) conformity checks)
 # ---------------------------------------------------------------------------
@@ -411,21 +362,24 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
     ne = mesh.n_elements
     pts = mesh.points[mesh.simplices]
     normals = mesh.outward_normals()
-    pairs = _tau_q_pairs(pts, v1.grad_r)
+    i1 = np.flatnonzero(variant != 2)
+    i2 = np.flatnonzero(variant == 2)
+    c1 = v1.c[i1]
+    pairs = _tau_q_pairs(pts[i1], v1.grad_r[i1])
+    apex, rho, kap = mesh.incentres[i2], mesh.inradii[i2], mesh.kappa[i2]
+    on_facet = np.zeros(len(i2))   # normal distance of the trace points, exactly zero
     trace = np.empty((ne, d + 1, rule.n_points))
     g_exact = np.empty((ne, d + 1, rule.n_points))
-    is2 = (variant == 2)[:, None]
-    on_facet = np.zeros(ne)   # normal distance of the trace points, exactly zero
+    tau = np.empty((ne, d))
     for i in range(d + 1):
-        F, a, b, ed = _facet_setup(pts, mesh.bary_grads, R[:, i], i)
+        F, a, b, ed = _facet_setup(pts[i2], mesh.bary_grads[i2], R[i2, i], i)
         gn = np.einsum("ed,ed->e", grad, normals[:, i])
         for qi, mu in enumerate(rule.points):
+            tau[i1] = variant1_field(np.insert(mu, i, 0.0)[None], c1, pairs)
             x = np.einsum("j,fjd->fd", mu, F)
-            tau1 = variant1_field(np.insert(mu, i, 0.0)[None], v1.c, pairs)
-            s, w, _ = variant2_field(x, on_facet, a, b, ed, mesh.incentres,
-                                     mesh.inradii, mesh.kappa)
-            tau = grad + np.where(is2, s[:, None] * w, tau1)
-            trace[:, i, qi] = np.einsum("ed,ed->e", tau, normals[:, i])
+            s, w, _ = variant2_field(x, on_facet, a, b, ed, apex, rho, kap)
+            tau[i2] = s[:, None] * w
+            trace[:, i, qi] = np.einsum("ed,ed->e", grad + tau, normals[:, i])
             g_exact[:, i, qi] = R[:, i] @ mu + gn
     return trace, g_exact
 

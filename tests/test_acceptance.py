@@ -17,6 +17,7 @@ import fluxbound.fem as fem
 import fluxbound.geometry as geo
 import fluxbound.reconstruction as rec
 
+import oracles
 from conftest import (fd_divergence, kkt_min_norm_oracle, random_problem_data,
                       random_simplex, random_small_mesh)
 
@@ -222,7 +223,8 @@ def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
     v1 = rec.variant1_bulk(mesh, R, r_vals)
 
-    # eta oracle: elevated quadrature degree (+4)
+    # eta oracles: eta1 at elevated quadrature degree (+4), eta2 against the
+    # staircase route at elevated degree (+4)
     lo, _ = rec.eta1_terms(mesh, v1)
     hi, _ = rec.eta1_terms(mesh, v1, degree=rec.ETA1_DEGREE + 4)
     scale = max(lo.max(), 1e-300)
@@ -230,9 +232,9 @@ def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):
     sel = np.flatnonzero(mesh.kappa > 0)
     if len(sel):
         f_lo, s_lo = rec.eta2_terms(mesh, R, r_vals, sel)
-        f_hi, s_hi = rec.eta2_terms(mesh, R, r_vals, sel,
-                                    degree=rec.ETA2_DEGREE + 4,
-                                    top_degree=rec.TOP_DEGREE + 4)
+        f_hi, s_hi = oracles.eta2_terms_staircase(mesh, R, r_vals, sel,
+                                                  degree=oracles.ETA2_DEGREE + 4,
+                                                  top_degree=oracles.TOP_DEGREE + 4)
         scale2 = max(f_lo.max(), s_lo.max(), 1e-300)
         assert np.abs(f_lo - f_hi).max() / scale2 < 1e-10
         assert np.abs(s_lo - s_hi).max() / scale2 < 1e-10

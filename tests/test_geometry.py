@@ -87,6 +87,41 @@ def test_incentre_distance_to_facets_is_inradius(rng):
             assert dist == pytest.approx(q.inradius, rel=1e-12)
 
 
+def _plane_distance(facet, x):
+    """Distance of x from the affine hull of ``facet``, by Gram-Schmidt in np.longdouble."""
+    p0 = facet[0].astype(np.longdouble)
+    v = x.astype(np.longdouble) - p0
+    basis = []
+    for e in facet[1:].astype(np.longdouble) - p0:
+        for b in basis:
+            e = e - (e @ b) * b
+        basis.append(e / np.sqrt(e @ e))
+        v = v - (v @ basis[-1]) * basis[-1]
+    return float(np.sqrt(v @ v))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_mesh_incentres_equidistant_from_facet_planes(d, rng):
+    # the layer indicator's cone Jacobian rho t^(d-1) needs this; each element
+    # is its own component, half of them random and half flattened 100x along
+    # a random direction (rho/h down to ~2e-4)
+    simplices = []
+    for k in range(16):
+        pts = random_simplex(d, rng)
+        if k % 2:
+            Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            pts = (pts @ Q * np.r_[np.ones(d - 1), 1e-2]) @ Q.T
+        simplices.append(pts)
+    mesh = geo.build_mesh(np.concatenate(simplices), np.arange(16 * (d + 1)).reshape(16, d + 1),
+                          1.0, lambda c: np.ones(len(c), dtype=bool))
+    assert (mesh.inradii / mesh.diameters).min() < 2e-3
+    for e in range(mesh.n_elements):
+        pts = mesh.points[mesh.simplices[e]]
+        for i in range(d + 1):
+            dist = _plane_distance(np.delete(pts, i, axis=0), mesh.incentres[e])
+            assert dist == pytest.approx(mesh.inradii[e], rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # facet adjacency and meshes
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import fluxbound.reconstruction as rec
 from fluxbound.errors import DivergenceAuditFailed, InvalidVariant
 from fluxbound.quadrature import integrate, rule_for
 
+import oracles
 from conftest import fd_divergence, random_simplex
 from test_fem import one_element_mesh
 
@@ -221,7 +222,7 @@ def test_split_cone_frustum_partition(rng):
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.4, 0.8]])
     apex = np.array([0.45, 0.4])
     height = 0.4
-    pieces, top = rec.split_cone_frustum(tri[:2], apex, height / 2)
+    pieces, top = oracles.split_cone_frustum(tri[:2], apex, height / 2)
     cone_area = geo.simplex_volume(np.vstack([tri[:2], apex]))
     got = sum(geo.simplex_volume(p) for p in pieces)
     assert got == pytest.approx(0.75 * cone_area, rel=1e-12)
@@ -232,7 +233,7 @@ def test_split_cone_frustum_partition(rng):
         q = geo.geometric_quantities(pts)
         fpts = np.delete(pts, 0, axis=0)
         cut = 0.37 * q.inradius
-        pieces, top = rec.split_cone_frustum(fpts, q.incentre, cut)
+        pieces, top = oracles.split_cone_frustum(fpts, q.incentre, cut)
         total = sum(geo.simplex_volume(p) for p in pieces) + geo.simplex_volume(top)
         cone = geo.simplex_volume(np.vstack([fpts, q.incentre]))
         assert total == pytest.approx(cone, rel=1e-12)
@@ -246,7 +247,7 @@ def test_split_limit_cut_to_height():
     tri = np.array([[0.0, 0.0], [1.0, 0.0]])
     apex = np.array([0.5, 1.0])
     cone = geo.simplex_volume(np.vstack([tri, apex]))
-    pieces, top = rec.split_cone_frustum(tri, apex, 1.0 - 1e-9)
+    pieces, top = oracles.split_cone_frustum(tri, apex, 1.0 - 1e-9)
     got = sum(geo.simplex_volume(p) for p in pieces)
     assert got == pytest.approx(cone, rel=1e-8)
 
@@ -286,8 +287,9 @@ def test_eta2_degree_stability():
     mesh, data, sol, fluxes, R, r_vals = benchmark_setup(3, 2, 2.0, 60.0)
     sel = np.flatnonzero(mesh.kappa > 0)
     f1, s1 = rec.eta2_terms(mesh, R, r_vals, sel)
-    f2, s2 = rec.eta2_terms(mesh, R, r_vals, sel, degree=rec.ETA2_DEGREE + 4,
-                            top_degree=rec.TOP_DEGREE + 4)
+    f2, s2 = oracles.eta2_terms_staircase(mesh, R, r_vals, sel,
+                                          degree=oracles.ETA2_DEGREE + 4,
+                                          top_degree=oracles.TOP_DEGREE + 4)
     scale = max(f1.max(), s1.max(), 1e-300)
     assert np.abs(f1 - f2).max() / scale < 1e-10
     assert np.abs(s1 - s2).max() / scale < 1e-10
@@ -301,9 +303,52 @@ def test_eta2_bulk_matches_single_element_quadrature():
     for e in (0, 3, 6):
         pts = mesh.points[mesh.simplices[e]]
         flux = rec.build_variant2(pts, Rv_all[e], mesh.kappa[e], grad_uh=sol.grad[e])
-        eta = rec.eta_K(flux, mesh.kappa[e], r_vals[e])
+        eta = oracles.eta_K(flux, mesh.kappa[e], r_vals[e])
         bulk = math.sqrt(f2[e] + s2[e] / mesh.kappa[e] ** 2)
         assert eta == pytest.approx(bulk, rel=1e-9)
+
+
+def test_eta2_rejects_zero_kappa_and_is_rowwise(rng):
+    # kappa = 0 on x_1 < 0; kappa*rho < 1 and > 1 on the other elements
+    kappa_fn = lambda c: np.where(c[:, 0] < 0, 0.0, np.where(c[:, 1] < 0, 2.0, 60.0))
+    mesh = geo.build_cube_mesh(2, 3, kappa_fn)
+    data = fem.ProblemData(f=lambda x: np.cos(x[:, 0]) + x[:, 1] * x[:, 2])
+    sol = fem.solve_problem(mesh, data)
+    fluxes = eq.equilibrate(mesh, sol, data)
+    R = rec.facet_residuals(mesh, fluxes, sol.grad)
+    pf = fem.project_element_bulk(mesh, data.f, 4)
+    r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
+    pos = np.flatnonzero(mesh.kappa > 0)
+    kapparho = mesh.kappa[pos] * mesh.inradii[pos]
+    assert np.any(kapparho < 1.0) and np.any(kapparho > 1.0)
+    zero = np.flatnonzero(mesh.kappa == 0)
+    # the check comes before 1/(kappa rho) is formed, so no division by zero is seen
+    with np.errstate(divide="raise", invalid="raise"), pytest.raises(InvalidVariant):
+        rec.eta2_terms(mesh, R, r_vals, np.concatenate([pos[:3], zero[:1], pos[3:]]))
+
+    full = rec.eta2_terms(mesh, R, r_vals, pos)
+    sub = rng.permutation(len(pos))[:len(pos) - 5]
+    for got, want in zip(rec.eta2_terms(mesh, R, r_vals, pos[sub]), full):
+        np.testing.assert_allclose(got, want[sub], rtol=1e-15, atol=0.0)
+
+
+def test_eta2_roundoff_against_longdouble():
+    # the float64 routes against the same cone integrand evaluated in
+    # np.longdouble; the cancellation in r + div tau_O sits in ``second``
+    for dim, m, k1 in ((2, 8, 3.0), (3, 4, 1.0), (4, 2, 3.0)):
+        mesh, data, sol, fluxes, R, r_vals = benchmark_setup(dim, m, k1, 1e6)
+        sel = np.flatnonzero(mesh.kappa > 0)
+        kapparho = mesh.kappa[sel] * mesh.inradii[sel]
+        assert np.any(kapparho < 1.0) and np.any(kapparho > 1.0)
+        ref = oracles.eta2_terms_longdouble(mesh, R, r_vals, sel)
+        cone = rec.eta2_terms(mesh, R, r_vals, sel)
+        stair = oracles.eta2_terms_staircase(mesh, R, r_vals, sel)
+        for c, st, lref in zip(cone, stair, ref):
+            scale = float(np.abs(lref).max())
+            err_cone = float(np.abs(c - lref).max()) / scale
+            err_stair = float(np.abs(st - lref).max()) / scale
+            assert err_stair < 1e-10
+            assert err_cone <= err_stair
 
 
 def test_eta1_hand_case_single_element(unit_triangle):
