@@ -1,6 +1,8 @@
 """Command-line driver for the cube benchmark and mesh-file runs.
 
-Exit codes: 0 success, 2 estimator audit failure, 3 solver failure.
+Exit codes: 0 success, 2 estimator audit failure, 3 solver failure, 4 input
+error (a malformed, degenerate or non-conforming mesh file, or a file that
+cannot be opened).
 """
 from __future__ import annotations
 
@@ -8,10 +10,10 @@ import argparse
 import sys
 
 from .benchmark import RunConfig, run_single, sweep_kappa, sweep_mesh
-from .errors import (DivergenceAuditFailed, InfeasibleConstraints,
-                     NoConvergence, UnsolvableProblem)
+from .errors import (DegenerateSimplex, DivergenceAuditFailed, InfeasibleConstraints,
+                     MeshFormatError, NoConvergence, NonConformingMesh, UnsolvableProblem)
 
-EXIT_OK, EXIT_AUDIT, EXIT_SOLVER = 0, 2, 3
+EXIT_OK, EXIT_AUDIT, EXIT_SOLVER, EXIT_INPUT = 0, 2, 3, 4
 
 
 def _float_list(text: str):
@@ -64,6 +66,9 @@ def main(argv=None) -> int:
     except (NoConvergence, UnsolvableProblem) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except (MeshFormatError, DegenerateSimplex, NonConformingMesh, OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if not args.out:
         sys.stdout.write(sink.text())
     elif args.verbose:

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConstraints
-from .fem import (FemSolution, ProblemData, _mass_inverse_times, _mass_norm_sq, _mass_times,
-                  data_values, element_loads, neumann_loads)
-from .geometry import (NEUMANN, Mesh, geometric_quantities, locate, simplex_measure,
-                       simplex_volume)
+from .fem import (FemSolution, ProblemData, _mass_inverse_times, _mass_times, data_values,
+                  element_loads, neumann_loads)
+from .geometry import NEUMANN, Mesh
 from .quadrature import integrate_simplices
 
 RANK_TOL = 1e-12        # relative singular value cutoff in the patch solves
@@ -48,79 +47,6 @@ def facet_average(mesh: Mesh, grad: np.ndarray) -> np.ndarray:
     em = mesh.facet_elems[interior, 1]
     avg[interior] = 0.5 * (avg[interior] + np.einsum("fd,fd->f", n_plus[interior], grad[em]))
     return avg
-
-
-def dual_basis(facet_vertices) -> np.ndarray:
-    """Rows are the vertex values of the facet dual functions psi^m.
-
-    psi^m is affine on the facet with int_gamma psi^m theta_n = delta_{mn};
-    the matrix is the inverse of the facet P1 mass matrix.
-    """
-    facet_vertices = np.asarray(facet_vertices, dtype=float)
-    d = facet_vertices.shape[1]
-    return _mass_inverse_times(np.eye(d), simplex_measure(facet_vertices), d - 1)
-
-
-# ---------------------------------------------------------------------------
-# approximate minimum-energy extensions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExtensionFunction:
-    """The hat function of vertex n, or its collapsed piecewise-affine extension.
-
-    For kappa * rho > 1 the interior value is pulled to zero at a point x_P
-    close to vertex n (barycentric delta = min(1, 1/(kappa*rho))/d on the other
-    vertices), making the support of the gradient a layer of width ~ 1/kappa.
-    The extension agrees with the plain hat on the element boundary.
-    """
-
-    vertices: np.ndarray
-    vertex_index: int
-    kappa: float
-    plain: bool
-    delta: float | None = None
-    x_p: np.ndarray | None = None
-    subsimplices: np.ndarray | None = None   # (d+1, d+1, d), x_P is the last vertex
-    subvalues: np.ndarray | None = None      # (d+1, d+1)
-
-    def evaluate(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.plain:
-            return locate(self.vertices[None], x)[1][:, self.vertex_index]
-        which, lam = locate(self.subsimplices, x)
-        return np.einsum("pn,pn->p", lam, self.subvalues[which])
-
-    def l2_norm_sq(self) -> float:
-        """int_K (theta*)^2, exact (the integrand is piecewise quadratic)."""
-        d = self.vertices.shape[1]
-        if self.plain:
-            return float(_mass_norm_sq(np.eye(d + 1)[self.vertex_index],
-                                       simplex_volume(self.vertices), d))
-        return float(_mass_norm_sq(self.subvalues, simplex_measure(self.subsimplices), d).sum())
-
-
-def extension(vertices, kappa: float, n: int) -> ExtensionFunction:
-    """Approximate minimum-energy extension of the hat of local vertex n."""
-    vertices = np.asarray(vertices, dtype=float)
-    d = vertices.shape[1]
-    q = geometric_quantities(vertices)
-    if kappa * q.inradius <= 1.0:
-        return ExtensionFunction(vertices=vertices, vertex_index=n, kappa=kappa, plain=True)
-    delta = min(1.0, 1.0 / (kappa * q.inradius)) / d
-    coeff = np.full(d + 1, delta)
-    coeff[n] = 1.0 - d * delta
-    x_p = coeff @ vertices
-    subs = np.empty((d + 1, d + 1, d))
-    vals = np.zeros((d + 1, d + 1))
-    hat = np.zeros(d + 1)
-    hat[n] = 1.0
-    for i in range(d + 1):
-        subs[i, :d] = np.delete(vertices, i, axis=0)
-        subs[i, d] = x_p
-        vals[i, :d] = np.delete(hat, i)
-    return ExtensionFunction(vertices=vertices, vertex_index=n, kappa=kappa, plain=False,
-                             delta=delta, x_p=x_p, subsimplices=subs, subvalues=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +312,6 @@ class BoundaryFluxSet:
     alphas: np.ndarray      # (nf, d) coefficients (fixed on Neumann facets)
     avg: np.ndarray         # (nf,) plus-side average normal flux
     eps_max_rel: float      # worst scaled equality residual over constrained elements
-
-    def g_on(self, mesh: Mesh, e: int, local_facet: int) -> np.ndarray:
-        """g_K of element e on its local facet, in canonical facet-vertex order."""
-        fid = mesh.elem_facets[e, local_facet]
-        return mesh.elem_sigma[e, local_facet] * self.gplus[fid]
 
 
 def equilibration_residuals(mesh: Mesh, resid: ResidualData, alphas: np.ndarray):

@@ -23,8 +23,8 @@ import numpy as np
 from .equilibration import equilibrate
 from .errors import NegativeDifference
 from .fem import FemSolution, ProblemData, data_values, project_element_bulk
-from .geometry import NEUMANN, Mesh, geometric_quantities
-from .quadrature import integrate_simplices, rule_for
+from .geometry import NEUMANN, Mesh
+from .quadrature import integrate_simplices
 from . import reconstruction as rec
 
 TRUE_ERROR_DEGREE = 10
@@ -37,79 +37,34 @@ OSC_DEGREE = 8     # quadrature degree of ||data - projection||^2
 
 @dataclass(frozen=True)
 class TraceConstants:
-    """Squared constants of the two facet trace inequalities on a simplex.
+    """Squared constants of the two facet trace inequalities, per (simplex, facet).
 
-    ``ct2`` bounds ||v||_gamma^2 / |||v|||_K^2 (undefined for kappa = 0, stored
-    as None); ``cbar2`` bounds ||v - mean_gamma v||_gamma^2 / |||v|||_K^2.
-    ``min2`` = min of the available squared constants, the weight of the
-    Neumann data oscillation.
+    ``ct2`` bounds ||v||_gamma^2 / |||v|||_K^2 (inf where kappa = 0, where that
+    inequality is not stated); ``cbar2`` bounds ||v - mean_gamma v||_gamma^2 /
+    |||v|||_K^2. ``min2`` = the smaller of the two, the weight of the Neumann
+    data oscillation.
     """
 
-    ct2: float | None
-    cbar2: float
+    ct2: np.ndarray
+    cbar2: np.ndarray
 
     @property
-    def min2(self) -> float:
-        return self.cbar2 if self.ct2 is None else min(self.ct2, self.cbar2)
+    def min2(self) -> np.ndarray:
+        return np.minimum(self.ct2, self.cbar2)
 
 
-def trace_constants(d: int, h: float, volume: float, facet_measure: float,
-                    kappa: float) -> TraceConstants:
-    """Closed-form trace constants of a d-simplex w.r.t. one of its facets."""
+def trace_constants(d: int, h, volume, facet_measure, kappa) -> TraceConstants:
+    """Closed-form trace constants of d-simplices w.r.t. one facet each.
+
+    The diameters ``h``, volumes, facet measures and kappas broadcast as arrays.
+    """
+    kappa = np.asarray(kappa, dtype=float)
     ratio = facet_measure / (d * volume)
-    if kappa > 0:
-        ct2 = ratio / kappa * math.hypot(2 * h, d / kappa)
-    else:
-        ct2 = None
-    m = h / math.pi if kappa == 0 else min(h / math.pi, 1.0 / kappa)
+    with np.errstate(divide="ignore"):   # 1/kappa = inf where kappa = 0
+        ct2 = ratio / kappa * np.hypot(2 * h, d / kappa)
+        m = np.minimum(h / math.pi, 1.0 / kappa)
     cbar2 = ratio * m * (2 * h + d * m)
     return TraceConstants(ct2=ct2, cbar2=cbar2)
-
-
-def verify_trace_inequality(vertices, kappa: float, samples: int,
-                            rng: np.random.Generator):
-    """Max observed trace ratios over random quadratic polynomials, per facet.
-
-    Returns ``(max_plain, max_mean_free, quantities)``: arrays over the d+1
-    facets of max ||v||_gamma / |||v|||_K (zero entries when kappa = 0, where
-    the inequality is not stated) and max ||v - mean_gamma v||_gamma / |||v|||_K.
-    Each entry must stay below the corresponding closed-form constant.
-    """
-    vertices = np.asarray(vertices, dtype=float)
-    d = vertices.shape[1]
-    q = geometric_quantities(vertices)
-    rule_k = rule_for(d, 4)
-    rule_f = rule_for(d - 1, 4)
-    xk = rule_k.points @ vertices
-    coef = rng.standard_normal((samples, 1 + d + d * d))
-
-    def eval_v(x):
-        quad = np.einsum("sij,pi,pj->sp", coef[:, 1 + d:].reshape(samples, d, d), x, x)
-        return coef[:, :1] + coef[:, 1:1 + d] @ x.T + quad
-
-    def eval_grad_sq(x):
-        qmat = coef[:, 1 + d:].reshape(samples, d, d)
-        g = coef[:, None, 1:1 + d] + np.einsum("sij,pj->spi", qmat + qmat.transpose(0, 2, 1), x)
-        return (g ** 2).sum(axis=2)
-
-    vk = eval_v(xk)
-    energy2 = ((eval_grad_sq(xk) + kappa ** 2 * vk ** 2) @ rule_k.weights
-               * q.volume * math.factorial(d))
-    max_plain = np.zeros(d + 1)
-    max_freed = np.zeros(d + 1)
-    for i in range(d + 1):
-        fverts = np.delete(vertices, i, axis=0)
-        meas = q.facet_measures[i]
-        xf = rule_f.points @ fverts
-        vf = eval_v(xf)
-        w = rule_f.weights * meas * math.factorial(d - 1)
-        norm2 = vf ** 2 @ w
-        mean = (vf @ w) / meas
-        freed2 = ((vf - mean[:, None]) ** 2) @ w
-        if kappa > 0:
-            max_plain[i] = float(np.sqrt(norm2 / energy2).max())
-        max_freed[i] = float(np.sqrt(freed2 / energy2).max())
-    return max_plain, max_freed, q
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +96,14 @@ def oscillation_gN(mesh: Mesh, g_N: Callable | None, proj: np.ndarray) -> np.nda
     if g_N is None:
         return out
     neu = np.flatnonzero(mesh.facet_tag == NEUMANN)
-    d = mesh.dim
     pn = proj[neu]
     sq = integrate_simplices(lambda x, lam: (data_values(g_N, x, "g_N") - pn @ lam) ** 2,
                              mesh.points[mesh.facets[neu]], mesh.facet_measures[neu],
                              OSC_DEGREE)
-    norm = np.sqrt(np.maximum(sq, 0.0))
-    for fi, nf in zip(neu, norm):
-        e = mesh.facet_elems[fi, 0]
-        tc = trace_constants(d, mesh.diameters[e], mesh.volumes[e],
-                             mesh.facet_measures[fi], mesh.kappa[e])
-        out[fi] = math.sqrt(tc.min2) * nf
+    e = mesh.facet_elems[neu, 0]
+    tc = trace_constants(mesh.dim, mesh.diameters[e], mesh.volumes[e],
+                         mesh.facet_measures[neu], mesh.kappa[e])
+    out[neu] = np.sqrt(tc.min2) * np.sqrt(np.maximum(sq, 0.0))
     return out
 
 
@@ -262,12 +214,11 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
         report.variant_taustar = np.where(pick2, 2, 1).astype(np.int8)
         report.eta_taustar = _total(eta_k, osc_f, osc_gn)
 
-    if check_conformity:
-        variant = report.variant_tau if report.variant_tau is not None \
-            else report.variant_taustar
-        trace, _ = rec.facet_trace_values(mesh, sol.grad, v1, R, variant)
+    if check_conformity:   # every reported selection, each field evaluated once
+        picks = [v for v in (report.variant_tau, report.variant_taustar) if v is not None]
+        traces, _ = rec.facet_trace_values(mesh, sol.grad, v1, R, np.stack(picks))
         scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
-        report.audits["hdiv_mismatch"] = rec.trace_mismatch(mesh, trace, scale)
+        report.audits["hdiv_mismatch"] = max(rec.trace_mismatch(mesh, t, scale) for t in traces)
 
     if exact is not None:
         direct, pyth = true_error(mesh, sol, exact)

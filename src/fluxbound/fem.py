@@ -7,7 +7,6 @@ exact. Data callables are vectorized: they map an (n, d) array of points to
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,12 +15,11 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import NoConvergence, UnsolvableProblem
-from .geometry import NEUMANN, Mesh, simplex_measure, simplex_volume
-from .quadrature import integrate_simplices, rule_for
+from .geometry import NEUMANN, Mesh
+from .quadrature import integrate_simplices
 
 DENSE_CUTOFF = 200
 SOLVE_TOL = 1e-12         # relative residual target of the linear solve
-PROJECTION_DEGREE = 8     # quadrature degree of the single-simplex projections
 
 
 @dataclass(frozen=True)
@@ -255,53 +253,7 @@ def _mass_inverse_times(values: np.ndarray, measure, k: int):
     return scale * (values - values.sum(axis=-1, keepdims=True) / (k + 2))
 
 
-def project_element(f: Callable, vertices) -> np.ndarray:
-    """Vertex values of the L2(K)-orthogonal projection of f onto affine functions."""
-    simplex_volume(vertices)   # degeneracy guard
-    return project_facet(f, vertices)
-
-
-def project_facet(g: Callable, vertices) -> np.ndarray:
-    """Facet-vertex values of the L2(gamma)-orthogonal projection onto affine functions.
-
-    Works on any k-simplex given by its k+1 vertices.
-    """
-    vertices = np.asarray(vertices, dtype=float)
-    k = len(vertices) - 1
-    rule = rule_for(k, PROJECTION_DEGREE)
-    x = rule.points @ vertices
-    meas = simplex_measure(vertices)
-    rhs = (rule.weights[:, None] * rule.points * np.asarray(g(x))[:, None]).sum(axis=0)
-    rhs *= meas * math.factorial(k)
-    return _mass_inverse_times(rhs, meas, k)
-
-
 def project_element_bulk(mesh: Mesh, f: Callable, degree: int = 8) -> np.ndarray:
     """(ne, d+1) vertex values of the elementwise projection of f."""
     loads = element_loads(mesh, f, degree)
     return _mass_inverse_times(loads, mesh.volumes[:, None], mesh.dim)
-
-
-# ---------------------------------------------------------------------------
-# energy norms
-# ---------------------------------------------------------------------------
-
-def energy_norm(mesh: Mesh, v: Callable, grad_v: Callable, degree: int) -> float:
-    """Energy norm sqrt(sum_K int |grad v|^2 + kappa_K^2 v^2) by quadrature.
-
-    ``grad_v`` maps (n, d) points to (n, d) gradients.
-    """
-    k2 = mesh.kappa ** 2
-    sq = integrate_simplices(
-        lambda x, lam: (np.asarray(grad_v(x)) ** 2).sum(axis=1) + k2 * np.asarray(v(x)) ** 2,
-        mesh.points[mesh.simplices], mesh.volumes, degree)
-    return math.sqrt(max(float(sq.sum()), 0.0))
-
-
-def energy_norm_fe(sol: FemSolution) -> float:
-    """Exact energy norm of a P1 finite element function."""
-    mesh = sol.mesh
-    uloc = sol.u[mesh.simplices]
-    grad_part = (sol.grad ** 2).sum(axis=1) * mesh.volumes
-    mass_part = mesh.kappa ** 2 * _mass_norm_sq(uloc, mesh.volumes, mesh.dim)
-    return math.sqrt(max(float((grad_part + mass_part).sum()), 0.0))

@@ -104,57 +104,6 @@ def simplex_geometry(pts) -> SimplexGeometry:
         centroids=pts.mean(axis=1))
 
 
-def simplex_volume(pts) -> float:
-    """Volume |det(p_1-p_0, ..., p_d-p_0)| / d! of a non-degenerate d-simplex."""
-    return float(simplex_geometry([pts]).volumes[0])
-
-
-def barycentric_gradients(pts) -> np.ndarray:
-    """Gradients of the d+1 barycentric coordinates; rows sum to zero."""
-    return simplex_geometry([pts]).grads[0]
-
-
-def locate(simplices, x):
-    """Place each point of ``x`` (p, d) in one of ``simplices`` (s, d+1, d).
-
-    Returns ``(which, lam)``: the simplex whose smallest barycentric coordinate
-    at the point is largest (the one containing it), and the (p, d+1)
-    barycentric coordinates there. The pieces may be thin, so no degeneracy
-    check.
-    """
-    simplices = np.asarray(simplices, dtype=float)
-    g = simplex_gradients(simplices)
-    lam = np.einsum("snd,psd->psn", g, x[:, None, :] - simplices[None, :, 0])
-    lam[:, :, 0] += 1.0
-    which = lam.min(axis=2).argmax(axis=1)
-    return which, lam[np.arange(len(x)), which]
-
-
-@dataclass(frozen=True)
-class GeometricQuantities:
-    volume: float
-    diameter: float          # h_K
-    inradius: float          # rho_K
-    incentre: np.ndarray
-    centroid: np.ndarray
-    facet_measures: np.ndarray  # |gamma_i|, facet opposite vertex i
-    altitudes: np.ndarray       # d |K| / |gamma_i|
-
-
-def geometric_quantities(pts) -> GeometricQuantities:
-    """Diameter, inradius, incentre, centroid, facet measures and altitudes of a simplex."""
-    g = simplex_geometry([pts])
-    return GeometricQuantities(
-        volume=float(g.volumes[0]),
-        diameter=float(g.diameters[0]),
-        inradius=float(g.inradii[0]),
-        incentre=g.incentres[0],
-        centroid=g.centroids[0],
-        facet_measures=g.facet_measures[0],
-        altitudes=1.0 / np.linalg.norm(g.grads[0], axis=1),   # d |K| / |gamma_i|
-    )
-
-
 # ---------------------------------------------------------------------------
 # facet adjacency
 # ---------------------------------------------------------------------------
@@ -480,31 +429,35 @@ def read_mesh(path) -> Mesh:
         pos += n
         return out
 
+    def count(kw):
+        expect(kw)
+        n = take(1, int)[0]
+        if n < 0:
+            raise MeshFormatError(f"{kw} must be >= 0, got {n}")
+        return n
+
     expect("DIM")
     d = take(1, int)[0]
     if d < 2:
         raise MeshFormatError(f"DIM must be >= 2, got {d}")
-    expect("POINTS")
-    n = take(1, int)[0]
+    n = count("POINTS")
     points = np.array(take(n * d, float)).reshape(n, d)
-    expect("CELLS")
-    m = take(1, int)[0]
-    raw = take(m * (d + 2), str)
-    cells = np.array([[int(v) for v in raw[i * (d + 2):i * (d + 2) + d + 1]]
-                      for i in range(m)], dtype=np.int64).reshape(m, d + 1)
-    kappa = np.array([float(raw[i * (d + 2) + d + 1]) for i in range(m)])
-    expect("BOUNDARY")
-    k = take(1, int)[0]
-    boundary = {}
-    for _ in range(k):
-        row = take(d + 1, str)
-        key = tuple(sorted(int(v) for v in row[:d]))
-        boundary[key] = row[d]
+    m = count("CELLS")
+    cells = np.empty((m, d + 1), dtype=np.int64)
+    kappa = np.empty(m)
+    for i in range(m):
+        cells[i] = take(d + 1, int)
+        kappa[i] = take(1, float)[0]
+    k = count("BOUNDARY")
+    boundary = {tuple(sorted(take(d, int))): take(1, str)[0] for _ in range(k)}
     if pos != len(toks):
         raise MeshFormatError(f"trailing tokens starting at {toks[pos]!r}")
     if np.any(cells < 0) or np.any(cells >= n):
         raise MeshFormatError("cell vertex id out of range")
-    return build_mesh(points, cells, kappa, boundary)
+    try:
+        return build_mesh(points, cells, kappa, boundary)
+    except ValueError as exc:   # e.g. a negative kappa or a repeated vertex id
+        raise MeshFormatError(str(exc)) from None
 
 
 def write_mesh(mesh: Mesh, path: str) -> None:

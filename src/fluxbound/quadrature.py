@@ -7,8 +7,9 @@ so an integral over a physical simplex K is
 
     sum_q  w_q * |K| * d! * f(x_q).
 
-Every mesh integral goes through the batched ``integrate_simplices``; the
-single-simplex ``integrate``/``integrate_facet`` serve as independent references.
+Every mesh integral goes through the batched ``integrate_simplices``. The
+single-simplex references that the tests check it against live in
+``tests/oracles.py``.
 
 Weights of the family alternate in sign; only exactness is guaranteed to
 callers, not node placement.
@@ -23,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnsupportedDegree
-from .geometry import simplex_measure
 
 MAX_DEGREE = 12
 
@@ -100,32 +100,3 @@ def integrate_simplices(integrand: Callable, pts: np.ndarray, measures,
         acc += w * np.asarray(integrand(x, lam), dtype=float)
     scale = np.asarray(measures, dtype=float) * math.factorial(k)
     return acc * scale.reshape(scale.shape + (1,) * (acc.ndim - 1))
-
-
-def _integrate(f: Callable, vertices: np.ndarray, k: int, degree: int) -> float:
-    rule = rule_for(k, degree)
-    x = rule.points @ vertices
-    vals = np.asarray(f(x), dtype=float)
-    return float(rule.weights @ vals) * simplex_measure(vertices) * math.factorial(k)
-
-
-def integrate(f: Callable, vertices, degree: int) -> float:
-    """Integrate ``f`` over the full-dimensional simplex with the given vertices.
-
-    ``f`` maps an (nq, d) array of points to (nq,) values; exact when f is a
-    polynomial of total degree <= `degree`.
-    """
-    vertices = np.asarray(vertices, dtype=float)
-    d = vertices.shape[1]
-    if vertices.shape[0] != d + 1:
-        raise ValueError("expected d+1 vertices for a d-simplex")
-    return _integrate(f, vertices, d, degree)
-
-
-def integrate_facet(f: Callable, vertices, degree: int) -> float:
-    """Integrate ``f`` over a (d-1)-simplex facet embedded in R^d (d vertices)."""
-    vertices = np.asarray(vertices, dtype=float)
-    d = vertices.shape[1]
-    if vertices.shape[0] != d:
-        raise ValueError("expected d vertices for a facet in R^d")
-    return _integrate(f, vertices, d - 1, degree)

@@ -23,7 +23,7 @@ import numpy as np
 from .equilibration import BoundaryFluxSet, _to_local_vertices
 from .errors import DivergenceAuditFailed, InvalidVariant
 from .fem import _mass_norm_sq
-from .geometry import Mesh, barycentric_gradients, locate, simplex_geometry
+from .geometry import Mesh
 from .quadrature import integrate_simplices, rule_for
 
 ETA1_DEGREE = 4         # |tau_L + tau_Q|^2 has degree 4
@@ -249,101 +249,6 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# per-element flux objects (pointwise evaluation and analytic divergence)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FluxVariant1:
-    """grad u_h + tau_L + tau_Q on one element; Rv[m, n] is the residual of
-    facet m (opposite local vertex m) at local vertex n."""
-
-    vertices: np.ndarray
-    grad_uh: np.ndarray
-    c: np.ndarray
-    grad_r: np.ndarray
-    centroid: np.ndarray
-    div_l: float
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        lam = locate(self.vertices[None], x)[1]
-        pairs = _tau_q_pairs(self.vertices[None], self.grad_r[None])
-        return self.grad_uh + variant1_field(lam, self.c[None], pairs)
-
-    def divergence(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.div_l + (self.centroid - x) @ self.grad_r
-
-
-def build_variant1(vertices, Rv, r_vals, grad_uh=None) -> FluxVariant1:
-    """Polynomial reconstruction on one element from local-vertex residual values."""
-    vertices = np.asarray(vertices, dtype=float)
-    Rv = np.where(np.eye(len(vertices), dtype=bool), 0.0, np.asarray(Rv, dtype=float))
-    r_vals = np.asarray(r_vals, dtype=float)
-    v1 = _variant1_coeffs(vertices[None], barycentric_gradients(vertices)[None],
-                          Rv[None], r_vals[None])
-    base = np.zeros(vertices.shape[1]) if grad_uh is None \
-        else np.asarray(grad_uh, dtype=float)
-    return FluxVariant1(vertices=vertices, grad_uh=base,
-                        c=v1.c[0], grad_r=v1.grad_r[0], centroid=vertices.mean(axis=0),
-                        div_l=float(v1.div_l[0]))
-
-
-@dataclass(frozen=True)
-class FluxVariant2:
-    """grad u_h + tau_O on one element, piecewise on the incentre cones."""
-
-    vertices: np.ndarray
-    grad_uh: np.ndarray
-    kappa: float
-    rho: float
-    incentre: np.ndarray
-    facet_vertices: np.ndarray   # (d+1, d, d)
-    a: np.ndarray                # (d+1, d) in-plane residual gradients
-    b: np.ndarray                # (d+1,)
-    ed: np.ndarray               # (d+1, d) inward facet normals
-
-    def _locate(self, x):
-        apex = np.broadcast_to(self.incentre, (len(self.facet_vertices), 1, len(self.incentre)))
-        return locate(np.concatenate([self.facet_vertices, apex], axis=1), x)[0]
-
-    def _tau_o(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        which = self._locate(x)
-        xd = np.einsum("pd,pd->p", x - self.facet_vertices[which, 0], self.ed[which])
-        return variant2_field(x, xd, self.a[which], self.b[which], self.ed[which],
-                              self.incentre, self.rho, self.kappa)
-
-    def __call__(self, x) -> np.ndarray:
-        s, w, _ = self._tau_o(x)
-        return self.grad_uh + s[:, None] * w
-
-    def divergence(self, x) -> np.ndarray:
-        return self._tau_o(x)[2]
-
-
-def build_variant2(vertices, Rv, kappa: float, grad_uh=None) -> FluxVariant2:
-    """Layer reconstruction on one element; requires kappa > 0.
-
-    This variant only needs the facet residuals, so it applies to any
-    conforming piecewise-affine approximation, not just the Galerkin solution.
-    """
-    if kappa <= 0:
-        raise InvalidVariant("layer reconstruction requires kappa > 0")
-    vertices = np.asarray(vertices, dtype=float)
-    Rv = np.asarray(Rv, dtype=float)
-    d = vertices.shape[1]
-    geom = simplex_geometry(vertices[None])
-    F, a, b, ed = (np.concatenate(parts) for parts in zip(*(
-        _facet_setup(vertices[None], geom.grads, np.delete(Rv[i], i)[None], i)
-        for i in range(d + 1))))
-    base = np.zeros(d) if grad_uh is None else np.asarray(grad_uh, dtype=float)
-    return FluxVariant2(vertices=vertices, grad_uh=base, kappa=float(kappa),
-                        rho=float(geom.inradii[0]), incentre=geom.incentres[0],
-                        facet_vertices=F, a=a, b=b, ed=ed)
-
-
-# ---------------------------------------------------------------------------
 # normal traces (H(div) conformity checks)
 # ---------------------------------------------------------------------------
 
@@ -351,37 +256,45 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
                        R: np.ndarray, variant: np.ndarray):
     """Normal trace of the assembled flux on every (element, facet) pair.
 
+    ``variant`` (ne,) picks the reconstruction of each element (1 or 2).
     Returns ``(trace, g_exact)`` of shape (ne, d+1, nq): the flux evaluated at
     the canonical facet quadrature points dotted with the element's outward
     normal, and the equilibrated g_K interpolated at the same points. The
     points are defined on the facet, so they coincide for the two sharing
-    elements.
+    elements. A stack (s, ne) of selections gives a list of s such traces;
+    each field is evaluated once, on the elements where some selection uses it.
     """
     d = mesh.dim
     rule = rule_for(d - 1, TRACE_DEGREE)
     ne = mesh.n_elements
     pts = mesh.points[mesh.simplices]
     normals = mesh.outward_normals()
-    i1 = np.flatnonzero(variant != 2)
-    i2 = np.flatnonzero(variant == 2)
-    c1 = v1.c[i1]
+    picks = np.atleast_2d(variant)
+    i1 = np.flatnonzero((picks != 2).any(axis=0))
+    i2 = np.flatnonzero((picks == 2).any(axis=0))
+    c1, grad1, grad2 = v1.c[i1], grad[i1], grad[i2]
     pairs = _tau_q_pairs(pts[i1], v1.grad_r[i1])
     apex, rho, kap = mesh.incentres[i2], mesh.inradii[i2], mesh.kappa[i2]
     on_facet = np.zeros(len(i2))   # normal distance of the trace points, exactly zero
-    trace = np.empty((ne, d + 1, rule.n_points))
+    t1 = np.empty((len(i1), d + 1, rule.n_points))   # traces of variant 1 on i1, 2 on i2
+    t2 = np.empty((len(i2), d + 1, rule.n_points))
     g_exact = np.empty((ne, d + 1, rule.n_points))
-    tau = np.empty((ne, d))
     for i in range(d + 1):
         F, a, b, ed = _facet_setup(pts[i2], mesh.bary_grads[i2], R[i2, i], i)
         gn = np.einsum("ed,ed->e", grad, normals[:, i])
+        n1, n2 = normals[i1, i], normals[i2, i]
         for qi, mu in enumerate(rule.points):
-            tau[i1] = variant1_field(np.insert(mu, i, 0.0)[None], c1, pairs)
+            tau = variant1_field(np.insert(mu, i, 0.0)[None], c1, pairs)
+            t1[:, i, qi] = np.einsum("ed,ed->e", grad1 + tau, n1)
             x = np.einsum("j,fjd->fd", mu, F)
             s, w, _ = variant2_field(x, on_facet, a, b, ed, apex, rho, kap)
-            tau[i2] = s[:, None] * w
-            trace[:, i, qi] = np.einsum("ed,ed->e", grad + tau, normals[:, i])
+            t2[:, i, qi] = np.einsum("ed,ed->e", grad2 + s[:, None] * w, n2)
             g_exact[:, i, qi] = R[:, i] @ mu + gn
-    return trace, g_exact
+    traces = [np.empty_like(g_exact) for _ in picks]
+    for trace, p in zip(traces, picks):
+        trace[i1] = t1
+        trace[i2[p[i2] == 2]] = t2[p[i2] == 2]
+    return (traces if np.ndim(variant) == 2 else traces[0]), g_exact
 
 
 def trace_mismatch(mesh: Mesh, trace: np.ndarray, scale: np.ndarray) -> float:

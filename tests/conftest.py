@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fluxbound.errors import KappaJumpWarning
-from fluxbound.geometry import build_cube_mesh, build_mesh, simplex_volume
+from fluxbound.geometry import build_cube_mesh, build_mesh, simplex_geometry
 from fluxbound.quadrature import rule_for
 
 
@@ -66,11 +66,16 @@ def dense_projection_oracle(f, vertices, degree=10):
     d = vertices.shape[1]
     rule = rule_for(d, degree)
     x = rule.points @ vertices
-    vol = simplex_volume(vertices) * math.factorial(d)
+    vol = one_simplex(vertices).volumes[0] * math.factorial(d)
     w = rule.weights * vol
     M = np.einsum("q,qi,qj->ij", w, rule.points, rule.points)
     rhs = np.einsum("q,qi,q->i", w, rule.points, np.asarray(f(x)))
     return np.linalg.solve(M, rhs)
+
+
+def one_simplex(pts):
+    """simplex_geometry of a single simplex, a batch of one: read entry [0] of each field."""
+    return simplex_geometry(np.asarray(pts, dtype=float)[None])
 
 
 def random_simplex(d, rng, scale=1.0, quality=0.02):

@@ -1,17 +1,336 @@
-"""Reference implementations that the production batched code is checked against."""
+"""Single-element references that the batched production code is checked against.
+
+* quadrature: ``integrate``/``integrate_facet`` on one simplex or facet;
+* geometry: ``locate`` (points to pieces and barycentric coordinates);
+* projections and norms: ``project_facet``, ``energy_norm``, ``energy_norm_fe``;
+* equilibration: the collapsed extension ``extension``/``ExtensionFunction``
+  and ``solve_vertex_patch_reference``, one vertex patch at a time;
+* reconstruction: the flux closures ``build_variant1``/``FluxVariant1`` and
+  ``build_variant2``/``FluxVariant2``, and the layer indicator by other routes:
+  ``eta2_terms_staircase`` (with ``split_cone_frustum``), ``eta_K`` and
+  ``eta2_terms_longdouble``;
+* estimator: ``verify_trace_inequality``, trace ratios of random quadratics.
+"""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from fluxbound.equilibration import CONSTRAINT_TOL, RANK_TOL
 from fluxbound.errors import InfeasibleConstraints, InvalidVariant
-from fluxbound.geometry import NEUMANN, geometric_quantities, locate, simplex_measure
+from fluxbound.fem import _mass_inverse_times, _mass_norm_sq
+from fluxbound.geometry import NEUMANN, simplex_geometry, simplex_gradients, simplex_measure
 from fluxbound.quadrature import integrate_simplices, rule_for
-from fluxbound.reconstruction import FluxVariant2, _facet_setup, variant2_field
+from fluxbound.reconstruction import (_facet_setup, _tau_q_pairs, _variant1_coeffs,
+                                      variant1_field, variant2_field)
 
 ETA2_DEGREE = 6   # |tau_O|^2 has degree 6 on the active pieces
 TOP_DEGREE = 2    # (affine)^2 beyond the cutoff
 
+
+PROJECTION_DEGREE = 8     # quadrature degree of the single-simplex projections
+
+
+# ---------------------------------------------------------------------------
+# quadrature and geometry on one simplex
+# ---------------------------------------------------------------------------
+
+def _integrate(f, vertices: np.ndarray, k: int, degree: int) -> float:
+    rule = rule_for(k, degree)
+    x = rule.points @ vertices
+    vals = np.asarray(f(x), dtype=float)
+    return float(rule.weights @ vals) * simplex_measure(vertices) * math.factorial(k)
+
+
+def integrate(f, vertices, degree: int) -> float:
+    """Integrate ``f`` over the full-dimensional simplex with the given vertices.
+
+    ``f`` maps an (nq, d) array of points to (nq,) values; exact when f is a
+    polynomial of total degree <= `degree`.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    d = vertices.shape[1]
+    if vertices.shape[0] != d + 1:
+        raise ValueError("expected d+1 vertices for a d-simplex")
+    return _integrate(f, vertices, d, degree)
+
+
+def integrate_facet(f, vertices, degree: int) -> float:
+    """Integrate ``f`` over a (d-1)-simplex facet embedded in R^d (d vertices)."""
+    vertices = np.asarray(vertices, dtype=float)
+    d = vertices.shape[1]
+    if vertices.shape[0] != d:
+        raise ValueError("expected d vertices for a facet in R^d")
+    return _integrate(f, vertices, d - 1, degree)
+
+
+def locate(simplices, x):
+    """Place each point of ``x`` (p, d) in one of ``simplices`` (s, d+1, d).
+
+    Returns ``(which, lam)``: the simplex whose smallest barycentric coordinate
+    at the point is largest (the one containing it), and the (p, d+1)
+    barycentric coordinates there. The pieces may be thin, so no degeneracy
+    check.
+    """
+    simplices = np.asarray(simplices, dtype=float)
+    g = simplex_gradients(simplices)
+    lam = np.einsum("snd,psd->psn", g, x[:, None, :] - simplices[None, :, 0])
+    lam[:, :, 0] += 1.0
+    which = lam.min(axis=2).argmax(axis=1)
+    return which, lam[np.arange(len(x)), which]
+
+
+# ---------------------------------------------------------------------------
+# projections and energy norms
+# ---------------------------------------------------------------------------
+
+def project_facet(g, vertices) -> np.ndarray:
+    """Facet-vertex values of the L2(gamma)-orthogonal projection onto affine functions.
+
+    Works on any k-simplex given by its k+1 vertices.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    k = len(vertices) - 1
+    rule = rule_for(k, PROJECTION_DEGREE)
+    x = rule.points @ vertices
+    meas = simplex_measure(vertices)
+    rhs = (rule.weights[:, None] * rule.points * np.asarray(g(x))[:, None]).sum(axis=0)
+    rhs *= meas * math.factorial(k)
+    return _mass_inverse_times(rhs, meas, k)
+
+
+def energy_norm(mesh, v, grad_v, degree: int) -> float:
+    """Energy norm sqrt(sum_K int |grad v|^2 + kappa_K^2 v^2) by quadrature.
+
+    ``grad_v`` maps (n, d) points to (n, d) gradients.
+    """
+    k2 = mesh.kappa ** 2
+    sq = integrate_simplices(
+        lambda x, lam: (np.asarray(grad_v(x)) ** 2).sum(axis=1) + k2 * np.asarray(v(x)) ** 2,
+        mesh.points[mesh.simplices], mesh.volumes, degree)
+    return math.sqrt(max(float(sq.sum()), 0.0))
+
+
+def energy_norm_fe(sol) -> float:
+    """Exact energy norm of a P1 finite element function."""
+    mesh = sol.mesh
+    uloc = sol.u[mesh.simplices]
+    grad_part = (sol.grad ** 2).sum(axis=1) * mesh.volumes
+    mass_part = mesh.kappa ** 2 * _mass_norm_sq(uloc, mesh.volumes, mesh.dim)
+    return math.sqrt(max(float((grad_part + mass_part).sum()), 0.0))
+
+
+# ---------------------------------------------------------------------------
+# approximate minimum-energy extensions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ExtensionFunction:
+    """The hat function of vertex n, or its collapsed piecewise-affine extension.
+
+    For kappa * rho > 1 the interior value is pulled to zero at a point x_P
+    close to vertex n (barycentric delta = min(1, 1/(kappa*rho))/d on the other
+    vertices), making the support of the gradient a layer of width ~ 1/kappa.
+    The extension agrees with the plain hat on the element boundary.
+    """
+
+    vertices: np.ndarray
+    vertex_index: int
+    kappa: float
+    plain: bool
+    delta: float | None = None
+    x_p: np.ndarray | None = None
+    subsimplices: np.ndarray | None = None   # (d+1, d+1, d), x_P is the last vertex
+    subvalues: np.ndarray | None = None      # (d+1, d+1)
+
+    def evaluate(self, x) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if self.plain:
+            return locate(self.vertices[None], x)[1][:, self.vertex_index]
+        which, lam = locate(self.subsimplices, x)
+        return np.einsum("pn,pn->p", lam, self.subvalues[which])
+
+    def l2_norm_sq(self) -> float:
+        """int_K (theta*)^2, exact (the integrand is piecewise quadratic)."""
+        d = self.vertices.shape[1]
+        if self.plain:
+            return float(_mass_norm_sq(np.eye(d + 1)[self.vertex_index],
+                                       simplex_measure(self.vertices), d))
+        return float(_mass_norm_sq(self.subvalues, simplex_measure(self.subsimplices), d).sum())
+
+
+def extension(vertices, kappa: float, n: int) -> ExtensionFunction:
+    """Approximate minimum-energy extension of the hat of local vertex n."""
+    vertices = np.asarray(vertices, dtype=float)
+    d = vertices.shape[1]
+    inradius = simplex_geometry(vertices[None]).inradii[0]
+    if kappa * inradius <= 1.0:
+        return ExtensionFunction(vertices=vertices, vertex_index=n, kappa=kappa, plain=True)
+    delta = min(1.0, 1.0 / (kappa * inradius)) / d
+    coeff = np.full(d + 1, delta)
+    coeff[n] = 1.0 - d * delta
+    x_p = coeff @ vertices
+    subs = np.empty((d + 1, d + 1, d))
+    vals = np.zeros((d + 1, d + 1))
+    hat = np.zeros(d + 1)
+    hat[n] = 1.0
+    for i in range(d + 1):
+        subs[i, :d] = np.delete(vertices, i, axis=0)
+        subs[i, d] = x_p
+        vals[i, :d] = np.delete(hat, i)
+    return ExtensionFunction(vertices=vertices, vertex_index=n, kappa=kappa, plain=False,
+                             delta=delta, x_p=x_p, subsimplices=subs, subvalues=vals)
+
+
+# ---------------------------------------------------------------------------
+# per-element flux objects (pointwise evaluation and analytic divergence)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FluxVariant1:
+    """grad u_h + tau_L + tau_Q on one element; Rv[m, n] is the residual of
+    facet m (opposite local vertex m) at local vertex n."""
+
+    vertices: np.ndarray
+    grad_uh: np.ndarray
+    c: np.ndarray
+    grad_r: np.ndarray
+    centroid: np.ndarray
+    div_l: float
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        lam = locate(self.vertices[None], x)[1]
+        pairs = _tau_q_pairs(self.vertices[None], self.grad_r[None])
+        return self.grad_uh + variant1_field(lam, self.c[None], pairs)
+
+    def divergence(self, x) -> np.ndarray:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return self.div_l + (self.centroid - x) @ self.grad_r
+
+
+def build_variant1(vertices, Rv, r_vals, grad_uh=None) -> FluxVariant1:
+    """Polynomial reconstruction on one element from local-vertex residual values."""
+    vertices = np.asarray(vertices, dtype=float)
+    Rv = np.where(np.eye(len(vertices), dtype=bool), 0.0, np.asarray(Rv, dtype=float))
+    r_vals = np.asarray(r_vals, dtype=float)
+    v1 = _variant1_coeffs(vertices[None], simplex_geometry(vertices[None]).grads,
+                          Rv[None], r_vals[None])
+    base = np.zeros(vertices.shape[1]) if grad_uh is None \
+        else np.asarray(grad_uh, dtype=float)
+    return FluxVariant1(vertices=vertices, grad_uh=base,
+                        c=v1.c[0], grad_r=v1.grad_r[0], centroid=vertices.mean(axis=0),
+                        div_l=float(v1.div_l[0]))
+
+
+@dataclass(frozen=True)
+class FluxVariant2:
+    """grad u_h + tau_O on one element, piecewise on the incentre cones."""
+
+    vertices: np.ndarray
+    grad_uh: np.ndarray
+    kappa: float
+    rho: float
+    incentre: np.ndarray
+    facet_vertices: np.ndarray   # (d+1, d, d)
+    a: np.ndarray                # (d+1, d) in-plane residual gradients
+    b: np.ndarray                # (d+1,)
+    ed: np.ndarray               # (d+1, d) inward facet normals
+
+    def _locate(self, x):
+        apex = np.broadcast_to(self.incentre, (len(self.facet_vertices), 1, len(self.incentre)))
+        return locate(np.concatenate([self.facet_vertices, apex], axis=1), x)[0]
+
+    def _tau_o(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        which = self._locate(x)
+        xd = np.einsum("pd,pd->p", x - self.facet_vertices[which, 0], self.ed[which])
+        return variant2_field(x, xd, self.a[which], self.b[which], self.ed[which],
+                              self.incentre, self.rho, self.kappa)
+
+    def __call__(self, x) -> np.ndarray:
+        s, w, _ = self._tau_o(x)
+        return self.grad_uh + s[:, None] * w
+
+    def divergence(self, x) -> np.ndarray:
+        return self._tau_o(x)[2]
+
+
+def build_variant2(vertices, Rv, kappa: float, grad_uh=None) -> FluxVariant2:
+    """Layer reconstruction on one element; requires kappa > 0.
+
+    This variant only needs the facet residuals, so it applies to any
+    conforming piecewise-affine approximation, not just the Galerkin solution.
+    """
+    if kappa <= 0:
+        raise InvalidVariant("layer reconstruction requires kappa > 0")
+    vertices = np.asarray(vertices, dtype=float)
+    Rv = np.asarray(Rv, dtype=float)
+    d = vertices.shape[1]
+    geom = simplex_geometry(vertices[None])
+    F, a, b, ed = (np.concatenate(parts) for parts in zip(*(
+        _facet_setup(vertices[None], geom.grads, np.delete(Rv[i], i)[None], i)
+        for i in range(d + 1))))
+    base = np.zeros(d) if grad_uh is None else np.asarray(grad_uh, dtype=float)
+    return FluxVariant2(vertices=vertices, grad_uh=base, kappa=float(kappa),
+                        rho=float(geom.inradii[0]), incentre=geom.incentres[0],
+                        facet_vertices=F, a=a, b=b, ed=ed)
+
+
+# ---------------------------------------------------------------------------
+# trace inequalities
+# ---------------------------------------------------------------------------
+
+def verify_trace_inequality(vertices, kappa: float, samples: int,
+                            rng: np.random.Generator):
+    """Max observed trace ratios over random quadratic polynomials, per facet.
+
+    Returns ``(max_plain, max_mean_free, geometry)``: arrays over the d+1
+    facets of max ||v||_gamma / |||v|||_K (zero entries when kappa = 0, where
+    the inequality is not stated) and max ||v - mean_gamma v||_gamma / |||v|||_K,
+    and the ``simplex_geometry`` of the simplex (a batch of one). Each entry
+    must stay below the corresponding closed-form constant.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    d = vertices.shape[1]
+    q = simplex_geometry(vertices[None])
+    rule_k = rule_for(d, 4)
+    rule_f = rule_for(d - 1, 4)
+    xk = rule_k.points @ vertices
+    coef = rng.standard_normal((samples, 1 + d + d * d))
+
+    def eval_v(x):
+        quad = np.einsum("sij,pi,pj->sp", coef[:, 1 + d:].reshape(samples, d, d), x, x)
+        return coef[:, :1] + coef[:, 1:1 + d] @ x.T + quad
+
+    def eval_grad_sq(x):
+        qmat = coef[:, 1 + d:].reshape(samples, d, d)
+        g = coef[:, None, 1:1 + d] + np.einsum("sij,pj->spi", qmat + qmat.transpose(0, 2, 1), x)
+        return (g ** 2).sum(axis=2)
+
+    vk = eval_v(xk)
+    energy2 = ((eval_grad_sq(xk) + kappa ** 2 * vk ** 2) @ rule_k.weights
+               * q.volumes[0] * math.factorial(d))
+    max_plain = np.zeros(d + 1)
+    max_freed = np.zeros(d + 1)
+    for i in range(d + 1):
+        fverts = np.delete(vertices, i, axis=0)
+        meas = q.facet_measures[0, i]
+        xf = rule_f.points @ fverts
+        vf = eval_v(xf)
+        w = rule_f.weights * meas * math.factorial(d - 1)
+        norm2 = vf ** 2 @ w
+        mean = (vf @ w) / meas
+        freed2 = ((vf - mean[:, None]) ** 2) @ w
+        if kappa > 0:
+            max_plain[i] = float(np.sqrt(norm2 / energy2).max())
+        max_freed[i] = float(np.sqrt(freed2 / energy2).max())
+    return max_plain, max_freed, q
+
+
+# ---------------------------------------------------------------------------
+# vertex patches and the layer indicator
+# ---------------------------------------------------------------------------
 
 def _min_norm_lstsq(A: np.ndarray, b: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Minimal-norm least squares with the rank cutoff floored at `floor`.
@@ -108,7 +427,8 @@ def split_cone_frustum(facet_vertices, apex, cut: float):
     f = np.asarray(facet_vertices, dtype=float)
     apex = np.asarray(apex, dtype=float)
     d = f.shape[1]
-    height = geometric_quantities(np.vstack([f, apex])).altitudes[d]
+    grads = simplex_geometry(np.vstack([f, apex])[None]).grads[0]
+    height = 1.0 / np.linalg.norm(grads[d])   # altitude d |K| / |gamma| of the apex
     if not 0.0 < cut < height:
         raise ValueError(f"cut {cut} must lie strictly between 0 and the apex height {height}")
     s = cut / height
@@ -220,7 +540,6 @@ def eta_K(flux, kappa: float, r_vals) -> float:
             x = rule_top.points @ piece
             second += float(rule_top.weights @ r_of(x) ** 2) * vol
     return math.sqrt(max(first + second / flux.kappa ** 2, 0.0))
-
 
 
 def eta2_terms_longdouble(mesh, R, r_vals, sel):

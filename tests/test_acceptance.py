@@ -18,7 +18,7 @@ import fluxbound.geometry as geo
 import fluxbound.reconstruction as rec
 
 import oracles
-from conftest import (fd_divergence, kkt_min_norm_oracle, random_problem_data,
+from conftest import (fd_divergence, kkt_min_norm_oracle, one_simplex, random_problem_data,
                       random_simplex, random_small_mesh)
 
 REL_SLACK = 1e-8
@@ -169,21 +169,19 @@ def test_criterion_7_trace_monte_carlo():
         for _ in range(20):
             pts = random_simplex(d, rng)
             kappa = 0.0 if rng.random() < 0.15 else 10.0 ** rng.uniform(-2, 2)
-            max_plain, max_freed, q = est.verify_trace_inequality(pts, kappa, 1000, rng)
+            max_plain, max_freed, q = oracles.verify_trace_inequality(pts, kappa, 1000, rng)
+            h, vol = q.diameters[0], q.volumes[0]
             for i in range(d + 1):
-                tc = est.trace_constants(d, q.diameter, q.volume,
-                                         q.facet_measures[i], kappa)
+                tc = est.trace_constants(d, h, vol, q.facet_measures[0, i], kappa)
                 # independent evaluation of the closed forms
-                ratio = q.facet_measures[i] / (d * q.volume)
-                mref = q.diameter / math.pi if kappa == 0 else \
-                    min(q.diameter / math.pi, 1.0 / kappa)
-                cbar_ref = ratio * mref * (2 * q.diameter + d * mref)
+                ratio = q.facet_measures[0, i] / (d * vol)
+                mref = h / math.pi if kappa == 0 else min(h / math.pi, 1.0 / kappa)
+                cbar_ref = ratio * mref * (2 * h + d * mref)
                 assert tc.cbar2 == pytest.approx(cbar_ref, rel=1e-12)
                 assert max_freed[i] <= math.sqrt(tc.cbar2) * (1 + 1e-12)
                 margin = min(margin, math.sqrt(tc.cbar2) / max(max_freed[i], 1e-300))
                 if kappa > 0:
-                    ct_ref = ratio / kappa * math.sqrt(
-                        (2 * q.diameter) ** 2 + (d / kappa) ** 2)
+                    ct_ref = ratio / kappa * math.sqrt((2 * h) ** 2 + (d / kappa) ** 2)
                     assert tc.ct2 == pytest.approx(ct_ref, rel=1e-12)
                     assert max_plain[i] <= math.sqrt(tc.ct2) * (1 + 1e-12)
     # the hand-checked reference values
@@ -271,7 +269,7 @@ def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):
         pts = mesh.points[mesh.simplices[e]]
         h = mesh.diameters[e]
         x = rng.dirichlet(np.full(mesh.dim + 1, 3.0), size=8) @ pts
-        flux1 = rec.build_variant1(pts, Rv_all[e], r_vals[e])
+        flux1 = oracles.build_variant1(pts, Rv_all[e], r_vals[e])
         div_an = flux1.divergence(x)
         fd = fd_divergence(flux1, x, 1e-6 * h)
         assert np.abs(fd - div_an).max() < 1e-6 * max(1.0, np.abs(div_an).max())
@@ -279,7 +277,7 @@ def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):
             # sample inside the active layer of one facet cone (x_d < 1/kappa);
             # the step must stay below the layer width so the differences never
             # cross the cutoff kink
-            flux2 = rec.build_variant2(pts, Rv_all[e], mesh.kappa[e])
+            flux2 = oracles.build_variant2(pts, Rv_all[e], mesh.kappa[e])
             inc, rho = flux2.incentre, flux2.rho
             i = int(rng.integers(0, mesh.dim + 1))
             fpts = np.delete(pts, i, axis=0)
@@ -354,13 +352,12 @@ def _manufactured_quadratic(d, rng, kappa):
 
 def _single_simplex_suite(d, rng, kappa_rho_target):
     pts = random_simplex(d, rng)
-    q = geo.geometric_quantities(pts)
-    kappa = kappa_rho_target / q.inradius
+    kappa = kappa_rho_target / one_simplex(pts).inradii[0]
     u, grad_u, f, _ = _manufactured_quadratic(d, rng, kappa)
 
     normals = [None] * (d + 1)
     origins = [None] * (d + 1)
-    g = geo.barycentric_gradients(pts)
+    g = one_simplex(pts).grads[0]
     for i in range(d + 1):
         normals[i] = -g[i] / np.linalg.norm(g[i])
         origins[i] = np.delete(pts, i, axis=0)[0]
@@ -391,7 +388,7 @@ def _single_simplex_suite(d, rng, kappa_rho_target):
     def grad_diff(x):
         return grad_u(x) - sol.grad[0]
 
-    err = fem.energy_norm(mesh, diff, grad_diff, 8)
+    err = oracles.energy_norm(mesh, diff, grad_diff, 8)
 
     # criterion 1 analogue
     assert rep.eta_tau >= err * (1.0 - REL_SLACK)
@@ -410,10 +407,10 @@ def _single_simplex_suite(d, rng, kappa_rho_target):
     gscale = np.maximum(1.0, np.abs(g_exact).max(axis=2))
     assert (np.abs(trace - g_exact) / gscale[:, :, None]).max() < 1e-11
     # criterion 7 analogue
-    max_plain, max_freed, qq = est.verify_trace_inequality(pts, kappa, 200, rng)
+    max_plain, max_freed, qq = oracles.verify_trace_inequality(pts, kappa, 200, rng)
     for j in range(d + 1):
-        tc = est.trace_constants(d, qq.diameter, qq.volume,
-                                 qq.facet_measures[j], kappa)
+        tc = est.trace_constants(d, qq.diameters[0], qq.volumes[0],
+                                 qq.facet_measures[0, j], kappa)
         assert max_plain[j] <= math.sqrt(tc.ct2) * (1 + 1e-12)
         assert max_freed[j] <= math.sqrt(tc.cbar2) * (1 + 1e-12)
     # criterion 8 analogue

@@ -6,7 +6,7 @@ import pytest
 import fluxbound.benchmark as bm
 import fluxbound.cli as cli
 import fluxbound.geometry as geo
-from fluxbound.errors import DivergenceAuditFailed, NoConvergence
+from fluxbound.errors import DivergenceAuditFailed, MeshFormatError, NoConvergence
 
 
 # ---------------------------------------------------------------------------
@@ -176,3 +176,31 @@ def test_cli_exit_codes(monkeypatch):
 
     monkeypatch.setattr(cli, "run_single", boom_solver)
     assert cli.main(["estimate"]) == 3
+
+
+TRIANGLE = ("DIM 2\nPOINTS 3\n0 0\n1 0\n0 1\nCELLS 1\n{cell}\n"
+            "BOUNDARY 3\n0 1 D\n0 2 N\n1 2 N\n")
+
+
+@pytest.mark.parametrize("cell", ["0 1 2 abc", "0 1 2.5 1.0", "0 1 2 -1.0"],
+                         ids=["kappa-not-a-number", "cell-id-not-an-integer", "negative-kappa"])
+def test_malformed_mesh_file_is_an_input_error(tmp_path, capsys, cell):
+    path = tmp_path / "bad.mesh"
+    path.write_text(TRIANGLE.format(cell=cell), encoding="utf-8")
+    with pytest.raises(MeshFormatError):
+        geo.read_mesh(str(path))
+    assert cli.main(["estimate", "--mesh", str(path)]) == cli.EXIT_INPUT == 4
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("text", [
+    "DIM 2\nPOINTS 3\n0 0\n1 0\n2 0\nCELLS 1\n0 1 2 1.0\nBOUNDARY 0\n",
+    "DIM 2\nPOINTS 5\n0 0\n1 0\n0 1\n0 -1\n1 1\nCELLS 3\n0 1 2 1.0\n0 1 3 1.0\n"
+    "0 1 4 1.0\nBOUNDARY 0\n",
+    None], ids=["degenerate", "non-conforming", "missing"])
+def test_cli_input_errors_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "input.mesh"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    assert cli.main(["estimate", "--mesh", str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: ")

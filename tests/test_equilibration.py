@@ -9,10 +9,11 @@ import fluxbound.equilibration as eq
 import fluxbound.fem as fem
 import fluxbound.geometry as geo
 from fluxbound.errors import InfeasibleConstraints, KappaJumpWarning
-from fluxbound.quadrature import integrate, integrate_facet
 
-from conftest import kkt_min_norm_oracle, random_problem_data, random_simplex, random_small_mesh
-from oracles import solve_vertex_patch_reference
+from conftest import (kkt_min_norm_oracle, one_simplex, random_problem_data, random_simplex,
+                      random_small_mesh)
+from oracles import (extension, integrate, integrate_facet, project_facet,
+                     solve_vertex_patch_reference)
 from test_fem import one_element_mesh
 
 
@@ -89,9 +90,16 @@ def test_hat_function_jump_magnitude_two():
 # dual basis
 # ---------------------------------------------------------------------------
 
+def dual_basis(facet_vertices):
+    """Rows are the vertex values of the facet dual functions psi^m, the
+    inverse of the facet P1 mass matrix, as the equilibration applies it."""
+    d = facet_vertices.shape[1]
+    return fem._mass_inverse_times(np.eye(d), geo.simplex_measure(facet_vertices), d - 1)
+
+
 def test_dual_basis_unit_segment():
     seg = np.array([[0.0, 0.0], [1.0, 0.0]])
-    psi = eq.dual_basis(seg)
+    psi = dual_basis(seg)
     assert np.allclose(psi, [[4.0, -2.0], [-2.0, 4.0]], atol=1e-13)
 
 
@@ -99,7 +107,7 @@ def test_dual_basis_biorthogonality(rng):
     for d in (2, 3, 4):
         pts = random_simplex(d, rng)
         fpts = pts[1:]  # one facet
-        psi = eq.dual_basis(fpts)
+        psi = dual_basis(fpts)
         for m in range(d):
             for n in range(d):
                 def integrand(x, m=m, n=n):
@@ -114,7 +122,7 @@ def test_dual_basis_biorthogonality(rng):
 
 def test_dual_basis_symmetry_equilateral():
     tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, math.sqrt(3) / 2, 0.0]])
-    psi = eq.dual_basis(tri)
+    psi = dual_basis(tri)
     assert psi[0, 0] == pytest.approx(psi[1, 1], rel=1e-13)
     assert psi[0, 1] == pytest.approx(psi[1, 2], rel=1e-13)
 
@@ -124,28 +132,28 @@ def test_dual_basis_symmetry_equilateral():
 # ---------------------------------------------------------------------------
 
 def test_extension_plain_for_small_kappa(unit_triangle):
-    ext = eq.extension(unit_triangle, 0.0, 1)
+    ext = extension(unit_triangle, 0.0, 1)
     assert ext.plain
 
 
 def test_extension_collapsed_geometry(unit_triangle):
-    q = geo.geometric_quantities(unit_triangle)
-    kappa = 2.0 / q.inradius  # kappa * rho = 2
-    ext = eq.extension(unit_triangle, kappa, 2)
+    q = one_simplex(unit_triangle)
+    kappa = 2.0 / q.inradii[0]  # kappa * rho = 2
+    ext = extension(unit_triangle, kappa, 2)
     assert not ext.plain
     assert ext.delta == pytest.approx(0.25, rel=1e-13)
     lam_p = np.array([0.25, 0.25, 0.5])
     assert np.allclose(ext.x_p, lam_p @ unit_triangle, atol=1e-13)
-    vols = [geo.simplex_volume(s) for s in ext.subsimplices]
-    assert sum(vols) == pytest.approx(q.volume, rel=1e-12)
+    vols = geo.simplex_geometry(ext.subsimplices).volumes
+    assert sum(vols) == pytest.approx(q.volumes[0], rel=1e-12)
 
 
 def test_extension_boundary_agreement(rng):
     for d in (2, 3):
         pts = random_simplex(d, rng)
-        q = geo.geometric_quantities(pts)
-        ext = eq.extension(pts, 5.0 / q.inradius, 0)
-        plain = eq.extension(pts, 0.0, 0)
+        q = one_simplex(pts)
+        ext = extension(pts, 5.0 / q.inradii[0], 0)
+        plain = extension(pts, 0.0, 0)
         for i in range(d + 1):
             fpts = np.delete(pts, i, axis=0)
             w = rng.dirichlet(np.ones(d), size=40)
@@ -158,20 +166,20 @@ def test_extension_boundary_agreement(rng):
 def test_extension_norm_scaling_bracket(rng):
     # ||theta*||^2 / (h^{d-1} min(h, 1/kappa)) stays in a fixed bracket
     pts = random_simplex(3, rng)
-    q = geo.geometric_quantities(pts)
-    h = q.diameter
+    q = one_simplex(pts)
+    h = q.diameters[0]
     ratios = []
     for kappa in (10.0, 100.0, 1000.0):
-        kappa = kappa / q.inradius  # ensure kappa*rho = 10, 100, 1000
-        ext = eq.extension(pts, kappa, 1)
+        kappa = kappa / q.inradii[0]  # ensure kappa*rho = 10, 100, 1000
+        ext = extension(pts, kappa, 1)
         ratios.append(ext.l2_norm_sq() / (h ** 2 * min(h, 1.0 / kappa)))
     assert max(ratios) / min(ratios) < 3.0
     assert min(ratios) > 0.0
 
 
 def test_extension_norm_quadrature_cross_check(unit_triangle):
-    q = geo.geometric_quantities(unit_triangle)
-    ext = eq.extension(unit_triangle, 3.0 / q.inradius, 2)
+    q = one_simplex(unit_triangle)
+    ext = extension(unit_triangle, 3.0 / q.inradii[0], 2)
     total = sum(integrate(lambda x: ext.evaluate(x) ** 2, sub, 6)
                 for sub in ext.subsimplices)
     assert ext.l2_norm_sq() == pytest.approx(total, rel=1e-11)
@@ -204,7 +212,7 @@ def test_extension_volume_terms_match_subsimplex_integrals(case):
     got = eq._extension_volume_terms(mesh, sol, data, sel)
     for row, e in enumerate(sel):
         pts = mesh.points[mesh.simplices[e]]
-        g = geo.barycentric_gradients(pts)
+        g = one_simplex(pts).grads[0]
         uloc = sol.u[mesh.simplices[e]]
         kappa = mesh.kappa[e]
 
@@ -214,11 +222,11 @@ def test_extension_volume_terms_match_subsimplex_integrals(case):
             return lam @ uloc
 
         for n in range(dim + 1):
-            ext = eq.extension(pts, kappa, n)
+            ext = extension(pts, kappa, n)
             assert not ext.plain
             load = stiff = mass = 0.0
             for sub, vals in zip(ext.subsimplices, ext.subvalues):
-                gs = geo.barycentric_gradients(sub)
+                gs = one_simplex(sub).grads[0]
 
                 def theta(x):
                     lam = (x - sub[0]) @ gs.T
@@ -227,10 +235,10 @@ def test_extension_volume_terms_match_subsimplex_integrals(case):
 
                 load += integrate(lambda x: f(x) * theta(x), sub, 4)
                 mass += kappa ** 2 * integrate(lambda x: u_h(x) * theta(x), sub, 4)
-                stiff += geo.simplex_volume(sub) * sol.grad[e] @ (gs.T @ vals)
+                stiff += one_simplex(sub).volumes[0] * sol.grad[e] @ (gs.T @ vals)
             ref = load - stiff - mass
             scale = abs(load) + abs(stiff) + abs(mass)
-            hat_stiff = geo.simplex_volume(pts) * sol.grad[e] @ g[n]
+            hat_stiff = one_simplex(pts).volumes[0] * sol.grad[e] @ g[n]
             assert abs(got[row, n] - hat_stiff - ref) <= 1e-10 * scale
 
 
@@ -283,7 +291,7 @@ def test_partition_of_unity_identity():
         bdry = 0.0
         for i in range(4):
             fid = mesh.elem_facets[e, i]
-            gvals = fluxes.g_on(mesh, e, i)
+            gvals = mesh.elem_sigma[e, i] * fluxes.gplus[mesh.elem_facets[e, i]]
             fpts = mesh.points[mesh.facets[fid]]
             bdry += gvals.mean() * mesh.facet_measures[fid]  # affine: mean * area
         lhs = eps[e].sum()
@@ -438,7 +446,7 @@ def test_consistency_between_sides():
     fluxes = eq.equilibrate(mesh, sol, data)
     for fi in np.flatnonzero(mesh.facet_elems[:, 1] >= 0):
         fverts = mesh.points[mesh.facets[fi]]
-        psi = eq.dual_basis(fverts)
+        psi = dual_basis(fverts)
         g_sides = []
         for side in (0, 1):
             e, loc = mesh.facet_elems[fi, side], mesh.facet_local[fi, side]
@@ -465,7 +473,7 @@ def test_neumann_facets_copy_projection():
     sol = fem.solve_problem(mesh, data)
     fluxes = eq.equilibrate(mesh, sol, data)
     for fi in np.flatnonzero(mesh.facet_tag == geo.NEUMANN):
-        proj = fem.project_facet(g_n, mesh.points[mesh.facets[fi]])
+        proj = project_facet(g_n, mesh.points[mesh.facets[fi]])
         assert np.abs(fluxes.gplus[fi] - proj).max() < 1e-12 * max(1.0, np.abs(proj).max())
 
 

@@ -9,6 +9,7 @@ import fluxbound.fem as fem
 import fluxbound.geometry as geo
 from fluxbound.errors import NegativeDifference, UnsolvableProblem
 
+import oracles
 from conftest import dense_projection_oracle, random_simplex
 from test_fem import one_element_mesh
 
@@ -32,7 +33,7 @@ def test_trace_constants_reference_triangle():
 def test_trace_constants_kappa_zero_limit():
     h = math.sqrt(2.0)
     tc0 = est.trace_constants(2, h, 0.5, 1.0, 0.0)
-    assert tc0.ct2 is None
+    assert np.isinf(tc0.ct2)
     m = h / math.pi
     assert tc0.cbar2 == pytest.approx((1.0 / 1.0) * m * (2 * h + 2 * m), rel=1e-12)
     tiny = est.trace_constants(2, h, 0.5, 1.0, 1e-9)
@@ -46,7 +47,7 @@ def test_constant_function_trace_ratio(unit_triangle):
     tc = est.trace_constants(2, math.sqrt(2.0), 0.5, 1.0, 1.0)
     assert 2.0 <= tc.ct2
     # and the mean-free inequality is trivial for constants
-    ratios, freed, q = est.verify_trace_inequality(
+    ratios, freed, q = oracles.verify_trace_inequality(
         unit_triangle, 1.0, 50, np.random.default_rng(0))
     assert freed.min() >= 0.0
 
@@ -56,12 +57,32 @@ def test_trace_inequality_monte_carlo(rng):
         for _ in range(5):
             pts = random_simplex(d, rng)
             kappa = 10.0 ** rng.uniform(-2, 2)
-            max_plain, max_freed, q = est.verify_trace_inequality(pts, kappa, 200, rng)
+            max_plain, max_freed, q = oracles.verify_trace_inequality(pts, kappa, 200, rng)
             for i in range(d + 1):
-                tc = est.trace_constants(d, q.diameter, q.volume,
-                                         q.facet_measures[i], kappa)
+                tc = est.trace_constants(d, q.diameters[0], q.volumes[0],
+                                         q.facet_measures[0, i], kappa)
                 assert max_plain[i] <= math.sqrt(tc.ct2) * (1 + 1e-12)
                 assert max_freed[i] <= math.sqrt(tc.cbar2) * (1 + 1e-12)
+
+
+def test_trace_constants_batched_with_zero_kappa():
+    # one call over arrays: each entry matches the closed forms, ct2 = inf where kappa = 0
+    d = 3
+    h = np.array([0.5, 1.0, 2.0, 1.5])
+    vol = np.array([0.01, 0.1, 0.7, 0.2])
+    meas = np.array([0.05, 0.3, 1.1, 0.6])
+    kappa = np.array([0.0, 0.3, 40.0, 0.0])
+    tc = est.trace_constants(d, h, vol, meas, kappa)
+    for j in range(len(h)):
+        ratio = meas[j] / (d * vol[j])
+        m = h[j] / math.pi if kappa[j] == 0 else min(h[j] / math.pi, 1.0 / kappa[j])
+        assert tc.cbar2[j] == pytest.approx(ratio * m * (2 * h[j] + d * m), rel=1e-14)
+        if kappa[j] == 0:
+            assert np.isinf(tc.ct2[j]) and tc.min2[j] == tc.cbar2[j]
+        else:
+            ct2 = ratio / kappa[j] * math.hypot(2 * h[j], d / kappa[j])
+            assert tc.ct2[j] == pytest.approx(ct2, rel=1e-14)
+            assert tc.min2[j] == min(tc.ct2[j], tc.cbar2[j])
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +115,13 @@ def test_oscillation_f_oracle(unit_triangle):
 
     osc = _element_osc(mesh, f, degree=8)[0]
     proj = dense_projection_oracle(f, unit_triangle, degree=10)
-    from fluxbound.quadrature import integrate
 
     def resid_sq(x):
         lam1 = 1.0 - x[:, 0] - x[:, 1]
         lam = np.column_stack([lam1, x[:, 0], x[:, 1]])
         return (f(x) - lam @ proj) ** 2
 
-    norm = math.sqrt(integrate(resid_sq, unit_triangle, 10))
+    norm = math.sqrt(oracles.integrate(resid_sq, unit_triangle, 10))
     expected = (math.sqrt(2.0) / math.pi) * norm  # kappa = 0 weight
     assert osc == pytest.approx(expected, rel=1e-10)
 
@@ -362,6 +382,54 @@ def test_report_json_dump(tmp_path, two_triangle_square):
     assert back["strategy"] == "tau"
     assert len(back["eta_k_tau"]) == mesh.n_elements
     assert back["eta_taustar"] is None
+
+
+def test_conformity_audit_covers_both_selections(monkeypatch):
+    # the tau and taustar selections differ on some elements here; the audit
+    # must see both, evaluating each variant once per element that uses it
+    import fluxbound.reconstruction as rec
+    from fluxbound.benchmark import RunConfig, benchmark_data, benchmark_mesh
+    cfg = RunConfig(dim=2, m=4, kappa1=10.0, kappa2=1e4)
+    mesh, data = benchmark_mesh(cfg), benchmark_data(cfg)
+    sol = fem.solve_problem(mesh, data)
+    picks, rows = [], {1: [], 2: []}
+    trace_values, fields = rec.facet_trace_values, (rec.variant1_field, rec.variant2_field)
+
+    def counting(which, fn):
+        def field(*args):
+            out = fn(*args)
+            rows[which].append(len(out if which == 1 else out[0]))
+            return out
+        return field
+
+    def spy(mesh, grad, v1, R, variant):
+        picks.append(np.array(variant, ndmin=2))
+        with monkeypatch.context() as m:
+            m.setattr(rec, "variant1_field", counting(1, fields[0]))
+            m.setattr(rec, "variant2_field", counting(2, fields[1]))
+            return trace_values(mesh, grad, v1, R, variant)
+
+    monkeypatch.setattr(rec, "facet_trace_values", spy)
+    rep = est.estimate(mesh, sol, data, "both", check_conformity=True)
+    tau, star = rep.variant_tau, rep.variant_taustar
+    assert np.any(tau != star)
+    evaluated = {(e, int(v)) for p in picks for row in p for e, v in enumerate(row)}
+    for sel in (tau, star):
+        assert {(e, int(v)) for e, v in enumerate(sel)} <= evaluated
+    # each field once per element: every call covers the elements that use it
+    assert set(rows[1]) == {int(np.sum((tau == 1) | (star == 1)))}
+    assert set(rows[2]) == {int(np.sum((tau == 2) | (star == 2)))}
+    # the audit value is the worst of the two selections audited one at a time
+    monkeypatch.setattr(rec, "facet_trace_values", trace_values)
+    fluxes = eq.equilibrate(mesh, sol, data)
+    R = rec.facet_residuals(mesh, fluxes, sol.grad)
+    pf = fem.project_element_bulk(mesh, data.f, data.data_degree)
+    v1 = rec.variant1_bulk(mesh, R, pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices])
+    scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
+    each = [rec.trace_mismatch(mesh, rec.facet_trace_values(mesh, sol.grad, v1, R, sel)[0],
+                               scale) for sel in (tau, star)]
+    assert rep.audits["hdiv_mismatch"] == max(each)
+    assert rep.audits["hdiv_mismatch"] <= 1e-11
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import fluxbound.geometry as geo
 from fluxbound.errors import (DegenerateSimplex, KappaJumpWarning,
                               MeshFormatError, NonConformingMesh)
 
-from conftest import random_simplex
+from conftest import one_simplex, random_simplex
 
 
 # ---------------------------------------------------------------------------
@@ -18,20 +18,20 @@ from conftest import random_simplex
 
 def test_volume_reference_simplices(unit_triangle):
     tet = np.vstack([np.zeros(3), np.eye(3)])
-    assert geo.simplex_volume(tet) == pytest.approx(1.0 / 6.0)
-    assert geo.simplex_volume(unit_triangle) == pytest.approx(0.5)
+    assert one_simplex(tet).volumes[0] == pytest.approx(1.0 / 6.0)
+    assert one_simplex(unit_triangle).volumes[0] == pytest.approx(0.5)
     big = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    assert geo.simplex_volume(big) == pytest.approx(2.0)
+    assert one_simplex(big).volumes[0] == pytest.approx(2.0)
 
 
 def test_volume_degenerate_raises():
     flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-16]])
     with pytest.raises(DegenerateSimplex):
-        geo.simplex_volume(flat)
+        one_simplex(flat)
 
 
 def test_barycentric_gradients_unit_triangle(unit_triangle):
-    g = geo.barycentric_gradients(unit_triangle)
+    g = one_simplex(unit_triangle).grads[0]
     assert np.allclose(g, [[-1, -1], [1, 0], [0, 1]])
 
 
@@ -39,7 +39,7 @@ def test_barycentric_gradients_unit_triangle(unit_triangle):
 @given(st.integers(2, 5), st.integers(0, 2 ** 31))
 def test_gradient_partition_of_unity(d, seed):
     pts = random_simplex(d, np.random.default_rng(seed))
-    g = geo.barycentric_gradients(pts)
+    g = one_simplex(pts).grads[0]
     assert np.abs(g.sum(axis=0)).max() < 1e-10 * np.abs(g).max()
     # lambda_m(x_n) = delta_mn
     for n in range(d + 1):
@@ -52,8 +52,8 @@ def test_gradient_facet_measure_identity(rng):
     # d |K| |grad lambda_m| equals the independently computed facet area
     for _ in range(10):
         pts = random_simplex(3, rng)
-        vol = geo.simplex_volume(pts)
-        g = geo.barycentric_gradients(pts)
+        vol = one_simplex(pts).volumes[0]
+        g = one_simplex(pts).grads[0]
         for m in range(4):
             fpts = np.delete(pts, m, axis=0)
             v = fpts[1:] - fpts[0]
@@ -62,29 +62,30 @@ def test_gradient_facet_measure_identity(rng):
 
 
 def test_geometric_quantities_unit_triangle(unit_triangle):
-    q = geo.geometric_quantities(unit_triangle)
-    assert q.diameter == pytest.approx(math.sqrt(2.0))
-    assert q.inradius == pytest.approx(1.0 / (2.0 + math.sqrt(2.0)), rel=1e-12)
-    # altitude over the hypotenuse (facet opposite vertex 0)
-    assert q.altitudes[0] == pytest.approx(2 * 0.5 / math.sqrt(2.0), rel=1e-12)
+    q = one_simplex(unit_triangle)
+    assert q.diameters[0] == pytest.approx(math.sqrt(2.0))
+    assert q.inradii[0] == pytest.approx(1.0 / (2.0 + math.sqrt(2.0)), rel=1e-12)
+    # altitude over the hypotenuse (facet opposite vertex 0), d |K| / |gamma_0|
+    altitudes = 1.0 / np.linalg.norm(q.grads[0], axis=1)
+    assert altitudes[0] == pytest.approx(2 * 0.5 / math.sqrt(2.0), rel=1e-12)
 
 
 def test_regular_simplex_incentre_is_centroid():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-    q = geo.geometric_quantities(pts)
-    assert np.allclose(q.incentre, q.centroid, atol=1e-14)
+    q = one_simplex(pts)
+    assert np.allclose(q.incentres[0], q.centroids[0], atol=1e-14)
 
 
 def test_incentre_distance_to_facets_is_inradius(rng):
     for d in (2, 3, 4):
         pts = random_simplex(d, rng)
-        q = geo.geometric_quantities(pts)
-        g = geo.barycentric_gradients(pts)
+        q = one_simplex(pts)
+        g = q.grads[0]
         for i in range(d + 1):
             fpts = np.delete(pts, i, axis=0)
             n = g[i] / np.linalg.norm(g[i])
-            dist = abs((q.incentre - fpts[0]) @ n)
-            assert dist == pytest.approx(q.inradius, rel=1e-12)
+            dist = abs((q.incentres[0] - fpts[0]) @ n)
+            assert dist == pytest.approx(q.inradii[0], rel=1e-12)
 
 
 def _plane_distance(facet, x):
@@ -280,6 +281,11 @@ def test_mesh_text_parsing_with_comments(tmp_path):
 def test_mesh_file_errors(tmp_path):
     with pytest.raises(MeshFormatError):
         geo.read_mesh(_mesh_file(tmp_path, "DIM 2\nPOINTS 1\n0 0\nCELLS 0\nBOUNDARY 0\nJUNK"))
+    # a negative count
+    for text in ("DIM 2\nPOINTS -1\n0 0\nCELLS 0\nBOUNDARY 0\n",
+                 "DIM 2\nPOINTS 3\n0 0\n1 0\n0 1\nCELLS -1\n0 1 2 1.0\nBOUNDARY 0\n"):
+        with pytest.raises(MeshFormatError):
+            geo.read_mesh(_mesh_file(tmp_path, text))
     # untagged boundary facet
     with pytest.raises(MeshFormatError):
         geo.read_mesh(_mesh_file(tmp_path, "DIM 2\nPOINTS 3\n0 0\n1 0\n0 1\nCELLS 1\n"

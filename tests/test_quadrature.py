@@ -6,14 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fluxbound.geometry as geo
 from fluxbound.errors import UnsupportedDegree
-from fluxbound.quadrature import integrate, integrate_facet, integrate_simplices, rule_for
+from fluxbound.quadrature import integrate_simplices, rule_for
 
 from conftest import bary_monomial_integral, random_simplex
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 REF_TET = np.eye(4)[1:, :3] * 0.0  # placeholder, built below
 REF_TET = np.vstack([np.zeros(3), np.eye(3)])
+
+
+def integrate_one(f, vertices, degree):
+    """integrate_simplices on one simplex or facet; f maps (n, d) points to (n,) values."""
+    vertices = np.asarray(vertices, dtype=float)
+    return integrate_simplices(lambda x, lam: f(x), vertices[None],
+                               geo.simplex_measure(vertices)[None], degree)[0]
 
 
 def test_weights_sum_to_reference_volume():
@@ -24,7 +32,7 @@ def test_weights_sum_to_reference_volume():
 
 
 def test_centroid_rule_integrates_constants():
-    assert integrate(lambda x: np.ones(len(x)), REF_TRI, 0) == pytest.approx(0.5, abs=1e-15)
+    assert integrate_one(lambda x: np.ones(len(x)), REF_TRI, 0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_lambda1_lambda2_reference_triangle():
@@ -56,31 +64,30 @@ def test_integrate_unit_and_hats(rng):
     for d in (2, 3, 4):
         pts = random_simplex(d, rng)
         vol = abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(d)
-        assert integrate(lambda x: np.ones(len(x)), pts, 1) == pytest.approx(vol, rel=1e-12)
+        assert integrate_one(lambda x: np.ones(len(x)), pts, 1) == pytest.approx(vol, rel=1e-12)
         # hat function of vertex 0 via its affine representation
-        import fluxbound.geometry as geo
-        g = geo.barycentric_gradients(pts)
+        g = geo.simplex_geometry(pts[None]).grads[0]
 
         def hat(x):
             return 1.0 + (x - pts[0]) @ g[0]
 
-        assert integrate(hat, pts, 1) == pytest.approx(vol / (d + 1), rel=1e-12)
+        assert integrate_one(hat, pts, 1) == pytest.approx(vol / (d + 1), rel=1e-12)
 
 
 def test_affine_exact_at_degree_one_matches_high_degree():
     def f(x):
         return 1.5 + 2.0 * x[:, 0] - 0.5 * x[:, 1]
 
-    lo = integrate(f, REF_TRI, 1)
-    hi = integrate(f, REF_TRI, 8)
+    lo = integrate_one(f, REF_TRI, 1)
+    hi = integrate_one(f, REF_TRI, 8)
     assert lo == pytest.approx(hi, abs=1e-14)
 
 
 def test_facet_constant_gives_measure():
     seg = np.array([[0.0, 0.0], [3.0, 4.0]])
-    assert integrate_facet(lambda x: np.ones(len(x)), seg, 0) == pytest.approx(5.0)
+    assert integrate_one(lambda x: np.ones(len(x)), seg, 0) == pytest.approx(5.0)
     tri3d = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert integrate_facet(lambda x: np.ones(len(x)), tri3d, 0) == pytest.approx(0.5)
+    assert integrate_one(lambda x: np.ones(len(x)), tri3d, 0) == pytest.approx(0.5)
 
 
 def test_facet_affine_equals_midpoint_value_times_measure():
@@ -90,7 +97,7 @@ def test_facet_affine_equals_midpoint_value_times_measure():
         return 2.0 * x[:, 0] - x[:, 1] + 1.0
 
     mid = g(seg.mean(axis=0, keepdims=True))[0]
-    assert integrate_facet(g, seg, 1) == pytest.approx(mid * 5.0, rel=1e-13)
+    assert integrate_one(g, seg, 1) == pytest.approx(mid * 5.0, rel=1e-13)
 
 
 def test_facet_lambda1_lambda2_unit_segment():
@@ -99,7 +106,7 @@ def test_facet_lambda1_lambda2_unit_segment():
     def f(x):
         return x[:, 0] * (1.0 - x[:, 0])
 
-    assert integrate_facet(f, seg, 2) == pytest.approx(1.0 / 6.0, rel=1e-13)
+    assert integrate_one(f, seg, 2) == pytest.approx(1.0 / 6.0, rel=1e-13)
 
 
 def test_unsupported_degree():
@@ -115,8 +122,7 @@ def test_affine_invariance(d, degree, data):
     expo = data.draw(st.lists(st.integers(0, 3), min_size=d + 1, max_size=d + 1))
     if sum(expo) > degree:
         expo = [0] * (d + 1)
-    import fluxbound.geometry as geo
-    g = geo.barycentric_gradients(pts)
+    g = geo.simplex_geometry(pts[None]).grads[0]
 
     def f(x):
         lam = (x - pts[0]) @ g.T
@@ -125,7 +131,7 @@ def test_affine_invariance(d, degree, data):
 
     vol = abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(d)
     ref = bary_monomial_integral(expo, vol)
-    assert integrate(f, pts, degree) == pytest.approx(ref, rel=1e-11, abs=1e-15)
+    assert integrate_one(f, pts, degree) == pytest.approx(ref, rel=1e-11, abs=1e-15)
 
     # the batched route on several simplices, with a trailing vector axis; the
     # integrand recovers the barycentric coordinates from the physical points

@@ -8,10 +8,9 @@ import fluxbound.fem as fem
 import fluxbound.geometry as geo
 import fluxbound.reconstruction as rec
 from fluxbound.errors import DivergenceAuditFailed, InvalidVariant
-from fluxbound.quadrature import integrate, rule_for
 
 import oracles
-from conftest import fd_divergence, random_simplex
+from conftest import fd_divergence, one_simplex, random_simplex
 from test_fem import one_element_mesh
 
 
@@ -64,7 +63,7 @@ def test_residual_reproduces_g():
     for e in range(0, mesh.n_elements, 5):
         for i in range(4):
             g_back = R[e, i] + sol.grad[e] @ normals[e, i]
-            g_stored = fluxes.g_on(mesh, e, i)
+            g_stored = mesh.elem_sigma[e, i] * fluxes.gplus[mesh.elem_facets[e, i]]
             scale = max(1.0, np.abs(g_stored).max())
             assert np.abs(g_back - g_stored).max() < 1e-13 * scale
 
@@ -74,7 +73,7 @@ def test_residual_reproduces_g():
 # ---------------------------------------------------------------------------
 
 def test_variant1_zero_inputs(unit_triangle):
-    flux = rec.build_variant1(unit_triangle, np.zeros((3, 3)), np.zeros(3))
+    flux = oracles.build_variant1(unit_triangle, np.zeros((3, 3)), np.zeros(3))
     x = np.array([[0.2, 0.3], [0.1, 0.1]])
     assert np.abs(flux(x)).max() == 0.0
     assert np.abs(flux.divergence(x)).max() == 0.0
@@ -94,8 +93,8 @@ def test_tau_q_zero_normal_trace(rng):
     for d in (2, 3, 4):
         pts = random_simplex(d, rng)
         r_vals = rng.standard_normal(d + 1)
-        flux = rec.build_variant1(pts, np.zeros((d + 1, d + 1)), r_vals)
-        g = geo.barycentric_gradients(pts)
+        flux = oracles.build_variant1(pts, np.zeros((d + 1, d + 1)), r_vals)
+        g = one_simplex(pts).grads[0]
         for i in range(d + 1):
             fpts = np.delete(pts, i, axis=0)
             n = -g[i] / np.linalg.norm(g[i])
@@ -110,7 +109,7 @@ def test_variant1_divergence_identity_symbolic(rng):
     # sum_{n<m} (lam_m - lam_n)(x_n - x_m) = -(d+1)(x - centroid)
     for d in (2, 3, 4, 5):
         pts = random_simplex(d, rng)
-        g = geo.barycentric_gradients(pts)
+        g = one_simplex(pts).grads[0]
         x = rng.dirichlet(np.ones(d + 1), size=30) @ pts
         lam = (x - pts[0]) @ g.T
         lam[:, 0] += 1.0
@@ -128,7 +127,7 @@ def test_variant1_divergence_vs_fd(rng):
     for e in (0, 3, 5):
         pts = mesh.points[mesh.simplices[e]]
         Rv = eq._to_local_vertices(mesh, R)[e]
-        flux = rec.build_variant1(pts, Rv, r_vals[e])
+        flux = oracles.build_variant1(pts, Rv, r_vals[e])
         h = mesh.diameters[e]
         x = rng.dirichlet(np.full(3, 3.0), size=20) @ pts
         div_fd = fd_divergence(flux, x, 1e-6 * h)
@@ -136,7 +135,7 @@ def test_variant1_divergence_vs_fd(rng):
         scale = max(1.0, np.abs(div_an).max())
         assert np.abs(div_fd - div_an).max() < 1e-6 * scale
         # and the quadratic part alone: div tau_Q = (centroid - x) . grad_r
-        quad = rec.build_variant1(pts, np.zeros((3, 3)), r_vals[e])
+        quad = oracles.build_variant1(pts, np.zeros((3, 3)), r_vals[e])
         expected = (quad.centroid - x) @ quad.grad_r
         assert np.abs(fd_divergence(quad, x, 1e-6 * h) - expected).max() < 1e-9 * scale
 
@@ -146,7 +145,7 @@ def test_variant1_bulk_matches_single_element():
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     Rv_all = eq._to_local_vertices(mesh, R)
     for e in (0, 10, 20):
-        flux = rec.build_variant1(mesh.points[mesh.simplices[e]], Rv_all[e], r_vals[e])
+        flux = oracles.build_variant1(mesh.points[mesh.simplices[e]], Rv_all[e], r_vals[e])
         assert np.allclose(flux.c, v1.c[e], atol=1e-12 * max(1, np.abs(v1.c[e]).max()))
         assert flux.div_l == pytest.approx(v1.div_l[e], rel=1e-10, abs=1e-12)
 
@@ -156,24 +155,24 @@ def test_variant1_bulk_matches_single_element():
 # ---------------------------------------------------------------------------
 
 def test_variant2_zero_residual(unit_triangle):
-    flux = rec.build_variant2(unit_triangle, np.zeros((3, 3)), 5.0)
+    flux = oracles.build_variant2(unit_triangle, np.zeros((3, 3)), 5.0)
     x = np.array([[0.25, 0.25], [0.1, 0.6]])
     assert np.abs(flux(x)).max() == 0.0
 
 
 def test_variant2_requires_positive_kappa(unit_triangle):
     with pytest.raises(InvalidVariant):
-        rec.build_variant2(unit_triangle, np.zeros((3, 3)), 0.0)
+        oracles.build_variant2(unit_triangle, np.zeros((3, 3)), 0.0)
 
 
 def test_variant2_trace_and_support(rng):
     for d in (2, 3):
         pts = random_simplex(d, rng)
-        q = geo.geometric_quantities(pts)
-        kappa = 3.0 / q.inradius
+        q = one_simplex(pts)
+        kappa = 3.0 / q.inradii[0]
         Rv = rng.standard_normal((d + 1, d + 1))
-        flux = rec.build_variant2(pts, Rv, kappa)
-        g = geo.barycentric_gradients(pts)
+        flux = oracles.build_variant2(pts, Rv, kappa)
+        g = q.grads[0]
         for i in range(d + 1):
             fpts = np.delete(pts, i, axis=0)
             n = -g[i] / np.linalg.norm(g[i])
@@ -188,8 +187,8 @@ def test_variant2_trace_and_support(rng):
         ed = g[0] / np.linalg.norm(g[0])
         base = np.delete(pts, 0, axis=0).mean(axis=0)
         deep = base[None, :] + np.linspace(1.05, 1.6, 5)[:, None] * (
-            (q.incentre - base) / (kappa * q.inradius) * kappa * q.inradius)[None, :] \
-            * (1.0 / (kappa * q.inradius))
+            (q.incentres[0] - base) / (kappa * q.inradii[0]) * kappa * q.inradii[0])[None, :] \
+            * (1.0 / (kappa * q.inradii[0]))
         xd = (deep - base) @ ed
         inside = xd >= 1.0 / kappa
         assert np.abs(flux(deep)[inside]).max(initial=0.0) == 0.0
@@ -198,17 +197,17 @@ def test_variant2_trace_and_support(rng):
 def test_variant2_divergence_vs_fd(rng):
     for d in (2, 3):
         pts = random_simplex(d, rng)
-        q = geo.geometric_quantities(pts)
-        kappa = 2.5 / q.inradius
+        q = one_simplex(pts)
+        kappa = 2.5 / q.inradii[0]
         Rv = rng.standard_normal((d + 1, d + 1))
-        flux = rec.build_variant2(pts, Rv, kappa)
-        h = q.diameter
+        flux = oracles.build_variant2(pts, Rv, kappa)
+        h = q.diameters[0]
         # sample strictly inside one cone, inside the active region
         fpts = np.delete(pts, 1, axis=0)
         w = rng.dirichlet(np.ones(d), size=60)
         base = w @ fpts
         x = base + rng.uniform(0.05, 0.9, 60)[:, None] * (
-            1.0 / (kappa * q.inradius)) * (q.incentre - base)
+            1.0 / (kappa * q.inradii[0])) * (q.incentres[0] - base)
         keep = flux._locate(x) == 1
         x = x[keep]
         div_fd = fd_divergence(flux, x, 1e-6 * h)
@@ -217,38 +216,43 @@ def test_variant2_divergence_vs_fd(rng):
         assert np.abs(div_fd - div_an).max() < 1e-6 * scale
 
 
+def volume(pts):
+    """Volume of one non-degenerate simplex."""
+    return one_simplex(pts).volumes[0]
+
+
 def test_split_cone_frustum_partition(rng):
     # spec case: cut = rho/2 in 2D gives 3/4 of the cone area
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.4, 0.8]])
     apex = np.array([0.45, 0.4])
     height = 0.4
     pieces, top = oracles.split_cone_frustum(tri[:2], apex, height / 2)
-    cone_area = geo.simplex_volume(np.vstack([tri[:2], apex]))
-    got = sum(geo.simplex_volume(p) for p in pieces)
+    cone_area = volume(np.vstack([tri[:2], apex]))
+    got = sum(volume(p) for p in pieces)
     assert got == pytest.approx(0.75 * cone_area, rel=1e-12)
-    assert geo.simplex_volume(top) == pytest.approx(0.25 * cone_area, rel=1e-12)
+    assert volume(top) == pytest.approx(0.25 * cone_area, rel=1e-12)
 
     for d in (2, 3, 4, 5):
         pts = random_simplex(d, rng)
-        q = geo.geometric_quantities(pts)
+        q = one_simplex(pts)
         fpts = np.delete(pts, 0, axis=0)
-        cut = 0.37 * q.inradius
-        pieces, top = oracles.split_cone_frustum(fpts, q.incentre, cut)
-        total = sum(geo.simplex_volume(p) for p in pieces) + geo.simplex_volume(top)
-        cone = geo.simplex_volume(np.vstack([fpts, q.incentre]))
+        cut = 0.37 * q.inradii[0]
+        pieces, top = oracles.split_cone_frustum(fpts, q.incentres[0], cut)
+        total = sum(volume(p) for p in pieces) + volume(top)
+        cone = volume(np.vstack([fpts, q.incentres[0]]))
         assert total == pytest.approx(cone, rel=1e-12)
         # frustum volume by similarity: (1 - (1 - cut/rho)^d) of the cone
-        frac = 1.0 - (1.0 - cut / q.inradius) ** d
-        got = sum(geo.simplex_volume(p) for p in pieces)
+        frac = 1.0 - (1.0 - cut / q.inradii[0]) ** d
+        got = sum(volume(p) for p in pieces)
         assert got == pytest.approx(frac * cone, rel=1e-11)
 
 
 def test_split_limit_cut_to_height():
     tri = np.array([[0.0, 0.0], [1.0, 0.0]])
     apex = np.array([0.5, 1.0])
-    cone = geo.simplex_volume(np.vstack([tri, apex]))
+    cone = volume(np.vstack([tri, apex]))
     pieces, top = oracles.split_cone_frustum(tri, apex, 1.0 - 1e-9)
-    got = sum(geo.simplex_volume(p) for p in pieces)
+    got = sum(volume(p) for p in pieces)
     assert got == pytest.approx(cone, rel=1e-8)
 
 
@@ -302,7 +306,7 @@ def test_eta2_bulk_matches_single_element_quadrature():
     Rv_all = eq._to_local_vertices(mesh, R)
     for e in (0, 3, 6):
         pts = mesh.points[mesh.simplices[e]]
-        flux = rec.build_variant2(pts, Rv_all[e], mesh.kappa[e], grad_uh=sol.grad[e])
+        flux = oracles.build_variant2(pts, Rv_all[e], mesh.kappa[e], grad_uh=sol.grad[e])
         eta = oracles.eta_K(flux, mesh.kappa[e], r_vals[e])
         bulk = math.sqrt(f2[e] + s2[e] / mesh.kappa[e] ** 2)
         assert eta == pytest.approx(bulk, rel=1e-9)
@@ -373,8 +377,8 @@ def test_eta1_hand_case_single_element(unit_triangle):
     # exact equilibration by construction: div tau_L = -1 = -Pi_K f
     assert resid_const[0] == pytest.approx(0.0, abs=1e-13)
     Rv = eq._to_local_vertices(mesh, R)[0]
-    flux = rec.build_variant1(unit_triangle, Rv, r_vals[0])
-    oracle = integrate(lambda x: (flux(x) ** 2).sum(axis=1), unit_triangle, 8)
+    flux = oracles.build_variant1(unit_triangle, Rv, r_vals[0])
+    oracle = oracles.integrate(lambda x: (flux(x) ** 2).sum(axis=1), unit_triangle, 8)
     assert first[0] == pytest.approx(oracle, rel=1e-10)
 
 
