@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConstraints
-from .fem import (FemSolution, ProblemData, _mass_inverse_times, _mass_times, data_values,
-                  element_loads, neumann_loads)
+from .fem import FemSolution, ProblemData, _mass_inverse_times, _mass_times, data_values
 from .geometry import NEUMANN, Mesh
 from .quadrature import integrate_simplices
 
@@ -57,9 +56,10 @@ def facet_average(mesh: Mesh, grad: np.ndarray) -> np.ndarray:
 class ResidualData:
     """Per-(element, vertex) residuals entering the patch problems.
 
-    ``D[e, n]`` is the data residual of the hat function of local vertex n with
-    the average flux as boundary term; adding sigma-signed alpha coefficients of
-    the non-Neumann facets containing the vertex gives the full residual.
+    ``D[e, n]`` is the data residual of the hat function of local vertex n, from
+    the loads the solution carries, with the average flux as boundary term;
+    adding sigma-signed alpha coefficients of the non-Neumann facets containing
+    the vertex gives the full residual.
     ``Dstar`` is the same with the collapsed extension (equal to D where
     kappa*rho <= 1). ``scale`` tracks the magnitudes for tolerance scaling.
     """
@@ -67,9 +67,7 @@ class ResidualData:
     D: np.ndarray
     Dstar: np.ndarray
     scale: np.ndarray
-    gn_loads: np.ndarray
     avg: np.ndarray
-    kapparho: np.ndarray
 
 
 def _to_local_vertices(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
@@ -84,16 +82,17 @@ def residual_functionals(mesh: Mesh, sol: FemSolution, data: ProblemData) -> Res
     d = mesh.dim
     avg = facet_average(mesh, sol.grad)
 
-    F1 = element_loads(mesh, data.f, data.data_degree)
-    gnl = neumann_loads(mesh, data.g_N, data.data_degree)
-
+    F1 = sol.f_loads
     uloc = sol.u[mesh.simplices]
     b_stiff = np.einsum("ed,end->en", sol.grad, mesh.bary_grads) * mesh.volumes[:, None]
     b_mass = mesh.kappa[:, None] ** 2 * _mass_times(uloc, mesh.volumes[:, None], d)
 
     fids = mesh.elem_facets
     tags = mesh.facet_tag[fids]                       # (ne, d+1)
-    Fg = _to_local_vertices(mesh, gnl[fids]).sum(axis=1)   # gnl is zero off Neumann facets
+    neu = np.flatnonzero(mesh.facet_tag == NEUMANN)
+    gnl = np.zeros((mesh.n_elements, d + 1, d))       # the Neumann loads by element facet
+    gnl[mesh.facet_elems[neu, 0], mesh.facet_local[neu, 0]] = sol.gn_loads
+    Fg = _to_local_vertices(mesh, gnl).sum(axis=1)
 
     per_facet = np.where(tags != NEUMANN,
                          mesh.elem_sigma * avg[fids] * mesh.facet_measures[fids] / d, 0.0)
@@ -103,16 +102,14 @@ def residual_functionals(mesh: Mesh, sol: FemSolution, data: ProblemData) -> Res
     scale = (np.abs(F1) + np.abs(Fg) + np.abs(b_stiff) + np.abs(b_mass)
              + np.abs(per_facet).sum(axis=1, keepdims=True))
 
-    kapparho = mesh.kappa * mesh.inradii
     Dstar = D.copy()
-    sel = np.flatnonzero(kapparho > 1.0)
+    sel = np.flatnonzero(mesh.layer)
     if len(sel):
         # theta* = theta_n on dK and u_h is affine, so int grad u_h . grad theta*
         # = int_dK du_h/dn theta* = int grad u_h . grad theta_n = b_stiff
         Dstar[sel] = (_extension_volume_terms(mesh, sol, data, sel) - b_stiff[sel]
                       + Fg[sel] + avgterm[sel])
-    return ResidualData(D=D, Dstar=Dstar, scale=scale, gn_loads=gnl,
-                        avg=avg, kapparho=kapparho)
+    return ResidualData(D=D, Dstar=Dstar, scale=scale, avg=avg)
 
 
 def _extension_volume_terms(mesh: Mesh, sol: FemSolution, data: ProblemData,
@@ -213,7 +210,7 @@ def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, unknown, k: int, 
     nu = unknown.shape[1]
     pos = mesh._vertex_elem_offsets[verts][:, None] + np.arange(k)
     els, locs = mesh._vertex_elem_data[pos, 0], mesh._vertex_elem_data[pos, 1]
-    order = np.argsort(resid.kapparho[els] > 1.0, axis=1, kind="stable")
+    order = np.argsort(mesh.layer[els], axis=1, kind="stable")
     els, locs = np.take_along_axis(els, order, 1), np.take_along_axis(locs, order, 1)
 
     rhs = -np.where(np.arange(k) < nc, resid.D[els, locs], resid.Dstar[els, locs])
@@ -268,7 +265,7 @@ def _solve_patches(mesh: Mesh, resid: ResidualData, vertices):
     first = np.concatenate([[0], np.cumsum(nu_all)])[vertices]
     k = np.diff(mesh._vertex_elem_offsets)[vertices]
     nu = nu_all[vertices]
-    nc = np.bincount(mesh.simplices[resid.kapparho <= 1.0].ravel(),
+    nc = np.bincount(mesh.simplices[~mesh.layer].ravel(),
                      minlength=mesh.n_points)[vertices]
     alphas = np.zeros((mesh.n_facets, mesh.dim))
     info = np.zeros((len(vertices), 4))
@@ -334,18 +331,12 @@ def equilibrate(mesh: Mesh, sol: FemSolution, data: ProblemData, *,
     alphas, info = _solve_patches(mesh, resid, np.arange(mesh.n_points))
 
     neu = np.flatnonzero(mesh.facet_tag == NEUMANN)
-    if len(neu):
-        alphas[neu] = resid.gn_loads[neu] - resid.avg[neu, None] * \
-            (mesh.facet_measures[neu] / d)[:, None]
-
-    gplus = resid.avg[:, None] + _mass_inverse_times(
-        alphas, mesh.facet_measures[:, None], d - 1)
-    if len(neu):
-        gplus[neu] = _mass_inverse_times(
-            resid.gn_loads[neu], mesh.facet_measures[neu, None], d - 1)
+    alphas[neu] = sol.gn_loads - resid.avg[neu, None] * (mesh.facet_measures[neu] / d)[:, None]
+    gplus = resid.avg[:, None] + _mass_inverse_times(alphas, mesh.facet_measures[:, None], d - 1)
+    gplus[neu] = _mass_inverse_times(sol.gn_loads, mesh.facet_measures[neu, None], d - 1)
 
     eps = equilibration_residuals(mesh, resid, alphas)
-    constrained = resid.kapparho <= 1.0
+    constrained = ~mesh.layer
     rel = np.abs(eps[constrained]) / np.maximum(resid.scale[constrained], 1e-300)
     eps_max_rel = float(rel.max()) if rel.size else 0.0
     if eps_max_rel > CONSTRAINT_TOL:

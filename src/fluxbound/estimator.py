@@ -154,6 +154,7 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
              patch_report_path: str | None = None) -> ErrorReport:
     """Equilibrate, reconstruct, and evaluate the guaranteed error bound.
 
+    ``sol`` must come from ``data``: its loads enter the residuals and Pi_K f.
     ``strategy`` is 'tau', 'taustar' or 'both'. When ``exact`` is given (an
     object with vectorized ``value``/``gradient`` and optionally the analytic
     ``energy2`` = F(u)), the true energy error and effectivity indices are
@@ -163,17 +164,16 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
         raise ValueError(f"unknown strategy {strategy!r}")
     fluxes = equilibrate(mesh, sol, data, patch_report_path=patch_report_path)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
-    pf_vals = project_element_bulk(mesh, data.f, data.data_degree)
+    pf_vals = project_element_bulk(mesh, sol.f_loads)
     u_loc = sol.u[mesh.simplices]
     r_vals = pf_vals - mesh.kappa[:, None] ** 2 * u_loc
 
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     eta1_first, resid_const = rec.eta1_terms(mesh, v1)
     audit_worst = rec.divergence_audit(mesh, resid_const, pf_vals, u_loc)
-    kapparho = mesh.kappa * mesh.inradii
     pos = mesh.kappa > 0
     second = np.zeros(mesh.n_elements)
-    over = kapparho > 1.0
+    over = mesh.layer
     second[over] = (mesh.volumes[over] * resid_const[over] ** 2
                     / mesh.kappa[over] ** 2)
     eta1_sq = eta1_first + second   # divergence term only counted where kappa*rho > 1
@@ -189,8 +189,7 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
     osc_facet = oscillation_gN(mesh, data.g_N, fluxes.gplus)
     osc_gn = np.zeros(mesh.n_elements)
     neu = np.flatnonzero(mesh.facet_tag == NEUMANN)
-    if len(neu):
-        np.add.at(osc_gn, mesh.facet_elems[neu, 0], osc_facet[neu])
+    np.add.at(osc_gn, mesh.facet_elems[neu, 0], osc_facet[neu])
 
     report = ErrorReport(
         strategy=strategy, eta_k_tau=None, eta_k_taustar=None,
@@ -216,7 +215,7 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
 
     if check_conformity:   # every reported selection, each field evaluated once
         picks = [v for v in (report.variant_tau, report.variant_taustar) if v is not None]
-        traces, _ = rec.facet_trace_values(mesh, sol.grad, v1, R, np.stack(picks))
+        traces = rec.facet_trace_values(mesh, sol.grad, v1, R, np.stack(picks))
         scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
         report.audits["hdiv_mismatch"] = max(rec.trace_mismatch(mesh, t, scale) for t in traces)
 

@@ -70,16 +70,15 @@ def element_loads(mesh: Mesh, f: Callable, degree: int) -> np.ndarray:
 
 
 def neumann_loads(mesh: Mesh, g_N: Callable | None, degree: int) -> np.ndarray:
-    """(nf, d) integrals of g_N against facet hat functions; nonzero only on Neumann facets."""
-    out = np.zeros((mesh.n_facets, mesh.dim))
-    if g_N is None:
-        return out
+    """(n_N, d) integrals of g_N against the facet hat functions of the Neumann facets.
+
+    Rows follow ``np.flatnonzero(mesh.facet_tag == NEUMANN)``; zero when g_N is None.
+    """
     idx = np.flatnonzero(mesh.facet_tag == NEUMANN)
-    if len(idx) == 0:
-        return out
-    out[idx] = _hat_loads(g_N, "g_N", mesh.points[mesh.facets[idx]],
-                          mesh.facet_measures[idx], degree)
-    return out
+    if g_N is None or len(idx) == 0:
+        return np.zeros((len(idx), mesh.dim))
+    return _hat_loads(g_N, "g_N", mesh.points[mesh.facets[idx]],
+                      mesh.facet_measures[idx], degree)
 
 
 @dataclass(frozen=True)
@@ -90,6 +89,8 @@ class LinearSystem:
     b: np.ndarray
     free: np.ndarray           # vertex ids of the dofs
     vertex_to_dof: np.ndarray  # (n_points,), -1 on Dirichlet vertices
+    f_loads: np.ndarray        # (ne, d+1) element_loads of f, summed into b
+    gn_loads: np.ndarray       # (n_N, d) neumann_loads of g_N, summed into b
 
 
 def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
@@ -117,13 +118,10 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
     loads = element_loads(mesh, data.f, data.data_degree)
     np.add.at(b, dofs.ravel()[dofs.ravel() >= 0], loads.ravel()[dofs.ravel() >= 0])
     gl = neumann_loads(mesh, data.g_N, data.data_degree)
-    idx = np.flatnonzero(mesh.facet_tag == NEUMANN)
-    if len(idx):
-        fdofs = vertex_to_dof[mesh.facets[idx]].ravel()
-        fvals = gl[idx].ravel()
-        sel = fdofs >= 0
-        np.add.at(b, fdofs[sel], fvals[sel])
-    return LinearSystem(A=A, b=b, free=free, vertex_to_dof=vertex_to_dof)
+    fdofs = vertex_to_dof[mesh.facets[mesh.facet_tag == NEUMANN]].ravel()
+    np.add.at(b, fdofs[fdofs >= 0], gl.ravel()[fdofs >= 0])
+    return LinearSystem(A=A, b=b, free=free, vertex_to_dof=vertex_to_dof,
+                        f_loads=loads, gn_loads=gl)
 
 
 def solve(A, b, max_iter: int | None = None):
@@ -201,7 +199,12 @@ def solve(A, b, max_iter: int | None = None):
 
 @dataclass(frozen=True)
 class FemSolution:
-    """Nodal P1 solution with its per-element gradient and solver diagnostics."""
+    """Nodal P1 solution with its per-element gradient, data loads and solver diagnostics.
+
+    ``f_loads``/``gn_loads`` are the hat loads of f and g_N at ``data_degree``, for
+    a Galerkin u_h the arrays summed into b. The residuals, the Neumann fluxes and
+    Pi_K f read them here, so the patch problems use the loads of the solve.
+    """
 
     mesh: Mesh
     u: np.ndarray              # (n_points,), zero on Dirichlet vertices
@@ -211,18 +214,22 @@ class FemSolution:
     ndof: int
     energy2: float             # x . A x  =  |||u_h|||^2 (exact up to round-off)
     compliance: float          # b . x    =  F(u_h) up to data-quadrature error
+    f_loads: np.ndarray        # (ne, d+1) integrals of f against the element hats
+    gn_loads: np.ndarray       # (n_N, d) integrals of g_N against the Neumann facet hats
 
     @classmethod
-    def from_vertex_values(cls, mesh: Mesh, values) -> "FemSolution":
-        """Wrap arbitrary nodal values (for reconstruction on non-Galerkin u_h)."""
+    def from_vertex_values(cls, mesh: Mesh, values, data: ProblemData) -> "FemSolution":
+        """Wrap nodal values (a non-Galerkin u_h) with the loads ``assemble`` builds from data."""
         u = np.asarray(values, dtype=float)
         grad = np.einsum("eid,ei->ed", mesh.bary_grads, u[mesh.simplices])
         return cls(mesh=mesh, u=u, grad=grad, iterations=0, residual=0.0,
-                   ndof=0, energy2=float("nan"), compliance=float("nan"))
+                   ndof=0, energy2=float("nan"), compliance=float("nan"),
+                   f_loads=element_loads(mesh, data.f, data.data_degree),
+                   gn_loads=neumann_loads(mesh, data.g_N, data.data_degree))
 
 
 def solve_problem(mesh: Mesh, data: ProblemData) -> FemSolution:
-    """Assemble and solve; the returned solution carries the Galerkin energies."""
+    """Assemble and solve; the returned solution carries the Galerkin energies and loads."""
     system = assemble(mesh, data)
     x, iters, res = solve(system.A, system.b)
     u = np.zeros(mesh.n_points)
@@ -230,7 +237,8 @@ def solve_problem(mesh: Mesh, data: ProblemData) -> FemSolution:
     grad = np.einsum("eid,ei->ed", mesh.bary_grads, u[mesh.simplices])
     return FemSolution(mesh=mesh, u=u, grad=grad, iterations=iters, residual=res,
                        ndof=len(system.free), energy2=float(x @ (system.A @ x)),
-                       compliance=float(system.b @ x))
+                       compliance=float(system.b @ x), f_loads=system.f_loads,
+                       gn_loads=system.gn_loads)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +261,6 @@ def _mass_inverse_times(values: np.ndarray, measure, k: int):
     return scale * (values - values.sum(axis=-1, keepdims=True) / (k + 2))
 
 
-def project_element_bulk(mesh: Mesh, f: Callable, degree: int = 8) -> np.ndarray:
-    """(ne, d+1) vertex values of the elementwise projection of f."""
-    loads = element_loads(mesh, f, degree)
+def project_element_bulk(mesh: Mesh, loads: np.ndarray) -> np.ndarray:
+    """(ne, d+1) vertex values of Pi_K f from the hat loads of f, ``FemSolution.f_loads``."""
     return _mass_inverse_times(loads, mesh.volumes[:, None], mesh.dim)

@@ -222,6 +222,11 @@ class Mesh:
         return len(self.facets)
 
     @property
+    def layer(self) -> np.ndarray:
+        """(ne,) True where kappa*rho > 1: the layer variant and the least-squares rows."""
+        return self.kappa * self.inradii > 1.0
+
+    @property
     def dirichlet_vertices(self) -> np.ndarray:
         return np.unique(self.facets[self.facet_tag == DIRICHLET])
 

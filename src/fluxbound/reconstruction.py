@@ -119,7 +119,7 @@ def divergence_audit(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
     scale = (np.sqrt(_mass_norm_sq(pf_vals, mesh.volumes, d))
              + mesh.kappa ** 2 * np.sqrt(_mass_norm_sq(u_vals, mesh.volumes, d)) + 1.0)
     norm = np.sqrt(mesh.volumes) * np.abs(resid_const)
-    sel = mesh.kappa * mesh.inradii <= 1.0
+    sel = ~mesh.layer
     worst = float((norm[sel] / scale[sel]).max()) if np.any(sel) else 0.0
     if worst > AUDIT_TOL:
         raise DivergenceAuditFailed(
@@ -253,35 +253,30 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
-                       R: np.ndarray, variant: np.ndarray):
+                       R: np.ndarray, variant: np.ndarray) -> list:
     """Normal trace of the assembled flux on every (element, facet) pair.
 
-    ``variant`` (ne,) picks the reconstruction of each element (1 or 2).
-    Returns ``(trace, g_exact)`` of shape (ne, d+1, nq): the flux evaluated at
-    the canonical facet quadrature points dotted with the element's outward
-    normal, and the equilibrated g_K interpolated at the same points. The
-    points are defined on the facet, so they coincide for the two sharing
-    elements. A stack (s, ne) of selections gives a list of s such traces;
-    each field is evaluated once, on the elements where some selection uses it.
+    ``variant`` (s, ne) stacks s selections of the reconstruction of each
+    element (1 or 2). Returns a list of s traces of shape (ne, d+1, nq): the
+    flux evaluated at the canonical facet quadrature points dotted with the
+    element's outward normal. The points are defined on the facet, so they
+    coincide for the two sharing elements. Each field is evaluated once, on the
+    elements where some selection uses it.
     """
     d = mesh.dim
     rule = rule_for(d - 1, TRACE_DEGREE)
-    ne = mesh.n_elements
     pts = mesh.points[mesh.simplices]
     normals = mesh.outward_normals()
-    picks = np.atleast_2d(variant)
-    i1 = np.flatnonzero((picks != 2).any(axis=0))
-    i2 = np.flatnonzero((picks == 2).any(axis=0))
+    i1 = np.flatnonzero((variant != 2).any(axis=0))
+    i2 = np.flatnonzero((variant == 2).any(axis=0))
     c1, grad1, grad2 = v1.c[i1], grad[i1], grad[i2]
     pairs = _tau_q_pairs(pts[i1], v1.grad_r[i1])
     apex, rho, kap = mesh.incentres[i2], mesh.inradii[i2], mesh.kappa[i2]
     on_facet = np.zeros(len(i2))   # normal distance of the trace points, exactly zero
     t1 = np.empty((len(i1), d + 1, rule.n_points))   # traces of variant 1 on i1, 2 on i2
     t2 = np.empty((len(i2), d + 1, rule.n_points))
-    g_exact = np.empty((ne, d + 1, rule.n_points))
     for i in range(d + 1):
         F, a, b, ed = _facet_setup(pts[i2], mesh.bary_grads[i2], R[i2, i], i)
-        gn = np.einsum("ed,ed->e", grad, normals[:, i])
         n1, n2 = normals[i1, i], normals[i2, i]
         for qi, mu in enumerate(rule.points):
             tau = variant1_field(np.insert(mu, i, 0.0)[None], c1, pairs)
@@ -289,12 +284,11 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
             x = np.einsum("j,fjd->fd", mu, F)
             s, w, _ = variant2_field(x, on_facet, a, b, ed, apex, rho, kap)
             t2[:, i, qi] = np.einsum("ed,ed->e", grad2 + s[:, None] * w, n2)
-            g_exact[:, i, qi] = R[:, i] @ mu + gn
-    traces = [np.empty_like(g_exact) for _ in picks]
-    for trace, p in zip(traces, picks):
+    traces = [np.empty((mesh.n_elements, d + 1, rule.n_points)) for _ in variant]
+    for trace, p in zip(traces, variant):
         trace[i1] = t1
         trace[i2[p[i2] == 2]] = t2[p[i2] == 2]
-    return (traces if np.ndim(variant) == 2 else traces[0]), g_exact
+    return traces
 
 
 def trace_mismatch(mesh: Mesh, trace: np.ndarray, scale: np.ndarray) -> float:

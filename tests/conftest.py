@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from fluxbound.errors import KappaJumpWarning
+from fluxbound.fem import ProblemData
 from fluxbound.geometry import build_cube_mesh, build_mesh, simplex_geometry
 from fluxbound.quadrature import rule_for
+
+
+# data for wrapping nodal values where the data loads play no part
+ZERO_DATA = ProblemData(f=lambda x: np.zeros(len(x)))
 
 
 # ---------------------------------------------------------------------------

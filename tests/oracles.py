@@ -6,7 +6,8 @@
 * equilibration: the collapsed extension ``extension``/``ExtensionFunction``
   and ``solve_vertex_patch_reference``, one vertex patch at a time;
 * reconstruction: the flux closures ``build_variant1``/``FluxVariant1`` and
-  ``build_variant2``/``FluxVariant2``, and the layer indicator by other routes:
+  ``build_variant2``/``FluxVariant2``, the equilibrated flux at the trace
+  points ``equilibrated_trace``, and the layer indicator by other routes:
   ``eta2_terms_staircase`` (with ``split_cone_frustum``), ``eta_K`` and
   ``eta2_terms_longdouble``;
 * estimator: ``verify_trace_inequality``, trace ratios of random quadratics.
@@ -21,8 +22,8 @@ from fluxbound.errors import InfeasibleConstraints, InvalidVariant
 from fluxbound.fem import _mass_inverse_times, _mass_norm_sq
 from fluxbound.geometry import NEUMANN, simplex_geometry, simplex_gradients, simplex_measure
 from fluxbound.quadrature import integrate_simplices, rule_for
-from fluxbound.reconstruction import (_facet_setup, _tau_q_pairs, _variant1_coeffs,
-                                      variant1_field, variant2_field)
+from fluxbound.reconstruction import (TRACE_DEGREE, _facet_setup, _tau_q_pairs,
+                                      _variant1_coeffs, variant1_field, variant2_field)
 
 ETA2_DEGREE = 6   # |tau_O|^2 has degree 6 on the active pieces
 TOP_DEGREE = 2    # (affine)^2 beyond the cutoff
@@ -277,6 +278,17 @@ def build_variant2(vertices, Rv, kappa: float, grad_uh=None) -> FluxVariant2:
                         facet_vertices=F, a=a, b=b, ed=ed)
 
 
+def equilibrated_trace(mesh, R, grad) -> np.ndarray:
+    """(ne, d+1, nq) g_K = R + grad u_h . n_K at the facet points of ``facet_trace_values``.
+
+    ``R`` (ne, d+1, d) holds the facet residuals at the facet vertices, so g_K
+    is interpolated from them, independently of the flux fields.
+    """
+    rule = rule_for(mesh.dim - 1, TRACE_DEGREE)
+    gn = np.einsum("ed,eid->ei", grad, mesh.outward_normals())
+    return R @ rule.points.T + gn[:, :, None]
+
+
 # ---------------------------------------------------------------------------
 # trace inequalities
 # ---------------------------------------------------------------------------
@@ -374,7 +386,7 @@ def solve_vertex_patch_reference(mesh, v: int, resid):
     rr, cc = np.nonzero(keep)
     M[rr, np.searchsorted(unknown, fac[rr, cc])] = sig[rr, cc]
 
-    cons = resid.kapparho[els] <= 1.0
+    cons = ~mesh.layer[els]
     C, c = M[cons], -resid.D[els[cons], locs[cons]]
     E, e = M[~cons], -resid.Dstar[els[~cons], locs[~cons]]
     scale = float(resid.scale[els, locs].max()) if k else 0.0

@@ -1,8 +1,10 @@
-"""The public names of the package and the layer functions the benchmark tracer wraps.
+"""The public names of the package and what the benchmark harness calls of it.
 
 perfbench/tracing.py times the program by replacing module attributes by
 name, and a name that has gone is only recorded as absent there, so a
 cleanup of the package could drop a per-layer metric without a failure.
+perfbench/workloads.py calls the package directly: a changed signature
+breaks it, which the smoke passes below catch in-process.
 """
 import importlib
 import importlib.util
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import fluxbound
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 PUBLIC = {
     "errors",
@@ -29,8 +31,8 @@ PUBLIC = {
 }
 
 
-def _load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load_perfbench(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)   # its dataclasses look it up
     spec.loader.exec_module(module)
@@ -38,10 +40,31 @@ def _load_tracing(monkeypatch):
 
 
 def test_traced_layer_functions_resolve(monkeypatch):
-    wrapped = _load_tracing(monkeypatch).WRAPPED
+    wrapped = _load_perfbench(monkeypatch, "tracing").WRAPPED
     assert wrapped
     for mod_name, attr in wrapped:
         assert callable(getattr(importlib.import_module(mod_name), attr, None)), (mod_name, attr)
+
+
+def test_benchmark_smoke_passes_meet_their_gate(monkeypatch, tmp_path):
+    # every workload at the smoke size through the harness's own pass and gate,
+    # then one traced pass with every wrapped layer present
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    tracing = _load_perfbench(monkeypatch, "tracing")
+    for name in workloads.NAMES:
+        results, error = workloads.run_pass(workloads.build(name, 1, "smoke"))[1:]
+        problems, _ = workloads.gate(results, error)
+        assert problems == [], (name, problems)
+
+    tracer = tracing.Tracer()
+    cases = workloads.build("poisson3d-neumann", 1, "smoke")
+    with tracer.installed(), tracer.span("pass") as root:
+        _, results, error = workloads.run_pass(cases, tracer, str(tmp_path))
+    assert tracer.absent == []
+    assert workloads.gate(results, error)[0] == []
+    metrics = tracing.layer_metrics(tracer, root, results)
+    assert metrics["fem.project_element_bulk_s"] > 0.0
+    assert metrics["data.gN_points"] > 0
 
 
 def test_estimate_accepts_patch_report_path():

@@ -10,8 +10,8 @@ import fluxbound.fem as fem
 import fluxbound.geometry as geo
 from fluxbound.errors import InfeasibleConstraints, KappaJumpWarning
 
-from conftest import (kkt_min_norm_oracle, one_simplex, random_problem_data, random_simplex,
-                      random_small_mesh)
+from conftest import (ZERO_DATA, kkt_min_norm_oracle, one_simplex, random_problem_data,
+                      random_simplex, random_small_mesh)
 from oracles import (extension, integrate, integrate_facet, project_facet,
                      solve_vertex_patch_reference)
 from test_fem import one_element_mesh
@@ -63,7 +63,7 @@ def _average_and_jump(mesh, grad):
 
 def test_affine_field_has_zero_jumps(two_triangle_square):
     mesh = two_triangle_square
-    sol = fem.FemSolution.from_vertex_values(mesh, mesh.points @ [2.0, -1.0] + 0.5)
+    sol = fem.FemSolution.from_vertex_values(mesh, mesh.points @ [2.0, -1.0] + 0.5, ZERO_DATA)
     avg, jump = _average_and_jump(mesh, sol.grad)
     assert np.abs(jump).max() < 1e-13
     assert np.abs(eq.facet_average(mesh, sol.grad) - avg).max() < 1e-14
@@ -75,7 +75,7 @@ def test_hat_function_jump_magnitude_two():
     cells = np.array([[0, 1, 2], [1, 3, 2]])
     tags = {(0, 1): "N", (0, 2): "N", (1, 3): "N", (2, 3): "N"}
     mesh = geo.build_mesh(pts, cells, 1.0, tags)
-    sol = fem.FemSolution.from_vertex_values(mesh, np.abs(mesh.points[:, 0]))
+    sol = fem.FemSolution.from_vertex_values(mesh, np.abs(mesh.points[:, 0]), ZERO_DATA)
     avg, jump = _average_and_jump(mesh, sol.grad)
     interior = np.flatnonzero(mesh.facet_tag == geo.INTERIOR)
     assert len(interior) == 1
@@ -248,8 +248,8 @@ def test_extension_volume_terms_match_subsimplex_integrals(case):
 
 def test_zero_data_zero_residuals(two_triangle_square):
     mesh = two_triangle_square
-    sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points))
     data = fem.ProblemData(f=lambda x: np.zeros(len(x)))
+    sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points), data)
     resid = eq.residual_functionals(mesh, sol, data)
     assert np.abs(resid.D).max() == 0.0
 
@@ -305,8 +305,8 @@ def test_partition_of_unity_identity():
 
 def test_zero_residuals_give_zero_alpha(two_triangle_square):
     mesh = two_triangle_square
-    sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points))
     data = fem.ProblemData(f=lambda x: np.zeros(len(x)))
+    sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points), data)
     resid = eq.residual_functionals(mesh, sol, data)
     for v in range(mesh.n_points):
         _, alpha, _ = eq.solve_vertex_patch(mesh, v, resid)
@@ -347,7 +347,7 @@ def test_patch_with_objective_against_oracle(rng):
     data = fem.ProblemData(f=lambda x: np.full(len(x), 0.25), data_degree=2)
     sol = fem.solve_problem(mesh, data)
     resid = eq.residual_functionals(mesh, sol, data)
-    assert (resid.kapparho > 1).any() and (resid.kapparho <= 1).any()
+    assert mesh.layer.any() and (~mesh.layer).any()
     checked = 0
     for v in range(mesh.n_points):
         els, locs = mesh.vertex_patch(v)
@@ -364,7 +364,7 @@ def test_patch_with_objective_against_oracle(rng):
                 if mesh.facet_tag[fid] == geo.NEUMANN:
                     continue
                 rows[r, np.searchsorted(unknown, fid)] = mesh.elem_sigma[e, i]
-        cons = resid.kapparho[els] <= 1.0
+        cons = ~mesh.layer[els]
         oracle = kkt_min_norm_oracle(rows[cons], -resid.D[els[cons], locs[cons]],
                                      rows[~cons], -resid.Dstar[els[~cons], locs[~cons]])
         _, alpha, _ = eq.solve_vertex_patch(mesh, v, resid)
@@ -506,7 +506,7 @@ def test_infeasible_constraints_raised(unit_triangle):
     # no coefficient can absorb
     mesh = one_element_mesh(unit_triangle, 1.0)
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
-    fake = fem.FemSolution.from_vertex_values(mesh, np.array([5.0, -3.0, 2.0]))
+    fake = fem.FemSolution.from_vertex_values(mesh, np.array([5.0, -3.0, 2.0]), data)
     with pytest.raises(InfeasibleConstraints, match=r"vertex \d+"):
         eq.equilibrate(mesh, fake, data)
 
@@ -520,7 +520,7 @@ def test_infeasible_patch_error_names_an_infeasible_vertex():
                           lambda c: np.zeros(len(c), dtype=bool))
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
     fake = fem.FemSolution.from_vertex_values(
-        mesh, np.random.default_rng(5).standard_normal(mesh.n_points))
+        mesh, np.random.default_rng(5).standard_normal(mesh.n_points), data)
     with pytest.raises(InfeasibleConstraints, match=r"vertex \d+") as err:
         eq.equilibrate(mesh, fake, data)
     v = int(re.search(r"vertex (\d+)", str(err.value)).group(1))
@@ -536,7 +536,7 @@ def test_objective_rows_without_free_coefficients_do_not_raise(unit_triangle):
     mesh = one_element_mesh(unit_triangle, 10.0)
     assert mesh.kappa[0] * mesh.inradii[0] > 1.0
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
-    fake = fem.FemSolution.from_vertex_values(mesh, np.array([5.0, -3.0, 2.0]))
+    fake = fem.FemSolution.from_vertex_values(mesh, np.array([5.0, -3.0, 2.0]), data)
     assert eq.equilibrate(mesh, fake, data).eps_max_rel == 0.0
     resid = eq.residual_functionals(mesh, fake, data)
     assert np.abs(resid.Dstar).max() > 0.0

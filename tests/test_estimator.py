@@ -10,7 +10,7 @@ import fluxbound.geometry as geo
 from fluxbound.errors import NegativeDifference, UnsolvableProblem
 
 import oracles
-from conftest import dense_projection_oracle, random_simplex
+from conftest import ZERO_DATA, dense_projection_oracle, random_simplex
 from test_fem import one_element_mesh
 
 
@@ -90,13 +90,17 @@ def test_trace_constants_batched_with_zero_kappa():
 # ---------------------------------------------------------------------------
 
 def _element_osc(mesh, f, degree=8):
-    return est.oscillation_f(mesh, f, fem.project_element_bulk(mesh, f, degree), degree)
+    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, f, degree))
+    return est.oscillation_f(mesh, f, pf, degree)
 
 
 def _neumann_projection(mesh, g_N, degree=8):
     # facet-vertex values of Pi_gamma g_N, the Neumann rows of BoundaryFluxSet.gplus
-    return fem._mass_inverse_times(fem.neumann_loads(mesh, g_N, degree),
-                                   mesh.facet_measures[:, None], mesh.dim - 1)
+    neu = np.flatnonzero(mesh.facet_tag == geo.NEUMANN)
+    proj = np.zeros((mesh.n_facets, mesh.dim))
+    proj[neu] = fem._mass_inverse_times(fem.neumann_loads(mesh, g_N, degree),
+                                        mesh.facet_measures[neu, None], mesh.dim - 1)
+    return proj
 
 
 def test_oscillation_f_zero_for_affine(two_triangle_square):
@@ -175,7 +179,7 @@ def test_oscillation_measures_the_indicator_projection():
     sol = fem.solve_problem(mesh, data)
     report = est.estimate(mesh, sol, data, "both")
 
-    pf = fem.project_element_bulk(mesh, f, 2)
+    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, f, 2))
     np.testing.assert_allclose(report.osc_f, est.oscillation_f(mesh, f, pf), rtol=1e-14)
     # an inexact projection can only raise the oscillation above the accurate one's
     assert np.all(report.osc_f >= _element_osc(mesh, f) * (1.0 - 1e-12))
@@ -202,8 +206,9 @@ class CountingData:
 
 
 def test_data_evaluation_counts():
-    # one estimate evaluates f for the loads, Pi_K f and the oscillation, and
-    # g_N for the Neumann loads and the oscillation, at no other points
+    # a solve and an estimate evaluate f and g_N once for the hat loads, which
+    # b, the residuals, Pi_K f and the Neumann fluxes share, and once more for
+    # the oscillations, at no other points
     from fluxbound.quadrature import rule_for
     mesh = geo.build_cube_mesh(4, 3, 0.0)
 
@@ -214,14 +219,12 @@ def test_data_evaluation_counts():
     g = CountingData(lambda x: np.sin(x[:, 1] + x[:, 2]))
     data = fem.ProblemData(f=f, g_N=g, data_degree=4)
     sol = fem.solve_problem(mesh, data)
-    f.points = g.points = 0
     est.estimate(mesh, sol, data, "both")
     n_neu = int(np.sum(mesh.facet_tag == geo.NEUMANN))
     assert n_neu > 0
-    # one nq(3, 4) per element is the load of Pi_K f built twice, once in
-    # residual_functionals and once by project_element_bulk; sharing those
-    # loads lowers this count to nq(3, 4) + nq(3, 8)
-    assert f.points == mesh.n_elements * (2 * nq(3, 4) + nq(3, 8))
+    # loads at data_degree 4, oscillations at degree 8; each further build of
+    # the loads would add nq(3, 4) per element and nq(2, 4) per Neumann facet
+    assert f.points == mesh.n_elements * (nq(3, 4) + nq(3, 8))
     assert g.points == n_neu * (nq(2, 4) + nq(2, 8))
 
 
@@ -303,7 +306,7 @@ def test_strategies_coincide_for_zero_kappa():
 def test_true_error_affine_interpolant(two_triangle_square):
     mesh = two_triangle_square
     exact = AffineExact([2.0, -1.0], 0.25)
-    sol = fem.FemSolution.from_vertex_values(mesh, exact.value(mesh.points))
+    sol = fem.FemSolution.from_vertex_values(mesh, exact.value(mesh.points), ZERO_DATA)
     direct, pyth = est.true_error(mesh, sol, exact)
     assert direct < 1e-12
     assert pyth is None  # no analytic energy supplied
@@ -314,7 +317,9 @@ def test_true_error_zero_solution_gives_energy(two_triangle_square):
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
     sol0 = fem.FemSolution(mesh=mesh, u=np.zeros(mesh.n_points),
                            grad=np.zeros((mesh.n_elements, 2)), iterations=0,
-                           residual=0.0, ndof=0, energy2=0.0, compliance=0.0)
+                           residual=0.0, ndof=0, energy2=0.0, compliance=0.0,
+                           f_loads=fem.element_loads(mesh, data.f, data.data_degree),
+                           gn_loads=fem.neumann_loads(mesh, None, data.data_degree))
 
     class One:
         energy2 = 1.0
@@ -355,10 +360,37 @@ def test_non_galerkin_solution_smoke(rng):
     data = fem.ProblemData(f=lambda x: np.ones(len(x)), data_degree=2)
     assert (mesh.kappa * mesh.inradii > 1.0).all()
     arbitrary = fem.FemSolution.from_vertex_values(
-        mesh, rng.standard_normal(mesh.n_points))
+        mesh, rng.standard_normal(mesh.n_points), data)
     rep = est.estimate(mesh, arbitrary, data, "tau")
     assert np.isfinite(rep.eta_tau) and rep.eta_tau > 0
     assert np.all(rep.variant_tau == 2)
+
+
+def test_wrapped_solution_reproduces_the_estimate():
+    # from_vertex_values builds the data loads as assemble does, so wrapping the
+    # Galerkin u_h gives the same fluxes and the same bound, bit for bit
+    kappa_fn = lambda c: np.where(c[:, 0] < 0, 0.0, np.where(c[:, 1] < 0, 3.0, 300.0))
+    mesh = geo.build_cube_mesh(4, 2, kappa_fn)
+    assert mesh.layer.any() and (~mesh.layer).any() and (mesh.kappa == 0).any()
+    assert (mesh.facet_tag == geo.NEUMANN).any()
+    data = fem.ProblemData(f=lambda x: np.exp(x[:, 0]) * np.sin(x[:, 1]) + 1.0,
+                           g_N=lambda x: np.cos(x[:, 0] + 2.0 * x[:, 1]), data_degree=4)
+    sol = fem.solve_problem(mesh, data)
+    wrapped = fem.FemSolution.from_vertex_values(mesh, sol.u, data)
+    assert np.abs(sol.gn_loads).max() > 0.0
+
+    got, want = eq.equilibrate(mesh, wrapped, data), eq.equilibrate(mesh, sol, data)
+    for name in ("gplus", "alphas", "avg"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.eps_max_rel == want.eps_max_rel
+
+    got = est.estimate(mesh, wrapped, data, "both", check_conformity=True)
+    want = est.estimate(mesh, sol, data, "both", check_conformity=True)
+    for name in ("eta_k_tau", "eta_k_taustar", "variant_tau", "variant_taustar",
+                 "osc_f", "osc_gn"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.eta_tau, got.eta_taustar) == (want.eta_tau, want.eta_taustar)
+    assert got.audits == want.audits
 
 
 def test_all_dirichlet_degenerate_mesh():
@@ -423,10 +455,10 @@ def test_conformity_audit_covers_both_selections(monkeypatch):
     monkeypatch.setattr(rec, "facet_trace_values", trace_values)
     fluxes = eq.equilibrate(mesh, sol, data)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
-    pf = fem.project_element_bulk(mesh, data.f, data.data_degree)
+    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, data.data_degree))
     v1 = rec.variant1_bulk(mesh, R, pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices])
     scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
-    each = [rec.trace_mismatch(mesh, rec.facet_trace_values(mesh, sol.grad, v1, R, sel)[0],
+    each = [rec.trace_mismatch(mesh, rec.facet_trace_values(mesh, sol.grad, v1, R, sel[None])[0],
                                scale) for sel in (tau, star)]
     assert rep.audits["hdiv_mismatch"] == max(each)
     assert rep.audits["hdiv_mismatch"] <= 1e-11

@@ -9,7 +9,7 @@ import fluxbound.geometry as geo
 from fluxbound.errors import NoConvergence, UnsolvableProblem
 
 import oracles
-from conftest import dense_projection_oracle, random_simplex
+from conftest import ZERO_DATA, dense_projection_oracle, random_simplex
 
 
 def one_element_mesh(pts, kappa, dirichlet=()):
@@ -115,7 +115,8 @@ def test_galerkin_orthogonality():
 
 def project_one(f, pts):
     """Vertex values of the elementwise L2 projection of f on the one-element mesh of pts."""
-    return fem.project_element_bulk(one_element_mesh(pts, 0.0), f)[0]
+    mesh = one_element_mesh(pts, 0.0)
+    return fem.project_element_bulk(mesh, fem.element_loads(mesh, f, 8))[0]
 
 
 def test_project_element_identities(unit_triangle, rng):
@@ -184,7 +185,7 @@ def test_galerkin_identity_energy():
 def test_energy_norm_fe_matches_quadrature(rng):
     mesh = geo.build_cube_mesh(2, 2, 2.5)
     vals = rng.standard_normal(mesh.n_points)
-    sol = fem.FemSolution.from_vertex_values(mesh, vals)
+    sol = fem.FemSolution.from_vertex_values(mesh, vals, ZERO_DATA)
     exact = oracles.energy_norm_fe(sol)
 
     uloc = vals[mesh.simplices]

@@ -10,7 +10,7 @@ import fluxbound.reconstruction as rec
 from fluxbound.errors import DivergenceAuditFailed, InvalidVariant
 
 import oracles
-from conftest import fd_divergence, one_simplex, random_simplex
+from conftest import ZERO_DATA, fd_divergence, one_simplex, random_simplex
 from test_fem import one_element_mesh
 
 
@@ -22,7 +22,7 @@ def benchmark_setup(dim, m, k1, k2):
     sol = fem.solve_problem(mesh, data)
     fluxes = eq.equilibrate(mesh, sol, data)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
-    pf = fem.project_element_bulk(mesh, data.f, 4)
+    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, 4))
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
     return mesh, data, sol, fluxes, R, r_vals
 
@@ -51,7 +51,7 @@ def test_residual_constant_field(unit_triangle):
         gplus[fid] = C @ normals[i]
     fluxes = eq.BoundaryFluxSet(gplus=gplus, alphas=np.zeros_like(gplus),
                                 avg=np.zeros(mesh.n_facets), eps_max_rel=0.0)
-    sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points))
+    sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points), ZERO_DATA)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     for i in range(3):
         assert np.abs(R[0, i] - C @ normals[i]).max() < 1e-14  # constant per facet
@@ -83,7 +83,8 @@ def test_variant1_normal_trace_matches_g():
     mesh, data, sol, fluxes, R, r_vals = benchmark_setup(3, 4, 1.0, 1.0)
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     variant = np.ones(mesh.n_elements, dtype=np.int8)
-    trace, g_exact = rec.facet_trace_values(mesh, sol.grad, v1, R, variant)
+    [trace] = rec.facet_trace_values(mesh, sol.grad, v1, R, variant[None])
+    g_exact = oracles.equilibrated_trace(mesh, R, sol.grad)
     scale = np.maximum(1.0, np.abs(g_exact).max(axis=2))
     assert (np.abs(trace - g_exact) / scale[:, :, None]).max() < 1e-11
 
@@ -266,7 +267,7 @@ def test_eta_zero_for_exact_solution(two_triangle_square):
     sol = fem.solve_problem(mesh, data)
     fluxes = eq.equilibrate(mesh, sol, data)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
-    pf = fem.project_element_bulk(mesh, data.f, 4)
+    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, 4))
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     first, resid_const = rec.eta1_terms(mesh, v1)
@@ -276,7 +277,7 @@ def test_eta_zero_for_exact_solution(two_triangle_square):
 
 def test_benchmark_divergence_audit_and_degree_stability():
     mesh, data, sol, fluxes, R, r_vals = benchmark_setup(3, 4, 1.0, 1.0)
-    pf = fem.project_element_bulk(mesh, data.f, 4)
+    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, 4))
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     first, resid_const = rec.eta1_terms(mesh, v1)
     worst = rec.divergence_audit(mesh, resid_const, pf, sol.u[mesh.simplices])
@@ -320,7 +321,7 @@ def test_eta2_rejects_zero_kappa_and_is_rowwise(rng):
     sol = fem.solve_problem(mesh, data)
     fluxes = eq.equilibrate(mesh, sol, data)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
-    pf = fem.project_element_bulk(mesh, data.f, 4)
+    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, 4))
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
     pos = np.flatnonzero(mesh.kappa > 0)
     kapparho = mesh.kappa[pos] * mesh.inradii[pos]
@@ -369,7 +370,7 @@ def test_eta1_hand_case_single_element(unit_triangle):
         gplus[fi] = c_hyp if abs(meas - math.sqrt(2)) < 1e-12 else c_leg
     fluxes = eq.BoundaryFluxSet(gplus=gplus, alphas=np.zeros_like(gplus),
                                 avg=np.zeros(3), eps_max_rel=0.0)
-    sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points))
+    sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points), ZERO_DATA)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     r_vals = np.ones((1, 3))  # Pi_K f = 1, kappa = 0
     v1 = rec.variant1_bulk(mesh, R, r_vals)
@@ -398,8 +399,9 @@ def test_mixed_variant_trace_mismatch():
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     variant = np.where(mesh.kappa * mesh.inradii > 1.0, 2, 1).astype(np.int8)
     assert set(np.unique(variant)) == {1, 2}
-    trace, g_exact = rec.facet_trace_values(mesh, sol.grad, v1, R, variant)
+    [trace] = rec.facet_trace_values(mesh, sol.grad, v1, R, variant[None])
     scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
     assert rec.trace_mismatch(mesh, trace, scale) < 1e-11
+    g_exact = oracles.equilibrated_trace(mesh, R, sol.grad)
     gscale = np.maximum(1.0, np.abs(g_exact).max(axis=2))
     assert (np.abs(trace - g_exact) / gscale[:, :, None]).max() < 1e-11
