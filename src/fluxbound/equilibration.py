@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleConstraints
-from .fem import FemSolution, ProblemData, _mass_inverse_times, _mass_times, data_values
+from .fem import FemSolution, _mass_inverse_times, _mass_times, data_values
 from .geometry import NEUMANN, Mesh
 from .quadrature import integrate_simplices
 
@@ -78,7 +78,7 @@ def _to_local_vertices(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
     return np.where(slot >= 0, out, 0.0)
 
 
-def residual_functionals(mesh: Mesh, sol: FemSolution, data: ProblemData) -> ResidualData:
+def residual_functionals(mesh: Mesh, sol: FemSolution) -> ResidualData:
     d = mesh.dim
     avg = facet_average(mesh, sol.grad)
 
@@ -89,7 +89,7 @@ def residual_functionals(mesh: Mesh, sol: FemSolution, data: ProblemData) -> Res
 
     fids = mesh.elem_facets
     tags = mesh.facet_tag[fids]                       # (ne, d+1)
-    neu = np.flatnonzero(mesh.facet_tag == NEUMANN)
+    neu = mesh.neumann
     gnl = np.zeros((mesh.n_elements, d + 1, d))       # the Neumann loads by element facet
     gnl[mesh.facet_elems[neu, 0], mesh.facet_local[neu, 0]] = sol.gn_loads
     Fg = _to_local_vertices(mesh, gnl).sum(axis=1)
@@ -107,13 +107,12 @@ def residual_functionals(mesh: Mesh, sol: FemSolution, data: ProblemData) -> Res
     if len(sel):
         # theta* = theta_n on dK and u_h is affine, so int grad u_h . grad theta*
         # = int_dK du_h/dn theta* = int grad u_h . grad theta_n = b_stiff
-        Dstar[sel] = (_extension_volume_terms(mesh, sol, data, sel) - b_stiff[sel]
+        Dstar[sel] = (_extension_volume_terms(mesh, sol, sel) - b_stiff[sel]
                       + Fg[sel] + avgterm[sel])
     return ResidualData(D=D, Dstar=Dstar, scale=scale, avg=avg)
 
 
-def _extension_volume_terms(mesh: Mesh, sol: FemSolution, data: ProblemData,
-                            sel: np.ndarray) -> np.ndarray:
+def _extension_volume_terms(mesh: Mesh, sol: FemSolution, sel: np.ndarray) -> np.ndarray:
     """int_K f theta* - kappa^2 int_K u_h theta* for the collapsed extensions, per vertex.
 
     The stiffness part of B_K(u_h, theta*) equals that of the plain hat and is
@@ -141,7 +140,7 @@ def _extension_volume_terms(mesh: Mesh, sol: FemSolution, data: ProblemData,
             su = np.concatenate([uloc[:, keep], u_p[:, None]], axis=1)
             # int f theta* by quadrature; the mass term is exact
             ft = integrate_simplices(
-                lambda x, lam: data_values(data.f, x, "f") * lam[local_slot],
+                lambda x, lam: data_values(sol.data.f, x, "f") * lam[local_slot],
                 sverts, svol, EXTENSION_DEGREE)
             mass = k2 * _mass_times(su, svol[:, None], d)[:, local_slot]
             out[:, n] += ft - mass
@@ -318,7 +317,7 @@ def equilibration_residuals(mesh: Mesh, resid: ResidualData, alphas: np.ndarray)
     return resid.D + _to_local_vertices(mesh, sigma[:, :, None] * alphas[fids]).sum(axis=1)
 
 
-def equilibrate(mesh: Mesh, sol: FemSolution, data: ProblemData, *,
+def equilibrate(mesh: Mesh, sol: FemSolution, *,
                 patch_report_path: str | None = None) -> BoundaryFluxSet:
     """Solve all vertex-patch problems and assemble the boundary fluxes.
 
@@ -327,10 +326,10 @@ def equilibrate(mesh: Mesh, sol: FemSolution, data: ProblemData, *,
     exact equilibration property against affine functions.
     """
     d = mesh.dim
-    resid = residual_functionals(mesh, sol, data)
+    resid = residual_functionals(mesh, sol)
     alphas, info = _solve_patches(mesh, resid, np.arange(mesh.n_points))
 
-    neu = np.flatnonzero(mesh.facet_tag == NEUMANN)
+    neu = mesh.neumann
     alphas[neu] = sol.gn_loads - resid.avg[neu, None] * (mesh.facet_measures[neu] / d)[:, None]
     gplus = resid.avg[:, None] + _mass_inverse_times(alphas, mesh.facet_measures[:, None], d - 1)
     gplus[neu] = _mass_inverse_times(sol.gn_loads, mesh.facet_measures[neu, None], d - 1)

@@ -23,7 +23,7 @@ import numpy as np
 from .equilibration import equilibrate
 from .errors import NegativeDifference
 from .fem import FemSolution, ProblemData, data_values, project_element_bulk
-from .geometry import NEUMANN, Mesh
+from .geometry import Mesh
 from .quadrature import integrate_simplices
 from . import reconstruction as rec
 
@@ -95,7 +95,7 @@ def oscillation_gN(mesh: Mesh, g_N: Callable | None, proj: np.ndarray) -> np.nda
     out = np.zeros(mesh.n_facets)
     if g_N is None:
         return out
-    neu = np.flatnonzero(mesh.facet_tag == NEUMANN)
+    neu = mesh.neumann
     pn = proj[neu]
     sq = integrate_simplices(lambda x, lam: (data_values(g_N, x, "g_N") - pn @ lam) ** 2,
                              mesh.points[mesh.facets[neu]], mesh.facet_measures[neu],
@@ -113,7 +113,7 @@ def oscillation_gN(mesh: Mesh, g_N: Callable | None, proj: np.ndarray) -> np.nda
 
 @dataclass
 class ErrorReport:
-    """Per-element indicators, totals, and effectivity indices."""
+    """Per-element indicators, totals, and audits."""
 
     strategy: str
     eta_k_tau: np.ndarray | None        # per-element eta_K of the tau selection
@@ -124,10 +124,6 @@ class ErrorReport:
     osc_gn: np.ndarray                  # per element (sum over its Neumann facets)
     eta_tau: float | None
     eta_taustar: float | None
-    true_error: float | None = None
-    true_error_direct: float | None = None
-    ieff_tau: float | None = None
-    ieff_taustar: float | None = None
     ndof: int = 0
     solver_iterations: int = 0
     audits: dict = field(default_factory=dict)
@@ -149,20 +145,19 @@ def _total(eta_k, osc_f, osc_gn) -> float:
 
 
 def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
-             strategy: str = "both", exact=None, *,
-             check_conformity: bool = False,
+             strategy: str = "both", *, check_conformity: bool = False,
              patch_report_path: str | None = None) -> ErrorReport:
     """Equilibrate, reconstruct, and evaluate the guaranteed error bound.
 
-    ``sol`` must come from ``data``: its loads enter the residuals and Pi_K f.
-    ``strategy`` is 'tau', 'taustar' or 'both'. When ``exact`` is given (an
-    object with vectorized ``value``/``gradient`` and optionally the analytic
-    ``energy2`` = F(u)), the true energy error and effectivity indices are
-    reported.
+    The problem is the one ``sol`` carries: ``mesh`` and ``data`` must be
+    ``sol.mesh`` and ``sol.data``, or ValueError is raised. ``strategy`` is
+    'tau', 'taustar' or 'both'.
     """
     if strategy not in ("tau", "taustar", "both"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    fluxes = equilibrate(mesh, sol, data, patch_report_path=patch_report_path)
+    if mesh is not sol.mesh or data != sol.data:
+        raise ValueError("estimate needs the mesh and data that sol was solved with")
+    fluxes = equilibrate(mesh, sol, patch_report_path=patch_report_path)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     pf_vals = project_element_bulk(mesh, sol.f_loads)
     u_loc = sol.u[mesh.simplices]
@@ -185,10 +180,10 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
         first2, second2 = rec.eta2_terms(mesh, R, r_vals, sel)
         eta2_sq[sel] = first2 + second2 / mesh.kappa[sel] ** 2
 
-    osc_f = oscillation_f(mesh, data.f, pf_vals)
-    osc_facet = oscillation_gN(mesh, data.g_N, fluxes.gplus)
+    osc_f = oscillation_f(mesh, sol.data.f, pf_vals)
+    osc_facet = oscillation_gN(mesh, sol.data.g_N, fluxes.gplus)
     osc_gn = np.zeros(mesh.n_elements)
-    neu = np.flatnonzero(mesh.facet_tag == NEUMANN)
+    neu = mesh.neumann
     np.add.at(osc_gn, mesh.facet_elems[neu, 0], osc_facet[neu])
 
     report = ErrorReport(
@@ -218,29 +213,30 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
         traces = rec.facet_trace_values(mesh, sol.grad, v1, R, np.stack(picks))
         scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
         report.audits["hdiv_mismatch"] = max(rec.trace_mismatch(mesh, t, scale) for t in traces)
-
-    if exact is not None:
-        direct, pyth = true_error(mesh, sol, exact)
-        err = pyth if pyth is not None else direct
-        report.true_error = err
-        report.true_error_direct = direct
-        if err > 0:
-            if report.eta_tau is not None:
-                report.ieff_tau = report.eta_tau / err
-            if report.eta_taustar is not None:
-                report.ieff_taustar = report.eta_taustar / err
     return report
+
+
+def energy_error(sol: FemSolution, energy2: float) -> float:
+    """|||u - u_h||| from the energies: sqrt(F(u) - 2 F(u_h) + |||u_h|||^2).
+
+    This is the Pythagoras difference |||u|||^2 - |||u_h|||^2 under exact
+    Galerkin orthogonality; ``energy2`` is the analytic value of F(u). Exact up
+    to round-off and free of boundary-layer quadrature error; raises
+    NegativeDifference when the radicand is negative beyond round-off.
+    """
+    radicand = float(energy2) - 2.0 * sol.compliance + sol.energy2
+    if radicand < -1e-12 * max(abs(float(energy2)), 1.0):
+        raise NegativeDifference(
+            f"energy-difference radicand {radicand:.3e} is negative beyond round-off")
+    return math.sqrt(max(radicand, 0.0))
 
 
 def true_error(mesh: Mesh, sol: FemSolution, exact):
     """Energy-norm error by two routes: direct quadrature and energy differences.
 
-    Route (a) integrates |grad(u - u_h)|^2 + kappa^2 (u - u_h)^2 elementwise.
-    Route (b) uses F(u) - 2 F(u_h) + |||u_h|||^2, which equals the Pythagoras
-    difference |||u|||^2 - |||u_h|||^2 under exact Galerkin orthogonality; it
-    needs ``exact.energy2`` (the analytic value of F(u)) and is exact up to
-    round-off, free of boundary-layer quadrature error. Returns (a, b);
-    b is None when energy2 is unavailable.
+    Route (a) integrates |grad(u - u_h)|^2 + kappa^2 (u - u_h)^2 elementwise
+    at degree TRUE_ERROR_DEGREE. Route (b) is ``energy_error`` and needs
+    ``exact.energy2``. Returns (a, b); b is None when energy2 is unavailable.
     """
     u_of = exact.value
     gu_of = exact.gradient
@@ -259,10 +255,4 @@ def true_error(mesh: Mesh, sol: FemSolution, exact):
     direct = math.sqrt(max(float(sq.sum()), 0.0))
 
     energy2 = getattr(exact, "energy2", None)
-    if energy2 is None:
-        return direct, None
-    radicand = float(energy2) - 2.0 * sol.compliance + sol.energy2
-    if radicand < -1e-12 * max(abs(float(energy2)), 1.0):
-        raise NegativeDifference(
-            f"energy-difference radicand {radicand:.3e} is negative beyond round-off")
-    return direct, math.sqrt(max(radicand, 0.0))
+    return direct, None if energy2 is None else energy_error(sol, energy2)

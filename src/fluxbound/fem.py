@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import NoConvergence, UnsolvableProblem
-from .geometry import NEUMANN, Mesh
+from .geometry import Mesh
 from .quadrature import integrate_simplices
 
 DENSE_CUTOFF = 200
@@ -72,9 +72,9 @@ def element_loads(mesh: Mesh, f: Callable, degree: int) -> np.ndarray:
 def neumann_loads(mesh: Mesh, g_N: Callable | None, degree: int) -> np.ndarray:
     """(n_N, d) integrals of g_N against the facet hat functions of the Neumann facets.
 
-    Rows follow ``np.flatnonzero(mesh.facet_tag == NEUMANN)``; zero when g_N is None.
+    Rows follow ``mesh.neumann``; zero when g_N is None.
     """
-    idx = np.flatnonzero(mesh.facet_tag == NEUMANN)
+    idx = mesh.neumann
     if g_N is None or len(idx) == 0:
         return np.zeros((len(idx), mesh.dim))
     return _hat_loads(g_N, "g_N", mesh.points[mesh.facets[idx]],
@@ -118,7 +118,7 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
     loads = element_loads(mesh, data.f, data.data_degree)
     np.add.at(b, dofs.ravel()[dofs.ravel() >= 0], loads.ravel()[dofs.ravel() >= 0])
     gl = neumann_loads(mesh, data.g_N, data.data_degree)
-    fdofs = vertex_to_dof[mesh.facets[mesh.facet_tag == NEUMANN]].ravel()
+    fdofs = vertex_to_dof[mesh.facets[mesh.neumann]].ravel()
     np.add.at(b, fdofs[fdofs >= 0], gl.ravel()[fdofs >= 0])
     return LinearSystem(A=A, b=b, free=free, vertex_to_dof=vertex_to_dof,
                         f_loads=loads, gn_loads=gl)
@@ -199,11 +199,12 @@ def solve(A, b, max_iter: int | None = None):
 
 @dataclass(frozen=True)
 class FemSolution:
-    """Nodal P1 solution with its per-element gradient, data loads and solver diagnostics.
+    """Nodal P1 solution with its problem data, data loads and solver diagnostics.
 
     ``f_loads``/``gn_loads`` are the hat loads of f and g_N at ``data_degree``, for
     a Galerkin u_h the arrays summed into b. The residuals, the Neumann fluxes and
-    Pi_K f read them here, so the patch problems use the loads of the solve.
+    Pi_K f read them here, so the patch problems use the loads of the solve; the
+    oscillations and the collapsed extensions evaluate ``data`` itself.
     """
 
     mesh: Mesh
@@ -214,6 +215,7 @@ class FemSolution:
     ndof: int
     energy2: float             # x . A x  =  |||u_h|||^2 (exact up to round-off)
     compliance: float          # b . x    =  F(u_h) up to data-quadrature error
+    data: ProblemData          # the data u_h was solved (or wrapped) with
     f_loads: np.ndarray        # (ne, d+1) integrals of f against the element hats
     gn_loads: np.ndarray       # (n_N, d) integrals of g_N against the Neumann facet hats
 
@@ -223,7 +225,7 @@ class FemSolution:
         u = np.asarray(values, dtype=float)
         grad = np.einsum("eid,ei->ed", mesh.bary_grads, u[mesh.simplices])
         return cls(mesh=mesh, u=u, grad=grad, iterations=0, residual=0.0,
-                   ndof=0, energy2=float("nan"), compliance=float("nan"),
+                   ndof=0, energy2=float("nan"), compliance=float("nan"), data=data,
                    f_loads=element_loads(mesh, data.f, data.data_degree),
                    gn_loads=neumann_loads(mesh, data.g_N, data.data_degree))
 
@@ -237,7 +239,7 @@ def solve_problem(mesh: Mesh, data: ProblemData) -> FemSolution:
     grad = np.einsum("eid,ei->ed", mesh.bary_grads, u[mesh.simplices])
     return FemSolution(mesh=mesh, u=u, grad=grad, iterations=iters, residual=res,
                        ndof=len(system.free), energy2=float(x @ (system.A @ x)),
-                       compliance=float(system.b @ x), f_loads=system.f_loads,
+                       compliance=float(system.b @ x), data=data, f_loads=system.f_loads,
                        gn_loads=system.gn_loads)
 
 

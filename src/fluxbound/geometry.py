@@ -227,14 +227,13 @@ class Mesh:
         return self.kappa * self.inradii > 1.0
 
     @property
+    def neumann(self) -> np.ndarray:
+        """Ids of the Neumann facets, in the row order of ``FemSolution.gn_loads``."""
+        return np.flatnonzero(self.facet_tag == NEUMANN)
+
+    @property
     def dirichlet_vertices(self) -> np.ndarray:
         return np.unique(self.facets[self.facet_tag == DIRICHLET])
-
-    def vertex_patch(self, v: int):
-        """(element ids, local vertex indices) of the elements sharing vertex v."""
-        lo, hi = self._vertex_elem_offsets[v], self._vertex_elem_offsets[v + 1]
-        data = self._vertex_elem_data[lo:hi]
-        return data[:, 0], data[:, 1]
 
     def vertex_facets(self, v: int):
         """(facet ids, slots) of the facets containing vertex v."""

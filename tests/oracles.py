@@ -1,7 +1,8 @@
 """Single-element references that the batched production code is checked against.
 
 * quadrature: ``integrate``/``integrate_facet`` on one simplex or facet;
-* geometry: ``locate`` (points to pieces and barycentric coordinates);
+* geometry: ``locate`` (points to pieces and barycentric coordinates) and
+  ``vertex_patch`` (the elements sharing one vertex);
 * projections and norms: ``project_facet``, ``energy_norm``, ``energy_norm_fe``;
 * equilibration: the collapsed extension ``extension``/``ExtensionFunction``
   and ``solve_vertex_patch_reference``, one vertex patch at a time;
@@ -79,6 +80,13 @@ def locate(simplices, x):
     lam[:, :, 0] += 1.0
     which = lam.min(axis=2).argmax(axis=1)
     return which, lam[np.arange(len(x)), which]
+
+
+def vertex_patch(mesh, v: int):
+    """(element ids, local vertex indices) of the elements sharing vertex v."""
+    lo, hi = mesh._vertex_elem_offsets[v], mesh._vertex_elem_offsets[v + 1]
+    data = mesh._vertex_elem_data[lo:hi]
+    return data[:, 0], data[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +377,7 @@ def solve_vertex_patch_reference(mesh, v: int, resid):
     and objective value for diagnostics. Raises InfeasibleConstraints when the
     equality constraints cannot be met.
     """
-    els, locs = mesh.vertex_patch(v)
+    els, locs = vertex_patch(mesh, v)
     fids, _ = mesh.vertex_facets(v)
     unknown = fids[mesh.facet_tag[fids] != NEUMANN]
     nu = len(unknown)

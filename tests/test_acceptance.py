@@ -30,25 +30,25 @@ BASELINE = Path(__file__).parent / "baselines" / "mesh_sweep_k100_d3.csv"
 KAPPA_BASELINE = Path(__file__).parent / "baselines" / "kappa_sweep_m16_d3.csv"
 
 
-def _check_or_record_baseline(path, key_name, values, keys):
-    """Compare (error, eta, eta*) triples against the stored CSV, or record it."""
+def _check_or_record_baseline(path, key_name, rows, keys):
+    """Compare the (error, eta, eta*) of benchmark rows with the stored CSV, or record it."""
     if path.exists():
         ref = {}
         for line in path.read_text().strip().splitlines()[1:]:
             parts = line.split(",")
             ref[parts[0]] = [float(x) for x in parts[1:]]
         for key in keys:
-            rep = values[key]
-            got = [rep.true_error, rep.eta_tau, rep.eta_taustar]
+            row = rows[key]
+            got = [row["true_error"], row["eta_tau"], row["eta_taustar"]]
             assert np.allclose(got, ref[f"{key:g}"], rtol=1e-6), key
         return "matched stored baselines"
     path.parent.mkdir(exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{key_name},true_error,eta_tau,eta_taustar\n")
         for key in keys:
-            rep = values[key]
-            fh.write(f"{key:g},{rep.true_error:.12g},{rep.eta_tau:.12g},"
-                     f"{rep.eta_taustar:.12g}\n")
+            row = rows[key]
+            fh.write(f"{key:g},{row['true_error']:.12g},{row['eta_tau']:.12g},"
+                     f"{row['eta_taustar']:.12g}\n")
     return "baselines recorded"
 
 _cache = {}
@@ -74,8 +74,8 @@ def test_criterion_1_guaranteed_upper_bound():
     worst = np.inf
     for m in CRIT1_M:
         for k1 in CRIT1_KAPPA1:
-            rep, _ = bench(3, m, k1)
-            err = rep.true_error
+            rep, row = bench(3, m, k1)
+            err = row["true_error"]
             assert rep.eta_tau >= err * (1.0 - REL_SLACK), (m, k1)
             assert rep.eta_taustar >= err * (1.0 - REL_SLACK), (m, k1)
             worst = min(worst, rep.eta_taustar / err)
@@ -89,16 +89,16 @@ def test_criterion_1_guaranteed_upper_bound():
 
 def test_criterion_2_kappa_robustness():
     ieffs = {}
-    reports = {}
+    rows = {}
     for k1 in SWEEP_KAPPA1:
-        rep, _ = bench(3, 16, k1)
-        ieffs[k1] = (rep.ieff_tau, rep.ieff_taustar)
-        reports[k1] = rep
-        assert 1.0 <= rep.ieff_taustar <= 3.0, k1
-        assert rep.ieff_taustar <= rep.ieff_tau * (1.0 + 1e-12), k1
+        _, row = bench(3, 16, k1)
+        ieffs[k1] = (row["ieff_tau"], row["ieff_taustar"])
+        rows[k1] = row
+        assert 1.0 <= row["ieff_taustar"] <= 3.0, k1
+        assert row["ieff_taustar"] <= row["ieff_tau"] * (1.0 + 1e-12), k1
     for k1 in (1e4, 1e6):
         assert 1.0 <= ieffs[k1][1] <= 1.5, k1
-    note = _check_or_record_baseline(KAPPA_BASELINE, "kappa1", reports, SWEEP_KAPPA1)
+    note = _check_or_record_baseline(KAPPA_BASELINE, "kappa1", rows, SWEEP_KAPPA1)
     spread = {k: round(v[1], 4) for k, v in ieffs.items()}
     _passline(f"criterion 2: I_eff(tau*) in [1,3] across the sweep, "
               f"[1,1.5] at kappa1 >= 1e4; values {spread}; {note}")
@@ -109,16 +109,16 @@ def test_criterion_2_kappa_robustness():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_mesh_robustness():
-    values = {}
+    rows = {}
     for m in MESH_SWEEP:
-        rep, _ = bench(3, m, 1e2)
-        values[m] = rep
-        assert rep.ieff_taustar >= 1.0 - 1e-12, m
+        _, row = bench(3, m, 1e2)
+        rows[m] = row
+        assert row["ieff_taustar"] >= 1.0 - 1e-12, m
     for m in (2, 32):
-        assert 1.0 <= values[m].ieff_taustar <= 3.0, m
+        assert 1.0 <= rows[m]["ieff_taustar"] <= 3.0, m
     # intermediate-regime values are regression baselines, not assertions
-    note = _check_or_record_baseline(BASELINE, "M", values, MESH_SWEEP)
-    ieffs = {m: round(values[m].ieff_taustar, 4) for m in MESH_SWEEP}
+    note = _check_or_record_baseline(BASELINE, "M", rows, MESH_SWEEP)
+    ieffs = {m: round(rows[m]["ieff_taustar"], 4) for m in MESH_SWEEP}
     _passline(f"criterion 3: I_eff(tau*) >= 1 on the mesh sweep, extremes in "
               f"[1,3]; values {ieffs}; {note}")
 
@@ -197,7 +197,7 @@ def test_criterion_7_trace_monte_carlo():
 # ---------------------------------------------------------------------------
 
 def _patch_system(mesh, v, resid):
-    els, locs = mesh.vertex_patch(v)
+    els, locs = oracles.vertex_patch(mesh, v)
     fids, _ = mesh.vertex_facets(v)
     unknown = fids[mesh.facet_tag[fids] != geo.NEUMANN]
     rows = np.zeros((len(els), len(unknown)))
@@ -215,7 +215,7 @@ def _patch_system(mesh, v, resid):
 
 
 def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):
-    fluxes = eq.equilibrate(mesh, sol, data)
+    fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, data.data_degree))
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
@@ -251,7 +251,7 @@ def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):
     assert np.abs(o_lo - o_hi).max() < 1e-10 * max(o_lo.max(), dscale, 1e-300)
 
     # patch alpha solves vs the dense KKT oracle
-    resid = eq.residual_functionals(mesh, sol, data)
+    resid = eq.residual_functionals(mesh, sol)
     verts = rng.choice(mesh.n_points, size=min(n_patch, mesh.n_points), replace=False)
     for v in verts:
         C, c, E, e, unknown = _patch_system(mesh, v, resid)
@@ -322,8 +322,8 @@ def test_criterion_8_oracle_equivalence():
 def test_criterion_9_two_dimensional_benchmark():
     for m in (4, 16, 64):
         for k1 in CRIT1_KAPPA1:
-            rep, _ = bench(2, m, k1)
-            err = rep.true_error
+            rep, row = bench(2, m, k1)
+            err = row["true_error"]
             assert rep.eta_tau >= err * (1.0 - REL_SLACK), (m, k1)
             assert rep.eta_taustar >= err * (1.0 - REL_SLACK), (m, k1)
             assert rep.audits["divergence_residual"] <= 1e-9
@@ -397,7 +397,7 @@ def _single_simplex_suite(d, rng, kappa_rho_target):
     assert rep.audits["divergence_residual"] <= 1e-9
     assert rep.audits["equilibration_residual"] <= 1e-9
     # criterion 6 analogue: the element trace must reproduce g_K
-    fluxes = eq.equilibrate(mesh, sol, data)
+    fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, 8))
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]

@@ -67,8 +67,11 @@ def test_benchmark_smoke_passes_meet_their_gate(monkeypatch, tmp_path):
     assert metrics["data.gN_points"] > 0
 
 
-def test_estimate_accepts_patch_report_path():
-    assert "patch_report_path" in inspect.signature(fluxbound.estimate).parameters
+def test_estimate_parameters():
+    # the benchmark passes (mesh, sol, data, strategy) positionally and the
+    # rest by keyword; a knob added or dropped here must be a deliberate change
+    assert list(inspect.signature(fluxbound.estimate).parameters) == [
+        "mesh", "sol", "data", "strategy", "check_conformity", "patch_report_path"]
 
 
 def test_public_names():

