@@ -6,10 +6,14 @@ homogeneous Neumann conditions elsewhere. The exact solution depends on x1
 only; its four exponential coefficients follow from the boundary values and C1
 continuity at the interface. All exponentials are stored in the decaying form
 exp(-kappa * distance-to-anchor), so kappa2 = 1e6 causes no overflow.
+
+``sweep_kappa`` and ``sweep_mesh`` return the validated ``RunConfig``s of the
+paper's two robustness sweeps; ``run_benchmark`` runs one configuration and
+returns its CSV row, and ``write_csv`` streams rows to an open file.
 """
 from __future__ import annotations
 
-import io
+import itertools
 import math
 import time
 import warnings
@@ -20,7 +24,7 @@ import numpy as np
 from .errors import KappaJumpWarning, SingularSystem
 from .estimator import energy_error, estimate
 from .fem import ProblemData, solve_problem
-from .geometry import Mesh, build_cube_mesh, read_mesh
+from .geometry import Mesh, build_cube_mesh
 
 CSV_HEADER = ("d,M,ndof,kappa1,kappa2,true_error,eta_tau,eta_taustar,"
               "osc_f,osc_gn,ieff_tau,ieff_taustar,solver_iters,runtime_ms")
@@ -115,8 +119,6 @@ class RunConfig:
     kappa1: float = 100.0
     kappa2: float = 1.0e6
     strategy: str = "both"
-    out: str | None = None
-    verbose: bool = False
     conformity: bool = False
 
     def __post_init__(self):
@@ -124,6 +126,18 @@ class RunConfig:
             raise ValueError("M must be >= 1")
         if not 0 < self.kappa1 <= self.kappa2:
             raise ValueError("need 0 < kappa1 <= kappa2")
+
+
+def sweep_kappa(config: RunConfig, kappa1_list=None) -> list[RunConfig]:
+    """One configuration per kappa1 (default sweep 1e-3 ... 1e6 at the configured M)."""
+    values = DEFAULT_KAPPA1_SWEEP if kappa1_list is None else kappa1_list
+    return [replace(config, kappa1=float(k1)) for k1 in values]
+
+
+def sweep_mesh(config: RunConfig, m_list=None) -> list[RunConfig]:
+    """One configuration per mesh size M (default 2, 4, 8, 16, 32)."""
+    values = DEFAULT_MESH_SWEEP if m_list is None else m_list
+    return [replace(config, m=int(m)) for m in values]
 
 
 def benchmark_mesh(config: RunConfig) -> Mesh:
@@ -139,13 +153,14 @@ def benchmark_data(config: RunConfig) -> ProblemData:
     return ProblemData(f=lambda x: np.full(len(x), f_val), g_N=None, data_degree=2)
 
 
-def run_benchmark(config: RunConfig, mesh: Mesh | None = None):
+def run_benchmark(config: RunConfig, mesh: Mesh | None = None,
+                  patch_report_path: str | None = None):
     """Build, solve, equilibrate and estimate one configuration.
 
     Returns ``(report, row)`` where row is the CSV record. The true error is
     the exact solution's ``energy_error``. When ``mesh`` is supplied (e.g. from a
     mesh file) it is used as-is and there is no exact solution, so the
-    true-error columns stay empty.
+    true-error columns stay empty. ``patch_report_path`` goes to ``estimate``.
     """
     t0 = time.perf_counter()
     exact = None
@@ -154,10 +169,9 @@ def run_benchmark(config: RunConfig, mesh: Mesh | None = None):
         exact = exact_solution(config.kappa1, config.kappa2, config.dim)
     data = benchmark_data(config)
     sol = solve_problem(mesh, data)
-    patches = f"{config.out}.patches.csv" if (config.verbose and config.out) else None
     report = estimate(mesh, sol, data, config.strategy,
                       check_conformity=config.conformity,
-                      patch_report_path=patches)
+                      patch_report_path=patch_report_path)
     err = None if exact is None else energy_error(sol, exact.energy2)
     ms = (time.perf_counter() - t0) * 1000.0
     row = {
@@ -178,77 +192,17 @@ def _ieff(eta, err):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+    # the integer columns stay far below 1e12, where .12g prints them exactly
+    return "" if value is None else f"{value:.12g}"
 
 
 def format_row(row: dict) -> str:
     return ",".join(_fmt(row[k]) for k in CSV_HEADER.split(","))
 
 
-class CsvSink:
-    """Writes rows as they arrive so partial results survive a failure."""
-
-    def __init__(self, path: str | None):
-        self.path = path
-        self.rows: list[dict] = []
-        self._fh = open(path, "w", encoding="utf-8") if path else None
-        self._write_line(CSV_HEADER)
-
-    def _write_line(self, line: str):
-        if self._fh:
-            self._fh.write(line + "\n")
-            self._fh.flush()
-
-    def add(self, row: dict):
-        self.rows.append(row)
-        self._write_line(format_row(row))
-
-    def close(self):
-        if self._fh:
-            self._fh.close()
-            self._fh = None
-
-    def text(self) -> str:
-        buf = io.StringIO()
-        buf.write(CSV_HEADER + "\n")
-        for row in self.rows:
-            buf.write(format_row(row) + "\n")
-        return buf.getvalue()
-
-
-def _sweep(config: RunConfig, field: str, values) -> CsvSink:
-    sink = CsvSink(config.out)
-    try:
-        for value in values:
-            _, row = run_benchmark(replace(config, out=None, **{field: value}))
-            sink.add(row)
-    finally:
-        sink.close()
-    return sink
-
-
-def sweep_kappa(config: RunConfig, kappa1_list=None) -> CsvSink:
-    """One CSV row per kappa1 (default sweep 1e-3 ... 1e6 at the configured M)."""
-    values = DEFAULT_KAPPA1_SWEEP if kappa1_list is None else kappa1_list
-    return _sweep(config, "kappa1", [float(k1) for k1 in values])
-
-
-def sweep_mesh(config: RunConfig, m_list=None) -> CsvSink:
-    """One CSV row per mesh size M (default 2, 4, 8, 16, 32)."""
-    values = DEFAULT_MESH_SWEEP if m_list is None else m_list
-    return _sweep(config, "m", [int(m) for m in values])
-
-
-def run_single(config: RunConfig, mesh_path: str | None = None) -> CsvSink:
-    sink = CsvSink(config.out)
-    try:
-        mesh = read_mesh(mesh_path) if mesh_path else None
-        _, row = run_benchmark(config, mesh=mesh)
-        sink.add(row)
-    finally:
-        sink.close()
-    return sink
+def write_csv(rows, fh) -> None:
+    """Write the header, then each row of ``rows`` as it arrives, flushing every
+    line so that the rows before a failed run survive it, on a file or stdout."""
+    for line in itertools.chain([CSV_HEADER], map(format_row, rows)):
+        fh.write(line + "\n")
+        fh.flush()

@@ -1,27 +1,27 @@
 """Command-line driver for the cube benchmark and mesh-file runs.
 
 Exit codes: 0 success, 2 estimator audit failure, 3 solver failure, 4 input
-error (a malformed, degenerate or non-conforming mesh file, or a file that
-cannot be opened).
+error (a usage error, an invalid value such as M < 1 or kappa1 > kappa2, a
+malformed, degenerate or non-conforming mesh file, or a file that cannot be
+opened).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
-from .benchmark import RunConfig, run_single, sweep_kappa, sweep_mesh
+from .benchmark import (DEFAULT_KAPPA1_SWEEP, DEFAULT_MESH_SWEEP, RunConfig, run_benchmark,
+                        sweep_kappa, sweep_mesh, write_csv)
 from .errors import (DegenerateSimplex, DivergenceAuditFailed, InfeasibleConstraints,
                      MeshFormatError, NoConvergence, NonConformingMesh, UnsolvableProblem)
+from .geometry import read_mesh
 
 EXIT_OK, EXIT_AUDIT, EXIT_SOLVER, EXIT_INPUT = 0, 2, 3, 4
 
 
-def _float_list(text: str):
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
-def _int_list(text: str):
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _values(text: str) -> list[str]:
+    return text.replace(",", " ").split()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,32 +34,46 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--m", type=int, default=16, help="subcubes per edge")
     est.add_argument("--kappa1", type=float, default=100.0)
     est.add_argument("--kappa2", type=float, default=1.0e6)
-    est.add_argument("--sweep-kappa", nargs="?", const="default", metavar="LIST",
-                     help="comma-separated kappa1 values (default sweep 1e-3..1e6)")
-    est.add_argument("--sweep-mesh", nargs="?", const="default", metavar="LIST",
-                     help="comma-separated M values (default 2,4,8,16,32)")
+    source = est.add_mutually_exclusive_group()
+    source.add_argument("--sweep-kappa", nargs="?", const=DEFAULT_KAPPA1_SWEEP, type=_values,
+                        metavar="LIST", help="comma-separated kappa1 values (default 1e-3..1e6)")
+    source.add_argument("--sweep-mesh", nargs="?", const=DEFAULT_MESH_SWEEP, type=_values,
+                        metavar="LIST", help="comma-separated M values (default 2,4,8,16,32)")
+    source.add_argument("--mesh", metavar="FILE", help="run on a mesh file instead of the cube")
     est.add_argument("--strategy", choices=("tau", "taustar", "both"), default="both")
-    est.add_argument("--mesh", metavar="FILE", help="run on a mesh file instead of the cube")
     est.add_argument("--out", metavar="FILE.csv", help="write CSV here (default: stdout)")
     est.add_argument("--verbose", action="store_true")
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _configurations(args) -> list[RunConfig]:
+    """The validated runs the arguments ask for; raises ValueError on a bad value."""
     # during a kappa sweep the base kappa1 is replaced per row; keep it valid
     kappa1 = args.kappa1 if args.sweep_kappa is None else min(args.kappa1, args.kappa2)
     config = RunConfig(dim=args.dim, m=args.m, kappa1=kappa1, kappa2=args.kappa2,
-                       strategy=args.strategy, out=args.out, verbose=args.verbose)
+                       strategy=args.strategy)
+    if args.sweep_kappa is not None:
+        return sweep_kappa(config, args.sweep_kappa)
+    return [config] if args.sweep_mesh is None else sweep_mesh(config, args.sweep_mesh)
+
+
+def main(argv=None) -> int:
     try:
-        if args.sweep_kappa is not None:
-            values = None if args.sweep_kappa == "default" else _float_list(args.sweep_kappa)
-            sink = sweep_kappa(config, values)
-        elif args.sweep_mesh is not None:
-            values = None if args.sweep_mesh == "default" else _int_list(args.sweep_mesh)
-            sink = sweep_mesh(config, values)
-        else:
-            sink = run_single(config, mesh_path=args.mesh)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 2 on a usage error, which is EXIT_AUDIT here
+        return EXIT_INPUT if exc.code else EXIT_OK
+    try:
+        configs = _configurations(args)
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    single = args.sweep_kappa is None and args.sweep_mesh is None
+    patches = f"{args.out}.patches.csv" if single and args.verbose and args.out else None
+    try:
+        mesh = read_mesh(args.mesh) if args.mesh else None
+        with (open(args.out, "w", encoding="utf-8") if args.out
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            write_csv((run_benchmark(c, mesh, patches)[1] for c in configs), fh)
     except (DivergenceAuditFailed, InfeasibleConstraints) as exc:
         print(f"estimator audit failure: {exc}", file=sys.stderr)
         return EXIT_AUDIT
@@ -69,10 +83,8 @@ def main(argv=None) -> int:
     except (MeshFormatError, DegenerateSimplex, NonConformingMesh, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if not args.out:
-        sys.stdout.write(sink.text())
-    elif args.verbose:
-        print(f"wrote {len(sink.rows)} rows to {args.out}")
+    if args.out and args.verbose:
+        print(f"wrote {len(configs)} rows to {args.out}")
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InfeasibleConstraints
 from .fem import FemSolution, _mass_inverse_times, _mass_times, data_values
-from .geometry import NEUMANN, Mesh
+from .geometry import NEUMANN, Mesh, facet_vertices
 from .quadrature import integrate_simplices
 
 RANK_TOL = 1e-12        # relative singular value cutoff in the patch solves
@@ -70,12 +70,14 @@ class ResidualData:
     avg: np.ndarray
 
 
-def _to_local_vertices(mesh: Mesh, vals: np.ndarray) -> np.ndarray:
+def _to_local_vertices(vals: np.ndarray) -> np.ndarray:
     """out[e, i, n]: value at local vertex n of the (ne, d+1, d) facet-vertex data
-    ``vals[e, i]`` of facet i (opposite local vertex i), zero on the diagonal."""
-    slot = mesh.elem_facet_slot
-    out = np.take_along_axis(vals, np.clip(slot, 0, mesh.dim - 1), axis=2)
-    return np.where(slot >= 0, out, 0.0)
+    ``vals[e, i]`` of facet i (opposite local vertex i), zero on the diagonal.
+    The slots of facet i are the local vertices facet_vertices(d)[i]."""
+    ne, dp1, d = vals.shape
+    out = np.zeros((ne, dp1, dp1))
+    out[:, np.arange(dp1)[:, None], facet_vertices(d)] = vals
+    return out
 
 
 def residual_functionals(mesh: Mesh, sol: FemSolution) -> ResidualData:
@@ -92,7 +94,7 @@ def residual_functionals(mesh: Mesh, sol: FemSolution) -> ResidualData:
     neu = mesh.neumann
     gnl = np.zeros((mesh.n_elements, d + 1, d))       # the Neumann loads by element facet
     gnl[mesh.facet_elems[neu, 0], mesh.facet_local[neu, 0]] = sol.gn_loads
-    Fg = _to_local_vertices(mesh, gnl).sum(axis=1)
+    Fg = _to_local_vertices(gnl).sum(axis=1)
 
     per_facet = np.where(tags != NEUMANN,
                          mesh.elem_sigma * avg[fids] * mesh.facet_measures[fids] / d, 0.0)
@@ -125,7 +127,7 @@ def _extension_volume_terms(mesh: Mesh, sol: FemSolution, sel: np.ndarray) -> np
     delta = 1.0 / (d * mesh.kappa[sel] * mesh.inradii[sel])  # kappa*rho > 1 on sel
     svol = delta * mesh.volumes[sel]   # |S_i| = lambda_i(x_P) |K| for every i != n
     out = np.zeros((len(sel), d + 1))
-    others = [np.delete(np.arange(d + 1), i) for i in range(d + 1)]
+    others = facet_vertices(d)
     for n in range(d + 1):
         coeff = np.full((len(sel), d + 1), delta[:, None])
         coeff[:, n] = 1.0 - d * delta
@@ -136,7 +138,7 @@ def _extension_volume_terms(mesh: Mesh, sol: FemSolution, sel: np.ndarray) -> np
                 continue   # theta* vanishes on the subsimplex opposite its vertex
             keep = others[i]
             sverts = np.concatenate([pts[:, keep], x_p[:, None, :]], axis=1)
-            local_slot = int(np.searchsorted(keep, n))
+            local_slot = n - (n > i)   # the position of n in others[i]
             su = np.concatenate([uloc[:, keep], u_p[:, None]], axis=1)
             # int f theta* by quadrature; the mass term is exact
             ft = integrate_simplices(
@@ -314,7 +316,7 @@ def equilibration_residuals(mesh: Mesh, resid: ResidualData, alphas: np.ndarray)
     """Assembled residuals eps[e, n] = D[e, n] + sum sigma * alpha over the vertex's facets."""
     fids = mesh.elem_facets
     sigma = np.where(mesh.facet_tag[fids] != NEUMANN, mesh.elem_sigma, 0)
-    return resid.D + _to_local_vertices(mesh, sigma[:, :, None] * alphas[fids]).sum(axis=1)
+    return resid.D + _to_local_vertices(sigma[:, :, None] * alphas[fids]).sum(axis=1)
 
 
 def equilibrate(mesh: Mesh, sol: FemSolution, *,

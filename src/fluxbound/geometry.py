@@ -7,7 +7,9 @@ Conventions used throughout the package:
   independent of the input ordering);
 * a local facet index i refers to the facet opposite local vertex i;
 * facet vertex ids are stored sorted ascending ("canonical facet order") and
-  per-facet vertex data (flux values, residuals) follows that order;
+  per-facet vertex data (flux values, residuals) follows that order; with the
+  sorted element vertices this makes slot j of facet i the local vertex
+  ``facet_vertices(d)[i, j]``, the same for every element;
 * each facet carries an orientation sign: +1 for the incident element with the
   smaller element id (the "plus side"), -1 for the other.
 
@@ -16,7 +18,7 @@ Mesh text format (whitespace separated, '#' comments):
     DIM d
     POINTS n        followed by n lines of d coordinates
     CELLS m         followed by m lines of d+1 vertex ids and kappa
-    BOUNDARY k      followed by k lines of d vertex ids and a tag D or N
+    BOUNDARY k      followed by k lines of d vertex ids and a tag D or N, one per facet
 """
 from __future__ import annotations
 
@@ -108,6 +110,14 @@ def simplex_geometry(pts) -> SimplexGeometry:
 # facet adjacency
 # ---------------------------------------------------------------------------
 
+def facet_vertices(d: int) -> np.ndarray:
+    """(d+1, d) table: row i lists the local vertices of facet i, all but i, in
+    element order. Element and facet vertex ids are both stored sorted, so value
+    j of the per-vertex data of facet i belongs to local vertex [i, j]."""
+    j = np.arange(d)
+    return j + (j >= np.arange(d + 1)[:, None])
+
+
 def build_facet_adjacency(simplices: np.ndarray):
     """Facet table of a conforming element list.
 
@@ -119,12 +129,7 @@ def build_facet_adjacency(simplices: np.ndarray):
     """
     ne, dp1 = simplices.shape
     d = dp1 - 1
-    faces = np.empty((ne * dp1, d), dtype=simplices.dtype)
-    for i in range(dp1):
-        faces[i::dp1] = np.delete(simplices, i, axis=1)
-    owner_elem = np.repeat(np.arange(ne), dp1)
-    owner_local = np.tile(np.arange(dp1), ne)
-
+    faces = simplices[:, facet_vertices(d)].reshape(ne * dp1, d)  # row e*(d+1)+i: facet i of e
     order = np.lexsort(faces.T[::-1])
     faces_sorted = faces[order]
     new_group = np.ones(len(faces_sorted), dtype=bool)
@@ -141,8 +146,7 @@ def build_facet_adjacency(simplices: np.ndarray):
     facets = faces_sorted[new_group]
     facet_elems = np.full((nf, 2), -1, dtype=np.int64)
     facet_local = np.full((nf, 2), -1, dtype=np.int64)
-    elems_sorted = owner_elem[order]
-    locals_sorted = owner_local[order]
+    elems_sorted, locals_sorted = np.divmod(order, dp1)
     starts = np.flatnonzero(new_group)
     # lexsort is stable and faces are laid out element by element, so the first
     # face of a group belongs to the smaller element id: side 0 is the plus side
@@ -153,11 +157,9 @@ def build_facet_adjacency(simplices: np.ndarray):
     facet_local[two, 1] = locals_sorted[starts[two] + 1]
 
     elem_facets = np.empty((ne, dp1), dtype=np.int64)
+    elem_facets.flat[order] = group_ids
     elem_sigma = np.empty((ne, dp1), dtype=np.int8)
-    for side in (0, 1):
-        mask = facet_elems[:, side] >= 0
-        elem_facets[facet_elems[mask, side], facet_local[mask, side]] = np.flatnonzero(mask)
-        elem_sigma[facet_elems[mask, side], facet_local[mask, side]] = 1 if side == 0 else -1
+    elem_sigma.flat[order] = np.where(new_group, 1, -1)
     return facets, facet_elems, facet_local, elem_facets, elem_sigma
 
 
@@ -190,7 +192,6 @@ class Mesh:
     facet_tag: np.ndarray       # (nf,), INTERIOR / DIRICHLET / NEUMANN
     elem_facets: np.ndarray     # (ne, d+1)
     elem_sigma: np.ndarray      # (ne, d+1)
-    elem_facet_slot: np.ndarray  # (ne, d+1, d+1) position of vertex n in facet i, -1 on diagonal
     volumes: np.ndarray         # (ne,)
     bary_grads: np.ndarray      # (ne, d+1, d)
     facet_measures: np.ndarray  # (nf,)
@@ -247,17 +248,6 @@ class Mesh:
         return -g / np.linalg.norm(g, axis=2, keepdims=True)
 
 
-def _facet_slots(simplices: np.ndarray, facets: np.ndarray, elem_facets: np.ndarray):
-    # slot[e, i, n]: index of global vertex simplices[e, n] within facet elem_facets[e, i]
-    fverts = facets[elem_facets]                    # (ne, d+1, d)
-    gids = simplices[:, None, :, None]              # (ne, 1, d+1, 1)
-    slot = (fverts[:, :, None, :] < gids).sum(axis=3).astype(np.int8)
-    dp1 = simplices.shape[1]
-    diag = np.arange(dp1)
-    slot[:, diag, diag] = -1
-    return slot
-
-
 def build_mesh(points, cells, kappa, boundary) -> Mesh:
     """Construct a canonical immutable mesh.
 
@@ -278,6 +268,8 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
     cells = np.ascontiguousarray(cells, dtype=np.int64)
     if cells.ndim != 2 or cells.shape[1] != d + 1:
         raise ValueError("cells must be an (ne, d+1) array")
+    if np.any(cells < 0) or np.any(cells >= len(points)):
+        raise ValueError("cell vertex id out of range")
     kappa = np.broadcast_to(np.asarray(kappa, dtype=float), (len(cells),)).copy()
     if np.any(kappa < 0) or not np.all(np.isfinite(kappa)):
         raise ValueError("kappa must be finite and nonnegative")
@@ -333,7 +325,6 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
         dim=d, points=points, simplices=cells, kappa=kappa,
         facets=facets, facet_elems=facet_elems, facet_local=facet_local,
         facet_tag=facet_tag, elem_facets=elem_facets, elem_sigma=elem_sigma,
-        elem_facet_slot=_facet_slots(cells, facets, elem_facets),
         volumes=geom.volumes, bary_grads=geom.grads, facet_measures=facet_measures,
         diameters=geom.diameters, inradii=geom.inradii, incentres=geom.incentres,
         centroids=geom.centroids,
@@ -403,16 +394,10 @@ def build_cube_mesh(M: int, dim: int, kappa_fn) -> Mesh:
 # mesh text format
 # ---------------------------------------------------------------------------
 
-def _tokens(text: str):
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        yield from body.split()
-
-
 def read_mesh(path) -> Mesh:
     """Read a mesh file in the text format (see module docstring)."""
     with open(path, "r", encoding="utf-8") as fh:
-        toks = list(_tokens(fh.read()))
+        toks = [tok for line in fh for tok in line.split("#", 1)[0].split()]
     pos = 0
 
     def expect(kw):
@@ -453,14 +438,17 @@ def read_mesh(path) -> Mesh:
         cells[i] = take(d + 1, int)
         kappa[i] = take(1, float)[0]
     k = count("BOUNDARY")
-    boundary = {tuple(sorted(take(d, int))): take(1, str)[0] for _ in range(k)}
+    boundary = {}
+    for _ in range(k):
+        key = tuple(sorted(take(d, int)))
+        if key in boundary:
+            raise MeshFormatError(f"boundary facet {key} is listed twice")
+        boundary[key] = take(1, str)[0]
     if pos != len(toks):
         raise MeshFormatError(f"trailing tokens starting at {toks[pos]!r}")
-    if np.any(cells < 0) or np.any(cells >= n):
-        raise MeshFormatError("cell vertex id out of range")
     try:
         return build_mesh(points, cells, kappa, boundary)
-    except ValueError as exc:   # e.g. a negative kappa or a repeated vertex id
+    except ValueError as exc:   # e.g. a negative kappa or a bad vertex id
         raise MeshFormatError(str(exc)) from None
 
 

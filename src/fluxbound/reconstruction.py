@@ -23,7 +23,7 @@ import numpy as np
 from .equilibration import BoundaryFluxSet, _to_local_vertices
 from .errors import DivergenceAuditFailed, InvalidVariant
 from .fem import _mass_norm_sq
-from .geometry import Mesh
+from .geometry import Mesh, facet_vertices
 from .quadrature import integrate_simplices, rule_for
 
 ETA1_DEGREE = 4         # |tau_L + tau_Q|^2 has degree 4
@@ -68,7 +68,7 @@ def _variant1_coeffs(pts, g, rv, r_vals) -> Variant1Bulk:
 
 def variant1_bulk(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray) -> Variant1Bulk:
     return _variant1_coeffs(mesh.points[mesh.simplices], mesh.bary_grads,
-                            _to_local_vertices(mesh, R), r_vals)
+                            _to_local_vertices(R), r_vals)
 
 
 def _tau_q_pairs(pts, grad_r):
@@ -142,8 +142,8 @@ def _facet_setup(pts, g, Rf, i: int):
     R(x) = a.x + b of the residual, constant along the facet normal (a
     orthogonal to ed), and the inward unit normal ed.
     """
-    k, dp1, d = pts.shape
-    F = pts[:, [j for j in range(dp1) if j != i]]
+    k, _, d = pts.shape
+    F = pts[:, facet_vertices(d)[i]]
     ed = g[:, i] / np.linalg.norm(g[:, i], axis=1, keepdims=True)
     A = np.empty((k, d, d))
     A[:, :d - 1] = F[:, 1:] - F[:, :1]

@@ -1,8 +1,9 @@
 """Single-element references that the batched production code is checked against.
 
 * quadrature: ``integrate``/``integrate_facet`` on one simplex or facet;
-* geometry: ``locate`` (points to pieces and barycentric coordinates) and
-  ``vertex_patch`` (the elements sharing one vertex);
+* geometry: ``locate`` (points to pieces and barycentric coordinates),
+  ``vertex_patch`` (the elements sharing one vertex) and ``facet_slots`` /
+  ``to_local_vertices`` (facet-vertex data by element vertex, found by search);
 * projections and norms: ``project_facet``, ``energy_norm``, ``energy_norm_fe``;
 * equilibration: the collapsed extension ``extension``/``ExtensionFunction``
   and ``solve_vertex_patch_reference``, one vertex patch at a time;
@@ -87,6 +88,25 @@ def vertex_patch(mesh, v: int):
     lo, hi = mesh._vertex_elem_offsets[v], mesh._vertex_elem_offsets[v + 1]
     data = mesh._vertex_elem_data[lo:hi]
     return data[:, 0], data[:, 1]
+
+
+def facet_slots(mesh) -> np.ndarray:
+    """slot[e, i, n]: position of the global vertex simplices[e, n] within facet
+    elem_facets[e, i], found by counting its smaller facet vertex ids; -1 on the
+    diagonal, where the vertex is not on the facet."""
+    fverts = mesh.facets[mesh.elem_facets]                            # (ne, d+1, d)
+    slot = (fverts[:, :, None, :] < mesh.simplices[:, None, :, None]).sum(axis=3)
+    diag = np.arange(mesh.dim + 1)
+    slot[:, diag, diag] = -1
+    return slot
+
+
+def to_local_vertices(mesh, vals) -> np.ndarray:
+    """out[e, i, n]: the (ne, d+1, d) facet-vertex data ``vals[e, i]`` at local
+    vertex n, gathered through ``facet_slots``; zero on the diagonal."""
+    slot = facet_slots(mesh)
+    out = np.take_along_axis(vals, np.clip(slot, 0, mesh.dim - 1), axis=2)
+    return np.where(slot >= 0, out, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,7 @@ def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):
         assert np.abs(alpha - oracle).max() < 1e-9 * pscale
 
     # divergence closures vs central finite differences
-    Rv_all = eq._to_local_vertices(mesh, R)
+    Rv_all = eq._to_local_vertices(R)
     for e in rng.choice(mesh.n_elements, size=min(n_div, mesh.n_elements),
                         replace=False):
         pts = mesh.points[mesh.simplices[e]]

@@ -6,6 +6,7 @@ cleanup of the package could drop a per-layer metric without a failure.
 perfbench/workloads.py calls the package directly: a changed signature
 breaks it, which the smoke passes below catch in-process.
 """
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -72,6 +73,15 @@ def test_estimate_parameters():
     # rest by keyword; a knob added or dropped here must be a deliberate change
     assert list(inspect.signature(fluxbound.estimate).parameters) == [
         "mesh", "sol", "data", "strategy", "check_conformity", "patch_report_path"]
+
+
+def test_run_layer_parameters():
+    # the CLI passes the patch report path to run_benchmark; output paths and
+    # verbosity are not part of a run's configuration
+    assert list(inspect.signature(fluxbound.run_benchmark).parameters) == [
+        "config", "mesh", "patch_report_path"]
+    assert [f.name for f in dataclasses.fields(fluxbound.RunConfig)] == [
+        "dim", "m", "kappa1", "kappa2", "strategy", "conformity"]
 
 
 def test_public_names():

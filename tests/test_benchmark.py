@@ -1,4 +1,6 @@
+import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,30 +120,48 @@ def test_run_benchmark_runs_no_direct_quadrature(monkeypatch):
     assert row["ieff_taustar"] == rep.eta_taustar / row["true_error"]
 
 
+def _csv_text(configs) -> str:
+    buf = io.StringIO()
+    bm.write_csv((bm.run_benchmark(c)[1] for c in configs), buf)
+    return buf.getvalue()
+
+
 def test_csv_determinism_modulo_runtime(tmp_path):
     cfg = bm.RunConfig(dim=2, m=4, kappa1=2.0, kappa2=40.0)
-    s1 = bm.sweep_kappa(cfg, [2.0, 20.0])
-    s2 = bm.sweep_kappa(cfg, [2.0, 20.0])
+    s1 = _csv_text(bm.sweep_kappa(cfg, [2.0, 20.0]))
+    s2 = _csv_text(bm.sweep_kappa(cfg, [2.0, 20.0]))
 
     def strip_runtime(text):
         return ["," .join(line.split(",")[:-1]) for line in text.splitlines()]
 
-    assert strip_runtime(s1.text()) == strip_runtime(s2.text())
+    assert strip_runtime(s1) == strip_runtime(s2)
 
 
 def test_sweep_partial_flush_on_failure(tmp_path):
-    cfg = bm.RunConfig(dim=2, m=2, kappa1=1.0, kappa2=10.0,
-                       out=str(tmp_path / "rows.csv"))
-    with pytest.raises(ValueError):
-        bm.sweep_mesh(cfg, [2, -1])
+    cfg = bm.RunConfig(dim=2, m=2, kappa1=1.0, kappa2=10.0)
+    # an invalid M never reaches a run; a cube of dimension 1 fails inside one
+    configs = bm.sweep_mesh(cfg, [2]) + [replace(cfg, dim=1)]
+    with open(tmp_path / "rows.csv", "w", encoding="utf-8") as fh, pytest.raises(ValueError):
+        bm.write_csv((bm.run_benchmark(c)[1] for c in configs), fh)
     lines = (tmp_path / "rows.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # header plus the M=2 row written before the failure
 
 
+def test_sweeps_validate_every_configuration():
+    cfg = bm.RunConfig(dim=2, m=2, kappa1=1.0, kappa2=10.0)
+    assert [c.m for c in bm.sweep_mesh(cfg)] == list(bm.DEFAULT_MESH_SWEEP)
+    assert [c.kappa1 for c in bm.sweep_kappa(replace(cfg, kappa2=1e6))] == \
+        list(bm.DEFAULT_KAPPA1_SWEEP)
+    with pytest.raises(ValueError):
+        bm.sweep_mesh(cfg, [2, -1])
+    with pytest.raises(ValueError):
+        bm.sweep_kappa(cfg, [1.0, 100.0])   # above kappa2
+
+
 def test_sweep_mesh_ndof_column():
     cfg = bm.RunConfig(dim=3, m=2, kappa1=1.0, kappa2=1.0)
-    sink = bm.sweep_mesh(cfg, [2, 3])
-    for row, m in zip(sink.rows, (2, 3)):
+    rows = [bm.run_benchmark(c)[1] for c in bm.sweep_mesh(cfg, [2, 3])]
+    for row, m in zip(rows, (2, 3)):
         assert row["ndof"] == (m - 1) * (m + 1) ** 2
 
 
@@ -196,14 +216,59 @@ def test_cli_exit_codes(monkeypatch):
     def boom_audit(*a, **k):
         raise DivergenceAuditFailed("boom")
 
-    monkeypatch.setattr(cli, "run_single", boom_audit)
+    monkeypatch.setattr(cli, "run_benchmark", boom_audit)
     assert cli.main(["estimate"]) == 2
 
     def boom_solver(*a, **k):
         raise NoConvergence("boom")
 
-    monkeypatch.setattr(cli, "run_single", boom_solver)
+    monkeypatch.setattr(cli, "run_benchmark", boom_solver)
     assert cli.main(["estimate"]) == 3
+
+
+def test_cli_stdout_keeps_rows_before_a_failed_run(monkeypatch, capsys):
+    calls = []
+
+    def second_fails(config, mesh=None, patch_report_path=None):
+        calls.append(config)
+        if len(calls) == 2:
+            raise NoConvergence("boom")
+        return None, dict.fromkeys(bm.CSV_HEADER.split(","), 1)
+
+    monkeypatch.setattr(cli, "run_benchmark", second_fails)
+    assert cli.main(["estimate", "--sweep-kappa", "1,10,100"]) == cli.EXIT_SOLVER == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [bm.CSV_HEADER, ",".join(["1"] * 14)]
+    assert captured.err.startswith("solver failure: ")
+    assert [c.kappa1 for c in calls] == [1.0, 10.0]
+
+
+@pytest.mark.parametrize("sweep", ["--sweep-kappa", "--sweep-mesh"])
+def test_cli_mesh_file_excludes_sweeps(tmp_path, capsys, sweep):
+    path = tmp_path / "square.mesh"
+    geo.write_mesh(geo.build_cube_mesh(2, 2, 1.0), str(path))
+    assert cli.main(["estimate", "--mesh", str(path), sweep, "2"]) == cli.EXIT_INPUT
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--m", "0"], ["--kappa1", "-1"], ["--sweep-kappa", "1e7"],
+                                  ["--sweep-mesh", "2,0"], ["--sweep-kappa", "1,abc"]],
+                         ids=["m0", "negative-kappa1", "kappa1-above-kappa2", "sweep-m0",
+                              "not-a-number"])
+def test_cli_bad_values_exit_before_opening_the_output(tmp_path, capsys, args):
+    out = tmp_path / "rows.csv"
+    assert cli.main(["estimate", *args, "--out", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out.exists()
+
+
+def test_cli_usage_errors_exit_input(capsys):
+    assert cli.main(["estimate", "--dim", "4"]) == cli.EXIT_INPUT
+    assert cli.main(["estimate", "--no-such-flag"]) == cli.EXIT_INPUT
+    assert cli.main([]) == cli.EXIT_INPUT
+    assert "usage:" in capsys.readouterr().err
+    assert cli.main(["estimate", "--help"]) == cli.EXIT_OK
+    assert "--sweep-kappa" in capsys.readouterr().out
 
 
 TRIANGLE = ("DIM 2\nPOINTS 3\n0 0\n1 0\n0 1\nCELLS 1\n{cell}\n"

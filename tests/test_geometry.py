@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fluxbound.equilibration as eq
 import fluxbound.geometry as geo
 from fluxbound.errors import (DegenerateSimplex, KappaJumpWarning,
                               MeshFormatError, NonConformingMesh)
 
 from conftest import one_simplex, random_simplex
-from oracles import vertex_patch
+from oracles import to_local_vertices, vertex_patch
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +236,46 @@ def test_vertex_patch_consistency():
         assert np.all(mesh.facets[fids, slots] == v)
 
 
+@pytest.mark.parametrize("relabel", [False, True], ids=["cube", "relabelled"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_facet_slots_are_the_constant_table(d, relabel, rng):
+    # facet i of every element lists its vertices other than i in element order,
+    # so the batched gather needs no per-element slot table
+    mesh = geo.build_cube_mesh(2, d, 1.0)
+    if relabel:
+        perm = rng.permutation(mesh.n_points)
+        tags = {tuple(sorted(int(perm[v]) for v in mesh.facets[fi])):
+                ("D" if mesh.facet_tag[fi] == geo.DIRICHLET else "N")
+                for fi in np.flatnonzero(mesh.facet_tag != geo.INTERIOR)}
+        pts = np.empty_like(mesh.points)
+        pts[perm] = mesh.points
+        mesh = geo.build_mesh(pts, perm[mesh.simplices], 1.0, tags)
+    table = geo.facet_vertices(d)
+    for i in range(d + 1):
+        assert np.array_equal(table[i], np.delete(np.arange(d + 1), i))
+        assert np.array_equal(mesh.facets[mesh.elem_facets[:, i]], mesh.simplices[:, table[i]])
+    vals = rng.standard_normal((mesh.n_elements, d + 1, d))
+    assert np.array_equal(eq._to_local_vertices(vals), to_local_vertices(mesh, vals))
+    # elem_facets/elem_sigma invert facet_elems/facet_local: side 0 is the plus side
+    e = np.arange(mesh.n_elements)[:, None]
+    fe, fl = mesh.facet_elems[mesh.elem_facets], mesh.facet_local[mesh.elem_facets]
+    side = np.where(fe[..., 0] == e, 0, 1)[..., None]
+    assert np.all(np.take_along_axis(fe, side, 2)[..., 0] == e)
+    assert np.all(np.take_along_axis(fl, side, 2)[..., 0] == np.arange(d + 1))
+    assert np.array_equal(mesh.elem_sigma, 1 - 2 * side[..., 0])
+
+
+@pytest.mark.parametrize("bad", [-1, 3], ids=["negative", "n_points"])
+def test_build_mesh_rejects_vertex_id_out_of_range(tmp_path, bad):
+    points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="out of range"):
+        geo.build_mesh(points, [[0, 1, bad]], 1.0, {})
+    text = (f"DIM 2\nPOINTS 3\n0 0\n1 0\n0 1\nCELLS 1\n0 1 {bad} 1.0\n"
+            "BOUNDARY 3\n0 1 D\n0 2 N\n1 2 N\n")
+    with pytest.raises(MeshFormatError, match="out of range"):
+        geo.read_mesh(_mesh_file(tmp_path, text))
+
+
 # ---------------------------------------------------------------------------
 # mesh file format
 # ---------------------------------------------------------------------------
@@ -296,3 +337,11 @@ def test_mesh_file_errors(tmp_path):
         geo.read_mesh(_mesh_file(tmp_path, "DIM 2\nPOINTS 4\n0 0\n1 0\n0 1\n1 1\nCELLS 2\n"
                                  "0 1 2 1.0\n1 3 2 1.0\nBOUNDARY 5\n0 1 D\n0 2 N\n"
                                  "1 3 N\n2 3 N\n1 2 N"))
+
+
+@pytest.mark.parametrize("second", ["0 1 D", "1 0 N"], ids=["same-tag", "conflicting-tag"])
+def test_mesh_file_boundary_facet_listed_twice(tmp_path, second):
+    text = ("DIM 2\nPOINTS 3\n0 0\n1 0\n0 1\nCELLS 1\n0 1 2 1.0\n"
+            f"BOUNDARY 4\n0 1 D\n{second}\n0 2 N\n1 2 N\n")
+    with pytest.raises(MeshFormatError, match="listed twice"):
+        geo.read_mesh(_mesh_file(tmp_path, text))

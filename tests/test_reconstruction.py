@@ -127,7 +127,7 @@ def test_variant1_divergence_vs_fd(rng):
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     for e in (0, 3, 5):
         pts = mesh.points[mesh.simplices[e]]
-        Rv = eq._to_local_vertices(mesh, R)[e]
+        Rv = eq._to_local_vertices(R)[e]
         flux = oracles.build_variant1(pts, Rv, r_vals[e])
         h = mesh.diameters[e]
         x = rng.dirichlet(np.full(3, 3.0), size=20) @ pts
@@ -144,7 +144,7 @@ def test_variant1_divergence_vs_fd(rng):
 def test_variant1_bulk_matches_single_element():
     mesh, data, sol, fluxes, R, r_vals = benchmark_setup(3, 2, 1.0, 4.0)
     v1 = rec.variant1_bulk(mesh, R, r_vals)
-    Rv_all = eq._to_local_vertices(mesh, R)
+    Rv_all = eq._to_local_vertices(R)
     for e in (0, 10, 20):
         flux = oracles.build_variant1(mesh.points[mesh.simplices[e]], Rv_all[e], r_vals[e])
         assert np.allclose(flux.c, v1.c[e], atol=1e-12 * max(1, np.abs(v1.c[e]).max()))
@@ -304,7 +304,7 @@ def test_eta2_bulk_matches_single_element_quadrature():
     mesh, data, sol, fluxes, R, r_vals = benchmark_setup(2, 2, 2.0, 40.0)
     sel = np.arange(mesh.n_elements)
     f2, s2 = rec.eta2_terms(mesh, R, r_vals, sel)
-    Rv_all = eq._to_local_vertices(mesh, R)
+    Rv_all = eq._to_local_vertices(R)
     for e in (0, 3, 6):
         pts = mesh.points[mesh.simplices[e]]
         flux = oracles.build_variant2(pts, Rv_all[e], mesh.kappa[e], grad_uh=sol.grad[e])
@@ -377,7 +377,7 @@ def test_eta1_hand_case_single_element(unit_triangle):
     first, resid_const = rec.eta1_terms(mesh, v1)
     # exact equilibration by construction: div tau_L = -1 = -Pi_K f
     assert resid_const[0] == pytest.approx(0.0, abs=1e-13)
-    Rv = eq._to_local_vertices(mesh, R)[0]
+    Rv = eq._to_local_vertices(R)[0]
     flux = oracles.build_variant1(unit_triangle, Rv, r_vals[0])
     oracle = oracles.integrate(lambda x: (flux(x) ** 2).sum(axis=1), unit_triangle, 8)
     assert first[0] == pytest.approx(oracle, rel=1e-10)
