@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import KappaJumpWarning, SingularSystem
-from .estimator import energy_error, estimate
+from .estimator import STRATEGIES, energy_error, estimate
 from .fem import ProblemData, solve_problem
 from .geometry import Mesh, build_cube_mesh
 
@@ -122,6 +122,10 @@ class RunConfig:
     conformity: bool = False
 
     def __post_init__(self):
+        if self.dim < 2:
+            raise ValueError("dim must be >= 2")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.m < 1:
             raise ValueError("M must be >= 1")
         if not 0 < self.kappa1 <= self.kappa2:

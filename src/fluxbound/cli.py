@@ -13,8 +13,10 @@ import sys
 
 from .benchmark import (DEFAULT_KAPPA1_SWEEP, DEFAULT_MESH_SWEEP, RunConfig, run_benchmark,
                         sweep_kappa, sweep_mesh, write_csv)
-from .errors import (DegenerateSimplex, DivergenceAuditFailed, InfeasibleConstraints,
-                     MeshFormatError, NoConvergence, NonConformingMesh, UnsolvableProblem)
+from .errors import (ConformityAuditFailed, DegenerateSimplex, DivergenceAuditFailed,
+                     InfeasibleConstraints, MeshFormatError, NoConvergence, NonConformingMesh,
+                     UnsolvableProblem)
+from .estimator import STRATEGIES
 from .geometry import read_mesh
 
 EXIT_OK, EXIT_AUDIT, EXIT_SOLVER, EXIT_INPUT = 0, 2, 3, 4
@@ -40,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--sweep-mesh", nargs="?", const=DEFAULT_MESH_SWEEP, type=_values,
                         metavar="LIST", help="comma-separated M values (default 2,4,8,16,32)")
     source.add_argument("--mesh", metavar="FILE", help="run on a mesh file instead of the cube")
-    est.add_argument("--strategy", choices=("tau", "taustar", "both"), default="both")
+    est.add_argument("--strategy", choices=STRATEGIES, default="both")
     est.add_argument("--out", metavar="FILE.csv", help="write CSV here (default: stdout)")
     est.add_argument("--verbose", action="store_true")
     return parser
@@ -74,7 +76,7 @@ def main(argv=None) -> int:
         with (open(args.out, "w", encoding="utf-8") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:
             write_csv((run_benchmark(c, mesh, patches)[1] for c in configs), fh)
-    except (DivergenceAuditFailed, InfeasibleConstraints) as exc:
+    except (DivergenceAuditFailed, ConformityAuditFailed, InfeasibleConstraints) as exc:
         print(f"estimator audit failure: {exc}", file=sys.stderr)
         return EXIT_AUDIT
     except (NoConvergence, UnsolvableProblem) as exc:

@@ -37,6 +37,10 @@ class DivergenceAuditFailed(FluxboundError):
     """Divergence residual of the polynomial flux is not zero where it must be."""
 
 
+class ConformityAuditFailed(FluxboundError):
+    """Normal traces of the reconstructed flux disagree across an interior facet."""
+
+
 class InvalidVariant(FluxboundError):
     """Flux variant requested on an element where it is not defined."""
 

@@ -21,12 +21,13 @@ from typing import Callable
 import numpy as np
 
 from .equilibration import equilibrate
-from .errors import NegativeDifference
+from .errors import ConformityAuditFailed, NegativeDifference
 from .fem import FemSolution, ProblemData, data_values, project_element_bulk
 from .geometry import Mesh
 from .quadrature import integrate_simplices
 from . import reconstruction as rec
 
+STRATEGIES = ("tau", "taustar", "both")
 TRUE_ERROR_DEGREE = 10
 OSC_DEGREE = 8     # quadrature degree of ||data - projection||^2
 
@@ -151,9 +152,10 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
 
     The problem is the one ``sol`` carries: ``mesh`` and ``data`` must be
     ``sol.mesh`` and ``sol.data``, or ValueError is raised. ``strategy`` is
-    'tau', 'taustar' or 'both'.
+    'tau', 'taustar' or 'both'. ``check_conformity`` audits the normal traces of
+    the reported selections; a mismatch above AUDIT_TOL raises ConformityAuditFailed.
     """
-    if strategy not in ("tau", "taustar", "both"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if mesh is not sol.mesh or data != sol.data:
         raise ValueError("estimate needs the mesh and data that sol was solved with")
@@ -212,7 +214,11 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
         picks = [v for v in (report.variant_tau, report.variant_taustar) if v is not None]
         traces = rec.facet_trace_values(mesh, sol.grad, v1, R, np.stack(picks))
         scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
-        report.audits["hdiv_mismatch"] = max(rec.trace_mismatch(mesh, t, scale) for t in traces)
+        worst = max(rec.trace_mismatch(mesh, t, scale) for t in traces)
+        if worst > rec.AUDIT_TOL:
+            raise ConformityAuditFailed(
+                f"normal-trace mismatch {worst:.3e} (scaled) exceeds {rec.AUDIT_TOL:g}")
+        report.audits["hdiv_mismatch"] = worst
     return report
 
 

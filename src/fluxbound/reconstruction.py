@@ -8,7 +8,11 @@ the divergence condition exact, so the indicator reduces to ||tau_L + tau_Q||.
 
 Variant 2 (layer): tau = grad u_h + tau_O, with tau_O supported on the cones
 joining each facet to the incentre and cut off at height 1/kappa, matching the
-boundary-layer structure for kappa*rho > 1. Element norms are integrated in
+boundary-layer structure for kappa*rho > 1: tau_O = (1 - kappa xd)_+ (a.x + b)
+(x - apex) / rho on the cone of a facet, xd the distance from the facet plane.
+a.x + b extends the facet residual constantly along the facet normal: a is the
+tangential part of sum_j R_j grad lambda_j over the facet vertices j, and b
+matches R at the first of them. Element norms are integrated in
 the collapsed (Duffy) coordinates of each cone, x = apex + t (y - apex) with y
 on the facet: the integrands are polynomial in t below and above the cutoff
 and polynomial in y, so a facet rule times Gauss-Legendre nodes in t is exact.
@@ -142,33 +146,13 @@ def _facet_setup(pts, g, Rf, i: int):
     R(x) = a.x + b of the residual, constant along the facet normal (a
     orthogonal to ed), and the inward unit normal ed.
     """
-    k, _, d = pts.shape
-    F = pts[:, facet_vertices(d)[i]]
+    fv = facet_vertices(pts.shape[2])[i]
+    F = pts[:, fv]
     ed = g[:, i] / np.linalg.norm(g[:, i], axis=1, keepdims=True)
-    A = np.empty((k, d, d))
-    A[:, :d - 1] = F[:, 1:] - F[:, :1]
-    A[:, d - 1] = ed
-    rhs = np.zeros((k, d))
-    rhs[:, :d - 1] = Rf[:, 1:] - Rf[:, :1]
-    a = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
-    b = Rf[:, 0] - np.einsum("sd,sd->s", a, F[:, 0])
+    grad = np.einsum("kj,kjd->kd", Rf, g[:, fv])   # gradient of sum_j Rf_j lambda_j
+    a = grad - np.einsum("kd,kd->k", grad, ed)[:, None] * ed
+    b = Rf[:, 0] - np.einsum("kd,kd->k", a, F[:, 0])
     return F, a, b, ed
-
-
-def variant2_field(x, xd, a, b, ed, apex, rho, kappa):
-    """Layer field tau_O = s w on the cone of one facet, w = x - apex.
-
-    ``xd`` is the distance of x from the facet plane; pass exact zeros for
-    points on the facet. s = (1 - kappa xd)_+ (a.x + b) / rho, so tau_O
-    vanishes beyond the cutoff height 1/kappa. Returns ``(s, w, div tau_O)``.
-    """
-    d = x.shape[-1]
-    fac = np.maximum(1.0 - kappa * xd, 0.0)
-    rt = np.einsum("pd,pd->p", a, x) + b
-    w = x - apex
-    div = (fac * (d * rt + np.einsum("pd,pd->p", a, w))
-           - kappa * np.einsum("pd,pd->p", w, ed) * rt) / rho
-    return fac * rt / rho, w, np.where(fac > 0.0, div, 0.0)
 
 
 def _cone_nodes(d: int, q: np.ndarray, rho: np.ndarray):
@@ -271,19 +255,18 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
     i2 = np.flatnonzero((variant == 2).any(axis=0))
     c1, grad1, grad2 = v1.c[i1], grad[i1], grad[i2]
     pairs = _tau_q_pairs(pts[i1], v1.grad_r[i1])
-    apex, rho, kap = mesh.incentres[i2], mesh.inradii[i2], mesh.kappa[i2]
-    on_facet = np.zeros(len(i2))   # normal distance of the trace points, exactly zero
+    apex, rho = mesh.incentres[i2], mesh.inradii[i2]
     t1 = np.empty((len(i1), d + 1, rule.n_points))   # traces of variant 1 on i1, 2 on i2
     t2 = np.empty((len(i2), d + 1, rule.n_points))
     for i in range(d + 1):
-        F, a, b, ed = _facet_setup(pts[i2], mesh.bary_grads[i2], R[i2, i], i)
+        F, a, b, _ = _facet_setup(pts[i2], mesh.bary_grads[i2], R[i2, i], i)
         n1, n2 = normals[i1, i], normals[i2, i]
         for qi, mu in enumerate(rule.points):
             tau = variant1_field(np.insert(mu, i, 0.0)[None], c1, pairs)
             t1[:, i, qi] = np.einsum("ed,ed->e", grad1 + tau, n1)
             x = np.einsum("j,fjd->fd", mu, F)
-            s, w, _ = variant2_field(x, on_facet, a, b, ed, apex, rho, kap)
-            t2[:, i, qi] = np.einsum("ed,ed->e", grad2 + s[:, None] * w, n2)
+            s = (np.einsum("ed,ed->e", a, x) + b) / rho   # tau_O = s (x - apex) on the facet
+            t2[:, i, qi] = np.einsum("ed,ed->e", grad2 + s[:, None] * (x - apex), n2)
     traces = [np.empty((mesh.n_elements, d + 1, rule.n_points)) for _ in variant]
     for trace, p in zip(traces, variant):
         trace[i1] = t1

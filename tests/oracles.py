@@ -8,10 +8,15 @@
 * equilibration: the collapsed extension ``extension``/``ExtensionFunction``
   and ``solve_vertex_patch_reference``, one vertex patch at a time;
 * reconstruction: the flux closures ``build_variant1``/``FluxVariant1`` and
-  ``build_variant2``/``FluxVariant2``, the equilibrated flux at the trace
-  points ``equilibrated_trace``, and the layer indicator by other routes:
-  ``eta2_terms_staircase`` (with ``split_cone_frustum``), ``eta_K`` and
-  ``eta2_terms_longdouble``;
+  ``build_variant2``/``FluxVariant2``, the general layer field
+  ``variant2_field`` (cutoff and divergence included), the facet data of the
+  layer field by a linear solve per element ``facet_setup_reference``, the
+  equilibrated flux at the trace points ``equilibrated_trace``, and the layer
+  indicator by other routes: ``eta2_terms_staircase`` (with
+  ``split_cone_frustum``), ``eta_K`` and ``eta2_terms_longdouble``. The flux
+  closures and the staircase take their facet data from
+  ``facet_setup_reference``, so they cross-check the closed form in
+  ``reconstruction._facet_setup``;
 * estimator: ``verify_trace_inequality``, trace ratios of random quadratics.
 """
 import math
@@ -22,10 +27,11 @@ import numpy as np
 from fluxbound.equilibration import CONSTRAINT_TOL, RANK_TOL
 from fluxbound.errors import InfeasibleConstraints, InvalidVariant
 from fluxbound.fem import _mass_inverse_times, _mass_norm_sq
-from fluxbound.geometry import NEUMANN, simplex_geometry, simplex_gradients, simplex_measure
+from fluxbound.geometry import (NEUMANN, facet_vertices, simplex_geometry, simplex_gradients,
+                                simplex_measure)
 from fluxbound.quadrature import integrate_simplices, rule_for
 from fluxbound.reconstruction import (TRACE_DEGREE, _facet_setup, _tau_q_pairs,
-                                      _variant1_coeffs, variant1_field, variant2_field)
+                                      _variant1_coeffs, variant1_field)
 
 ETA2_DEGREE = 6   # |tau_O|^2 has degree 6 on the active pieces
 TOP_DEGREE = 2    # (affine)^2 beyond the cutoff
@@ -252,6 +258,41 @@ def build_variant1(vertices, Rv, r_vals, grad_uh=None) -> FluxVariant1:
                         div_l=float(v1.div_l[0]))
 
 
+def facet_setup_reference(pts, g, Rf, i: int):
+    """``reconstruction._facet_setup`` by a linear solve per element.
+
+    a is found from d equations: a.(F_j - F_0) = Rf_j - Rf_0 along the facet
+    edges and a.ed = 0 across the facet; then b = Rf_0 - a.F_0.
+    """
+    k, _, d = pts.shape
+    F = pts[:, facet_vertices(d)[i]]
+    ed = g[:, i] / np.linalg.norm(g[:, i], axis=1, keepdims=True)
+    A = np.empty((k, d, d))
+    A[:, :d - 1] = F[:, 1:] - F[:, :1]
+    A[:, d - 1] = ed
+    rhs = np.zeros((k, d))
+    rhs[:, :d - 1] = Rf[:, 1:] - Rf[:, :1]
+    a = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
+    b = Rf[:, 0] - np.einsum("sd,sd->s", a, F[:, 0])
+    return F, a, b, ed
+
+
+def variant2_field(x, xd, a, b, ed, apex, rho, kappa):
+    """Layer field tau_O = s w on the cone of one facet, w = x - apex.
+
+    ``xd`` is the distance of x from the facet plane; pass exact zeros for
+    points on the facet. s = (1 - kappa xd)_+ (a.x + b) / rho, so tau_O
+    vanishes beyond the cutoff height 1/kappa. Returns ``(s, w, div tau_O)``.
+    """
+    d = x.shape[-1]
+    fac = np.maximum(1.0 - kappa * xd, 0.0)
+    rt = np.einsum("pd,pd->p", a, x) + b
+    w = x - apex
+    div = (fac * (d * rt + np.einsum("pd,pd->p", a, w))
+           - kappa * np.einsum("pd,pd->p", w, ed) * rt) / rho
+    return fac * rt / rho, w, np.where(fac > 0.0, div, 0.0)
+
+
 @dataclass(frozen=True)
 class FluxVariant2:
     """grad u_h + tau_O on one element, piecewise on the incentre cones."""
@@ -298,7 +339,7 @@ def build_variant2(vertices, Rv, kappa: float, grad_uh=None) -> FluxVariant2:
     d = vertices.shape[1]
     geom = simplex_geometry(vertices[None])
     F, a, b, ed = (np.concatenate(parts) for parts in zip(*(
-        _facet_setup(vertices[None], geom.grads, np.delete(Rv[i], i)[None], i)
+        facet_setup_reference(vertices[None], geom.grads, np.delete(Rv[i], i)[None], i)
         for i in range(d + 1))))
     base = np.zeros(d) if grad_uh is None else np.asarray(grad_uh, dtype=float)
     return FluxVariant2(vertices=vertices, grad_uh=base, kappa=float(kappa),
@@ -527,7 +568,7 @@ def eta2_terms_staircase(mesh, R, r_vals, sel, degree=ETA2_DEGREE, top_degree=TO
     sp = np.flatnonzero(split)
     un = np.flatnonzero(~split)
     for i in range(d + 1):
-        F, a, b, ed = _facet_setup(pts, g, R[sel, i], i)
+        F, a, b, ed = facet_setup_reference(pts, g, R[sel, i], i)
         if len(sp):
             G = F[sp] + (cut[sp] / rho[sp])[:, None, None] * (apex[sp, None, :] - F[sp])
             for j in range(1, d + 1):

@@ -2,7 +2,7 @@
 
 Benchmark runs are shared across criteria through a module-scoped cache. The
 heavy configurations (M = 16 sweeps and one M = 32 run) dominate the runtime;
-the whole module takes a few minutes.
+the whole module takes about 30 s on a 2-vCPU machine.
 """
 import math
 from pathlib import Path

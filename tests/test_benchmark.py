@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 from dataclasses import replace
@@ -10,7 +11,8 @@ import fluxbound.cli as cli
 import fluxbound.estimator as est
 import fluxbound.fem as fem
 import fluxbound.geometry as geo
-from fluxbound.errors import DivergenceAuditFailed, MeshFormatError, NoConvergence
+from fluxbound.errors import (ConformityAuditFailed, DivergenceAuditFailed, MeshFormatError,
+                              NoConvergence)
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +139,20 @@ def test_csv_determinism_modulo_runtime(tmp_path):
     assert strip_runtime(s1) == strip_runtime(s2)
 
 
-def test_sweep_partial_flush_on_failure(tmp_path):
+def test_sweep_partial_flush_on_failure(tmp_path, monkeypatch):
     cfg = bm.RunConfig(dim=2, m=2, kappa1=1.0, kappa2=10.0)
-    # an invalid M never reaches a run; a cube of dimension 1 fails inside one
-    configs = bm.sweep_mesh(cfg, [2]) + [replace(cfg, dim=1)]
-    with open(tmp_path / "rows.csv", "w", encoding="utf-8") as fh, pytest.raises(ValueError):
+    # invalid configurations never reach a run; the second solve fails inside one
+    solve, calls = bm.solve_problem, []
+
+    def second_fails(mesh, data):
+        calls.append(mesh)
+        if len(calls) == 2:
+            raise NoConvergence("boom")
+        return solve(mesh, data)
+
+    monkeypatch.setattr(bm, "solve_problem", second_fails)
+    configs = bm.sweep_mesh(cfg, [2, 3])
+    with open(tmp_path / "rows.csv", "w", encoding="utf-8") as fh, pytest.raises(NoConvergence):
         bm.write_csv((bm.run_benchmark(c)[1] for c in configs), fh)
     lines = (tmp_path / "rows.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # header plus the M=2 row written before the failure
@@ -156,6 +167,28 @@ def test_sweeps_validate_every_configuration():
         bm.sweep_mesh(cfg, [2, -1])
     with pytest.raises(ValueError):
         bm.sweep_kappa(cfg, [1.0, 100.0])   # above kappa2
+
+
+def _unchecked_config(**changes):
+    """A RunConfig built without __post_init__, as if validation were skipped."""
+    cfg = object.__new__(bm.RunConfig)
+    for f in dataclasses.fields(bm.RunConfig):
+        object.__setattr__(cfg, f.name, changes.get(f.name, f.default))
+    return cfg
+
+
+@pytest.mark.parametrize("changes", [{"dim": 1}, {"strategy": "bogus"}],
+                         ids=["dim1", "bad-strategy"])
+def test_config_rejects_what_a_run_would_reject(changes):
+    with pytest.raises(ValueError):
+        bm.RunConfig(**changes)
+    # the sweeps revalidate each configuration they build, so a bad base fails
+    # while the list of runs is made, before any row is written
+    base = _unchecked_config(**changes)
+    with pytest.raises(ValueError):
+        bm.sweep_mesh(base, [2])
+    with pytest.raises(ValueError):
+        bm.sweep_kappa(base, [1.0])
 
 
 def test_sweep_mesh_ndof_column():
@@ -217,6 +250,12 @@ def test_cli_exit_codes(monkeypatch):
         raise DivergenceAuditFailed("boom")
 
     monkeypatch.setattr(cli, "run_benchmark", boom_audit)
+    assert cli.main(["estimate"]) == 2
+
+    def boom_conformity(*a, **k):
+        raise ConformityAuditFailed("boom")
+
+    monkeypatch.setattr(cli, "run_benchmark", boom_conformity)
     assert cli.main(["estimate"]) == 2
 
     def boom_solver(*a, **k):

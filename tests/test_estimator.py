@@ -8,7 +8,7 @@ import fluxbound.equilibration as eq
 import fluxbound.estimator as est
 import fluxbound.fem as fem
 import fluxbound.geometry as geo
-from fluxbound.errors import NegativeDifference, UnsolvableProblem
+from fluxbound.errors import ConformityAuditFailed, NegativeDifference, UnsolvableProblem
 
 import oracles
 from conftest import ZERO_DATA, dense_projection_oracle, random_simplex
@@ -444,7 +444,8 @@ def test_conformity_audit_covers_both_selections(monkeypatch):
     mesh, data = benchmark_mesh(cfg), benchmark_data(cfg)
     sol = fem.solve_problem(mesh, data)
     picks, rows = [], {1: [], 2: []}
-    trace_values, fields = rec.facet_trace_values, (rec.variant1_field, rec.variant2_field)
+    # variant 2 is counted by the batch of its facet data, one _facet_setup per facet
+    trace_values, fields = rec.facet_trace_values, (rec.variant1_field, rec._facet_setup)
 
     def counting(which, fn):
         def field(*args):
@@ -457,7 +458,7 @@ def test_conformity_audit_covers_both_selections(monkeypatch):
         picks.append(np.array(variant, ndmin=2))
         with monkeypatch.context() as m:
             m.setattr(rec, "variant1_field", counting(1, fields[0]))
-            m.setattr(rec, "variant2_field", counting(2, fields[1]))
+            m.setattr(rec, "_facet_setup", counting(2, fields[1]))
             return trace_values(mesh, grad, v1, R, variant)
 
     monkeypatch.setattr(rec, "facet_trace_values", spy)
@@ -481,6 +482,31 @@ def test_conformity_audit_covers_both_selections(monkeypatch):
                                scale) for sel in (tau, star)]
     assert rep.audits["hdiv_mismatch"] == max(each)
     assert rep.audits["hdiv_mismatch"] <= 1e-11
+
+
+def test_conformity_audit_failure_raises(monkeypatch):
+    # every element has kappa*rho > 1, so the divergence audit checks none and
+    # cannot trip first; one interior facet's residual on one side is shifted,
+    # which breaks the normal-trace agreement there and nowhere else
+    import fluxbound.reconstruction as rec
+    mesh = geo.build_cube_mesh(2, 2, 40.0)
+    assert mesh.layer.all()
+    data = fem.ProblemData(f=lambda x: np.ones(len(x)))
+    sol = fem.solve_problem(mesh, data)
+    assert est.estimate(mesh, sol, data, check_conformity=True).audits["hdiv_mismatch"] \
+        <= 1e-11
+    f = int(np.flatnonzero(mesh.facet_elems[:, 1] >= 0)[0])
+    e, i = mesh.facet_elems[f, 0], mesh.facet_local[f, 0]
+    residuals = rec.facet_residuals
+
+    def shifted(*args):
+        R = residuals(*args).copy()
+        R[e, i] += 1e-6
+        return R
+
+    monkeypatch.setattr(rec, "facet_residuals", shifted)
+    with pytest.raises(ConformityAuditFailed):
+        est.estimate(mesh, sol, data, check_conformity=True)
 
 
 # ---------------------------------------------------------------------------

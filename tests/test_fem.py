@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import fluxbound.fem as fem
 import fluxbound.geometry as geo
-from fluxbound.errors import NoConvergence, UnsolvableProblem
+from fluxbound.errors import KappaJumpWarning, NoConvergence, UnsolvableProblem
 
 import oracles
 from conftest import ZERO_DATA, dense_projection_oracle, random_simplex
@@ -100,6 +100,20 @@ def test_pcg_path_and_no_convergence():
     assert it > 1 and res <= 1e-12
     with pytest.raises(NoConvergence):
         fem.solve(system.A, system.b, max_iter=2)
+
+
+def test_pcg_residual_small_entry_by_entry_across_a_kappa_jump():
+    # f = kappa^2 on the right is 1e12 times the left's, so a residual small in
+    # norm can still dwarf the left's entries; each entry must meet the target
+    with pytest.warns(KappaJumpWarning):
+        mesh = geo.build_cube_mesh(16, 2, lambda c: np.where(c[:, 0] < 0, 1.0, 1e6))
+    data = fem.ProblemData(f=lambda x: np.where(x[:, 0] < 0, 1.0, 1e12) * np.cos(x[:, 0]))
+    system = fem.assemble(mesh, data)
+    assert len(system.b) >= fem.DENSE_CUTOFF   # the PCG path
+    x, it, res = fem.solve(system.A, system.b)
+    size = abs(system.A) @ np.abs(x) + np.abs(system.b)
+    assert np.all(np.abs(system.b - system.A @ x) <= fem.ENTRY_TOL * size)
+    assert res <= fem.SOLVE_TOL
 
 
 def test_galerkin_orthogonality():

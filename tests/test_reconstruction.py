@@ -155,6 +155,33 @@ def test_variant1_bulk_matches_single_element():
 # variant 2
 # ---------------------------------------------------------------------------
 
+def test_facet_setup_closed_form_matches_solve():
+    # the closed form (a the tangential part of sum_j R_j grad lambda_j) against
+    # the per-element solve, on simplices squashed down to rho/h < 1e-3 and with
+    # residuals of size 1e-3 .. 1e6; a.x + b is compared at the facet vertices
+    # and at the incentre, which lies off the facet plane
+    rng = np.random.default_rng(31)
+    n = 40
+    for d in range(2, 6):
+        pts = np.stack([random_simplex(d, rng) for _ in range(n)])
+        u = rng.standard_normal((n, d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        squash = 1.0 - 10.0 ** rng.uniform(-2.5, 0.0, n)
+        pts -= squash[:, None, None] * np.einsum("kvd,kd->kv", pts, u)[:, :, None] * u[:, None]
+        q = geo.simplex_geometry(pts)
+        ratio = q.inradii / q.diameters
+        assert ratio.min() < 1e-3
+        R = rng.standard_normal((n, d + 1, d)) * 10.0 ** rng.uniform(-3.0, 6.0, (n, 1, 1))
+        for i in range(d + 1):
+            got = rec._facet_setup(pts, q.grads, R[:, i], i)
+            ref = oracles.facet_setup_reference(pts, q.grads, R[:, i], i)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[3], ref[3])
+            x = np.concatenate([got[0], q.incentres[:, None]], axis=1)
+            vals = [np.einsum("kpd,kd->kp", x, a) + b[:, None] for _, a, b, _ in (got, ref)]
+            tol = 1e-13 * np.abs(R[:, i]).max(axis=1) / ratio
+            assert np.all(np.abs(vals[0] - vals[1]) <= tol[:, None]), (d, i)
+
+
 def test_variant2_zero_residual(unit_triangle):
     flux = oracles.build_variant2(unit_triangle, np.zeros((3, 3)), 5.0)
     x = np.array([[0.25, 0.25], [0.1, 0.6]])
