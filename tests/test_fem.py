@@ -114,6 +114,14 @@ def test_pcg_residual_small_entry_by_entry_across_a_kappa_jump():
     size = abs(system.A) @ np.abs(x) + np.abs(system.b)
     assert np.all(np.abs(system.b - system.A @ x) <= fem.ENTRY_TOL * size)
     assert res <= fem.SOLVE_TOL
+    # the correction gets what is left of max_iter; when that runs out it
+    # cannot undo the first solve, which already met SOLVE_TOL
+    A = sp.csr_matrix(system.A)
+    x0, first = fem._pcg(A, abs(A), 1.0 / A.diagonal(), system.b, 10 * len(system.b))
+    assert it > first
+    for budget in (first, first + 1):
+        xb, itb, resb = fem.solve(system.A, system.b, max_iter=budget)
+        assert itb == first and np.array_equal(xb, x0) and resb <= fem.SOLVE_TOL
 
 
 def test_galerkin_orthogonality():
