@@ -12,10 +12,16 @@ boundary-layer structure for kappa*rho > 1: tau_O = (1 - kappa xd)_+ (a.x + b)
 (x - apex) / rho on the cone of a facet, xd the distance from the facet plane.
 a.x + b extends the facet residual constantly along the facet normal: a is the
 tangential part of sum_j R_j grad lambda_j over the facet vertices j, and b
-matches R at the first of them. Element norms are integrated in
-the collapsed (Duffy) coordinates of each cone, x = apex + t (y - apex) with y
-on the facet: the integrands are polynomial in t below and above the cutoff
-and polynomial in y, so a facet rule times Gauss-Legendre nodes in t is exact.
+matches R at the first of them.
+
+The layer norms are integrated over each cone in the collapsed (Duffy)
+coordinates x = apex + t (y - apex), y on the facet, in three exact pieces:
+below the cutoff, r + div tau_O = r on the shrunken simplex apex + t0 (K - apex)
+(one P1 mass norm, exact for the quadratic r^2); above it, r + div tau_O is
+affine in y at each Gauss-Legendre node in t (a P1 facet mass norm per node,
+ceil((d+4)/2) nodes for degree d+3 in t); and |tau_O|^2 reduces to three
+t-moments per element times a quartic in y (ceil((d+6)/2) nodes for degree d+5
+in t, a degree-4 facet rule in y). See ``eta2_terms``.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ from .geometry import Mesh, facet_vertices
 from .quadrature import integrate_simplices, rule_for
 
 ETA1_DEGREE = 4         # |tau_L + tau_Q|^2 has degree 4
-ETA2_FACET_DEGREE = 4   # the layer integrands have degree <= 4 along each facet
+ETA2_FACET_DEGREE = 4   # the t-integrated |tau_O|^2 has degree 4 along each facet
 TRACE_DEGREE = 4        # facet rule of the normal-trace audit
 AUDIT_TOL = 1e-9
 
@@ -45,6 +51,18 @@ def facet_residuals(mesh: Mesh, fluxes: BoundaryFluxSet, grad: np.ndarray) -> np
     normals = mesh.outward_normals()
     gn = np.einsum("ed,eid->ei", grad, normals)
     return g_all - gn[:, :, None]
+
+
+def _dot(u, v):
+    """sum_c u[c] v[c] over the leading (component) axis, one component at a time.
+
+    Pass (k, d) arrays transposed. A reduction over a short trailing axis costs
+    several times more than these d whole-vector operations.
+    """
+    out = u[0] * v[0]
+    for c in range(1, len(u)):
+        out += u[c] * v[c]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +122,12 @@ def eta1_terms(mesh: Mesh, v1: Variant1Bulk, degree: int = ETA1_DEGREE):
     """(||tau_L + tau_Q||_K^2, divergence residual constant) per element."""
     pts = mesh.points[mesh.simplices]
     pairs = _tau_q_pairs(pts, v1.grad_r)
-    first = integrate_simplices(
-        lambda x, lam: (variant1_field(lam[None], v1.c, pairs) ** 2).sum(axis=1),
-        pts, mesh.volumes, degree)
+
+    def integrand(x, lam):
+        field = variant1_field(lam[None], v1.c, pairs).T
+        return _dot(field, field)
+
+    first = integrate_simplices(integrand, pts, mesh.volumes, degree)
     resid_const = v1.div_l + v1.r_bar
     return first, resid_const
 
@@ -148,87 +169,132 @@ def _facet_setup(pts, g, Rf, i: int):
     """
     fv = facet_vertices(pts.shape[2])[i]
     F = pts[:, fv]
-    ed = g[:, i] / np.linalg.norm(g[:, i], axis=1, keepdims=True)
-    grad = np.einsum("kj,kjd->kd", Rf, g[:, fv])   # gradient of sum_j Rf_j lambda_j
-    a = grad - np.einsum("kd,kd->k", grad, ed)[:, None] * ed
-    b = Rf[:, 0] - np.einsum("kd,kd->k", a, F[:, 0])
+    gi = g[:, i]
+    ed = gi / np.sqrt(_dot(gi.T, gi.T))[:, None]
+    grad = Rf[:, :1] * g[:, fv[0]]        # gradient of sum_j Rf_j lambda_j
+    for j in range(1, len(fv)):
+        grad += Rf[:, j:j + 1] * g[:, fv[j]]
+    a = grad - _dot(grad.T, ed.T)[:, None] * ed
+    b = Rf[:, 0] - _dot(a.T, F[:, 0].T)
     return F, a, b, ed
 
 
-def _cone_nodes(d: int, q: np.ndarray, rho: np.ndarray):
-    """Gauss-Legendre nodes in t on [0, t0] and on [t0, 1], per element.
+def _below_cutoff_sq(r_vals, r_apex, t0, volumes, d: int):
+    """||r||^2 over the shrunken simplices apex + t0 (K - apex), t0 (n,).
 
-    ``q`` = kappa rho and ``rho`` are (n, 1). Returns the (n, nt) nodes and
-    weights (times the Jacobian rho t^(d-1)) of each interval, and
-    c_d = fac t / rho and c_rt = (d fac + q t) / rho at the upper nodes, so that
-    above t0 tau_O = c_d rt (y - apex) and r + div tau_O = r(apex) + t G +
-    c_rt rt + c_d D. The upper length h = 1 - t0 is min(1, 1/q): formed as
-    1 - t0 it would lose about log10(kappa rho) digits.
+    These are the parts of the d+1 cones of each element below the cutoff,
+    where r + div tau_O = r; r has the vertex values r_apex + t0 (r_j - r_apex)
+    there.
     """
-    xi, wi = np.polynomial.legendre.leggauss(math.ceil((d + 6) / 2))
-    h = np.minimum(1.0, 1.0 / q)
-    t_lo = (1.0 - h) * (1.0 + xi) / 2
-    s = h * (1.0 - xi) / 2              # 1 - t on [t0, 1]
-    t_hi = 1.0 - s
-    w_lo = (1.0 - h) * wi / 2 * rho * t_lo ** (d - 1)
-    w_hi = h * wi / 2 * rho * t_hi ** (d - 1)
-    fac = 1.0 - q * s
-    return t_lo, w_lo, t_hi, w_hi, fac * t_hi / rho, (d * fac + q * t_hi) / rho
+    v = r_apex[:, None] + t0[:, None] * (r_vals - r_apex[:, None])
+    return _mass_norm_sq(v, t0 ** d * volumes, d)
+
+
+def _upper_nodes(n: int, h: np.ndarray):
+    """n Gauss-Legendre nodes on [t0, 1] = [1 - h, 1], per element.
+
+    Yields ``(s, t, w)`` with s = 1 - t formed directly: formed from t0 the
+    upper length would lose about log10(kappa rho) digits.
+    """
+    xi, wi = np.polynomial.legendre.leggauss(n)
+    for x, w in zip(xi, wi):
+        s = h * ((1.0 - x) / 2)
+        yield s, 1.0 - s, h * (w / 2)
 
 
 def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
     """(||tau_O||_K^2, ||r + div tau_O||_K^2) for the selected elements.
 
-    Requires kappa > 0 on the selection. Each facet cone is integrated in the
+    Requires kappa > 0 on the selection. Each facet cone is parametrised by the
     collapsed coordinates x = apex + t (y - apex), y on the facet and t in
     [0, 1]: dx = rho t^(d-1) dt dy, and x lies (1 - t) rho above the facet
-    plane, so the cutoff height 1/kappa sits at t0 = max(0, 1 - 1/(kappa rho))
-    and tau_O vanishes below it. With A0 = R(apex), D = a.(y - apex),
-    G = grad r.(y - apex), rt = A0 + t D and fac = 1 - kappa rho (1 - t),
+    plane, so the cutoff height 1/kappa sits at t0 = 1 - h, h = min(1, 1/q),
+    q = kappa rho, and tau_O vanishes below it. With A0 = R(apex),
+    D = a.(y - apex), G = grad r.(y - apex), rt = A0 + t D and
+    fac = 1 - q (1 - t), above t0
 
-        |tau_O|^2 = (fac t rt / rho)^2 |y - apex|^2,
-        r + div tau_O = r(apex) + t G + [fac (d rt + t D) + kappa rho t rt] / rho
+        tau_O = c_d rt (y - apex),                  c_d = fac t / rho,
+        r + div tau_O = alpha D + t G + c_rt A0 + r(apex),
+            c_rt = (d fac + q t) / rho,  alpha = c_rt t + c_d.
 
-    above t0, and r + div tau_O = r(apex) + t G below. These are polynomials
-    of degree <= d+5 in t on each interval and <= 4 in y, so a degree-4 facet
-    rule times ceil((d+6)/2) Gauss-Legendre nodes per interval is exact.
+    Three exact pieces:
+
+    1. below t0, r + div tau_O = r, and the lower parts of the cones tile
+       apex + t0 (K - apex): one P1 mass norm per element (_below_cutoff_sq);
+    2. above t0, r + div tau_O is affine in y at each node t_p, so its square
+       integrates over the facet as the P1 mass norm of its facet-vertex
+       values; in t the integrand has degree d+3, so ceil((d+4)/2)
+       Gauss-Legendre nodes are exact;
+    3. |tau_O|^2 integrates in t to (m0 A0^2 + 2 m1 A0 D + m2 D^2) |y - apex|^2
+       with the per-element moments m_k = int rho t^(d-1) c_d^2 t^k dt
+       (degree d+5: ceil((d+6)/2) nodes), which has degree 4 in y and takes a
+       degree-4 facet rule.
+
+    Everything is row-wise and component by component, so an element's value
+    does not depend on the rest of the selection.
     """
     d = mesh.dim
     kap = mesh.kappa[sel]
     if np.any(kap == 0):
         raise InvalidVariant("layer reconstruction requires kappa > 0")
-    rho = mesh.inradii[sel][:, None]
+    rho = mesh.inradii[sel]
+    q = kap * rho
+    h = np.minimum(1.0, 1.0 / q)
     apex = mesh.incentres[sel]
-    grad_r = np.einsum("end,en->ed", mesh.bary_grads[sel], r_vals[sel])
-    r_apex = (r_vals[sel].mean(axis=1)
-              + np.einsum("ed,ed->e", grad_r, apex - mesh.centroids[sel]))[:, None]
+    g = mesh.bary_grads[sel]
+    rv = r_vals[sel]
+    grad_r = np.einsum("end,en->ed", g, rv)
+    r_apex = rv.mean(axis=1) + np.einsum("ed,ed->e", grad_r, apex - mesh.centroids[sel])
+    second = _below_cutoff_sq(rv, r_apex, 1.0 - h, mesh.volumes[sel], d)
 
-    t_lo, w_lo, t_hi, w_hi, c_d, c_rt = _cone_nodes(d, kap[:, None] * rho, rho)
+    m0 = m1 = m2 = 0.0          # moments of the flux term
+    for s, t, w in _upper_nodes(math.ceil((d + 6) / 2), h):
+        wc = w * rho * t ** (d - 1) * ((1.0 - q * s) * t / rho) ** 2
+        m0 = m0 + wc
+        m1 = m1 + wc * t
+        m2 = m2 + wc * t * t
+    div_nodes = []              # (t, weight, alpha, c_rt) of the divergence term
+    for s, t, w in _upper_nodes(math.ceil((d + 4) / 2), h):
+        fac = 1.0 - q * s
+        c_rt = (d * fac + q * t) / rho
+        div_nodes.append((t, w * rho * t ** (d - 1), c_rt * t + fac * t / rho, c_rt))
 
     pts = mesh.points[mesh.simplices[sel]]
-    g = mesh.bary_grads[sel]
-    first = np.zeros(len(sel))
-    second = np.zeros(len(sel))
-    for i in range(d + 1):
+    apex_c = np.ascontiguousarray(apex.T)
+    grad_rc = np.ascontiguousarray(grad_r.T)
+
+    def cone(i):
+        """(||tau_O||^2, ||r + div tau_O||^2 above t0) on the cone of facet i."""
         F, a, b, _ = _facet_setup(pts, g, R[sel, i], i)
-        A0 = (np.einsum("ed,ed->e", a, apex) + b)[:, None]
+        a_c = np.ascontiguousarray(a.T)
+        meas = mesh.facet_measures[mesh.elem_facets[sel, i]]
+        A0 = _dot(a_c, apex_c) + b
+        c0, c1 = m0 * A0 * A0, 2.0 * m1 * A0
 
-        def integrand(y, lam):
-            w = y - apex
-            D = np.einsum("ed,ed->e", a, w)[:, None]
-            G = np.einsum("ed,ed->e", grad_r, w)[:, None]
-            r_lo = t_lo * G + r_apex
-            rt = t_hi * D + A0
-            r_hi = c_rt * rt + c_d * D + t_hi * G + r_apex
-            rt *= c_d
-            return np.column_stack([np.einsum("ep,ep,ep->e", w_hi, rt, rt) * (w ** 2).sum(axis=1),
-                                    np.einsum("ep,ep,ep->e", w_lo, r_lo, r_lo)
-                                    + np.einsum("ep,ep,ep->e", w_hi, r_hi, r_hi)])
+        def integrand(x, lam):
+            w = x.T - apex_c
+            D = _dot(a_c, w)
+            return (c0 + (c1 + m2 * D) * D) * _dot(w, w)
 
-        both = integrate_simplices(integrand, F, mesh.facet_measures[mesh.elem_facets[sel, i]],
-                                   ETA2_FACET_DEGREE)
-        first += both[:, 0]
-        second += both[:, 1]
+        flux = integrate_simplices(integrand, F, meas, ETA2_FACET_DEGREE)
+        Dv, Gv = [], []             # a.(y - apex) and grad r.(y - apex) at the facet vertices
+        for j in range(d):
+            w = F[:, j].T - apex_c
+            Dv.append(_dot(a_c, w))
+            Gv.append(_dot(grad_rc, w))
+        upper = 0.0
+        for t, wt, alpha, c_rt in div_nodes:
+            beta = c_rt * A0 + r_apex
+            v = [alpha * D + t * G + beta for D, G in zip(Dv, Gv)]
+            total = sum(v[1:], v[0])
+            upper = upper + wt * (_dot(v, v) + total * total)
+        return flux, meas / (d * (d + 1)) * upper   # _mass_norm_sq on the facet
+
+    first = np.zeros(len(sel))
+    for i in range(d + 1):      # in a function, so that one facet's arrays are alive at a time
+        flux, div = cone(i)
+        first += flux
+        second += div
     return first, second
 
 

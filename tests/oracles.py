@@ -624,10 +624,11 @@ def eta_K(flux, kappa: float, r_vals) -> float:
 
 
 def eta2_terms_longdouble(mesh, R, r_vals, sel):
-    """``eta2_terms`` evaluated in np.longdouble from the same float64 inputs and nodes.
+    """The layer indicator's cone integrand in np.longdouble from the float64 inputs.
 
-    Takes the facet data from ``_facet_setup``, the degree-4 facet rule and the
-    Gauss-Legendre nodes in t as float64 values and evaluates the cone integrand
+    Takes the facet data from ``_facet_setup``, the degree-4 facet rule and
+    ceil((d+6)/2) Gauss-Legendre nodes in t on [0, t0] and on [t0, 1] (enough
+    for every term) as float64 values and evaluates the cone integrand
     x = apex + t (y - apex), dx = rho t^(d-1) dt dy, written out term by term in
     extended precision, so that its distance from a float64 route measures that
     route's round-off.

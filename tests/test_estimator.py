@@ -484,6 +484,29 @@ def test_conformity_audit_covers_both_selections(monkeypatch):
     assert rep.audits["hdiv_mismatch"] <= 1e-11
 
 
+def test_estimate_calls_eta2_terms_once_on_the_kappa_positive_elements(monkeypatch):
+    # one call through the module attribute, which is where a tracer wraps the
+    # layer indicator stage: with strategy 'both' on every element with kappa > 0
+    import fluxbound.reconstruction as rec
+    mesh = geo.build_cube_mesh(4, 2, lambda c: np.where(c[:, 0] < 0, 0.0, 30.0))
+    data = fem.ProblemData(f=lambda x: 1.0 + x[:, 1])
+    sol = fem.solve_problem(mesh, data)
+    layer = rec.eta2_terms
+    calls = []
+
+    def spy(mesh, R, r_vals, sel):
+        calls.append(np.array(sel))
+        return layer(mesh, R, r_vals, sel)
+
+    monkeypatch.setattr(rec, "eta2_terms", spy)
+    rep = est.estimate(mesh, sol, data, "both")
+    assert len(calls) == 1
+    pos = np.flatnonzero(mesh.kappa > 0)
+    assert 0 < len(pos) < mesh.n_elements
+    assert np.array_equal(calls[0], pos)
+    assert np.all(np.isfinite(rep.eta_k_taustar))
+
+
 def test_conformity_audit_failure_raises(monkeypatch):
     # every element has kappa*rho > 1, so the divergence audit checks none and
     # cannot trip first; one interior facet's residual on one side is shifted,

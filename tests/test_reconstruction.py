@@ -8,6 +8,7 @@ import fluxbound.fem as fem
 import fluxbound.geometry as geo
 import fluxbound.reconstruction as rec
 from fluxbound.errors import DivergenceAuditFailed, InvalidVariant
+from fluxbound.quadrature import integrate_simplices
 
 import oracles
 from conftest import ZERO_DATA, fd_divergence, one_simplex, random_simplex
@@ -381,6 +382,42 @@ def test_eta2_roundoff_against_longdouble():
             err_stair = float(np.abs(st - lref).max()) / scale
             assert err_stair < 1e-10
             assert err_cone <= err_stair
+
+
+@pytest.mark.parametrize("dim,m", [(2, 4), (3, 2), (4, 1), (5, 1)])
+def test_eta2_closed_form_extremes(dim, m):
+    # kappa*rho just above 1 (cutoff at the apex), moderate, and far beyond
+    # (the cutoff 1e-8 rho from the facet): both terms against the cone
+    # integrand in extended precision, and the part below the cutoff against
+    # a quadrature of r^2 over the shrunken simplex apex + t0 (K - apex)
+    rho = geo.build_cube_mesh(m, dim, 1.0).inradii
+    assert np.ptp(rho) == 0.0   # Kuhn simplices are congruent
+    data = fem.ProblemData(f=lambda x: 1.0 + x[:, 0] - 0.5 * x[:, -1] ** 2)
+    for kapparho in (1.0 + 1e-9, 1.5, 1e3, 1e8):
+        mesh = geo.build_cube_mesh(m, dim, kapparho / rho[0])
+        sol = fem.solve_problem(mesh, data)
+        R = rec.facet_residuals(mesh, eq.equilibrate(mesh, sol), sol.grad)
+        pf = fem.project_element_bulk(mesh, sol.f_loads)
+        r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
+        sel = np.arange(mesh.n_elements)
+        ref = oracles.eta2_terms_longdouble(mesh, R, r_vals, sel)
+        for got, lref in zip(rec.eta2_terms(mesh, R, r_vals, sel), ref):
+            scale = float(np.abs(lref).max())
+            assert float(np.abs(got - lref).max()) <= 1e-13 * scale, (dim, kapparho)
+
+        t0 = 1.0 - np.minimum(1.0, 1.0 / (mesh.kappa * mesh.inradii))
+        apex, cent, g = mesh.incentres, mesh.centroids, mesh.bary_grads
+
+        def r_of(x):   # r through the barycentric coordinates of K
+            lam = 1.0 / (dim + 1) + np.einsum("end,ed->en", g, x - cent)
+            return np.einsum("en,en->e", lam, r_vals)
+
+        pts = mesh.points[mesh.simplices]
+        shrunk = apex[:, None] + t0[:, None, None] * (pts - apex[:, None])
+        quad = integrate_simplices(lambda x, lam: r_of(x) ** 2, shrunk,
+                                   geo.simplex_measure(shrunk), 2)
+        closed = rec._below_cutoff_sq(r_vals, r_of(apex), t0, mesh.volumes, dim)
+        np.testing.assert_allclose(closed, quad, rtol=1e-13, atol=0.0)
 
 
 def test_eta1_hand_case_single_element(unit_triangle):
