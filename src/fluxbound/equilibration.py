@@ -92,9 +92,11 @@ def residual_functionals(mesh: Mesh, sol: FemSolution) -> ResidualData:
     fids = mesh.elem_facets
     tags = mesh.facet_tag[fids]                       # (ne, d+1)
     neu = mesh.neumann
-    gnl = np.zeros((mesh.n_elements, d + 1, d))       # the Neumann loads by element facet
-    gnl[mesh.facet_elems[neu, 0], mesh.facet_local[neu, 0]] = sol.gn_loads
-    Fg = _to_local_vertices(gnl).sum(axis=1)
+    Fg = np.zeros((mesh.n_elements, d + 1))           # the Neumann loads at the element vertices
+    elems, local = mesh.facet_elems[neu, 0], mesh.facet_local[neu, 0]
+    for i, fv in enumerate(facet_vertices(d)):        # an element has one local facet i
+        on = local == i
+        Fg[elems[on, None], fv] += sol.gn_loads[on]
 
     per_facet = np.where(tags != NEUMANN,
                          mesh.elem_sigma * avg[fids] * mesh.facet_measures[fids] / d, 0.0)
@@ -205,6 +207,27 @@ def _raise_worst(bad, vals, tol, verts, message: str):
         raise InfeasibleConstraints(message.format(v=verts[j], res=vals[j], tol=tol[j]))
 
 
+def _sign_matrices(mesh: Mesh, els: np.ndarray, unknown: np.ndarray) -> np.ndarray:
+    """(n, k, nu) int8 +-1 patterns: M[p, r, j] is the orientation sign of element
+    els[p, r] on facet unknown[p, j], zero where the element lacks that facet.
+
+    Each row of `unknown` ascends by facet id, so the keys p * n_facets + facet
+    are sorted over the whole array, and one search places every facet of every
+    patch element; an element has a facet at most once, so a hit is one entry.
+    """
+    n, k = els.shape
+    nu = unknown.shape[1]
+    patch = np.arange(n)[:, None, None]
+    keys = (patch[:, 0] * mesh.n_facets + unknown).ravel()
+    query = patch * mesh.n_facets + mesh.elem_facets[els]          # (n, k, d+1)
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    hit = keys[pos] == query
+    flat = (patch * k + np.arange(k)[:, None]) * nu + pos - patch * nu
+    M = np.zeros((n, k, nu), dtype=np.int8)
+    M.ravel()[flat[hit]] = mesh.elem_sigma[els][hit]
+    return M
+
+
 def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, unknown, k: int, nc: int):
     """Solve the patches of `verts`, all with k elements, nc of them constrained, and
     the (n, nu) non-Neumann facets `unknown`; returns (alpha (n, nu), objective, residual)."""
@@ -222,11 +245,7 @@ def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, unknown, k: int, 
                      "vertex {v}: constraint residual {res:.3e} with no free coefficients")
         return np.zeros((len(verts), 0)), np.zeros(len(verts)), res
 
-    # the facets of a patch element that contain v are exactly its facets other
-    # than the one opposite v, so matching facet ids gives the +-1 pattern
-    fac = mesh.elem_facets[els]
-    M = (mesh.elem_sigma[els][..., None] * (fac[..., None] == unknown[:, None, None, :])
-         ).sum(axis=2, dtype=np.int8)
+    M = _sign_matrices(mesh, els, unknown)
     # patches with byte-identical sign matrices share one factorization
     keys = M.reshape(len(M), -1).view(np.dtype((np.void, k * nu)))[:, 0]
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
@@ -272,11 +291,14 @@ def _solve_patches(mesh: Mesh, resid: ResidualData, vertices):
     info = np.zeros((len(vertices), 4))
     info[:, 0], info[:, 1] = nc, nu
 
-    shapes, group = np.unique(np.column_stack([k, nu, nc]), axis=0, return_inverse=True)
-    for g, (kg, nug, ncg) in enumerate(shapes):
+    # one integer key per (k, nu, nc) shape; a stable sort keeps each group ascending
+    shape = (k * (nu.max() + 1) + nu) * (nc.max() + 1) + nc
+    order = np.argsort(shape, kind="stable")
+    starts = np.unique(shape[order], return_index=True)[1]
+    for members in np.split(order, starts[1:]):
+        kg, nug, ncg = k[members[0]], nu[members[0]], nc[members[0]]
         if kg == 0:
             continue
-        members = np.flatnonzero(group.ravel() == g)
         size = max(1, PATCH_CHUNK // max(kg * nug, 1))
         for lo in range(0, len(members), size):
             j = members[lo:lo + size]

@@ -7,9 +7,11 @@ so an integral over a physical simplex K is
 
     sum_q  w_q * |K| * d! * f(x_q).
 
-Every mesh integral goes through the batched ``integrate_simplices``. The
-single-simplex references that the tests check it against live in
-``tests/oracles.py``.
+Every mesh integral of data goes through the batched ``integrate_simplices``.
+The single-simplex references that the tests check it against live in
+``tests/oracles.py``. Integrals of polynomials given in barycentric
+coefficients use the exact moments ``simplex_moment`` instead, through the
+Gram factor ``quadratic_gram_factor``.
 
 Weights of the family alternate in sign; only exactness is guaranteed to
 callers, not node placement.
@@ -100,3 +102,31 @@ def integrate_simplices(integrand: Callable, pts: np.ndarray, measures,
         acc += w * np.asarray(integrand(x, lam), dtype=float)
     scale = np.asarray(measures, dtype=float) * math.factorial(k)
     return acc * scale.reshape(scale.shape + (1,) * (acc.ndim - 1))
+
+
+def simplex_moment(beta) -> float:
+    """int_K prod_n lambda_n^beta_n / |K| on a d-simplex K, d = len(beta) - 1.
+
+    The closed form beta! d! / (|beta| + d)! does not depend on the shape of K.
+    """
+    d = len(beta) - 1
+    return (math.prod(math.factorial(b) for b in beta) * math.factorial(d)
+            / math.factorial(sum(beta) + d))
+
+
+@lru_cache(maxsize=None)
+def quadratic_gram_factor(dim: int) -> np.ndarray:
+    """Lower Cholesky factor L of the Gram matrix, divided by |K|, of the P2 basis
+    lambda_0, ..., lambda_d, then lambda_a lambda_b for a < b (a outer, b inner).
+
+    int_K (sum_i v_i phi_i)^2 = |K| |L^T v|^2 for any simplex K. Read-only.
+    """
+    basis = [(n,) for n in range(dim + 1)]
+    basis += [(a, b) for a in range(dim + 1) for b in range(a + 1, dim + 1)]
+    gram = np.empty((len(basis), len(basis)))
+    for i, p in enumerate(basis):
+        for j, q in enumerate(basis):
+            gram[i, j] = simplex_moment(np.bincount(p + q, minlength=dim + 1))
+    factor = np.linalg.cholesky(gram)
+    factor.setflags(write=False)
+    return factor

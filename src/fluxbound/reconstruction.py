@@ -5,6 +5,9 @@ affine field matching the facet residuals R = g_K - grad u_h . n and tau_Q a
 quadratic correction with zero normal trace whose divergence absorbs the affine
 part of the residual. On elements where kappa*rho <= 1 the equilibration makes
 the divergence condition exact, so the indicator reduces to ||tau_L + tau_Q||.
+Each component of tau_L + tau_Q has explicit coefficients in the P2 basis
+{lambda_n} u {lambda_a lambda_b, a < b}, so its squared norm is a quadratic form
+in them with the exact Gram matrix of that basis (see ``eta1_terms``).
 
 Variant 2 (layer): tau = grad u_h + tau_O, with tau_O supported on the cones
 joining each facet to the incentre and cut off at height 1/kappa, matching the
@@ -34,9 +37,8 @@ from .equilibration import BoundaryFluxSet, _to_local_vertices
 from .errors import DivergenceAuditFailed, InvalidVariant
 from .fem import _mass_norm_sq
 from .geometry import Mesh, facet_vertices
-from .quadrature import integrate_simplices, rule_for
+from .quadrature import integrate_simplices, quadratic_gram_factor, rule_for
 
-ETA1_DEGREE = 4         # |tau_L + tau_Q|^2 has degree 4
 ETA2_FACET_DEGREE = 4   # the t-integrated |tau_O|^2 has degree 4 along each facet
 TRACE_DEGREE = 4        # facet rule of the normal-trace audit
 AUDIT_TOL = 1e-9
@@ -82,7 +84,7 @@ class Variant1Bulk:
 def _variant1_coeffs(pts, g, rv, r_vals) -> Variant1Bulk:
     # rv[e, m, n]: residual of facet m at local vertex n, zero on the diagonal
     w = rv * np.linalg.norm(g, axis=2)[:, :, None]      # weight of edge (n -> m)
-    c = np.einsum("emn,emd->end", w, pts) - w.sum(axis=1)[:, :, None] * pts
+    c = np.matmul(w.transpose(0, 2, 1), pts) - w.sum(axis=1)[:, :, None] * pts
     div_l = -np.einsum("end,end->e", g, c)
     grad_r = np.einsum("end,en->ed", g, r_vals)
     return Variant1Bulk(c=c, div_l=div_l, grad_r=grad_r, r_bar=r_vals.mean(axis=1))
@@ -93,14 +95,18 @@ def variant1_bulk(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray) -> Variant1Bulk
                             _to_local_vertices(R), r_vals)
 
 
-def _tau_q_pairs(pts, grad_r):
-    """Per vertex pair n < m of each element: (n, m, t = x_m - x_n, t.grad_r / (d+1))."""
-    dp1 = pts.shape[1]
+def _tau_q_pairs(P, grad_r):
+    """Per vertex pair n < m of each element: (n, m, t = x_m - x_n, t.grad_r / (d+1)).
+
+    ``P`` (d, d+1, k) holds the element vertices component first, as
+    ``mesh.points.T[:, simplices.T]`` gives them; t comes out (k, d), a view.
+    """
+    dp1 = P.shape[1]
     pairs = []
     for n in range(dp1):
         for m in range(n + 1, dp1):
-            t = pts[:, m] - pts[:, n]
-            pairs.append((n, m, t, np.einsum("ed,ed->e", t, grad_r) / dp1))
+            t = P[:, m] - P[:, n]
+            pairs.append((n, m, t.T, _dot(t, grad_r.T) / dp1))
     return pairs
 
 
@@ -118,18 +124,32 @@ def variant1_field(lam, c, pairs):
     return field
 
 
-def eta1_terms(mesh: Mesh, v1: Variant1Bulk, degree: int = ETA1_DEGREE):
-    """(||tau_L + tau_Q||_K^2, divergence residual constant) per element."""
-    pts = mesh.points[mesh.simplices]
-    pairs = _tau_q_pairs(pts, v1.grad_r)
+def eta1_terms(mesh: Mesh, v1: Variant1Bulk):
+    """(||tau_L + tau_Q||_K^2, divergence residual constant) per element.
 
-    def integrand(x, lam):
-        field = variant1_field(lam[None], v1.c, pairs).T
-        return _dot(field, field)
+    In the basis lambda_0, ..., lambda_d, then lambda_a lambda_b (a < b) of
+    quadratic_gram_factor, component c of tau_L + tau_Q has the coefficients
+    v_c = (-c_n[c] for each n, then t_ab[c] (t_ab.grad_r) / (d+1) for each
+    pair of _tau_q_pairs). With G = L L^T that basis's Gram matrix divided by
+    |K|, the same on every simplex,
 
-    first = integrate_simplices(integrand, pts, mesh.volumes, degree)
-    resid_const = v1.div_l + v1.r_bar
-    return first, resid_const
+        ||tau_L + tau_Q||_K^2 = |K| sum_c v_c^T G v_c = |K| sum_c |L^T v_c|^2,
+
+    exact and non-negative by construction. The coefficients are built one
+    component at a time as a (basis, element) stack.
+    """
+    d = mesh.dim
+    pairs = _tau_q_pairs(mesh.points.T[:, mesh.simplices.T], v1.grad_r)
+    LT = quadratic_gram_factor(d).T
+    coeffs = np.empty((len(LT), mesh.n_elements))
+    first = 0.0
+    for c, cc in enumerate(v1.c.T):
+        np.negative(cc, out=coeffs[:d + 1])
+        for row, (_, _, t, tg) in zip(coeffs[d + 1:], pairs):
+            np.multiply(t.T[c], tg, out=row)
+        w = LT @ coeffs
+        first = first + _dot(w, w)
+    return mesh.volumes * first, v1.div_l + v1.r_bar
 
 
 def divergence_audit(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
@@ -320,7 +340,7 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
     i1 = np.flatnonzero((variant != 2).any(axis=0))
     i2 = np.flatnonzero((variant == 2).any(axis=0))
     c1, grad1, grad2 = v1.c[i1], grad[i1], grad[i2]
-    pairs = _tau_q_pairs(pts[i1], v1.grad_r[i1])
+    pairs = _tau_q_pairs(mesh.points.T[:, mesh.simplices[i1].T], v1.grad_r[i1])
     apex, rho = mesh.incentres[i2], mesh.inradii[i2]
     t1 = np.empty((len(i1), d + 1, rule.n_points))   # traces of variant 1 on i1, 2 on i2
     t2 = np.empty((len(i2), d + 1, rule.n_points))

@@ -5,9 +5,11 @@
   ``vertex_patch`` (the elements sharing one vertex) and ``facet_slots`` /
   ``to_local_vertices`` (facet-vertex data by element vertex, found by search);
 * projections and norms: ``project_facet``, ``energy_norm``, ``energy_norm_fe``;
-* equilibration: the collapsed extension ``extension``/``ExtensionFunction``
-  and ``solve_vertex_patch_reference``, one vertex patch at a time;
-* reconstruction: the flux closures ``build_variant1``/``FluxVariant1`` and
+* equilibration: the collapsed extension ``extension``/``ExtensionFunction``,
+  the patch sign matrices by dense comparison ``sign_matrices_dense``, and
+  ``solve_vertex_patch_reference``, one vertex patch at a time;
+* reconstruction: the variant-1 indicator by quadrature
+  ``eta1_terms_quadrature``, the flux closures ``build_variant1``/``FluxVariant1`` and
   ``build_variant2``/``FluxVariant2``, the general layer field
   ``variant2_field`` (cutoff and divergence included), the facet data of the
   layer field by a linear solve per element ``facet_setup_reference``, the
@@ -236,7 +238,7 @@ class FluxVariant1:
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         lam = locate(self.vertices[None], x)[1]
-        pairs = _tau_q_pairs(self.vertices[None], self.grad_r[None])
+        pairs = _tau_q_pairs(self.vertices.T[:, :, None], self.grad_r[None])
         return self.grad_uh + variant1_field(lam, self.c[None], pairs)
 
     def divergence(self, x) -> np.ndarray:
@@ -256,6 +258,19 @@ def build_variant1(vertices, Rv, r_vals, grad_uh=None) -> FluxVariant1:
     return FluxVariant1(vertices=vertices, grad_uh=base,
                         c=v1.c[0], grad_r=v1.grad_r[0], centroid=vertices.mean(axis=0),
                         div_l=float(v1.div_l[0]))
+
+
+def eta1_terms_quadrature(mesh, v1, degree: int):
+    """``reconstruction.eta1_terms`` by quadrature of |tau_L + tau_Q|^2 (degree 4)
+    at the given degree, the field evaluated node by node."""
+    pairs = _tau_q_pairs(mesh.points.T[:, mesh.simplices.T], v1.grad_r)
+
+    def integrand(x, lam):
+        field = variant1_field(lam[None], v1.c, pairs)
+        return np.einsum("ed,ed->e", field, field)
+
+    first = integrate_simplices(integrand, mesh.points[mesh.simplices], mesh.volumes, degree)
+    return first, v1.div_l + v1.r_bar
 
 
 def facet_setup_reference(pts, g, Rf, i: int):
@@ -429,6 +444,14 @@ def _min_norm_lstsq(A: np.ndarray, b: np.ndarray, floor: float = 0.0) -> np.ndar
     if not np.any(keep):
         return np.zeros(A.shape[1])
     return vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
+
+
+def sign_matrices_dense(mesh, els, unknown) -> np.ndarray:
+    """``equilibration._sign_matrices`` by comparing every element facet with
+    every unknown facet of its patch: (n, k, nu) int8."""
+    fac = mesh.elem_facets[els]
+    return (mesh.elem_sigma[els][..., None] * (fac[..., None] == unknown[:, None, None, :])
+            ).sum(axis=2, dtype=np.int8)
 
 
 def solve_vertex_patch_reference(mesh, v: int, resid):

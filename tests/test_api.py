@@ -75,6 +75,12 @@ def test_estimate_parameters():
         "mesh", "sol", "data", "strategy", "check_conformity", "patch_report_path"]
 
 
+def test_eta1_terms_parameters():
+    # the closed form needs no quadrature degree; the tracer wraps this name
+    from fluxbound.reconstruction import eta1_terms
+    assert list(inspect.signature(eta1_terms).parameters) == ["mesh", "v1"]
+
+
 def test_run_layer_parameters():
     # the CLI passes the patch report path to run_benchmark; output paths and
     # verbosity are not part of a run's configuration

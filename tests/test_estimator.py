@@ -507,6 +507,27 @@ def test_estimate_calls_eta2_terms_once_on_the_kappa_positive_elements(monkeypat
     assert np.all(np.isfinite(rep.eta_k_taustar))
 
 
+def test_estimate_calls_eta1_terms_once(monkeypatch):
+    # one call through the module attribute, which is where a tracer wraps the
+    # variant-1 indicator stage, on every element
+    import fluxbound.reconstruction as rec
+    mesh = geo.build_cube_mesh(4, 2, lambda c: np.where(c[:, 0] < 0, 0.0, 30.0))
+    data = fem.ProblemData(f=lambda x: 1.0 + x[:, 1])
+    sol = fem.solve_problem(mesh, data)
+    polynomial = rec.eta1_terms
+    calls = []
+
+    def spy(mesh, v1):
+        out = polynomial(mesh, v1)
+        calls.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(rec, "eta1_terms", spy)
+    rep = est.estimate(mesh, sol, data, "both")
+    assert calls == [mesh.n_elements]
+    assert np.all(np.isfinite(rep.eta_k_tau))
+
+
 def test_conformity_audit_failure_raises(monkeypatch):
     # every element has kappa*rho > 1, so the divergence audit checks none and
     # cannot trip first; one interior facet's residual on one side is shifted,

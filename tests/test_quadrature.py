@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fluxbound.geometry as geo
 from fluxbound.errors import UnsupportedDegree
-from fluxbound.quadrature import integrate_simplices, rule_for
+from fluxbound.quadrature import integrate_simplices, quadratic_gram_factor, rule_for
 
 from conftest import bary_monomial_integral, random_simplex
 
@@ -45,6 +45,22 @@ def test_lambda1_squared_reference_tet():
     rule = rule_for(3, 2)
     val = rule.weights @ rule.points[:, 0] ** 2
     assert val == pytest.approx(1.0 / 60.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_quadratic_gram_factor_against_quadrature(d):
+    # L L^T is the Gram matrix / |K| of lambda_n, then lambda_a lambda_b (a < b),
+    # here by the degree-4 rule on the reference simplex (|K| = 1/d!)
+    rule = rule_for(d, 4)
+    lam = rule.points
+    basis = [lam[:, n] for n in range(d + 1)]
+    basis += [lam[:, a] * lam[:, b] for a, b in itertools.combinations(range(d + 1), 2)]
+    phi = np.array(basis)
+    gram = math.factorial(d) * (phi * rule.weights) @ phi.T
+    L = quadratic_gram_factor(d)
+    assert not L.flags.writeable
+    assert np.array_equal(L, np.tril(L)) and np.all(np.diag(L) > 0)
+    np.testing.assert_allclose(L @ L.T, gram, rtol=1e-13, atol=1e-16)
 
 
 def test_exactness_all_monomials_up_to_degree8():

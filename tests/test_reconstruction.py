@@ -310,8 +310,8 @@ def test_benchmark_divergence_audit_and_degree_stability():
     first, resid_const = rec.eta1_terms(mesh, v1)
     worst = rec.divergence_audit(mesh, resid_const, pf, sol.u[mesh.simplices])
     assert worst <= 1e-9
-    # quadrature-degree sufficiency: default vs +4
-    first_hi, _ = rec.eta1_terms(mesh, v1, degree=rec.ETA1_DEGREE + 4)
+    # the closed form against degree-8 quadrature of the field
+    first_hi, _ = oracles.eta1_terms_quadrature(mesh, v1, 8)
     denom = np.maximum(first.max(), 1e-300)
     assert np.abs(first - first_hi).max() / denom < 1e-10
 
@@ -445,6 +445,57 @@ def test_eta1_hand_case_single_element(unit_triangle):
     flux = oracles.build_variant1(unit_triangle, Rv, r_vals[0])
     oracle = oracles.integrate(lambda x: (flux(x) ** 2).sum(axis=1), unit_triangle, 8)
     assert first[0] == pytest.approx(oracle, rel=1e-10)
+
+
+def _check_eta1_closed_form(mesh, R, r_vals, elements):
+    """eta1_terms against degree-8 quadrature on every element, and against the
+    single-element closure integrated by oracles.integrate on `elements`."""
+    v1 = rec.variant1_bulk(mesh, R, r_vals)
+    first, _ = rec.eta1_terms(mesh, v1)
+    quad, _ = oracles.eta1_terms_quadrature(mesh, v1, 8)
+    assert np.all(first >= 0.0)
+    assert np.all(np.abs(first - quad) <= 1e-12 * quad + 1e-14 * quad.max())
+    Rv = eq._to_local_vertices(R)
+    for e in elements:
+        pts = mesh.points[mesh.simplices[e]]
+        flux = oracles.build_variant1(pts, Rv[e], r_vals[e])
+        single = oracles.integrate(lambda x: (flux(x) ** 2).sum(axis=1), pts, 8)
+        assert abs(first[e] - single) <= 1e-11 * single + 1e-14 * quad.max()
+
+
+@pytest.mark.parametrize("dim,m", [(2, 4), (3, 2), (4, 1), (5, 1)])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 1e4])
+def test_eta1_closed_form_matches_quadrature(dim, m, kappa):
+    # Kuhn meshes with every vertex moved by up to 0.08 h per coordinate (the
+    # orientation of every element is kept), through the whole pipeline, from
+    # kappa = 0 to far inside the layer regime
+    rng = np.random.default_rng(1000 * dim + int(kappa))
+    base = geo.build_cube_mesh(m, dim, kappa)
+    pts = base.points + rng.uniform(-0.08, 0.08, base.points.shape) * (2.0 / m)
+    edges = pts[base.simplices[:, 1:]] - pts[base.simplices[:, :1]]
+    ref = base.points[base.simplices[:, 1:]] - base.points[base.simplices[:, :1]]
+    assert np.all(np.sign(np.linalg.det(edges)) == np.sign(np.linalg.det(ref)))
+    tags = {tuple(int(v) for v in base.facets[fi]): "D"
+            for fi in np.flatnonzero(base.facet_tag != geo.INTERIOR)}
+    mesh = geo.build_mesh(pts, base.simplices, kappa, tags)
+    data = fem.ProblemData(f=lambda x: 1.0 + x[:, 0] - 0.5 * x[:, -1] ** 2)
+    sol = fem.solve_problem(mesh, data)
+    R = rec.facet_residuals(mesh, eq.equilibrate(mesh, sol), sol.grad)
+    pf = fem.project_element_bulk(mesh, sol.f_loads)
+    r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
+    _check_eta1_closed_form(mesh, R, r_vals, rng.choice(mesh.n_elements, 3, replace=False))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_eta1_closed_form_near_degenerate_simplex(dim, rng):
+    # the unit simplex flattened to rho/h ~ 1e-3, random facet residuals and r
+    pts = np.vstack([np.zeros(dim), np.eye(dim)])
+    pts[:, -1] *= 2e-3
+    mesh = one_element_mesh(pts, 0.0, dirichlet=tuple(range(dim + 1)))
+    assert 5e-4 < mesh.inradii[0] / mesh.diameters[0] < 2e-3
+    R = rng.standard_normal((1, dim + 1, dim))
+    r_vals = rng.standard_normal((1, dim + 1))
+    _check_eta1_closed_form(mesh, R, r_vals, [0])
 
 
 def test_divergence_audit_failure_raises(unit_triangle):
