@@ -17,19 +17,22 @@ is minimized in the least-squares sense, with minimal-norm tie-breaking.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InfeasibleConstraints
 from .fem import FemSolution, _mass_inverse_times, _mass_times, data_values
 from .geometry import NEUMANN, Mesh, facet_vertices
-from .quadrature import integrate_simplices
+from .quadrature import rule_for
 
 RANK_TOL = 1e-12        # relative singular value cutoff in the patch solves
 CONSTRAINT_TOL = 1e-9   # residual threshold (times local scale) for feasibility
 
 EXTENSION_DEGREE = 2    # quadrature degree for the extension volume terms
+EXTENSION_CHUNK = 2 ** 15   # (node, element) pairs of the extension terms evaluated at a time
 PATCH_CHUNK = 2 ** 17   # sign-matrix entries of the same-shape patches solved at a time
 
 
@@ -116,38 +119,91 @@ def residual_functionals(mesh: Mesh, sol: FemSolution) -> ResidualData:
     return ResidualData(D=D, Dstar=Dstar, scale=scale, avg=avg)
 
 
+@lru_cache(maxsize=None)
+def _extension_tables(d: int):
+    """Node tables of the collapsed extensions, the same for every element.
+
+    The extension theta* of vertex n is the hat of n on each sub-simplex
+    S_i(n) = conv(facet i, x_P), i != n, with x_P at the element barycentrics
+    delta 1 + (1 - (d+1) delta) e_n. Node q of the EXTENSION_DEGREE rule, nu
+    on S_i(n) (the facet vertices facet_vertices(d)[i], then x_P), sits at the
+    element barycentrics A + delta B. Over the Q = d(d+1) nq nodes of all
+    (n, i != n) in order, returns ``(AB, hat)``: AB = [A B] (Q, 2(d+1)), so
+    that the nodes of an element are AB @ [x_K; delta x_K], and hat
+    (d+1, d, nq) the value nu_q[slot of n] of theta* at node q of the d
+    sub-simplices of n. Read-only.
+    """
+    nu = rule_for(d, EXTENSION_DEGREE).points
+    others = facet_vertices(d)
+    AB, hat = [], []
+    for n in range(d + 1):
+        for i in range(d + 1):
+            if i == n:
+                continue   # theta* vanishes on the sub-simplex opposite its vertex
+            ab = np.zeros((len(nu), 2, d + 1))
+            ab[:, 0, others[i]] = nu[:, :d]
+            ab[:, 0, n] += nu[:, d]
+            ab[:, 1] = nu[:, d:]
+            ab[:, 1, n] -= (d + 1) * nu[:, d]
+            AB.append(ab.reshape(len(nu), -1))
+            hat.append(nu[:, list(others[i]).index(n)])
+    tables = np.concatenate(AB), np.reshape(hat, (d + 1, d, len(nu)))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _extension_volume_terms(mesh: Mesh, sol: FemSolution, sel: np.ndarray) -> np.ndarray:
     """int_K f theta* - kappa^2 int_K u_h theta* for the collapsed extensions, per vertex.
 
-    The stiffness part of B_K(u_h, theta*) equals that of the plain hat and is
+    Every sub-simplex S_i(n), i != n, has the measure delta |K|, delta =
+    1/(d kappa rho). The f part is quadrature: the nodes of all sub-simplices
+    are the points (A + delta B) x_K of ``_extension_tables``, built for a
+    block of elements by one matrix product with the stacked tables [A B],
+    and f is called once per block of at most EXTENSION_CHUNK (node, element)
+    pairs. The kappa^2 part is exact, the P1 mass product on each S_i(n).
+
+    Where u_h = f / kappa^2 the two parts cancel and the result is
+    round-off, which decides between the round-off-level indicators of the
+    two reconstructions. So the sums keep the order of the sub-simplex route:
+    per S_i(n) over the rule's nodes, then f part minus kappa^2 part, then over
+    i; with f constant the result equals that route's bit for bit. The
+    stiffness part of B_K(u_h, theta*) equals that of the plain hat and is
     left to the caller.
     """
     d = mesh.dim
-    pts = mesh.points[mesh.simplices[sel]]            # (k, d+1, d)
-    uloc = sol.u[mesh.simplices[sel]]
-    k2 = mesh.kappa[sel] ** 2
+    AB, hat = _extension_tables(d)
+    rule = rule_for(d, EXTENSION_DEGREE)
+    nodes = len(AB)
     delta = 1.0 / (d * mesh.kappa[sel] * mesh.inradii[sel])  # kappa*rho > 1 on sel
     svol = delta * mesh.volumes[sel]   # |S_i| = lambda_i(x_P) |K| for every i != n
+    scale = svol * math.factorial(d)
+    verts = np.take(mesh.points, mesh.simplices[sel].T, axis=0)     # (d+1, k, d)
+    ft = np.empty((d + 1, d, len(sel)))   # int f theta* on S_i(n), the i != n in order
+    size = max(1, EXTENSION_CHUNK // nodes)
+    for lo in range(0, len(sel), size):
+        hi = min(lo + size, len(sel))
+        P = np.empty((2, d + 1, hi - lo, d))        # [x_K; delta x_K]
+        P[0] = verts[:, lo:hi]
+        np.multiply(P[0], delta[lo:hi, None], out=P[1])
+        x = AB @ P.reshape(2 * (d + 1), -1)
+        vals = data_values(sol.data.f, x.reshape(-1, d), "f")
+        terms = vals.reshape(d + 1, d, rule.n_points, hi - lo) * hat[..., None]
+        terms *= rule.weights[:, None]
+        ft[:, :, lo:hi] = terms.sum(axis=2) * scale[lo:hi]   # node by node, in order
+
+    uloc = sol.u[mesh.simplices[sel]]
+    k2 = mesh.kappa[sel] ** 2
     out = np.zeros((len(sel), d + 1))
     others = facet_vertices(d)
     for n in range(d + 1):
         coeff = np.full((len(sel), d + 1), delta[:, None])
         coeff[:, n] = 1.0 - d * delta
-        x_p = np.einsum("kj,kjd->kd", coeff, pts)
         u_p = np.einsum("kj,kj->k", coeff, uloc)
-        for i in range(d + 1):
-            if i == n:
-                continue   # theta* vanishes on the subsimplex opposite its vertex
-            keep = others[i]
-            sverts = np.concatenate([pts[:, keep], x_p[:, None, :]], axis=1)
-            local_slot = n - (n > i)   # the position of n in others[i]
-            su = np.concatenate([uloc[:, keep], u_p[:, None]], axis=1)
-            # int f theta* by quadrature; the mass term is exact
-            ft = integrate_simplices(
-                lambda x, lam: data_values(sol.data.f, x, "f") * lam[local_slot],
-                sverts, svol, EXTENSION_DEGREE)
-            mass = k2 * _mass_times(su, svol[:, None], d)[:, local_slot]
-            out[:, n] += ft - mass
+        for f_i, i in zip(ft[n], [i for i in range(d + 1) if i != n]):
+            su = np.concatenate([uloc[:, others[i]], u_p[:, None]], axis=1)
+            mass = k2 * _mass_times(su, svol[:, None], d)[:, n - (n > i)]   # n's slot
+            out[:, n] += f_i - mass
     return out
 
 
@@ -168,7 +224,7 @@ def _pinv(A: np.ndarray, floor=0.0) -> np.ndarray:
     u, s, vt = np.linalg.svd(A, full_matrices=False)
     cutoff = RANK_TOL * np.maximum(s[..., 0], floor)
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff[..., None])
-    return np.einsum("...ki,...k,...jk->...ij", vt, inv, u)
+    return np.matmul(vt.swapaxes(-1, -2) * inv[..., None, :], u.swapaxes(-1, -2))
 
 
 def _patch_maps(M: np.ndarray, nc: int):
@@ -188,7 +244,7 @@ def _patch_maps(M: np.ndarray, nc: int):
     rank = np.sum(s > RANK_TOL * s[:, :1], axis=1)
     m = s.shape[1]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=np.arange(m) < rank[:, None])
-    P = np.einsum("nki,nk,njk->nij", vt[:, :m], inv, uc[:, :, :m])
+    P = np.matmul(vt[:, :m].transpose(0, 2, 1) * inv[:, None], uc[:, :, :m].transpose(0, 2, 1))
     L = np.concatenate([P, np.zeros((n, nu, k - nc))], axis=2)
     stepped = (rank < nu) & (k > nc)
     for r in np.unique(rank[stepped]):
@@ -334,11 +390,29 @@ class BoundaryFluxSet:
     eps_max_rel: float      # worst scaled equality residual over constrained elements
 
 
-def equilibration_residuals(mesh: Mesh, resid: ResidualData, alphas: np.ndarray):
-    """Assembled residuals eps[e, n] = D[e, n] + sum sigma * alpha over the vertex's facets."""
-    fids = mesh.elem_facets
-    sigma = np.where(mesh.facet_tag[fids] != NEUMANN, mesh.elem_sigma, 0)
-    return resid.D + _to_local_vertices(sigma[:, :, None] * alphas[fids]).sum(axis=1)
+def equilibration_residuals(mesh: Mesh, resid: ResidualData, alphas: np.ndarray,
+                            elems=slice(None)):
+    """Assembled residuals eps[e, n] = D[e, n] + sum sigma * alpha over the vertex's facets.
+
+    Rows of the elements ``elems`` only (all by default); a row does not depend
+    on the others.
+    """
+    fids = mesh.elem_facets[elems]
+    sigma = np.where(mesh.facet_tag[fids] != NEUMANN, mesh.elem_sigma[elems], 0)
+    total = np.zeros(fids.shape)        # over the local facets i in order, as a sum over i
+    for i, fv in enumerate(facet_vertices(mesh.dim)):
+        total[:, fv] += sigma[:, i, None] * alphas[fids[:, i]]
+    return resid.D[elems] + total
+
+
+def _patch_scales(mesh: Mesh, resid: ResidualData) -> np.ndarray:
+    """(n_points,) largest ``resid.scale`` over the entries of each vertex patch,
+    the scale its patch solve is checked against (zero for a vertex of no element)."""
+    offsets, data = mesh._vertex_elem_offsets, mesh._vertex_elem_data
+    vals = np.append(resid.scale[data[:, 0], data[:, 1]], 0.0)   # scales are >= 0
+    out = np.maximum.reduceat(vals, offsets[:-1])
+    out[offsets[:-1] == offsets[1:]] = 0.0
+    return out
 
 
 def equilibrate(mesh: Mesh, sol: FemSolution, *,
@@ -346,8 +420,10 @@ def equilibrate(mesh: Mesh, sol: FemSolution, *,
     """Solve all vertex-patch problems and assemble the boundary fluxes.
 
     Postcondition (audited): on every element with kappa*rho <= 1 the assembled
-    residuals vanish to 1e-9 relative to the local data scale, which is the
-    exact equilibration property against affine functions.
+    residuals vanish to 1e-9 relative to the data scale of their vertex patch,
+    the scale its patch solve met the constraints at; this is the exact
+    equilibration property against affine functions. Only those rows are
+    assembled.
     """
     d = mesh.dim
     resid = residual_functionals(mesh, sol)
@@ -358,9 +434,10 @@ def equilibrate(mesh: Mesh, sol: FemSolution, *,
     gplus = resid.avg[:, None] + _mass_inverse_times(alphas, mesh.facet_measures[:, None], d - 1)
     gplus[neu] = _mass_inverse_times(sol.gn_loads, mesh.facet_measures[neu, None], d - 1)
 
-    eps = equilibration_residuals(mesh, resid, alphas)
-    constrained = ~mesh.layer
-    rel = np.abs(eps[constrained]) / np.maximum(resid.scale[constrained], 1e-300)
+    constrained = np.flatnonzero(~mesh.layer)
+    eps = equilibration_residuals(mesh, resid, alphas, constrained)
+    scale = _patch_scales(mesh, resid)[mesh.simplices[constrained]]
+    rel = np.abs(eps) / np.maximum(scale, 1e-300)
     eps_max_rel = float(rel.max()) if rel.size else 0.0
     if eps_max_rel > CONSTRAINT_TOL:
         raise InfeasibleConstraints(

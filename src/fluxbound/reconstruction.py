@@ -23,13 +23,15 @@ below the cutoff, r + div tau_O = r on the shrunken simplex apex + t0 (K - apex)
 (one P1 mass norm, exact for the quadratic r^2); above it, r + div tau_O is
 affine in y at each Gauss-Legendre node in t (a P1 facet mass norm per node,
 ceil((d+4)/2) nodes for degree d+3 in t); and |tau_O|^2 reduces to three
-t-moments per element times a quartic in y (ceil((d+6)/2) nodes for degree d+5
-in t, a degree-4 facet rule in y). See ``eta2_terms``.
+t-moments per element (ceil((d+6)/2) nodes for degree d+5 in t) times a
+quartic in y, integrated over the facet exactly by the cached moments of the
+facet barycentrics up to degree 4. See ``eta2_terms``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,9 +39,8 @@ from .equilibration import BoundaryFluxSet, _to_local_vertices
 from .errors import DivergenceAuditFailed, InvalidVariant
 from .fem import _mass_norm_sq
 from .geometry import Mesh, facet_vertices
-from .quadrature import integrate_simplices, quadratic_gram_factor, rule_for
+from .quadrature import quadratic_gram_factor, rule_for, simplex_moment
 
-ETA2_FACET_DEGREE = 4   # the t-integrated |tau_O|^2 has degree 4 along each facet
 TRACE_DEGREE = 4        # facet rule of the normal-trace audit
 AUDIT_TOL = 1e-9
 
@@ -177,6 +178,14 @@ def divergence_audit(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
 # variant 2
 # ---------------------------------------------------------------------------
 
+def _component_first(mesh: Mesh, sel: np.ndarray):
+    """Vertices and barycentric gradients of the selected elements for ``_facet_setup``:
+    (k, d+1, d) transposes of C-contiguous (d, d+1, k) arrays."""
+    P = np.take(mesh.points.T, mesh.simplices[sel].T, axis=1)
+    G = np.take(mesh.bary_grads.T, sel, axis=2)
+    return P.T, G.T
+
+
 def _facet_setup(pts, g, Rf, i: int):
     """Local facet i (opposite vertex i) of a batch of elements.
 
@@ -186,17 +195,23 @@ def _facet_setup(pts, g, Rf, i: int):
     canonical facet order, element vertices being sorted), the affine extension
     R(x) = a.x + b of the residual, constant along the facet normal (a
     orthogonal to ed), and the inward unit normal ed.
+
+    The arithmetic runs component by component on the transposes, whose rows
+    are contiguous when the inputs are transposed C-contiguous arrays, as
+    ``_component_first`` builds them; F, a and ed come back as transposes of
+    component-first arrays too, (d, d, k) and (d, k).
     """
     fv = facet_vertices(pts.shape[2])[i]
-    F = pts[:, fv]
-    gi = g[:, i]
-    ed = gi / np.sqrt(_dot(gi.T, gi.T))[:, None]
-    grad = Rf[:, :1] * g[:, fv[0]]        # gradient of sum_j Rf_j lambda_j
+    P, G, Rt = pts.T, g.T, Rf.T             # (d, d+1, k), (d, d+1, k), (d, k)
+    F = P[:, fv]
+    gi = G[:, i]
+    ed = gi / np.sqrt(_dot(gi, gi))
+    grad = Rt[0] * G[:, fv[0]]              # gradient of sum_j Rf_j lambda_j
     for j in range(1, len(fv)):
-        grad += Rf[:, j:j + 1] * g[:, fv[j]]
-    a = grad - _dot(grad.T, ed.T)[:, None] * ed
-    b = Rf[:, 0] - _dot(a.T, F[:, 0].T)
-    return F, a, b, ed
+        grad += Rt[j] * G[:, fv[j]]
+    a = grad - _dot(grad, ed) * ed
+    b = Rt[0] - _dot(a, F[:, 0])
+    return F.T, a.T, b, ed.T
 
 
 def _below_cutoff_sq(r_vals, r_apex, t0, volumes, d: int):
@@ -222,6 +237,43 @@ def _upper_nodes(n: int, h: np.ndarray):
         yield s, 1.0 - s, h * (w / 2)
 
 
+def _flux_moments(q, rho, h, d: int):
+    """m_k = int_t0^1 rho t^(d-1) c_d^2 t^k dt, k = 0, 1, 2, with c_d = (1 - q (1 - t)) t / rho.
+
+    Degree d+5 in t: ceil((d+6)/2) Gauss-Legendre nodes are exact.
+    """
+    m0 = m1 = m2 = 0.0
+    for s, t, w in _upper_nodes(math.ceil((d + 6) / 2), h):
+        wc = w * rho * t ** (d - 1) * ((1.0 - q * s) * t / rho) ** 2
+        m0 = m0 + wc
+        m1 = m1 + wc * t
+        m2 = m2 + wc * t * t
+    return m0, m1, m2
+
+
+@lru_cache(maxsize=None)
+def _facet_moment_tables(d: int):
+    """Moments of the barycentrics mu of a (d-1)-simplex for the flux term of eta2_terms.
+
+    Over the pairs p = (j, l), j <= l, of ``pairs`` and with the factor 2 of an
+    off-diagonal pair (j < l) folded in: C2[p] = E[mu_j mu_l],
+    C3[p, i] = E[mu_j mu_l mu_i] and C4[p, p'] = E[mu_j mu_l mu_i mu_k] for
+    p' = (i, k), E the mean over the simplex (``simplex_moment``). Read-only.
+    """
+    pairs = [(j, l) for j in range(d) for l in range(j, d)]
+    mult = np.array([1.0 if j == l else 2.0 for j, l in pairs])
+
+    def mean(*idx):
+        return simplex_moment(np.bincount(idx, minlength=d))
+
+    C2 = mult * [mean(*p) for p in pairs]
+    C3 = mult[:, None] * [[mean(*p, i) for i in range(d)] for p in pairs]
+    C4 = np.outer(mult, mult) * [[mean(*p, *pk) for pk in pairs] for p in pairs]
+    for table in (C2, C3, C4):
+        table.setflags(write=False)
+    return pairs, C2, C3, C4
+
+
 def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
     """(||tau_O||_K^2, ||r + div tau_O||_K^2) for the selected elements.
 
@@ -245,10 +297,15 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
        integrates over the facet as the P1 mass norm of its facet-vertex
        values; in t the integrand has degree d+3, so ceil((d+4)/2)
        Gauss-Legendre nodes are exact;
-    3. |tau_O|^2 integrates in t to (m0 A0^2 + 2 m1 A0 D + m2 D^2) |y - apex|^2
-       with the per-element moments m_k = int rho t^(d-1) c_d^2 t^k dt
-       (degree d+5: ceil((d+6)/2) nodes), which has degree 4 in y and takes a
-       degree-4 facet rule.
+    3. |tau_O|^2 integrates in t to (c0 + c1 D + m2 D^2) |y - apex|^2,
+       c0 = m0 A0^2 and c1 = 2 m1 A0, with the per-element moments
+       m_k of _flux_moments. In the facet barycentrics mu, y - apex =
+       sum_j mu_j W_j with W_j = F_j - apex at the facet vertices and
+       D = sum_i mu_i D_i, D_i = a.W_i, so the facet integral is exact in
+       the moments of _facet_moment_tables:
+
+           |gamma| sum_{j<=l} (W_j.W_l) (C2 c0 + c1 sum_i C3 D_i
+                                         + m2 sum_{i<=k} C4 D_i D_k).
 
     Everything is row-wise and component by component, so an element's value
     does not depend on the rest of the selection.
@@ -260,55 +317,49 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
     rho = mesh.inradii[sel]
     q = kap * rho
     h = np.minimum(1.0, 1.0 / q)
-    apex = mesh.incentres[sel]
-    g = mesh.bary_grads[sel]
+    pts, g = _component_first(mesh, sel)
+    apex_c = np.ascontiguousarray(mesh.incentres[sel].T)
     rv = r_vals[sel]
-    grad_r = np.einsum("end,en->ed", g, rv)
-    r_apex = rv.mean(axis=1) + np.einsum("ed,ed->e", grad_r, apex - mesh.centroids[sel])
+    grad_rc = g.T[:, 0] * rv[:, 0]      # component-first gradient of r
+    for n in range(1, d + 1):
+        grad_rc += g.T[:, n] * rv[:, n]
+    r_apex = rv.mean(axis=1) + _dot(grad_rc, apex_c - mesh.centroids[sel].T)
     second = _below_cutoff_sq(rv, r_apex, 1.0 - h, mesh.volumes[sel], d)
 
-    m0 = m1 = m2 = 0.0          # moments of the flux term
-    for s, t, w in _upper_nodes(math.ceil((d + 6) / 2), h):
-        wc = w * rho * t ** (d - 1) * ((1.0 - q * s) * t / rho) ** 2
-        m0 = m0 + wc
-        m1 = m1 + wc * t
-        m2 = m2 + wc * t * t
+    m0, m1, m2 = _flux_moments(q, rho, h, d)
+    pairs, C2, C3, C4 = _facet_moment_tables(d)
     div_nodes = []              # (t, weight, alpha, c_rt) of the divergence term
     for s, t, w in _upper_nodes(math.ceil((d + 4) / 2), h):
         fac = 1.0 - q * s
         c_rt = (d * fac + q * t) / rho
         div_nodes.append((t, w * rho * t ** (d - 1), c_rt * t + fac * t / rho, c_rt))
 
-    pts = mesh.points[mesh.simplices[sel]]
-    apex_c = np.ascontiguousarray(apex.T)
-    grad_rc = np.ascontiguousarray(grad_r.T)
-
     def cone(i):
         """(||tau_O||^2, ||r + div tau_O||^2 above t0) on the cone of facet i."""
-        F, a, b, _ = _facet_setup(pts, g, R[sel, i], i)
-        a_c = np.ascontiguousarray(a.T)
+        F, a, b = _facet_setup(pts, g, R[sel, i], i)[:3]
+        a_c = a.T                   # (d, k), contiguous rows
         meas = mesh.facet_measures[mesh.elem_facets[sel, i]]
         A0 = _dot(a_c, apex_c) + b
+        W = F.T                     # (d, d, k), a copy: y - apex at the facet vertices
+        W -= apex_c[:, None]
+        W = [W[:, j] for j in range(d)]
+        Dv = np.array([_dot(a_c, w) for w in W])
+        Gv = [_dot(grad_rc, w) for w in W]
+        # the t-integrated flux term in the exact facet moments, one pair (j, l) at a time
+        DD = np.empty((len(pairs), len(sel)))
+        for row, (j, l) in zip(DD, pairs):
+            np.multiply(Dv[j], Dv[l], out=row)
         c0, c1 = m0 * A0 * A0, 2.0 * m1 * A0
-
-        def integrand(x, lam):
-            w = x.T - apex_c
-            D = _dot(a_c, w)
-            return (c0 + (c1 + m2 * D) * D) * _dot(w, w)
-
-        flux = integrate_simplices(integrand, F, meas, ETA2_FACET_DEGREE)
-        Dv, Gv = [], []             # a.(y - apex) and grad r.(y - apex) at the facet vertices
-        for j in range(d):
-            w = F[:, j].T - apex_c
-            Dv.append(_dot(a_c, w))
-            Gv.append(_dot(grad_rc, w))
+        flux = 0.0
+        for (j, l), c2, c3, c4 in zip(pairs, C2, C3, C4):
+            flux = flux + _dot(W[j], W[l]) * (m2 * (c4 @ DD) + c1 * (c3 @ Dv) + c2 * c0)
         upper = 0.0
         for t, wt, alpha, c_rt in div_nodes:
             beta = c_rt * A0 + r_apex
             v = [alpha * D + t * G + beta for D, G in zip(Dv, Gv)]
             total = sum(v[1:], v[0])
             upper = upper + wt * (_dot(v, v) + total * total)
-        return flux, meas / (d * (d + 1)) * upper   # _mass_norm_sq on the facet
+        return meas * flux, meas / (d * (d + 1)) * upper   # _mass_norm_sq on the facet
 
     first = np.zeros(len(sel))
     for i in range(d + 1):      # in a function, so that one facet's arrays are alive at a time
@@ -335,24 +386,25 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
     """
     d = mesh.dim
     rule = rule_for(d - 1, TRACE_DEGREE)
-    pts = mesh.points[mesh.simplices]
     normals = mesh.outward_normals()
     i1 = np.flatnonzero((variant != 2).any(axis=0))
     i2 = np.flatnonzero((variant == 2).any(axis=0))
-    c1, grad1, grad2 = v1.c[i1], grad[i1], grad[i2]
+    c1, grad1 = v1.c[i1], grad[i1]
     pairs = _tau_q_pairs(mesh.points.T[:, mesh.simplices[i1].T], v1.grad_r[i1])
-    apex, rho = mesh.incentres[i2], mesh.inradii[i2]
+    pts2, g2 = _component_first(mesh, i2)
+    grad2, apex, rho = grad[i2].T, mesh.incentres[i2].T, mesh.inradii[i2]
     t1 = np.empty((len(i1), d + 1, rule.n_points))   # traces of variant 1 on i1, 2 on i2
     t2 = np.empty((len(i2), d + 1, rule.n_points))
     for i in range(d + 1):
-        F, a, b, _ = _facet_setup(pts[i2], mesh.bary_grads[i2], R[i2, i], i)
-        n1, n2 = normals[i1, i], normals[i2, i]
+        F, a, b, _ = _facet_setup(pts2, g2, R[i2, i], i)
+        F, a = F.T, a.T             # (d, d, k) and (d, k), contiguous rows
+        n1, n2 = normals[i1, i], normals[i2, i].T
         for qi, mu in enumerate(rule.points):
             tau = variant1_field(np.insert(mu, i, 0.0)[None], c1, pairs)
             t1[:, i, qi] = np.einsum("ed,ed->e", grad1 + tau, n1)
-            x = np.einsum("j,fjd->fd", mu, F)
-            s = (np.einsum("ed,ed->e", a, x) + b) / rho   # tau_O = s (x - apex) on the facet
-            t2[:, i, qi] = np.einsum("ed,ed->e", grad2 + s[:, None] * (x - apex), n2)
+            x = sum(mj * F[:, j] for j, mj in enumerate(mu))
+            s = (_dot(a, x) + b) / rho      # tau_O = s (x - apex) on the facet
+            t2[:, i, qi] = _dot(grad2 + s * (x - apex), n2)
     traces = [np.empty((mesh.n_elements, d + 1, rule.n_points)) for _ in variant]
     for trace, p in zip(traces, variant):
         trace[i1] = t1

@@ -6,8 +6,10 @@
   ``to_local_vertices`` (facet-vertex data by element vertex, found by search);
 * projections and norms: ``project_facet``, ``energy_norm``, ``energy_norm_fe``;
 * equilibration: the collapsed extension ``extension``/``ExtensionFunction``,
-  the patch sign matrices by dense comparison ``sign_matrices_dense``, and
-  ``solve_vertex_patch_reference``, one vertex patch at a time;
+  its volume terms sub-simplex by sub-simplex
+  ``extension_volume_terms_subsimplex``, the patch sign matrices by dense
+  comparison ``sign_matrices_dense``, and ``solve_vertex_patch_reference``,
+  one vertex patch at a time;
 * reconstruction: the variant-1 indicator by quadrature
   ``eta1_terms_quadrature``, the flux closures ``build_variant1``/``FluxVariant1`` and
   ``build_variant2``/``FluxVariant2``, the general layer field
@@ -15,7 +17,8 @@
   layer field by a linear solve per element ``facet_setup_reference``, the
   equilibrated flux at the trace points ``equilibrated_trace``, and the layer
   indicator by other routes: ``eta2_terms_staircase`` (with
-  ``split_cone_frustum``), ``eta_K`` and ``eta2_terms_longdouble``. The flux
+  ``split_cone_frustum``), ``eta_K`` and ``eta2_terms_longdouble``, and its
+  flux term by a degree-4 facet rule ``eta2_flux_facet_rule``. The flux
   closures and the staircase take their facet data from
   ``facet_setup_reference``, so they cross-check the closed form in
   ``reconstruction._facet_setup``;
@@ -28,12 +31,13 @@ import numpy as np
 
 from fluxbound.equilibration import CONSTRAINT_TOL, RANK_TOL
 from fluxbound.errors import InfeasibleConstraints, InvalidVariant
-from fluxbound.fem import _mass_inverse_times, _mass_norm_sq
+from fluxbound.equilibration import EXTENSION_DEGREE
+from fluxbound.fem import _mass_inverse_times, _mass_norm_sq, _mass_times, data_values
 from fluxbound.geometry import (NEUMANN, facet_vertices, simplex_geometry, simplex_gradients,
                                 simplex_measure)
 from fluxbound.quadrature import integrate_simplices, rule_for
-from fluxbound.reconstruction import (TRACE_DEGREE, _facet_setup, _tau_q_pairs,
-                                      _variant1_coeffs, variant1_field)
+from fluxbound.reconstruction import (TRACE_DEGREE, _dot, _facet_setup, _flux_moments,
+                                      _tau_q_pairs, _variant1_coeffs, variant1_field)
 
 ETA2_DEGREE = 6   # |tau_O|^2 has degree 6 on the active pieces
 TOP_DEGREE = 2    # (affine)^2 beyond the cutoff
@@ -217,6 +221,41 @@ def extension(vertices, kappa: float, n: int) -> ExtensionFunction:
         vals[i, :d] = np.delete(hat, i)
     return ExtensionFunction(vertices=vertices, vertex_index=n, kappa=kappa, plain=False,
                              delta=delta, x_p=x_p, subsimplices=subs, subvalues=vals)
+
+
+def extension_volume_terms_subsimplex(mesh, sol, sel):
+    """``equilibration._extension_volume_terms`` one sub-simplex S_i(n) at a time.
+
+    On each S_i(n), i != n: int f theta* by the EXTENSION_DEGREE rule, called
+    once per node, minus kappa^2 int u_h theta* by the P1 mass matrix of
+    S_i(n), added up over i.
+    """
+    d = mesh.dim
+    pts = mesh.points[mesh.simplices[sel]]            # (k, d+1, d)
+    uloc = sol.u[mesh.simplices[sel]]
+    k2 = mesh.kappa[sel] ** 2
+    delta = 1.0 / (d * mesh.kappa[sel] * mesh.inradii[sel])  # kappa*rho > 1 on sel
+    svol = delta * mesh.volumes[sel]   # |S_i| = lambda_i(x_P) |K| for every i != n
+    out = np.zeros((len(sel), d + 1))
+    others = facet_vertices(d)
+    for n in range(d + 1):
+        coeff = np.full((len(sel), d + 1), delta[:, None])
+        coeff[:, n] = 1.0 - d * delta
+        x_p = np.einsum("kj,kjd->kd", coeff, pts)
+        u_p = np.einsum("kj,kj->k", coeff, uloc)
+        for i in range(d + 1):
+            if i == n:
+                continue   # theta* vanishes on the subsimplex opposite its vertex
+            keep = others[i]
+            sverts = np.concatenate([pts[:, keep], x_p[:, None, :]], axis=1)
+            local_slot = n - (n > i)   # the position of n in others[i]
+            su = np.concatenate([uloc[:, keep], u_p[:, None]], axis=1)
+            ft = integrate_simplices(
+                lambda x, lam: data_values(sol.data.f, x, "f") * lam[local_slot],
+                sverts, svol, EXTENSION_DEGREE)
+            mass = k2 * _mass_times(su, svol[:, None], d)[:, local_slot]
+            out[:, n] += ft - mass
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +683,36 @@ def eta_K(flux, kappa: float, r_vals) -> float:
             x = rule_top.points @ piece
             second += float(rule_top.weights @ r_of(x) ** 2) * vol
     return math.sqrt(max(first + second / flux.kappa ** 2, 0.0))
+
+
+def eta2_flux_facet_rule(mesh, R, r_vals, sel):
+    """The flux term ||tau_O||_K^2 of ``reconstruction.eta2_terms`` by a facet rule.
+
+    The t-integrated integrand (c0 + c1 D + m2 D^2) |y - apex|^2 of each cone,
+    a quartic along the facet, evaluated at the nodes of the degree-4 facet
+    rule, with the facet data of ``_facet_setup`` and the t-moments of
+    ``reconstruction._flux_moments``.
+    """
+    d = mesh.dim
+    rho = mesh.inradii[sel]
+    q = mesh.kappa[sel] * rho
+    m0, m1, m2 = _flux_moments(q, rho, np.minimum(1.0, 1.0 / q), d)
+    pts = mesh.points[mesh.simplices[sel]]
+    apex_c = np.ascontiguousarray(mesh.incentres[sel].T)
+    first = np.zeros(len(sel))
+    for i in range(d + 1):
+        F, a, b, _ = _facet_setup(pts, mesh.bary_grads[sel], R[sel, i], i)
+        a_c = np.ascontiguousarray(a.T)
+        A0 = _dot(a_c, apex_c) + b
+        c0, c1 = m0 * A0 * A0, 2.0 * m1 * A0
+
+        def integrand(x, lam):
+            w = x.T - apex_c
+            D = _dot(a_c, w)
+            return (c0 + (c1 + m2 * D) * D) * _dot(w, w)
+
+        first += integrate_simplices(integrand, F, mesh.facet_measures[mesh.elem_facets[sel, i]], 4)
+    return first
 
 
 def eta2_terms_longdouble(mesh, R, r_vals, sel):

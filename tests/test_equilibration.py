@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -12,8 +13,9 @@ from fluxbound.errors import InfeasibleConstraints, KappaJumpWarning
 
 from conftest import (ZERO_DATA, kkt_min_norm_oracle, one_simplex, random_problem_data,
                       random_simplex, random_small_mesh)
-from oracles import (extension, integrate, integrate_facet, project_facet,
-                     sign_matrices_dense, solve_vertex_patch_reference, vertex_patch)
+from oracles import (extension, extension_volume_terms_subsimplex, integrate, integrate_facet,
+                     project_facet, sign_matrices_dense, solve_vertex_patch_reference,
+                     vertex_patch)
 from test_fem import one_element_mesh
 
 
@@ -242,6 +244,36 @@ def test_extension_volume_terms_match_subsimplex_integrals(case):
             assert abs(got[row, n] - hat_stiff - ref) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("dim,seed", [(2, 28), (3, 29), (4, 24)])
+def test_extension_volume_terms_match_subsimplex_route(dim, seed, monkeypatch):
+    # against the sub-simplex-by-sub-simplex route, with the selection inside
+    # one block and in blocks of 3 elements, len(sel) not a multiple of 3: a
+    # non-polynomial f to 1e-13 of the f and kappa^2 parts in absolute value
+    # (the signed parts may cancel), and a constant f bit for bit, as the sums
+    # run in the same order
+    mesh = random_small_mesh(np.random.default_rng(seed), dim=dim, allow_zero_kappa=False)
+    sel = np.flatnonzero(mesh.layer)
+    assert 3 < len(sel) < mesh.n_elements and len(sel) % 3
+
+    def f(x):
+        return np.exp(x[:, 0] - x[:, -1]) * np.cos(3.0 * x[:, 1])
+
+    sol = fem.solve_problem(mesh, fem.ProblemData(f=f))
+    want = extension_volume_terms_subsimplex(mesh, sol, sel)
+    size = dataclasses.replace(sol, u=-np.abs(sol.u),
+                               data=fem.ProblemData(f=lambda x: np.abs(f(x))))
+    scale = extension_volume_terms_subsimplex(mesh, size, sel)
+    const = dataclasses.replace(sol, data=fem.ProblemData(f=lambda x: np.full(len(x), 7.0)))
+    nodes = dim * (dim + 1) * eq.rule_for(dim, eq.EXTENSION_DEGREE).n_points
+    assert len(sel) * nodes <= eq.EXTENSION_CHUNK
+    for chunk in (eq.EXTENSION_CHUNK, 3 * nodes):
+        monkeypatch.setattr(eq, "EXTENSION_CHUNK", chunk)
+        got = eq._extension_volume_terms(mesh, sol, sel)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        assert np.array_equal(eq._extension_volume_terms(mesh, const, sel),
+                              extension_volume_terms_subsimplex(mesh, const, sel))
+
+
 # ---------------------------------------------------------------------------
 # residual functionals
 # ---------------------------------------------------------------------------
@@ -410,12 +442,11 @@ def test_sign_matrices_match_dense_comparison(monkeypatch, dim, m):
     assert np.array_equal(alphas, base_alphas) and np.array_equal(info[:-1], base_info)
 
 
-@pytest.mark.xfail(raises=InfeasibleConstraints, strict=True,
-                   reason="the assembled audit scales each residual by its own entry's "
-                          "load scale, which is round-off where the hat loads cancel")
 def test_assembled_audit_with_cancelling_loads():
-    # every patch solve meets its constraints to 3.5e-17, yet at local vertex 0
-    # of element 14 eps = -6.8e-18 is measured against a scale of 5.3e-17
+    # every patch solve meets its constraints to 3.5e-17; at local vertex 0 of
+    # element 14 the hat loads cancel to a scale of 5.3e-17, so eps = -6.8e-18
+    # is measured against the largest scale of its vertex patch, as the patch
+    # solve was
     base = geo.build_cube_mesh(2, 3, 0.0)
     pts = base.points.copy()
     pts[13] += np.random.default_rng(3000).uniform(-0.18, 0.18, 3)   # the interior vertex
@@ -424,6 +455,59 @@ def test_assembled_audit_with_cancelling_loads():
     mesh = geo.build_mesh(pts, base.simplices, 0.0, tags)
     sol = fem.solve_problem(mesh, fem.ProblemData(f=lambda x: 1.0 + x[:, 0] - 0.5 * x[:, 2] ** 2))
     assert eq.equilibrate(mesh, sol).eps_max_rel <= eq.CONSTRAINT_TOL
+
+
+def test_assembled_audit_catches_a_perturbed_coefficient(monkeypatch):
+    # one free coefficient of a constrained patch off by 1e-6 of the patch's
+    # scale breaks equilibration on its elements, and the audit must say so
+    mesh = geo.build_cube_mesh(2, 3, 0.0)
+    sol = fem.solve_problem(mesh, fem.ProblemData(f=lambda x: 1.0 + x[:, 0] - 0.5 * x[:, 2] ** 2))
+    assert eq.equilibrate(mesh, sol).eps_max_rel <= 1e-12
+    resid = eq.residual_functionals(mesh, sol)
+    v = 13                                  # the interior vertex
+    els, locs = vertex_patch(mesh, v)
+    assert not mesh.layer[els].any()
+    fids, slots = mesh.vertex_facets(v)
+    free = np.flatnonzero(mesh.facet_tag[fids] != geo.NEUMANN)
+    fid, slot = fids[free[0]], slots[free[0]]
+    step = 1e-6 * resid.scale[els, locs].max()
+    solve = eq._solve_patches
+
+    def perturbed(mesh, resid, vertices):
+        alphas, info = solve(mesh, resid, vertices)
+        alphas[fid, slot] += step
+        return alphas, info
+
+    monkeypatch.setattr(eq, "_solve_patches", perturbed)
+    with pytest.raises(InfeasibleConstraints, match="assembled equilibration residual"):
+        eq.equilibrate(mesh, sol)
+
+
+def test_audit_assembles_the_constrained_rows_only(monkeypatch):
+    # on a mixed mesh the audit assembles the rows of the kappa*rho <= 1
+    # elements; they equal the rows of the whole-mesh assembly bit for bit,
+    # and each is measured against the scale of its vertex patch
+    mesh = _kappa_jump_mesh()
+    sol = fem.solve_problem(mesh, fem.ProblemData(f=lambda x: np.cos(x[:, 0]) + x[:, 1]))
+    rows = np.flatnonzero(~mesh.layer)
+    assert 0 < len(rows) < mesh.n_elements
+    assembled = []
+    residuals = eq.equilibration_residuals
+    monkeypatch.setattr(eq, "equilibration_residuals",
+                        lambda *args: assembled.append(args[3:]) or residuals(*args))
+    fluxes = eq.equilibrate(mesh, sol)
+    assert len(assembled) == 1 and np.array_equal(assembled[0][0], rows)
+    resid = eq.residual_functionals(mesh, sol)
+    whole = residuals(mesh, resid, fluxes.alphas)
+    assert np.array_equal(residuals(mesh, resid, fluxes.alphas, rows), whole[rows])
+    worst = 0.0
+    for v in range(mesh.n_points):
+        els, locs = vertex_patch(mesh, v)
+        own = ~mesh.layer[els]
+        if own.any():
+            worst = max(worst, np.abs(whole[els[own], locs[own]]).max()
+                        / resid.scale[els, locs].max())
+    assert fluxes.eps_max_rel == worst
 
 
 def _compare_with_reference(mesh, data):

@@ -195,18 +195,20 @@ def test_oscillation_measures_the_indicator_projection():
 
 
 class CountingData:
-    """Vectorized data callable that counts the points it is evaluated at."""
+    """Vectorized data callable that counts its calls and the points it is evaluated at."""
 
     def __init__(self, fn):
         self.fn = fn
+        self.calls = 0
         self.points = 0
 
     def __call__(self, x):
+        self.calls += 1
         self.points += len(x)
         return self.fn(x)
 
 
-def test_data_evaluation_counts():
+def test_data_evaluation_counts(monkeypatch):
     # a solve and an estimate evaluate f and g_N once for the hat loads, which
     # b, the residuals, Pi_K f and the Neumann fluxes share, and once more for
     # the oscillations, at no other points
@@ -227,6 +229,22 @@ def test_data_evaluation_counts():
     # the loads would add nq(3, 4) per element and nq(2, 4) per Neumann facet
     assert f.points == mesh.n_elements * (nq(3, 4) + nq(3, 8))
     assert g.points == n_neu * (nq(2, 4) + nq(2, 8))
+
+    # where kappa*rho > 1 the collapsed extensions add the nodes of the
+    # EXTENSION_DEGREE rule on each of their d(d+1) sub-simplices, evaluated
+    # in blocks of at most EXTENSION_CHUNK points (here 7 elements' worth),
+    # one call per block
+    nodes = 3 * 4 * nq(3, eq.EXTENSION_DEGREE)
+    monkeypatch.setattr(eq, "EXTENSION_CHUNK", 7 * nodes + 1)
+    mesh = geo.build_cube_mesh(4, 3, lambda c: np.where(c[:, 0] < 0, 1.0, 60.0))
+    layer = int(np.sum(mesh.layer))
+    assert 7 < layer < mesh.n_elements
+    f = CountingData(lambda x: np.exp(x[:, 0]) + x[:, 1] ** 3)
+    data = fem.ProblemData(f=f, data_degree=4)
+    sol = fem.solve_problem(mesh, data)
+    est.estimate(mesh, sol, data, "both")
+    assert f.points == mesh.n_elements * (nq(3, 4) + nq(3, 8)) + layer * nodes
+    assert f.calls == nq(3, 4) + nq(3, 8) + -(-layer // 7)
 
 
 # ---------------------------------------------------------------------------

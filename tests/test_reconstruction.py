@@ -420,6 +420,62 @@ def test_eta2_closed_form_extremes(dim, m):
         np.testing.assert_allclose(closed, quad, rtol=1e-13, atol=0.0)
 
 
+def _squashed_simplices(d, n, rng):
+    """n disjoint random simplices squashed towards a hyperplane, rho/h down to below 1e-3,
+    as a mesh of their own, and their inradius-to-diameter ratios."""
+    pts = np.stack([random_simplex(d, rng) for _ in range(n)])
+    u = rng.standard_normal((n, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    squash = 1.0 - 10.0 ** rng.uniform(-3.5, 0.0, n)
+    pts -= squash[:, None, None] * np.einsum("kvd,kd->kv", pts, u)[:, :, None] * u[:, None]
+    q = geo.simplex_geometry(pts)
+    kappa = 10.0 ** rng.uniform(-1.0, 8.0, n) / q.inradii     # kappa rho from 0.1 to 1e8
+    mesh = geo.build_mesh(pts.reshape(-1, d), np.arange(n * (d + 1)).reshape(n, d + 1), kappa,
+                          lambda c: np.ones(len(c), dtype=bool))
+    return mesh, q.inradii / q.diameters
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_eta2_flux_moments_match_facet_rule(dim):
+    # the flux term in exact facet moments against the degree-4 facet rule,
+    # on near-degenerate simplices and residuals of size 1e-3 .. 1e6
+    rng = np.random.default_rng(60 + dim)
+    mesh, ratio = _squashed_simplices(dim, 40, rng)
+    assert ratio.min() < 1e-3
+    R = rng.standard_normal((mesh.n_elements, dim + 1, dim)) \
+        * 10.0 ** rng.uniform(-3.0, 6.0, (mesh.n_elements, 1, 1))
+    r_vals = rng.standard_normal((mesh.n_elements, dim + 1))
+    sel = rng.permutation(mesh.n_elements)
+    first = rec.eta2_terms(mesh, R, r_vals, sel)[0]
+    ref = oracles.eta2_flux_facet_rule(mesh, R, r_vals, sel)
+    assert np.all(ref > 0.0)
+    np.testing.assert_allclose(first, ref, rtol=1e-13, atol=0.0)
+
+
+def test_layer_terms_call_no_quadrature(monkeypatch):
+    # the layer indicator and the collapsed-extension terms are closed forms
+    # or evaluate their own node tables: no call to integrate_simplices
+    import fluxbound.estimator as est
+    import fluxbound.quadrature as quad
+    mesh, data, sol, fluxes, R, r_vals = benchmark_setup(3, 2, 2.0, 60.0)
+    sel = np.flatnonzero(mesh.layer)
+    assert len(sel)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return integrate_simplices(*args)
+
+    for module in (quad, fem, est):
+        monkeypatch.setattr(module, "integrate_simplices", spy)
+    assert not hasattr(rec, "integrate_simplices") and not hasattr(eq, "integrate_simplices")
+    rec.eta2_terms(mesh, R, r_vals, sel)
+    eq._extension_volume_terms(mesh, sol, sel)
+    assert calls == []
+    fem.element_loads(mesh, data.f, 2)   # the spy sees a call through the modules that make one
+    assert len(calls) == 1
+
+
 def test_eta1_hand_case_single_element(unit_triangle):
     # kappa = 0, f = 1, all facets Neumann with facet-wise constants chosen so
     # that the equilibration conditions hold with u_h = 0; then eta_K equals
