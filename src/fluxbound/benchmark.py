@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -122,6 +123,13 @@ class RunConfig:
     conformity: bool = False
 
     def __post_init__(self):
+        for name in ("dim", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("kappa1", "kappa2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
         if self.strategy not in STRATEGIES:

@@ -10,26 +10,29 @@ kappa*rho <= 1 and the layer variant elsewhere; 'taustar' additionally computes
 both indicators and keeps the smaller one (the polynomial variant is mandatory
 where kappa = 0, where its divergence condition is required for the bound).
 Both choices give guaranteed upper bounds up to round-off.
+
+The oscillation terms weight the squared norms ||f - Pi_K f||_K^2 and
+||g_N - Pi_gamma g_N||_gamma^2 that the solve's data pass carries on
+``FemSolution``; the estimate evaluates no data except f at the nodes of the
+collapsed extensions.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .equilibration import equilibrate
 from .errors import ConformityAuditFailed, NegativeDifference
-from .fem import FemSolution, ProblemData, data_values, project_element_bulk
+from .fem import FemSolution, ProblemData, project_element_bulk
 from .geometry import Mesh
 from .quadrature import integrate_simplices
 from . import reconstruction as rec
 
 STRATEGIES = ("tau", "taustar", "both")
 TRUE_ERROR_DEGREE = 10
-OSC_DEGREE = 8     # quadrature degree of ||data - projection||^2
 
 
 # ---------------------------------------------------------------------------
@@ -72,39 +75,29 @@ def trace_constants(d: int, h, volume, facet_measure, kappa) -> TraceConstants:
 # data oscillation
 # ---------------------------------------------------------------------------
 
-def oscillation_f(mesh: Mesh, f: Callable, proj: np.ndarray,
-                  degree: int = OSC_DEGREE) -> np.ndarray:
+def oscillation_f(mesh: Mesh, sol: FemSolution) -> np.ndarray:
     """osc_K(f) = min(h_K/pi, 1/kappa_K) ||f - Pi_K f||_K per element.
 
-    ``proj`` (ne, d+1) holds the vertex values of Pi_K f, the projection that
-    enters the divergence residual.
+    Pi_K f is the projection that enters the divergence residual; the norms
+    are ``sol.f_osc_sq``, from the data pass of the solve.
     """
-    sq = integrate_simplices(lambda x, lam: (data_values(f, x, "f") - proj @ lam) ** 2,
-                             mesh.points[mesh.simplices], mesh.volumes, degree)
-    norm = np.sqrt(np.maximum(sq, 0.0))
     with np.errstate(divide="ignore"):   # 1/kappa = inf where kappa = 0
         weight = np.minimum(mesh.diameters / math.pi, 1.0 / mesh.kappa)
-    return weight * norm
+    return weight * np.sqrt(np.maximum(sol.f_osc_sq, 0.0))
 
 
-def oscillation_gN(mesh: Mesh, g_N: Callable | None, proj: np.ndarray) -> np.ndarray:
+def oscillation_gN(mesh: Mesh, sol: FemSolution) -> np.ndarray:
     """(nf,) per-facet osc_gamma(g_N); nonzero only on Neumann facets.
 
-    ``proj`` (nf, d) holds facet-vertex values whose Neumann rows are the
-    L2(gamma) projection Pi_gamma g_N, as in ``BoundaryFluxSet.gplus``.
+    The norms are ``sol.gn_osc_sq``, of g_N - Pi_gamma g_N for the projection
+    that the Neumann rows of ``BoundaryFluxSet.gplus`` hold.
     """
     out = np.zeros(mesh.n_facets)
-    if g_N is None:
-        return out
     neu = mesh.neumann
-    pn = proj[neu]
-    sq = integrate_simplices(lambda x, lam: (data_values(g_N, x, "g_N") - pn @ lam) ** 2,
-                             mesh.points[mesh.facets[neu]], mesh.facet_measures[neu],
-                             OSC_DEGREE)
     e = mesh.facet_elems[neu, 0]
     tc = trace_constants(mesh.dim, mesh.diameters[e], mesh.volumes[e],
                          mesh.facet_measures[neu], mesh.kappa[e])
-    out[neu] = np.sqrt(tc.min2) * np.sqrt(np.maximum(sq, 0.0))
+    out[neu] = np.sqrt(tc.min2) * np.sqrt(np.maximum(sol.gn_osc_sq, 0.0))
     return out
 
 
@@ -182,11 +175,11 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
         first2, second2 = rec.eta2_terms(mesh, R, r_vals, sel)
         eta2_sq[sel] = first2 + second2 / mesh.kappa[sel] ** 2
 
-    osc_f = oscillation_f(mesh, sol.data.f, pf_vals)
-    osc_facet = oscillation_gN(mesh, sol.data.g_N, fluxes.gplus)
+    osc_f = oscillation_f(mesh, sol)
     osc_gn = np.zeros(mesh.n_elements)
-    neu = mesh.neumann
-    np.add.at(osc_gn, mesh.facet_elems[neu, 0], osc_facet[neu])
+    if sol.data.g_N is not None:   # homogeneous Neumann data oscillate nowhere
+        neu = mesh.neumann
+        np.add.at(osc_gn, mesh.facet_elems[neu, 0], oscillation_gN(mesh, sol)[neu])
 
     report = ErrorReport(
         strategy=strategy, eta_k_tau=None, eta_k_taustar=None,

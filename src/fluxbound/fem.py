@@ -4,10 +4,18 @@ Homogeneous Dirichlet conditions are imposed by row/column elimination, which
 keeps the reduced system symmetric positive definite and the Galerkin identity
 exact. Data callables are vectorized: they map an (n, d) array of points to
 (n,) values.
+
+The data f and g_N are evaluated in one pass per solution (``_data_pass``): at
+each distinct node of the ``data_degree`` and ``OSC_DEGREE`` rules, once. The
+same values give the hat loads, the L2 projections onto affine functions that
+the loads define, and the squared distance of the data from those
+projections, which the estimator weights into the data oscillations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -16,11 +24,13 @@ import scipy.sparse as sp
 
 from .errors import NoConvergence, UnsolvableProblem
 from .geometry import Mesh
-from .quadrature import integrate_simplices
+from .quadrature import rule_for
 
 DENSE_CUTOFF = 200
 SOLVE_TOL = 1e-12         # relative residual target of the linear solve
 ENTRY_TOL = 1e-11         # per-entry residual target, relative to |b| + |A| |x| in its row
+OSC_DEGREE = 8            # quadrature degree of ||data - projection||^2
+DATA_CHUNK = 2 ** 16      # (node, simplex) pairs of the data pass evaluated at a time
 
 
 @dataclass(frozen=True)
@@ -28,7 +38,8 @@ class ProblemData:
     """Source term, Neumann data and the quadrature degree used to integrate them.
 
     ``f`` and ``g_N`` map (n, d) point arrays to (n,) values; ``g_N=None`` means
-    homogeneous Neumann data. The Dirichlet value is fixed to zero.
+    homogeneous Neumann data. The Dirichlet value is fixed to zero. A point
+    array is reused once the call returns, so the callables must not keep it.
     """
 
     f: Callable
@@ -58,27 +69,95 @@ def element_stiffness_mass(mesh: Mesh):
     return stiff, _mass_times(np.eye(d + 1), mesh.volumes[:, None, None], d)
 
 
-def _hat_loads(fn: Callable, name: str, pts: np.ndarray, measures: np.ndarray,
-               degree: int) -> np.ndarray:
-    # integrals of fn against the hat functions of the k-simplices pts (n, k+1, d)
-    return integrate_simplices(lambda x, lam: data_values(fn, x, name)[:, None] * lam,
-                               pts, measures, degree)
+@lru_cache(maxsize=None)
+def _data_nodes(k: int, degree: int):
+    """Distinct barycentric nodes of the ``degree`` and OSC_DEGREE rules on a k-simplex,
+    and the row of each node of either rule, in rule order, among them.
+
+    The Grundmann-Moller rules are nested and repeat some nodes (the centroid
+    among them); equal rationals are equal doubles, so exact comparison finds
+    every repeat.
+    """
+    load, osc = rule_for(k, degree), rule_for(k, OSC_DEGREE)
+    nodes, where = np.unique(np.concatenate([load.points, osc.points]), axis=0,
+                             return_inverse=True)
+    where = where.reshape(-1)
+    tables = nodes, where[:load.n_points], where[load.n_points:]
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-def element_loads(mesh: Mesh, f: Callable, degree: int) -> np.ndarray:
-    """(ne, d+1) array of the integrals of f against the element hat functions."""
-    return _hat_loads(f, "f", mesh.points[mesh.simplices], mesh.volumes, degree)
+def _data_pass(fn: Callable, name: str, pts: np.ndarray, measures: np.ndarray,
+               degree: int):
+    """Hat loads and squared projection residuals of ``fn`` on the k-simplices pts (n, k+1, d).
+
+    Returns ``(loads, osc_sq)``: loads (n, k+1) are the integrals of fn against
+    the hat functions at ``degree``, osc_sq (n,) is ||fn - Pi fn||^2 at
+    OSC_DEGREE, Pi fn the L2 projection onto affine functions, whose vertex
+    values are the inverse P1 mass matrix times the loads. fn is called once
+    per block of at most DATA_CHUNK (node, simplex) pairs, at the distinct
+    nodes of the two rules. Each sum runs over its rule's nodes in rule order,
+    as in ``integrate_simplices``, whose results these equal bit for bit when
+    fn computes each value independently of the others in its batch.
+    """
+    n, d = len(pts), pts.shape[2]
+    k = pts.shape[1] - 1
+    nodes, at_load, at_osc = _data_nodes(k, degree)
+    load, osc = rule_for(k, degree), rule_for(k, OSC_DEGREE)
+    scale = measures * math.factorial(k)
+    loads, osc_sq = np.empty((n, k + 1)), np.empty(n)
+    size = max(2, DATA_CHUNK // len(nodes))
+    # the points and one product of a block, in buffers that every block reuses
+    bufs = [np.empty(len(nodes) * min(n, size + 1) * d) for _ in range(2)]
+    lo = 0
+    while lo < n:
+        # proj @ lam on one row takes numpy's vector-dot path, whose round-off
+        # differs from the matrix-vector product: no block of one simplex follows another
+        hi = n if n - lo <= size + 1 else lo + size
+        x, prod = (b[:len(nodes) * (hi - lo) * d].reshape(len(nodes), -1) for b in bufs)
+        corners = pts[lo:hi].transpose(1, 0, 2).reshape(k + 1, -1)
+        np.multiply(nodes[:, :1], corners[0], out=x)    # (node, simplex * d): the
+        for j in range(1, k + 1):                        # running sum over the corners
+            x += np.multiply(nodes[:, j:j + 1], corners[j], out=prod)
+        vals = data_values(fn, x.reshape(-1, d), name).reshape(len(nodes), -1)
+        terms = vals[at_load, None] * load.points[:, :, None]   # (node, j, simplex)
+        terms *= load.weights[:, None, None]
+        loads[lo:hi] = _node_sum(terms).T * scale[lo:hi, None]
+        proj = _mass_inverse_times(loads[lo:hi], measures[lo:hi, None], k)
+        # proj @ lam of every node at once: each entry of the stack is numpy's
+        # matrix-vector product, as proj @ lam is (proj @ lams.T would round otherwise)
+        resid = vals[at_osc] - np.matmul(proj, osc.points[:, :, None])[..., 0]
+        np.square(resid, out=resid)
+        resid *= osc.weights[:, None]
+        osc_sq[lo:hi] = _node_sum(resid) * scale[lo:hi]
+        lo = hi
+    return loads, osc_sq
 
 
-def neumann_loads(mesh: Mesh, g_N: Callable | None, degree: int) -> np.ndarray:
-    """(n_N, d) integrals of g_N against the facet hat functions of the Neumann facets.
+def _node_sum(terms: np.ndarray) -> np.ndarray:
+    # sum over the nodes (axis 0) node after node, as a running sum adds them;
+    # a reduction would go pairwise over a block of one simplex
+    acc = terms[0].copy()
+    for term in terms[1:]:
+        acc += term
+    return acc
+
+
+def element_data(mesh: Mesh, f: Callable, degree: int):
+    """``(loads, osc_sq)`` of f on the elements (see ``_data_pass``): (ne, d+1) and (ne,)."""
+    return _data_pass(f, "f", mesh.points[mesh.simplices], mesh.volumes, degree)
+
+
+def neumann_data(mesh: Mesh, g_N: Callable | None, degree: int):
+    """``(loads, osc_sq)`` of g_N on the Neumann facets: (n_N, d) and (n_N,).
 
     Rows follow ``mesh.neumann``; zero when g_N is None.
     """
     idx = mesh.neumann
     if g_N is None or len(idx) == 0:
-        return np.zeros((len(idx), mesh.dim))
-    return _hat_loads(g_N, "g_N", mesh.points[mesh.facets[idx]],
+        return np.zeros((len(idx), mesh.dim)), np.zeros(len(idx))
+    return _data_pass(g_N, "g_N", mesh.points[mesh.facets[idx]],
                       mesh.facet_measures[idx], degree)
 
 
@@ -90,8 +169,10 @@ class LinearSystem:
     b: np.ndarray
     free: np.ndarray           # vertex ids of the dofs
     vertex_to_dof: np.ndarray  # (n_points,), -1 on Dirichlet vertices
-    f_loads: np.ndarray        # (ne, d+1) element_loads of f, summed into b
-    gn_loads: np.ndarray       # (n_N, d) neumann_loads of g_N, summed into b
+    f_loads: np.ndarray        # (ne, d+1) hat loads of f, summed into b
+    gn_loads: np.ndarray       # (n_N, d) hat loads of g_N, summed into b
+    f_osc_sq: np.ndarray       # (ne,) ||f - Pi_K f||_K^2
+    gn_osc_sq: np.ndarray      # (n_N,) ||g_N - Pi_gamma g_N||_gamma^2
 
 
 def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
@@ -100,6 +181,9 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
     if np.all(mesh.kappa == 0) and len(dir_vertices) == 0:
         raise UnsolvableProblem(
             "kappa vanishes everywhere and there is no Dirichlet boundary")
+    # the data pass first, while no element matrix holds memory
+    loads, f_osc_sq = element_data(mesh, data.f, data.data_degree)
+    gl, gn_osc_sq = neumann_data(mesh, data.g_N, data.data_degree)
     n_pts = mesh.n_points
     vertex_to_dof = np.full(n_pts, -1, dtype=np.int64)
     free = np.setdiff1d(np.arange(n_pts), dir_vertices)
@@ -116,13 +200,11 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
     A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
 
     b = np.zeros(n)
-    loads = element_loads(mesh, data.f, data.data_degree)
     np.add.at(b, dofs.ravel()[dofs.ravel() >= 0], loads.ravel()[dofs.ravel() >= 0])
-    gl = neumann_loads(mesh, data.g_N, data.data_degree)
     fdofs = vertex_to_dof[mesh.facets[mesh.neumann]].ravel()
     np.add.at(b, fdofs[fdofs >= 0], gl.ravel()[fdofs >= 0])
     return LinearSystem(A=A, b=b, free=free, vertex_to_dof=vertex_to_dof,
-                        f_loads=loads, gn_loads=gl)
+                        f_loads=loads, gn_loads=gl, f_osc_sq=f_osc_sq, gn_osc_sq=gn_osc_sq)
 
 
 def solve(A, b, max_iter: int | None = None):
@@ -219,8 +301,11 @@ class FemSolution:
 
     ``f_loads``/``gn_loads`` are the hat loads of f and g_N at ``data_degree``, for
     a Galerkin u_h the arrays summed into b. The residuals, the Neumann fluxes and
-    Pi_K f read them here, so the patch problems use the loads of the solve; the
-    oscillations and the collapsed extensions evaluate ``data`` itself.
+    Pi_K f read them here, so the patch problems use the loads of the solve.
+    ``f_osc_sq``/``gn_osc_sq`` are ||f - Pi_K f||_K^2 and ||g_N - Pi_gamma g_N||_gamma^2
+    at OSC_DEGREE for those projections, from the same data pass; the
+    oscillations weight them. Only the collapsed extensions evaluate ``data``
+    again.
     """
 
     mesh: Mesh
@@ -234,16 +319,20 @@ class FemSolution:
     data: ProblemData          # the data u_h was solved (or wrapped) with
     f_loads: np.ndarray        # (ne, d+1) integrals of f against the element hats
     gn_loads: np.ndarray       # (n_N, d) integrals of g_N against the Neumann facet hats
+    f_osc_sq: np.ndarray       # (ne,) ||f - Pi_K f||_K^2
+    gn_osc_sq: np.ndarray      # (n_N,) ||g_N - Pi_gamma g_N||_gamma^2, rows as gn_loads
 
     @classmethod
     def from_vertex_values(cls, mesh: Mesh, values, data: ProblemData) -> "FemSolution":
-        """Wrap nodal values (a non-Galerkin u_h) with the loads ``assemble`` builds from data."""
+        """Wrap nodal values (a non-Galerkin u_h) with the data pass ``assemble`` makes."""
         u = np.asarray(values, dtype=float)
         grad = np.einsum("eid,ei->ed", mesh.bary_grads, u[mesh.simplices])
+        f_loads, f_osc_sq = element_data(mesh, data.f, data.data_degree)
+        gn_loads, gn_osc_sq = neumann_data(mesh, data.g_N, data.data_degree)
         return cls(mesh=mesh, u=u, grad=grad, iterations=0, residual=0.0,
                    ndof=0, energy2=float("nan"), compliance=float("nan"), data=data,
-                   f_loads=element_loads(mesh, data.f, data.data_degree),
-                   gn_loads=neumann_loads(mesh, data.g_N, data.data_degree))
+                   f_loads=f_loads, gn_loads=gn_loads, f_osc_sq=f_osc_sq,
+                   gn_osc_sq=gn_osc_sq)
 
 
 def solve_problem(mesh: Mesh, data: ProblemData) -> FemSolution:
@@ -256,7 +345,8 @@ def solve_problem(mesh: Mesh, data: ProblemData) -> FemSolution:
     return FemSolution(mesh=mesh, u=u, grad=grad, iterations=iters, residual=res,
                        ndof=len(system.free), energy2=float(x @ (system.A @ x)),
                        compliance=float(system.b @ x), data=data, f_loads=system.f_loads,
-                       gn_loads=system.gn_loads)
+                       gn_loads=system.gn_loads, f_osc_sq=system.f_osc_sq,
+                       gn_osc_sq=system.gn_osc_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ so an integral over a physical simplex K is
 
     sum_q  w_q * |K| * d! * f(x_q).
 
-Every mesh integral of data goes through the batched ``integrate_simplices``.
+The rules are nested: every node of the rule of index s is a node of the
+rule of any higher index, and equal rationals give equal doubles, so the
+data pass of ``fem`` evaluates the data once per distinct node of two rules.
+``integrate_simplices`` integrates a batch of simplices node by node; the
+data pass keeps its summation order, and the true error uses it directly.
 The single-simplex references that the tests check it against live in
 ``tests/oracles.py``. Integrals of polynomials given in barycentric
 coefficients use the exact moments ``simplex_moment`` instead, through the

@@ -22,7 +22,10 @@
   closures and the staircase take their facet data from
   ``facet_setup_reference``, so they cross-check the closed form in
   ``reconstruction._facet_setup``;
-* estimator: ``verify_trace_inequality``, trace ratios of random quadratics.
+* estimator: ``verify_trace_inequality``, trace ratios of random quadratics;
+  the data oscillations ``oscillation_f`` and ``oscillation_gN`` by quadrature
+  of the data against a given projection, the route the one data pass of
+  ``fem._data_pass`` replaced.
 """
 import math
 from dataclasses import dataclass
@@ -32,7 +35,8 @@ import numpy as np
 from fluxbound.equilibration import CONSTRAINT_TOL, RANK_TOL
 from fluxbound.errors import InfeasibleConstraints, InvalidVariant
 from fluxbound.equilibration import EXTENSION_DEGREE
-from fluxbound.fem import _mass_inverse_times, _mass_norm_sq, _mass_times, data_values
+from fluxbound.estimator import trace_constants
+from fluxbound.fem import OSC_DEGREE, _mass_inverse_times, _mass_norm_sq, _mass_times, data_values
 from fluxbound.geometry import (NEUMANN, facet_vertices, simplex_geometry, simplex_gradients,
                                 simplex_measure)
 from fluxbound.quadrature import integrate_simplices, rule_for
@@ -764,3 +768,42 @@ def eta2_terms_longdouble(mesh, R, r_vals, sel):
                         resid = resid + (fac * (d * rt + t * D) + q * t * rt) / rho
                     second += jac * resid ** 2
     return first, second
+
+
+# ---------------------------------------------------------------------------
+# data oscillations by quadrature against a given projection
+# ---------------------------------------------------------------------------
+
+def oscillation_f(mesh, f, proj: np.ndarray, degree: int = OSC_DEGREE) -> np.ndarray:
+    """osc_K(f) = min(h_K/pi, 1/kappa_K) ||f - Pi_K f||_K per element.
+
+    ``proj`` (ne, d+1) holds the vertex values of Pi_K f, the projection that
+    enters the divergence residual.
+    """
+    sq = integrate_simplices(lambda x, lam: (data_values(f, x, "f") - proj @ lam) ** 2,
+                             mesh.points[mesh.simplices], mesh.volumes, degree)
+    norm = np.sqrt(np.maximum(sq, 0.0))
+    with np.errstate(divide="ignore"):   # 1/kappa = inf where kappa = 0
+        weight = np.minimum(mesh.diameters / math.pi, 1.0 / mesh.kappa)
+    return weight * norm
+
+
+def oscillation_gN(mesh, g_N, proj: np.ndarray) -> np.ndarray:
+    """(nf,) per-facet osc_gamma(g_N); nonzero only on Neumann facets.
+
+    ``proj`` (nf, d) holds facet-vertex values whose Neumann rows are the
+    L2(gamma) projection Pi_gamma g_N, as in ``BoundaryFluxSet.gplus``.
+    """
+    out = np.zeros(mesh.n_facets)
+    if g_N is None:
+        return out
+    neu = mesh.neumann
+    pn = proj[neu]
+    sq = integrate_simplices(lambda x, lam: (data_values(g_N, x, "g_N") - pn @ lam) ** 2,
+                             mesh.points[mesh.facets[neu]], mesh.facet_measures[neu],
+                             OSC_DEGREE)
+    e = mesh.facet_elems[neu, 0]
+    tc = trace_constants(mesh.dim, mesh.diameters[e], mesh.volumes[e],
+                         mesh.facet_measures[neu], mesh.kappa[e])
+    out[neu] = np.sqrt(tc.min2) * np.sqrt(np.maximum(sq, 0.0))
+    return out

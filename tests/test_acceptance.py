@@ -217,7 +217,7 @@ def _patch_system(mesh, v, resid):
 def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):
     fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
-    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, data.data_degree))
+    pf = fem.project_element_bulk(mesh, fem.element_data(mesh, data.f, data.data_degree)[0])
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
     v1 = rec.variant1_bulk(mesh, R, r_vals)
 
@@ -237,10 +237,13 @@ def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):
         assert np.abs(f_lo - f_hi).max() / scale2 < 1e-10
         assert np.abs(s_lo - s_hi).max() / scale2 < 1e-10
 
-    # oscillation oracle: elevated degree; when f is (near-)affine both values
-    # are round-off noise, so the tolerance floors at the data scale
-    o_lo = est.oscillation_f(mesh, data.f, pf, 8)
-    o_hi = est.oscillation_f(mesh, data.f, pf, 12)
+    # oscillation oracle: the data pass against quadrature of the data against
+    # its projection at the same degree (f may round differently on the data
+    # pass's larger batches) and at elevated degree; when f is (near-)affine
+    # the values are round-off noise, so the tolerance floors at the data scale
+    o_lo = est.oscillation_f(mesh, sol)
+    o_quad = oracles.oscillation_f(mesh, data.f, pf, 8)
+    o_hi = oracles.oscillation_f(mesh, data.f, pf, 12)
     fc = np.asarray(data.f(mesh.centroids))
     with np.errstate(divide="ignore"):
         weight = np.where(mesh.kappa > 0,
@@ -248,7 +251,9 @@ def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):
                                      1.0 / np.where(mesh.kappa > 0, mesh.kappa, 1.0)),
                           mesh.diameters / math.pi)
     dscale = float(np.sqrt((fc ** 2 * mesh.volumes).sum()) * weight.max())
-    assert np.abs(o_lo - o_hi).max() < 1e-10 * max(o_lo.max(), dscale, 1e-300)
+    floor = max(o_lo.max(), dscale, 1e-300)
+    assert np.abs(o_lo - o_quad).max() < 1e-13 * floor
+    assert np.abs(o_lo - o_hi).max() < 1e-10 * floor
 
     # patch alpha solves vs the dense KKT oracle
     resid = eq.residual_functionals(mesh, sol)
@@ -399,7 +404,7 @@ def _single_simplex_suite(d, rng, kappa_rho_target):
     # criterion 6 analogue: the element trace must reproduce g_K
     fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
-    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, 8))
+    pf = fem.project_element_bulk(mesh, fem.element_data(mesh, data.f, 8)[0])
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     variant = np.where(mesh.kappa * mesh.inradii > 1, 2, 1).astype(np.int8)

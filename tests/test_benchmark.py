@@ -115,9 +115,12 @@ def test_run_benchmark_runs_no_direct_quadrature(monkeypatch):
     config = bm.RunConfig(dim=3, m=4)
     monkeypatch.setattr(est, "integrate_simplices", spy)
     rep, row = bm.run_benchmark(config)
-    monkeypatch.undo()
-    assert degrees and est.TRUE_ERROR_DEGREE not in degrees
-    assert row["true_error"] == _true_error_routes(config)[1]
+    # the estimate integrates nothing by quadrature either; the spy does see
+    # the direct route's call
+    assert degrees == []
+    true_errors = _true_error_routes(config)
+    assert degrees == [est.TRUE_ERROR_DEGREE]
+    assert row["true_error"] == true_errors[1]
     assert row["ieff_tau"] == rep.eta_tau / row["true_error"]
     assert row["ieff_taustar"] == rep.eta_taustar / row["true_error"]
 
@@ -189,6 +192,22 @@ def test_config_rejects_what_a_run_would_reject(changes):
         bm.sweep_mesh(base, [2])
     with pytest.raises(ValueError):
         bm.sweep_kappa(base, [1.0])
+
+
+@pytest.mark.parametrize("changes", [
+    {"dim": 2.0}, {"dim": True}, {"m": 2.5}, {"m": True}, {"m": "4"},
+    {"kappa2": math.inf}, {"kappa1": math.inf, "kappa2": math.inf}, {"kappa1": math.nan},
+], ids=["dim-float", "dim-bool", "m-float", "m-bool", "m-str", "kappa2-inf", "both-inf",
+        "kappa1-nan"])
+def test_config_rejects_bad_types_and_non_finite_kappa(changes):
+    # refused when the configuration is made, not inside the geometry code
+    with pytest.raises(ValueError):
+        bm.RunConfig(**{"dim": 2, "m": 2, **changes})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = bm.RunConfig(dim=np.int64(2), m=np.int32(2), kappa1=np.float64(1.0), kappa2=1.0)
+    assert bm.run_benchmark(cfg)[1]["M"] == 2
 
 
 def test_sweep_mesh_ndof_column():

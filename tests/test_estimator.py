@@ -9,6 +9,7 @@ import fluxbound.estimator as est
 import fluxbound.fem as fem
 import fluxbound.geometry as geo
 from fluxbound.errors import ConformityAuditFailed, NegativeDifference, UnsolvableProblem
+from fluxbound.quadrature import rule_for
 
 import oracles
 from conftest import ZERO_DATA, dense_projection_oracle, random_simplex
@@ -91,15 +92,23 @@ def test_trace_constants_batched_with_zero_kappa():
 # ---------------------------------------------------------------------------
 
 def _element_osc(mesh, f, degree=8):
-    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, f, degree))
-    return est.oscillation_f(mesh, f, pf, degree)
+    # osc_K(f) of a wrapped u_h: the data pass of from_vertex_values at data_degree
+    data = fem.ProblemData(f=f, data_degree=degree)
+    return est.oscillation_f(mesh, fem.FemSolution.from_vertex_values(
+        mesh, np.zeros(mesh.n_points), data))
+
+
+def _facet_osc(mesh, g_N, degree=8):
+    data = fem.ProblemData(f=lambda x: np.zeros(len(x)), g_N=g_N, data_degree=degree)
+    return est.oscillation_gN(mesh, fem.FemSolution.from_vertex_values(
+        mesh, np.zeros(mesh.n_points), data))
 
 
 def _neumann_projection(mesh, g_N, degree=8):
     # facet-vertex values of Pi_gamma g_N, the Neumann rows of BoundaryFluxSet.gplus
     neu = np.flatnonzero(mesh.facet_tag == geo.NEUMANN)
     proj = np.zeros((mesh.n_facets, mesh.dim))
-    proj[neu] = fem._mass_inverse_times(fem.neumann_loads(mesh, g_N, degree),
+    proj[neu] = fem._mass_inverse_times(fem.neumann_data(mesh, g_N, degree)[0],
                                         mesh.facet_measures[neu, None], mesh.dim - 1)
     return proj
 
@@ -136,12 +145,12 @@ def test_oscillation_gn_zero_and_affine():
     cells = np.array([[0, 1, 2], [1, 3, 2]])
     tags = {(0, 2): "D", (0, 1): "N", (1, 3): "N", (2, 3): "N"}
     mesh = geo.build_mesh(pts, cells, 1.0, tags)
-    assert np.abs(est.oscillation_gN(mesh, None, np.zeros((mesh.n_facets, 2)))).max() == 0.0
+    assert np.abs(_facet_osc(mesh, None)).max() == 0.0
 
     def g(x):
         return 1.0 + x[:, 0] + x[:, 1]
 
-    vals = est.oscillation_gN(mesh, g, _neumann_projection(mesh, g))
+    vals = _facet_osc(mesh, g)
     assert np.abs(vals).max() < 1e-12
 
 
@@ -152,7 +161,7 @@ def test_oscillation_gn_quadratic_hand_value(unit_triangle):
     def g(x):
         return x[:, 0] ** 2
 
-    vals = est.oscillation_gN(mesh, g, _neumann_projection(mesh, g))
+    vals = _facet_osc(mesh, g)
     xaxis = None
     for fi in np.flatnonzero(mesh.facet_tag == geo.NEUMANN):
         fpts = mesh.points[mesh.facets[fi]]
@@ -180,17 +189,21 @@ def test_oscillation_measures_the_indicator_projection():
     sol = fem.solve_problem(mesh, data)
     report = est.estimate(mesh, sol, data, "both")
 
-    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, f, 2))
-    np.testing.assert_allclose(report.osc_f, est.oscillation_f(mesh, f, pf), rtol=1e-14)
+    # both norms come from the solve's data pass, equal bit for bit to
+    # quadrature of the data against the projections themselves
+    pf = fem.project_element_bulk(mesh, sol.f_loads)
+    assert np.array_equal(report.osc_f, est.oscillation_f(mesh, sol))
+    assert np.array_equal(report.osc_f, oracles.oscillation_f(mesh, f, pf))
     # an inexact projection can only raise the oscillation above the accurate one's
     assert np.all(report.osc_f >= _element_osc(mesh, f) * (1.0 - 1e-12))
 
-    per_facet = est.oscillation_gN(mesh, g, eq.equilibrate(mesh, sol).gplus)
+    per_facet = oracles.oscillation_gN(mesh, g, eq.equilibrate(mesh, sol).gplus)
+    assert np.array_equal(per_facet, est.oscillation_gN(mesh, sol))
     neu = np.flatnonzero(mesh.facet_tag == geo.NEUMANN)
     per_elem = np.zeros(mesh.n_elements)
     np.add.at(per_elem, mesh.facet_elems[neu, 0], per_facet[neu])
-    np.testing.assert_allclose(report.osc_gn, per_elem, rtol=1e-14)
-    assert np.all(per_facet[neu] >= est.oscillation_gN(mesh, g, _neumann_projection(mesh, g))[neu]
+    assert np.array_equal(report.osc_gn, per_elem)
+    assert np.all(per_facet[neu] >= oracles.oscillation_gN(mesh, g, _neumann_projection(mesh, g))[neu]
                   * (1.0 - 1e-12))
 
 
@@ -208,27 +221,46 @@ class CountingData:
         return self.fn(x)
 
 
+def nq(k, degree):
+    return rule_for(k, degree).n_points
+
+
+def _distinct_nodes(k, degree):
+    # nodes shared by the two rules, or repeated within one, count once
+    both = np.concatenate([rule_for(k, degree).points, rule_for(k, fem.OSC_DEGREE).points])
+    return len({tuple(p) for p in np.round(both, 12)})
+
+
 def test_data_evaluation_counts(monkeypatch):
-    # a solve and an estimate evaluate f and g_N once for the hat loads, which
-    # b, the residuals, Pi_K f and the Neumann fluxes share, and once more for
-    # the oscillations, at no other points
-    from fluxbound.quadrature import rule_for
+    # a solve evaluates f and g_N once, at the distinct nodes of the data_degree
+    # and OSC_DEGREE rules: the hat loads, which b, the residuals, Pi_K f and
+    # the Neumann fluxes share, and the oscillation norms come from the same
+    # values, one call per block of at most DATA_CHUNK (node, simplex) pairs;
+    # the estimate evaluates neither again
+    assert [_distinct_nodes(k, 8) for k in (1, 2, 3)] == [13, 34, 69]
+    assert _distinct_nodes(3, 2) == 69
     mesh = geo.build_cube_mesh(4, 3, 0.0)
-
-    def nq(k, degree):
-        return rule_for(k, degree).n_points
-
+    n_neu = int(np.sum(mesh.facet_tag == geo.NEUMANN))
+    assert n_neu > 0
     f = CountingData(lambda x: np.exp(x[:, 0]) + x[:, 1] ** 3)
     g = CountingData(lambda x: np.sin(x[:, 1] + x[:, 2]))
     data = fem.ProblemData(f=f, g_N=g, data_degree=4)
     sol = fem.solve_problem(mesh, data)
+    nodes_f, nodes_g = _distinct_nodes(3, 4), _distinct_nodes(2, 4)
+    assert f.points == mesh.n_elements * nodes_f
+    assert g.points == n_neu * nodes_g
+    assert (f.calls, g.calls) == (1, 1)
     est.estimate(mesh, sol, data, "both")
-    n_neu = int(np.sum(mesh.facet_tag == geo.NEUMANN))
-    assert n_neu > 0
-    # loads at data_degree 4, oscillations at degree 8; each further build of
-    # the loads would add nq(3, 4) per element and nq(2, 4) per Neumann facet
-    assert f.points == mesh.n_elements * (nq(3, 4) + nq(3, 8))
-    assert g.points == n_neu * (nq(2, 4) + nq(2, 8))
+    assert (f.calls, f.points) == (1, mesh.n_elements * nodes_f)
+    assert (g.calls, g.points) == (1, n_neu * nodes_g)
+
+    # blocks of 7 elements and of 7 * nodes_f // nodes_g facets
+    monkeypatch.setattr(fem, "DATA_CHUNK", 7 * nodes_f)
+    f.calls = g.calls = 0
+    sol = fem.solve_problem(mesh, data)
+    assert f.calls == -(-mesh.n_elements // 7)
+    assert g.calls == -(-n_neu // (7 * nodes_f // nodes_g))
+    monkeypatch.undo()
 
     # where kappa*rho > 1 the collapsed extensions add the nodes of the
     # EXTENSION_DEGREE rule on each of their d(d+1) sub-simplices, evaluated
@@ -243,8 +275,21 @@ def test_data_evaluation_counts(monkeypatch):
     data = fem.ProblemData(f=f, data_degree=4)
     sol = fem.solve_problem(mesh, data)
     est.estimate(mesh, sol, data, "both")
-    assert f.points == mesh.n_elements * (nq(3, 4) + nq(3, 8)) + layer * nodes
-    assert f.calls == nq(3, 4) + nq(3, 8) + -(-layer // 7)
+    assert f.points == mesh.n_elements * nodes_f + layer * nodes
+    assert f.calls == 1 + -(-layer // 7)
+
+
+def test_estimate_makes_no_neumann_data_call():
+    # g_N enters the bound through the solve's loads and oscillation norms only
+    mesh = geo.build_cube_mesh(4, 2, lambda c: np.where(c[:, 0] < 0, 0.0, 50.0))
+    assert mesh.layer.any() and (mesh.facet_tag == geo.NEUMANN).any()
+    g = CountingData(lambda x: np.cos(x[:, 0] + 2.0 * x[:, 1]))
+    data = fem.ProblemData(f=lambda x: np.exp(x[:, 1]), g_N=g, data_degree=4)
+    sol = fem.solve_problem(mesh, data)
+    assert g.calls == 1
+    rep = est.estimate(mesh, sol, data, "both", check_conformity=True)
+    assert g.calls == 1
+    assert rep.osc_gn.max() > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +397,13 @@ def test_true_error_affine_interpolant(two_triangle_square):
 def test_true_error_zero_solution_gives_energy(two_triangle_square):
     mesh = two_triangle_square
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
+    f_loads, f_osc_sq = fem.element_data(mesh, data.f, data.data_degree)
+    gn_loads, gn_osc_sq = fem.neumann_data(mesh, None, data.data_degree)
     sol0 = fem.FemSolution(mesh=mesh, u=np.zeros(mesh.n_points),
                            grad=np.zeros((mesh.n_elements, 2)), iterations=0,
                            residual=0.0, ndof=0, energy2=0.0, compliance=0.0, data=data,
-                           f_loads=fem.element_loads(mesh, data.f, data.data_degree),
-                           gn_loads=fem.neumann_loads(mesh, None, data.data_degree))
+                           f_loads=f_loads, gn_loads=gn_loads, f_osc_sq=f_osc_sq,
+                           gn_osc_sq=gn_osc_sq)
 
     class One:
         energy2 = 1.0
@@ -493,7 +540,7 @@ def test_conformity_audit_covers_both_selections(monkeypatch):
     monkeypatch.setattr(rec, "facet_trace_values", trace_values)
     fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
-    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, data.data_degree))
+    pf = fem.project_element_bulk(mesh, fem.element_data(mesh, data.f, data.data_degree)[0])
     v1 = rec.variant1_bulk(mesh, R, pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices])
     scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
     each = [rec.trace_mismatch(mesh, rec.facet_trace_values(mesh, sol.grad, v1, R, sel[None])[0],
@@ -576,12 +623,18 @@ def test_conformity_audit_failure_raises(monkeypatch):
 # ---------------------------------------------------------------------------
 
 class TurnsNonFinite:
-    """Data callable that is one while ``finite`` is set and NaN after."""
+    """Data callable that is one while ``finite`` is set and NaN after; counts its calls."""
 
     finite = True
+    calls = 0
 
     def __call__(self, x):
+        self.calls += 1
         return np.full(len(x), 1.0 if self.finite else np.nan)
+
+
+REPORT_ARRAYS = ("eta_k_tau", "eta_k_taustar", "variant_tau", "variant_taustar",
+                 "osc_f", "osc_gn")
 
 
 def test_non_finite_data_raises_typed_error():
@@ -601,11 +654,9 @@ def test_non_finite_data_raises_typed_error():
     for data in (fem.ProblemData(f=nan_f), fem.ProblemData(f=one, g_N=inf_g)):
         with pytest.raises(UnsolvableProblem):
             fem.solve_problem(mesh, data)
-    # a zero projection leaves the oscillation's own evaluation to raise
-    with pytest.raises(UnsolvableProblem):
-        est.oscillation_f(mesh, nan_f, np.zeros((mesh.n_elements, 3)))
-    with pytest.raises(UnsolvableProblem):
-        est.oscillation_gN(mesh, inf_g, np.zeros((mesh.n_facets, 2)))
+        # the data pass of a wrapped u_h, which the oscillations read, raises too
+        with pytest.raises(UnsolvableProblem):
+            fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points), data)
     # the collapsed extensions (kappa*rho > 1) evaluate f at their own points
     layer = geo.build_cube_mesh(4, 2, 100.0)
     sol = fem.solve_problem(layer, fem.ProblemData(f=one))
@@ -613,11 +664,23 @@ def test_non_finite_data_raises_typed_error():
     with pytest.raises(UnsolvableProblem):
         eq._extension_volume_terms(layer, nan_sol, np.arange(layer.n_elements))
     # through the estimator: data that is finite for the solve's evaluations
-    # and turns non-finite before the estimate's own
-    for name in ("f", "g_N"):
-        turning = TurnsNonFinite()
-        data = fem.ProblemData(**{"f": one, "g_N": one, name: turning})
-        sol = fem.solve_problem(mesh, data)
-        turning.finite = False
-        with pytest.raises(UnsolvableProblem):
-            est.estimate(mesh, sol, data)
+    # and turns non-finite before the estimate's own, which on a layer mesh
+    # are those of the collapsed extensions
+    turning = TurnsNonFinite()
+    data = fem.ProblemData(f=turning)
+    sol = fem.solve_problem(layer, data)
+    turning.finite = False
+    with pytest.raises(UnsolvableProblem):
+        est.estimate(layer, sol, data)
+    # g_N is never evaluated again: the report is the finite run's
+    turning = TurnsNonFinite()
+    data = fem.ProblemData(f=one, g_N=turning)
+    sol = fem.solve_problem(mesh, data)
+    finite = est.estimate(mesh, sol, data)
+    turning.finite, calls = False, turning.calls
+    report = est.estimate(mesh, sol, data)
+    assert turning.calls == calls
+    for name in REPORT_ARRAYS:
+        assert np.array_equal(getattr(report, name), getattr(finite, name)), name
+    assert (report.eta_tau, report.eta_taustar) == (finite.eta_tau, finite.eta_taustar)
+    assert report.audits == finite.audits

@@ -138,7 +138,7 @@ def test_galerkin_orthogonality():
 def project_one(f, pts):
     """Vertex values of the elementwise L2 projection of f on the one-element mesh of pts."""
     mesh = one_element_mesh(pts, 0.0)
-    return fem.project_element_bulk(mesh, fem.element_loads(mesh, f, 8))[0]
+    return fem.project_element_bulk(mesh, fem.element_data(mesh, f, 8)[0])[0]
 
 
 def test_project_element_identities(unit_triangle, rng):
@@ -222,3 +222,85 @@ def test_energy_norm_fe_matches_quadrature(rng):
         acc += w * ((sol.grad ** 2).sum(axis=1) + mesh.kappa ** 2 * vv ** 2)
     total = float(acc @ (mesh.volumes * 2.0))
     assert exact ** 2 == pytest.approx(total, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the data pass
+# ---------------------------------------------------------------------------
+
+class PointLog:
+    """Data callable that keeps every point array it is called with."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.batches = []
+
+    def __call__(self, x):
+        self.batches.append(x.copy())
+        return self.fn(x)
+
+
+def _elementwise(x):
+    # column by column, so a value does not depend on the batch it comes in
+    return np.exp(0.3 * x[:, 0]) * np.cos(x[:, 1] - 0.5 * x[:, -1]) + x[:, -1] ** 3
+
+
+def _quadrature_data(fn, pts, measures, degree):
+    # loads and ||fn - Pi fn||^2 by integrate_simplices, one node at a time
+    from fluxbound.quadrature import integrate_simplices
+    k = pts.shape[1] - 1
+    loads = integrate_simplices(lambda x, lam: fem.data_values(fn, x, "f")[:, None] * lam,
+                                pts, measures, degree)
+    proj = fem._mass_inverse_times(loads, measures[:, None], k)
+    sq = integrate_simplices(lambda x, lam: (fn(x) - proj @ lam) ** 2, pts, measures,
+                             fem.OSC_DEGREE)
+    return loads, sq
+
+
+def _distinct_nodes(k, degree):
+    # repeated nodes are equal rationals, so equal doubles
+    from fluxbound.quadrature import rule_for
+    both = np.concatenate([rule_for(k, degree).points, rule_for(k, fem.OSC_DEGREE).points])
+    table = np.unique(both, axis=0)
+    assert len(table) == len({tuple(p) for p in np.round(both, 12)})
+    return table
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("chunk", [1, 5 * 69, 2 ** 17],
+                         ids=["blocks-of-two", "several-blocks", "one-block"])
+def test_data_pass_equals_quadrature(dim, chunk, monkeypatch, rng):
+    # on elements and on Neumann facets, for blocks of one simplex (a mesh of
+    # one), of two (the fewest a longer batch is cut into) and of several: the
+    # loads equal integrate_simplices and osc_sq its quadrature against their
+    # projection, bit for bit, and each simplex sees each distinct node of the
+    # two rules exactly once
+    monkeypatch.setattr(fem, "DATA_CHUNK", chunk)
+    single = one_element_mesh(random_simplex(dim, rng), 1.0, dirichlet=tuple(range(1, dim + 1)))
+    for mesh in (single, geo.build_cube_mesh(3 if dim < 4 else 1, dim, 1.0)):
+        nodes = mesh.neumann
+        sets = [("f", fem.element_data, mesh.points[mesh.simplices], mesh.volumes),
+                ("g_N", fem.neumann_data, mesh.points[mesh.facets[nodes]],
+                 mesh.facet_measures[nodes])]
+        for name, routine, pts, measures in sets:
+            k = pts.shape[1] - 1
+            for degree in (0, 1, 2, 4, 8, 10):
+                log = PointLog(_elementwise)
+                loads, osc_sq = routine(mesh, log, degree)
+                want_loads, want_sq = _quadrature_data(_elementwise, pts, measures, degree)
+                assert np.array_equal(loads, want_loads), (name, degree)
+                assert np.array_equal(osc_sq, want_sq), (name, degree)
+                table = _distinct_nodes(k, degree)
+                seen = np.unique(np.concatenate(log.batches), axis=0)
+                assert len(seen) == sum(map(len, log.batches)), (name, degree)
+                expected = sum(lj[:, None, None] * pts[:, j] for j, lj in enumerate(table.T))
+                assert np.array_equal(seen, np.unique(expected.reshape(-1, dim), axis=0))
+            # blocks of DATA_CHUNK // nodes simplices (two at least), the last
+            # one taking a lone simplex left over
+            per_block = [len(b) // len(table) for b in log.batches]
+            size = max(2, chunk // len(table))
+            assert sum(per_block) == len(pts)
+            assert all(b == size for b in per_block[:-1])
+            assert min(2, len(pts)) <= per_block[-1] <= size + 1
+            if chunk < 2 ** 17 and name == "f" and len(pts) > 1:
+                assert len(per_block) > 1

@@ -178,3 +178,13 @@ def test_affine_invariance(d, degree, data):
     got = integrate_simplices(f_facet, facets, fmeas, degree)
     want = np.array([bary_monomial_integral(expo[1:], m) for m in fmeas])
     assert np.allclose(got, want, rtol=1e-11, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_rules_are_nested_bit_for_bit(dim):
+    # every node of a lower-degree rule is, as a double, a node of each
+    # higher-degree rule, which lets the data pass share its evaluations
+    for lo in range(0, 12, 2):
+        low = {tuple(p) for p in rule_for(dim, lo).points}
+        for hi in range(lo + 2, 13, 2):
+            assert low <= {tuple(p) for p in rule_for(dim, hi).points}, (lo, hi)

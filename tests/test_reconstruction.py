@@ -23,7 +23,7 @@ def benchmark_setup(dim, m, k1, k2):
     sol = fem.solve_problem(mesh, data)
     fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
-    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, 4))
+    pf = fem.project_element_bulk(mesh, fem.element_data(mesh, data.f, 4)[0])
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
     return mesh, data, sol, fluxes, R, r_vals
 
@@ -295,7 +295,7 @@ def test_eta_zero_for_exact_solution(two_triangle_square):
     sol = fem.solve_problem(mesh, data)
     fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
-    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, 4))
+    pf = fem.project_element_bulk(mesh, fem.element_data(mesh, data.f, 4)[0])
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     first, resid_const = rec.eta1_terms(mesh, v1)
@@ -305,7 +305,7 @@ def test_eta_zero_for_exact_solution(two_triangle_square):
 
 def test_benchmark_divergence_audit_and_degree_stability():
     mesh, data, sol, fluxes, R, r_vals = benchmark_setup(3, 4, 1.0, 1.0)
-    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, 4))
+    pf = fem.project_element_bulk(mesh, fem.element_data(mesh, data.f, 4)[0])
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     first, resid_const = rec.eta1_terms(mesh, v1)
     worst = rec.divergence_audit(mesh, resid_const, pf, sol.u[mesh.simplices])
@@ -349,7 +349,7 @@ def test_eta2_rejects_zero_kappa_and_is_rowwise(rng):
     sol = fem.solve_problem(mesh, data)
     fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
-    pf = fem.project_element_bulk(mesh, fem.element_loads(mesh, data.f, 4))
+    pf = fem.project_element_bulk(mesh, fem.element_data(mesh, data.f, 4)[0])
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
     pos = np.flatnonzero(mesh.kappa > 0)
     kapparho = mesh.kappa[pos] * mesh.inradii[pos]
@@ -466,13 +466,22 @@ def test_layer_terms_call_no_quadrature(monkeypatch):
         calls.append(args)
         return integrate_simplices(*args)
 
-    for module in (quad, fem, est):
+    for module in (quad, est):
         monkeypatch.setattr(module, "integrate_simplices", spy)
-    assert not hasattr(rec, "integrate_simplices") and not hasattr(eq, "integrate_simplices")
+    for module in (rec, eq, fem):
+        assert not hasattr(module, "integrate_simplices"), module
     rec.eta2_terms(mesh, R, r_vals, sel)
     eq._extension_volume_terms(mesh, sol, sel)
     assert calls == []
-    fem.element_loads(mesh, data.f, 2)   # the spy sees a call through the modules that make one
+
+    class Zero:
+        def value(self, x):
+            return np.zeros(len(x))
+
+        def gradient(self, x):
+            return np.zeros_like(x)
+
+    est.true_error(mesh, sol, Zero())   # the spy sees a call through the modules that make one
     assert len(calls) == 1
 
 

@@ -103,3 +103,24 @@ def test_bound_holds_across_a_kappa_jump():
     mesh = perturbed_cube(8, 3, kappa, seed=7, plane=True)
     assert set(np.unique(mesh.kappa)) == {ka, kb}
     assert_bound(mesh, SmoothSolution(np.array([0.4, -0.35]), kappa), (ka, kb))
+
+
+@pytest.mark.parametrize("kappa,rate_f,rate_gn", [(0.0, 3.0, 2.5), (1.0, 3.0, 2.5),
+                                                   (1e4, 2.0, 2.0)])
+def test_oscillation_rates_under_refinement(kappa, rate_f, rate_gn):
+    # smooth data: ||f - Pi_K f||_K = O(h^2 |K|^(1/2)) and its weight is h/pi
+    # where kappa*h <= 1, 1/kappa beyond, so the total osc(f) falls like h^3 or
+    # h^2; the g_N terms carry sqrt(min2) = O(h^(1/2)) or O(1) instead
+    for dim, ms in ((2, (4, 8, 16, 32)), (3, (2, 4, 8))):
+        a = np.array([0.45, -0.3])[:dim - 1]
+        exact = SmoothSolution(a, lambda x: np.full(len(x), kappa))
+        data = fem.ProblemData(f=exact.f, g_N=exact.g_N, data_degree=8)
+        osc_f, osc_gn = [], []
+        for m in ms:
+            mesh = perturbed_cube(m, dim, lambda c: np.full(len(c), kappa), seed=3)
+            sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points), data)
+            osc_f.append(np.linalg.norm(est.oscillation_f(mesh, sol)))
+            osc_gn.append(np.linalg.norm(est.oscillation_gN(mesh, sol)))
+        for values, rate in ((osc_f, rate_f), (osc_gn, rate_gn)):
+            rates = np.log2(np.divide(values[:-1], values[1:]))
+            assert np.all(np.abs(rates - rate) <= 0.15), (dim, kappa, rates)
