@@ -128,8 +128,10 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("kappa1", "kappa2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
         if self.strategy not in STRATEGIES:

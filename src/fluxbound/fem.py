@@ -210,15 +210,17 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
 def solve(A, b, max_iter: int | None = None):
     """Solve an SPD system: dense Cholesky below 200 unknowns, Jacobi-PCG above.
 
-    Returns ``(x, iterations, relative_residual)`` with
-    ||b - A x|| <= SOLVE_TOL * ||b|| whenever that is attainable in float64; when the
-    round-off floor eps * || |A| |x| || lies above the target the iteration
-    stops there and reports the achieved residual instead of stalling. If an
-    entry of b - A x then exceeds ENTRY_TOL * (|b| + |A| |x|), as on the low side
-    of a kappa jump, one PCG solve for the correction follows with what is left
-    of max_iter; should it fail, the first solution stands. Raises NoConvergence
-    when the first solve does not converge within max_iter (default 10n) and
-    UnsolvableProblem when the SPD precheck fails.
+    Returns ``(x, iterations, relative_residual)``. PCG has two targets for
+    r = b - A x, as a constrained vertex patch is solvable only up to the
+    residual at its vertex: ||r|| <= SOLVE_TOL ||b||, which the PCG recurrence
+    can miss as it drifts on slivers, and |r_i| <= ENTRY_TOL (|b| + |A| |x|)_i
+    in every row, which a small norm can miss on the low side of a kappa jump.
+    While one is missed, PCG solves for the correction with what is left of
+    max_iter, until a correction fails to halve the worse ratio of residual to
+    target (the better iterate stays) or does not converge (the solution so
+    far stands). ``iterations`` counts the PCG steps behind x. Raises
+    NoConvergence when the first solve does not converge within max_iter
+    (default 10n), UnsolvableProblem when the SPD precheck fails.
     """
     b = np.asarray(b, dtype=float)
     n = len(b)
@@ -244,50 +246,46 @@ def solve(A, b, max_iter: int | None = None):
     if max_iter is None:
         max_iter = 10 * n
     abs_A, inv_diag = abs(A), 1.0 / diag
-    x, iters = _pcg(A, abs_A, inv_diag, b, max_iter)
-    r = b - A @ x
-    if np.any(np.abs(r) > ENTRY_TOL * (abs_A @ np.abs(x) + np.abs(b))):
+
+    def miss(x):
+        # the residual and the worse of its two ratios to their targets
+        r = b - A @ x
+        size = ENTRY_TOL * (abs_A @ np.abs(x) + np.abs(b))
+        entry = np.divide(np.abs(r), size, out=np.zeros(n), where=size > 0)
+        return r, max(float(np.linalg.norm(r)) / (SOLVE_TOL * nb), float(entry.max()))
+
+    x, iters = _pcg(A, inv_diag, b, max_iter)
+    r, worst = miss(x)
+    while worst > 1.0:
         try:
-            dx, more = _pcg(A, abs_A, inv_diag, r, max_iter - iters)
-            x, iters = x + dx, iters + more
-            r = b - A @ x
+            dx, more = _pcg(A, inv_diag, r, max_iter - iters)
         except NoConvergence:
-            pass   # the first solution stands
+            break   # the solution reached so far stands
+        r_new, new = miss(x + dx)
+        if new < worst:
+            x, iters, r = x + dx, iters + more, r_new
+        if new > 0.5 * worst:
+            break
+        worst = new
     return x, iters, float(np.linalg.norm(r)) / nb
 
 
-def _pcg(A, abs_A, inv_diag, b, max_iter: int):
-    """Jacobi-PCG for A x = b from x = 0; returns ``(x, iterations)`` (see ``solve``)."""
-    nb = float(np.linalg.norm(b))
-    eps = np.finfo(float).eps
+def _pcg(A, inv_diag, b, max_iter: int):
+    """Jacobi-PCG for A x = b from x = 0 until the recurrence residual meets
+    SOLVE_TOL * ||b||; returns ``(x, iterations)``, raises NoConvergence after max_iter."""
+    target = SOLVE_TOL * float(np.linalg.norm(b))
     x = np.zeros(len(b))
     r = b.copy()
     z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
-    best = np.inf
-    strikes = 0
     for it in range(1, max_iter + 1):
         Ap = A @ p
         alpha = rz / float(p @ Ap)
         x += alpha * p
         r -= alpha * Ap
-        if np.linalg.norm(r) <= SOLVE_TOL * nb or it % 64 == 0:
-            true_r = b - A @ x   # recurrence drift check
-            res = float(np.linalg.norm(true_r))
-            floor = 128.0 * eps * (float(np.linalg.norm(abs_A @ np.abs(x))) + nb)
-            if res <= max(SOLVE_TOL * nb, floor):
-                return x, it
-            # a plateau at the round-off floor counts as converged; a plateau
-            # well above it is a genuine failure
-            strikes = strikes + 1 if res > 0.5 * best else 0
-            best = min(best, res)
-            if strikes >= 3:
-                if res <= 64.0 * floor:
-                    return x, it
-                raise NoConvergence(
-                    f"PCG stagnated at relative residual {res / nb:.3e}")
-            r = true_r
+        if np.linalg.norm(r) <= target:
+            return x, it
         z = inv_diag * r
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p

@@ -26,6 +26,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -222,10 +223,12 @@ class Mesh:
     def n_facets(self) -> int:
         return len(self.facets)
 
-    @property
+    @cached_property
     def layer(self) -> np.ndarray:
         """(ne,) True where kappa*rho > 1: the layer variant and the least-squares rows."""
-        return self.kappa * self.inradii > 1.0
+        layer = self.kappa * self.inradii > 1.0
+        layer.setflags(write=False)
+        return layer
 
     @property
     def neumann(self) -> np.ndarray:

@@ -92,8 +92,11 @@ def _variant1_coeffs(pts, g, rv, r_vals) -> Variant1Bulk:
 
 
 def variant1_bulk(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray) -> Variant1Bulk:
-    return _variant1_coeffs(mesh.points[mesh.simplices], mesh.bary_grads,
-                            _to_local_vertices(R), r_vals)
+    # c_n = sum_m w_mn (x_m - x_n) does not depend on the origin; vertices
+    # centred on their element's mean keep its digits far from the origin
+    pts = mesh.points[mesh.simplices]
+    pts -= pts.mean(axis=1, keepdims=True)
+    return _variant1_coeffs(pts, mesh.bary_grads, _to_local_vertices(R), r_vals)
 
 
 def _tau_q_pairs(P, grad_r):

@@ -1,9 +1,12 @@
 """Shared fixtures and independent oracles for the test suite."""
+import functools
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from fluxbound.errors import KappaJumpWarning
 from fluxbound.fem import ProblemData
@@ -113,6 +116,35 @@ def random_small_mesh(rng, dim=None, allow_zero_kappa=True):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", KappaJumpWarning)  # random kappa jumps freely
         return build_mesh(pts, base.simplices, kappa, tags)
+
+
+@functools.lru_cache(maxsize=2)
+def delaunay_mesh(d, n):
+    """The seeded Delaunay family (d, n) of (-1, 1)^d, with kappa = 0.
+
+    The boundary points of a 5^d grid, int(n^((d-1)/d)) uniform points on each
+    of the 2d faces and n uniform interior points in (-0.97, 0.97)^d, rounded
+    to 12 digits and triangulated by scipy. Unlike a Kuhn mesh it has slivers
+    and patches of every topology. The faces x1 = +-1 are Dirichlet, the rest
+    Neumann; ``DELAUNAY_DATA`` is the problem posed on it. A mesh is immutable,
+    so the tests share one per (d, n).
+    """
+    rng = np.random.default_rng(0)
+    grid = np.array(list(itertools.product(np.linspace(-1.0, 1.0, 5), repeat=d)))
+    parts = [grid[np.abs(grid).max(axis=1) == 1.0]]
+    for axis in range(d):
+        for side in (-1.0, 1.0):
+            face = rng.uniform(-1.0, 1.0, (int(n ** ((d - 1) / d)), d))
+            face[:, axis] = side
+            parts.append(face)
+    parts.append(rng.uniform(-0.97, 0.97, (n, d)))
+    pts = np.unique(np.round(np.concatenate(parts), 12), axis=0)
+    return build_mesh(pts, scipy.spatial.Delaunay(pts).simplices, 0.0,
+                      lambda c: np.abs(c[:, 0]) == 1.0)
+
+
+DELAUNAY_DATA = ProblemData(f=lambda x: 1.0 + x[:, 0] ** 2,
+                            g_N=lambda x: np.sin(x[:, 1]), data_degree=2)
 
 
 def random_problem_data(rng, dim):

@@ -197,8 +197,9 @@ def test_config_rejects_what_a_run_would_reject(changes):
 @pytest.mark.parametrize("changes", [
     {"dim": 2.0}, {"dim": True}, {"m": 2.5}, {"m": True}, {"m": "4"},
     {"kappa2": math.inf}, {"kappa1": math.inf, "kappa2": math.inf}, {"kappa1": math.nan},
+    {"kappa1": "1"}, {"kappa2": None}, {"kappa1": True},
 ], ids=["dim-float", "dim-bool", "m-float", "m-bool", "m-str", "kappa2-inf", "both-inf",
-        "kappa1-nan"])
+        "kappa1-nan", "kappa1-str", "kappa2-none", "kappa1-bool"])
 def test_config_rejects_bad_types_and_non_finite_kappa(changes):
     # refused when the configuration is made, not inside the geometry code
     with pytest.raises(ValueError):

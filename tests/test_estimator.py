@@ -12,7 +12,8 @@ from fluxbound.errors import ConformityAuditFailed, NegativeDifference, Unsolvab
 from fluxbound.quadrature import rule_for
 
 import oracles
-from conftest import ZERO_DATA, dense_projection_oracle, random_simplex
+from conftest import (DELAUNAY_DATA, ZERO_DATA, delaunay_mesh, dense_projection_oracle,
+                      random_simplex)
 from test_fem import one_element_mesh
 
 
@@ -684,3 +685,31 @@ def test_non_finite_data_raises_typed_error():
         assert np.array_equal(getattr(report, name), getattr(finite, name)), name
     assert (report.eta_tau, report.eta_taustar) == (finite.eta_tau, finite.eta_taustar)
     assert report.audits == finite.audits
+
+
+def test_estimate_passes_every_audit_on_a_delaunay_mesh():
+    # the patches are solvable only to the solve's residual: a u_h whose PCG
+    # recurrence drifted on the slivers to a true residual of 7e-11 failed
+    # the divergence audit at 1.5e-9
+    mesh = delaunay_mesh(2, 20000)
+    sol = fem.solve_problem(mesh, DELAUNAY_DATA)
+    report = est.estimate(mesh, sol, DELAUNAY_DATA, check_conformity=True)
+    assert report.eta_tau == report.eta_taustar > 0.0   # kappa = 0: variant 1 only
+
+
+@pytest.mark.parametrize("dim,m", [(2, 8), (3, 4)])
+def test_estimate_far_from_the_origin(dim, m):
+    # variant 1 is translation-invariant; formed from absolute coordinates
+    # near 1e7 it lost about half its digits and failed the divergence audit
+    s = 1e7
+    base = geo.build_cube_mesh(m, dim, 0.0)
+    tags = {tuple(int(v) for v in base.facets[fi]):
+            ("D" if base.facet_tag[fi] == geo.DIRICHLET else "N")
+            for fi in np.flatnonzero(base.facet_tag != geo.INTERIOR)}
+    mesh = geo.build_mesh(base.points + s, base.simplices, 0.0, tags)
+    data = fem.ProblemData(f=lambda x: 1.0 + (x[:, 0] - s) ** 2,
+                           g_N=lambda x: np.sin(x[:, 1] - s))
+    sol = fem.solve_problem(mesh, data)
+    report = est.estimate(mesh, sol, data, check_conformity=True)
+    assert report.audits["divergence_residual"] <= 1e-13
+    assert report.audits["hdiv_mismatch"] <= 1e-13

@@ -10,7 +10,7 @@ import fluxbound.geometry as geo
 from fluxbound.errors import (DegenerateSimplex, KappaJumpWarning,
                               MeshFormatError, NonConformingMesh)
 
-from conftest import one_simplex, random_simplex
+from conftest import delaunay_mesh, one_simplex, random_simplex
 from oracles import to_local_vertices, vertex_patch
 
 
@@ -223,6 +223,21 @@ def test_mesh_immutable():
     mesh = geo.build_cube_mesh(1, 2, 1.0)
     with pytest.raises(ValueError):
         mesh.points[0, 0] = 5.0
+
+
+def test_layer_is_computed_once_and_read_only():
+    mesh = geo.build_cube_mesh(2, 2, lambda c: np.where(c[:, 0] < 0, 1.0, 10.0))
+    assert mesh.layer is mesh.layer
+    assert not mesh.layer.flags.writeable
+    assert np.array_equal(mesh.layer, mesh.kappa * mesh.inradii > 1)
+    assert mesh.layer.any() and not mesh.layer.all()
+
+
+def test_delaunay_family_counts():
+    mesh = delaunay_mesh(2, 20000)
+    assert (mesh.n_points, mesh.n_elements) == (20580, 40578)
+    # the 5 grid points and the 141 face points of each Dirichlet face
+    assert len(mesh.dirichlet_vertices) == 2 * (5 + 141)
 
 
 def test_vertex_patch_consistency():
