@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import NoConvergence, UnsolvableProblem
@@ -234,12 +233,11 @@ def solve(A, b, max_iter: int | None = None):
     if nb == 0.0:
         return np.zeros(n), 0, 0.0
     if n < DENSE_CUTOFF:
-        dense = A.toarray()
         try:
-            c, low = scipy.linalg.cho_factor(dense, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
+            L = np.linalg.cholesky(A.toarray())
+        except np.linalg.LinAlgError as exc:
             raise UnsolvableProblem(f"dense Cholesky failed: {exc}") from None
-        x = scipy.linalg.cho_solve((c, low), b, check_finite=False)
+        x = np.linalg.solve(L.T, np.linalg.solve(L, b))
         res = float(np.linalg.norm(b - A @ x)) / nb
         return x, 1, res
 

@@ -77,8 +77,6 @@ class SimplexGeometry(NamedTuple):
     facet_measures: np.ndarray  # (k, d+1), facet opposite each vertex
     diameters: np.ndarray       # (k,)
     inradii: np.ndarray         # (k,)
-    incentres: np.ndarray       # (k, d)
-    centroids: np.ndarray       # (k, d)
 
 
 def simplex_geometry(pts) -> SimplexGeometry:
@@ -99,12 +97,9 @@ def simplex_geometry(pts) -> SimplexGeometry:
     grads = simplex_gradients(pts)
     # |gamma_i| = d |K| |grad lambda_i|
     facet_measures = d * volumes[:, None] * np.linalg.norm(grads, axis=2)
-    total = facet_measures.sum(axis=1)
     return SimplexGeometry(
         volumes=volumes, grads=grads, facet_measures=facet_measures, diameters=diameters,
-        inradii=d * volumes / total,
-        incentres=(facet_measures[:, :, None] * pts).sum(axis=1) / total[:, None],
-        centroids=pts.mean(axis=1))
+        inradii=d * volumes / facet_measures.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +193,6 @@ class Mesh:
     facet_measures: np.ndarray  # (nf,)
     diameters: np.ndarray       # (ne,) h_K
     inradii: np.ndarray         # (ne,) rho_K
-    incentres: np.ndarray       # (ne, d)
-    centroids: np.ndarray       # (ne, d)
     _vertex_elem_offsets: np.ndarray = field(repr=False)
     _vertex_elem_data: np.ndarray = field(repr=False)   # (k, 2): element, local vertex
     _vertex_facet_offsets: np.ndarray = field(repr=False)
@@ -329,8 +322,7 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
         facets=facets, facet_elems=facet_elems, facet_local=facet_local,
         facet_tag=facet_tag, elem_facets=elem_facets, elem_sigma=elem_sigma,
         volumes=geom.volumes, bary_grads=geom.grads, facet_measures=facet_measures,
-        diameters=geom.diameters, inradii=geom.inradii, incentres=geom.incentres,
-        centroids=geom.centroids,
+        diameters=geom.diameters, inradii=geom.inradii,
         _vertex_elem_offsets=veo, _vertex_elem_data=np.column_stack([ve_elem, ve_loc]),
         _vertex_facet_offsets=vfo, _vertex_facet_data=np.column_stack([vf_fac, vf_slot]),
     )

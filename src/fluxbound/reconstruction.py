@@ -10,22 +10,23 @@ Each component of tau_L + tau_Q has explicit coefficients in the P2 basis
 in them with the exact Gram matrix of that basis (see ``eta1_terms``).
 
 Variant 2 (layer): tau = grad u_h + tau_O, with tau_O supported on the cones
-joining each facet to the incentre and cut off at height 1/kappa, matching the
-boundary-layer structure for kappa*rho > 1: tau_O = (1 - kappa xd)_+ (a.x + b)
-(x - apex) / rho on the cone of a facet, xd the distance from the facet plane.
-a.x + b extends the facet residual constantly along the facet normal: a is the
-tangential part of sum_j R_j grad lambda_j over the facet vertices j, and b
-matches R at the first of them.
+joining each facet to the incentre, the apex, and cut off at height 1/kappa,
+matching the boundary-layer structure for kappa*rho > 1. With the apex as
+origin (``_component_first``), so that nothing depends on where the mesh sits,
+tau_O = (1 - kappa xd)_+ (a.x + b) x / rho on the cone of a facet, xd the
+distance from the facet plane. a.x + b extends the facet residual constantly
+along the facet normal: a is the tangential part of sum_j R_j grad lambda_j
+over the facet vertices j, and b matches R at the first of them.
 
 The layer norms are integrated over each cone in the collapsed (Duffy)
-coordinates x = apex + t (y - apex), y on the facet, in three exact pieces:
-below the cutoff, r + div tau_O = r on the shrunken simplex apex + t0 (K - apex)
-(one P1 mass norm, exact for the quadratic r^2); above it, r + div tau_O is
-affine in y at each Gauss-Legendre node in t (a P1 facet mass norm per node,
-ceil((d+4)/2) nodes for degree d+3 in t); and |tau_O|^2 reduces to three
-t-moments per element (ceil((d+6)/2) nodes for degree d+5 in t) times a
-quartic in y, integrated over the facet exactly by the cached moments of the
-facet barycentrics up to degree 4. See ``eta2_terms``.
+coordinates x = t y, y on the facet, in three exact pieces: below the cutoff,
+r + div tau_O = r on the shrunken simplex t0 K (one P1 mass norm, exact for the
+quadratic r^2); above it, r + div tau_O is affine in y at each Gauss-Legendre
+node in t (a P1 facet mass norm per node, ceil((d+4)/2) nodes for degree d+3
+in t); and |tau_O|^2 reduces to three t-moments per element (ceil((d+6)/2)
+nodes for degree d+5 in t) times a quartic in y, integrated over the facet
+exactly by the cached moments of the facet barycentrics up to degree 4. See
+``eta2_terms``.
 """
 from __future__ import annotations
 
@@ -182,11 +183,21 @@ def divergence_audit(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _component_first(mesh: Mesh, sel: np.ndarray):
-    """Vertices and barycentric gradients of the selected elements for ``_facet_setup``:
-    (k, d+1, d) transposes of C-contiguous (d, d+1, k) arrays."""
+    """The selected elements in their apex's frame: ``(pts, g, w)``.
+
+    pts and g are the vertices relative to the incentre and the barycentric
+    gradients, (k, d+1, d) transposes of C-contiguous (d, d+1, k) arrays; w
+    (k, d+1) the incentre's barycentric weights |gamma_j| / sum |gamma|. The
+    vertices are taken relative to vertex 0 first, so the frame does not
+    depend on where the mesh sits.
+    """
     P = np.take(mesh.points.T, mesh.simplices[sel].T, axis=1)
+    P -= P[:, :1].copy()
+    meas = mesh.facet_measures[mesh.elem_facets[sel]]
+    w = meas / meas.sum(axis=1, keepdims=True)
+    P -= np.einsum("dnk,kn->dk", P, w)[:, None]      # the apex
     G = np.take(mesh.bary_grads.T, sel, axis=2)
-    return P.T, G.T
+    return P.T, G.T, w
 
 
 def _facet_setup(pts, g, Rf, i: int):
@@ -197,7 +208,8 @@ def _facet_setup(pts, g, Rf, i: int):
     Returns ``(F, a, b, ed)``: the facet vertices in element order (the
     canonical facet order, element vertices being sorted), the affine extension
     R(x) = a.x + b of the residual, constant along the facet normal (a
-    orthogonal to ed), and the inward unit normal ed.
+    orthogonal to ed), and the inward unit normal ed, all in the frame of
+    ``pts``: in ``_component_first``'s, F is relative to the apex and b = R(apex).
 
     The arithmetic runs component by component on the transposes, whose rows
     are contiguous when the inputs are transposed C-contiguous arrays, as
@@ -218,7 +230,7 @@ def _facet_setup(pts, g, Rf, i: int):
 
 
 def _below_cutoff_sq(r_vals, r_apex, t0, volumes, d: int):
-    """||r||^2 over the shrunken simplices apex + t0 (K - apex), t0 (n,).
+    """||r||^2 over the shrunken simplices t0 K, t0 (n,), in the apex's frame.
 
     These are the parts of the d+1 cones of each element below the cutoff,
     where r + div tau_O = r; r has the vertex values r_apex + t0 (r_j - r_apex)
@@ -280,32 +292,32 @@ def _facet_moment_tables(d: int):
 def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
     """(||tau_O||_K^2, ||r + div tau_O||_K^2) for the selected elements.
 
-    Requires kappa > 0 on the selection. Each facet cone is parametrised by the
-    collapsed coordinates x = apex + t (y - apex), y on the facet and t in
+    Requires kappa > 0 on the selection. Everything is in the frame of
+    ``_component_first``, whose origin is the apex. Each facet cone is
+    parametrised by the collapsed coordinates x = t y, y on the facet and t in
     [0, 1]: dx = rho t^(d-1) dt dy, and x lies (1 - t) rho above the facet
     plane, so the cutoff height 1/kappa sits at t0 = 1 - h, h = min(1, 1/q),
-    q = kappa rho, and tau_O vanishes below it. With A0 = R(apex),
-    D = a.(y - apex), G = grad r.(y - apex), rt = A0 + t D and
-    fac = 1 - q (1 - t), above t0
+    q = kappa rho, and tau_O vanishes below it. With A0 = R(apex) = b,
+    D = a.y, G = grad r.y, rt = A0 + t D and fac = 1 - q (1 - t), above t0
 
-        tau_O = c_d rt (y - apex),                  c_d = fac t / rho,
+        tau_O = c_d rt y,                           c_d = fac t / rho,
         r + div tau_O = alpha D + t G + c_rt A0 + r(apex),
-            c_rt = (d fac + q t) / rho,  alpha = c_rt t + c_d.
+            c_rt = (d fac + q t) / rho,  alpha = c_rt t + c_d,
 
+    where r(apex) = sum_j w_j r_j in the incentre's barycentric weights w.
     Three exact pieces:
 
     1. below t0, r + div tau_O = r, and the lower parts of the cones tile
-       apex + t0 (K - apex): one P1 mass norm per element (_below_cutoff_sq);
+       t0 K: one P1 mass norm per element (_below_cutoff_sq);
     2. above t0, r + div tau_O is affine in y at each node t_p, so its square
        integrates over the facet as the P1 mass norm of its facet-vertex
        values; in t the integrand has degree d+3, so ceil((d+4)/2)
        Gauss-Legendre nodes are exact;
-    3. |tau_O|^2 integrates in t to (c0 + c1 D + m2 D^2) |y - apex|^2,
+    3. |tau_O|^2 integrates in t to (c0 + c1 D + m2 D^2) |y|^2,
        c0 = m0 A0^2 and c1 = 2 m1 A0, with the per-element moments
-       m_k of _flux_moments. In the facet barycentrics mu, y - apex =
-       sum_j mu_j W_j with W_j = F_j - apex at the facet vertices and
-       D = sum_i mu_i D_i, D_i = a.W_i, so the facet integral is exact in
-       the moments of _facet_moment_tables:
+       m_k of _flux_moments. In the facet barycentrics mu, y = sum_j mu_j W_j
+       with W_j = F_j the facet vertices and D = sum_i mu_i D_i, D_i = a.W_i,
+       so the facet integral is exact in the moments of _facet_moment_tables:
 
            |gamma| sum_{j<=l} (W_j.W_l) (C2 c0 + c1 sum_i C3 D_i
                                          + m2 sum_{i<=k} C4 D_i D_k).
@@ -320,13 +332,12 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
     rho = mesh.inradii[sel]
     q = kap * rho
     h = np.minimum(1.0, 1.0 / q)
-    pts, g = _component_first(mesh, sel)
-    apex_c = np.ascontiguousarray(mesh.incentres[sel].T)
+    pts, g, wts = _component_first(mesh, sel)
     rv = r_vals[sel]
     grad_rc = g.T[:, 0] * rv[:, 0]      # component-first gradient of r
     for n in range(1, d + 1):
         grad_rc += g.T[:, n] * rv[:, n]
-    r_apex = rv.mean(axis=1) + _dot(grad_rc, apex_c - mesh.centroids[sel].T)
+    r_apex = np.einsum("kn,kn->k", wts, rv)
     second = _below_cutoff_sq(rv, r_apex, 1.0 - h, mesh.volumes[sel], d)
 
     m0, m1, m2 = _flux_moments(q, rho, h, d)
@@ -339,13 +350,10 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
 
     def cone(i):
         """(||tau_O||^2, ||r + div tau_O||^2 above t0) on the cone of facet i."""
-        F, a, b = _facet_setup(pts, g, R[sel, i], i)[:3]
+        F, a, A0 = _facet_setup(pts, g, R[sel, i], i)[:3]
         a_c = a.T                   # (d, k), contiguous rows
         meas = mesh.facet_measures[mesh.elem_facets[sel, i]]
-        A0 = _dot(a_c, apex_c) + b
-        W = F.T                     # (d, d, k), a copy: y - apex at the facet vertices
-        W -= apex_c[:, None]
-        W = [W[:, j] for j in range(d)]
+        W = [F.T[:, j] for j in range(d)]      # y at the facet vertices, (d, k) views
         Dv = np.array([_dot(a_c, w) for w in W])
         Gv = [_dot(grad_rc, w) for w in W]
         # the t-integrated flux term in the exact facet moments, one pair (j, l) at a time
@@ -394,8 +402,8 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
     i2 = np.flatnonzero((variant == 2).any(axis=0))
     c1, grad1 = v1.c[i1], grad[i1]
     pairs = _tau_q_pairs(mesh.points.T[:, mesh.simplices[i1].T], v1.grad_r[i1])
-    pts2, g2 = _component_first(mesh, i2)
-    grad2, apex, rho = grad[i2].T, mesh.incentres[i2].T, mesh.inradii[i2]
+    pts2, g2, _ = _component_first(mesh, i2)
+    grad2, rho = grad[i2].T, mesh.inradii[i2]
     t1 = np.empty((len(i1), d + 1, rule.n_points))   # traces of variant 1 on i1, 2 on i2
     t2 = np.empty((len(i2), d + 1, rule.n_points))
     for i in range(d + 1):
@@ -405,9 +413,9 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
         for qi, mu in enumerate(rule.points):
             tau = variant1_field(np.insert(mu, i, 0.0)[None], c1, pairs)
             t1[:, i, qi] = np.einsum("ed,ed->e", grad1 + tau, n1)
-            x = sum(mj * F[:, j] for j, mj in enumerate(mu))
-            s = (_dot(a, x) + b) / rho      # tau_O = s (x - apex) on the facet
-            t2[:, i, qi] = _dot(grad2 + s * (x - apex), n2)
+            x = sum(mj * F[:, j] for j, mj in enumerate(mu))     # relative to the apex
+            s = (_dot(a, x) + b) / rho      # tau_O = s x on the facet
+            t2[:, i, qi] = _dot(grad2 + s * x, n2)
     traces = [np.empty((mesh.n_elements, d + 1, rule.n_points)) for _ in variant]
     for trace, p in zip(traces, variant):
         trace[i1] = t1

@@ -1,9 +1,11 @@
 """Single-element references that the batched production code is checked against.
 
 * quadrature: ``integrate``/``integrate_facet`` on one simplex or facet;
-* geometry: ``locate`` (points to pieces and barycentric coordinates),
-  ``vertex_patch`` (the elements sharing one vertex) and ``facet_slots`` /
-  ``to_local_vertices`` (facet-vertex data by element vertex, found by search);
+* geometry: ``incentre``/``mesh_incentres`` (the vertices weighted by their
+  opposite facet measures), ``locate`` (points to pieces and barycentric
+  coordinates), ``vertex_patch`` (the elements sharing one vertex) and
+  ``facet_slots`` / ``to_local_vertices`` (facet-vertex data by element vertex,
+  found by search);
 * projections and norms: ``project_facet``, ``energy_norm``, ``energy_norm_fe``;
 * equilibration: the collapsed extension ``extension``/``ExtensionFunction``,
   its volume terms sub-simplex by sub-simplex
@@ -81,6 +83,21 @@ def integrate_facet(f, vertices, degree: int) -> float:
     if vertices.shape[0] != d:
         raise ValueError("expected d vertices for a facet in R^d")
     return _integrate(f, vertices, d - 1, degree)
+
+
+def incentre(pts, facet_measures):
+    """sum_i |gamma_i| x_i / sum_i |gamma_i| of simplices (..., d+1, d), in their dtype.
+
+    ``facet_measures`` (..., d+1) holds |gamma_i|, the facet opposite vertex i.
+    """
+    return (np.einsum("...i,...id->...d", facet_measures, pts)
+            / facet_measures.sum(axis=-1)[..., None])
+
+
+def mesh_incentres(mesh, sel, dtype=np.float64):
+    """``incentre`` of the selected elements of a mesh, computed in ``dtype``."""
+    return incentre(mesh.points[mesh.simplices[sel]].astype(dtype),
+                    mesh.facet_measures[mesh.elem_facets[sel]].astype(dtype))
 
 
 def locate(simplices, x):
@@ -401,7 +418,8 @@ def build_variant2(vertices, Rv, kappa: float, grad_uh=None) -> FluxVariant2:
         for i in range(d + 1))))
     base = np.zeros(d) if grad_uh is None else np.asarray(grad_uh, dtype=float)
     return FluxVariant2(vertices=vertices, grad_uh=base, kappa=float(kappa),
-                        rho=float(geom.inradii[0]), incentre=geom.incentres[0],
+                        rho=float(geom.inradii[0]),
+                        incentre=incentre(vertices, geom.facet_measures[0]),
                         facet_vertices=F, a=a, b=b, ed=ed)
 
 
@@ -598,8 +616,9 @@ def eta2_terms_staircase(mesh, R, r_vals, sel, degree=ETA2_DEGREE, top_degree=TO
     if np.any(kap == 0):
         raise InvalidVariant("layer reconstruction requires kappa > 0")
     rho = mesh.inradii[sel]
-    apex = mesh.incentres[sel]
-    cent = mesh.centroids[sel]
+    pts = mesh.points[mesh.simplices[sel]]
+    apex = mesh_incentres(mesh, sel)
+    cent = pts.mean(axis=1)
     r_bar = r_vals[sel].mean(axis=1)
     grad_r = np.einsum("end,en->ed", mesh.bary_grads[sel], r_vals[sel])
     cut = 1.0 / kap
@@ -629,7 +648,6 @@ def eta2_terms_staircase(mesh, R, r_vals, sel, degree=ETA2_DEGREE, top_degree=TO
             lambda x, lam: (rb + np.einsum("pd,pd->p", gr, x - ce)) ** 2,
             verts, simplex_measure(verts), top_degree)
 
-    pts = mesh.points[mesh.simplices[sel]]
     g = mesh.bary_grads[sel]
     sp = np.flatnonzero(split)
     un = np.flatnonzero(~split)
@@ -702,7 +720,7 @@ def eta2_flux_facet_rule(mesh, R, r_vals, sel):
     q = mesh.kappa[sel] * rho
     m0, m1, m2 = _flux_moments(q, rho, np.minimum(1.0, 1.0 / q), d)
     pts = mesh.points[mesh.simplices[sel]]
-    apex_c = np.ascontiguousarray(mesh.incentres[sel].T)
+    apex_c = np.ascontiguousarray(mesh_incentres(mesh, sel).T)
     first = np.zeros(len(sel))
     for i in range(d + 1):
         F, a, b, _ = _facet_setup(pts, mesh.bary_grads[sel], R[sel, i], i)
@@ -733,10 +751,11 @@ def eta2_terms_longdouble(mesh, R, r_vals, sel):
     d = mesh.dim
     kap = mesh.kappa[sel].astype(ld)
     rho = mesh.inradii[sel].astype(ld)
-    apex = mesh.incentres[sel].astype(ld)
+    apex = mesh_incentres(mesh, sel, ld)
+    cent = mesh.points[mesh.simplices[sel]].astype(ld).mean(axis=1)
     rv = r_vals[sel].astype(ld)
     grad_r = np.einsum("end,en->ed", mesh.bary_grads[sel].astype(ld), rv)
-    r_apex = rv.mean(axis=1) + ((apex - mesh.centroids[sel].astype(ld)) * grad_r).sum(axis=1)
+    r_apex = rv.mean(axis=1) + ((apex - cent) * grad_r).sum(axis=1)
     q = kap * rho
     h = np.minimum(ld(1), ld(1) / q)
     t0 = ld(1) - h

@@ -26,7 +26,9 @@ CRIT1_KAPPA1 = (1e-3, 1.0, 1e2, 1e4, 1e6)
 CRIT1_M = (2, 4, 8, 16)
 SWEEP_KAPPA1 = tuple(10.0 ** k for k in range(-3, 7))
 MESH_SWEEP = (2, 4, 8, 16, 32)
+MESH_SWEEP_D2 = (8, 16, 32, 64, 128, 256)
 BASELINE = Path(__file__).parent / "baselines" / "mesh_sweep_k100_d3.csv"
+BASELINE_D2 = Path(__file__).parent / "baselines" / "mesh_sweep_k100_d2.csv"
 KAPPA_BASELINE = Path(__file__).parent / "baselines" / "kappa_sweep_m16_d3.csv"
 
 
@@ -121,6 +123,22 @@ def test_criterion_3_mesh_robustness():
     ieffs = {m: round(rows[m]["ieff_taustar"], 4) for m in MESH_SWEEP}
     _passline(f"criterion 3: I_eff(tau*) >= 1 on the mesh sweep, extremes in "
               f"[1,3]; values {ieffs}; {note}")
+
+
+def test_criterion_3_mesh_robustness_d2():
+    # the d=2 benchmark from M=8 to M=256; I_eff(tau) peaks near 1.84 at M=64
+    rows = {}
+    for m in MESH_SWEEP_D2:
+        _, row = bench(2, m, 1e2)
+        rows[m] = row
+        assert row["ieff_taustar"] >= 1.0 - 1e-12, m
+        assert row["ieff_taustar"] <= row["ieff_tau"] * (1.0 + 1e-12), m
+    peak = max(row["ieff_tau"] for row in rows.values())
+    assert peak <= 1.9
+    note = _check_or_record_baseline(BASELINE_D2, "M", rows, MESH_SWEEP_D2)
+    ieffs = {m: round(rows[m]["ieff_tau"], 4) for m in MESH_SWEEP_D2}
+    _passline(f"criterion 3 (d=2): peak I_eff(tau) {peak:.4f} <= 1.9, I_eff(tau*) <= "
+              f"I_eff(tau); values {ieffs}; {note}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +262,7 @@ def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):
     o_lo = est.oscillation_f(mesh, sol)
     o_quad = oracles.oscillation_f(mesh, data.f, pf, 8)
     o_hi = oracles.oscillation_f(mesh, data.f, pf, 12)
-    fc = np.asarray(data.f(mesh.centroids))
+    fc = np.asarray(data.f(mesh.points[mesh.simplices].mean(axis=1)))
     with np.errstate(divide="ignore"):
         weight = np.where(mesh.kappa > 0,
                           np.minimum(mesh.diameters / math.pi,

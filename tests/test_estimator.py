@@ -8,7 +8,8 @@ import fluxbound.equilibration as eq
 import fluxbound.estimator as est
 import fluxbound.fem as fem
 import fluxbound.geometry as geo
-from fluxbound.errors import ConformityAuditFailed, NegativeDifference, UnsolvableProblem
+from fluxbound.errors import (ConformityAuditFailed, KappaJumpWarning, NegativeDifference,
+                              UnsolvableProblem)
 from fluxbound.quadrature import rule_for
 
 import oracles
@@ -713,3 +714,25 @@ def test_estimate_far_from_the_origin(dim, m):
     report = est.estimate(mesh, sol, data, check_conformity=True)
     assert report.audits["divergence_residual"] <= 1e-13
     assert report.audits["hdiv_mismatch"] <= 1e-13
+
+
+@pytest.mark.parametrize("dim,m", [(2, 16), (3, 4)])
+def test_layer_estimate_far_from_the_origin(dim, m):
+    # the benchmark cube moved by 1e7, an exact shift of its vertices: the layer
+    # field, formed about absolute incentres, failed the conformity audit at
+    # 1.4e-7 (d=2) and 3.4e-8 (d=3); in the apex's frame nothing moves
+    from fluxbound.benchmark import RunConfig, benchmark_data, benchmark_mesh
+    s = 1e7
+    cfg = RunConfig(dim=dim, m=m, kappa1=100.0, kappa2=1e6)
+    base, data = benchmark_mesh(cfg), benchmark_data(cfg)
+    with pytest.warns(KappaJumpWarning):
+        mesh = geo.build_mesh(base.points + s, base.simplices, base.kappa,
+                              lambda c: np.abs(np.abs(c[:, 0] - s) - 1.0) < 1e-12)
+    assert np.array_equal(mesh.facet_tag, base.facet_tag)
+    reports = [est.estimate(mh, fem.solve_problem(mh, data), data, "both",
+                            check_conformity=True) for mh in (base, mesh)]
+    want, got = reports
+    for name in REPORT_ARRAYS:
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                   rtol=1e-13, atol=0.0, err_msg=name)
+    assert got.audits["hdiv_mismatch"] <= 1e-14

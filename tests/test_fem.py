@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +86,15 @@ def test_solve_rejects_indefinite_dense():
     M = np.array([[1.0, 4.0], [4.0, 1.0]])
     with pytest.raises(UnsolvableProblem):
         fem.solve(sp.csr_matrix(M), np.ones(2))
+
+
+def test_import_leaves_scipy_linalg_out():
+    # the dense solve uses numpy; importing scipy.linalg costs about 8 MB
+    env = dict(os.environ, PYTHONPATH=str(Path(fem.__file__).parents[1]))
+    code = "import sys, fluxbound; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_solve_benchmark_residual():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import fluxbound.equilibration as eq
 import fluxbound.geometry as geo
+import fluxbound.reconstruction as rec
 from fluxbound.errors import (DegenerateSimplex, KappaJumpWarning,
                               MeshFormatError, NonConformingMesh)
 
@@ -72,21 +73,33 @@ def test_geometric_quantities_unit_triangle(unit_triangle):
     assert altitudes[0] == pytest.approx(2 * 0.5 / math.sqrt(2.0), rel=1e-12)
 
 
+def _apex_frame(simplices):
+    """``rec._component_first`` on a mesh of disjoint simplices (k, d+1, d): the
+    vertices relative to each incentre, the incentre's weights, and the mesh."""
+    k, dp1, d = simplices.shape
+    mesh = geo.build_mesh(simplices.reshape(-1, d), np.arange(k * dp1).reshape(k, dp1),
+                          1.0, lambda c: np.ones(len(c), dtype=bool))
+    P, _, w = rec._component_first(mesh, np.arange(k))
+    return P, w, mesh
+
+
 def test_regular_simplex_incentre_is_centroid():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-    q = one_simplex(pts)
-    assert np.allclose(q.incentres[0], q.centroids[0], atol=1e-14)
+    P, w, _ = _apex_frame(pts[None])
+    # the centroid relative to the incentre
+    assert np.allclose(P[0].mean(axis=0), 0.0, atol=1e-14)
+    assert np.allclose(w[0], 1.0 / 3.0, atol=1e-15)
 
 
 def test_incentre_distance_to_facets_is_inradius(rng):
     for d in (2, 3, 4):
         pts = random_simplex(d, rng)
+        P, _, _ = _apex_frame(pts[None])
         q = one_simplex(pts)
         g = q.grads[0]
         for i in range(d + 1):
-            fpts = np.delete(pts, i, axis=0)
             n = g[i] / np.linalg.norm(g[i])
-            dist = abs((q.incentres[0] - fpts[0]) @ n)
+            dist = abs(np.delete(P[0], i, axis=0)[0] @ n)    # of the origin, the incentre
             assert dist == pytest.approx(q.inradii[0], rel=1e-12)
 
 
@@ -115,13 +128,12 @@ def test_mesh_incentres_equidistant_from_facet_planes(d, rng):
             Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
             pts = (pts @ Q * np.r_[np.ones(d - 1), 1e-2]) @ Q.T
         simplices.append(pts)
-    mesh = geo.build_mesh(np.concatenate(simplices), np.arange(16 * (d + 1)).reshape(16, d + 1),
-                          1.0, lambda c: np.ones(len(c), dtype=bool))
+    # the origin of _component_first's frame is the incentre
+    P, _, mesh = _apex_frame(np.stack(simplices))
     assert (mesh.inradii / mesh.diameters).min() < 2e-3
     for e in range(mesh.n_elements):
-        pts = mesh.points[mesh.simplices[e]]
         for i in range(d + 1):
-            dist = _plane_distance(np.delete(pts, i, axis=0), mesh.incentres[e])
+            dist = _plane_distance(np.delete(P[e], i, axis=0), np.zeros(d))
             assert dist == pytest.approx(mesh.inradii[e], rel=1e-12)
 
 

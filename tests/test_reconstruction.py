@@ -177,7 +177,8 @@ def test_facet_setup_closed_form_matches_solve():
             got = rec._facet_setup(pts, q.grads, R[:, i], i)
             ref = oracles.facet_setup_reference(pts, q.grads, R[:, i], i)
             assert np.array_equal(got[0], ref[0]) and np.array_equal(got[3], ref[3])
-            x = np.concatenate([got[0], q.incentres[:, None]], axis=1)
+            x = np.concatenate([got[0], oracles.incentre(pts, q.facet_measures)[:, None]],
+                               axis=1)
             vals = [np.einsum("kpd,kd->kp", x, a) + b[:, None] for _, a, b, _ in (got, ref)]
             tol = 1e-13 * np.abs(R[:, i]).max(axis=1) / ratio
             assert np.all(np.abs(vals[0] - vals[1]) <= tol[:, None]), (d, i)
@@ -216,7 +217,7 @@ def test_variant2_trace_and_support(rng):
         ed = g[0] / np.linalg.norm(g[0])
         base = np.delete(pts, 0, axis=0).mean(axis=0)
         deep = base[None, :] + np.linspace(1.05, 1.6, 5)[:, None] * (
-            (q.incentres[0] - base) / (kappa * q.inradii[0]) * kappa * q.inradii[0])[None, :] \
+            (flux.incentre - base) / (kappa * q.inradii[0]) * kappa * q.inradii[0])[None, :] \
             * (1.0 / (kappa * q.inradii[0]))
         xd = (deep - base) @ ed
         inside = xd >= 1.0 / kappa
@@ -236,7 +237,7 @@ def test_variant2_divergence_vs_fd(rng):
         w = rng.dirichlet(np.ones(d), size=60)
         base = w @ fpts
         x = base + rng.uniform(0.05, 0.9, 60)[:, None] * (
-            1.0 / (kappa * q.inradii[0])) * (q.incentres[0] - base)
+            1.0 / (kappa * q.inradii[0])) * (flux.incentre - base)
         keep = flux._locate(x) == 1
         x = x[keep]
         div_fd = fd_divergence(flux, x, 1e-6 * h)
@@ -266,9 +267,10 @@ def test_split_cone_frustum_partition(rng):
         q = one_simplex(pts)
         fpts = np.delete(pts, 0, axis=0)
         cut = 0.37 * q.inradii[0]
-        pieces, top = oracles.split_cone_frustum(fpts, q.incentres[0], cut)
+        inc = oracles.incentre(pts, q.facet_measures[0])
+        pieces, top = oracles.split_cone_frustum(fpts, inc, cut)
         total = sum(volume(p) for p in pieces) + volume(top)
-        cone = volume(np.vstack([fpts, q.incentres[0]]))
+        cone = volume(np.vstack([fpts, inc]))
         assert total == pytest.approx(cone, rel=1e-12)
         # frustum volume by similarity: (1 - (1 - cut/rho)^d) of the cone
         frac = 1.0 - (1.0 - cut / q.inradii[0]) ** d
@@ -406,13 +408,13 @@ def test_eta2_closed_form_extremes(dim, m):
             assert float(np.abs(got - lref).max()) <= 1e-13 * scale, (dim, kapparho)
 
         t0 = 1.0 - np.minimum(1.0, 1.0 / (mesh.kappa * mesh.inradii))
-        apex, cent, g = mesh.incentres, mesh.centroids, mesh.bary_grads
+        pts = mesh.points[mesh.simplices]
+        apex, cent, g = oracles.mesh_incentres(mesh, sel), pts.mean(axis=1), mesh.bary_grads
 
         def r_of(x):   # r through the barycentric coordinates of K
             lam = 1.0 / (dim + 1) + np.einsum("end,ed->en", g, x - cent)
             return np.einsum("en,en->e", lam, r_vals)
 
-        pts = mesh.points[mesh.simplices]
         shrunk = apex[:, None] + t0[:, None, None] * (pts - apex[:, None])
         quad = integrate_simplices(lambda x, lam: r_of(x) ** 2, shrunk,
                                    geo.simplex_measure(shrunk), 2)
