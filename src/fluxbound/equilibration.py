@@ -214,8 +214,8 @@ def _extension_volume_terms(mesh: Mesh, sol: FemSolution, sel: np.ndarray) -> np
 def _pinv(A: np.ndarray, floor=0.0) -> np.ndarray:
     """Stacked minimal-norm pseudo-inverses of A (..., m, n), rank cutoff floored at `floor`.
 
-    The floor matters in the reduced problem E Z: when an objective row lies in
-    the constraint row space, E Z is pure round-off noise and a cutoff relative
+    The floor matters in the reduced problem E N: when an objective row lies in
+    the constraint row space, E N is pure round-off noise and a cutoff relative
     to its own largest singular value would happily invert it, producing a huge
     coefficient vector that wrecks the constraints.
     """
@@ -233,27 +233,18 @@ def _patch_maps(M: np.ndarray, nc: int):
     With c the first nc and e the other right-hand side entries, the min-norm
     solution of min |E a - e| subject to C a = c is ``L @ [c; e]`` and its
     constraint-only part alpha0 is ``P @ c``: alpha0 = C^+ c, then the objective
-    is fitted in the nullspace Z of C, alpha = alpha0 + Z (E Z)^+ (e - E alpha0).
-    ``stepped`` marks the systems where that objective step is taken.
+    is fitted in the nullspace of C through its projector N = I - C^+ C,
+    alpha = alpha0 + (E N)^+ (e - E alpha0). For any orthonormal nullspace basis
+    Z, Z (E Z)^+ = (E N)^+, and E N has the singular values of E Z.
     """
-    n, k, nu = M.shape
-    if nc == 0:
-        return _pinv(M), None, np.zeros(n, dtype=bool)
+    k = M.shape[1]
     C, E = M[:, :nc], M[:, nc:]
-    uc, s, vt = np.linalg.svd(C, full_matrices=True)
-    rank = np.sum(s > RANK_TOL * s[:, :1], axis=1)
-    m = s.shape[1]
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=np.arange(m) < rank[:, None])
-    P = np.matmul(vt[:, :m].transpose(0, 2, 1) * inv[:, None], uc[:, :, :m].transpose(0, 2, 1))
-    L = np.concatenate([P, np.zeros((n, nu, k - nc))], axis=2)
-    stepped = (rank < nu) & (k > nc)
-    for r in np.unique(rank[stepped]):
-        sel = np.flatnonzero(stepped & (rank == r))
-        Z = vt[sel, r:].transpose(0, 2, 1)
-        ZP = Z @ _pinv(E[sel] @ Z, floor=np.linalg.norm(E[sel], 2, axis=(1, 2)))
-        L[sel, :, :nc] -= ZP @ E[sel] @ P[sel]
-        L[sel, :, nc:] = ZP
-    return L, P, stepped
+    P = _pinv(C)
+    if k == nc:
+        return P, P
+    N = np.eye(M.shape[2]) - P @ C
+    Q = _pinv(E @ N, floor=np.linalg.norm(E, 2, axis=(1, 2)))
+    return np.concatenate([P - Q @ E @ P, Q], axis=2), P
 
 
 def _raise_worst(bad, vals, tol, verts, message: str):
@@ -305,19 +296,19 @@ def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, unknown, k: int, 
     # patches with byte-identical sign matrices share one factorization
     keys = M.reshape(len(M), -1).view(np.dtype((np.void, k * nu)))[:, 0]
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    L, P, stepped = _patch_maps(M[first].astype(float), nc)
+    L, P = _patch_maps(M[first].astype(float), nc)
     alpha = np.einsum("nik,nk->ni", L[which], rhs)
     fit = np.einsum("nki,ni->nk", M, alpha) - rhs
     res = np.abs(fit[:, :nc]).max(axis=1, initial=0.0)
     if nc:
-        step = stepped[which]
-        c = rhs[:, :nc]
-        res0 = res.copy()
-        alpha0 = np.einsum("nic,nc->ni", P[which[step]], c[step])
-        res0[step] = np.abs(np.einsum("nci,ni->nc", M[step, :nc], alpha0) - c[step]).max(axis=1)
+        res0 = res
+        if k > nc:   # the constraints alone, before the objective step
+            c = rhs[:, :nc]
+            alpha0 = np.einsum("nic,nc->ni", P[which], c)
+            res0 = np.abs(np.einsum("nci,ni->nc", M[:, :nc], alpha0) - c).max(axis=1)
         _raise_worst(res0 > tol, res0, tol, verts,
                      "vertex {v}: equality-constraint residual {res:.3e} exceeds {tol:.3e}")
-        _raise_worst(step & (res > tol), res, tol, verts,
+        _raise_worst(res > tol, res, tol, verts,
                      "vertex {v}: constraints degraded to {res:.3e} by the objective step")
     return alpha, (fit[:, nc:] ** 2).sum(axis=1), res
 
@@ -373,7 +364,7 @@ def solve_vertex_patch(mesh: Mesh, v: int, resid: ResidualData):
     equality constraints cannot be met.
     """
     alphas, info = _solve_patches(mesh, resid, [v])
-    fids, slots = mesh.vertex_facets(v)
+    fids, slots = np.nonzero(mesh.facets == v)
     free = mesh.facet_tag[fids] != NEUMANN
     nc, nu, obj, res = info[0]
     fids, slots = fids[free], slots[free]

@@ -162,12 +162,12 @@ def neumann_data(mesh: Mesh, g_N: Callable | None, degree: int):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Reduced SPD system over the non-Dirichlet vertices."""
+    """Reduced SPD system over the non-Dirichlet vertices of the elements."""
 
     A: sp.csr_matrix
     b: np.ndarray
     free: np.ndarray           # vertex ids of the dofs
-    vertex_to_dof: np.ndarray  # (n_points,), -1 on Dirichlet vertices
+    vertex_to_dof: np.ndarray  # (n_points,), -1 on Dirichlet and unused vertices
     f_loads: np.ndarray        # (ne, d+1) hat loads of f, summed into b
     gn_loads: np.ndarray       # (n_N, d) hat loads of g_N, summed into b
     f_osc_sq: np.ndarray       # (ne,) ||f - Pi_K f||_K^2
@@ -185,7 +185,9 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
     gl, gn_osc_sq = neumann_data(mesh, data.g_N, data.data_degree)
     n_pts = mesh.n_points
     vertex_to_dof = np.full(n_pts, -1, dtype=np.int64)
-    free = np.setdiff1d(np.arange(n_pts), dir_vertices)
+    # the unknowns are the non-Dirichlet vertices of some element; a point of no
+    # element keeps u = 0
+    free = np.setdiff1d(np.unique(mesh.simplices), dir_vertices)
     vertex_to_dof[free] = np.arange(len(free))
 
     stiff, mass = element_stiffness_mass(mesh)

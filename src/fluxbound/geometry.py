@@ -195,8 +195,7 @@ class Mesh:
     inradii: np.ndarray         # (ne,) rho_K
     _vertex_elem_offsets: np.ndarray = field(repr=False)
     _vertex_elem_data: np.ndarray = field(repr=False)   # (k, 2): element, local vertex
-    _vertex_facet_offsets: np.ndarray = field(repr=False)
-    _vertex_facet_data: np.ndarray = field(repr=False)  # (k, 2): facet, slot
+    _vertex_facet_data: np.ndarray = field(repr=False)  # (k, 2): facet, slot; by vertex
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
@@ -231,12 +230,6 @@ class Mesh:
     @property
     def dirichlet_vertices(self) -> np.ndarray:
         return np.unique(self.facets[self.facet_tag == DIRICHLET])
-
-    def vertex_facets(self, v: int):
-        """(facet ids, slots) of the facets containing vertex v."""
-        lo, hi = self._vertex_facet_offsets[v], self._vertex_facet_offsets[v + 1]
-        data = self._vertex_facet_data[lo:hi]
-        return data[:, 0], data[:, 1]
 
     def outward_normals(self) -> np.ndarray:
         """(ne, d+1, d) unit outward normal of the facet opposite each local vertex."""
@@ -311,9 +304,7 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
     ne, dp1 = cells.shape
     veo, (ve_elem, ve_loc) = _csr(cells.ravel(), len(points),
                                   np.repeat(np.arange(ne), dp1), np.tile(np.arange(dp1), ne))
-    nf = len(facets)
-    vfo, (vf_fac, vf_slot) = _csr(facets.ravel(), len(points),
-                                  np.repeat(np.arange(nf), d), np.tile(np.arange(d), nf))
+    vf = np.argsort(facets.ravel(), kind="stable")    # the (facet, slot) entries by vertex
 
     _warn_kappa_jumps(kappa, veo, ve_elem)
 
@@ -324,7 +315,7 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
         volumes=geom.volumes, bary_grads=geom.grads, facet_measures=facet_measures,
         diameters=geom.diameters, inradii=geom.inradii,
         _vertex_elem_offsets=veo, _vertex_elem_data=np.column_stack([ve_elem, ve_loc]),
-        _vertex_facet_offsets=vfo, _vertex_facet_data=np.column_stack([vf_fac, vf_slot]),
+        _vertex_facet_data=np.column_stack(np.divmod(vf, d)),
     )
 
 

@@ -3,15 +3,16 @@
 * quadrature: ``integrate``/``integrate_facet`` on one simplex or facet;
 * geometry: ``incentre``/``mesh_incentres`` (the vertices weighted by their
   opposite facet measures), ``locate`` (points to pieces and barycentric
-  coordinates), ``vertex_patch`` (the elements sharing one vertex) and
-  ``facet_slots`` / ``to_local_vertices`` (facet-vertex data by element vertex,
-  found by search);
+  coordinates), ``vertex_patch`` (the elements sharing one vertex),
+  ``vertex_facets`` (the facets containing one vertex) and ``facet_slots`` /
+  ``to_local_vertices`` (facet-vertex data by element vertex, found by search);
 * projections and norms: ``project_facet``, ``energy_norm``, ``energy_norm_fe``;
 * equilibration: the collapsed extension ``extension``/``ExtensionFunction``,
   its volume terms sub-simplex by sub-simplex
   ``extension_volume_terms_subsimplex``, the patch sign matrices by dense
-  comparison ``sign_matrices_dense``, and ``solve_vertex_patch_reference``,
-  one vertex patch at a time;
+  comparison ``sign_matrices_dense``, the patch solution maps through an
+  explicit nullspace basis ``patch_maps_nullspace``, and
+  ``solve_vertex_patch_reference``, one vertex patch at a time;
 * reconstruction: the variant-1 indicator by quadrature
   ``eta1_terms_quadrature``, the flux closures ``build_variant1``/``FluxVariant1`` and
   ``build_variant2``/``FluxVariant2``, the general layer field
@@ -121,6 +122,11 @@ def vertex_patch(mesh, v: int):
     lo, hi = mesh._vertex_elem_offsets[v], mesh._vertex_elem_offsets[v + 1]
     data = mesh._vertex_elem_data[lo:hi]
     return data[:, 0], data[:, 1]
+
+
+def vertex_facets(mesh, v: int):
+    """(facet ids, slots) of the facets containing vertex v, by ascending facet id."""
+    return np.nonzero(mesh.facets == v)
 
 
 def facet_slots(mesh) -> np.ndarray:
@@ -507,6 +513,37 @@ def _min_norm_lstsq(A: np.ndarray, b: np.ndarray, floor: float = 0.0) -> np.ndar
     return vt[keep].T @ ((u[:, keep].T @ b) / s[keep])
 
 
+def patch_maps_nullspace(M: np.ndarray, nc: int):
+    """``equilibration._patch_maps`` through an explicit nullspace basis: (L, P).
+
+    P = C^+ from a full SVD of the constrained rows C, with Z the right singular
+    vectors beyond the rank of C; L = [P - Z (E Z)^+ E P, Z (E Z)^+], with the
+    rank cutoff of E Z floored at |E|_2. Where the rank of C is the number of
+    unknowns or there are no objective rows, L = [P, 0].
+    """
+    n, k, nu = M.shape
+    C, E = M[:, :nc], M[:, nc:]
+    L = np.zeros((n, nu, k))
+    P = np.zeros((n, nu, nc))
+    for p in range(n):
+        if nc:
+            u, s, vt = np.linalg.svd(C[p], full_matrices=True)
+            rank = int(np.sum(s > RANK_TOL * s[0])) if len(s) and s[0] > 0 else 0
+            P[p] = vt[:rank].T @ (u[:, :rank] / s[:rank]).T
+            Z = vt[rank:].T
+        else:
+            Z = np.eye(nu)
+        L[p, :, :nc] = P[p]
+        if k > nc and Z.shape[1]:
+            EZ = E[p] @ Z
+            u, s, vt = np.linalg.svd(EZ, full_matrices=False)
+            keep = s > RANK_TOL * max(s[0] if len(s) else 0.0, np.linalg.norm(E[p], 2))
+            ZQ = Z @ vt[keep].T @ (u[:, keep] / s[keep]).T
+            L[p, :, :nc] -= ZQ @ E[p] @ P[p]
+            L[p, :, nc:] = ZQ
+    return L, P
+
+
 def sign_matrices_dense(mesh, els, unknown) -> np.ndarray:
     """``equilibration._sign_matrices`` by comparing every element facet with
     every unknown facet of its patch: (n, k, nu) int8."""
@@ -523,7 +560,7 @@ def solve_vertex_patch_reference(mesh, v: int, resid):
     equality constraints cannot be met.
     """
     els, locs = vertex_patch(mesh, v)
-    fids, _ = mesh.vertex_facets(v)
+    fids, _ = vertex_facets(mesh, v)
     unknown = fids[mesh.facet_tag[fids] != NEUMANN]
     nu = len(unknown)
     k = len(els)

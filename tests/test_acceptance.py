@@ -216,7 +216,7 @@ def test_criterion_7_trace_monte_carlo():
 
 def _patch_system(mesh, v, resid):
     els, locs = oracles.vertex_patch(mesh, v)
-    fids, _ = mesh.vertex_facets(v)
+    fids, _ = oracles.vertex_facets(mesh, v)
     unknown = fids[mesh.facet_tag[fids] != geo.NEUMANN]
     rows = np.zeros((len(els), len(unknown)))
     for r, (e, n) in enumerate(zip(els, locs)):

@@ -255,6 +255,19 @@ def test_cli_mesh_file_run(tmp_path, capsys):
     assert row[header.index("eta_tau")] != ""
 
 
+def test_cli_mesh_file_with_an_unused_point(tmp_path, capsys):
+    # a point that no element uses is valid input, not a solver failure
+    path = tmp_path / "square.mesh"
+    geo.write_mesh(geo.build_cube_mesh(2, 2, 1.0), str(path))
+    text = path.read_text(encoding="utf-8").replace("POINTS 9\n", "POINTS 10\n", 1)
+    path.write_text(text.replace("CELLS", "3 3\nCELLS", 1), encoding="utf-8")
+    mesh = geo.read_mesh(str(path))
+    assert mesh.n_points == 10 and mesh.simplices.max() == 8
+    assert cli.main(["estimate", "--mesh", str(path)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == bm.CSV_HEADER and len(lines) == 2
+
+
 def test_cli_verbose_patch_report(tmp_path):
     out = tmp_path / "run.csv"
     code = cli.main(["estimate", "--dim", "2", "--m", "2", "--kappa1", "1",

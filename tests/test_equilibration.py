@@ -14,8 +14,8 @@ from fluxbound.errors import InfeasibleConstraints, KappaJumpWarning
 from conftest import (ZERO_DATA, kkt_min_norm_oracle, one_simplex, random_problem_data,
                       random_simplex, random_small_mesh)
 from oracles import (extension, extension_volume_terms_subsimplex, integrate, integrate_facet,
-                     project_facet, sign_matrices_dense, solve_vertex_patch_reference,
-                     vertex_patch)
+                     patch_maps_nullspace, project_facet, sign_matrices_dense,
+                     solve_vertex_patch_reference, vertex_facets, vertex_patch)
 from test_fem import one_element_mesh
 
 
@@ -354,7 +354,7 @@ def test_patch_against_dense_kkt_oracle(rng):
     resid = eq.residual_functionals(mesh, sol)
     centre = int(np.flatnonzero(np.abs(mesh.points).max(axis=1) < 1e-12)[0])
     els, locs = vertex_patch(mesh, centre)
-    fids, _ = mesh.vertex_facets(centre)
+    fids, _ = vertex_facets(mesh, centre)
     unknown = fids[mesh.facet_tag[fids] != geo.NEUMANN]
     C = np.zeros((len(els), len(unknown)))
     for r, (e, n) in enumerate(zip(els, locs)):
@@ -383,7 +383,7 @@ def test_patch_with_objective_against_oracle(rng):
     checked = 0
     for v in range(mesh.n_points):
         els, locs = vertex_patch(mesh, v)
-        fids, _ = mesh.vertex_facets(v)
+        fids, _ = vertex_facets(mesh, v)
         unknown = fids[mesh.facet_tag[fids] != geo.NEUMANN]
         if len(unknown) == 0:
             continue
@@ -404,6 +404,50 @@ def test_patch_with_objective_against_oracle(rng):
         assert np.abs(alpha - oracle).max() < 1e-9 * scale
         checked += 1
     assert checked >= 4
+
+
+def _cycle(length: int) -> np.ndarray:
+    """Rows +e_r - e_(r+1 mod length): the elements around a closed 2D patch."""
+    return np.eye(length) - np.roll(np.eye(length), 1, axis=1)
+
+
+def _signed_stack(rng, rows: np.ndarray, nc: int, n: int = 12) -> np.ndarray:
+    """n copies of the +-1/0 rows with random facet orientations and order;
+    the constrained rows (the first nc) and the objective rows each shuffled."""
+    k, nu = rows.shape
+    out = np.empty((n, k, nu))
+    for p in range(n):
+        order = np.concatenate([rng.permutation(nc), nc + rng.permutation(k - nc)])
+        out[p] = (rows[order] * rng.choice([-1.0, 1.0], nu))[:, rng.permutation(nu)]
+    return out
+
+
+def _patch_map_cases(rng):
+    yield "nc = 0", rng.integers(-1, 2, (12, 5, 4)).astype(float), 0
+    yield "nc = k", rng.integers(-1, 2, (12, 4, 6)).astype(float), 4
+    full = rng.integers(-1, 2, (40, 5, 6)).astype(float)
+    full = full[np.linalg.matrix_rank(full[:, :3]) == 3][:12]
+    yield "mixed, C of full rank", full, 3
+    # a closed cycle of constrained elements has rank 4 on its 4 facets; the
+    # objective row also reaches a fifth facet
+    cycle = np.zeros((5, 5))
+    cycle[:4, :4] = _cycle(4)
+    cycle[4, [0, 4]] = 1.0, -1.0
+    yield "mixed, C rank-deficient", _signed_stack(rng, cycle, 4), 4
+    # the objective row is minus the sum of the constrained ones, so it lies
+    # in their row space and E N is round-off that the floor must discard
+    yield "objective in the constraint row space", _signed_stack(rng, _cycle(5), 4), 4
+
+
+def test_patch_maps_match_the_nullspace_basis_route(rng):
+    for label, M, nc in _patch_map_cases(rng):
+        assert np.isin(M, (-1.0, 0.0, 1.0)).all(), label
+        L, P = eq._patch_maps(M, nc)
+        L_ref, P_ref = patch_maps_nullspace(M, nc)
+        scale = np.abs(L_ref).max()
+        assert L.shape == L_ref.shape and P.shape == P_ref.shape, label
+        assert np.abs(L - L_ref).max() <= 1e-13 * scale, label
+        assert np.abs(P - P_ref).max(initial=0.0) <= 1e-13 * scale, label
 
 
 @pytest.mark.parametrize("dim,m", [(2, 4), (3, 2), (4, 2)])
@@ -467,7 +511,7 @@ def test_assembled_audit_catches_a_perturbed_coefficient(monkeypatch):
     v = 13                                  # the interior vertex
     els, locs = vertex_patch(mesh, v)
     assert not mesh.layer[els].any()
-    fids, slots = mesh.vertex_facets(v)
+    fids, slots = vertex_facets(mesh, v)
     free = np.flatnonzero(mesh.facet_tag[fids] != geo.NEUMANN)
     fid, slot = fids[free[0]], slots[free[0]]
     step = 1e-6 * resid.scale[els, locs].max()
@@ -518,7 +562,7 @@ def _compare_with_reference(mesh, data):
     ref = np.zeros_like(got)
     for v in range(mesh.n_points):
         unknown, a, (nc, nu, obj, res) = solve_vertex_patch_reference(mesh, v, resid)
-        fids, slots = mesh.vertex_facets(v)
+        fids, slots = vertex_facets(mesh, v)
         free = mesh.facet_tag[fids] != geo.NEUMANN
         assert np.array_equal(fids[free], unknown)
         ref[fids[free], slots[free]] = a
@@ -703,7 +747,7 @@ def test_patch_report_csv(tmp_path, two_triangle_square):
     assert np.array_equal(rows[:, 0], np.arange(mesh.n_points))
     kapparho = mesh.kappa * mesh.inradii
     n_cons = [np.sum(kapparho[vertex_patch(mesh, v)[0]] <= 1.0) for v in range(mesh.n_points)]
-    n_free = [np.sum(mesh.facet_tag[mesh.vertex_facets(v)[0]] != geo.NEUMANN)
+    n_free = [np.sum(mesh.facet_tag[vertex_facets(mesh, v)[0]] != geo.NEUMANN)
               for v in range(mesh.n_points)]
     assert np.array_equal(rows[:, 1], n_cons)
     assert np.array_equal(rows[:, 2], n_free)

@@ -698,6 +698,30 @@ def test_estimate_passes_every_audit_on_a_delaunay_mesh():
     assert report.eta_tau == report.eta_taustar > 0.0   # kappa = 0: variant 1 only
 
 
+def test_a_point_of_no_element_changes_nothing():
+    # a mesh may list a point that no element uses; it is no unknown of the
+    # solve and keeps u = 0, so the solution and the estimate equal those of
+    # the mesh without it
+    with pytest.warns(KappaJumpWarning):
+        base = geo.build_cube_mesh(4, 2, lambda c: np.where(c[:, 0] < 0, 0.5, 4000.0))
+    tags = {tuple(int(v) for v in base.facets[fi]):
+            ("D" if base.facet_tag[fi] == geo.DIRICHLET else "N")
+            for fi in np.flatnonzero(base.facet_tag != geo.INTERIOR)}
+    with pytest.warns(KappaJumpWarning):
+        mesh = geo.build_mesh(np.vstack([base.points, [3.0, 3.0]]), base.simplices,
+                              base.kappa, tags)
+    assert mesh.layer.any() and (~mesh.layer).any() and len(mesh.neumann)
+    data = fem.ProblemData(f=lambda x: 1.0 + x[:, 0] ** 2, g_N=lambda x: np.sin(x[:, 1]))
+    want, got = (fem.solve_problem(m, data) for m in (base, mesh))
+    ref = est.estimate(base, want, data, check_conformity=True)
+    rep = est.estimate(mesh, got, data, check_conformity=True)
+    assert got.ndof == want.ndof == 15
+    assert np.array_equal(got.u, np.append(want.u, 0.0))
+    assert (rep.eta_tau, rep.eta_taustar) == (ref.eta_tau, ref.eta_taustar)
+    assert np.array_equal(rep.eta_k_tau, ref.eta_k_tau)
+    assert np.array_equal(rep.eta_k_taustar, ref.eta_k_taustar)
+
+
 @pytest.mark.parametrize("dim,m", [(2, 8), (3, 4)])
 def test_estimate_far_from_the_origin(dim, m):
     # variant 1 is translation-invariant; formed from absolute coordinates

@@ -12,7 +12,7 @@ from fluxbound.errors import (DegenerateSimplex, KappaJumpWarning,
                               MeshFormatError, NonConformingMesh)
 
 from conftest import delaunay_mesh, one_simplex, random_simplex
-from oracles import to_local_vertices, vertex_patch
+from oracles import to_local_vertices, vertex_facets, vertex_patch
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +259,14 @@ def test_vertex_patch_consistency():
         assert np.all(mesh.simplices[els, locs] == v)
         expected = np.flatnonzero((mesh.simplices == v).any(axis=1))
         assert np.array_equal(np.sort(els), expected)
-        fids, slots = mesh.vertex_facets(v)
+        fids, slots = vertex_facets(mesh, v)
         assert np.all(mesh.facets[fids, slots] == v)
+        assert np.array_equal(fids, np.flatnonzero((mesh.facets == v).any(axis=1)))
+        # the patch solves read the same (facet, slot) pairs, grouped by vertex
+        counts = np.bincount(mesh.facets.ravel(), minlength=mesh.n_points)
+        lo = counts[:v].sum()
+        assert np.array_equal(mesh._vertex_facet_data[lo:lo + counts[v]],
+                              np.column_stack([fids, slots]))
 
 
 @pytest.mark.parametrize("relabel", [False, True], ids=["cube", "relabelled"])
