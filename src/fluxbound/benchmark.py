@@ -8,7 +8,7 @@ continuity at the interface. All exponentials are stored in the decaying form
 exp(-kappa * distance-to-anchor), so kappa2 = 1e6 causes no overflow.
 
 ``sweep_kappa`` and ``sweep_mesh`` return the validated ``RunConfig``s of the
-paper's two robustness sweeps; ``run_benchmark`` runs one configuration and
+paper's two robustness sweeps (an empty sweep is a ``ValueError``); ``run_benchmark`` runs one configuration and
 returns its CSV row, and ``write_csv`` streams rows to an open file.
 """
 from __future__ import annotations
@@ -142,16 +142,22 @@ class RunConfig:
             raise ValueError("need 0 < kappa1 <= kappa2")
 
 
+def _nonempty(configs: list[RunConfig]) -> list[RunConfig]:
+    if not configs:
+        raise ValueError("a sweep needs at least one value")
+    return configs
+
+
 def sweep_kappa(config: RunConfig, kappa1_list=None) -> list[RunConfig]:
     """One configuration per kappa1 (default sweep 1e-3 ... 1e6 at the configured M)."""
     values = DEFAULT_KAPPA1_SWEEP if kappa1_list is None else kappa1_list
-    return [replace(config, kappa1=float(k1)) for k1 in values]
+    return _nonempty([replace(config, kappa1=float(k1)) for k1 in values])
 
 
 def sweep_mesh(config: RunConfig, m_list=None) -> list[RunConfig]:
     """One configuration per mesh size M (default 2, 4, 8, 16, 32)."""
     values = DEFAULT_MESH_SWEEP if m_list is None else m_list
-    return [replace(config, m=int(m)) for m in values]
+    return _nonempty([replace(config, m=int(m)) for m in values])
 
 
 def benchmark_mesh(config: RunConfig) -> Mesh:

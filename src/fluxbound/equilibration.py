@@ -59,16 +59,15 @@ def facet_average(mesh: Mesh, grad: np.ndarray) -> np.ndarray:
 class ResidualData:
     """Per-(element, vertex) residuals entering the patch problems.
 
-    ``D[e, n]`` is the data residual of the hat function of local vertex n, from
-    the loads the solution carries, with the average flux as boundary term;
-    adding sigma-signed alpha coefficients of the non-Neumann facets containing
-    the vertex gives the full residual.
-    ``Dstar`` is the same with the collapsed extension (equal to D where
-    kappa*rho <= 1). ``scale`` tracks the magnitudes for tolerance scaling.
+    ``D[e, n]`` is the data residual of the test function of local vertex n, from
+    the loads the solution carries, with the average flux as boundary term; adding
+    sigma-signed alpha coefficients of the non-Neumann facets containing the
+    vertex gives the full residual. The test function is the hat function where
+    kappa*rho <= 1 and its collapsed extension elsewhere, the rows of the patch
+    objectives. ``scale`` tracks the magnitudes for tolerance scaling.
     """
 
     D: np.ndarray
-    Dstar: np.ndarray
     scale: np.ndarray
     avg: np.ndarray
 
@@ -109,14 +108,13 @@ def residual_functionals(mesh: Mesh, sol: FemSolution) -> ResidualData:
     scale = (np.abs(F1) + np.abs(Fg) + np.abs(b_stiff) + np.abs(b_mass)
              + np.abs(per_facet).sum(axis=1, keepdims=True))
 
-    Dstar = D.copy()
     sel = np.flatnonzero(mesh.layer)
     if len(sel):
         # theta* = theta_n on dK and u_h is affine, so int grad u_h . grad theta*
         # = int_dK du_h/dn theta* = int grad u_h . grad theta_n = b_stiff
-        Dstar[sel] = (_extension_volume_terms(mesh, sol, sel) - b_stiff[sel]
-                      + Fg[sel] + avgterm[sel])
-    return ResidualData(D=D, Dstar=Dstar, scale=scale, avg=avg)
+        D[sel] = (_extension_volume_terms(mesh, sol, sel) - b_stiff[sel]
+                  + Fg[sel] + avgterm[sel])
+    return ResidualData(D=D, scale=scale, avg=avg)
 
 
 @lru_cache(maxsize=None)
@@ -284,7 +282,7 @@ def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, unknown, k: int, 
     order = np.argsort(mesh.layer[els], axis=1, kind="stable")
     els, locs = np.take_along_axis(els, order, 1), np.take_along_axis(locs, order, 1)
 
-    rhs = -np.where(np.arange(k) < nc, resid.D[els, locs], resid.Dstar[els, locs])
+    rhs = -resid.D[els, locs]
     tol = CONSTRAINT_TOL * np.maximum(resid.scale[els, locs].max(axis=1), 1e-300)
     if nu == 0:
         res = np.abs(rhs[:, :nc]).max(axis=1, initial=0.0)

@@ -15,7 +15,8 @@ data pass keeps its summation order, and the true error uses it directly.
 The single-simplex references that the tests check it against live in
 ``tests/oracles.py``. Integrals of polynomials given in barycentric
 coefficients use the exact moments ``simplex_moment`` instead, through the
-Gram factor ``quadratic_gram_factor``.
+Gram factor ``quadratic_gram_factor`` of the P2 basis ``p2_basis``, whose
+pair order ``quadratic_pairs`` fixes.
 
 Weights of the family alternate in sign; only exactness is guaranteed to
 callers, not node placement.
@@ -118,19 +119,28 @@ def simplex_moment(beta) -> float:
             / math.factorial(sum(beta) + d))
 
 
+def quadratic_pairs(dim: int):
+    """The index arrays (a, b), a < b, of the P2 basis, ``a`` outer and ``b`` inner."""
+    return np.triu_indices(dim + 1, 1)
+
+
+def p2_basis(lam: np.ndarray) -> np.ndarray:
+    """Values (..., nb) of the P2 basis lambda_0, ..., lambda_d, then lambda_a lambda_b
+    over ``quadratic_pairs``, at the barycentric points ``lam`` (..., d+1)."""
+    a, b = quadratic_pairs(lam.shape[-1] - 1)
+    return np.concatenate([lam, lam[..., a] * lam[..., b]], axis=-1)
+
+
 @lru_cache(maxsize=None)
 def quadratic_gram_factor(dim: int) -> np.ndarray:
-    """Lower Cholesky factor L of the Gram matrix, divided by |K|, of the P2 basis
-    lambda_0, ..., lambda_d, then lambda_a lambda_b for a < b (a outer, b inner).
+    """Lower Cholesky factor L of the Gram matrix, divided by |K|, of ``p2_basis``.
 
     int_K (sum_i v_i phi_i)^2 = |K| |L^T v|^2 for any simplex K. Read-only.
     """
-    basis = [(n,) for n in range(dim + 1)]
-    basis += [(a, b) for a in range(dim + 1) for b in range(a + 1, dim + 1)]
-    gram = np.empty((len(basis), len(basis)))
-    for i, p in enumerate(basis):
-        for j, q in enumerate(basis):
-            gram[i, j] = simplex_moment(np.bincount(p + q, minlength=dim + 1))
+    a, b = quadratic_pairs(dim)
+    unit = np.eye(dim + 1, dtype=int)
+    expo = np.concatenate([unit, unit[a] + unit[b]])    # the exponents of each basis function
+    gram = np.array([[simplex_moment(p + q) for q in expo] for p in expo], dtype=float)
     factor = np.linalg.cholesky(gram)
     factor.setflags(write=False)
     return factor

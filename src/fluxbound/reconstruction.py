@@ -5,9 +5,11 @@ affine field matching the facet residuals R = g_K - grad u_h . n and tau_Q a
 quadratic correction with zero normal trace whose divergence absorbs the affine
 part of the residual. On elements where kappa*rho <= 1 the equilibration makes
 the divergence condition exact, so the indicator reduces to ||tau_L + tau_Q||.
-Each component of tau_L + tau_Q has explicit coefficients in the P2 basis
-{lambda_n} u {lambda_a lambda_b, a < b}, so its squared norm is a quadratic form
-in them with the exact Gram matrix of that basis (see ``eta1_terms``).
+The field exists only as its explicit coefficients in the P2 basis
+{lambda_n} u {lambda_a lambda_b, a < b} of ``quadrature.p2_basis``
+(``_variant1_coefficients``): its squared norm is a quadratic form in them with
+the exact Gram matrix of that basis (``eta1_terms``), and its normal traces are
+the basis at the facet nodes times them (``facet_trace_values``).
 
 Variant 2 (layer): tau = grad u_h + tau_O, with tau_O supported on the cones
 joining each facet to the incentre, the apex, and cut off at height 1/kappa,
@@ -40,7 +42,7 @@ from .equilibration import BoundaryFluxSet, _to_local_vertices
 from .errors import DivergenceAuditFailed, InvalidVariant
 from .fem import _mass_norm_sq
 from .geometry import Mesh, facet_vertices
-from .quadrature import quadratic_gram_factor, rule_for, simplex_moment
+from .quadrature import p2_basis, quadratic_gram_factor, quadratic_pairs, rule_for, simplex_moment
 
 TRACE_DEGREE = 4        # facet rule of the normal-trace audit
 AUDIT_TOL = 1e-9
@@ -100,58 +102,40 @@ def variant1_bulk(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray) -> Variant1Bulk
     return _variant1_coeffs(pts, mesh.bary_grads, _to_local_vertices(R), r_vals)
 
 
-def _tau_q_pairs(P, grad_r):
-    """Per vertex pair n < m of each element: (n, m, t = x_m - x_n, t.grad_r / (d+1)).
+def _variant1_coefficients(mesh: Mesh, v1: Variant1Bulk, sel):
+    """The P2 coefficients of tau_L + tau_Q on the elements ``sel``, one component at a time.
 
-    ``P`` (d, d+1, k) holds the element vertices component first, as
-    ``mesh.points.T[:, simplices.T]`` gives them; t comes out (k, d), a view.
+    Yields per component c the (nb, k) stack in the basis of ``p2_basis``: -c_n[c]
+    for each vertex n, then t[c] (t.grad_r) / (d+1) for each pair a < b, with
+    t = x_b - x_a. It is one buffer, overwritten for the next component.
     """
-    dp1 = P.shape[1]
-    pairs = []
-    for n in range(dp1):
-        for m in range(n + 1, dp1):
-            t = P[:, m] - P[:, n]
-            pairs.append((n, m, t.T, _dot(t, grad_r.T) / dp1))
-    return pairs
-
-
-def variant1_field(lam, c, pairs):
-    """tau_L + tau_Q at barycentric coordinates ``lam`` (..., d+1).
-
-    tau_L = -sum_n lam_n c_n matches the facet residuals; tau_Q = sum_{n<m}
-    lam_n lam_m t (t.grad_r) / (d+1) has zero normal trace. The leading axes of
-    ``lam`` broadcast against the elements of ``c`` and ``pairs``
-    (see _tau_q_pairs).
-    """
-    field = -np.einsum("...n,...nd->...d", lam, c)
-    for n, m, t, tg in pairs:
-        field += (lam[..., n] * lam[..., m] * tg)[..., None] * t
-    return field
+    d = mesh.dim
+    a, b = quadratic_pairs(d)
+    P = mesh.points.T[:, mesh.simplices[sel].T]         # (d, d+1, k)
+    grad_r = v1.grad_r[sel].T
+    t, tg = np.empty((d, len(a), P.shape[2])), np.empty((len(a), P.shape[2]))
+    for p, (n, m) in enumerate(zip(a, b)):     # pair by pair: small temporaries
+        np.subtract(P[:, m], P[:, n], out=t[:, p])
+        np.divide(_dot(t[:, p], grad_r), d + 1, out=tg[p])
+    coeffs = np.empty((d + 1 + len(a), P.shape[2]))
+    for tc, cc in zip(t, v1.c[sel].T):
+        np.negative(cc, out=coeffs[:d + 1])
+        np.multiply(tc, tg, out=coeffs[d + 1:])
+        yield coeffs
 
 
 def eta1_terms(mesh: Mesh, v1: Variant1Bulk):
     """(||tau_L + tau_Q||_K^2, divergence residual constant) per element.
 
-    In the basis lambda_0, ..., lambda_d, then lambda_a lambda_b (a < b) of
-    quadratic_gram_factor, component c of tau_L + tau_Q has the coefficients
-    v_c = (-c_n[c] for each n, then t_ab[c] (t_ab.grad_r) / (d+1) for each
-    pair of _tau_q_pairs). With G = L L^T that basis's Gram matrix divided by
-    |K|, the same on every simplex,
+    With v_c the P2 coefficients of component c (``_variant1_coefficients``)
+    and G = L L^T the Gram matrix of that basis divided by |K|, the same on
+    every simplex (``quadratic_gram_factor``), exact and non-negative:
 
-        ||tau_L + tau_Q||_K^2 = |K| sum_c v_c^T G v_c = |K| sum_c |L^T v_c|^2,
-
-    exact and non-negative by construction. The coefficients are built one
-    component at a time as a (basis, element) stack.
+        ||tau_L + tau_Q||_K^2 = |K| sum_c v_c^T G v_c = |K| sum_c |L^T v_c|^2.
     """
-    d = mesh.dim
-    pairs = _tau_q_pairs(mesh.points.T[:, mesh.simplices.T], v1.grad_r)
-    LT = quadratic_gram_factor(d).T
-    coeffs = np.empty((len(LT), mesh.n_elements))
+    LT = quadratic_gram_factor(mesh.dim).T
     first = 0.0
-    for c, cc in enumerate(v1.c.T):
-        np.negative(cc, out=coeffs[:d + 1])
-        for row, (_, _, t, tg) in zip(coeffs[d + 1:], pairs):
-            np.multiply(t.T[c], tg, out=row)
+    for coeffs in _variant1_coefficients(mesh, v1, slice(None)):
         w = LT @ coeffs
         first = first + _dot(w, w)
     return mesh.volumes * first, v1.div_l + v1.r_bar
@@ -390,29 +374,30 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
 
     ``variant`` (s, ne) stacks s selections of the reconstruction of each
     element (1 or 2). Returns a list of s traces of shape (ne, d+1, nq): the
-    flux evaluated at the canonical facet quadrature points dotted with the
-    element's outward normal. The points are defined on the facet, so they
-    coincide for the two sharing elements. Each field is evaluated once, on the
-    elements where some selection uses it.
+    flux at the canonical facet quadrature points dotted with the element's
+    outward normal. The points are defined on the facet, so they coincide for
+    the two sharing elements. Each field is evaluated once, on the elements
+    where some selection uses it; variant 1 as the P2 basis at the nodes of facet
+    i (lambda_i = 0) times the coefficients ``eta1_terms`` reads, facet by facet.
     """
     d = mesh.dim
     rule = rule_for(d - 1, TRACE_DEGREE)
     normals = mesh.outward_normals()
     i1 = np.flatnonzero((variant != 2).any(axis=0))
     i2 = np.flatnonzero((variant == 2).any(axis=0))
-    c1, grad1 = v1.c[i1], grad[i1]
-    pairs = _tau_q_pairs(mesh.points.T[:, mesh.simplices[i1].T], v1.grad_r[i1])
     pts2, g2, _ = _component_first(mesh, i2)
     grad2, rho = grad[i2].T, mesh.inradii[i2]
-    t1 = np.empty((len(i1), d + 1, rule.n_points))   # traces of variant 1 on i1, 2 on i2
+    t1 = np.repeat(np.einsum("ed,eid->ei", grad[i1], normals[i1])[:, :, None], rule.n_points, 2)
     t2 = np.empty((len(i2), d + 1, rule.n_points))
+    phi = [p2_basis(np.insert(rule.points, i, 0.0, axis=1)) for i in range(d + 1)]
+    for c, coeffs in enumerate(_variant1_coefficients(mesh, v1, i1)):
+        for i in range(d + 1):
+            t1[:, i] += (phi[i] @ coeffs).T * normals[i1, i, c, None]
     for i in range(d + 1):
         F, a, b, _ = _facet_setup(pts2, g2, R[i2, i], i)
         F, a = F.T, a.T             # (d, d, k) and (d, k), contiguous rows
-        n1, n2 = normals[i1, i], normals[i2, i].T
+        n2 = normals[i2, i].T
         for qi, mu in enumerate(rule.points):
-            tau = variant1_field(np.insert(mu, i, 0.0)[None], c1, pairs)
-            t1[:, i, qi] = np.einsum("ed,ed->e", grad1 + tau, n1)
             x = sum(mj * F[:, j] for j, mj in enumerate(mu))     # relative to the apex
             s = (_dot(a, x) + b) / rho      # tau_O = s x on the facet
             t2[:, i, qi] = _dot(grad2 + s * x, n2)

@@ -13,7 +13,8 @@
   comparison ``sign_matrices_dense``, the patch solution maps through an
   explicit nullspace basis ``patch_maps_nullspace``, and
   ``solve_vertex_patch_reference``, one vertex patch at a time;
-* reconstruction: the variant-1 indicator by quadrature
+* reconstruction: the variant-1 field point by point ``variant1_field`` (with
+  its pairs ``tau_q_pairs``), the variant-1 indicator by quadrature
   ``eta1_terms_quadrature``, the flux closures ``build_variant1``/``FluxVariant1`` and
   ``build_variant2``/``FluxVariant2``, the general layer field
   ``variant2_field`` (cutoff and divergence included), the facet data of the
@@ -26,10 +27,13 @@
   ``facet_setup_reference``, so they cross-check the closed form in
   ``reconstruction._facet_setup``;
 * estimator: ``verify_trace_inequality``, trace ratios of random quadratics;
+  ``trace_suprema``, their exact suprema over P_p by a small eigenproblem;
   the data oscillations ``oscillation_f`` and ``oscillation_gN`` by quadrature
   of the data against a given projection, the route the one data pass of
   ``fem._data_pass`` replaced.
 """
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,9 +46,9 @@ from fluxbound.estimator import trace_constants
 from fluxbound.fem import OSC_DEGREE, _mass_inverse_times, _mass_norm_sq, _mass_times, data_values
 from fluxbound.geometry import (NEUMANN, facet_vertices, simplex_geometry, simplex_gradients,
                                 simplex_measure)
-from fluxbound.quadrature import integrate_simplices, rule_for
+from fluxbound.quadrature import integrate_simplices, rule_for, simplex_moment
 from fluxbound.reconstruction import (TRACE_DEGREE, _dot, _facet_setup, _flux_moments,
-                                      _tau_q_pairs, _variant1_coeffs, variant1_field)
+                                      _variant1_coeffs)
 
 ETA2_DEGREE = 6   # |tau_O|^2 has degree 6 on the active pieces
 TOP_DEGREE = 2    # (affine)^2 beyond the cutoff
@@ -289,6 +293,36 @@ def extension_volume_terms_subsimplex(mesh, sol, sel):
 # per-element flux objects (pointwise evaluation and analytic divergence)
 # ---------------------------------------------------------------------------
 
+def tau_q_pairs(P, grad_r):
+    """Per vertex pair n < m of each element: (n, m, t = x_m - x_n, t.grad_r / (d+1)).
+
+    ``P`` (d, d+1, k) holds the element vertices component first, as
+    ``mesh.points.T[:, simplices.T]`` gives them; t comes out (k, d), a view.
+    """
+    dp1 = P.shape[1]
+    pairs = []
+    for n in range(dp1):
+        for m in range(n + 1, dp1):
+            t = P[:, m] - P[:, n]
+            pairs.append((n, m, t.T, _dot(t, grad_r.T) / dp1))
+    return pairs
+
+
+def variant1_field(lam, c, pairs):
+    """tau_L + tau_Q at barycentric coordinates ``lam`` (..., d+1), point by point.
+
+    tau_L = -sum_n lam_n c_n matches the facet residuals; tau_Q = sum_{n<m}
+    lam_n lam_m t (t.grad_r) / (d+1) has zero normal trace. The leading axes of
+    ``lam`` broadcast against the elements of ``c`` and ``pairs``
+    (see tau_q_pairs). The independent reference for the P2 coefficients of
+    ``reconstruction._variant1_coefficients``.
+    """
+    field = -np.einsum("...n,...nd->...d", lam, c)
+    for n, m, t, tg in pairs:
+        field += (lam[..., n] * lam[..., m] * tg)[..., None] * t
+    return field
+
+
 @dataclass(frozen=True)
 class FluxVariant1:
     """grad u_h + tau_L + tau_Q on one element; Rv[m, n] is the residual of
@@ -304,7 +338,7 @@ class FluxVariant1:
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         lam = locate(self.vertices[None], x)[1]
-        pairs = _tau_q_pairs(self.vertices.T[:, :, None], self.grad_r[None])
+        pairs = tau_q_pairs(self.vertices.T[:, :, None], self.grad_r[None])
         return self.grad_uh + variant1_field(lam, self.c[None], pairs)
 
     def divergence(self, x) -> np.ndarray:
@@ -329,7 +363,7 @@ def build_variant1(vertices, Rv, r_vals, grad_uh=None) -> FluxVariant1:
 def eta1_terms_quadrature(mesh, v1, degree: int):
     """``reconstruction.eta1_terms`` by quadrature of |tau_L + tau_Q|^2 (degree 4)
     at the given degree, the field evaluated node by node."""
-    pairs = _tau_q_pairs(mesh.points.T[:, mesh.simplices.T], v1.grad_r)
+    pairs = tau_q_pairs(mesh.points.T[:, mesh.simplices.T], v1.grad_r)
 
     def integrand(x, lam):
         field = variant1_field(lam[None], v1.c, pairs)
@@ -491,6 +525,94 @@ def verify_trace_inequality(vertices, kappa: float, samples: int,
     return max_plain, max_freed, q
 
 
+def _monomials(parts: int, p: int) -> np.ndarray:
+    """Exponents (nb, parts) of the homogeneous monomials of degree p in ``parts`` variables."""
+    return np.array([np.bincount(c, minlength=parts)
+                     for c in itertools.combinations_with_replacement(range(parts), p)])
+
+
+@functools.lru_cache(maxsize=None)
+def _trace_tables(d: int, p: int):
+    """Per-|K| and per-|gamma| moment tables of the barycentric monomials lambda^alpha,
+    |alpha| = p, on a d-simplex, from ``simplex_moment``: they span P_p there.
+
+    Returns ``(mass, stiff, facet, mean, const)``: the mass matrix M / |K|; the
+    (d+1, d+1, nb, nb) stack with S / |K| = sum_nm (grad lambda_n . grad
+    lambda_m) stiff[n, m], from d lambda^alpha / d lambda_n = alpha_n
+    lambda^(alpha - e_n); per facet i (lambda_i = 0) the facet mass matrix
+    F_i / |gamma_i| and the facet-mean vector; and the coefficients of the
+    constant 1 = (sum_n lambda_n)^p, the multinomial ones.
+    """
+    moment = functools.lru_cache(maxsize=None)(simplex_moment)     # keyed by exponent tuples
+
+    def gram(expo):
+        return np.array([[moment(tuple(a + b)) for b in expo] for a in expo])
+
+    alpha = _monomials(d + 1, p)
+    lower = _monomials(d + 1, p - 1)
+    index = {tuple(b): j for j, b in enumerate(lower)}
+    deriv = np.zeros((d + 1, len(lower), len(alpha)))   # coefficients of d/d lambda_n
+    for j, a in enumerate(alpha):
+        for n in np.flatnonzero(a):
+            deriv[n, index[tuple(a - np.eye(d + 1, dtype=int)[n])], j] = a[n]
+    stiff = np.einsum("nia,ij,mjb->nmab", deriv, gram(lower), deriv)
+    facet, mean = [], []
+    for i in range(d + 1):
+        on = alpha[:, i] == 0                   # the monomials that do not vanish on facet i
+        rest = np.delete(alpha[on], i, axis=1)
+        f = np.zeros((len(alpha), len(alpha)))
+        f[np.ix_(on, on)] = gram(rest)
+        m = np.zeros(len(alpha))
+        m[on] = [moment(tuple(b)) for b in rest]
+        facet.append(f)
+        mean.append(m)
+    const = np.array([math.factorial(p) / math.prod(math.factorial(k) for k in a)
+                      for a in alpha])
+    return gram(alpha), stiff, np.array(facet), np.array(mean), const
+
+
+def trace_suprema(vertices, p: int, kappas):
+    """The exact suprema over P_p of ||v||_gamma^2 / |||v|||_K^2 and of
+    ||v - mean_gamma v||_gamma^2 / |||v|||_K^2, |||v|||^2 = ||grad v||^2 + kappa^2 ||v||^2.
+
+    Returns two (len(kappas), d+1) arrays, one column per facet gamma; the
+    first is nan where kappa = 0 (the constants make it infinite). Each is the
+    largest eigenvalue of (F, S + kappa^2 M) in the monomials of
+    ``_trace_tables``, F the facet mass matrix, minus its mean part for the
+    second. The constant direction e splits off in closed form: with Z a
+    basis of the M-orthogonal complement of e, S e = 0 makes S + kappa^2 M
+    block-diagonal in (e, Z), with e^T (S + kappa^2 M) e = kappa^2 |K| and
+    e^T F e = |gamma|, and the Z block is whitened by its Cholesky factor.
+    The mean-free form vanishes on e, so its supremum is the Z block alone,
+    which also covers kappa = 0. A plain ``eigh(F, S + kappa^2 M)`` loses the
+    margin of the sharp constant to round-off as kappa h -> 0.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    d = vertices.shape[1]
+    q = simplex_geometry(vertices[None])
+    vol, meas, g = q.volumes[0], q.facet_measures[0], q.grads[0]
+    mass, stiff, facet, mean, e = _trace_tables(d, p)
+    M = vol * mass
+    S = vol * np.einsum("nm,nmab->ab", g @ g.T, stiff)
+    Z = (np.eye(len(e)) - np.outer(e, M @ e) / vol)[:, 1:]   # M-orthogonal to e
+    plain = np.full((len(kappas), d + 1), np.nan)
+    freed = np.empty((len(kappas), d + 1))
+    for k, kappa in enumerate(kappas):
+        C = np.linalg.cholesky(Z.T @ (S + kappa ** 2 * M) @ Z)
+        for i in range(d + 1):
+            F = meas[i] * facet[i]
+            Fbar = F - meas[i] * np.outer(mean[i], mean[i])
+            Wz = np.linalg.solve(C, np.linalg.solve(C, Z.T @ Fbar @ Z).T)
+            freed[k, i] = np.linalg.eigvalsh(Wz)[-1]
+            if kappa > 0:
+                W = np.empty((len(e), len(e)))
+                W[0, 0] = meas[i] / (kappa ** 2 * vol)
+                W[1:, 1:] = np.linalg.solve(C, np.linalg.solve(C, Z.T @ F @ Z).T)
+                W[1:, 0] = W[0, 1:] = np.linalg.solve(C, Z.T @ F @ e) / (kappa * math.sqrt(vol))
+                plain[k, i] = np.linalg.eigvalsh(W)[-1]
+    return plain, freed
+
+
 # ---------------------------------------------------------------------------
 # vertex patches and the layer indicator
 # ---------------------------------------------------------------------------
@@ -578,7 +700,7 @@ def solve_vertex_patch_reference(mesh, v: int, resid):
 
     cons = ~mesh.layer[els]
     C, c = M[cons], -resid.D[els[cons], locs[cons]]
-    E, e = M[~cons], -resid.Dstar[els[~cons], locs[~cons]]
+    E, e = M[~cons], -resid.D[els[~cons], locs[~cons]]
     scale = float(resid.scale[els, locs].max()) if k else 0.0
     tol = CONSTRAINT_TOL * max(scale, 1e-300)
 

@@ -229,7 +229,7 @@ def _patch_system(mesh, v, resid):
             rows[r, np.searchsorted(unknown, fid)] = mesh.elem_sigma[e, i]
     cons = ~mesh.layer[els]
     return (rows[cons], -resid.D[els[cons], locs[cons]],
-            rows[~cons], -resid.Dstar[els[~cons], locs[~cons]], unknown)
+            rows[~cons], -resid.D[els[~cons], locs[~cons]], unknown)
 
 
 def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):

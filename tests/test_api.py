@@ -68,6 +68,31 @@ def test_benchmark_smoke_passes_meet_their_gate(monkeypatch, tmp_path):
     assert metrics["data.gN_points"] > 0
 
 
+# wrapped names that no workload reaches: equilibrate solves its patches in
+# batches and has not called solve_vertex_patch since the patch solves were
+# stacked (the FOUND line on equilibration.solve_vertex_patch_s in CHANGES.md)
+NOT_TRACED = {"equilibration.solve_vertex_patch"}
+
+
+def test_every_wrapped_layer_is_traced_by_some_workload(monkeypatch, tmp_path):
+    # a refactor that stops calling a wrapped layer would make its metric read 0
+    # in every run; one traced smoke pass per workload must reach each name
+    workloads = _load_perfbench(monkeypatch, "workloads")
+    tracing = _load_perfbench(monkeypatch, "tracing")
+    seen = set()
+    for name in workloads.NAMES:
+        tracer = tracing.Tracer()
+        with tracer.installed(), tracer.span("pass"):
+            _, results, error = workloads.run_pass(workloads.build(name, 1, "smoke"), tracer,
+                                                   str(tmp_path))
+        assert tracer.absent == [] and workloads.gate(results, error)[0] == [], name
+        seen |= {s.name for s in tracer.spans}
+    wrapped = set(tracing.WRAPPED.values())
+    assert NOT_TRACED <= wrapped
+    assert wrapped - NOT_TRACED <= seen
+    assert not NOT_TRACED & seen     # a name that comes back leaves the list
+
+
 def test_estimate_parameters():
     # the benchmark passes (mesh, sol, data, strategy) positionally and the
     # rest by keyword; a knob added or dropped here must be a deliberate change

@@ -172,6 +172,14 @@ def test_sweeps_validate_every_configuration():
         bm.sweep_kappa(cfg, [1.0, 100.0])   # above kappa2
 
 
+def test_sweeps_reject_an_empty_list():
+    cfg = bm.RunConfig(dim=2, m=2, kappa1=1.0, kappa2=10.0)
+    with pytest.raises(ValueError, match="at least one value"):
+        bm.sweep_kappa(cfg, [])
+    with pytest.raises(ValueError, match="at least one value"):
+        bm.sweep_mesh(cfg, [])
+
+
 def _unchecked_config(**changes):
     """A RunConfig built without __post_init__, as if validation were skipped."""
     cfg = object.__new__(bm.RunConfig)
@@ -332,6 +340,19 @@ def test_cli_bad_values_exit_before_opening_the_output(tmp_path, capsys, args):
     assert cli.main(["estimate", *args, "--out", str(out)]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("input error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--sweep-kappa", ","], ["--sweep-mesh="]],
+                         ids=["sweep-kappa-comma", "sweep-mesh-empty"])
+def test_cli_empty_sweep_is_an_input_error(tmp_path, capsys, args):
+    # an empty list runs nothing: exit 4 without a header, not 0 with one
+    out = tmp_path / "rows.csv"
+    assert cli.main(["estimate", "--dim", "2", "--kappa1", "1", "--kappa2", "10", *args,
+                     "--out", str(out)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out.exists()
+    assert cli.main(["estimate", "--dim", "2", *args]) == cli.EXIT_INPUT
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_usage_errors_exit_input(capsys):

@@ -189,7 +189,7 @@ def test_extension_norm_quadrature_cross_check(unit_triangle):
 
 @pytest.mark.parametrize("case", [2, 3, 4, "perturbed"])
 def test_extension_volume_terms_match_subsimplex_integrals(case):
-    # the volume part of Dstar, int f theta* - int grad u_h . grad theta*
+    # the volume part of D on a layer row, int f theta* - int grad u_h . grad theta*
     # - kappa^2 int u_h theta*, rebuilt sub-simplex by sub-simplex from the
     # collapsed extension closures; the code takes the stiffness term from the
     # plain hat, |K| grad u_h . grad lambda_n, as theta* = theta_n on dK
@@ -398,7 +398,7 @@ def test_patch_with_objective_against_oracle(rng):
                 rows[r, np.searchsorted(unknown, fid)] = mesh.elem_sigma[e, i]
         cons = ~mesh.layer[els]
         oracle = kkt_min_norm_oracle(rows[cons], -resid.D[els[cons], locs[cons]],
-                                     rows[~cons], -resid.Dstar[els[~cons], locs[~cons]])
+                                     rows[~cons], -resid.D[els[~cons], locs[~cons]])
         _, alpha, _ = eq.solve_vertex_patch(mesh, v, resid)
         scale = max(np.abs(resid.D[els, locs]).max(), 1.0)
         assert np.abs(alpha - oracle).max() < 1e-9 * scale
@@ -719,7 +719,7 @@ def test_objective_rows_without_free_coefficients_do_not_raise(unit_triangle):
     fake = fem.FemSolution.from_vertex_values(mesh, np.array([5.0, -3.0, 2.0]), data)
     assert eq.equilibrate(mesh, fake).eps_max_rel == 0.0
     resid = eq.residual_functionals(mesh, fake)
-    assert np.abs(resid.Dstar).max() > 0.0
+    assert np.abs(resid.D).max() > 0.0
     for v in range(mesh.n_points):
         assert eq.solve_vertex_patch(mesh, v, resid)[2] == (0, 0, 0.0, 0.0)
 

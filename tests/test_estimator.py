@@ -89,6 +89,41 @@ def test_trace_constants_batched_with_zero_kappa():
             assert tc.min2[j] == min(tc.ct2[j], tc.cbar2[j])
 
 
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_trace_constants_bound_the_exact_polynomial_suprema(d, p):
+    # the exact suprema over P_p of ||v||_gamma^2 / |||v|||_K^2 (ct2) and of its
+    # mean-free form (cbar2), on every facet of random simplices squashed
+    # towards a hyperplane down to rho/h below 1e-3, for kappa h from 0 to 1e4
+    rng = np.random.default_rng(100 * d + p)
+    worst = {"ct2": 0.0, "cbar2": 0.0}
+    flattest = 1.0
+    for squash in (0.0, 0.9, 0.99, 0.999, 0.9997):
+        pts = random_simplex(d, rng)
+        u = rng.standard_normal(d)
+        u /= np.linalg.norm(u)
+        pts -= squash * np.outer(pts @ u, u)
+        q = geo.simplex_geometry(pts[None])
+        h, vol = q.diameters[0], q.volumes[0]
+        flattest = min(flattest, q.inradii[0] / h)
+        kappas = np.array([0.0, 1e-2, 1.0, 1e2, 1e4]) / h
+        plain, freed = oracles.trace_suprema(pts, p, kappas)
+        if p == 2:      # the sampled ratios of criterion 7 cannot exceed the supremum
+            sampled = oracles.verify_trace_inequality(pts, kappas[2], 200, rng)
+            assert np.all(sampled[0] ** 2 <= plain[2] * (1 + 1e-9))
+            assert np.all(sampled[1] ** 2 <= freed[2] * (1 + 1e-9))
+        for k, kappa in enumerate(kappas):
+            tc = est.trace_constants(d, h, vol, q.facet_measures[0], kappa)
+            if kappa > 0:
+                assert np.all(plain[k] <= tc.ct2 * (1 + 1e-9)), (squash, kappa * h)
+                worst["ct2"] = max(worst["ct2"], (plain[k] / tc.ct2).max())
+            assert np.all(freed[k] <= tc.cbar2 * (1 + 1e-9)), (squash, kappa * h)
+            worst["cbar2"] = max(worst["cbar2"], (freed[k] / tc.cbar2).max())
+    assert flattest < 1e-3
+    print(f"\n[PASS] d={d} P_{p}: worst supremum / constant: ct2 {worst['ct2']:.6f}, "
+          f"cbar2 {worst['cbar2']:.3f} (rho/h down to {flattest:.1e})")
+
+
 # ---------------------------------------------------------------------------
 # oscillations
 # ---------------------------------------------------------------------------
@@ -511,20 +546,22 @@ def test_conformity_audit_covers_both_selections(monkeypatch):
     mesh, data = benchmark_mesh(cfg), benchmark_data(cfg)
     sol = fem.solve_problem(mesh, data)
     picks, rows = [], {1: [], 2: []}
-    # variant 2 is counted by the batch of its facet data, one _facet_setup per facet
-    trace_values, fields = rec.facet_trace_values, (rec.variant1_field, rec._facet_setup)
+    # variant 1 is counted by the selection of its coefficient builder, variant 2
+    # by the batch of its facet data, one _facet_setup per facet
+    trace_values = rec.facet_trace_values
+    fields = (rec._variant1_coefficients, rec._facet_setup)
 
     def counting(which, fn):
         def field(*args):
             out = fn(*args)
-            rows[which].append(len(out if which == 1 else out[0]))
+            rows[which].append(len(args[2] if which == 1 else out[0]))
             return out
         return field
 
     def spy(mesh, grad, v1, R, variant):
         picks.append(np.array(variant, ndmin=2))
         with monkeypatch.context() as m:
-            m.setattr(rec, "variant1_field", counting(1, fields[0]))
+            m.setattr(rec, "_variant1_coefficients", counting(1, fields[0]))
             m.setattr(rec, "_facet_setup", counting(2, fields[1]))
             return trace_values(mesh, grad, v1, R, variant)
 

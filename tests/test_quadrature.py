@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fluxbound.geometry as geo
 from fluxbound.errors import UnsupportedDegree
-from fluxbound.quadrature import integrate_simplices, quadratic_gram_factor, rule_for
+from fluxbound.quadrature import integrate_simplices, p2_basis, quadratic_gram_factor, rule_for
 
 from conftest import bary_monomial_integral, random_simplex
 
@@ -57,6 +57,7 @@ def test_quadratic_gram_factor_against_quadrature(d):
     basis += [lam[:, a] * lam[:, b] for a, b in itertools.combinations(range(d + 1), 2)]
     phi = np.array(basis)
     gram = math.factorial(d) * (phi * rule.weights) @ phi.T
+    assert np.array_equal(p2_basis(lam), phi.T)
     L = quadratic_gram_factor(d)
     assert not L.flags.writeable
     assert np.array_equal(L, np.tril(L)) and np.all(np.diag(L) > 0)

@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import fluxbound.equilibration as eq
+import fluxbound.estimator as est
 import fluxbound.fem as fem
 import fluxbound.geometry as geo
 import fluxbound.reconstruction as rec
-from fluxbound.errors import DivergenceAuditFailed, InvalidVariant
-from fluxbound.quadrature import integrate_simplices
+from fluxbound.errors import DivergenceAuditFailed, InvalidVariant, KappaJumpWarning
+from fluxbound.quadrature import integrate_simplices, rule_for
 
 import oracles
 from conftest import ZERO_DATA, fd_divergence, one_simplex, random_simplex
@@ -457,7 +459,6 @@ def test_eta2_flux_moments_match_facet_rule(dim):
 def test_layer_terms_call_no_quadrature(monkeypatch):
     # the layer indicator and the collapsed-extension terms are closed forms
     # or evaluate their own node tables: no call to integrate_simplices
-    import fluxbound.estimator as est
     import fluxbound.quadrature as quad
     mesh, data, sol, fluxes, R, r_vals = benchmark_setup(3, 2, 2.0, 60.0)
     sel = np.flatnonzero(mesh.layer)
@@ -587,3 +588,50 @@ def test_mixed_variant_trace_mismatch():
     g_exact = oracles.equilibrated_trace(mesh, R, sol.grad)
     gscale = np.maximum(1.0, np.abs(g_exact).max(axis=2))
     assert (np.abs(trace - g_exact) / gscale[:, :, None]).max() < 1e-11
+
+
+def _perturbed_jump_setup(dim, m, seed):
+    """A cube mesh with its interior vertices moved by up to 0.15h and kappa 1 left
+    of x1 = 0, 30 right of it, solved; returns what the trace audit takes, with
+    the tau and taustar selections stacked."""
+    base = geo.build_cube_mesh(m, dim, 1.0)
+    pts = base.points.copy()
+    interior = np.abs(np.abs(pts).max(axis=1) - 1.0) > 1e-12
+    rng = np.random.default_rng(seed)
+    pts[interior] += rng.uniform(-0.15 * 2.0 / m, 0.15 * 2.0 / m, (interior.sum(), dim))
+    kappa = np.where(pts[base.simplices].mean(axis=1)[:, 0] < 0, 1.0, 30.0)
+    tags = {tuple(int(v) for v in base.facets[fi]): "D" if base.facet_tag[fi] == 1 else "N"
+            for fi in np.flatnonzero(base.facet_tag != 0)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KappaJumpWarning)
+        mesh = geo.build_mesh(pts, base.simplices, kappa, tags)
+    data = fem.ProblemData(f=lambda x: 1.0 + x[:, 0] * x[:, 1], data_degree=2)
+    sol = fem.solve_problem(mesh, data)
+    report = est.estimate(mesh, sol, data, "both")
+    fluxes = eq.equilibrate(mesh, sol)
+    R = rec.facet_residuals(mesh, fluxes, sol.grad)
+    pf = fem.project_element_bulk(mesh, fem.element_data(mesh, data.f, data.data_degree)[0])
+    v1 = rec.variant1_bulk(mesh, R, pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices])
+    return mesh, sol, R, v1, np.stack([report.variant_tau, report.variant_taustar])
+
+
+@pytest.mark.parametrize("dim,m", [(2, 6), (3, 3)])
+def test_variant1_traces_match_the_pointwise_field(dim, m):
+    # the traces read from the P2 coefficients against the field evaluated
+    # node by node (oracles.variant1_field), on both selections of the audit
+    mesh, sol, R, v1, variant = _perturbed_jump_setup(dim, m, seed=dim)
+    assert np.any(variant[0] != variant[1])
+    traces = rec.facet_trace_values(mesh, sol.grad, v1, R, variant)
+    rule = rule_for(dim - 1, rec.TRACE_DEGREE)
+    normals = mesh.outward_normals()
+    pairs = oracles.tau_q_pairs(mesh.points.T[:, mesh.simplices.T], v1.grad_r)
+    want = np.empty_like(traces[0])
+    for i in range(dim + 1):
+        for qi, mu in enumerate(rule.points):
+            field = sol.grad + oracles.variant1_field(np.insert(mu, i, 0.0)[None], v1.c, pairs)
+            want[:, i, qi] = np.einsum("ed,ed->e", field, normals[:, i])
+    for trace, sel in zip(traces, variant):
+        ones = sel == 1
+        assert ones.any()
+        scale = np.abs(trace[ones]).max()
+        assert np.abs(trace[ones] - want[ones]).max() <= 1e-13 * scale
