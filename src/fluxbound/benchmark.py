@@ -130,8 +130,9 @@ class RunConfig:
         for name in ("kappa1", "kappa2"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+                    or not math.isfinite(value * value)):   # kappa^2 enters the problem
+                raise ValueError(f"{name} must be a real number with a finite square, "
+                                 f"got {value!r}")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
         if self.strategy not in STRATEGIES:

@@ -246,7 +246,9 @@ def _patch_maps(M: np.ndarray, nc: int):
 
 
 def _raise_worst(bad, vals, tol, verts, message: str):
-    """InfeasibleConstraints naming the vertex with the largest vals/tol among the bad ones."""
+    """InfeasibleConstraints naming the vertex with the largest vals/tol among the bad ones.
+
+    Build ``bad`` as ~(vals <= tol), so that a NaN is bad; argmax picks a NaN first."""
     if bad.any():
         j = np.flatnonzero(bad)[np.argmax(vals[bad] / tol[bad])]
         raise InfeasibleConstraints(message.format(v=verts[j], res=vals[j], tol=tol[j]))
@@ -286,7 +288,7 @@ def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, unknown, k: int, 
     tol = CONSTRAINT_TOL * np.maximum(resid.scale[els, locs].max(axis=1), 1e-300)
     if nu == 0:
         res = np.abs(rhs[:, :nc]).max(axis=1, initial=0.0)
-        _raise_worst(res > tol, res, tol, verts,
+        _raise_worst(~(res <= tol), res, tol, verts,
                      "vertex {v}: constraint residual {res:.3e} with no free coefficients")
         return np.zeros((len(verts), 0)), np.zeros(len(verts)), res
 
@@ -304,9 +306,9 @@ def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, unknown, k: int, 
             c = rhs[:, :nc]
             alpha0 = np.einsum("nic,nc->ni", P[which], c)
             res0 = np.abs(np.einsum("nci,ni->nc", M[:, :nc], alpha0) - c).max(axis=1)
-        _raise_worst(res0 > tol, res0, tol, verts,
+        _raise_worst(~(res0 <= tol), res0, tol, verts,
                      "vertex {v}: equality-constraint residual {res:.3e} exceeds {tol:.3e}")
-        _raise_worst(res > tol, res, tol, verts,
+        _raise_worst(~(res <= tol), res, tol, verts,
                      "vertex {v}: constraints degraded to {res:.3e} by the objective step")
     return alpha, (fit[:, nc:] ** 2).sum(axis=1), res
 
@@ -428,7 +430,7 @@ def equilibrate(mesh: Mesh, sol: FemSolution, *,
     scale = _patch_scales(mesh, resid)[mesh.simplices[constrained]]
     rel = np.abs(eps) / np.maximum(scale, 1e-300)
     eps_max_rel = float(rel.max()) if rel.size else 0.0
-    if eps_max_rel > CONSTRAINT_TOL:
+    if not eps_max_rel <= CONSTRAINT_TOL:     # a NaN fails too
         raise InfeasibleConstraints(
             f"assembled equilibration residual {eps_max_rel:.3e} exceeds {CONSTRAINT_TOL:g}")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibration import equilibrate
-from .errors import ConformityAuditFailed, NegativeDifference
+from .errors import ConformityAuditFailed, NegativeDifference, UnsolvableProblem
 from .fem import FemSolution, ProblemData, project_element_bulk
 from .geometry import Mesh
 from .quadrature import integrate_simplices
@@ -147,6 +147,7 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
     ``sol.mesh`` and ``sol.data``, or ValueError is raised. ``strategy`` is
     'tau', 'taustar' or 'both'. ``check_conformity`` audits the normal traces of
     the reported selections; a mismatch above AUDIT_TOL raises ConformityAuditFailed.
+    A reported total that is not finite (data that overflow) raises UnsolvableProblem.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -202,13 +203,16 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
         report.eta_k_taustar = eta_k
         report.variant_taustar = np.where(pick2, 2, 1).astype(np.int8)
         report.eta_taustar = _total(eta_k, osc_f, osc_gn)
+    if not all(math.isfinite(t) for t in (report.eta_tau, report.eta_taustar) if t is not None):
+        raise UnsolvableProblem("the error bound is not finite: the data overflow in floating point")
 
     if check_conformity:   # every reported selection, each field evaluated once
         picks = [v for v in (report.variant_tau, report.variant_taustar) if v is not None]
         traces = rec.facet_trace_values(mesh, sol.grad, v1, R, np.stack(picks))
         scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
-        worst = max(rec.trace_mismatch(mesh, t, scale) for t in traces)
-        if worst > rec.AUDIT_TOL:
+        # np.max keeps a NaN, which the builtin max may drop
+        worst = float(np.max([rec.trace_mismatch(mesh, t, scale) for t in traces]))
+        if not worst <= rec.AUDIT_TOL:     # a NaN fails too
             raise ConformityAuditFailed(
                 f"normal-trace mismatch {worst:.3e} (scaled) exceeds {rec.AUDIT_TOL:g}")
         report.audits["hdiv_mismatch"] = worst

@@ -322,8 +322,13 @@ class FemSolution:
 
     @classmethod
     def from_vertex_values(cls, mesh: Mesh, values, data: ProblemData) -> "FemSolution":
-        """Wrap nodal values (a non-Galerkin u_h) with the data pass ``assemble`` makes."""
+        """Wrap nodal values (a non-Galerkin u_h) with the data pass ``assemble`` makes.
+
+        ValueError unless the values are a finite (n_points,) array.
+        """
         u = np.asarray(values, dtype=float)
+        if u.shape != (mesh.n_points,) or not np.all(np.isfinite(u)):
+            raise ValueError(f"need {mesh.n_points} finite vertex values, got shape {u.shape}")
         grad = np.einsum("eid,ei->ed", mesh.bary_grads, u[mesh.simplices])
         f_loads, f_osc_sq = element_data(mesh, data.f, data.data_degree)
         gn_loads, gn_osc_sq = neumann_data(mesh, data.g_N, data.data_degree)

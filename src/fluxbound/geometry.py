@@ -159,13 +159,6 @@ def build_facet_adjacency(simplices: np.ndarray):
     return facets, facet_elems, facet_local, elem_facets, elem_sigma
 
 
-def _csr(keys: np.ndarray, n_keys: int, *payloads):
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    offsets = np.searchsorted(sorted_keys, np.arange(n_keys + 1))
-    return offsets, tuple(p[order] for p in payloads)
-
-
 # ---------------------------------------------------------------------------
 # the mesh
 # ---------------------------------------------------------------------------
@@ -301,12 +294,13 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
     facet_measures = np.zeros(len(facets))
     facet_measures[elem_facets.ravel()] = geom.facet_measures.ravel()
 
-    ne, dp1 = cells.shape
-    veo, (ve_elem, ve_loc) = _csr(cells.ravel(), len(points),
-                                  np.repeat(np.arange(ne), dp1), np.tile(np.arange(dp1), ne))
-    vf = np.argsort(facets.ravel(), kind="stable")    # the (facet, slot) entries by vertex
+    # the (element, local vertex) and (facet, slot) entries by vertex
+    ve = np.column_stack(np.divmod(np.argsort(cells.ravel(), kind="stable"), d + 1))
+    vf = np.column_stack(np.divmod(np.argsort(facets.ravel(), kind="stable"), d))
+    veo = np.zeros(len(points) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cells.ravel(), minlength=len(points)), out=veo[1:])
 
-    _warn_kappa_jumps(kappa, veo, ve_elem)
+    _warn_kappa_jumps(kappa, veo, ve[:, 0])
 
     return Mesh(
         dim=d, points=points, simplices=cells, kappa=kappa,
@@ -314,8 +308,7 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
         facet_tag=facet_tag, elem_facets=elem_facets, elem_sigma=elem_sigma,
         volumes=geom.volumes, bary_grads=geom.grads, facet_measures=facet_measures,
         diameters=geom.diameters, inradii=geom.inradii,
-        _vertex_elem_offsets=veo, _vertex_elem_data=np.column_stack([ve_elem, ve_loc]),
-        _vertex_facet_data=np.column_stack(np.divmod(vf, d)),
+        _vertex_elem_offsets=veo, _vertex_elem_data=ve, _vertex_facet_data=vf,
     )
 
 

@@ -18,7 +18,12 @@ origin (``_component_first``), so that nothing depends on where the mesh sits,
 tau_O = (1 - kappa xd)_+ (a.x + b) x / rho on the cone of a facet, xd the
 distance from the facet plane. a.x + b extends the facet residual constantly
 along the facet normal: a is the tangential part of sum_j R_j grad lambda_j
-over the facet vertices j, and b matches R at the first of them.
+over the facet vertices j, and b matches R at the first of them. The field
+exists only as this facet data (F, a, b) of ``_facet_setup``, F the facet
+vertices: the layer norms integrate it in closed form (``eta2_terms``), and
+on the facet, where the cutoff factor is 1, its normal trace is the product
+of two affine functions fixed by their facet-vertex values
+(``facet_trace_values``).
 
 The layer norms are integrated over each cone in the collapsed (Duffy)
 coordinates x = t y, y on the facet, in three exact pieces: below the cutoff,
@@ -155,7 +160,7 @@ def divergence_audit(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
     norm = np.sqrt(mesh.volumes) * np.abs(resid_const)
     sel = ~mesh.layer
     worst = float((norm[sel] / scale[sel]).max()) if np.any(sel) else 0.0
-    if worst > AUDIT_TOL:
+    if not worst <= AUDIT_TOL:     # a NaN fails too
         raise DivergenceAuditFailed(
             f"divergence residual {worst:.3e} (scaled) exceeds {AUDIT_TOL:g} "
             f"on an element with kappa*rho <= 1")
@@ -376,9 +381,15 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
     element (1 or 2). Returns a list of s traces of shape (ne, d+1, nq): the
     flux at the canonical facet quadrature points dotted with the element's
     outward normal. The points are defined on the facet, so they coincide for
-    the two sharing elements. Each field is evaluated once, on the elements
-    where some selection uses it; variant 1 as the P2 basis at the nodes of facet
-    i (lambda_i = 0) times the coefficients ``eta1_terms`` reads, facet by facet.
+    the two sharing elements. Each field is read once, on the elements where
+    some selection uses it, and in closed form from the data its indicator
+    reads: variant 1 as the P2 basis at the nodes of facet i (lambda_i = 0)
+    times the coefficients ``eta1_terms`` reads; variant 2 from the facet data
+    (F, a, b) of ``_facet_setup`` that ``eta2_terms`` reads. On facet i the
+    cutoff factor is 1, so tau_O = s x with s = (a.x + b) / rho, and with
+    x = sum_j mu_j F_j both s and x.n are affine in the facet barycentrics mu:
+    the trace is grad u_h.n + (mu.S)(mu.X), S_j = (a.F_j + b) / rho and
+    X_j = F_j.n at the facet vertices j.
     """
     d = mesh.dim
     rule = rule_for(d - 1, TRACE_DEGREE)
@@ -397,10 +408,9 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
         F, a, b, _ = _facet_setup(pts2, g2, R[i2, i], i)
         F, a = F.T, a.T             # (d, d, k) and (d, k), contiguous rows
         n2 = normals[i2, i].T
-        for qi, mu in enumerate(rule.points):
-            x = sum(mj * F[:, j] for j, mj in enumerate(mu))     # relative to the apex
-            s = (_dot(a, x) + b) / rho      # tau_O = s x on the facet
-            t2[:, i, qi] = _dot(grad2 + s * x, n2)
+        S = np.array([(_dot(a, F[:, j]) + b) / rho for j in range(d)])
+        X = np.array([_dot(F[:, j], n2) for j in range(d)])
+        t2[:, i] = ((rule.points @ S) * (rule.points @ X)).T + _dot(grad2, n2)[:, None]
     traces = [np.empty((mesh.n_elements, d + 1, rule.n_points)) for _ in variant]
     for trace, p in zip(traces, variant):
         trace[i1] = t1

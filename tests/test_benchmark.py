@@ -205,9 +205,9 @@ def test_config_rejects_what_a_run_would_reject(changes):
 @pytest.mark.parametrize("changes", [
     {"dim": 2.0}, {"dim": True}, {"m": 2.5}, {"m": True}, {"m": "4"},
     {"kappa2": math.inf}, {"kappa1": math.inf, "kappa2": math.inf}, {"kappa1": math.nan},
-    {"kappa1": "1"}, {"kappa2": None}, {"kappa1": True},
+    {"kappa1": "1"}, {"kappa2": None}, {"kappa1": True}, {"kappa1": 1e160, "kappa2": 1e160},
 ], ids=["dim-float", "dim-bool", "m-float", "m-bool", "m-str", "kappa2-inf", "both-inf",
-        "kappa1-nan", "kappa1-str", "kappa2-none", "kappa1-bool"])
+        "kappa1-nan", "kappa1-str", "kappa2-none", "kappa1-bool", "square-overflows"])
 def test_config_rejects_bad_types_and_non_finite_kappa(changes):
     # refused when the configuration is made, not inside the geometry code
     with pytest.raises(ValueError):
@@ -304,6 +304,16 @@ def test_cli_exit_codes(monkeypatch):
 
     monkeypatch.setattr(cli, "run_benchmark", boom_solver)
     assert cli.main(["estimate"]) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_overflowing_kappa_exits_solver_or_input(capsys):
+    # kappa^2 finite but the bound not: a solver failure, not a row of NaN
+    args = ["estimate", "--dim", "2", "--m", "2"]
+    assert cli.main([*args, "--kappa1", "1e100", "--kappa2", "1e100"]) == cli.EXIT_SOLVER
+    # kappa^2 itself overflows: refused with the input
+    assert cli.main([*args, "--kappa1", "1e160", "--kappa2", "1e160"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().out.splitlines() == [bm.CSV_HEADER]   # no row of NaN
 
 
 def test_cli_stdout_keeps_rows_before_a_failed_run(monkeypatch, capsys):

@@ -725,6 +725,17 @@ def test_non_finite_data_raises_typed_error():
     assert report.audits == finite.audits
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_bound_raises_typed_error():
+    # kappa^2 overflows: every audit reads 0 or NaN, and a NaN passes no audit
+    # and is no bound
+    mesh = geo.build_cube_mesh(4, 2, 1e155)
+    data = fem.ProblemData(f=lambda x: np.ones(len(x)))
+    sol = fem.solve_problem(mesh, data)
+    with pytest.raises(UnsolvableProblem):
+        est.estimate(mesh, sol, data, "both", check_conformity=True)
+
+
 def test_estimate_passes_every_audit_on_a_delaunay_mesh():
     # the patches are solvable only to the solve's residual: a u_h whose PCG
     # recurrence drifted on the slivers to a true residual of 7e-11 failed

@@ -27,6 +27,15 @@ def one_element_mesh(pts, kappa, dirichlet=()):
     return geo.build_mesh(pts, cells, kappa, tags)
 
 
+@pytest.mark.parametrize("change", ["nan", "inf", "long", "short"])
+def test_vertex_values_must_be_finite_and_one_per_point(two_triangle_square, change):
+    mesh = two_triangle_square
+    vals = {"nan": np.full(mesh.n_points, np.nan), "inf": np.full(mesh.n_points, np.inf),
+            "long": np.zeros(mesh.n_points + 1), "short": np.zeros(mesh.n_points - 1)}[change]
+    with pytest.raises(ValueError):
+        fem.FemSolution.from_vertex_values(mesh, vals, ZERO_DATA)
+
+
 def test_stiffness_rows_sum_to_zero(unit_triangle):
     mesh = one_element_mesh(unit_triangle, 0.0, dirichlet=(0,))
     stiff, mass = fem.element_stiffness_mass(mesh)

@@ -571,6 +571,8 @@ def test_divergence_audit_failure_raises(unit_triangle):
     bad = np.array([0.5])  # nonzero constant residual
     with pytest.raises(DivergenceAuditFailed):
         rec.divergence_audit(mesh, bad, np.ones((1, 3)), np.zeros((1, 3)))
+    with pytest.raises(DivergenceAuditFailed):     # a NaN meets no tolerance
+        rec.divergence_audit(mesh, np.array([np.nan]), np.ones((1, 3)), np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -616,22 +618,30 @@ def _perturbed_jump_setup(dim, m, seed):
 
 
 @pytest.mark.parametrize("dim,m", [(2, 6), (3, 3)])
-def test_variant1_traces_match_the_pointwise_field(dim, m):
-    # the traces read from the P2 coefficients against the field evaluated
-    # node by node (oracles.variant1_field), on both selections of the audit
+def test_traces_match_the_pointwise_fields(dim, m):
+    # the traces read in closed form (variant 1 from its P2 coefficients,
+    # variant 2 from its facet data) against each field evaluated node by node
+    # (oracles.variant1_field, oracles.build_variant2), on both selections of the audit
     mesh, sol, R, v1, variant = _perturbed_jump_setup(dim, m, seed=dim)
     assert np.any(variant[0] != variant[1])
     traces = rec.facet_trace_values(mesh, sol.grad, v1, R, variant)
     rule = rule_for(dim - 1, rec.TRACE_DEGREE)
     normals = mesh.outward_normals()
     pairs = oracles.tau_q_pairs(mesh.points.T[:, mesh.simplices.T], v1.grad_r)
-    want = np.empty_like(traces[0])
+    want = np.empty((2, *traces[0].shape))
     for i in range(dim + 1):
         for qi, mu in enumerate(rule.points):
             field = sol.grad + oracles.variant1_field(np.insert(mu, i, 0.0)[None], v1.c, pairs)
-            want[:, i, qi] = np.einsum("ed,ed->e", field, normals[:, i])
+            want[0, :, i, qi] = np.einsum("ed,ed->e", field, normals[:, i])
+    Rv = eq._to_local_vertices(R)
+    for e in np.flatnonzero((variant == 2).any(axis=0)):
+        verts = mesh.points[mesh.simplices[e]]
+        field = oracles.build_variant2(verts, Rv[e], mesh.kappa[e], sol.grad[e])
+        for i, fv in enumerate(geo.facet_vertices(dim)):
+            want[1, e, i] = field(rule.points @ verts[fv]) @ normals[e, i]
     for trace, sel in zip(traces, variant):
-        ones = sel == 1
-        assert ones.any()
-        scale = np.abs(trace[ones]).max()
-        assert np.abs(trace[ones] - want[ones]).max() <= 1e-13 * scale
+        for v in (1, 2):
+            on = sel == v
+            assert on.any()
+            scale = np.abs(trace[on]).max()
+            assert np.abs(trace[on] - want[v - 1][on]).max() <= 1e-13 * scale
