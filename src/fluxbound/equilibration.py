@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InfeasibleConstraints
-from .fem import FemSolution, _mass_inverse_times, _mass_times, data_values
+from .fem import FemSolution, _mass_inverse_times, _mass_times, data_values, element_blocks
 from .geometry import NEUMANN, Mesh, facet_vertices
 from .quadrature import rule_for
 
@@ -83,37 +83,44 @@ def _to_local_vertices(vals: np.ndarray) -> np.ndarray:
 
 
 def residual_functionals(mesh: Mesh, sol: FemSolution) -> ResidualData:
+    """The residuals D and their scales, ELEMENT_CHUNK elements at a time.
+
+    The extension terms of the layer rows come first, in the blocks of
+    ``_extension_volume_terms`` over the layer elements alone, so that D does
+    not depend on ELEMENT_CHUNK; they wait in D until their element block
+    adds the plain-hat terms.
+    """
     d = mesh.dim
     avg = facet_average(mesh, sol.grad)
-
-    F1 = sol.f_loads
-    uloc = sol.u[mesh.simplices]
-    b_stiff = np.einsum("ed,end->en", sol.grad, mesh.bary_grads) * mesh.volumes[:, None]
-    b_mass = mesh.kappa[:, None] ** 2 * _mass_times(uloc, mesh.volumes[:, None], d)
-
-    fids = mesh.elem_facets
-    tags = mesh.facet_tag[fids]                       # (ne, d+1)
     neu = mesh.neumann
-    Fg = np.zeros((mesh.n_elements, d + 1))           # the Neumann loads at the element vertices
-    elems, local = mesh.facet_elems[neu, 0], mesh.facet_local[neu, 0]
-    for i, fv in enumerate(facet_vertices(d)):        # an element has one local facet i
-        on = local == i
-        Fg[elems[on, None], fv] += sol.gn_loads[on]
-
-    per_facet = np.where(tags != NEUMANN,
-                         mesh.elem_sigma * avg[fids] * mesh.facet_measures[fids] / d, 0.0)
-    avgterm = per_facet.sum(axis=1, keepdims=True) - per_facet
-
-    D = F1 + Fg - b_stiff - b_mass + avgterm
-    scale = (np.abs(F1) + np.abs(Fg) + np.abs(b_stiff) + np.abs(b_mass)
-             + np.abs(per_facet).sum(axis=1, keepdims=True))
-
-    sel = np.flatnonzero(mesh.layer)
-    if len(sel):
+    D, scale = np.empty((mesh.n_elements, d + 1)), np.empty((mesh.n_elements, d + 1))
+    layer = np.flatnonzero(mesh.layer)
+    size = _extension_block(d)
+    for lo in range(0, len(layer), size):
+        rows = layer[lo:lo + size]
+        D[rows] = _extension_volume_terms(mesh, sol, rows)
+    for blk in element_blocks(mesh.n_elements):
+        F1 = sol.f_loads[blk]
+        volumes = mesh.volumes[blk, None]
+        b_stiff = np.einsum("ed,end->en", sol.grad[blk], mesh.bary_grads[blk]) * volumes
+        b_mass = mesh.kappa[blk, None] ** 2 * _mass_times(sol.u[mesh.simplices[blk]], volumes, d)
+        fids = mesh.elem_facets[blk]
+        on_neu = mesh.facet_tag[fids] == NEUMANN       # (nb, d+1)
+        Fg = np.zeros(fids.shape)                      # the Neumann loads at the element vertices
+        for i, fv in enumerate(facet_vertices(d)):     # an element has one local facet i
+            on = np.flatnonzero(on_neu[:, i])
+            Fg[on[:, None], fv] += sol.gn_loads[np.searchsorted(neu, fids[on, i])]
+        per_facet = np.where(~on_neu,
+                             mesh.elem_sigma[blk] * avg[fids] * mesh.facet_measures[fids] / d, 0.0)
+        avgterm = per_facet.sum(axis=1, keepdims=True) - per_facet
+        plain = F1 + Fg - b_stiff - b_mass + avgterm
+        lay = mesh.layer[blk]
         # theta* = theta_n on dK and u_h is affine, so int grad u_h . grad theta*
         # = int_dK du_h/dn theta* = int grad u_h . grad theta_n = b_stiff
-        D[sel] = (_extension_volume_terms(mesh, sol, sel) - b_stiff[sel]
-                  + Fg[sel] + avgterm[sel])
+        plain[lay] = D[blk][lay] - b_stiff[lay] + Fg[lay] + avgterm[lay]
+        D[blk] = plain
+        scale[blk] = (np.abs(F1) + np.abs(Fg) + np.abs(b_stiff) + np.abs(b_mass)
+                      + np.abs(per_facet).sum(axis=1, keepdims=True))
     return ResidualData(D=D, scale=scale, avg=avg)
 
 
@@ -151,15 +158,21 @@ def _extension_tables(d: int):
     return tables
 
 
+def _extension_block(d: int) -> int:
+    """Elements per block of the extension terms: at most EXTENSION_CHUNK (node, element) pairs."""
+    return max(1, EXTENSION_CHUNK // len(_extension_tables(d)[0]))
+
+
 def _extension_volume_terms(mesh: Mesh, sol: FemSolution, sel: np.ndarray) -> np.ndarray:
     """int_K f theta* - kappa^2 int_K u_h theta* for the collapsed extensions, per vertex.
 
     Every sub-simplex S_i(n), i != n, has the measure delta |K|, delta =
     1/(d kappa rho). The f part is quadrature: the nodes of all sub-simplices
     are the points (A + delta B) x_K of ``_extension_tables``, built for a
-    block of elements by one matrix product with the stacked tables [A B],
-    and f is called once per block of at most EXTENSION_CHUNK (node, element)
-    pairs. The kappa^2 part is exact, the P1 mass product on each S_i(n).
+    block of ``_extension_block`` elements by one matrix product with the
+    stacked tables [A B], and f is called once per block. The kappa^2 part is
+    exact, the P1 mass product on each S_i(n). Every array but the result
+    holds one block.
 
     Where u_h = f / kappa^2 the two parts cancel and the result is
     round-off, which decides between the round-off-level indicators of the
@@ -172,36 +185,34 @@ def _extension_volume_terms(mesh: Mesh, sol: FemSolution, sel: np.ndarray) -> np
     d = mesh.dim
     AB, hat = _extension_tables(d)
     rule = rule_for(d, EXTENSION_DEGREE)
-    nodes = len(AB)
-    delta = 1.0 / (d * mesh.kappa[sel] * mesh.inradii[sel])  # kappa*rho > 1 on sel
-    svol = delta * mesh.volumes[sel]   # |S_i| = lambda_i(x_P) |K| for every i != n
-    scale = svol * math.factorial(d)
-    verts = np.take(mesh.points, mesh.simplices[sel].T, axis=0)     # (d+1, k, d)
-    ft = np.empty((d + 1, d, len(sel)))   # int f theta* on S_i(n), the i != n in order
-    size = max(1, EXTENSION_CHUNK // nodes)
+    others = facet_vertices(d)
+    out = np.zeros((len(sel), d + 1))
+    size = _extension_block(d)
     for lo in range(0, len(sel), size):
-        hi = min(lo + size, len(sel))
-        P = np.empty((2, d + 1, hi - lo, d))        # [x_K; delta x_K]
-        P[0] = verts[:, lo:hi]
-        np.multiply(P[0], delta[lo:hi, None], out=P[1])
+        rows = sel[lo:lo + size]
+        delta = 1.0 / (d * mesh.kappa[rows] * mesh.inradii[rows])  # kappa*rho > 1 on sel
+        svol = delta * mesh.volumes[rows]   # |S_i| = lambda_i(x_P) |K| for every i != n
+        P = np.empty((2, d + 1, len(rows), d))        # [x_K; delta x_K]
+        np.take(mesh.points, mesh.simplices[rows].T, axis=0, out=P[0])
+        np.multiply(P[0], delta[:, None], out=P[1])
         x = AB @ P.reshape(2 * (d + 1), -1)
         vals = data_values(sol.data.f, x.reshape(-1, d), "f")
-        terms = vals.reshape(d + 1, d, rule.n_points, hi - lo) * hat[..., None]
+        terms = vals.reshape(d + 1, d, rule.n_points, len(rows)) * hat[..., None]
         terms *= rule.weights[:, None]
-        ft[:, :, lo:hi] = terms.sum(axis=2) * scale[lo:hi]   # node by node, in order
+        # int f theta* on S_i(n), the i != n in order, node by node
+        ft = terms.sum(axis=2) * (svol * math.factorial(d))
 
-    uloc = sol.u[mesh.simplices[sel]]
-    k2 = mesh.kappa[sel] ** 2
-    out = np.zeros((len(sel), d + 1))
-    others = facet_vertices(d)
-    for n in range(d + 1):
-        coeff = np.full((len(sel), d + 1), delta[:, None])
-        coeff[:, n] = 1.0 - d * delta
-        u_p = np.einsum("kj,kj->k", coeff, uloc)
-        for f_i, i in zip(ft[n], [i for i in range(d + 1) if i != n]):
-            su = np.concatenate([uloc[:, others[i]], u_p[:, None]], axis=1)
-            mass = k2 * _mass_times(su, svol[:, None], d)[:, n - (n > i)]   # n's slot
-            out[:, n] += f_i - mass
+        uloc = sol.u[mesh.simplices[rows]]
+        k2 = mesh.kappa[rows] ** 2
+        block = out[lo:lo + size]
+        for n in range(d + 1):
+            coeff = np.full((len(rows), d + 1), delta[:, None])
+            coeff[:, n] = 1.0 - d * delta
+            u_p = np.einsum("kj,kj->k", coeff, uloc)
+            for f_i, i in zip(ft[n], [i for i in range(d + 1) if i != n]):
+                su = np.concatenate([uloc[:, others[i]], u_p[:, None]], axis=1)
+                mass = k2 * _mass_times(su, svol[:, None], d)[:, n - (n > i)]   # n's slot
+                block[:, n] += f_i - mass
     return out
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .equilibration import equilibrate
 from .errors import ConformityAuditFailed, NegativeDifference, UnsolvableProblem
-from .fem import FemSolution, ProblemData, project_element_bulk
+from .fem import FemSolution, ProblemData, element_blocks, project_element_bulk
 from .geometry import Mesh
 from .quadrature import integrate_simplices
 from . import reconstruction as rec
@@ -138,6 +138,17 @@ def _total(eta_k, osc_f, osc_gn) -> float:
     return float(np.sqrt(((eta_k + osc_f + osc_gn) ** 2).sum()))
 
 
+def _selections(strategy: str, over, pos, eta1_sq, eta2_sq) -> dict:
+    """The variant (1 or 2, int8) of each element in each selection ``strategy``
+    reports, by name: 'tau', then 'taustar'."""
+    out = {}
+    if strategy in ("tau", "both"):
+        out["tau"] = np.where(over, 2, 1).astype(np.int8)
+    if strategy in ("taustar", "both"):
+        out["taustar"] = np.where(pos & (eta2_sq < eta1_sq), 2, 1).astype(np.int8)
+    return out
+
+
 def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
              strategy: str = "both", *, check_conformity: bool = False,
              patch_report_path: str | None = None) -> ErrorReport:
@@ -148,36 +159,63 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
     'tau', 'taustar' or 'both'. ``check_conformity`` audits the normal traces of
     the reported selections; a mismatch above AUDIT_TOL raises ConformityAuditFailed.
     A reported total that is not finite (data that overflow) raises UnsolvableProblem.
+
+    After the patch solves every stage is element-local, so the reconstruction
+    runs ELEMENT_CHUNK elements at a time (``fem.element_blocks``) and only
+    per-element results are mesh-sized: the facet residuals R and the values
+    of r = Pi_K f - kappa^2 u_h, which the layer stages read by selection, the
+    indicators, and the traces of the conformity audit, whose facets join
+    elements of different blocks. The audits take the worst value over the
+    blocks, so they report and fail as on the whole mesh at once.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if mesh is not sol.mesh or data != sol.data:
         raise ValueError("estimate needs the mesh and data that sol was solved with")
     fluxes = equilibrate(mesh, sol, patch_report_path=patch_report_path)
-    R = rec.facet_residuals(mesh, fluxes, sol.grad)
-    pf_vals = project_element_bulk(mesh, sol.f_loads)
-    u_loc = sol.u[mesh.simplices]
-    r_vals = pf_vals - mesh.kappa[:, None] ** 2 * u_loc
-
-    v1 = rec.variant1_bulk(mesh, R, r_vals)
-    eta1_first, resid_const = rec.eta1_terms(mesh, v1)
-    audit_worst = rec.divergence_audit(mesh, resid_const, pf_vals, u_loc)
-    pos = mesh.kappa > 0
-    second = np.zeros(mesh.n_elements)
-    over = mesh.layer
-    second[over] = (mesh.volumes[over] * resid_const[over] ** 2
-                    / mesh.kappa[over] ** 2)
-    eta1_sq = eta1_first + second   # divergence term only counted where kappa*rho > 1
-
+    d, ne = mesh.dim, mesh.n_elements
+    R, r_vals = np.empty((ne, d + 1, d)), np.empty((ne, d + 1))
+    eta1_sq, eta2_sq = np.empty(ne), np.full(ne, np.inf)
+    pos, over = mesh.kappa > 0, mesh.layer
     need2 = over if strategy == "tau" else pos
-    sel = np.flatnonzero(need2)
-    eta2_sq = np.full(mesh.n_elements, np.inf)
-    if len(sel):
-        first2, second2 = rec.eta2_terms(mesh, R, r_vals, sel)
-        eta2_sq[sel] = first2 + second2 / mesh.kappa[sel] ** 2
+    traces = []     # mesh-sized traces of the conformity audit, one per reported selection
+
+    def block(blk):
+        """Fill the rows ``blk`` and return their worst divergence residual; in a
+        function, so that one block's arrays are alive at a time."""
+        R[blk] = rec.facet_residuals(mesh, fluxes, sol.grad, blk)
+        pf_vals = project_element_bulk(mesh, sol.f_loads, blk)
+        u_loc = sol.u[mesh.simplices[blk]]
+        r_vals[blk] = pf_vals - mesh.kappa[blk, None] ** 2 * u_loc
+        sel = blk.start + np.flatnonzero(need2[blk])
+        if len(sel):
+            first2, second2 = rec.eta2_terms(mesh, R, r_vals, sel)
+            eta2_sq[sel] = first2 + second2 / mesh.kappa[sel] ** 2
+
+        v1 = rec.variant1_bulk(mesh, R, r_vals, blk)
+        eta1_first, resid_const = rec.eta1_terms(mesh, v1)
+        second = np.zeros(len(resid_const))
+        layer = over[blk]
+        kappa = mesh.kappa[blk][layer]
+        second[layer] = mesh.volumes[blk][layer] * resid_const[layer] ** 2 / kappa ** 2
+        eta1_sq[blk] = eta1_first + second   # divergence term only counted where kappa*rho > 1
+        if check_conformity:   # every reported selection, each field evaluated once
+            picks = _selections(strategy, over[blk], pos[blk], eta1_sq[blk], eta2_sq[blk])
+            values = rec.facet_trace_values(mesh, sol.grad, v1, R, np.stack(list(picks.values())))
+            if not traces:
+                traces.extend(np.empty((ne,) + t.shape[1:]) for t in values)
+            for trace, t in zip(traces, values):
+                trace[blk] = t
+        return rec.divergence_residual(mesh, resid_const, pf_vals, u_loc, blk)
+
+    audit_worst = 0.0
+    for blk in element_blocks(ne):
+        # np.maximum keeps a NaN, which the builtin max may drop
+        audit_worst = float(np.maximum(audit_worst, block(blk)))
+    rec.check_divergence(audit_worst)
 
     osc_f = oscillation_f(mesh, sol)
-    osc_gn = np.zeros(mesh.n_elements)
+    osc_gn = np.zeros(ne)
     if sol.data.g_N is not None:   # homogeneous Neumann data oscillate nowhere
         neu = mesh.neumann
         np.add.at(osc_gn, mesh.facet_elems[neu, 0], oscillation_gN(mesh, sol)[neu])
@@ -191,24 +229,15 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
                 "equilibration_residual": fluxes.eps_max_rel},
     )
 
-    variant_tau = np.where(over, 2, 1).astype(np.int8)
-    if strategy in ("tau", "both"):
-        eta_k = np.sqrt(np.where(over, eta2_sq, eta1_sq))
-        report.eta_k_tau = eta_k
-        report.variant_tau = variant_tau
-        report.eta_tau = _total(eta_k, osc_f, osc_gn)
-    if strategy in ("taustar", "both"):
-        pick2 = pos & (eta2_sq < eta1_sq)
-        eta_k = np.sqrt(np.where(pick2, eta2_sq, eta1_sq))
-        report.eta_k_taustar = eta_k
-        report.variant_taustar = np.where(pick2, 2, 1).astype(np.int8)
-        report.eta_taustar = _total(eta_k, osc_f, osc_gn)
+    for name, variant in _selections(strategy, over, pos, eta1_sq, eta2_sq).items():
+        eta_k = np.sqrt(np.where(variant == 2, eta2_sq, eta1_sq))
+        setattr(report, f"variant_{name}", variant)
+        setattr(report, f"eta_k_{name}", eta_k)
+        setattr(report, f"eta_{name}", _total(eta_k, osc_f, osc_gn))
     if not all(math.isfinite(t) for t in (report.eta_tau, report.eta_taustar) if t is not None):
         raise UnsolvableProblem("the error bound is not finite: the data overflow in floating point")
 
-    if check_conformity:   # every reported selection, each field evaluated once
-        picks = [v for v in (report.variant_tau, report.variant_taustar) if v is not None]
-        traces = rec.facet_trace_values(mesh, sol.grad, v1, R, np.stack(picks))
+    if check_conformity:
         scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
         # np.max keeps a NaN, which the builtin max may drop
         worst = float(np.max([rec.trace_mismatch(mesh, t, scale) for t in traces]))

@@ -30,6 +30,8 @@ SOLVE_TOL = 1e-12         # relative residual target of the linear solve
 ENTRY_TOL = 1e-11         # per-entry residual target, relative to |b| + |A| |x| in its row
 OSC_DEGREE = 8            # quadrature degree of ||data - projection||^2
 DATA_CHUNK = 2 ** 16      # (node, simplex) pairs of the data pass evaluated at a time
+ELEMENT_CHUNK = 2 ** 13   # elements of a row-independent stage processed at a time
+KAPPA_MAX = math.sqrt(np.finfo(float).max)   # kappa^2 overflows above this
 
 
 @dataclass(frozen=True)
@@ -60,12 +62,22 @@ def data_values(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
     return vals
 
 
-def element_stiffness_mass(mesh: Mesh):
-    """Per-element stiffness |K| G G^T and unit mass |K| (1 + I) / ((d+1)(d+2))."""
+def element_blocks(n: int) -> list:
+    """Slices of at most ELEMENT_CHUNK consecutive rows that cover range(n).
+
+    The row-independent stages run block by block, so that only their
+    per-element outputs are mesh-sized.
+    """
+    return [slice(lo, min(lo + ELEMENT_CHUNK, n)) for lo in range(0, n, ELEMENT_CHUNK)]
+
+
+def element_stiffness_mass(mesh: Mesh, elems=slice(None)):
+    """Stiffness |K| G G^T and unit mass |K| (1 + I) / ((d+1)(d+2)) of the elements ``elems``."""
     d = mesh.dim
-    g = mesh.bary_grads
-    stiff = np.einsum("eid,ejd->eij", g, g) * mesh.volumes[:, None, None]
-    return stiff, _mass_times(np.eye(d + 1), mesh.volumes[:, None, None], d)
+    g = mesh.bary_grads[elems]
+    volumes = mesh.volumes[elems, None, None]
+    stiff = np.einsum("eid,ejd->eij", g, g) * volumes
+    return stiff, _mass_times(np.eye(d + 1), volumes, d)
 
 
 @lru_cache(maxsize=None)
@@ -175,33 +187,52 @@ class LinearSystem:
 
 
 def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
-    """Assemble the P1 Galerkin system; raises UnsolvableProblem when it cannot be SPD."""
+    """Assemble the P1 Galerkin system; raises UnsolvableProblem when it cannot be SPD
+    or when kappa^2 overflows.
+
+    The element matrices are computed ELEMENT_CHUNK elements at a time, straight
+    into one COO triplet whose entries keep the order of the element matrices,
+    so A does not depend on the block size.
+    """
     dir_vertices = mesh.dirichlet_vertices
     if np.all(mesh.kappa == 0) and len(dir_vertices) == 0:
         raise UnsolvableProblem(
             "kappa vanishes everywhere and there is no Dirichlet boundary")
+    kappa_max = float(mesh.kappa.max(initial=0.0))
+    if not kappa_max <= KAPPA_MAX:
+        raise UnsolvableProblem(f"kappa^2 overflows: kappa reaches {kappa_max:.3e}")
     # the data pass first, while no element matrix holds memory
     loads, f_osc_sq = element_data(mesh, data.f, data.data_degree)
     gl, gn_osc_sq = neumann_data(mesh, data.g_N, data.data_degree)
-    n_pts = mesh.n_points
-    vertex_to_dof = np.full(n_pts, -1, dtype=np.int64)
+    d = mesh.dim
     # the unknowns are the non-Dirichlet vertices of some element; a point of no
     # element keeps u = 0
-    free = np.setdiff1d(np.unique(mesh.simplices), dir_vertices)
-    vertex_to_dof[free] = np.arange(len(free))
-
-    stiff, mass = element_stiffness_mass(mesh)
-    local = stiff + mesh.kappa[:, None, None] ** 2 * mass
-    dofs = vertex_to_dof[mesh.simplices]        # (ne, d+1)
-    rows = np.repeat(dofs, mesh.dim + 1, axis=1).ravel()
-    cols = np.tile(dofs, (1, mesh.dim + 1)).ravel()
-    vals = local.ravel()
-    keep = (rows >= 0) & (cols >= 0)
+    used = np.zeros(mesh.n_points, dtype=bool)
+    used[mesh.simplices] = True
+    used[dir_vertices] = False
+    free = np.flatnonzero(used)
     n = len(free)
-    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    vertex_to_dof = np.full(mesh.n_points, -1, dtype=np.int64)
+    vertex_to_dof[free] = np.arange(n)
 
+    size = mesh.n_elements * (d + 1) ** 2      # an upper bound on the kept entries
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    vals, rows, cols = np.empty(size), np.empty(size, index), np.empty(size, index)
     b = np.zeros(n)
-    np.add.at(b, dofs.ravel()[dofs.ravel() >= 0], loads.ravel()[dofs.ravel() >= 0])
+    nnz = 0
+    for blk in element_blocks(mesh.n_elements):
+        local, mass = element_stiffness_mass(mesh, blk)
+        local += mesh.kappa[blk, None, None] ** 2 * mass
+        dofs = vertex_to_dof[mesh.simplices[blk]]           # (nb, d+1)
+        keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
+        end = nnz + np.count_nonzero(keep)
+        vals[nnz:end] = local[keep]
+        rows[nnz:end] = np.broadcast_to(dofs[:, :, None], keep.shape)[keep]
+        cols[nnz:end] = np.broadcast_to(dofs[:, None, :], keep.shape)[keep]
+        nnz = end
+        on = dofs >= 0
+        np.add.at(b, dofs[on], loads[blk][on])
+    A = sp.coo_matrix((vals[:nnz], (rows[:nnz], cols[:nnz])), shape=(n, n)).tocsr()
     fdofs = vertex_to_dof[mesh.facets[mesh.neumann]].ravel()
     np.add.at(b, fdofs[fdofs >= 0], gl.ravel()[fdofs >= 0])
     return LinearSystem(A=A, b=b, free=free, vertex_to_dof=vertex_to_dof,
@@ -372,6 +403,7 @@ def _mass_inverse_times(values: np.ndarray, measure, k: int):
     return scale * (values - values.sum(axis=-1, keepdims=True) / (k + 2))
 
 
-def project_element_bulk(mesh: Mesh, loads: np.ndarray) -> np.ndarray:
-    """(ne, d+1) vertex values of Pi_K f from the hat loads of f, ``FemSolution.f_loads``."""
-    return _mass_inverse_times(loads, mesh.volumes[:, None], mesh.dim)
+def project_element_bulk(mesh: Mesh, loads: np.ndarray, elems=slice(None)) -> np.ndarray:
+    """Vertex values of Pi_K f on the elements ``elems``, (len(elems), d+1), from the
+    (ne, d+1) hat loads of f, ``FemSolution.f_loads``."""
+    return _mass_inverse_times(loads[elems], mesh.volumes[elems, None], mesh.dim)

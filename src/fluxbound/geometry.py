@@ -224,9 +224,10 @@ class Mesh:
     def dirichlet_vertices(self) -> np.ndarray:
         return np.unique(self.facets[self.facet_tag == DIRICHLET])
 
-    def outward_normals(self) -> np.ndarray:
-        """(ne, d+1, d) unit outward normal of the facet opposite each local vertex."""
-        g = self.bary_grads
+    def outward_normals(self, elems=slice(None)) -> np.ndarray:
+        """(len(elems), d+1, d) unit outward normal of the facet opposite each local
+        vertex of the elements ``elems`` (all by default)."""
+        g = self.bary_grads[elems]
         return -g / np.linalg.norm(g, axis=2, keepdims=True)
 
 

@@ -53,14 +53,15 @@ TRACE_DEGREE = 4        # facet rule of the normal-trace audit
 AUDIT_TOL = 1e-9
 
 
-def facet_residuals(mesh: Mesh, fluxes: BoundaryFluxSet, grad: np.ndarray) -> np.ndarray:
-    """R[e, i, m]: value of g_K - grad u_h . n_K on facet i of element e.
+def facet_residuals(mesh: Mesh, fluxes: BoundaryFluxSet, grad: np.ndarray,
+                    elems=slice(None)) -> np.ndarray:
+    """R[e, i, m]: value of g_K - grad u_h . n_K on facet i of element e, for the
+    elements ``elems`` (all by default; rows in their order).
 
     Values follow the canonical facet vertex order (slot m).
     """
-    g_all = mesh.elem_sigma[:, :, None] * fluxes.gplus[mesh.elem_facets]
-    normals = mesh.outward_normals()
-    gn = np.einsum("ed,eid->ei", grad, normals)
+    g_all = mesh.elem_sigma[elems, :, None] * fluxes.gplus[mesh.elem_facets[elems]]
+    gn = np.einsum("ed,eid->ei", grad[elems], mesh.outward_normals(elems))
     return g_all - gn[:, :, None]
 
 
@@ -76,39 +77,63 @@ def _dot(u, v):
     return out
 
 
+def _times(A: np.ndarray, X) -> np.ndarray:
+    """A @ X for a small constant matrix A (m, k) and the k rows X[j] of equal shape.
+
+    Every entry sums A[r, j] X[j] over j in order, whatever the shape of the
+    rows: BLAS rounds a column by its position in the product, so through it
+    an element's value would depend on the block it is computed in. Column j
+    updates the rows from its first to its last nonzero entry, so zeros of A
+    outside that span cost nothing (a triangular A takes half the work).
+    """
+    out = np.zeros((len(A),) + np.shape(X[0]))
+    for j in range(A.shape[1]):
+        rows = np.flatnonzero(A[:, j])
+        if len(rows):
+            span = slice(rows[0], rows[-1] + 1)
+            out[span] += A[span, j, None] * X[j]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # variant 1
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Variant1Bulk:
-    """Per-element data of the polynomial reconstruction."""
+    """Per-element data of the polynomial reconstruction on the elements ``elems``."""
 
-    c: np.ndarray        # (ne, d+1, d) coefficients of tau_L = -sum lambda_n c_n
-    div_l: np.ndarray    # (ne,) constant divergence of tau_L
-    grad_r: np.ndarray   # (ne, d) gradient of r = Pi_K f - kappa^2 u_h
-    r_bar: np.ndarray    # (ne,) centroid value of r
+    c: np.ndarray        # (k, d+1, d) coefficients of tau_L = -sum lambda_n c_n
+    div_l: np.ndarray    # (k,) constant divergence of tau_L
+    grad_r: np.ndarray   # (k, d) gradient of r = Pi_K f - kappa^2 u_h
+    r_bar: np.ndarray    # (k,) centroid value of r
+    elems: object        # the elements of the rows: a slice or ids
 
 
-def _variant1_coeffs(pts, g, rv, r_vals) -> Variant1Bulk:
+def _variant1_coeffs(pts, g, rv, r_vals, elems=slice(None)) -> Variant1Bulk:
     # rv[e, m, n]: residual of facet m at local vertex n, zero on the diagonal
     w = rv * np.linalg.norm(g, axis=2)[:, :, None]      # weight of edge (n -> m)
     c = np.matmul(w.transpose(0, 2, 1), pts) - w.sum(axis=1)[:, :, None] * pts
     div_l = -np.einsum("end,end->e", g, c)
     grad_r = np.einsum("end,en->ed", g, r_vals)
-    return Variant1Bulk(c=c, div_l=div_l, grad_r=grad_r, r_bar=r_vals.mean(axis=1))
+    return Variant1Bulk(c=c, div_l=div_l, grad_r=grad_r, r_bar=r_vals.mean(axis=1),
+                        elems=elems)
 
 
-def variant1_bulk(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray) -> Variant1Bulk:
+def variant1_bulk(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray,
+                  elems=slice(None)) -> Variant1Bulk:
+    """The variant-1 data of the elements ``elems`` (all by default) from the (ne, d+1, d)
+    facet residuals R and the (ne, d+1) vertex values of r."""
     # c_n = sum_m w_mn (x_m - x_n) does not depend on the origin; vertices
     # centred on their element's mean keep its digits far from the origin
-    pts = mesh.points[mesh.simplices]
+    pts = mesh.points[mesh.simplices[elems]]
     pts -= pts.mean(axis=1, keepdims=True)
-    return _variant1_coeffs(pts, mesh.bary_grads, _to_local_vertices(R), r_vals)
+    return _variant1_coeffs(pts, mesh.bary_grads[elems], _to_local_vertices(R[elems]),
+                            r_vals[elems], elems)
 
 
 def _variant1_coefficients(mesh: Mesh, v1: Variant1Bulk, sel):
-    """The P2 coefficients of tau_L + tau_Q on the elements ``sel``, one component at a time.
+    """The P2 coefficients of tau_L + tau_Q on the rows ``sel`` of v1, one component at a time.
 
     Yields per component c the (nb, k) stack in the basis of ``p2_basis``: -c_n[c]
     for each vertex n, then t[c] (t.grad_r) / (d+1) for each pair a < b, with
@@ -116,7 +141,7 @@ def _variant1_coefficients(mesh: Mesh, v1: Variant1Bulk, sel):
     """
     d = mesh.dim
     a, b = quadratic_pairs(d)
-    P = mesh.points.T[:, mesh.simplices[sel].T]         # (d, d+1, k)
+    P = mesh.points.T[:, mesh.simplices[v1.elems][sel].T]     # (d, d+1, k)
     grad_r = v1.grad_r[sel].T
     t, tg = np.empty((d, len(a), P.shape[2])), np.empty((len(a), P.shape[2]))
     for p, (n, m) in enumerate(zip(a, b)):     # pair by pair: small temporaries
@@ -137,13 +162,15 @@ def eta1_terms(mesh: Mesh, v1: Variant1Bulk):
     every simplex (``quadratic_gram_factor``), exact and non-negative:
 
         ||tau_L + tau_Q||_K^2 = |K| sum_c v_c^T G v_c = |K| sum_c |L^T v_c|^2.
+
+    Rows as in v1.
     """
     LT = quadratic_gram_factor(mesh.dim).T
     first = 0.0
     for coeffs in _variant1_coefficients(mesh, v1, slice(None)):
-        w = LT @ coeffs
+        w = _times(LT, coeffs)
         first = first + _dot(w, w)
-    return mesh.volumes * first, v1.div_l + v1.r_bar
+    return mesh.volumes[v1.elems] * first, v1.div_l + v1.r_bar
 
 
 def divergence_audit(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
@@ -154,12 +181,25 @@ def divergence_audit(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
     equilibrated fluxes integrate the data residual exactly against constants.
     Returns the worst scaled residual norm.
     """
+    return check_divergence(divergence_residual(mesh, resid_const, pf_vals, u_vals))
+
+
+def divergence_residual(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
+                        u_vals: np.ndarray, elems=slice(None)) -> float:
+    """The worst scaled divergence residual over the elements ``elems`` (all by
+    default; the arrays hold their rows) with kappa*rho <= 1, 0.0 when there are
+    none. A maximum, so the worst of the blocks is the worst of the mesh."""
     d = mesh.dim
-    scale = (np.sqrt(_mass_norm_sq(pf_vals, mesh.volumes, d))
-             + mesh.kappa ** 2 * np.sqrt(_mass_norm_sq(u_vals, mesh.volumes, d)) + 1.0)
-    norm = np.sqrt(mesh.volumes) * np.abs(resid_const)
-    sel = ~mesh.layer
-    worst = float((norm[sel] / scale[sel]).max()) if np.any(sel) else 0.0
+    volumes, kappa = mesh.volumes[elems], mesh.kappa[elems]
+    scale = (np.sqrt(_mass_norm_sq(pf_vals, volumes, d))
+             + kappa ** 2 * np.sqrt(_mass_norm_sq(u_vals, volumes, d)) + 1.0)
+    norm = np.sqrt(volumes) * np.abs(resid_const)
+    sel = ~mesh.layer[elems]
+    return float((norm[sel] / scale[sel]).max()) if np.any(sel) else 0.0
+
+
+def check_divergence(worst: float) -> float:
+    """``worst`` when it is within AUDIT_TOL, else DivergenceAuditFailed."""
     if not worst <= AUDIT_TOL:     # a NaN fails too
         raise DivergenceAuditFailed(
             f"divergence residual {worst:.3e} (scaled) exceeds {AUDIT_TOL:g} "
@@ -180,12 +220,14 @@ def _component_first(mesh: Mesh, sel: np.ndarray):
     vertices are taken relative to vertex 0 first, so the frame does not
     depend on where the mesh sits.
     """
-    P = np.take(mesh.points.T, mesh.simplices[sel].T, axis=1)
+    # gathered first and then transposed: np.take along an axis of the transposed
+    # mesh arrays would copy them whole on every call
+    P = np.ascontiguousarray(mesh.points[mesh.simplices[sel].T].transpose(2, 0, 1))
     P -= P[:, :1].copy()
     meas = mesh.facet_measures[mesh.elem_facets[sel]]
     w = meas / meas.sum(axis=1, keepdims=True)
-    P -= np.einsum("dnk,kn->dk", P, w)[:, None]      # the apex
-    G = np.take(mesh.bary_grads.T, sel, axis=2)
+    P -= _dot(P.transpose(1, 0, 2), w.T)[:, None]      # the apex
+    G = np.ascontiguousarray(mesh.bary_grads[sel].T)
     return P.T, G.T, w
 
 
@@ -351,8 +393,8 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
             np.multiply(Dv[j], Dv[l], out=row)
         c0, c1 = m0 * A0 * A0, 2.0 * m1 * A0
         flux = 0.0
-        for (j, l), c2, c3, c4 in zip(pairs, C2, C3, C4):
-            flux = flux + _dot(W[j], W[l]) * (m2 * (c4 @ DD) + c1 * (c3 @ Dv) + c2 * c0)
+        for (j, l), c2, c3, c4 in zip(pairs, C2, _times(C3, Dv), _times(C4, DD)):
+            flux = flux + _dot(W[j], W[l]) * (m2 * c4 + c1 * c3 + c2 * c0)
         upper = 0.0
         for t, wt, alpha, c_rt in div_nodes:
             beta = c_rt * A0 + r_apex
@@ -375,43 +417,52 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
 
 def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
                        R: np.ndarray, variant: np.ndarray) -> list:
-    """Normal trace of the assembled flux on every (element, facet) pair.
+    """Normal trace of the assembled flux on every (element, facet) pair of the
+    elements of v1 (``v1.elems``).
 
-    ``variant`` (s, ne) stacks s selections of the reconstruction of each
-    element (1 or 2). Returns a list of s traces of shape (ne, d+1, nq): the
-    flux at the canonical facet quadrature points dotted with the element's
-    outward normal. The points are defined on the facet, so they coincide for
-    the two sharing elements. Each field is read once, on the elements where
-    some selection uses it, and in closed form from the data its indicator
-    reads: variant 1 as the P2 basis at the nodes of facet i (lambda_i = 0)
-    times the coefficients ``eta1_terms`` reads; variant 2 from the facet data
-    (F, a, b) of ``_facet_setup`` that ``eta2_terms`` reads. On facet i the
-    cutoff factor is 1, so tau_O = s x with s = (a.x + b) / rho, and with
-    x = sum_j mu_j F_j both s and x.n are affine in the facet barycentrics mu:
-    the trace is grad u_h.n + (mu.S)(mu.X), S_j = (a.F_j + b) / rho and
-    X_j = F_j.n at the facet vertices j.
+    ``variant`` (s, k) stacks s selections of the reconstruction of each of
+    those elements (1 or 2); ``grad`` and ``R`` are mesh-sized. Returns a list
+    of s traces of shape (k, d+1, nq): the flux at the canonical facet
+    quadrature points dotted with the element's outward normal. The points are
+    defined on the facet, so they coincide for the two sharing elements. Each
+    field is read once, on the elements where some selection uses it, and in
+    closed form from the data its indicator reads: variant 1 as the P2 basis
+    at the nodes of facet i (lambda_i = 0) times the coefficients
+    ``eta1_terms`` reads; variant 2 from the facet data (F, a, b) of
+    ``_facet_setup`` that ``eta2_terms`` reads. On facet i the cutoff factor
+    is 1, so tau_O = s x with s = (a.x + b) / rho, and with x = sum_j mu_j F_j
+    both s and x.n are affine in the facet barycentrics mu: the trace is
+    grad u_h.n + (mu.S)(mu.X), S_j = (a.F_j + b) / rho and X_j = F_j.n at the
+    facet vertices j.
     """
     d = mesh.dim
     rule = rule_for(d - 1, TRACE_DEGREE)
-    normals = mesh.outward_normals()
+    ids = v1.elems
+    if isinstance(ids, slice):
+        ids = np.arange(*ids.indices(mesh.n_elements))
     i1 = np.flatnonzero((variant != 2).any(axis=0))
     i2 = np.flatnonzero((variant == 2).any(axis=0))
-    pts2, g2, _ = _component_first(mesh, i2)
-    grad2, rho = grad[i2].T, mesh.inradii[i2]
-    t1 = np.repeat(np.einsum("ed,eid->ei", grad[i1], normals[i1])[:, :, None], rule.n_points, 2)
+    e1, e2 = ids[i1], ids[i2]
+    normals1, normals2 = mesh.outward_normals(e1), mesh.outward_normals(e2)
+    pts2, g2, _ = _component_first(mesh, e2)
+    grad2, rho = grad[e2].T, mesh.inradii[e2]
+    t1 = np.repeat(np.einsum("ed,eid->ei", grad[e1], normals1)[:, :, None], rule.n_points, 2)
     t2 = np.empty((len(i2), d + 1, rule.n_points))
-    phi = [p2_basis(np.insert(rule.points, i, 0.0, axis=1)) for i in range(d + 1)]
+    # the coefficients of the normal component on each facet, then the basis at its nodes
+    normal = np.zeros((d + 1, len(quadratic_pairs(d)[0]) + d + 1, len(i1)))
     for c, coeffs in enumerate(_variant1_coefficients(mesh, v1, i1)):
         for i in range(d + 1):
-            t1[:, i] += (phi[i] @ coeffs).T * normals[i1, i, c, None]
+            normal[i] += coeffs * normals1[:, i, c]
     for i in range(d + 1):
-        F, a, b, _ = _facet_setup(pts2, g2, R[i2, i], i)
+        t1[:, i] += _times(p2_basis(np.insert(rule.points, i, 0.0, axis=1)), normal[i]).T
+    for i in range(d + 1):
+        F, a, b, _ = _facet_setup(pts2, g2, R[e2, i], i)
         F, a = F.T, a.T             # (d, d, k) and (d, k), contiguous rows
-        n2 = normals[i2, i].T
+        n2 = normals2[:, i].T
         S = np.array([(_dot(a, F[:, j]) + b) / rho for j in range(d)])
         X = np.array([_dot(F[:, j], n2) for j in range(d)])
-        t2[:, i] = ((rule.points @ S) * (rule.points @ X)).T + _dot(grad2, n2)[:, None]
-    traces = [np.empty((mesh.n_elements, d + 1, rule.n_points)) for _ in variant]
+        t2[:, i] = (_times(rule.points, S) * _times(rule.points, X)).T + _dot(grad2, n2)[:, None]
+    traces = [np.empty((len(ids), d + 1, rule.n_points)) for _ in variant]
     for trace, p in zip(traces, variant):
         trace[i1] = t1
         trace[i2[p[i2] == 2]] = t2[p[i2] == 2]

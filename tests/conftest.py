@@ -143,6 +143,25 @@ def delaunay_mesh(d, n):
                       lambda c: np.abs(c[:, 0]) == 1.0)
 
 
+def zoned_mesh(dim, m):
+    """The cube mesh of ``build_cube_mesh(m, dim, .)`` in three kappa zones along x1,
+    0 below -0.5, 2 up to 0.5 and 10 above, so that the elements are
+    constrained with kappa = 0, constrained with kappa > 0 and layer elements
+    (at M = 4 in 2D or M = 2 in 3D), where the tau and taustar selections differ;
+    Dirichlet on x1 = +-1 and Neumann elsewhere, and one more point, (3, ..., 3),
+    that no element uses."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KappaJumpWarning)   # the jumps are the test case
+        base = build_cube_mesh(m, dim, lambda c: np.select(
+            [c[:, 0] < -0.5, c[:, 0] < 0.5], [0.0, 2.0], 10.0))
+        return build_mesh(np.vstack([base.points, np.full(dim, 3.0)]), base.simplices,
+                          base.kappa, lambda c: np.abs(np.abs(c[:, 0]) - 1.0) < 1e-12)
+
+
+ZONED_DATA = ProblemData(f=lambda x: np.exp(x[:, 0]) * np.cos(2.0 * x[:, -1]),
+                         g_N=lambda x: np.sin(x[:, 1]) + x[:, 0], data_degree=4)
+
+
 DELAUNAY_DATA = ProblemData(f=lambda x: 1.0 + x[:, 0] ** 2,
                             g_N=lambda x: np.sin(x[:, 1]), data_degree=2)
 

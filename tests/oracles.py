@@ -7,6 +7,9 @@
   ``vertex_facets`` (the facets containing one vertex) and ``facet_slots`` /
   ``to_local_vertices`` (facet-vertex data by element vertex, found by search);
 * projections and norms: ``project_facet``, ``energy_norm``, ``energy_norm_fe``;
+* assembly: ``assemble_one_shot``, the Galerkin matrix and load vector from
+  mesh-sized element matrices in one COO triplet, the route the element
+  blocks of ``fem.assemble`` replaced;
 * equilibration: the collapsed extension ``extension``/``ExtensionFunction``,
   its volume terms sub-simplex by sub-simplex
   ``extension_volume_terms_subsimplex``, the patch sign matrices by dense
@@ -38,12 +41,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from fluxbound.equilibration import CONSTRAINT_TOL, RANK_TOL
 from fluxbound.errors import InfeasibleConstraints, InvalidVariant
 from fluxbound.equilibration import EXTENSION_DEGREE
 from fluxbound.estimator import trace_constants
-from fluxbound.fem import OSC_DEGREE, _mass_inverse_times, _mass_norm_sq, _mass_times, data_values
+from fluxbound.fem import (OSC_DEGREE, _mass_inverse_times, _mass_norm_sq, _mass_times,
+                           data_values, element_data, neumann_data)
 from fluxbound.geometry import (NEUMANN, facet_vertices, simplex_geometry, simplex_gradients,
                                 simplex_measure)
 from fluxbound.quadrature import integrate_simplices, rule_for, simplex_moment
@@ -190,6 +195,37 @@ def energy_norm_fe(sol) -> float:
     grad_part = (sol.grad ** 2).sum(axis=1) * mesh.volumes
     mass_part = mesh.kappa ** 2 * _mass_norm_sq(uloc, mesh.volumes, mesh.dim)
     return math.sqrt(max(float((grad_part + mass_part).sum()), 0.0))
+
+
+# ---------------------------------------------------------------------------
+# assembly
+# ---------------------------------------------------------------------------
+
+def assemble_one_shot(mesh, data):
+    """(A, b) of ``fem.assemble`` with every element matrix at once: (ne, d+1, d+1)
+    stiffness, mass and their sum, int64 COO indices of every entry and a mask
+    of the kept ones."""
+    loads = element_data(mesh, data.f, data.data_degree)[0]
+    gl = neumann_data(mesh, data.g_N, data.data_degree)[0]
+    d = mesh.dim
+    free = np.setdiff1d(np.unique(mesh.simplices), mesh.dirichlet_vertices)
+    vertex_to_dof = np.full(mesh.n_points, -1, dtype=np.int64)
+    vertex_to_dof[free] = np.arange(len(free))
+    g = mesh.bary_grads
+    stiff = np.einsum("eid,ejd->eij", g, g) * mesh.volumes[:, None, None]
+    mass = _mass_times(np.eye(d + 1), mesh.volumes[:, None, None], d)
+    local = stiff + mesh.kappa[:, None, None] ** 2 * mass
+    dofs = vertex_to_dof[mesh.simplices]
+    rows = np.repeat(dofs, d + 1, axis=1).ravel()
+    cols = np.tile(dofs, (1, d + 1)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    n = len(free)
+    A = sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    b = np.zeros(n)
+    np.add.at(b, dofs.ravel()[dofs.ravel() >= 0], loads.ravel()[dofs.ravel() >= 0])
+    fdofs = vertex_to_dof[mesh.facets[mesh.neumann]].ravel()
+    np.add.at(b, fdofs[fdofs >= 0], gl.ravel()[fdofs >= 0])
+    return A, b
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ import fluxbound.equilibration as eq
 import fluxbound.estimator as est
 import fluxbound.fem as fem
 import fluxbound.geometry as geo
-from fluxbound.errors import (ConformityAuditFailed, KappaJumpWarning, NegativeDifference,
-                              UnsolvableProblem)
+from fluxbound.errors import (ConformityAuditFailed, DivergenceAuditFailed, KappaJumpWarning,
+                              NegativeDifference, UnsolvableProblem)
 from fluxbound.quadrature import rule_for
 
 import oracles
-from conftest import (DELAUNAY_DATA, ZERO_DATA, delaunay_mesh, dense_projection_oracle,
-                      random_simplex)
+import stage_memory
+from conftest import (DELAUNAY_DATA, ZERO_DATA, ZONED_DATA, delaunay_mesh,
+                      dense_projection_oracle, random_simplex, zoned_mesh)
 from test_fem import one_element_mesh
 
 
@@ -727,10 +728,11 @@ def test_non_finite_data_raises_typed_error():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_bound_raises_typed_error():
-    # kappa^2 overflows: every audit reads 0 or NaN, and a NaN passes no audit
-    # and is no bound
-    mesh = geo.build_cube_mesh(4, 2, 1e155)
-    data = fem.ProblemData(f=lambda x: np.ones(len(x)))
+    # kappa^2 = 1e200 is finite, so the solve accepts it, but with f = kappa^2
+    # the squares of the bound overflow: every audit reads 0 or NaN, and a NaN
+    # passes no audit and is no bound
+    mesh = geo.build_cube_mesh(4, 2, 1e100)
+    data = fem.ProblemData(f=lambda x: np.full(len(x), 1e200))
     sol = fem.solve_problem(mesh, data)
     with pytest.raises(UnsolvableProblem):
         est.estimate(mesh, sol, data, "both", check_conformity=True)
@@ -808,3 +810,89 @@ def test_layer_estimate_far_from_the_origin(dim, m):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name),
                                    rtol=1e-13, atol=0.0, err_msg=name)
     assert got.audits["hdiv_mismatch"] <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# element blocks
+# ---------------------------------------------------------------------------
+
+def _blocked_run(mesh, monkeypatch, chunk, path):
+    monkeypatch.setattr(fem, "ELEMENT_CHUNK", chunk)
+    sol = fem.solve_problem(mesh, ZONED_DATA)
+    return sol, est.estimate(mesh, sol, ZONED_DATA, "both", check_conformity=True,
+                             patch_report_path=str(path))
+
+
+@pytest.mark.parametrize("dim,m", [(2, 4), (3, 2)])
+def test_the_result_does_not_depend_on_the_element_blocks(dim, m, monkeypatch, tmp_path):
+    # blocks of one element, of 7 and the whole mesh in one: every report
+    # array, total and audit, the solution and the patch report are the same
+    # bits; the zones give every selection a strict subset of each block
+    import fluxbound.reconstruction as rec
+    mesh = zoned_mesh(dim, m)
+    assert mesh.layer.any() and (mesh.kappa == 0).any() and (mesh.kappa[~mesh.layer] > 0).any()
+    runs = [_blocked_run(mesh, monkeypatch, chunk, tmp_path / f"{chunk}.csv")
+            for chunk in (mesh.n_elements, 1, 7)]
+    sol, ref = runs[0]
+    assert np.any(ref.variant_tau != ref.variant_taustar)
+    for chunk, (got_sol, rep) in zip((1, 7), runs[1:]):
+        assert np.array_equal(got_sol.u, sol.u)
+        assert rep.audits == ref.audits and set(rep.audits) == {
+            "divergence_residual", "equilibration_residual", "hdiv_mismatch"}
+        for name, want in ref.__dict__.items():
+            got = getattr(rep, name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (chunk, name)
+            else:
+                assert got == want, (chunk, name)
+        assert (tmp_path / f"{chunk}.csv").read_bytes() == \
+            (tmp_path / f"{mesh.n_elements}.csv").read_bytes()
+
+    # a shifted facet residual on a constrained element fails the divergence
+    # audit, on a layer element the conformity audit; the worst value, and so
+    # the message, is that of the whole mesh whatever the blocks
+    residuals = rec.facet_residuals
+    for e, error in ((int(np.flatnonzero(~mesh.layer)[-1]), DivergenceAuditFailed),
+                     (int(np.flatnonzero(mesh.layer)[0]), ConformityAuditFailed)):
+        def shifted(mesh, fluxes, grad, elems=slice(None), e=e):
+            R = residuals(mesh, fluxes, grad, elems).copy()
+            rows = np.arange(mesh.n_elements)[elems]
+            R[rows == e, 0] += 1e-6
+            return R
+
+        messages = set()
+        for chunk in (mesh.n_elements, 1, 7):
+            monkeypatch.setattr(fem, "ELEMENT_CHUNK", chunk)
+            monkeypatch.setattr(rec, "facet_residuals", shifted)
+            with pytest.raises(error) as info:
+                est.estimate(mesh, sol, ZONED_DATA, "both", check_conformity=True)
+            messages.add(str(info.value))
+            monkeypatch.setattr(rec, "facet_residuals", residuals)
+        assert len(messages) == 1, messages
+
+
+def test_element_blocks_bound_the_working_set(monkeypatch):
+    # the d=3 M=8 layer cube: with blocks of 128 elements the traced peak of
+    # solve_problem + estimate is at most 0.6 of the one-block peak (0.33
+    # measured). The data pass, the extension terms and the patch solves have
+    # fixed-size buffers of their own, which here would exceed every element
+    # stage; they are made small in both runs, so that the peaks compare the
+    # element stages. The conformity audit is off: its traces are mesh-sized
+    from fluxbound.benchmark import RunConfig, benchmark_data, benchmark_mesh
+    cfg = RunConfig(dim=3, m=8, kappa1=100.0, kappa2=1e6)
+    mesh, data = benchmark_mesh(cfg), benchmark_data(cfg)
+    monkeypatch.setattr(fem, "DATA_CHUNK", 2 ** 12)
+    monkeypatch.setattr(eq, "EXTENSION_CHUNK", 2 ** 12)
+    monkeypatch.setattr(eq, "PATCH_CHUNK", 2 ** 12)
+
+    def run():
+        est.estimate(mesh, fem.solve_problem(mesh, data), data, "both")
+
+    run()    # the quadrature caches
+    peaks = {}
+    for chunk in (mesh.n_elements, 128):
+        monkeypatch.setattr(fem, "ELEMENT_CHUNK", chunk)
+        peaks[chunk] = stage_memory.stage_peaks(run)
+    assert peaks[128]["total"] <= 0.6 * peaks[mesh.n_elements]["total"]
+    # the bound is the stages': with one block eta2_terms holds the peak
+    assert peaks[mesh.n_elements]["total"] == peaks[mesh.n_elements]["reconstruction.eta2_terms"]

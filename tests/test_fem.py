@@ -13,8 +13,8 @@ import fluxbound.geometry as geo
 from fluxbound.errors import KappaJumpWarning, NoConvergence, UnsolvableProblem
 
 import oracles
-from conftest import (DELAUNAY_DATA, ZERO_DATA, delaunay_mesh, dense_projection_oracle,
-                      random_simplex)
+from conftest import (DELAUNAY_DATA, ZERO_DATA, ZONED_DATA, delaunay_mesh, dense_projection_oracle,
+                      random_simplex, zoned_mesh)
 
 
 def one_element_mesh(pts, kappa, dirichlet=()):
@@ -78,6 +78,40 @@ def test_unsolvable_pure_neumann_zero_kappa(two_triangle_square):
     m0 = geo.build_mesh(mesh.points, mesh.simplices, 0.0, tags_all_n)
     with pytest.raises(UnsolvableProblem):
         fem.assemble(m0, fem.ProblemData(f=lambda x: np.ones(len(x))))
+
+
+def test_assemble_refuses_a_kappa_whose_square_overflows(monkeypatch):
+    # kappa^2 = 1e310: the solve returned after one step with residual and
+    # energy NaN; it refuses before any element matrix, and without the
+    # overflow warning
+    def no_element_matrices(*args):
+        raise AssertionError("an element matrix was built")
+
+    data = fem.ProblemData(f=lambda x: np.ones(len(x)))
+    with monkeypatch.context() as m:
+        m.setattr(fem, "element_stiffness_mass", no_element_matrices)
+        with pytest.raises(UnsolvableProblem, match="kappa"):
+            fem.solve_problem(geo.build_cube_mesh(4, 2, 1e155), data)
+    # the largest kappa whose square is finite is accepted
+    assert math.isfinite(fem.KAPPA_MAX ** 2)
+    system = fem.assemble(geo.build_cube_mesh(2, 2, fem.KAPPA_MAX), data)
+    assert np.all(np.isfinite(system.A.data))
+
+
+@pytest.mark.parametrize("dim,m", [(2, 4), (3, 2)])
+def test_blocked_assembly_matches_the_one_shot_route(dim, m, monkeypatch):
+    # the element blocks write the entries of the element matrices in the
+    # order of the one-shot COO triplet, so the CSR matrix and the load vector
+    # are the same arrays for any block size: Dirichlet and Neumann faces, a
+    # kappa jump and a point that no element uses
+    mesh = zoned_mesh(dim, m)
+    A_ref, b_ref = oracles.assemble_one_shot(mesh, ZONED_DATA)
+    for chunk in (1, 7, mesh.n_elements):
+        monkeypatch.setattr(fem, "ELEMENT_CHUNK", chunk)
+        system = fem.assemble(mesh, ZONED_DATA)
+        for got, want in ((system.A.data, A_ref.data), (system.A.indices, A_ref.indices),
+                          (system.A.indptr, A_ref.indptr), (system.b, b_ref)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), chunk
 
 
 def test_solve_identity_system(rng):
