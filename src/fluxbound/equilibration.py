@@ -288,7 +288,8 @@ def _sign_matrices(mesh: Mesh, els: np.ndarray, unknown: np.ndarray) -> np.ndarr
 
 def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, unknown, k: int, nc: int):
     """Solve the patches of `verts`, all with k elements, nc of them constrained, and
-    the (n, nu) non-Neumann facets `unknown`; returns (alpha (n, nu), objective, residual)."""
+    the (n, nu) non-Neumann facets `unknown`; returns (alpha (n, nu), objective,
+    residual, scale), as ``_solve_patches`` defines them."""
     nu = unknown.shape[1]
     pos = mesh._vertex_elem_offsets[verts][:, None] + np.arange(k)
     els, locs = mesh._vertex_elem_data[pos, 0], mesh._vertex_elem_data[pos, 1]
@@ -296,12 +297,13 @@ def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, unknown, k: int, 
     els, locs = np.take_along_axis(els, order, 1), np.take_along_axis(locs, order, 1)
 
     rhs = -resid.D[els, locs]
-    tol = CONSTRAINT_TOL * np.maximum(resid.scale[els, locs].max(axis=1), 1e-300)
+    scale = resid.scale[els, locs].max(axis=1)
+    tol = CONSTRAINT_TOL * np.maximum(scale, 1e-300)
     if nu == 0:
         res = np.abs(rhs[:, :nc]).max(axis=1, initial=0.0)
         _raise_worst(~(res <= tol), res, tol, verts,
                      "vertex {v}: constraint residual {res:.3e} with no free coefficients")
-        return np.zeros((len(verts), 0)), np.zeros(len(verts)), res
+        return np.zeros((len(verts), 0)), np.zeros(len(verts)), res, scale
 
     M = _sign_matrices(mesh, els, unknown)
     # patches with byte-identical sign matrices share one factorization
@@ -321,7 +323,7 @@ def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, unknown, k: int, 
                      "vertex {v}: equality-constraint residual {res:.3e} exceeds {tol:.3e}")
         _raise_worst(~(res <= tol), res, tol, verts,
                      "vertex {v}: constraints degraded to {res:.3e} by the objective step")
-    return alpha, (fit[:, nc:] ** 2).sum(axis=1), res
+    return alpha, (fit[:, nc:] ** 2).sum(axis=1), res, scale
 
 
 def _solve_patches(mesh: Mesh, resid: ResidualData, vertices):
@@ -329,10 +331,12 @@ def _solve_patches(mesh: Mesh, resid: ResidualData, vertices):
 
     Patches are grouped by shape (elements, unknowns, constrained elements) and
     solved in chunks of at most PATCH_CHUNK sign-matrix entries. Returns
-    ``(alphas, info)``: alphas (nf, d) holds the coefficients by facet and
-    facet vertex (zero where no patch of `vertices` sets one), and info
+    ``(alphas, info, scale)``: alphas (nf, d) holds the coefficients by facet
+    and facet vertex (zero where no patch of `vertices` sets one), info
     (len(vertices), 4) the number of constraints, the number of unknowns, the
-    objective and the constraint residual of each patch. Raises
+    objective and the constraint residual of each patch, and scale the largest
+    ``resid.scale`` of each patch, which its constraints are checked against
+    (zero for a vertex of no element). Raises
     InfeasibleConstraints when the equality constraints of a patch cannot be met.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
@@ -346,7 +350,7 @@ def _solve_patches(mesh: Mesh, resid: ResidualData, vertices):
     nc = np.bincount(mesh.simplices[~mesh.layer].ravel(),
                      minlength=mesh.n_points)[vertices]
     alphas = np.zeros((mesh.n_facets, mesh.dim))
-    info = np.zeros((len(vertices), 4))
+    info, scale = np.zeros((len(vertices), 4)), np.zeros(len(vertices))
     info[:, 0], info[:, 1] = nc, nu
 
     # one integer key per (k, nu, nc) shape; a stable sort keeps each group ascending
@@ -361,10 +365,10 @@ def _solve_patches(mesh: Mesh, resid: ResidualData, vertices):
         for lo in range(0, len(members), size):
             j = members[lo:lo + size]
             rows = vfd[free[first[j][:, None] + np.arange(nug)]]   # (n, nu, 2): facet, slot
-            a, info[j, 2], info[j, 3] = _solve_patch_chunk(mesh, resid, vertices[j],
-                                                           rows[..., 0], kg, ncg)
+            a, info[j, 2], info[j, 3], scale[j] = _solve_patch_chunk(
+                mesh, resid, vertices[j], rows[..., 0], kg, ncg)
             alphas[rows[..., 0], rows[..., 1]] = a
-    return alphas, info
+    return alphas, info, scale
 
 
 def solve_vertex_patch(mesh: Mesh, v: int, resid: ResidualData):
@@ -374,7 +378,7 @@ def solve_vertex_patch(mesh: Mesh, v: int, resid: ResidualData):
     objective, constraint residual). Raises InfeasibleConstraints when the
     equality constraints cannot be met.
     """
-    alphas, info = _solve_patches(mesh, resid, [v])
+    alphas, info, _ = _solve_patches(mesh, resid, [v])
     fids, slots = np.nonzero(mesh.facets == v)
     free = mesh.facet_tag[fids] != NEUMANN
     nc, nu, obj, res = info[0]
@@ -407,16 +411,6 @@ def equilibration_residuals(mesh: Mesh, resid: ResidualData, alphas: np.ndarray,
     return resid.D[elems] + total
 
 
-def _patch_scales(mesh: Mesh, resid: ResidualData) -> np.ndarray:
-    """(n_points,) largest ``resid.scale`` over the entries of each vertex patch,
-    the scale its patch solve is checked against (zero for a vertex of no element)."""
-    offsets, data = mesh._vertex_elem_offsets, mesh._vertex_elem_data
-    vals = np.append(resid.scale[data[:, 0], data[:, 1]], 0.0)   # scales are >= 0
-    out = np.maximum.reduceat(vals, offsets[:-1])
-    out[offsets[:-1] == offsets[1:]] = 0.0
-    return out
-
-
 def equilibrate(mesh: Mesh, sol: FemSolution, *,
                 patch_report_path: str | None = None) -> BoundaryFluxSet:
     """Solve all vertex-patch problems and assemble the boundary fluxes.
@@ -429,7 +423,7 @@ def equilibrate(mesh: Mesh, sol: FemSolution, *,
     """
     d = mesh.dim
     resid = residual_functionals(mesh, sol)
-    alphas, info = _solve_patches(mesh, resid, np.arange(mesh.n_points))
+    alphas, info, patch_scale = _solve_patches(mesh, resid, np.arange(mesh.n_points))
 
     neu = mesh.neumann
     alphas[neu] = sol.gn_loads - resid.avg[neu, None] * (mesh.facet_measures[neu] / d)[:, None]
@@ -438,8 +432,7 @@ def equilibrate(mesh: Mesh, sol: FemSolution, *,
 
     constrained = np.flatnonzero(~mesh.layer)
     eps = equilibration_residuals(mesh, resid, alphas, constrained)
-    scale = _patch_scales(mesh, resid)[mesh.simplices[constrained]]
-    rel = np.abs(eps) / np.maximum(scale, 1e-300)
+    rel = np.abs(eps) / np.maximum(patch_scale[mesh.simplices[constrained]], 1e-300)
     eps_max_rel = float(rel.max()) if rel.size else 0.0
     if not eps_max_rel <= CONSTRAINT_TOL:     # a NaN fails too
         raise InfeasibleConstraints(

@@ -15,6 +15,9 @@ The oscillation terms weight the squared norms ||f - Pi_K f||_K^2 and
 ||g_N - Pi_gamma g_N||_gamma^2 that the solve's data pass carries on
 ``FemSolution``; the estimate evaluates no data except f at the nodes of the
 collapsed extensions.
+
+The reconstruction runs block by block of elements (``estimate``), so only
+its per-element results and the conformity audit's facet sums are mesh-sized.
 """
 from __future__ import annotations
 
@@ -161,35 +164,36 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
     A reported total that is not finite (data that overflow) raises UnsolvableProblem.
 
     After the patch solves every stage is element-local, so the reconstruction
-    runs ELEMENT_CHUNK elements at a time (``fem.element_blocks``) and only
-    per-element results are mesh-sized: the facet residuals R and the values
-    of r = Pi_K f - kappa^2 u_h, which the layer stages read by selection, the
-    indicators, and the traces of the conformity audit, whose facets join
-    elements of different blocks. The audits take the worst value over the
-    blocks, so they report and fail as on the whole mesh at once.
+    runs ELEMENT_CHUNK elements at a time (``fem.element_blocks``): the facet
+    residuals R, the values of r = Pi_K f - kappa^2 u_h and the variant-1 field
+    hold one block, and only per-element results are mesh-sized: the
+    indicators, and for the conformity audit one facet-sized sum of the normal
+    traces per reported selection, since its facets join elements of different
+    blocks. The audits take the worst value over the blocks, so they report
+    and fail as on the whole mesh at once.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if mesh is not sol.mesh or data != sol.data:
         raise ValueError("estimate needs the mesh and data that sol was solved with")
     fluxes = equilibrate(mesh, sol, patch_report_path=patch_report_path)
-    d, ne = mesh.dim, mesh.n_elements
-    R, r_vals = np.empty((ne, d + 1, d)), np.empty((ne, d + 1))
+    ne = mesh.n_elements
     eta1_sq, eta2_sq = np.empty(ne), np.full(ne, np.inf)
     pos, over = mesh.kappa > 0, mesh.layer
     need2 = over if strategy == "tau" else pos
-    traces = []     # mesh-sized traces of the conformity audit, one per reported selection
+    sums = []       # facet sums of the conformity audit's traces, one per reported selection
 
     def block(blk):
         """Fill the rows ``blk`` and return their worst divergence residual; in a
         function, so that one block's arrays are alive at a time."""
-        R[blk] = rec.facet_residuals(mesh, fluxes, sol.grad, blk)
+        R = rec.facet_residuals(mesh, fluxes, sol.grad, blk)
         pf_vals = project_element_bulk(mesh, sol.f_loads, blk)
         u_loc = sol.u[mesh.simplices[blk]]
-        r_vals[blk] = pf_vals - mesh.kappa[blk, None] ** 2 * u_loc
-        sel = blk.start + np.flatnonzero(need2[blk])
-        if len(sel):
-            first2, second2 = rec.eta2_terms(mesh, R, r_vals, sel)
+        r_vals = pf_vals - mesh.kappa[blk, None] ** 2 * u_loc
+        loc = np.flatnonzero(need2[blk])
+        if len(loc):
+            sel = blk.start + loc
+            first2, second2 = rec.eta2_terms(mesh, R[loc], r_vals[loc], sel)
             eta2_sq[sel] = first2 + second2 / mesh.kappa[sel] ** 2
 
         v1 = rec.variant1_bulk(mesh, R, r_vals, blk)
@@ -201,11 +205,11 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
         eta1_sq[blk] = eta1_first + second   # divergence term only counted where kappa*rho > 1
         if check_conformity:   # every reported selection, each field evaluated once
             picks = _selections(strategy, over[blk], pos[blk], eta1_sq[blk], eta2_sq[blk])
-            values = rec.facet_trace_values(mesh, sol.grad, v1, R, np.stack(list(picks.values())))
-            if not traces:
-                traces.extend(np.empty((ne,) + t.shape[1:]) for t in values)
-            for trace, t in zip(traces, values):
-                trace[blk] = t
+            traces = rec.facet_trace_values(mesh, sol.grad, v1, R, np.stack(list(picks.values())))
+            if not sums:
+                sums.extend(np.empty((mesh.n_facets, t.shape[2])) for t in traces)
+            for facet_sums, trace in zip(sums, traces):
+                rec.add_facet_traces(mesh, facet_sums, trace, blk)
         return rec.divergence_residual(mesh, resid_const, pf_vals, u_loc, blk)
 
     audit_worst = 0.0
@@ -240,7 +244,7 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
     if check_conformity:
         scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
         # np.max keeps a NaN, which the builtin max may drop
-        worst = float(np.max([rec.trace_mismatch(mesh, t, scale) for t in traces]))
+        worst = float(np.max([rec.trace_mismatch(mesh, t, scale) for t in sums]))
         if not worst <= rec.AUDIT_TOL:     # a NaN fails too
             raise ConformityAuditFailed(
                 f"normal-trace mismatch {worst:.3e} (scaled) exceeds {rec.AUDIT_TOL:g}")

@@ -248,11 +248,13 @@ def solve(A, b, max_iter: int | None = None):
     can miss as it drifts on slivers, and |r_i| <= ENTRY_TOL (|b| + |A| |x|)_i
     in every row, which a small norm can miss on the low side of a kappa jump.
     While one is missed, PCG solves for the correction with what is left of
-    max_iter, until a correction fails to halve the worse ratio of residual to
-    target (the better iterate stays) or does not converge (the solution so
-    far stands). ``iterations`` counts the PCG steps behind x. Raises
-    NoConvergence when the first solve does not converge within max_iter
-    (default 10n), UnsolvableProblem when the SPD precheck fails.
+    max_iter, and only as deep as the iterate misses: until ||r|| has fallen
+    by twice the worse ratio of residual to target. The corrections stop when
+    one fails to halve that ratio (the better iterate stays) or does not
+    converge (the solution so far stands). ``iterations`` counts the PCG steps
+    behind x. Raises NoConvergence when the first solve does not converge
+    within max_iter (default 10n), UnsolvableProblem when the SPD precheck
+    fails or ||b|| overflows.
     """
     b = np.asarray(b, dtype=float)
     n = len(b)
@@ -262,7 +264,10 @@ def solve(A, b, max_iter: int | None = None):
     diag = A.diagonal()
     if np.any(diag <= 0):
         raise UnsolvableProblem("matrix has a nonpositive diagonal entry")
-    nb = float(np.linalg.norm(b))
+    with np.errstate(over="ignore"):     # an overflow is refused below
+        nb = float(np.linalg.norm(b))
+    if not math.isfinite(nb):
+        raise UnsolvableProblem(f"the norm of the right-hand side is not finite: {nb}")
     if nb == 0.0:
         return np.zeros(n), 0, 0.0
     if n < DENSE_CUTOFF:
@@ -285,11 +290,12 @@ def solve(A, b, max_iter: int | None = None):
         entry = np.divide(np.abs(r), size, out=np.zeros(n), where=size > 0)
         return r, max(float(np.linalg.norm(r)) / (SOLVE_TOL * nb), float(entry.max()))
 
-    x, iters = _pcg(A, inv_diag, b, max_iter)
+    x, iters = _pcg(A, inv_diag, b, max_iter, SOLVE_TOL * nb)
     r, worst = miss(x)
     while worst > 1.0:
         try:
-            dx, more = _pcg(A, inv_diag, r, max_iter - iters)
+            dx, more = _pcg(A, inv_diag, r, max_iter - iters,
+                            float(np.linalg.norm(r)) / (2.0 * worst))
         except NoConvergence:
             break   # the solution reached so far stands
         r_new, new = miss(x + dx)
@@ -301,10 +307,9 @@ def solve(A, b, max_iter: int | None = None):
     return x, iters, float(np.linalg.norm(r)) / nb
 
 
-def _pcg(A, inv_diag, b, max_iter: int):
-    """Jacobi-PCG for A x = b from x = 0 until the recurrence residual meets
-    SOLVE_TOL * ||b||; returns ``(x, iterations)``, raises NoConvergence after max_iter."""
-    target = SOLVE_TOL * float(np.linalg.norm(b))
+def _pcg(A, inv_diag, b, max_iter: int, target: float):
+    """Jacobi-PCG for A x = b from x = 0 until the norm of the recurrence residual
+    is at most ``target``; returns ``(x, iterations)``, raises NoConvergence after max_iter."""
     x = np.zeros(len(b))
     r = b.copy()
     z = inv_diag * r
@@ -321,7 +326,7 @@ def _pcg(A, inv_diag, b, max_iter: int):
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise NoConvergence(f"PCG did not reach {SOLVE_TOL:g} within {max_iter} iterations")
+    raise NoConvergence(f"PCG did not reach the residual {target:.3e} within {max_iter} iterations")
 
 
 @dataclass(frozen=True)

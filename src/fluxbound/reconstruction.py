@@ -6,10 +6,11 @@ quadratic correction with zero normal trace whose divergence absorbs the affine
 part of the residual. On elements where kappa*rho <= 1 the equilibration makes
 the divergence condition exact, so the indicator reduces to ||tau_L + tau_Q||.
 The field exists only as its explicit coefficients in the P2 basis
-{lambda_n} u {lambda_a lambda_b, a < b} of ``quadrature.p2_basis``
-(``_variant1_coefficients``): its squared norm is a quadratic form in them with
-the exact Gram matrix of that basis (``eta1_terms``), and its normal traces are
-the basis at the facet nodes times them (``facet_trace_values``).
+{lambda_n} u {lambda_a lambda_b, a < b} of ``quadrature.p2_basis``, built once
+per block of elements with the divergence-residual constant (``variant1_bulk``):
+its squared norm is a quadratic form in them with the exact Gram matrix of that
+basis (``eta1_terms``), and its normal traces are the basis at the facet nodes
+times them (``facet_trace_values``).
 
 Variant 2 (layer): tau = grad u_h + tau_O, with tau_O supported on the cones
 joining each facet to the incentre, the apex, and cut off at height 1/kappa,
@@ -34,6 +35,9 @@ in t); and |tau_O|^2 reduces to three t-moments per element (ceil((d+6)/2)
 nodes for degree d+5 in t) times a quartic in y, integrated over the facet
 exactly by the cached moments of the facet barycentrics up to degree 4. See
 ``eta2_terms``.
+
+Every stage takes the facet residuals R and the vertex values of r of its own
+elements only, rows in their order, so a caller holds them one block at a time.
 """
 from __future__ import annotations
 
@@ -101,65 +105,50 @@ def _times(A: np.ndarray, X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Variant1Bulk:
-    """Per-element data of the polynomial reconstruction on the elements ``elems``."""
+    """The polynomial reconstruction on the elements ``elems``, rows in their order."""
 
-    c: np.ndarray        # (k, d+1, d) coefficients of tau_L = -sum lambda_n c_n
-    div_l: np.ndarray    # (k,) constant divergence of tau_L
-    grad_r: np.ndarray   # (k, d) gradient of r = Pi_K f - kappa^2 u_h
-    r_bar: np.ndarray    # (k,) centroid value of r
-    elems: object        # the elements of the rows: a slice or ids
-
-
-def _variant1_coeffs(pts, g, rv, r_vals, elems=slice(None)) -> Variant1Bulk:
-    # rv[e, m, n]: residual of facet m at local vertex n, zero on the diagonal
-    w = rv * np.linalg.norm(g, axis=2)[:, :, None]      # weight of edge (n -> m)
-    c = np.matmul(w.transpose(0, 2, 1), pts) - w.sum(axis=1)[:, :, None] * pts
-    div_l = -np.einsum("end,end->e", g, c)
-    grad_r = np.einsum("end,en->ed", g, r_vals)
-    return Variant1Bulk(c=c, div_l=div_l, grad_r=grad_r, r_bar=r_vals.mean(axis=1),
-                        elems=elems)
+    coeffs: np.ndarray       # (d, d+1 + d(d+1)/2, k) P2 coefficients of each component
+    resid_const: np.ndarray  # (k,) constant divergence residual r + div tau_L
+    elems: object            # the elements of the rows: a slice or ids
 
 
 def variant1_bulk(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray,
                   elems=slice(None)) -> Variant1Bulk:
-    """The variant-1 data of the elements ``elems`` (all by default) from the (ne, d+1, d)
-    facet residuals R and the (ne, d+1) vertex values of r."""
-    # c_n = sum_m w_mn (x_m - x_n) does not depend on the origin; vertices
-    # centred on their element's mean keep its digits far from the origin
-    pts = mesh.points[mesh.simplices[elems]]
-    pts -= pts.mean(axis=1, keepdims=True)
-    return _variant1_coeffs(pts, mesh.bary_grads[elems], _to_local_vertices(R[elems]),
-                            r_vals[elems], elems)
+    """The variant-1 field of the elements ``elems`` (all by default) from their
+    (k, d+1, d) facet residuals R and (k, d+1) vertex values of r.
 
-
-def _variant1_coefficients(mesh: Mesh, v1: Variant1Bulk, sel):
-    """The P2 coefficients of tau_L + tau_Q on the rows ``sel`` of v1, one component at a time.
-
-    Yields per component c the (nb, k) stack in the basis of ``p2_basis``: -c_n[c]
-    for each vertex n, then t[c] (t.grad_r) / (d+1) for each pair a < b, with
-    t = x_b - x_a. It is one buffer, overwritten for the next component.
+    tau_L = -sum_n lambda_n c_n with c_n = sum_m w_mn (x_m - x_n), w_mn the
+    residual of facet m at vertex n times |grad lambda_m|; tau_Q = sum_{a<b}
+    lambda_a lambda_b t (t.grad r) / (d+1), t = x_b - x_a. Per component the
+    coefficients in the basis of ``p2_basis`` are -c_n for each vertex n, then
+    t (t.grad r) / (d+1) for each pair a < b.
     """
     d = mesh.dim
+    # c_n does not depend on the origin; vertices centred on their element's
+    # mean keep its digits far from the origin
+    pts = mesh.points[mesh.simplices[elems]]
+    pts -= pts.mean(axis=1, keepdims=True)
+    g = mesh.bary_grads[elems]
+    w = _to_local_vertices(R) * np.linalg.norm(g, axis=2)[:, :, None]   # edge (n -> m)
+    c = np.matmul(w.transpose(0, 2, 1), pts) - w.sum(axis=1)[:, :, None] * pts
+    resid_const = -np.einsum("end,end->e", g, c) + r_vals.mean(axis=1)
+    grad_r = np.einsum("end,en->ed", g, r_vals).T
     a, b = quadratic_pairs(d)
-    P = mesh.points.T[:, mesh.simplices[v1.elems][sel].T]     # (d, d+1, k)
-    grad_r = v1.grad_r[sel].T
-    t, tg = np.empty((d, len(a), P.shape[2])), np.empty((len(a), P.shape[2]))
+    P = mesh.points.T[:, mesh.simplices[elems].T]     # (d, d+1, k)
+    coeffs = np.empty((d, d + 1 + len(a), P.shape[2]))
+    np.negative(c.T, out=coeffs[:, :d + 1])
     for p, (n, m) in enumerate(zip(a, b)):     # pair by pair: small temporaries
-        np.subtract(P[:, m], P[:, n], out=t[:, p])
-        np.divide(_dot(t[:, p], grad_r), d + 1, out=tg[p])
-    coeffs = np.empty((d + 1 + len(a), P.shape[2]))
-    for tc, cc in zip(t, v1.c[sel].T):
-        np.negative(cc, out=coeffs[:d + 1])
-        np.multiply(tc, tg, out=coeffs[d + 1:])
-        yield coeffs
+        t = P[:, m] - P[:, n]
+        np.multiply(t, _dot(t, grad_r) / (d + 1), out=coeffs[:, d + 1 + p])
+    return Variant1Bulk(coeffs=coeffs, resid_const=resid_const, elems=elems)
 
 
 def eta1_terms(mesh: Mesh, v1: Variant1Bulk):
     """(||tau_L + tau_Q||_K^2, divergence residual constant) per element.
 
-    With v_c the P2 coefficients of component c (``_variant1_coefficients``)
-    and G = L L^T the Gram matrix of that basis divided by |K|, the same on
-    every simplex (``quadratic_gram_factor``), exact and non-negative:
+    With v_c the P2 coefficients of component c and G = L L^T the Gram matrix
+    of that basis divided by |K|, the same on every simplex
+    (``quadratic_gram_factor``), exact and non-negative:
 
         ||tau_L + tau_Q||_K^2 = |K| sum_c v_c^T G v_c = |K| sum_c |L^T v_c|^2.
 
@@ -167,21 +156,10 @@ def eta1_terms(mesh: Mesh, v1: Variant1Bulk):
     """
     LT = quadratic_gram_factor(mesh.dim).T
     first = 0.0
-    for coeffs in _variant1_coefficients(mesh, v1, slice(None)):
+    for coeffs in v1.coeffs:
         w = _times(LT, coeffs)
         first = first + _dot(w, w)
-    return mesh.volumes[v1.elems] * first, v1.div_l + v1.r_bar
-
-
-def divergence_audit(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
-                     u_vals: np.ndarray) -> float:
-    """Check Pi_K f - kappa^2 u_h + div tau = 0 on elements with kappa*rho <= 1.
-
-    The residual is constant on each element; it must vanish there because the
-    equilibrated fluxes integrate the data residual exactly against constants.
-    Returns the worst scaled residual norm.
-    """
-    return check_divergence(divergence_residual(mesh, resid_const, pf_vals, u_vals))
+    return mesh.volumes[v1.elems] * first, v1.resid_const
 
 
 def divergence_residual(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
@@ -321,7 +299,8 @@ def _facet_moment_tables(d: int):
 
 
 def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
-    """(||tau_O||_K^2, ||r + div tau_O||_K^2) for the selected elements.
+    """(||tau_O||_K^2, ||r + div tau_O||_K^2) for the selected elements, from their
+    (k, d+1, d) facet residuals R and (k, d+1) vertex values of r, rows in the order of sel.
 
     Requires kappa > 0 on the selection. Everything is in the frame of
     ``_component_first``, whose origin is the apex. Each facet cone is
@@ -364,12 +343,11 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
     q = kap * rho
     h = np.minimum(1.0, 1.0 / q)
     pts, g, wts = _component_first(mesh, sel)
-    rv = r_vals[sel]
-    grad_rc = g.T[:, 0] * rv[:, 0]      # component-first gradient of r
+    grad_rc = g.T[:, 0] * r_vals[:, 0]      # component-first gradient of r
     for n in range(1, d + 1):
-        grad_rc += g.T[:, n] * rv[:, n]
-    r_apex = np.einsum("kn,kn->k", wts, rv)
-    second = _below_cutoff_sq(rv, r_apex, 1.0 - h, mesh.volumes[sel], d)
+        grad_rc += g.T[:, n] * r_vals[:, n]
+    r_apex = np.einsum("kn,kn->k", wts, r_vals)
+    second = _below_cutoff_sq(r_vals, r_apex, 1.0 - h, mesh.volumes[sel], d)
 
     m0, m1, m2 = _flux_moments(q, rho, h, d)
     pairs, C2, C3, C4 = _facet_moment_tables(d)
@@ -381,7 +359,7 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
 
     def cone(i):
         """(||tau_O||^2, ||r + div tau_O||^2 above t0) on the cone of facet i."""
-        F, a, A0 = _facet_setup(pts, g, R[sel, i], i)[:3]
+        F, a, A0 = _facet_setup(pts, g, R[:, i], i)[:3]
         a_c = a.T                   # (d, k), contiguous rows
         meas = mesh.facet_measures[mesh.elem_facets[sel, i]]
         W = [F.T[:, j] for j in range(d)]      # y at the facet vertices, (d, k) views
@@ -421,14 +399,14 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
     elements of v1 (``v1.elems``).
 
     ``variant`` (s, k) stacks s selections of the reconstruction of each of
-    those elements (1 or 2); ``grad`` and ``R`` are mesh-sized. Returns a list
-    of s traces of shape (k, d+1, nq): the flux at the canonical facet
-    quadrature points dotted with the element's outward normal. The points are
-    defined on the facet, so they coincide for the two sharing elements. Each
-    field is read once, on the elements where some selection uses it, and in
+    those elements (1 or 2); ``R`` holds their facet residuals, rows as in v1,
+    and ``grad`` is mesh-sized. Returns a list of s traces of shape
+    (k, d+1, nq): the flux at the canonical facet quadrature points dotted
+    with the element's outward normal. The points are defined on the facet, so
+    they coincide for the two sharing elements. Each field is read once, on the elements where some selection uses it, and in
     closed form from the data its indicator reads: variant 1 as the P2 basis
-    at the nodes of facet i (lambda_i = 0) times the coefficients
-    ``eta1_terms`` reads; variant 2 from the facet data (F, a, b) of
+    at the nodes of facet i (lambda_i = 0) times the coefficients of v1,
+    which ``eta1_terms`` reads; variant 2 from the facet data (F, a, b) of
     ``_facet_setup`` that ``eta2_terms`` reads. On facet i the cutoff factor
     is 1, so tau_O = s x with s = (a.x + b) / rho, and with x = sum_j mu_j F_j
     both s and x.n are affine in the facet barycentrics mu: the trace is
@@ -449,14 +427,15 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
     t1 = np.repeat(np.einsum("ed,eid->ei", grad[e1], normals1)[:, :, None], rule.n_points, 2)
     t2 = np.empty((len(i2), d + 1, rule.n_points))
     # the coefficients of the normal component on each facet, then the basis at its nodes
-    normal = np.zeros((d + 1, len(quadratic_pairs(d)[0]) + d + 1, len(i1)))
-    for c, coeffs in enumerate(_variant1_coefficients(mesh, v1, i1)):
+    normal = np.zeros((d + 1, v1.coeffs.shape[1], len(i1)))
+    for c, coeffs in enumerate(v1.coeffs):
+        coeffs = coeffs[:, i1]
         for i in range(d + 1):
             normal[i] += coeffs * normals1[:, i, c]
     for i in range(d + 1):
         t1[:, i] += _times(p2_basis(np.insert(rule.points, i, 0.0, axis=1)), normal[i]).T
     for i in range(d + 1):
-        F, a, b, _ = _facet_setup(pts2, g2, R[e2, i], i)
+        F, a, b, _ = _facet_setup(pts2, g2, R[i2, i], i)
         F, a = F.T, a.T             # (d, d, k) and (d, k), contiguous rows
         n2 = normals2[:, i].T
         S = np.array([(_dot(a, F[:, j]) + b) / rho for j in range(d)])
@@ -469,14 +448,28 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
     return traces
 
 
-def trace_mismatch(mesh: Mesh, trace: np.ndarray, scale: np.ndarray) -> float:
-    """Worst interior-facet mismatch tau_K.n_K + tau_K'.n_K' over the trace points.
+def add_facet_traces(mesh: Mesh, sums: np.ndarray, trace: np.ndarray,
+                     elems=slice(None)) -> None:
+    """Add the (k, d+1, nq) traces of the elements ``elems`` (all by default) into the
+    (nf, nq) facet sums tau_K.n_K + tau_K'.n_K'.
+
+    The plus side's trace is written and the minus side's added to it. The plus
+    side is the element with the smaller id, so the sums are complete once
+    every element has been added in ascending blocks.
+    """
+    fids = mesh.elem_facets[elems]
+    plus = mesh.elem_sigma[elems] > 0
+    sums[fids[plus]] = trace[plus]
+    sums[fids[~plus]] += trace[~plus]
+
+
+def trace_mismatch(mesh: Mesh, sums: np.ndarray, scale: np.ndarray) -> float:
+    """Worst interior-facet mismatch over the trace points of the facet sums of
+    ``add_facet_traces``.
 
     ``scale`` (nf,) is max(1, facet flux magnitude), so that structural H(div)
     conformity is tested at machine precision regardless of the data size.
     """
-    interior = np.flatnonzero(mesh.facet_elems[:, 1] >= 0)
-    ep, lp = mesh.facet_elems[interior, 0], mesh.facet_local[interior, 0]
-    em, lm = mesh.facet_elems[interior, 1], mesh.facet_local[interior, 1]
-    mism = np.abs(trace[ep, lp] + trace[em, lm]).max(axis=1)
-    return float((mism / scale[interior]).max()) if len(interior) else 0.0
+    interior = mesh.facet_elems[:, 1] >= 0
+    mism = np.abs(sums[interior]).max(axis=1)
+    return float((mism / scale[interior]).max()) if interior.any() else 0.0

@@ -16,7 +16,8 @@
   comparison ``sign_matrices_dense``, the patch solution maps through an
   explicit nullspace basis ``patch_maps_nullspace``, and
   ``solve_vertex_patch_reference``, one vertex patch at a time;
-* reconstruction: the variant-1 field point by point ``variant1_field`` (with
+* reconstruction: the affine part of the variant-1 field by explicit edge
+  vectors ``variant1_affine``, the field point by point ``variant1_field`` (with
   its pairs ``tau_q_pairs``), the variant-1 indicator by quadrature
   ``eta1_terms_quadrature``, the flux closures ``build_variant1``/``FluxVariant1`` and
   ``build_variant2``/``FluxVariant2``, the general layer field
@@ -52,8 +53,7 @@ from fluxbound.fem import (OSC_DEGREE, _mass_inverse_times, _mass_norm_sq, _mass
 from fluxbound.geometry import (NEUMANN, facet_vertices, simplex_geometry, simplex_gradients,
                                 simplex_measure)
 from fluxbound.quadrature import integrate_simplices, rule_for, simplex_moment
-from fluxbound.reconstruction import (TRACE_DEGREE, _dot, _facet_setup, _flux_moments,
-                                      _variant1_coeffs)
+from fluxbound.reconstruction import TRACE_DEGREE, _dot, _facet_setup, _flux_moments
 
 ETA2_DEGREE = 6   # |tau_O|^2 has degree 6 on the active pieces
 TOP_DEGREE = 2    # (affine)^2 beyond the cutoff
@@ -329,6 +329,21 @@ def extension_volume_terms_subsimplex(mesh, sol, sel):
 # per-element flux objects (pointwise evaluation and analytic divergence)
 # ---------------------------------------------------------------------------
 
+def variant1_affine(pts, grads, Rv, r_vals):
+    """``(c, grad_r, div_l)`` of the variant-1 field on the elements with vertices pts
+    (k, d+1, d) and barycentric gradients grads, from the residual Rv[:, m, n]
+    of facet m at local vertex n (zero on the diagonal) and the vertex values of r.
+
+    tau_L = -sum_n lambda_n c_n with c_n = sum_m w_mn (x_m - x_n), w_mn =
+    Rv[m, n] |grad lambda_m|, by explicit edge vectors; div_l = -sum_n grad
+    lambda_n . c_n is its divergence and grad_r = sum_n r_n grad lambda_n.
+    """
+    w = Rv * np.linalg.norm(grads, axis=2)[:, :, None]
+    edges = pts[:, :, None, :] - pts[:, None, :, :]        # [k, m, n] = x_m - x_n
+    c = np.einsum("kmn,kmnd->knd", w, edges)
+    return c, np.einsum("knd,kn->kd", grads, r_vals), -np.einsum("knd,knd->k", grads, c)
+
+
 def tau_q_pairs(P, grad_r):
     """Per vertex pair n < m of each element: (n, m, t = x_m - x_n, t.grad_r / (d+1)).
 
@@ -351,7 +366,7 @@ def variant1_field(lam, c, pairs):
     lam_n lam_m t (t.grad_r) / (d+1) has zero normal trace. The leading axes of
     ``lam`` broadcast against the elements of ``c`` and ``pairs``
     (see tau_q_pairs). The independent reference for the P2 coefficients of
-    ``reconstruction._variant1_coefficients``.
+    ``reconstruction.variant1_bulk``.
     """
     field = -np.einsum("...n,...nd->...d", lam, c)
     for n, m, t, tg in pairs:
@@ -387,26 +402,28 @@ def build_variant1(vertices, Rv, r_vals, grad_uh=None) -> FluxVariant1:
     vertices = np.asarray(vertices, dtype=float)
     Rv = np.where(np.eye(len(vertices), dtype=bool), 0.0, np.asarray(Rv, dtype=float))
     r_vals = np.asarray(r_vals, dtype=float)
-    v1 = _variant1_coeffs(vertices[None], simplex_geometry(vertices[None]).grads,
-                          Rv[None], r_vals[None])
+    c, grad_r, div_l = variant1_affine(vertices[None], simplex_geometry(vertices[None]).grads,
+                                       Rv[None], r_vals[None])
     base = np.zeros(vertices.shape[1]) if grad_uh is None \
         else np.asarray(grad_uh, dtype=float)
-    return FluxVariant1(vertices=vertices, grad_uh=base,
-                        c=v1.c[0], grad_r=v1.grad_r[0], centroid=vertices.mean(axis=0),
-                        div_l=float(v1.div_l[0]))
+    return FluxVariant1(vertices=vertices, grad_uh=base, c=c[0], grad_r=grad_r[0],
+                        centroid=vertices.mean(axis=0), div_l=float(div_l[0]))
 
 
-def eta1_terms_quadrature(mesh, v1, degree: int):
-    """``reconstruction.eta1_terms`` by quadrature of |tau_L + tau_Q|^2 (degree 4)
-    at the given degree, the field evaluated node by node."""
-    pairs = tau_q_pairs(mesh.points.T[:, mesh.simplices.T], v1.grad_r)
+def eta1_terms_quadrature(mesh, R, r_vals, degree: int):
+    """``reconstruction.eta1_terms`` on every element by quadrature of |tau_L + tau_Q|^2
+    (degree 4) at the given degree, the field evaluated node by node, from the
+    (ne, d+1, d) facet residuals R and the (ne, d+1) vertex values of r."""
+    c, grad_r, div_l = variant1_affine(mesh.points[mesh.simplices], mesh.bary_grads,
+                                       to_local_vertices(mesh, R), r_vals)
+    pairs = tau_q_pairs(mesh.points.T[:, mesh.simplices.T], grad_r)
 
     def integrand(x, lam):
-        field = variant1_field(lam[None], v1.c, pairs)
+        field = variant1_field(lam[None], c, pairs)
         return np.einsum("ed,ed->e", field, field)
 
     first = integrate_simplices(integrand, mesh.points[mesh.simplices], mesh.volumes, degree)
-    return first, v1.div_l + v1.r_bar
+    return first, div_l + r_vals.mean(axis=1)
 
 
 def facet_setup_reference(pts, g, Rf, i: int):

@@ -242,12 +242,12 @@ def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):
     # eta oracles: eta1 against degree-8 quadrature of the field, eta2 against
     # the staircase route at elevated degree (+4)
     lo, _ = rec.eta1_terms(mesh, v1)
-    hi, _ = oracles.eta1_terms_quadrature(mesh, v1, 8)
+    hi, _ = oracles.eta1_terms_quadrature(mesh, R, r_vals, 8)
     scale = max(lo.max(), 1e-300)
     assert np.abs(lo - hi).max() / scale < 1e-10
     sel = np.flatnonzero(mesh.kappa > 0)
     if len(sel):
-        f_lo, s_lo = rec.eta2_terms(mesh, R, r_vals, sel)
+        f_lo, s_lo = rec.eta2_terms(mesh, R[sel], r_vals[sel], sel)
         f_hi, s_hi = oracles.eta2_terms_staircase(mesh, R, r_vals, sel,
                                                   degree=oracles.ETA2_DEGREE + 4,
                                                   top_degree=oracles.TOP_DEGREE + 4)

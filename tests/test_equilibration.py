@@ -477,12 +477,12 @@ def test_sign_matrices_match_dense_comparison(monkeypatch, dim, m):
         return got
 
     monkeypatch.setattr(eq, "_sign_matrices", checked)
-    alphas, info = eq._solve_patches(mesh, resid, np.arange(mesh.n_points))
+    alphas, info, _ = eq._solve_patches(mesh, resid, np.arange(mesh.n_points))
     assert len(batches) > 1 and max(batches) > 1
     assert sum(batches) == np.count_nonzero(info[:, 1])
     assert np.array_equal(info[-1], np.zeros(4))
-    base_alphas, base_info = eq._solve_patches(base, eq.residual_functionals(base, sol),
-                                               np.arange(base.n_points))
+    base_alphas, base_info, _ = eq._solve_patches(base, eq.residual_functionals(base, sol),
+                                                  np.arange(base.n_points))
     assert np.array_equal(alphas, base_alphas) and np.array_equal(info[:-1], base_info)
 
 
@@ -518,9 +518,9 @@ def test_assembled_audit_catches_a_perturbed_coefficient(monkeypatch):
     solve = eq._solve_patches
 
     def perturbed(mesh, resid, vertices):
-        alphas, info = solve(mesh, resid, vertices)
+        alphas, info, scale = solve(mesh, resid, vertices)
         alphas[fid, slot] += step
-        return alphas, info
+        return alphas, info, scale
 
     monkeypatch.setattr(eq, "_solve_patches", perturbed)
     with pytest.raises(InfeasibleConstraints, match="assembled equilibration residual"):
@@ -558,7 +558,7 @@ def _compare_with_reference(mesh, data):
     """Batched patch solves against the per-vertex reference on every vertex."""
     sol = fem.solve_problem(mesh, data)
     resid = eq.residual_functionals(mesh, sol)
-    got, info = eq._solve_patches(mesh, resid, np.arange(mesh.n_points))
+    got, info, _ = eq._solve_patches(mesh, resid, np.arange(mesh.n_points))
     ref = np.zeros_like(got)
     for v in range(mesh.n_points):
         unknown, a, (nc, nu, obj, res) = solve_vertex_patch_reference(mesh, v, resid)

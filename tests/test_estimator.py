@@ -547,44 +547,49 @@ def test_conformity_audit_covers_both_selections(monkeypatch):
     mesh, data = benchmark_mesh(cfg), benchmark_data(cfg)
     sol = fem.solve_problem(mesh, data)
     picks, rows = [], {1: [], 2: []}
-    # variant 1 is counted by the selection of its coefficient builder, variant 2
-    # by the batch of its facet data, one _facet_setup per facet
-    trace_values = rec.facet_trace_values
-    fields = (rec._variant1_coefficients, rec._facet_setup)
+    # variant 1 is counted by the rows of its builder, which the audit must not
+    # call again, variant 2 by the batch of its facet data, one _facet_setup per facet
+    trace_values, build = rec.facet_trace_values, rec.variant1_bulk
 
-    def counting(which, fn):
+    def counting(fn):
         def field(*args):
             out = fn(*args)
-            rows[which].append(len(args[2] if which == 1 else out[0]))
+            rows[2].append(len(out[0]))
             return out
         return field
 
     def spy(mesh, grad, v1, R, variant):
         picks.append(np.array(variant, ndmin=2))
         with monkeypatch.context() as m:
-            m.setattr(rec, "_variant1_coefficients", counting(1, fields[0]))
-            m.setattr(rec, "_facet_setup", counting(2, fields[1]))
+            m.setattr(rec, "_facet_setup", counting(rec._facet_setup))
             return trace_values(mesh, grad, v1, R, variant)
 
     monkeypatch.setattr(rec, "facet_trace_values", spy)
+    monkeypatch.setattr(rec, "variant1_bulk", lambda *args: rows[1].append(len(args[1]))
+                        or build(*args))
     rep = est.estimate(mesh, sol, data, "both", check_conformity=True)
     tau, star = rep.variant_tau, rep.variant_taustar
     assert np.any(tau != star)
     evaluated = {(e, int(v)) for p in picks for row in p for e, v in enumerate(row)}
     for sel in (tau, star):
         assert {(e, int(v)) for e, v in enumerate(sel)} <= evaluated
-    # each field once per element: every call covers the elements that use it
-    assert set(rows[1]) == {int(np.sum((tau == 1) | (star == 1)))}
+    # each field once per element: built once for the mesh (one block here), and
+    # the layer field's facet data once on the elements that use it
+    assert rows[1] == [mesh.n_elements]
     assert set(rows[2]) == {int(np.sum((tau == 2) | (star == 2)))}
     # the audit value is the worst of the two selections audited one at a time
     monkeypatch.setattr(rec, "facet_trace_values", trace_values)
     fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     pf = fem.project_element_bulk(mesh, fem.element_data(mesh, data.f, data.data_degree)[0])
-    v1 = rec.variant1_bulk(mesh, R, pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices])
+    v1 = build(mesh, R, pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices])
     scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
-    each = [rec.trace_mismatch(mesh, rec.facet_trace_values(mesh, sol.grad, v1, R, sel[None])[0],
-                               scale) for sel in (tau, star)]
+    each = []
+    for sel in (tau, star):
+        [trace] = trace_values(mesh, sol.grad, v1, R, sel[None])
+        sums = np.empty((mesh.n_facets, trace.shape[2]))
+        rec.add_facet_traces(mesh, sums, trace)
+        each.append(rec.trace_mismatch(mesh, sums, scale))
     assert rep.audits["hdiv_mismatch"] == max(each)
     assert rep.audits["hdiv_mismatch"] <= 1e-11
 
@@ -728,13 +733,16 @@ def test_non_finite_data_raises_typed_error():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_an_overflowing_bound_raises_typed_error():
-    # kappa^2 = 1e200 is finite, so the solve accepts it, but with f = kappa^2
-    # the squares of the bound overflow: every audit reads 0 or NaN, and a NaN
-    # passes no audit and is no bound
+    # kappa^2 = 1e200 is finite, but with f = kappa^2 the squares of the bound
+    # overflow: every audit reads 0 or NaN, and a NaN passes no audit and is no
+    # bound. The solve refuses these data already (||b|| overflows), so the
+    # estimate gets a wrapped u_h
     mesh = geo.build_cube_mesh(4, 2, 1e100)
     data = fem.ProblemData(f=lambda x: np.full(len(x), 1e200))
-    sol = fem.solve_problem(mesh, data)
-    with pytest.raises(UnsolvableProblem):
+    with pytest.raises(UnsolvableProblem, match="right-hand side"):
+        fem.solve_problem(mesh, data)
+    sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points), data)
+    with pytest.raises(UnsolvableProblem, match="error bound"):
         est.estimate(mesh, sol, data, "both", check_conformity=True)
 
 

@@ -159,7 +159,7 @@ def test_pcg_path_and_no_convergence():
         fem.solve(system.A, system.b, max_iter=2)
 
 
-def test_pcg_residual_small_entry_by_entry_across_a_kappa_jump():
+def test_pcg_residual_small_entry_by_entry_across_a_kappa_jump(monkeypatch):
     # f = kappa^2 on the right is 1e12 times the left's, so a residual small in
     # norm can still dwarf the left's entries; each entry must meet the target
     with pytest.warns(KappaJumpWarning):
@@ -167,15 +167,34 @@ def test_pcg_residual_small_entry_by_entry_across_a_kappa_jump():
     data = fem.ProblemData(f=lambda x: np.where(x[:, 0] < 0, 1.0, 1e12) * np.cos(x[:, 0]))
     system = fem.assemble(mesh, data)
     assert len(system.b) >= fem.DENSE_CUTOFF   # the PCG path
+    pcg, calls = fem._pcg, []
+
+    def spy(*args):
+        out = pcg(*args)
+        calls.append((*args[2:], *out))
+        return out
+
+    monkeypatch.setattr(fem, "_pcg", spy)
     x, it, res = fem.solve(system.A, system.b)
+    monkeypatch.setattr(fem, "_pcg", pcg)
     size = abs(system.A) @ np.abs(x) + np.abs(system.b)
     assert np.all(np.abs(system.b - system.A @ x) <= fem.ENTRY_TOL * size)
     assert res <= fem.SOLVE_TOL
+    # the first solve misses the entry target; the correction runs only as deep
+    # as the iterate misses, to ||r|| over twice the worse ratio, not to
+    # SOLVE_TOL ||r||, and stops on the first step that meets that target
+    A, nb = sp.csr_matrix(system.A), np.linalg.norm(system.b)
+    (_, _, target0, x0, first), (r, _, target, _, more) = calls
+    assert target0 == fem.SOLVE_TOL * nb and it == first + more
+    assert np.array_equal(r, system.b - A @ x0)
+    size0 = fem.ENTRY_TOL * (abs(A) @ np.abs(x0) + np.abs(system.b))
+    worst = max(np.linalg.norm(r) / (fem.SOLVE_TOL * nb), (np.abs(r) / size0).max())
+    assert worst > 1.0 and target == np.linalg.norm(r) / (2.0 * worst)
+    assert target > 1e3 * fem.SOLVE_TOL * np.linalg.norm(r)
+    with pytest.raises(NoConvergence):
+        pcg(A, 1.0 / A.diagonal(), r, more - 1, target)
     # the correction gets what is left of max_iter; when that runs out it
     # cannot undo the first solve, which already met SOLVE_TOL
-    A = sp.csr_matrix(system.A)
-    x0, first = fem._pcg(A, 1.0 / A.diagonal(), system.b, 10 * len(system.b))
-    assert it > first
     for budget in (first, first + 1):
         xb, itb, resb = fem.solve(system.A, system.b, max_iter=budget)
         assert itb == first and np.array_equal(xb, x0) and resb <= fem.SOLVE_TOL
@@ -193,6 +212,22 @@ def test_pcg_meets_both_targets_on_a_delaunay_mesh():
     size = abs(system.A) @ np.abs(x) + np.abs(system.b)
     assert res <= max(fem.SOLVE_TOL, np.finfo(float).eps * np.linalg.norm(size) / nb)
     assert np.all(np.abs(r) <= fem.ENTRY_TOL * size)
+
+
+@pytest.mark.parametrize("m", [4, 16])
+def test_solve_refuses_a_right_hand_side_whose_norm_overflows(m):
+    # kappa^2 = 1e200 and every entry of b are finite, so assemble accepts the
+    # problem, but ||b|| overflows: the dense path (M=4) would divide its
+    # residual by it and PCG (M=16) would stop at once on the target
+    # SOLVE_TOL ||b|| = inf (f = 1e160: the round-off of a larger constant f
+    # would overflow when the data pass squares it)
+    mesh = geo.build_cube_mesh(m, 2, 1e100)
+    system = fem.assemble(mesh, fem.ProblemData(f=lambda x: np.full(len(x), 1e160)))
+    with np.errstate(over="ignore"):
+        assert np.all(np.isfinite(system.b)) and np.isinf(np.linalg.norm(system.b))
+    assert (len(system.b) < fem.DENSE_CUTOFF) == (m == 4)
+    with pytest.raises(UnsolvableProblem, match="not finite"):
+        fem.solve(system.A, system.b)
 
 
 def test_galerkin_orthogonality():

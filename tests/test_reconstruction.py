@@ -145,13 +145,17 @@ def test_variant1_divergence_vs_fd(rng):
 
 
 def test_variant1_bulk_matches_single_element():
+    # the vertex coefficients of the P2 stack are -c_n, and the residual
+    # constant is div tau_L plus the mean of r
     mesh, data, sol, fluxes, R, r_vals = benchmark_setup(3, 2, 1.0, 4.0)
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     Rv_all = eq._to_local_vertices(R)
     for e in (0, 10, 20):
         flux = oracles.build_variant1(mesh.points[mesh.simplices[e]], Rv_all[e], r_vals[e])
-        assert np.allclose(flux.c, v1.c[e], atol=1e-12 * max(1, np.abs(v1.c[e]).max()))
-        assert flux.div_l == pytest.approx(v1.div_l[e], rel=1e-10, abs=1e-12)
+        c = -v1.coeffs[:, :mesh.dim + 1, e].T
+        assert np.allclose(flux.c, c, atol=1e-12 * max(1, np.abs(c).max()))
+        assert flux.div_l + r_vals[e].mean() == pytest.approx(v1.resid_const[e], rel=1e-10,
+                                                              abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +308,7 @@ def test_eta_zero_for_exact_solution(two_triangle_square):
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     first, resid_const = rec.eta1_terms(mesh, v1)
     assert np.sqrt(first).max() < 1e-11
-    rec.divergence_audit(mesh, resid_const, pf, sol.u[mesh.simplices])
+    rec.check_divergence(rec.divergence_residual(mesh, resid_const, pf, sol.u[mesh.simplices]))
 
 
 def test_benchmark_divergence_audit_and_degree_stability():
@@ -312,10 +316,11 @@ def test_benchmark_divergence_audit_and_degree_stability():
     pf = fem.project_element_bulk(mesh, fem.element_data(mesh, data.f, 4)[0])
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     first, resid_const = rec.eta1_terms(mesh, v1)
-    worst = rec.divergence_audit(mesh, resid_const, pf, sol.u[mesh.simplices])
+    worst = rec.check_divergence(
+        rec.divergence_residual(mesh, resid_const, pf, sol.u[mesh.simplices]))
     assert worst <= 1e-9
     # the closed form against degree-8 quadrature of the field
-    first_hi, _ = oracles.eta1_terms_quadrature(mesh, v1, 8)
+    first_hi, _ = oracles.eta1_terms_quadrature(mesh, R, r_vals, 8)
     denom = np.maximum(first.max(), 1e-300)
     assert np.abs(first - first_hi).max() / denom < 1e-10
 
@@ -323,7 +328,7 @@ def test_benchmark_divergence_audit_and_degree_stability():
 def test_eta2_degree_stability():
     mesh, data, sol, fluxes, R, r_vals = benchmark_setup(3, 2, 2.0, 60.0)
     sel = np.flatnonzero(mesh.kappa > 0)
-    f1, s1 = rec.eta2_terms(mesh, R, r_vals, sel)
+    f1, s1 = rec.eta2_terms(mesh, R[sel], r_vals[sel], sel)
     f2, s2 = oracles.eta2_terms_staircase(mesh, R, r_vals, sel,
                                           degree=oracles.ETA2_DEGREE + 4,
                                           top_degree=oracles.TOP_DEGREE + 4)
@@ -335,7 +340,7 @@ def test_eta2_degree_stability():
 def test_eta2_bulk_matches_single_element_quadrature():
     mesh, data, sol, fluxes, R, r_vals = benchmark_setup(2, 2, 2.0, 40.0)
     sel = np.arange(mesh.n_elements)
-    f2, s2 = rec.eta2_terms(mesh, R, r_vals, sel)
+    f2, s2 = rec.eta2_terms(mesh, R[sel], r_vals[sel], sel)
     Rv_all = eq._to_local_vertices(R)
     for e in (0, 3, 6):
         pts = mesh.points[mesh.simplices[e]]
@@ -360,12 +365,14 @@ def test_eta2_rejects_zero_kappa_and_is_rowwise(rng):
     assert np.any(kapparho < 1.0) and np.any(kapparho > 1.0)
     zero = np.flatnonzero(mesh.kappa == 0)
     # the check comes before 1/(kappa rho) is formed, so no division by zero is seen
+    mixed = np.concatenate([pos[:3], zero[:1], pos[3:]])
     with np.errstate(divide="raise", invalid="raise"), pytest.raises(InvalidVariant):
-        rec.eta2_terms(mesh, R, r_vals, np.concatenate([pos[:3], zero[:1], pos[3:]]))
+        rec.eta2_terms(mesh, R[mixed], r_vals[mixed], mixed)
 
-    full = rec.eta2_terms(mesh, R, r_vals, pos)
+    full = rec.eta2_terms(mesh, R[pos], r_vals[pos], pos)
     sub = rng.permutation(len(pos))[:len(pos) - 5]
-    for got, want in zip(rec.eta2_terms(mesh, R, r_vals, pos[sub]), full):
+    some = pos[sub]
+    for got, want in zip(rec.eta2_terms(mesh, R[some], r_vals[some], some), full):
         np.testing.assert_allclose(got, want[sub], rtol=1e-15, atol=0.0)
 
 
@@ -378,7 +385,7 @@ def test_eta2_roundoff_against_longdouble():
         kapparho = mesh.kappa[sel] * mesh.inradii[sel]
         assert np.any(kapparho < 1.0) and np.any(kapparho > 1.0)
         ref = oracles.eta2_terms_longdouble(mesh, R, r_vals, sel)
-        cone = rec.eta2_terms(mesh, R, r_vals, sel)
+        cone = rec.eta2_terms(mesh, R[sel], r_vals[sel], sel)
         stair = oracles.eta2_terms_staircase(mesh, R, r_vals, sel)
         for c, st, lref in zip(cone, stair, ref):
             scale = float(np.abs(lref).max())
@@ -405,7 +412,7 @@ def test_eta2_closed_form_extremes(dim, m):
         r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
         sel = np.arange(mesh.n_elements)
         ref = oracles.eta2_terms_longdouble(mesh, R, r_vals, sel)
-        for got, lref in zip(rec.eta2_terms(mesh, R, r_vals, sel), ref):
+        for got, lref in zip(rec.eta2_terms(mesh, R[sel], r_vals[sel], sel), ref):
             scale = float(np.abs(lref).max())
             assert float(np.abs(got - lref).max()) <= 1e-13 * scale, (dim, kapparho)
 
@@ -450,7 +457,7 @@ def test_eta2_flux_moments_match_facet_rule(dim):
         * 10.0 ** rng.uniform(-3.0, 6.0, (mesh.n_elements, 1, 1))
     r_vals = rng.standard_normal((mesh.n_elements, dim + 1))
     sel = rng.permutation(mesh.n_elements)
-    first = rec.eta2_terms(mesh, R, r_vals, sel)[0]
+    first = rec.eta2_terms(mesh, R[sel], r_vals[sel], sel)[0]
     ref = oracles.eta2_flux_facet_rule(mesh, R, r_vals, sel)
     assert np.all(ref > 0.0)
     np.testing.assert_allclose(first, ref, rtol=1e-13, atol=0.0)
@@ -473,7 +480,7 @@ def test_layer_terms_call_no_quadrature(monkeypatch):
         monkeypatch.setattr(module, "integrate_simplices", spy)
     for module in (rec, eq, fem):
         assert not hasattr(module, "integrate_simplices"), module
-    rec.eta2_terms(mesh, R, r_vals, sel)
+    rec.eta2_terms(mesh, R[sel], r_vals[sel], sel)
     eq._extension_volume_terms(mesh, sol, sel)
     assert calls == []
 
@@ -520,7 +527,7 @@ def _check_eta1_closed_form(mesh, R, r_vals, elements):
     single-element closure integrated by oracles.integrate on `elements`."""
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     first, _ = rec.eta1_terms(mesh, v1)
-    quad, _ = oracles.eta1_terms_quadrature(mesh, v1, 8)
+    quad, _ = oracles.eta1_terms_quadrature(mesh, R, r_vals, 8)
     assert np.all(first >= 0.0)
     assert np.all(np.abs(first - quad) <= 1e-12 * quad + 1e-14 * quad.max())
     Rv = eq._to_local_vertices(R)
@@ -569,10 +576,10 @@ def test_eta1_closed_form_near_degenerate_simplex(dim, rng):
 def test_divergence_audit_failure_raises(unit_triangle):
     mesh = one_element_mesh(unit_triangle, 0.0, dirichlet=(0,))
     bad = np.array([0.5])  # nonzero constant residual
-    with pytest.raises(DivergenceAuditFailed):
-        rec.divergence_audit(mesh, bad, np.ones((1, 3)), np.zeros((1, 3)))
-    with pytest.raises(DivergenceAuditFailed):     # a NaN meets no tolerance
-        rec.divergence_audit(mesh, np.array([np.nan]), np.ones((1, 3)), np.zeros((1, 3)))
+    for resid_const in (bad, np.array([np.nan])):     # a NaN meets no tolerance
+        worst = rec.divergence_residual(mesh, resid_const, np.ones((1, 3)), np.zeros((1, 3)))
+        with pytest.raises(DivergenceAuditFailed):
+            rec.check_divergence(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +592,10 @@ def test_mixed_variant_trace_mismatch():
     variant = np.where(mesh.kappa * mesh.inradii > 1.0, 2, 1).astype(np.int8)
     assert set(np.unique(variant)) == {1, 2}
     [trace] = rec.facet_trace_values(mesh, sol.grad, v1, R, variant[None])
+    sums = np.empty((mesh.n_facets, trace.shape[2]))
+    rec.add_facet_traces(mesh, sums, trace)
     scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
-    assert rec.trace_mismatch(mesh, trace, scale) < 1e-11
+    assert rec.trace_mismatch(mesh, sums, scale) < 1e-11
     g_exact = oracles.equilibrated_trace(mesh, R, sol.grad)
     gscale = np.maximum(1.0, np.abs(g_exact).max(axis=2))
     assert (np.abs(trace - g_exact) / gscale[:, :, None]).max() < 1e-11
@@ -613,8 +622,9 @@ def _perturbed_jump_setup(dim, m, seed):
     fluxes = eq.equilibrate(mesh, sol)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     pf = fem.project_element_bulk(mesh, fem.element_data(mesh, data.f, data.data_degree)[0])
-    v1 = rec.variant1_bulk(mesh, R, pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices])
-    return mesh, sol, R, v1, np.stack([report.variant_tau, report.variant_taustar])
+    r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
+    v1 = rec.variant1_bulk(mesh, R, r_vals)
+    return mesh, sol, R, r_vals, v1, np.stack([report.variant_tau, report.variant_taustar])
 
 
 @pytest.mark.parametrize("dim,m", [(2, 6), (3, 3)])
@@ -622,18 +632,20 @@ def test_traces_match_the_pointwise_fields(dim, m):
     # the traces read in closed form (variant 1 from its P2 coefficients,
     # variant 2 from its facet data) against each field evaluated node by node
     # (oracles.variant1_field, oracles.build_variant2), on both selections of the audit
-    mesh, sol, R, v1, variant = _perturbed_jump_setup(dim, m, seed=dim)
+    mesh, sol, R, r_vals, v1, variant = _perturbed_jump_setup(dim, m, seed=dim)
     assert np.any(variant[0] != variant[1])
     traces = rec.facet_trace_values(mesh, sol.grad, v1, R, variant)
     rule = rule_for(dim - 1, rec.TRACE_DEGREE)
     normals = mesh.outward_normals()
-    pairs = oracles.tau_q_pairs(mesh.points.T[:, mesh.simplices.T], v1.grad_r)
+    Rv = eq._to_local_vertices(R)
+    c, grad_r, _ = oracles.variant1_affine(mesh.points[mesh.simplices], mesh.bary_grads, Rv,
+                                           r_vals)
+    pairs = oracles.tau_q_pairs(mesh.points.T[:, mesh.simplices.T], grad_r)
     want = np.empty((2, *traces[0].shape))
     for i in range(dim + 1):
         for qi, mu in enumerate(rule.points):
-            field = sol.grad + oracles.variant1_field(np.insert(mu, i, 0.0)[None], v1.c, pairs)
+            field = sol.grad + oracles.variant1_field(np.insert(mu, i, 0.0)[None], c, pairs)
             want[0, :, i, qi] = np.einsum("ed,ed->e", field, normals[:, i])
-    Rv = eq._to_local_vertices(R)
     for e in np.flatnonzero((variant == 2).any(axis=0)):
         verts = mesh.points[mesh.simplices[e]]
         field = oracles.build_variant2(verts, Rv[e], mesh.kappa[e], sol.grad[e])
