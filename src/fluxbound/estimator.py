@@ -17,7 +17,7 @@ The oscillation terms weight the squared norms ||f - Pi_K f||_K^2 and
 collapsed extensions.
 
 The reconstruction runs block by block of elements (``estimate``), so only
-its per-element results and the conformity audit's facet sums are mesh-sized.
+its per-element results are mesh-sized; the audits are element-local too.
 """
 from __future__ import annotations
 
@@ -152,6 +152,11 @@ def _selections(strategy: str, over, pos, eta1_sq, eta2_sq) -> dict:
     return out
 
 
+def _worse(a: tuple, b: tuple) -> tuple:
+    """Of two audit records (value, where...), b if its value is larger or a NaN, else a."""
+    return b if b[0] > a[0] or (math.isnan(b[0]) and not math.isnan(a[0])) else a
+
+
 def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
              strategy: str = "both", *, check_conformity: bool = False,
              patch_report_path: str | None = None) -> ErrorReport:
@@ -160,17 +165,18 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
     The problem is the one ``sol`` carries: ``mesh`` and ``data`` must be
     ``sol.mesh`` and ``sol.data``, or ValueError is raised. ``strategy`` is
     'tau', 'taustar' or 'both'. ``check_conformity`` audits the normal traces of
-    the reported selections; a mismatch above AUDIT_TOL raises ConformityAuditFailed.
-    A reported total that is not finite (data that overflow) raises UnsolvableProblem.
+    the reported selections against the equilibrated fluxes g_K, element by
+    element (``rec.trace_defect``); twice the worst defect, ``hdiv_mismatch``,
+    bounds every interior facet's tau_K.n_K + tau_K'.n_K' and above AUDIT_TOL
+    raises ConformityAuditFailed. Either audit's error names the first worst
+    element in mesh order. A total that is not finite raises UnsolvableProblem.
 
     After the patch solves every stage is element-local, so the reconstruction
     runs ELEMENT_CHUNK elements at a time (``fem.element_blocks``): the facet
-    residuals R, the values of r = Pi_K f - kappa^2 u_h and the variant-1 field
-    hold one block, and only per-element results are mesh-sized: the
-    indicators, and for the conformity audit one facet-sized sum of the normal
-    traces per reported selection, since its facets join elements of different
-    blocks. The audits take the worst value over the blocks, so they report
-    and fail as on the whole mesh at once.
+    residuals R, the values of r = Pi_K f - kappa^2 u_h, the variant-1 field
+    and the normal traces hold one block, and only the indicators are
+    mesh-sized. The audits take the worst value over the blocks, so they
+    report and fail as on the whole mesh at once.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -181,11 +187,10 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
     eta1_sq, eta2_sq = np.empty(ne), np.full(ne, np.inf)
     pos, over = mesh.kappa > 0, mesh.layer
     need2 = over if strategy == "tau" else pos
-    sums = []       # facet sums of the conformity audit's traces, one per reported selection
 
     def block(blk):
-        """Fill the rows ``blk`` and return their worst divergence residual; in a
-        function, so that one block's arrays are alive at a time."""
+        """Fill the rows ``blk`` and return their two audit records; in a function,
+        so that one block's arrays are alive at a time."""
         R = rec.facet_residuals(mesh, fluxes, sol.grad, blk)
         pf_vals = project_element_bulk(mesh, sol.f_loads, blk)
         u_loc = sol.u[mesh.simplices[blk]]
@@ -203,20 +208,22 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
         kappa = mesh.kappa[blk][layer]
         second[layer] = mesh.volumes[blk][layer] * resid_const[layer] ** 2 / kappa ** 2
         eta1_sq[blk] = eta1_first + second   # divergence term only counted where kappa*rho > 1
+        trace = (0.0, None, None, None)
         if check_conformity:   # every reported selection, each field evaluated once
             picks = _selections(strategy, over[blk], pos[blk], eta1_sq[blk], eta2_sq[blk])
-            traces = rec.facet_trace_values(mesh, sol.grad, v1, R, np.stack(list(picks.values())))
-            if not sums:
-                sums.extend(np.empty((mesh.n_facets, t.shape[2])) for t in traces)
-            for facet_sums, trace in zip(sums, traces):
-                rec.add_facet_traces(mesh, facet_sums, trace, blk)
-        return rec.divergence_residual(mesh, resid_const, pf_vals, u_loc, blk)
+            fields = rec.facet_trace_values(mesh, sol.grad, v1, R, np.stack(list(picks.values())))
+            defect = np.zeros((len(resid_const), 2, mesh.dim + 1))   # element, variant, facet
+            for v, (rows, t) in enumerate(fields):
+                defect[rows, v] = rec.trace_defect(mesh, fluxes.gplus, t, blk.start + rows)
+            k, v, i = np.unravel_index(np.argmax(defect), defect.shape)   # the first NaN, if any
+            trace = (float(defect[k, v, i]), blk.start + int(k), int(i), int(v) + 1)
+        return rec.divergence_residual(mesh, resid_const, pf_vals, u_loc, blk), trace
 
-    audit_worst = 0.0
+    div_worst, trace_worst = (0.0, None), (0.0, None, None, None)
     for blk in element_blocks(ne):
-        # np.maximum keeps a NaN, which the builtin max may drop
-        audit_worst = float(np.maximum(audit_worst, block(blk)))
-    rec.check_divergence(audit_worst)
+        div, trace = block(blk)
+        div_worst, trace_worst = _worse(div_worst, div), _worse(trace_worst, trace)
+    rec.check_divergence(div_worst)
 
     osc_f = oscillation_f(mesh, sol)
     osc_gn = np.zeros(ne)
@@ -229,7 +236,7 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
         variant_tau=None, variant_taustar=None,
         osc_f=osc_f, osc_gn=osc_gn, eta_tau=None, eta_taustar=None,
         ndof=sol.ndof, solver_iterations=sol.iterations,
-        audits={"divergence_residual": audit_worst,
+        audits={"divergence_residual": div_worst[0],
                 "equilibration_residual": fluxes.eps_max_rel},
     )
 
@@ -242,13 +249,13 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
         raise UnsolvableProblem("the error bound is not finite: the data overflow in floating point")
 
     if check_conformity:
-        scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
-        # np.max keeps a NaN, which the builtin max may drop
-        worst = float(np.max([rec.trace_mismatch(mesh, t, scale) for t in sums]))
-        if not worst <= rec.AUDIT_TOL:     # a NaN fails too
+        worst, e, i, v = trace_worst
+        mismatch = 2.0 * worst      # bounds |tau_K.n_K + tau_K'.n_K'| on every facet
+        if not mismatch <= rec.AUDIT_TOL:     # a NaN fails too
             raise ConformityAuditFailed(
-                f"normal-trace mismatch {worst:.3e} (scaled) exceeds {rec.AUDIT_TOL:g}")
-        report.audits["hdiv_mismatch"] = worst
+                f"normal-trace defect {mismatch:.3e} (scaled, twice the worst) exceeds "
+                f"{rec.AUDIT_TOL:g} on facet {i} of element {e} (variant {v})")
+        report.audits["hdiv_mismatch"] = mismatch
     return report
 
 

@@ -163,26 +163,32 @@ def eta1_terms(mesh: Mesh, v1: Variant1Bulk):
 
 
 def divergence_residual(mesh: Mesh, resid_const: np.ndarray, pf_vals: np.ndarray,
-                        u_vals: np.ndarray, elems=slice(None)) -> float:
-    """The worst scaled divergence residual over the elements ``elems`` (all by
-    default; the arrays hold their rows) with kappa*rho <= 1, 0.0 when there are
-    none. A maximum, so the worst of the blocks is the worst of the mesh."""
+                        u_vals: np.ndarray, elems=slice(None)) -> tuple:
+    """``(worst, element)``: the worst scaled divergence residual over the elements
+    ``elems`` (a slice, all by default; the arrays hold their rows) with kappa*rho
+    <= 1 and the first element with it, a NaN the worst; ``(0.0, None)`` if none."""
     d = mesh.dim
     volumes, kappa = mesh.volumes[elems], mesh.kappa[elems]
     scale = (np.sqrt(_mass_norm_sq(pf_vals, volumes, d))
              + kappa ** 2 * np.sqrt(_mass_norm_sq(u_vals, volumes, d)) + 1.0)
     norm = np.sqrt(volumes) * np.abs(resid_const)
-    sel = ~mesh.layer[elems]
-    return float((norm[sel] / scale[sel]).max()) if np.any(sel) else 0.0
+    sel = np.flatnonzero(~mesh.layer[elems])
+    if not len(sel):
+        return 0.0, None
+    ratio = norm[sel] / scale[sel]
+    k = int(np.argmax(ratio))       # the first NaN, if any
+    return float(ratio[k]), range(mesh.n_elements)[elems][sel[k]]
 
 
-def check_divergence(worst: float) -> float:
-    """``worst`` when it is within AUDIT_TOL, else DivergenceAuditFailed."""
-    if not worst <= AUDIT_TOL:     # a NaN fails too
+def check_divergence(worst) -> float:
+    """The value of the ``(value, element)`` record ``worst`` when it is within
+    AUDIT_TOL, else DivergenceAuditFailed naming the element."""
+    value, e = worst
+    if not value <= AUDIT_TOL:     # a NaN fails too
         raise DivergenceAuditFailed(
-            f"divergence residual {worst:.3e} (scaled) exceeds {AUDIT_TOL:g} "
-            f"on an element with kappa*rho <= 1")
-    return worst
+            f"divergence residual {value:.3e} (scaled) exceeds {AUDIT_TOL:g} "
+            f"on element {e}, where kappa*rho <= 1")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -390,28 +396,27 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# normal traces (H(div) conformity checks)
+# normal traces (the H(div) conformity audit)
 # ---------------------------------------------------------------------------
 
 def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
-                       R: np.ndarray, variant: np.ndarray) -> list:
-    """Normal trace of the assembled flux on every (element, facet) pair of the
-    elements of v1 (``v1.elems``).
+                       R: np.ndarray, variant: np.ndarray) -> tuple:
+    """Normal traces of each flux field on the elements of v1 (``v1.elems``)
+    where some selection uses it.
 
     ``variant`` (s, k) stacks s selections of the reconstruction of each of
     those elements (1 or 2); ``R`` holds their facet residuals, rows as in v1,
-    and ``grad`` is mesh-sized. Returns a list of s traces of shape
-    (k, d+1, nq): the flux at the canonical facet quadrature points dotted
-    with the element's outward normal. The points are defined on the facet, so
-    they coincide for the two sharing elements. Each field is read once, on the elements where some selection uses it, and in
-    closed form from the data its indicator reads: variant 1 as the P2 basis
-    at the nodes of facet i (lambda_i = 0) times the coefficients of v1,
-    which ``eta1_terms`` reads; variant 2 from the facet data (F, a, b) of
-    ``_facet_setup`` that ``eta2_terms`` reads. On facet i the cutoff factor
-    is 1, so tau_O = s x with s = (a.x + b) / rho, and with x = sum_j mu_j F_j
-    both s and x.n are affine in the facet barycentrics mu: the trace is
-    grad u_h.n + (mu.S)(mu.X), S_j = (a.F_j + b) / rho and X_j = F_j.n at the
-    facet vertices j.
+    and ``grad`` is mesh-sized. Returns ``((rows1, t1), (rows2, t2))``: per
+    variant, the rows of v1 that use it and its (len(rows), d+1, nq) trace,
+    the flux at the canonical facet points dotted with the outward normal.
+    Each field is read once, in closed form from the data its indicator
+    reads: variant 1 as the P2 basis at the nodes of facet i (lambda_i = 0)
+    times the coefficients of v1, which ``eta1_terms`` reads; variant 2 from
+    the facet data (F, a, b) of ``_facet_setup`` that ``eta2_terms`` reads.
+    On facet i the cutoff factor is 1, so tau_O = s x with s = (a.x + b) / rho,
+    and with x = sum_j mu_j F_j both s and x.n are affine in the facet
+    barycentrics mu: the trace is grad u_h.n + (mu.S)(mu.X),
+    S_j = (a.F_j + b) / rho and X_j = F_j.n at the facet vertices j.
     """
     d = mesh.dim
     rule = rule_for(d - 1, TRACE_DEGREE)
@@ -441,35 +446,22 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
         S = np.array([(_dot(a, F[:, j]) + b) / rho for j in range(d)])
         X = np.array([_dot(F[:, j], n2) for j in range(d)])
         t2[:, i] = (_times(rule.points, S) * _times(rule.points, X)).T + _dot(grad2, n2)[:, None]
-    traces = [np.empty((len(ids), d + 1, rule.n_points)) for _ in variant]
-    for trace, p in zip(traces, variant):
-        trace[i1] = t1
-        trace[i2[p[i2] == 2]] = t2[p[i2] == 2]
-    return traces
+    return (i1, t1), (i2, t2)
 
 
-def add_facet_traces(mesh: Mesh, sums: np.ndarray, trace: np.ndarray,
-                     elems=slice(None)) -> None:
-    """Add the (k, d+1, nq) traces of the elements ``elems`` (all by default) into the
-    (nf, nq) facet sums tau_K.n_K + tau_K'.n_K'.
+def trace_defect(mesh: Mesh, gplus: np.ndarray, trace: np.ndarray, elems) -> np.ndarray:
+    """(k, d+1) worst |sigma_K tau_K.n_K - g| / max(1, |g|) over the points of each
+    facet, for the (k, d+1, nq) normal ``trace`` of the elements ``elems`` (ids).
 
-    The plus side's trace is written and the minus side's added to it. The plus
-    side is the element with the smaller id, so the sums are complete once
-    every element has been added in ascending blocks.
+    g is the facet's plus-side equilibrated flux ``gplus`` at the points: each
+    flux must reproduce g_K = sigma_K g, and as sigma_K' = -sigma_K, the sum
+    tau_K.n_K + tau_K'.n_K' is at most the two sides' defects.
     """
-    fids = mesh.elem_facets[elems]
-    plus = mesh.elem_sigma[elems] > 0
-    sums[fids[plus]] = trace[plus]
-    sums[fids[~plus]] += trace[~plus]
-
-
-def trace_mismatch(mesh: Mesh, sums: np.ndarray, scale: np.ndarray) -> float:
-    """Worst interior-facet mismatch over the trace points of the facet sums of
-    ``add_facet_traces``.
-
-    ``scale`` (nf,) is max(1, facet flux magnitude), so that structural H(div)
-    conformity is tested at machine precision regardless of the data size.
-    """
-    interior = mesh.facet_elems[:, 1] >= 0
-    mism = np.abs(sums[interior]).max(axis=1)
-    return float((mism / scale[interior]).max()) if interior.any() else 0.0
+    points = rule_for(mesh.dim - 1, TRACE_DEGREE).points
+    out = np.empty(trace.shape[:2])
+    for i in range(mesh.dim + 1):   # one facet at a time: small temporaries
+        g = gplus[mesh.elem_facets[elems, i]]               # (k, d)
+        defect = mesh.elem_sigma[elems, i, None] * trace[:, i]
+        defect -= _times(points, g.T).T
+        out[:, i] = np.abs(defect, out=defect).max(axis=1) / np.maximum(1.0, np.abs(g).max(axis=1))
+    return out

@@ -23,7 +23,10 @@
   ``build_variant2``/``FluxVariant2``, the general layer field
   ``variant2_field`` (cutoff and divergence included), the facet data of the
   layer field by a linear solve per element ``facet_setup_reference``, the
-  equilibrated flux at the trace points ``equilibrated_trace``, and the layer
+  equilibrated flux at the trace points ``equilibrated_trace``, the normal
+  trace of each selection ``selection_traces``, the conformity audit by
+  pairing the two sides of every facet ``pairwise_mismatch`` and element by
+  element against the stored fluxes ``worst_trace_defect``, and the layer
   indicator by other routes: ``eta2_terms_staircase`` (with
   ``split_cone_frustum``), ``eta_K`` and ``eta2_terms_longdouble``, and its
   flux term by a degree-4 facet rule ``eta2_flux_facet_rule``. The flux
@@ -525,6 +528,50 @@ def equilibrated_trace(mesh, R, grad) -> np.ndarray:
     rule = rule_for(mesh.dim - 1, TRACE_DEGREE)
     gn = np.einsum("ed,eid->ei", grad, mesh.outward_normals())
     return R @ rule.points.T + gn[:, :, None]
+
+
+def selection_traces(fields, variant) -> list:
+    """The (k, d+1, nq) normal trace of each selection in ``variant`` (s, k),
+    gathered from the per-variant ``((rows1, t1), (rows2, t2))`` of
+    ``facet_trace_values``; a row that no field covers stays NaN."""
+    (i1, t1), (i2, t2) = fields
+    out = []
+    for p in variant:
+        trace = np.full((len(p),) + t1.shape[1:], np.nan)
+        for rows, t, v in ((i1, t1, 1), (i2, t2, 2)):
+            trace[rows[p[rows] == v]] = t[p[rows] == v]
+        out.append(trace)
+    return out
+
+
+def pairwise_mismatch(mesh, gplus, trace) -> float:
+    """Worst |tau_K.n_K + tau_K'.n_K'| over the trace points of the interior
+    facets, scaled by max(1, |gplus|): the two sides of each facet paired, the
+    audit that the element-local defect of ``reconstruction.trace_defect``
+    replaced (the same two operands in each sum)."""
+    interior = np.flatnonzero(mesh.facet_elems[:, 1] >= 0)
+    (ep, em), (lp, lm) = mesh.facet_elems[interior].T, mesh.facet_local[interior].T
+    mism = np.abs(trace[ep, lp] + trace[em, lm]).max(axis=1)
+    scale = np.maximum(1.0, np.abs(gplus[interior]).max(axis=1))
+    return float((mism / scale).max()) if len(interior) else 0.0
+
+
+def worst_trace_defect(mesh, gplus, trace) -> float:
+    """Worst |sigma_K tau_K.n_K - g| / max(1, |g|) over every facet of every
+    element and its trace points, g the facet's plus-side flux ``gplus``
+    interpolated at each point by the sum over the facet vertices in order."""
+    points = rule_for(mesh.dim - 1, TRACE_DEGREE).points
+    worst = 0.0
+    for i in range(mesh.dim + 1):
+        g = gplus[mesh.elem_facets[:, i]]                     # (ne, d)
+        scale = np.maximum(1.0, np.abs(g).max(axis=1))
+        for q, mu in enumerate(points):
+            g_q = np.zeros(mesh.n_elements)
+            for j, w in enumerate(mu):
+                g_q += w * g[:, j]
+            defect = np.abs(mesh.elem_sigma[:, i] * trace[:, i, q] - g_q) / scale
+            worst = float(np.maximum(worst, defect.max()))   # keeps a NaN
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ counts for the stages around it too. tracemalloc sees the numpy arrays the
 program allocates, not the interpreter's fixed footprint, so the peaks are
 the working set of the call and do not depend on the machine.
 
-From the root of a source checkout, for a d=3 cube of the benchmark family:
+From the root of a source checkout, for a d=3 cube of the benchmark family,
+with the peaks of ``estimate`` without and with the conformity audit side by
+side:
 
     PYTHONPATH=src python tests/stage_memory.py 16 100 1e6
 """
@@ -105,14 +107,19 @@ def main(argv):
     m, kappa1, kappa2 = int(argv[0]), float(argv[1]), float(argv[2])
     cfg = RunConfig(dim=3, m=m, kappa1=kappa1, kappa2=kappa2)
     mesh, data = benchmark_mesh(cfg), benchmark_data(cfg)
+    peaks = {}
+    for audited in (False, True):
+        def run():
+            sol = fem.solve_problem(mesh, data)
+            estimator.estimate(mesh, sol, data, "both", check_conformity=audited)
 
-    def run():
-        sol = fem.solve_problem(mesh, data)
-        estimator.estimate(mesh, sol, data, "both")
-
-    run()       # fill the quadrature caches first
-    for name, peak in sorted(stage_peaks(run).items(), key=lambda kv: -kv[1]):
-        print(f"{name:40s} {peak / 2 ** 20:8.2f} MB")
+        run()       # fill the quadrature caches first
+        peaks[audited] = stage_peaks(run)
+    print(f"{'stage':40s} {'unaudited':>11s} {'audited':>11s}")
+    for name in sorted(peaks[True], key=lambda name: -peaks[True][name]):
+        cols = [f"{peaks[a][name] / 2 ** 20:8.2f} MB" if name in peaks[a] else f"{'-':>11s}"
+                for a in (False, True)]
+        print(f"{name:40s} {cols[0]} {cols[1]}")
     return 0
 
 

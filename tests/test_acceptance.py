@@ -426,7 +426,8 @@ def _single_simplex_suite(d, rng, kappa_rho_target):
     r_vals = pf - mesh.kappa[:, None] ** 2 * sol.u[mesh.simplices]
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     variant = np.where(mesh.kappa * mesh.inradii > 1, 2, 1).astype(np.int8)
-    [trace] = rec.facet_trace_values(mesh, sol.grad, v1, R, variant[None])
+    fields = rec.facet_trace_values(mesh, sol.grad, v1, R, variant[None])
+    [trace] = oracles.selection_traces(fields, variant[None])
     g_exact = oracles.equilibrated_trace(mesh, R, sol.grad)
     gscale = np.maximum(1.0, np.abs(g_exact).max(axis=2))
     assert (np.abs(trace - g_exact) / gscale[:, :, None]).max() < 1e-11

@@ -86,7 +86,8 @@ def test_variant1_normal_trace_matches_g():
     mesh, data, sol, fluxes, R, r_vals = benchmark_setup(3, 4, 1.0, 1.0)
     v1 = rec.variant1_bulk(mesh, R, r_vals)
     variant = np.ones(mesh.n_elements, dtype=np.int8)
-    [trace] = rec.facet_trace_values(mesh, sol.grad, v1, R, variant[None])
+    fields = rec.facet_trace_values(mesh, sol.grad, v1, R, variant[None])
+    [trace] = oracles.selection_traces(fields, variant[None])
     g_exact = oracles.equilibrated_trace(mesh, R, sol.grad)
     scale = np.maximum(1.0, np.abs(g_exact).max(axis=2))
     assert (np.abs(trace - g_exact) / scale[:, :, None]).max() < 1e-11
@@ -586,16 +587,23 @@ def test_divergence_audit_failure_raises(unit_triangle):
 # H(div) conformity
 # ---------------------------------------------------------------------------
 
-def test_mixed_variant_trace_mismatch():
+def test_mixed_variant_trace_mismatch(monkeypatch):
+    # the audit of the tau selection, which mixes the variants here, bounds the
+    # two sides' mismatch of every interior facet and is twice the worst
+    # element defect against the stored fluxes, both by oracles
     mesh, data, sol, fluxes, R, r_vals = benchmark_setup(3, 4, 2.0, 300.0)
-    v1 = rec.variant1_bulk(mesh, R, r_vals)
     variant = np.where(mesh.kappa * mesh.inradii > 1.0, 2, 1).astype(np.int8)
     assert set(np.unique(variant)) == {1, 2}
-    [trace] = rec.facet_trace_values(mesh, sol.grad, v1, R, variant[None])
-    sums = np.empty((mesh.n_facets, trace.shape[2]))
-    rec.add_facet_traces(mesh, sums, trace)
-    scale = np.maximum(1.0, np.abs(fluxes.gplus).max(axis=1))
-    assert rec.trace_mismatch(mesh, sums, scale) < 1e-11
+    trace_values, seen = rec.facet_trace_values, []
+    monkeypatch.setattr(rec, "facet_trace_values",
+                        lambda *args: seen.append(trace_values(*args)) or seen[-1])
+    rep = est.estimate(mesh, sol, data, "tau", check_conformity=True)
+    assert len(seen) == 1 and np.array_equal(rep.variant_tau, variant)   # one block
+    [trace] = oracles.selection_traces(seen[0], variant[None])
+    mismatch = rep.audits["hdiv_mismatch"]
+    assert oracles.pairwise_mismatch(mesh, fluxes.gplus, trace) <= mismatch * (1 + 1e-12)
+    assert mismatch == 2 * oracles.worst_trace_defect(mesh, fluxes.gplus, trace)
+    assert mismatch < 1e-11
     g_exact = oracles.equilibrated_trace(mesh, R, sol.grad)
     gscale = np.maximum(1.0, np.abs(g_exact).max(axis=2))
     assert (np.abs(trace - g_exact) / gscale[:, :, None]).max() < 1e-11
@@ -634,7 +642,8 @@ def test_traces_match_the_pointwise_fields(dim, m):
     # (oracles.variant1_field, oracles.build_variant2), on both selections of the audit
     mesh, sol, R, r_vals, v1, variant = _perturbed_jump_setup(dim, m, seed=dim)
     assert np.any(variant[0] != variant[1])
-    traces = rec.facet_trace_values(mesh, sol.grad, v1, R, variant)
+    traces = oracles.selection_traces(rec.facet_trace_values(mesh, sol.grad, v1, R, variant),
+                                      variant)
     rule = rule_for(dim - 1, rec.TRACE_DEGREE)
     normals = mesh.outward_normals()
     Rv = eq._to_local_vertices(R)

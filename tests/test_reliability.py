@@ -1,10 +1,10 @@
 """Guaranteed upper bound beyond the cube benchmark.
 
 A smooth solution with non-zero Neumann data on perturbed Kuhn meshes in
-d = 2, 3, 4, across seven decades of kappa and with a kappa jump, and on a
-Delaunay mesh with slivers: eta_tau and eta_taustar must bound the degree-10
-quadrature of the true error, so the f- and g_N-oscillation terms with their
-trace constants are exercised too.
+d = 2, 3, 4, across seven decades of kappa and with a kappa jump, and on
+Delaunay meshes with slivers in d = 2, 3: eta_tau and eta_taustar must bound
+the degree-10 quadrature of the true error, so the f- and g_N-oscillation
+terms with their trace constants are exercised too.
 """
 import math
 import warnings
@@ -77,10 +77,10 @@ def perturbed_cube(m, dim, kappa, seed, plane=False):
                               lambda c: np.abs(np.abs(c[:, 0]) - 1.0) < 1e-12)
 
 
-def assert_bound(mesh, exact, label):
+def assert_bound(mesh, exact, label, check_conformity=False):
     data = fem.ProblemData(f=exact.f, g_N=exact.g_N, data_degree=8)
     sol = fem.solve_problem(mesh, data)
-    rep = est.estimate(mesh, sol, data, "both")
+    rep = est.estimate(mesh, sol, data, "both", check_conformity=check_conformity)
     err, _ = est.true_error(mesh, sol, exact)
     assert err > 0.0, label
     assert rep.eta_tau >= err * (1.0 - REL_SLACK), label
@@ -113,12 +113,18 @@ DELAUNAY_AUDIT = pytest.mark.xfail(
            "with the PCG u_h at kappa 30 and 50 (worst h/rho 1,868)")
 
 
-@pytest.mark.parametrize("kappa", [0.0, 1.0, pytest.param(30.0, marks=DELAUNAY_AUDIT),
-                                   pytest.param(50.0, marks=DELAUNAY_AUDIT)])
-def test_bound_holds_on_a_delaunay_mesh(kappa):
-    base = delaunay_mesh(2, 2000)
+@pytest.mark.parametrize("dim,n,kappa", [
+    pytest.param(2, 2000, 0.0, id="0.0"), pytest.param(2, 2000, 1.0, id="1.0"),
+    pytest.param(2, 2000, 30.0, marks=DELAUNAY_AUDIT, id="30.0"),
+    pytest.param(2, 2000, 50.0, marks=DELAUNAY_AUDIT, id="50.0"),
+    pytest.param(3, 1000, 0.0, id="3d-0.0"), pytest.param(3, 1000, 1.0, id="3d-1.0")])
+def test_bound_holds_on_a_delaunay_mesh(dim, n, kappa):
+    # with the conformity audit, which here also reads the sliver boundary facets;
+    # the divergence audit is raised first, as the xfails expect
+    base = delaunay_mesh(dim, n)
     mesh = geo.build_mesh(base.points, base.simplices, kappa, lambda c: np.abs(c[:, 0]) == 1.0)
-    assert_bound(mesh, SmoothSolution(np.array([0.45]), lambda x: np.full(len(x), kappa)), kappa)
+    exact = SmoothSolution(np.array([0.45, -0.3])[:dim - 1], lambda x: np.full(len(x), kappa))
+    assert_bound(mesh, exact, kappa, check_conformity=True)
 
 
 @pytest.mark.parametrize("kappa,rate_f,rate_gn", [(0.0, 3.0, 2.5), (1.0, 3.0, 2.5),
