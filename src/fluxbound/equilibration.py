@@ -14,6 +14,16 @@ kappa_K * rho_K <= 1 the residual of u_h against the vertex hat function must
 vanish exactly; on the remaining elements the residual against an approximate
 minimum-energy extension (a hat collapsing over a layer of width ~ 1/kappa)
 is minimized in the least-squares sense, with minimal-norm tie-breaking.
+
+The patch problems are solved in stacks of same-shape patches. A patch's
+unknowns are the free facets of its vertex in ascending order; a table of
+each free (facet, slot)'s position among them, filled from
+``Mesh._vertex_facet_data``, turns the +-1 sign matrices and their products
+into gathers, and each distinct sign matrix is factored once per call. The
+collapsed-extension terms of the layer rows form the mass product of each
+sub-simplex only in the slot they keep. Rows are gathered with ``np.take``,
+which numpy serves several times faster than fancy indexing of a 2-D array;
+no result depends on the route of a gather.
 """
 from __future__ import annotations
 
@@ -41,13 +51,15 @@ def facet_average(mesh: Mesh, grad: np.ndarray) -> np.ndarray:
 
     Boundary facets use the one-sided convention: average = own flux.
     """
-    ep, lp = mesh.facet_elems[:, 0], mesh.facet_local[:, 0]
-    g = mesh.bary_grads[ep, lp]
+    d = mesh.dim
+    ep = mesh.facet_elems[:, 0]
+    g = np.take(mesh.bary_grads.reshape(-1, d), ep * (d + 1) + mesh.facet_local[:, 0], axis=0)
     n_plus = -g / np.linalg.norm(g, axis=1, keepdims=True)
-    avg = np.einsum("fd,fd->f", n_plus, grad[ep])
-    interior = mesh.facet_elems[:, 1] >= 0
-    em = mesh.facet_elems[interior, 1]
-    avg[interior] = 0.5 * (avg[interior] + np.einsum("fd,fd->f", n_plus[interior], grad[em]))
+    avg = np.einsum("fd,fd->f", n_plus, np.take(grad, ep, axis=0))
+    interior = np.flatnonzero(mesh.facet_elems[:, 1] >= 0)
+    em = np.take(mesh.facet_elems[:, 1], interior)
+    avg[interior] = 0.5 * (avg[interior] + np.einsum(
+        "fd,fd->f", np.take(n_plus, interior, axis=0), np.take(grad, em, axis=0)))
     return avg
 
 
@@ -93,7 +105,7 @@ def residual_functionals(mesh: Mesh, sol: FemSolution) -> ResidualData:
     d = mesh.dim
     avg = facet_average(mesh, sol.grad)
     neu = mesh.neumann
-    D, scale = np.empty((mesh.n_elements, d + 1)), np.empty((mesh.n_elements, d + 1))
+    D, scale = np.zeros((mesh.n_elements, d + 1)), np.empty((mesh.n_elements, d + 1))
     layer = np.flatnonzero(mesh.layer)
     size = _extension_block(d)
     for lo in range(0, len(layer), size):
@@ -114,11 +126,9 @@ def residual_functionals(mesh: Mesh, sol: FemSolution) -> ResidualData:
                              mesh.elem_sigma[blk] * avg[fids] * mesh.facet_measures[fids] / d, 0.0)
         avgterm = per_facet.sum(axis=1, keepdims=True) - per_facet
         plain = F1 + Fg - b_stiff - b_mass + avgterm
-        lay = mesh.layer[blk]
         # theta* = theta_n on dK and u_h is affine, so int grad u_h . grad theta*
         # = int_dK du_h/dn theta* = int grad u_h . grad theta_n = b_stiff
-        plain[lay] = D[blk][lay] - b_stiff[lay] + Fg[lay] + avgterm[lay]
-        D[blk] = plain
+        D[blk] = np.where(mesh.layer[blk, None], D[blk] - b_stiff + Fg + avgterm, plain)
         scale[blk] = (np.abs(F1) + np.abs(Fg) + np.abs(b_stiff) + np.abs(b_mass)
                       + np.abs(per_facet).sum(axis=1, keepdims=True))
     return ResidualData(D=D, scale=scale, avg=avg)
@@ -133,18 +143,19 @@ def _extension_tables(d: int):
     delta 1 + (1 - (d+1) delta) e_n. Node q of the EXTENSION_DEGREE rule, nu
     on S_i(n) (the facet vertices facet_vertices(d)[i], then x_P), sits at the
     element barycentrics A + delta B. Over the Q = d(d+1) nq nodes of all
-    (n, i != n) in order, returns ``(AB, hat)``: AB = [A B] (Q, 2(d+1)), so
-    that the nodes of an element are AB @ [x_K; delta x_K], and hat
-    (d+1, d, nq) the value nu_q[slot of n] of theta* at node q of the d
-    sub-simplices of n. Read-only.
+    (n, i != n) in order, returns ``(AB, hat, pairs)``: AB = [A B]
+    (Q, 2(d+1)), so that the nodes of an element are AB @ [x_K; delta x_K],
+    hat (d+1, d, nq) the value nu_q[slot of n] of theta* at node q of the d
+    sub-simplices of n, and pairs (d+1, d) their facets i. Read-only.
     """
     nu = rule_for(d, EXTENSION_DEGREE).points
     others = facet_vertices(d)
-    AB, hat = [], []
+    AB, hat, pairs = [], [], []
     for n in range(d + 1):
         for i in range(d + 1):
             if i == n:
                 continue   # theta* vanishes on the sub-simplex opposite its vertex
+            pairs.append(i)
             ab = np.zeros((len(nu), 2, d + 1))
             ab[:, 0, others[i]] = nu[:, :d]
             ab[:, 0, n] += nu[:, d]
@@ -152,7 +163,8 @@ def _extension_tables(d: int):
             ab[:, 1, n] -= (d + 1) * nu[:, d]
             AB.append(ab.reshape(len(nu), -1))
             hat.append(nu[:, list(others[i]).index(n)])
-    tables = np.concatenate(AB), np.reshape(hat, (d + 1, d, len(nu)))
+    tables = (np.concatenate(AB), np.reshape(hat, (d + 1, d, len(nu))),
+              np.reshape(pairs, (d + 1, d)))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -171,19 +183,20 @@ def _extension_volume_terms(mesh: Mesh, sol: FemSolution, sel: np.ndarray) -> np
     are the points (A + delta B) x_K of ``_extension_tables``, built for a
     block of ``_extension_block`` elements by one matrix product with the
     stacked tables [A B], and f is called once per block. The kappa^2 part is
-    exact, the P1 mass product on each S_i(n). Every array but the result
-    holds one block.
+    exact, the P1 mass product on each S_i(n), formed only in the slot of n.
+    Every array but the result holds one block.
 
     Where u_h = f / kappa^2 the two parts cancel and the result is
     round-off, which decides between the round-off-level indicators of the
     two reconstructions. So the sums keep the order of the sub-simplex route:
     per S_i(n) over the rule's nodes, then f part minus kappa^2 part, then over
-    i; with f constant the result equals that route's bit for bit. The
-    stiffness part of B_K(u_h, theta*) equals that of the plain hat and is
+    i; with f constant the result equals that route's bit for bit (the d+1
+    vertex values of u_h on S_i(n) are summed in order, as numpy sums up to
+    seven values). The stiffness part of B_K(u_h, theta*) equals that of the plain hat and is
     left to the caller.
     """
     d = mesh.dim
-    AB, hat = _extension_tables(d)
+    AB, hat, pairs = _extension_tables(d)
     rule = rule_for(d, EXTENSION_DEGREE)
     others = facet_vertices(d)
     out = np.zeros((len(sel), d + 1))
@@ -193,7 +206,8 @@ def _extension_volume_terms(mesh: Mesh, sol: FemSolution, sel: np.ndarray) -> np
         delta = 1.0 / (d * mesh.kappa[rows] * mesh.inradii[rows])  # kappa*rho > 1 on sel
         svol = delta * mesh.volumes[rows]   # |S_i| = lambda_i(x_P) |K| for every i != n
         P = np.empty((2, d + 1, len(rows), d))        # [x_K; delta x_K]
-        np.take(mesh.points, mesh.simplices[rows].T, axis=0, out=P[0])
+        verts = np.take(mesh.simplices, rows, axis=0)
+        np.take(mesh.points, verts.T, axis=0, out=P[0])
         np.multiply(P[0], delta[:, None], out=P[1])
         x = AB @ P.reshape(2 * (d + 1), -1)
         vals = data_values(sol.data.f, x.reshape(-1, d), "f")
@@ -201,18 +215,26 @@ def _extension_volume_terms(mesh: Mesh, sol: FemSolution, sel: np.ndarray) -> np
         terms *= rule.weights[:, None]
         # int f theta* on S_i(n), the i != n in order, node by node
         ft = terms.sum(axis=2) * (svol * math.factorial(d))
+        uloc = np.take(sol.u, verts)
 
-        uloc = sol.u[mesh.simplices[rows]]
-        k2 = mesh.kappa[rows] ** 2
-        block = out[lo:lo + size]
+        # the P1 mass product on S_i(n) in n's slot, |S_i| (u_n + s) / ((d+1)(d+2)),
+        # s the sum of u_h at the vertices of S_i(n) in order: those of facet i
+        # (u_fac, one sum per i), then x_P (u_p, one value per n)
+        u = uloc.T
+        u_fac = u[others[:, 0]]
+        for j in range(1, d):
+            u_fac = u_fac + u[others[:, j]]
+        u_p = np.empty((d + 1, len(rows)))
         for n in range(d + 1):
             coeff = np.full((len(rows), d + 1), delta[:, None])
             coeff[:, n] = 1.0 - d * delta
-            u_p = np.einsum("kj,kj->k", coeff, uloc)
-            for f_i, i in zip(ft[n], [i for i in range(d + 1) if i != n]):
-                su = np.concatenate([uloc[:, others[i]], u_p[:, None]], axis=1)
-                mass = k2 * _mass_times(su, svol[:, None], d)[:, n - (n > i)]   # n's slot
-                block[:, n] += f_i - mass
+            u_p[n] = np.einsum("kj,kj->k", coeff, uloc)
+        mass = svol * (u[:, None] + (u_fac[pairs] + u_p[:, None]))
+        terms = ft - mesh.kappa[rows] ** 2 * (mass / ((d + 1) * (d + 2)))
+        block = np.zeros((d + 1, len(rows)))
+        for i in range(d):      # over the i != n in order
+            block += terms[:, i]
+        out[lo:lo + size] = block.T
     return out
 
 
@@ -265,39 +287,67 @@ def _raise_worst(bad, vals, tol, verts, message: str):
         raise InfeasibleConstraints(message.format(v=verts[j], res=vals[j], tol=tol[j]))
 
 
-def _sign_matrices(mesh: Mesh, els: np.ndarray, unknown: np.ndarray) -> np.ndarray:
-    """(n, k, nu) int8 +-1 patterns: M[p, r, j] is the orientation sign of element
-    els[p, r] on facet unknown[p, j], zero where the element lacks that facet.
+@lru_cache(maxsize=None)
+def _slot_table(d: int) -> np.ndarray:
+    """(d+1, d+1) table: [l, i] is the slot of local vertex l in local facet i,
+    l - (l > i), and d on the diagonal, where the facet lacks the vertex. Read-only."""
+    l, i = np.indices((d + 1, d + 1))
+    table = np.where(l == i, d, l - (l > i))
+    table.setflags(write=False)
+    return table
 
-    Each row of `unknown` ascends by facet id, so the keys p * n_facets + facet
-    are sorted over the whole array, and one search places every facet of every
-    patch element; an element has a facet at most once, so a hit is one entry.
+
+def _sign_matrices(mesh: Mesh, els: np.ndarray, locs: np.ndarray, column: np.ndarray,
+                   nu: int):
+    """+-1 patterns of the patches with elements els (n, k), whose vertex is their
+    local vertex locs, and the column of each element facet in its patch.
+
+    ``column`` is ``_solve_patches``' (nf, d+1) table, raveled: 1 + the position
+    of each (facet, slot) among the nu free facets of its vertex, 0 for a
+    Neumann facet and in column d. A gather through ``_slot_table`` gives cols
+    (n, k, d+1), the column of local facet i of each patch element, 0 where the
+    facet is Neumann or lacks the vertex; no facet is searched for. Returns
+    ``(M, cols)``: M (n, k, 1 + nu) int8, M[p, r, 1 + j] the orientation sign of
+    element els[p, r] on unknown j of its patch and zero where the element
+    lacks that facet; column 0, where the facets without a column land, is
+    cleared.
     """
     n, k = els.shape
-    nu = unknown.shape[1]
-    patch = np.arange(n)[:, None, None]
-    keys = (patch[:, 0] * mesh.n_facets + unknown).ravel()
-    query = patch * mesh.n_facets + mesh.elem_facets[els]          # (n, k, d+1)
-    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    hit = keys[pos] == query
-    flat = (patch * k + np.arange(k)[:, None]) * nu + pos - patch * nu
-    M = np.zeros((n, k, nu), dtype=np.int8)
-    M.ravel()[flat[hit]] = mesh.elem_sigma[els][hit]
-    return M
+    cols = np.take(column, np.take(mesh.elem_facets, els, axis=0) * (mesh.dim + 1)
+                   + np.take(_slot_table(mesh.dim), locs, axis=0))
+    M = np.zeros((n, k, 1 + nu), dtype=np.int8)
+    M.ravel()[(np.arange(n * k) * (1 + nu)).reshape(n, k, 1) + cols] = np.take(
+        mesh.elem_sigma, els, axis=0)
+    M[..., 0] = 0
+    return M, cols
 
 
-def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, unknown, k: int, nc: int):
+def _times_signs(signs: np.ndarray, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_i signs[p, r, i] x[p, cols[p, r, i] - 1], column 0 reading zero: the
+    product of each sign matrix with x (n, nu) from its at most d nonzeros per row,
+    over the local facets in order."""
+    n, nu = x.shape
+    padded = np.zeros((n, 1 + nu))
+    padded[:, 1:] = x
+    return (signs * np.take(padded, (np.arange(n) * (1 + nu))[:, None, None] + cols)).sum(axis=2)
+
+
+def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, column, k: int, nc: int,
+                       nu: int, maps: dict):
     """Solve the patches of `verts`, all with k elements, nc of them constrained, and
-    the (n, nu) non-Neumann facets `unknown`; returns (alpha (n, nu), objective,
-    residual, scale), as ``_solve_patches`` defines them."""
-    nu = unknown.shape[1]
-    pos = mesh._vertex_elem_offsets[verts][:, None] + np.arange(k)
-    els, locs = mesh._vertex_elem_data[pos, 0], mesh._vertex_elem_data[pos, 1]
-    order = np.argsort(mesh.layer[els], axis=1, kind="stable")
-    els, locs = np.take_along_axis(els, order, 1), np.take_along_axis(locs, order, 1)
+    nu free facets; returns (alpha (n, nu), objective, residual, scale), as
+    ``_solve_patches`` defines them. ``maps`` holds the solution maps of the sign
+    matrices factored so far, by their bytes, and gains those of this chunk."""
+    ev = np.take(mesh._vertex_elem_data,
+                 mesh._vertex_elem_offsets[verts][:, None] + np.arange(k), axis=0)
+    els, locs = ev[..., 0], ev[..., 1]
+    if 0 < nc < k:      # constrained elements first
+        order = np.argsort(mesh.layer[els], axis=1, kind="stable")
+        els, locs = np.take_along_axis(els, order, 1), np.take_along_axis(locs, order, 1)
 
-    rhs = -resid.D[els, locs]
-    scale = resid.scale[els, locs].max(axis=1)
+    entry = els * (mesh.dim + 1) + locs
+    rhs = -np.take(resid.D, entry)
+    scale = np.take(resid.scale, entry).max(axis=1)
     tol = CONSTRAINT_TOL * np.maximum(scale, 1e-300)
     if nu == 0:
         res = np.abs(rhs[:, :nc]).max(axis=1, initial=0.0)
@@ -305,20 +355,27 @@ def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, unknown, k: int, 
                      "vertex {v}: constraint residual {res:.3e} with no free coefficients")
         return np.zeros((len(verts), 0)), np.zeros(len(verts)), res, scale
 
-    M = _sign_matrices(mesh, els, unknown)
+    M, cols = _sign_matrices(mesh, els, locs, column, nu)
     # patches with byte-identical sign matrices share one factorization
-    keys = M.reshape(len(M), -1).view(np.dtype((np.void, k * nu)))[:, 0]
+    keys = M.reshape(len(M), -1).view(np.dtype((np.void, M[0].size)))[:, 0]
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    L, P = _patch_maps(M[first].astype(float), nc)
-    alpha = np.einsum("nik,nk->ni", L[which], rhs)
-    fit = np.einsum("nki,ni->nk", M, alpha) - rhs
+    distinct = [key.tobytes() for key in keys[first]]
+    new = [j for j, key in enumerate(distinct) if key not in maps]
+    if new:
+        L, P = _patch_maps(M[first[new], :, 1:].astype(float), nc)
+        maps.update(zip((distinct[j] for j in new), zip(L, P)))
+    alpha = np.einsum("nik,nk->ni", np.stack([maps[key][0] for key in distinct])[which], rhs)
+
+    signs = np.take(mesh.elem_sigma, els, axis=0)
+    fit = _times_signs(signs, cols, alpha) - rhs
     res = np.abs(fit[:, :nc]).max(axis=1, initial=0.0)
     if nc:
         res0 = res
         if k > nc:   # the constraints alone, before the objective step
             c = rhs[:, :nc]
-            alpha0 = np.einsum("nic,nc->ni", P[which], c)
-            res0 = np.abs(np.einsum("nci,ni->nc", M[:, :nc], alpha0) - c).max(axis=1)
+            P = np.stack([maps[key][1] for key in distinct])[which]
+            alpha0 = np.einsum("nic,nc->ni", P, c)
+            res0 = np.abs(_times_signs(signs[:, :nc], cols[:, :nc], alpha0) - c).max(axis=1)
         _raise_worst(~(res0 <= tol), res0, tol, verts,
                      "vertex {v}: equality-constraint residual {res:.3e} exceeds {tol:.3e}")
         _raise_worst(~(res <= tol), res, tol, verts,
@@ -329,8 +386,15 @@ def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, unknown, k: int, 
 def _solve_patches(mesh: Mesh, resid: ResidualData, vertices):
     """Coefficients of the non-Neumann facets around each of `vertices`.
 
-    Patches are grouped by shape (elements, unknowns, constrained elements) and
-    solved in chunks of at most PATCH_CHUNK sign-matrix entries. Returns
+    The unknowns of a vertex are its free facets in ascending order, as
+    ``Mesh._vertex_facet_data`` lists them. Patches are grouped by shape
+    (elements, unknowns, constrained elements) and solved in chunks of at most
+    PATCH_CHUNK sign-matrix entries. Before a chunk is solved, one table of
+    this call receives the position of each (facet, slot) of its vertices
+    among their unknowns, so that the chunk's sign matrices and their products
+    are gathers (``_sign_matrices``). Each distinct sign matrix of a group is
+    factored once per call, in the first chunk that holds it, and its maps are
+    kept in a dict of the group, keyed by its bytes. Returns
     ``(alphas, info, scale)``: alphas (nf, d) holds the coefficients by facet
     and facet vertex (zero where no patch of `vertices` sets one), info
     (len(vertices), 4) the number of constraints, the number of unknowns, the
@@ -340,16 +404,20 @@ def _solve_patches(mesh: Mesh, resid: ResidualData, vertices):
     InfeasibleConstraints when the equality constraints of a patch cannot be met.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
+    d = mesh.dim
     vfd = mesh._vertex_facet_data
     free = np.flatnonzero(mesh.facet_tag[vfd[:, 0]] != NEUMANN)
-    nu_all = np.bincount(mesh.facets[mesh.facet_tag != NEUMANN].ravel(),
-                         minlength=mesh.n_points)
+    nu_all = (np.bincount(mesh.facets.ravel(), minlength=mesh.n_points)
+              - np.bincount(mesh.facets[mesh.neumann].ravel(), minlength=mesh.n_points))
     first = np.concatenate([[0], np.cumsum(nu_all)])[vertices]
     k = np.diff(mesh._vertex_elem_offsets)[vertices]
     nu = nu_all[vertices]
     nc = np.bincount(mesh.simplices[~mesh.layer].ravel(),
                      minlength=mesh.n_points)[vertices]
-    alphas = np.zeros((mesh.n_facets, mesh.dim))
+    # 1 + the position of each (facet, slot) among the free facets of its vertex, set
+    # for the vertices of a chunk before it is solved; 0 for Neumann facets and column d
+    column = np.zeros(mesh.n_facets * (d + 1), dtype=np.int32)
+    alphas = np.zeros((mesh.n_facets, d))
     info, scale = np.zeros((len(vertices), 4)), np.zeros(len(vertices))
     info[:, 0], info[:, 1] = nc, nu
 
@@ -361,13 +429,15 @@ def _solve_patches(mesh: Mesh, resid: ResidualData, vertices):
         kg, nug, ncg = k[members[0]], nu[members[0]], nc[members[0]]
         if kg == 0:
             continue
+        maps = {}
         size = max(1, PATCH_CHUNK // max(kg * nug, 1))
         for lo in range(0, len(members), size):
             j = members[lo:lo + size]
-            rows = vfd[free[first[j][:, None] + np.arange(nug)]]   # (n, nu, 2): facet, slot
+            facet, slot = np.take(vfd, free[first[j][:, None] + np.arange(nug)], axis=0).T
+            column[facet * (d + 1) + slot] = np.arange(1, nug + 1)[:, None]
             a, info[j, 2], info[j, 3], scale[j] = _solve_patch_chunk(
-                mesh, resid, vertices[j], rows[..., 0], kg, ncg)
-            alphas[rows[..., 0], rows[..., 1]] = a
+                mesh, resid, vertices[j], column, kg, ncg, nug, maps)
+            alphas.ravel()[facet * d + slot] = a.T
     return alphas, info, scale
 
 
@@ -403,12 +473,13 @@ def equilibration_residuals(mesh: Mesh, resid: ResidualData, alphas: np.ndarray,
     Rows of the elements ``elems`` only (all by default); a row does not depend
     on the others.
     """
-    fids = mesh.elem_facets[elems]
-    sigma = np.where(mesh.facet_tag[fids] != NEUMANN, mesh.elem_sigma[elems], 0)
+    elems = np.arange(mesh.n_elements)[elems]
+    fids = np.take(mesh.elem_facets, elems, axis=0)
+    sigma = np.where(mesh.facet_tag[fids] != NEUMANN, np.take(mesh.elem_sigma, elems, axis=0), 0)
     total = np.zeros(fids.shape)        # over the local facets i in order, as a sum over i
     for i, fv in enumerate(facet_vertices(mesh.dim)):
-        total[:, fv] += sigma[:, i, None] * alphas[fids[:, i]]
-    return resid.D[elems] + total
+        total[:, fv] += sigma[:, i, None] * np.take(alphas, fids[:, i], axis=0)
+    return np.take(resid.D, elems, axis=0) + total
 
 
 def equilibrate(mesh: Mesh, sol: FemSolution, *,
@@ -432,7 +503,8 @@ def equilibrate(mesh: Mesh, sol: FemSolution, *,
 
     constrained = np.flatnonzero(~mesh.layer)
     eps = equilibration_residuals(mesh, resid, alphas, constrained)
-    rel = np.abs(eps) / np.maximum(patch_scale[mesh.simplices[constrained]], 1e-300)
+    rel = np.abs(eps) / np.maximum(patch_scale[np.take(mesh.simplices, constrained, axis=0)],
+                                   1e-300)
     eps_max_rel = float(rel.max()) if rel.size else 0.0
     if not eps_max_rel <= CONSTRAINT_TOL:     # a NaN fails too
         raise InfeasibleConstraints(

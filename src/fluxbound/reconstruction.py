@@ -255,14 +255,22 @@ def _below_cutoff_sq(r_vals, r_apex, t0, volumes, d: int):
     return _mass_norm_sq(v, t0 ** d * volumes, d)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple:
+    """The n-point Gauss-Legendre (nodes, weights) on [-1, 1]. Read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for table in rule:
+        table.setflags(write=False)
+    return rule
+
+
 def _upper_nodes(n: int, h: np.ndarray):
     """n Gauss-Legendre nodes on [t0, 1] = [1 - h, 1], per element.
 
     Yields ``(s, t, w)`` with s = 1 - t formed directly: formed from t0 the
     upper length would lose about log10(kappa rho) digits.
     """
-    xi, wi = np.polynomial.legendre.leggauss(n)
-    for x, w in zip(xi, wi):
+    for x, w in zip(*_gauss_legendre(n)):
         s = h * ((1.0 - x) / 2)
         yield s, 1.0 - s, h * (w / 2)
 
@@ -431,14 +439,12 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
     grad2, rho = grad[e2].T, mesh.inradii[e2]
     t1 = np.repeat(np.einsum("ed,eid->ei", grad[e1], normals1)[:, :, None], rule.n_points, 2)
     t2 = np.empty((len(i2), d + 1, rule.n_points))
-    # the coefficients of the normal component on each facet, then the basis at its nodes
-    normal = np.zeros((d + 1, v1.coeffs.shape[1], len(i1)))
-    for c, coeffs in enumerate(v1.coeffs):
-        coeffs = coeffs[:, i1]
-        for i in range(d + 1):
-            normal[i] += coeffs * normals1[:, i, c]
     for i in range(d + 1):
-        t1[:, i] += _times(p2_basis(np.insert(rule.points, i, 0.0, axis=1)), normal[i]).T
+        # the coefficients of the normal component on facet i, then the basis at its nodes
+        normal = np.zeros((v1.coeffs.shape[1], len(i1)))
+        for c, coeffs in enumerate(v1.coeffs):
+            normal += np.take(coeffs, i1, axis=1) * normals1[:, i, c]
+        t1[:, i] += _times(p2_basis(np.insert(rule.points, i, 0.0, axis=1)), normal).T
     for i in range(d + 1):
         F, a, b, _ = _facet_setup(pts2, g2, R[i2, i], i)
         F, a = F.T, a.T             # (d, d, k) and (d, k), contiguous rows

@@ -11,9 +11,11 @@ the working set of the call and do not depend on the machine.
 
 From the root of a source checkout, for a d=3 cube of the benchmark family,
 with the peaks of ``estimate`` without and with the conformity audit side by
-side:
+side (arguments M, kappa1, kappa2 and, optionally, the dimension, 3 by
+default; the d=2 M=64 mesh is that of the kappa sweep):
 
     PYTHONPATH=src python tests/stage_memory.py 16 100 1e6
+    PYTHONPATH=src python tests/stage_memory.py 64 100 1e6 2
 """
 from __future__ import annotations
 
@@ -105,7 +107,8 @@ def main(argv):
     from fluxbound import estimator, fem
     from fluxbound.benchmark import RunConfig, benchmark_data, benchmark_mesh
     m, kappa1, kappa2 = int(argv[0]), float(argv[1]), float(argv[2])
-    cfg = RunConfig(dim=3, m=m, kappa1=kappa1, kappa2=kappa2)
+    dim = int(argv[3]) if len(argv) > 3 else 3
+    cfg = RunConfig(dim=dim, m=m, kappa1=kappa1, kappa2=kappa2)
     mesh, data = benchmark_mesh(cfg), benchmark_data(cfg)
     peaks = {}
     for audited in (False, True):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fluxbound.equilibration as eq
+import fluxbound.estimator as est
 import fluxbound.fem as fem
 import fluxbound.geometry as geo
 from fluxbound.errors import InfeasibleConstraints, KappaJumpWarning
@@ -16,6 +17,7 @@ from conftest import (ZERO_DATA, kkt_min_norm_oracle, one_simplex, random_proble
 from oracles import (extension, extension_volume_terms_subsimplex, integrate, integrate_facet,
                      patch_maps_nullspace, project_facet, sign_matrices_dense,
                      solve_vertex_patch_reference, vertex_facets, vertex_patch)
+import stage_memory
 from test_fem import one_element_mesh
 
 
@@ -468,13 +470,24 @@ def test_sign_matrices_match_dense_comparison(monkeypatch, dim, m):
         mesh, np.append(sol.u, 0.0), data))
     scatter, batches = eq._sign_matrices, []
 
-    def checked(mesh, els, unknown):
-        got = scatter(mesh, els, unknown)
+    def checked(mesh, els, locs, column, nu):
+        got, cols = scatter(mesh, els, locs, column, nu)
+        unknown = []
+        for v in mesh.simplices[els[:, 0], locs[:, 0]]:
+            fids, _ = vertex_facets(mesh, v)
+            unknown.append(fids[mesh.facet_tag[fids] != geo.NEUMANN])
+        unknown = np.array(unknown)
         want = sign_matrices_dense(mesh, els, unknown)
-        assert got.dtype == want.dtype == np.int8 and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert got.dtype == want.dtype == np.int8 and got.shape == (*want.shape[:2], 1 + nu)
+        assert not got[..., 0].any()
+        assert np.ascontiguousarray(got[..., 1:]).tobytes() == want.tobytes()
+        # cols names the unknown of each element facet, 0 where it has none
+        fac = mesh.elem_facets[els]
+        named = np.take_along_axis(unknown, (cols - 1).reshape(len(els), -1), 1)
+        assert np.array_equal(np.where(cols > 0, named.reshape(cols.shape), -1),
+                              np.where((fac[..., None] == unknown[:, None, None]).any(3), fac, -1))
         batches.append(len(els))
-        return got
+        return got, cols
 
     monkeypatch.setattr(eq, "_sign_matrices", checked)
     alphas, info, _ = eq._solve_patches(mesh, resid, np.arange(mesh.n_points))
@@ -600,6 +613,55 @@ def test_batched_patch_solves_match_reference(monkeypatch):
         if seed % 5 == 4:
             mesh = _rebuilt(mesh, kappa=0.0)
         _compare_with_reference(mesh, random_problem_data(rng, dim))
+
+
+def test_each_distinct_patch_system_is_factored_once_per_call(monkeypatch):
+    # with chunks of one interior patch, every shape group spans several
+    # chunks; still each distinct (nc, sign matrix) pair reaches _patch_maps
+    # once, and the chunking changes no bit of the results
+    from fluxbound.benchmark import RunConfig, benchmark_data, benchmark_mesh
+    cfg = RunConfig(dim=3, m=4, kappa1=1.0, kappa2=1e6)
+    mesh = benchmark_mesh(cfg)
+    resid = eq.residual_functionals(mesh, fem.solve_problem(mesh, benchmark_data(cfg)))
+    want = eq._solve_patches(mesh, resid, np.arange(mesh.n_points))
+
+    scatter, maps, systems, chunks = eq._sign_matrices, eq._patch_maps, set(), []
+
+    def recorded(mesh, els, locs, column, nu):
+        M, cols = scatter(mesh, els, locs, column, nu)
+        nc = np.count_nonzero(~mesh.layer[els], axis=1)
+        systems.update((c, m.shape, m.tobytes()) for c, m in zip(nc, M[..., 1:]))
+        chunks.append((els.shape[1], nu, nc[0]))
+        return M, cols
+
+    factored = []
+    monkeypatch.setattr(eq, "_sign_matrices", recorded)
+    monkeypatch.setattr(eq, "_patch_maps", lambda M, nc: factored.append(len(M)) or maps(M, nc))
+    monkeypatch.setattr(eq, "PATCH_CHUNK", 24 * 36)     # one interior patch
+    got = eq._solve_patches(mesh, resid, np.arange(mesh.n_points))
+    assert len(chunks) > len(set(chunks))
+    # least-squares (0), mixed (1) and constrained (2) patches
+    assert {int(nc > 0) + int(nc == shape[0]) for nc, shape, _ in systems} == {0, 1, 2}
+    assert sum(factored) == len(systems)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_equilibrate_stages_stay_below_the_element_stages():
+    # the blocks of the extension terms and the chunks of the patch solves are
+    # bounded so that, on the d=3 M=16 benchmark cube, neither stage sets the
+    # traced peak of a pass: both stay below the layer indicator's
+    from fluxbound.benchmark import RunConfig, benchmark_data, benchmark_mesh
+    cfg = RunConfig(dim=3, m=16, kappa1=100.0, kappa2=1e6)
+    mesh, data = benchmark_mesh(cfg), benchmark_data(cfg)
+
+    def run():
+        est.estimate(mesh, fem.solve_problem(mesh, data), data, "both")
+
+    run()   # the quadrature caches
+    peaks = stage_memory.stage_peaks(run)
+    for stage in ("equilibration._extension_volume_terms", "equilibration._solve_patches"):
+        assert peaks[stage] < peaks["reconstruction.eta2_terms"], (stage, peaks)
 
 
 # ---------------------------------------------------------------------------
