@@ -21,9 +21,10 @@ each free (facet, slot)'s position among them, filled from
 ``Mesh._vertex_facet_data``, turns the +-1 sign matrices and their products
 into gathers, and each distinct sign matrix is factored once per call. The
 collapsed-extension terms of the layer rows form the mass product of each
-sub-simplex only in the slot they keep. Rows are gathered with ``np.take``,
-which numpy serves several times faster than fancy indexing of a 2-D array;
-no result depends on the route of a gather.
+sub-simplex only in the slot they keep. As throughout the package, rows are
+gathered with ``np.take`` and short rows are summed entry after entry (see
+``geometry``), which numpy serves several times faster than fancy indexing
+and short-axis reductions, with the same bits.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import InfeasibleConstraints
 from .fem import FemSolution, _mass_inverse_times, _mass_times, data_values, element_blocks
-from .geometry import NEUMANN, Mesh, facet_vertices
+from .geometry import NEUMANN, Mesh, _row_max, _row_sum, facet_vertices
 from .quadrature import rule_for
 
 RANK_TOL = 1e-12        # relative singular value cutoff in the patch solves
@@ -54,7 +55,7 @@ def facet_average(mesh: Mesh, grad: np.ndarray) -> np.ndarray:
     d = mesh.dim
     ep = mesh.facet_elems[:, 0]
     g = np.take(mesh.bary_grads.reshape(-1, d), ep * (d + 1) + mesh.facet_local[:, 0], axis=0)
-    n_plus = -g / np.linalg.norm(g, axis=1, keepdims=True)
+    n_plus = -g / np.sqrt(_row_sum(g * g))[:, None]
     avg = np.einsum("fd,fd->f", n_plus, np.take(grad, ep, axis=0))
     interior = np.flatnonzero(mesh.facet_elems[:, 1] >= 0)
     em = np.take(mesh.facet_elems[:, 1], interior)
@@ -121,16 +122,16 @@ def residual_functionals(mesh: Mesh, sol: FemSolution) -> ResidualData:
         Fg = np.zeros(fids.shape)                      # the Neumann loads at the element vertices
         for i, fv in enumerate(facet_vertices(d)):     # an element has one local facet i
             on = np.flatnonzero(on_neu[:, i])
-            Fg[on[:, None], fv] += sol.gn_loads[np.searchsorted(neu, fids[on, i])]
+            Fg[on[:, None], fv] += np.take(sol.gn_loads, np.searchsorted(neu, fids[on, i]), axis=0)
         per_facet = np.where(~on_neu,
                              mesh.elem_sigma[blk] * avg[fids] * mesh.facet_measures[fids] / d, 0.0)
-        avgterm = per_facet.sum(axis=1, keepdims=True) - per_facet
+        avgterm = _row_sum(per_facet)[:, None] - per_facet
         plain = F1 + Fg - b_stiff - b_mass + avgterm
         # theta* = theta_n on dK and u_h is affine, so int grad u_h . grad theta*
         # = int_dK du_h/dn theta* = int grad u_h . grad theta_n = b_stiff
         D[blk] = np.where(mesh.layer[blk, None], D[blk] - b_stiff + Fg + avgterm, plain)
         scale[blk] = (np.abs(F1) + np.abs(Fg) + np.abs(b_stiff) + np.abs(b_mass)
-                      + np.abs(per_facet).sum(axis=1, keepdims=True))
+                      + _row_sum(np.abs(per_facet))[:, None])
     return ResidualData(D=D, scale=scale, avg=avg)
 
 
@@ -329,7 +330,7 @@ def _times_signs(signs: np.ndarray, cols: np.ndarray, x: np.ndarray) -> np.ndarr
     n, nu = x.shape
     padded = np.zeros((n, 1 + nu))
     padded[:, 1:] = x
-    return (signs * np.take(padded, (np.arange(n) * (1 + nu))[:, None, None] + cols)).sum(axis=2)
+    return _row_sum(signs * np.take(padded, (np.arange(n) * (1 + nu))[:, None, None] + cols))
 
 
 def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, column, k: int, nc: int,
@@ -347,7 +348,7 @@ def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, column, k: int, n
 
     entry = els * (mesh.dim + 1) + locs
     rhs = -np.take(resid.D, entry)
-    scale = np.take(resid.scale, entry).max(axis=1)
+    scale = _row_max(np.take(resid.scale, entry))
     tol = CONSTRAINT_TOL * np.maximum(scale, 1e-300)
     if nu == 0:
         res = np.abs(rhs[:, :nc]).max(axis=1, initial=0.0)
@@ -356,10 +357,14 @@ def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, column, k: int, n
         return np.zeros((len(verts), 0)), np.zeros(len(verts)), res, scale
 
     M, cols = _sign_matrices(mesh, els, locs, column, nu)
-    # patches with byte-identical sign matrices share one factorization
-    keys = M.reshape(len(M), -1).view(np.dtype((np.void, M[0].size)))[:, 0]
-    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = [key.tobytes() for key in keys[first]]
+    # patches with byte-identical sign matrices share one factorization; a chunk
+    # of one matrix (every interior chunk of a Kuhn mesh) needs no sort
+    if (M == M[0]).all():
+        first, which = np.zeros(1, dtype=np.intp), np.zeros(len(M), dtype=np.intp)
+    else:
+        keys = M.reshape(len(M), -1).view(np.dtype((np.void, M[0].size)))[:, 0]
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = [M[j].tobytes() for j in first]
     new = [j for j, key in enumerate(distinct) if key not in maps]
     if new:
         L, P = _patch_maps(M[first[new], :, 1:].astype(float), nc)
@@ -375,7 +380,7 @@ def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, column, k: int, n
             c = rhs[:, :nc]
             P = np.stack([maps[key][1] for key in distinct])[which]
             alpha0 = np.einsum("nic,nc->ni", P, c)
-            res0 = np.abs(_times_signs(signs[:, :nc], cols[:, :nc], alpha0) - c).max(axis=1)
+            res0 = _row_max(np.abs(_times_signs(signs[:, :nc], cols[:, :nc], alpha0) - c))
         _raise_worst(~(res0 <= tol), res0, tol, verts,
                      "vertex {v}: equality-constraint residual {res:.3e} exceeds {tol:.3e}")
         _raise_worst(~(res <= tol), res, tol, verts,

@@ -30,7 +30,7 @@ import numpy as np
 from .equilibration import equilibrate
 from .errors import ConformityAuditFailed, NegativeDifference, UnsolvableProblem
 from .fem import FemSolution, ProblemData, element_blocks, project_element_bulk
-from .geometry import Mesh
+from .geometry import Mesh, _row_sum
 from .quadrature import integrate_simplices
 from . import reconstruction as rec
 
@@ -193,20 +193,22 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
         so that one block's arrays are alive at a time."""
         R = rec.facet_residuals(mesh, fluxes, sol.grad, blk)
         pf_vals = project_element_bulk(mesh, sol.f_loads, blk)
-        u_loc = sol.u[mesh.simplices[blk]]
+        u_loc = np.take(sol.u, mesh.simplices[blk])
         r_vals = pf_vals - mesh.kappa[blk, None] ** 2 * u_loc
         loc = np.flatnonzero(need2[blk])
         if len(loc):
             sel = blk.start + loc
-            first2, second2 = rec.eta2_terms(mesh, R[loc], r_vals[loc], sel)
+            first2, second2 = rec.eta2_terms(mesh, np.take(R, loc, axis=0),
+                                             np.take(r_vals, loc, axis=0), sel)
             eta2_sq[sel] = first2 + second2 / mesh.kappa[sel] ** 2
 
         v1 = rec.variant1_bulk(mesh, R, r_vals, blk)
         eta1_first, resid_const = rec.eta1_terms(mesh, v1)
         second = np.zeros(len(resid_const))
         layer = over[blk]
-        kappa = mesh.kappa[blk][layer]
-        second[layer] = mesh.volumes[blk][layer] * resid_const[layer] ** 2 / kappa ** 2
+        kappa = np.compress(layer, mesh.kappa[blk])
+        second[layer] = (np.compress(layer, mesh.volumes[blk])
+                         * np.compress(layer, resid_const) ** 2 / kappa ** 2)
         eta1_sq[blk] = eta1_first + second   # divergence term only counted where kappa*rho > 1
         trace = (0.0, None, None, None)
         if check_conformity:   # every reported selection, each field evaluated once
@@ -291,7 +293,7 @@ def true_error(mesh: Mesh, sol: FemSolution, exact):
     def integrand(x, lam):
         du = np.asarray(gu_of(x)) - sol.grad
         dv = np.asarray(u_of(x)) - uloc @ lam
-        return (du ** 2).sum(axis=1) + k2 * dv ** 2
+        return _row_sum(du ** 2) + k2 * dv ** 2
 
     sq = integrate_simplices(integrand, mesh.points[mesh.simplices], mesh.volumes,
                              TRUE_ERROR_DEGREE)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NoConvergence, UnsolvableProblem
-from .geometry import Mesh
+from .geometry import Mesh, _row_sum
 from .quadrature import rule_for
 
 DENSE_CUTOFF = 200
@@ -230,8 +230,8 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
         rows[nnz:end] = np.broadcast_to(dofs[:, :, None], keep.shape)[keep]
         cols[nnz:end] = np.broadcast_to(dofs[:, None, :], keep.shape)[keep]
         nnz = end
-        on = dofs >= 0
-        np.add.at(b, dofs[on], loads[blk][on])
+        on = (dofs >= 0).ravel()
+        np.add.at(b, np.compress(on, dofs), np.compress(on, loads[blk]))
     A = sp.coo_matrix((vals[:nnz], (rows[:nnz], cols[:nnz])), shape=(n, n)).tocsr()
     fdofs = vertex_to_dof[mesh.facets[mesh.neumann]].ravel()
     np.add.at(b, fdofs[fdofs >= 0], gl.ravel()[fdofs >= 0])
@@ -394,18 +394,18 @@ def solve_problem(mesh: Mesh, data: ProblemData) -> FemSolution:
 
 def _mass_times(values: np.ndarray, measure, k: int):
     # P1 mass matrix of a k-simplex: measure (I + 11^T) / ((k+1)(k+2))
-    return measure * (values + values.sum(axis=-1, keepdims=True)) / ((k + 1) * (k + 2))
+    return measure * (values + _row_sum(values)[..., None]) / ((k + 1) * (k + 2))
 
 
 def _mass_norm_sq(values: np.ndarray, measure, k: int):
     # v^T M v for the P1 mass matrix M of a k-simplex (see _mass_times)
-    return measure * ((values ** 2).sum(axis=-1) + values.sum(axis=-1) ** 2) / ((k + 1) * (k + 2))
+    return measure * (_row_sum(values ** 2) + _row_sum(values) ** 2) / ((k + 1) * (k + 2))
 
 
 def _mass_inverse_times(values: np.ndarray, measure, k: int):
     # inverse of the P1 mass matrix of a k-simplex: (I + 11^T)^-1 = I - 11^T/(k+2)
     scale = (k + 1) * (k + 2) / measure
-    return scale * (values - values.sum(axis=-1, keepdims=True) / (k + 2))
+    return scale * (values - _row_sum(values)[..., None] / (k + 2))
 
 
 def project_element_bulk(mesh: Mesh, loads: np.ndarray, elems=slice(None)) -> np.ndarray:

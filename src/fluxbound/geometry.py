@@ -41,6 +41,49 @@ KAPPA_JUMP_WARN = 100.0    # warn when kappa jumps by more than this within a ve
 
 
 # ---------------------------------------------------------------------------
+# short rows: sums entry after entry, gathers by np.take
+# ---------------------------------------------------------------------------
+# The element stages of the package work on short rows: the d+1 vertices or
+# facets of an element, the d components of a vector. numpy serves a reduction
+# over such a short axis, and a gather of such rows by an index array or a
+# boolean mask, several times slower than the same work written out: the
+# reduction entry after entry as whole-vector operations (_dot, _row_sum,
+# _row_max), the gather by np.take or np.compress. Below 8 entries numpy adds
+# in order, so the sums keep their bits; no result depends on the route of a
+# gather.
+
+def _dot(u, v):
+    """sum_c u[c] v[c] over the leading (component) axis, one component at a time.
+
+    Pass (k, d) arrays transposed.
+    """
+    out = u[0] * v[0]
+    for c in range(1, len(u)):
+        out += u[c] * v[c]
+    return out
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1), bit for bit: below 8 trailing entries added in order, as
+    numpy adds that few; 8 or more, which numpy sums pairwise, by numpy."""
+    n = a.shape[-1]
+    if n >= 8:
+        return a.sum(axis=-1)
+    out = a[..., 0] + 0.0      # numpy starts from +0.0: a -0.0 alone sums to +0.0
+    for j in range(1, n):
+        out += a[..., j]
+    return out
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=-1), entry after entry; a NaN propagates."""
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(out, a[..., j], out=out)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # simplex geometry
 # ---------------------------------------------------------------------------
 
@@ -67,7 +110,7 @@ def simplex_gradients(pts) -> np.ndarray:
     inv = np.linalg.inv(np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2))  # row i-1 = grad lambda_i
     grads = np.empty_like(pts)
     grads[:, 1:] = inv
-    grads[:, 0] = -inv.sum(axis=1)
+    grads[:, 0] = -_row_sum(inv.swapaxes(1, 2))
     return grads
 
 
@@ -88,7 +131,7 @@ def simplex_geometry(pts) -> SimplexGeometry:
     d = pts.shape[2]
     volumes = simplex_measure(pts)
     i, j = np.triu_indices(d + 1, 1)
-    diameters = np.sqrt(((pts[:, i] - pts[:, j]) ** 2).sum(-1).max(axis=1))
+    diameters = np.sqrt(_row_max(_row_sum((pts[:, i] - pts[:, j]) ** 2)))
     bad = volumes < DEGENERACY_FACTOR * diameters ** d
     if np.any(bad):
         e = int(np.flatnonzero(bad)[0])
@@ -96,10 +139,10 @@ def simplex_geometry(pts) -> SimplexGeometry:
                                 f"threshold for h={diameters[e]:.3e}")
     grads = simplex_gradients(pts)
     # |gamma_i| = d |K| |grad lambda_i|
-    facet_measures = d * volumes[:, None] * np.linalg.norm(grads, axis=2)
+    facet_measures = d * volumes[:, None] * np.sqrt(_row_sum(grads * grads))
     return SimplexGeometry(
         volumes=volumes, grads=grads, facet_measures=facet_measures, diameters=diameters,
-        inradii=d * volumes / facet_measures.sum(axis=1))
+        inradii=d * volumes / _row_sum(facet_measures))
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +269,10 @@ class Mesh:
 
     def outward_normals(self, elems=slice(None)) -> np.ndarray:
         """(len(elems), d+1, d) unit outward normal of the facet opposite each local
-        vertex of the elements ``elems`` (all by default)."""
-        g = self.bary_grads[elems]
-        return -g / np.linalg.norm(g, axis=2, keepdims=True)
+        vertex of the elements ``elems`` (all by default, or ids)."""
+        g = (self.bary_grads[elems] if isinstance(elems, slice)
+             else np.take(self.bary_grads, elems, axis=0))
+        return -g / np.sqrt(_row_sum(g * g))[..., None]
 
 
 def build_mesh(points, cells, kappa, boundary) -> Mesh:
@@ -271,7 +315,7 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
     facet_tag = np.full(len(facets), INTERIOR, dtype=np.int8)
     bidx = np.flatnonzero(boundary_mask)
     if callable(boundary):
-        cent = points[facets[bidx]].mean(axis=1)
+        cent = _row_sum(np.take(points, facets[bidx], axis=0).swapaxes(1, 2)) / d
         isdir = np.asarray(boundary(cent), dtype=bool)
         if isdir.shape != (len(bidx),):
             raise ValueError("boundary rule must return one flag per boundary facet")
@@ -364,7 +408,7 @@ def build_cube_mesh(M: int, dim: int, kappa_fn) -> Mesh:
         cell_blocks.append(np.ravel_multi_index(np.moveaxis(multi, -1, 0), shape))
     cells = np.concatenate(cell_blocks, axis=0)
 
-    centroids = points[cells].mean(axis=1)
+    centroids = _row_sum(np.take(points, cells, axis=0).swapaxes(1, 2)) / (dim + 1)
     kappa = kappa_fn(centroids) if callable(kappa_fn) else kappa_fn
 
     return build_mesh(points, cells, kappa, lambda c: np.abs(np.abs(c[:, 0]) - 1.0) < 1e-12)

@@ -50,7 +50,7 @@ import numpy as np
 from .equilibration import BoundaryFluxSet, _to_local_vertices
 from .errors import DivergenceAuditFailed, InvalidVariant
 from .fem import _mass_norm_sq
-from .geometry import Mesh, facet_vertices
+from .geometry import Mesh, _dot, _row_max, _row_sum, facet_vertices
 from .quadrature import p2_basis, quadratic_gram_factor, quadratic_pairs, rule_for, simplex_moment
 
 TRACE_DEGREE = 4        # facet rule of the normal-trace audit
@@ -64,21 +64,10 @@ def facet_residuals(mesh: Mesh, fluxes: BoundaryFluxSet, grad: np.ndarray,
 
     Values follow the canonical facet vertex order (slot m).
     """
-    g_all = mesh.elem_sigma[elems, :, None] * fluxes.gplus[mesh.elem_facets[elems]]
+    g_all = mesh.elem_sigma[elems, :, None] * np.take(fluxes.gplus, mesh.elem_facets[elems],
+                                                      axis=0)
     gn = np.einsum("ed,eid->ei", grad[elems], mesh.outward_normals(elems))
     return g_all - gn[:, :, None]
-
-
-def _dot(u, v):
-    """sum_c u[c] v[c] over the leading (component) axis, one component at a time.
-
-    Pass (k, d) arrays transposed. A reduction over a short trailing axis costs
-    several times more than these d whole-vector operations.
-    """
-    out = u[0] * v[0]
-    for c in range(1, len(u)):
-        out += u[c] * v[c]
-    return out
 
 
 def _times(A: np.ndarray, X) -> np.ndarray:
@@ -126,15 +115,15 @@ def variant1_bulk(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray,
     d = mesh.dim
     # c_n does not depend on the origin; vertices centred on their element's
     # mean keep its digits far from the origin
-    pts = mesh.points[mesh.simplices[elems]]
-    pts -= pts.mean(axis=1, keepdims=True)
+    X = np.take(mesh.points, mesh.simplices[elems], axis=0)
+    pts = X - (_row_sum(X.swapaxes(1, 2)) / (d + 1))[:, None]
     g = mesh.bary_grads[elems]
-    w = _to_local_vertices(R) * np.linalg.norm(g, axis=2)[:, :, None]   # edge (n -> m)
-    c = np.matmul(w.transpose(0, 2, 1), pts) - w.sum(axis=1)[:, :, None] * pts
-    resid_const = -np.einsum("end,end->e", g, c) + r_vals.mean(axis=1)
+    w = _to_local_vertices(R) * np.sqrt(_row_sum(g * g))[:, :, None]   # edge (n -> m)
+    c = np.matmul(w.transpose(0, 2, 1), pts) - _row_sum(w.swapaxes(1, 2))[:, :, None] * pts
+    resid_const = -np.einsum("end,end->e", g, c) + _row_sum(r_vals) / (d + 1)
     grad_r = np.einsum("end,en->ed", g, r_vals).T
     a, b = quadratic_pairs(d)
-    P = mesh.points.T[:, mesh.simplices[elems].T]     # (d, d+1, k)
+    P = X.T     # (d, d+1, k)
     coeffs = np.empty((d, d + 1 + len(a), P.shape[2]))
     np.negative(c.T, out=coeffs[:, :d + 1])
     for p, (n, m) in enumerate(zip(a, b)):     # pair by pair: small temporaries
@@ -206,12 +195,13 @@ def _component_first(mesh: Mesh, sel: np.ndarray):
     """
     # gathered first and then transposed: np.take along an axis of the transposed
     # mesh arrays would copy them whole on every call
-    P = np.ascontiguousarray(mesh.points[mesh.simplices[sel].T].transpose(2, 0, 1))
+    P = np.ascontiguousarray(
+        np.take(mesh.points, np.take(mesh.simplices, sel, axis=0).T, axis=0).transpose(2, 0, 1))
     P -= P[:, :1].copy()
-    meas = mesh.facet_measures[mesh.elem_facets[sel]]
-    w = meas / meas.sum(axis=1, keepdims=True)
+    meas = np.take(mesh.facet_measures, np.take(mesh.elem_facets, sel, axis=0))
+    w = meas / _row_sum(meas)[:, None]
     P -= _dot(P.transpose(1, 0, 2), w.T)[:, None]      # the apex
-    G = np.ascontiguousarray(mesh.bary_grads[sel].T)
+    G = np.ascontiguousarray(np.take(mesh.bary_grads, sel, axis=0).T)
     return P.T, G.T, w
 
 
@@ -375,7 +365,7 @@ def eta2_terms(mesh: Mesh, R: np.ndarray, r_vals: np.ndarray, sel: np.ndarray):
         """(||tau_O||^2, ||r + div tau_O||^2 above t0) on the cone of facet i."""
         F, a, A0 = _facet_setup(pts, g, R[:, i], i)[:3]
         a_c = a.T                   # (d, k), contiguous rows
-        meas = mesh.facet_measures[mesh.elem_facets[sel, i]]
+        meas = np.take(mesh.facet_measures, np.take(mesh.elem_facets, sel * (d + 1) + i))
         W = [F.T[:, j] for j in range(d)]      # y at the facet vertices, (d, k) views
         Dv = np.array([_dot(a_c, w) for w in W])
         Gv = [_dot(grad_rc, w) for w in W]
@@ -436,8 +426,9 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
     e1, e2 = ids[i1], ids[i2]
     normals1, normals2 = mesh.outward_normals(e1), mesh.outward_normals(e2)
     pts2, g2, _ = _component_first(mesh, e2)
-    grad2, rho = grad[e2].T, mesh.inradii[e2]
-    t1 = np.repeat(np.einsum("ed,eid->ei", grad[e1], normals1)[:, :, None], rule.n_points, 2)
+    grad2, rho = np.take(grad, e2, axis=0).T, mesh.inradii[e2]
+    t1 = np.repeat(np.einsum("ed,eid->ei", np.take(grad, e1, axis=0), normals1)[:, :, None],
+                   rule.n_points, 2)
     t2 = np.empty((len(i2), d + 1, rule.n_points))
     for i in range(d + 1):
         # the coefficients of the normal component on facet i, then the basis at its nodes
@@ -446,7 +437,8 @@ def facet_trace_values(mesh: Mesh, grad: np.ndarray, v1: Variant1Bulk,
             normal += np.take(coeffs, i1, axis=1) * normals1[:, i, c]
         t1[:, i] += _times(p2_basis(np.insert(rule.points, i, 0.0, axis=1)), normal).T
     for i in range(d + 1):
-        F, a, b, _ = _facet_setup(pts2, g2, R[i2, i], i)
+        F, a, b, _ = _facet_setup(pts2, g2, np.take(R.reshape(-1, d), i2 * (d + 1) + i, axis=0),
+                                  i)          # R[i2, i]
         F, a = F.T, a.T             # (d, d, k) and (d, k), contiguous rows
         n2 = normals2[:, i].T
         S = np.array([(_dot(a, F[:, j]) + b) / rho for j in range(d)])
@@ -466,8 +458,9 @@ def trace_defect(mesh: Mesh, gplus: np.ndarray, trace: np.ndarray, elems) -> np.
     points = rule_for(mesh.dim - 1, TRACE_DEGREE).points
     out = np.empty(trace.shape[:2])
     for i in range(mesh.dim + 1):   # one facet at a time: small temporaries
-        g = gplus[mesh.elem_facets[elems, i]]               # (k, d)
-        defect = mesh.elem_sigma[elems, i, None] * trace[:, i]
+        at = elems * (mesh.dim + 1) + i                      # (element, facet i) in the tables
+        g = np.take(gplus, np.take(mesh.elem_facets, at), axis=0)       # (k, d)
+        defect = np.take(mesh.elem_sigma, at)[:, None] * trace[:, i]
         defect -= _times(points, g.T).T
-        out[:, i] = np.abs(defect, out=defect).max(axis=1) / np.maximum(1.0, np.abs(g).max(axis=1))
+        out[:, i] = _row_max(np.abs(defect, out=defect)) / np.maximum(1.0, _row_max(np.abs(g)))
     return out

@@ -53,10 +53,10 @@ from fluxbound.equilibration import EXTENSION_DEGREE
 from fluxbound.estimator import trace_constants
 from fluxbound.fem import (OSC_DEGREE, _mass_inverse_times, _mass_norm_sq, _mass_times,
                            data_values, element_data, neumann_data)
-from fluxbound.geometry import (NEUMANN, facet_vertices, simplex_geometry, simplex_gradients,
-                                simplex_measure)
+from fluxbound.geometry import (NEUMANN, _dot, facet_vertices, simplex_geometry,
+                                simplex_gradients, simplex_measure)
 from fluxbound.quadrature import integrate_simplices, rule_for, simplex_moment
-from fluxbound.reconstruction import TRACE_DEGREE, _dot, _facet_setup, _flux_moments
+from fluxbound.reconstruction import TRACE_DEGREE, _facet_setup, _flux_moments
 
 ETA2_DEGREE = 6   # |tau_O|^2 has degree 6 on the active pieces
 TOP_DEGREE = 2    # (affine)^2 beyond the cutoff

@@ -1,4 +1,4 @@
-"""Per-stage peaks of traced memory (tracemalloc) over one call.
+"""Per-stage peaks of traced memory (tracemalloc) over one call, and wall times.
 
 ``stage_peaks(run)`` runs ``run()`` under tracemalloc with the pipeline's
 stage functions wrapped at their module attributes, the names the package
@@ -8,11 +8,15 @@ called several times reports its largest peak; a peak inside a nested stage
 counts for the stages around it too. tracemalloc sees the numpy arrays the
 program allocates, not the interpreter's fixed footprint, so the peaks are
 the working set of the call and do not depend on the machine.
+``stage_times(run)`` wraps the same stages with a clock instead and returns
+each stage's wall time within one call of ``run()`` (summed over the stage's
+calls), the median over a few calls, with no tracing; a nested stage's time
+counts for the stages around it too.
 
 From the root of a source checkout, for a d=3 cube of the benchmark family,
-with the peaks of ``estimate`` without and with the conformity audit side by
-side (arguments M, kappa1, kappa2 and, optionally, the dimension, 3 by
-default; the d=2 M=64 mesh is that of the kappa sweep):
+with the peaks and times of ``estimate`` without and with the conformity
+audit side by side (arguments M, kappa1, kappa2 and, optionally, the
+dimension, 3 by default; the d=2 M=64 mesh is that of the kappa sweep):
 
     PYTHONPATH=src python tests/stage_memory.py 16 100 1e6
     PYTHONPATH=src python tests/stage_memory.py 64 100 1e6 2
@@ -21,7 +25,9 @@ from __future__ import annotations
 
 import contextlib
 import importlib
+import statistics
 import sys
+import time
 import tracemalloc
 
 # (module, attribute) of the wrapped stages, outermost first
@@ -29,6 +35,7 @@ STAGES = (
     ("fluxbound.fem", "solve_problem"),
     ("fluxbound.fem", "assemble"),
     ("fluxbound.fem", "solve"),
+    ("fluxbound.fem", "element_data"),
     ("fluxbound.estimator", "estimate"),
     ("fluxbound.estimator", "equilibrate"),
     ("fluxbound.equilibration", "residual_functionals"),
@@ -39,26 +46,14 @@ STAGES = (
     ("fluxbound.reconstruction", "eta1_terms"),
     ("fluxbound.reconstruction", "eta2_terms"),
     ("fluxbound.reconstruction", "facet_trace_values"),
+    ("fluxbound.reconstruction", "trace_defect"),
+    ("fluxbound.reconstruction", "divergence_residual"),
 )
 
 
 @contextlib.contextmanager
-def _wrapped(fold, peaks, base):
-    stack = []
-
-    def wrap(name, fn):
-        def wrapper(*args, **kwargs):
-            fold(stack)
-            tracemalloc.reset_peak()
-            stack.append([name, 0])
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                fold(stack)
-                _, seen = stack.pop()
-                peaks[name] = max(peaks.get(name, 0), seen - base[0])
-        return wrapper
-
+def _wrapped(wrap):
+    """Every stage replaced, at its module attribute, by ``wrap(name, fn)``."""
     saved = []
     try:
         for mod_name, attr in STAGES:
@@ -87,11 +82,26 @@ def stage_peaks(run) -> dict:
         for frame in stack:
             frame[1] = max(frame[1], peak)
 
+    stack = []
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            fold(stack)
+            tracemalloc.reset_peak()
+            stack.append([name, 0])
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                fold(stack)
+                _, seen = stack.pop()
+                peaks[name] = max(peaks.get(name, 0), seen - base[0])
+        return wrapper
+
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
-        with _wrapped(fold, peaks, base):
+        with _wrapped(wrap):
             base[0] = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             run()
@@ -103,6 +113,32 @@ def stage_peaks(run) -> dict:
     return peaks
 
 
+def stage_times(run) -> dict:
+    """Seconds of each stage within one call of ``run()``, and of the call under
+    ``"total"``: the median over five calls, untraced. The stages are reached
+    as for ``stage_peaks``."""
+    spent, seen = {}, {}
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] = spent.get(name, 0.0) + time.perf_counter() - start
+        return wrapper
+
+    with _wrapped(wrap):
+        for _ in range(5):
+            spent.clear()
+            start = time.perf_counter()
+            run()
+            spent["total"] = time.perf_counter() - start
+            for name, seconds in spent.items():
+                seen.setdefault(name, []).append(seconds)
+    return {name: statistics.median(values) for name, values in seen.items()}
+
+
 def main(argv):
     from fluxbound import estimator, fem
     from fluxbound.benchmark import RunConfig, benchmark_data, benchmark_mesh
@@ -110,7 +146,7 @@ def main(argv):
     dim = int(argv[3]) if len(argv) > 3 else 3
     cfg = RunConfig(dim=dim, m=m, kappa1=kappa1, kappa2=kappa2)
     mesh, data = benchmark_mesh(cfg), benchmark_data(cfg)
-    peaks = {}
+    peaks, times = {}, {}
     for audited in (False, True):
         def run():
             sol = fem.solve_problem(mesh, data)
@@ -118,11 +154,14 @@ def main(argv):
 
         run()       # fill the quadrature caches first
         peaks[audited] = stage_peaks(run)
-    print(f"{'stage':40s} {'unaudited':>11s} {'audited':>11s}")
+        times[audited] = stage_times(run)
+    print(f"{'stage':40s} {'unaudited':>11s} {'audited':>11s} {'unaudited':>11s} {'audited':>11s}")
     for name in sorted(peaks[True], key=lambda name: -peaks[True][name]):
         cols = [f"{peaks[a][name] / 2 ** 20:8.2f} MB" if name in peaks[a] else f"{'-':>11s}"
                 for a in (False, True)]
-        print(f"{name:40s} {cols[0]} {cols[1]}")
+        cols += [f"{times[a][name] * 1e3:8.2f} ms" if name in times[a] else f"{'-':>11s}"
+                 for a in (False, True)]
+        print(f"{name:40s} {' '.join(cols)}")
     return 0
 
 

@@ -726,6 +726,21 @@ def test_audit_failures_name_the_first_worst_element(monkeypatch):
         assert worst == named and (math.isnan(value) or value > 0)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 3.0])
+def test_a_seven_simplex_gets_its_bound(kappa):
+    # d + 1 = 8 vertex values per row: the row sums past the in-order length
+    # are numpy's own (geometry._row_sum), so the package still runs at d = 7
+    d = 7
+    mesh = one_element_mesh(np.vstack([np.zeros(d), np.eye(d)]) * 2.0 - 0.5, kappa,
+                            dirichlet=(0,))
+    data = fem.ProblemData(f=lambda x: 1.0 + x[:, 0] ** 2, g_N=lambda x: np.sin(x[:, 1]),
+                           data_degree=2)
+    rep = est.estimate(mesh, fem.solve_problem(mesh, data), data, "both",
+                       check_conformity=True)
+    assert 0.0 < rep.eta_taustar <= rep.eta_tau < math.inf
+    assert all(value <= 1e-9 for value in rep.audits.values())
+
+
 # ---------------------------------------------------------------------------
 # non-finite data
 # ---------------------------------------------------------------------------

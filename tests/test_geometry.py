@@ -16,6 +16,47 @@ from oracles import to_local_vertices, vertex_facets, vertex_patch
 
 
 # ---------------------------------------------------------------------------
+# short sums, entry after entry
+# ---------------------------------------------------------------------------
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 1e308, -1e308, 5e-324])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_sum_and_row_max_are_numpys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    scaled = rng.standard_normal((500, n)) * 10.0 ** rng.integers(-30, 30, (500, n))
+    special = rng.choice(SPECIAL, (2000, n))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a in (scaled, special, np.asfortranarray(special), special[:, ::-1]):
+            assert geo._row_sum(a).tobytes() == a.sum(axis=-1).tobytes()
+            assert geo._row_max(a).tobytes() == a.max(axis=-1).tobytes()
+
+
+def test_row_sum_and_row_max_propagate_a_nan():
+    # the audits rely on a NaN being the worst value
+    a = np.array([[np.nan, 1.0, -np.inf], [1.0, np.inf, np.nan], [0.0, np.nan, 2.0]])
+    assert np.isnan(geo._row_max(a)).all()
+    assert np.isnan(geo._row_sum(a)).all()
+
+
+def test_row_sum_of_eight_or_more_entries_is_numpys_pairwise_sum():
+    # numpy sums 8 or more entries pairwise, not in order; _row_sum leaves them to it
+    rng = np.random.default_rng(8)
+    for n in (8, 9, 16, 17):
+        a = rng.standard_normal((300, n)) * 10.0 ** rng.integers(-12, 12, (300, n))
+        assert geo._row_sum(a).tobytes() == a.sum(axis=-1).tobytes()
+
+
+def test_outward_normals_of_ids_are_rows_of_the_whole_result():
+    mesh = delaunay_mesh(3, 1000)
+    every = mesh.outward_normals()
+    ids = np.random.default_rng(3).permutation(mesh.n_elements)[:500]
+    assert mesh.outward_normals(ids).tobytes() == every[ids].tobytes()
+    assert mesh.outward_normals(slice(100, 700)).tobytes() == every[100:700].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # single-simplex operations
 # ---------------------------------------------------------------------------
 
