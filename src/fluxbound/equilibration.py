@@ -21,7 +21,8 @@ each free (facet, slot)'s position among them, filled from
 ``Mesh._vertex_facet_data``, turns the +-1 sign matrices and their products
 into gathers, and each distinct sign matrix is factored once per call. The
 collapsed-extension terms of the layer rows form the mass product of each
-sub-simplex only in the slot they keep. As throughout the package, rows are
+sub-simplex only in the slot they keep, and call f on at most
+``fem.DATA_CHUNK`` points at a time. As throughout the package, rows are
 gathered with ``np.take`` and short rows are summed entry after entry (see
 ``geometry``), which numpy serves several times faster than fancy indexing
 and short-axis reductions, with the same bits.
@@ -34,6 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import fem
 from .errors import InfeasibleConstraints
 from .fem import FemSolution, _mass_inverse_times, _mass_times, data_values, element_blocks
 from .geometry import NEUMANN, Mesh, _row_max, _row_sum, facet_vertices
@@ -43,7 +45,6 @@ RANK_TOL = 1e-12        # relative singular value cutoff in the patch solves
 CONSTRAINT_TOL = 1e-9   # residual threshold (times local scale) for feasibility
 
 EXTENSION_DEGREE = 2    # quadrature degree for the extension volume terms
-EXTENSION_CHUNK = 2 ** 15   # (node, element) pairs of the extension terms evaluated at a time
 PATCH_CHUNK = 2 ** 17   # sign-matrix entries of the same-shape patches solved at a time
 
 
@@ -98,8 +99,8 @@ def _to_local_vertices(vals: np.ndarray) -> np.ndarray:
 def residual_functionals(mesh: Mesh, sol: FemSolution) -> ResidualData:
     """The residuals D and their scales, ELEMENT_CHUNK elements at a time.
 
-    The extension terms of the layer rows come first, in the blocks of
-    ``_extension_volume_terms`` over the layer elements alone, so that D does
+    The extension terms of the layer rows come first, from one call of
+    ``_extension_volume_terms`` on the layer elements alone, so that D does
     not depend on ELEMENT_CHUNK; they wait in D until their element block
     adds the plain-hat terms.
     """
@@ -108,10 +109,7 @@ def residual_functionals(mesh: Mesh, sol: FemSolution) -> ResidualData:
     neu = mesh.neumann
     D, scale = np.zeros((mesh.n_elements, d + 1)), np.empty((mesh.n_elements, d + 1))
     layer = np.flatnonzero(mesh.layer)
-    size = _extension_block(d)
-    for lo in range(0, len(layer), size):
-        rows = layer[lo:lo + size]
-        D[rows] = _extension_volume_terms(mesh, sol, rows)
+    D[layer] = _extension_volume_terms(mesh, sol, layer)
     for blk in element_blocks(mesh.n_elements):
         F1 = sol.f_loads[blk]
         volumes = mesh.volumes[blk, None]
@@ -171,21 +169,17 @@ def _extension_tables(d: int):
     return tables
 
 
-def _extension_block(d: int) -> int:
-    """Elements per block of the extension terms: at most EXTENSION_CHUNK (node, element) pairs."""
-    return max(1, EXTENSION_CHUNK // len(_extension_tables(d)[0]))
-
-
 def _extension_volume_terms(mesh: Mesh, sol: FemSolution, sel: np.ndarray) -> np.ndarray:
     """int_K f theta* - kappa^2 int_K u_h theta* for the collapsed extensions, per vertex.
 
     Every sub-simplex S_i(n), i != n, has the measure delta |K|, delta =
     1/(d kappa rho). The f part is quadrature: the nodes of all sub-simplices
     are the points (A + delta B) x_K of ``_extension_tables``, built for a
-    block of ``_extension_block`` elements by one matrix product with the
-    stacked tables [A B], and f is called once per block. The kappa^2 part is
-    exact, the P1 mass product on each S_i(n), formed only in the slot of n.
-    Every array but the result holds one block.
+    block of elements by one matrix product with the stacked tables [A B];
+    f is called once per block of at most fem.DATA_CHUNK points (one
+    element's at least). The kappa^2 part is exact, the P1 mass product on
+    each S_i(n), formed only in the slot of n. Every array but the result
+    holds one block.
 
     Where u_h = f / kappa^2 the two parts cancel and the result is
     round-off, which decides between the round-off-level indicators of the
@@ -201,7 +195,7 @@ def _extension_volume_terms(mesh: Mesh, sol: FemSolution, sel: np.ndarray) -> np
     rule = rule_for(d, EXTENSION_DEGREE)
     others = facet_vertices(d)
     out = np.zeros((len(sel), d + 1))
-    size = _extension_block(d)
+    size = max(1, fem.DATA_CHUNK // len(AB))
     for lo in range(0, len(sel), size):
         rows = sel[lo:lo + size]
         delta = 1.0 / (d * mesh.kappa[rows] * mesh.inradii[rows])  # kappa*rho > 1 on sel

@@ -5,47 +5,67 @@ keeps the reduced system symmetric positive definite and the Galerkin identity
 exact. Data callables are vectorized: they map an (n, d) array of points to
 (n,) values.
 
-The data f and g_N are evaluated in one pass per solution (``_data_pass``): at
-each distinct node of the ``data_degree`` and ``OSC_DEGREE`` rules, once. The
-same values give the hat loads, the L2 projections onto affine functions that
-the loads define, and the squared distance of the data from those
-projections, which the estimator weights into the data oscillations.
+The data f and g_N are evaluated in one pass per solution (``_data_pass``), once
+at each distinct node of one rule (``data_rule_degree``). The same values give
+the hat loads, the L2 projections onto affine functions that the loads define,
+and the squared distance of the data from those projections, which the
+estimator weights into the data oscillations. No data call, here or in
+``equilibration``, gets more than DATA_CHUNK points plus one simplex's nodes.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NoConvergence, UnsolvableProblem
+from .errors import NoConvergence, UnsolvableProblem, UnsupportedDegree
 from .geometry import Mesh, _row_sum
-from .quadrature import rule_for
+from .quadrature import MAX_DEGREE, rule_for
 
 DENSE_CUTOFF = 200
 SOLVE_TOL = 1e-12         # relative residual target of the linear solve
 ENTRY_TOL = 1e-11         # per-entry residual target, relative to |b| + |A| |x| in its row
-OSC_DEGREE = 8            # quadrature degree of ||data - projection||^2
-DATA_CHUNK = 2 ** 16      # (node, simplex) pairs of the data pass evaluated at a time
+OSC_DEGREE = 8            # the data rule's degree for data_degree >= 4
+DATA_CHUNK = 2 ** 15      # points of one data call, plus one simplex's nodes
 ELEMENT_CHUNK = 2 ** 13   # elements of a row-independent stage processed at a time
 KAPPA_MAX = math.sqrt(np.finfo(float).max)   # kappa^2 overflows above this
 
 
 @dataclass(frozen=True)
 class ProblemData:
-    """Source term, Neumann data and the quadrature degree used to integrate them.
+    """Source term, Neumann data and the polynomial degree they are declared to have.
 
     ``f`` and ``g_N`` map (n, d) point arrays to (n,) values; ``g_N=None`` means
     homogeneous Neumann data. The Dirichlet value is fixed to zero. A point
     array is reused once the call returns, so the callables must not keep it.
+
+    ``data_degree`` is a contract: f and g_N are polynomials of at most that total
+    degree on every element and Neumann facet; up to 4 their loads and oscillation
+    norms are then exact (``data_rule_degree``). ValueError for a bool, a
+    non-integer or a negative degree, UnsupportedDegree above MAX_DEGREE.
     """
 
     f: Callable
     g_N: Callable | None = None
     data_degree: int = 8
+
+    def __post_init__(self):
+        deg = self.data_degree
+        if isinstance(deg, bool) or not isinstance(deg, numbers.Integral) or deg < 0:
+            raise ValueError(f"data_degree must be a non-negative integer, got {deg!r}")
+        if deg > MAX_DEGREE:
+            raise UnsupportedDegree(f"data_degree {deg} exceeds the maximum {MAX_DEGREE}")
+
+
+def data_rule_degree(data_degree: int) -> int:
+    """Degree of the data pass's rule: exact for ||f - Pi f||^2 (degree 2 data_degree)
+    up to OSC_DEGREE, and, as the rules have odd degrees, for the loads f lambda
+    (degree data_degree + 1) unless data_degree is 9 or 11."""
+    return max(data_degree, min(2 * data_degree, OSC_DEGREE))
 
 
 def data_values(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
@@ -80,67 +100,50 @@ def element_stiffness_mass(mesh: Mesh, elems=slice(None)):
     return stiff, _mass_times(np.eye(d + 1), volumes, d)
 
 
-@lru_cache(maxsize=None)
-def _data_nodes(k: int, degree: int):
-    """Distinct barycentric nodes of the ``degree`` and OSC_DEGREE rules on a k-simplex,
-    and the row of each node of either rule, in rule order, among them.
-
-    The Grundmann-Moller rules are nested and repeat some nodes (the centroid
-    among them); equal rationals are equal doubles, so exact comparison finds
-    every repeat.
-    """
-    load, osc = rule_for(k, degree), rule_for(k, OSC_DEGREE)
-    nodes, where = np.unique(np.concatenate([load.points, osc.points]), axis=0,
-                             return_inverse=True)
-    where = where.reshape(-1)
-    tables = nodes, where[:load.n_points], where[load.n_points:]
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _data_pass(fn: Callable, name: str, pts: np.ndarray, measures: np.ndarray,
-               degree: int):
-    """Hat loads and squared projection residuals of ``fn`` on the k-simplices pts (n, k+1, d).
+def _data_pass(fn: Callable, name: str, points: np.ndarray, cells: np.ndarray,
+               measures: np.ndarray, data_degree: int):
+    """Hat loads and squared projection residuals of ``fn`` on the k-simplices whose
+    vertices are the rows ``cells`` (n, k+1) of ``points`` (n_points, d).
 
     Returns ``(loads, osc_sq)``: loads (n, k+1) are the integrals of fn against
-    the hat functions at ``degree``, osc_sq (n,) is ||fn - Pi fn||^2 at
-    OSC_DEGREE, Pi fn the L2 projection onto affine functions, whose vertex
-    values are the inverse P1 mass matrix times the loads. fn is called once
-    per block of at most DATA_CHUNK (node, simplex) pairs, at the distinct
-    nodes of the two rules. Each sum runs over its rule's nodes in rule order,
-    as in ``integrate_simplices``, whose results these equal bit for bit when
-    fn computes each value independently of the others in its batch.
+    the hat functions, osc_sq (n,) is ||fn - Pi fn||^2, Pi fn the L2 projection
+    onto affine functions, whose vertex values are the inverse P1 mass matrix
+    times the loads. Both sum over one rule, of degree ``data_rule_degree``. fn
+    is called at the rule's distinct nodes (a rule can repeat one; equal
+    rationals are equal doubles), once per block of DATA_CHUNK // nodes
+    simplices, two at least, the last taking a lone simplex left over. Each
+    sum runs over the rule's nodes in rule order, as in ``integrate_simplices``,
+    whose results these equal bit for bit when fn computes each value
+    independently of the others in its batch.
     """
-    n, d = len(pts), pts.shape[2]
-    k = pts.shape[1] - 1
-    nodes, at_load, at_osc = _data_nodes(k, degree)
-    load, osc = rule_for(k, degree), rule_for(k, OSC_DEGREE)
+    n, d = len(cells), points.shape[1]
+    k = cells.shape[1] - 1
+    rule = rule_for(k, data_rule_degree(data_degree))
+    nodes, where = np.unique(rule.points, axis=0, return_inverse=True)
     scale = measures * math.factorial(k)
     loads, osc_sq = np.empty((n, k + 1)), np.empty(n)
     size = max(2, DATA_CHUNK // len(nodes))
-    # the points and one product of a block, in buffers that every block reuses
-    bufs = [np.empty(len(nodes) * min(n, size + 1) * d) for _ in range(2)]
+    buf = np.empty(len(nodes) * min(n, size + 1) * d)   # the points of a block, reused
     lo = 0
     while lo < n:
         # proj @ lam on one row takes numpy's vector-dot path, whose round-off
         # differs from the matrix-vector product: no block of one simplex follows another
         hi = n if n - lo <= size + 1 else lo + size
-        x, prod = (b[:len(nodes) * (hi - lo) * d].reshape(len(nodes), -1) for b in bufs)
-        corners = pts[lo:hi].transpose(1, 0, 2).reshape(k + 1, -1)
-        np.multiply(nodes[:, :1], corners[0], out=x)    # (node, simplex * d): the
-        for j in range(1, k + 1):                        # running sum over the corners
-            x += np.multiply(nodes[:, j:j + 1], corners[j], out=prod)
-        vals = data_values(fn, x.reshape(-1, d), name).reshape(len(nodes), -1)
-        terms = vals[at_load, None] * load.points[:, :, None]   # (node, j, simplex)
-        terms *= load.weights[:, None, None]
+        x = buf[:len(nodes) * (hi - lo) * d].reshape(len(nodes), -1)
+        corners = np.take(points, cells[lo:hi].T, axis=0).reshape(k + 1, -1)
+        # (node, simplex * d): einsum without BLAS adds the corner products in
+        # order, the running sum of integrate_simplices
+        np.einsum("qj,js->qs", nodes, corners, out=x)
+        vals = data_values(fn, x.reshape(-1, d), name).reshape(len(nodes), -1)[where.ravel()]
+        terms = vals[:, None] * rule.points[:, :, None]   # (rule node, j, simplex)
+        terms *= rule.weights[:, None, None]
         loads[lo:hi] = _node_sum(terms).T * scale[lo:hi, None]
         proj = _mass_inverse_times(loads[lo:hi], measures[lo:hi, None], k)
         # proj @ lam of every node at once: each entry of the stack is numpy's
         # matrix-vector product, as proj @ lam is (proj @ lams.T would round otherwise)
-        resid = vals[at_osc] - np.matmul(proj, osc.points[:, :, None])[..., 0]
+        resid = vals - np.matmul(proj, rule.points[:, :, None])[..., 0]
         np.square(resid, out=resid)
-        resid *= osc.weights[:, None]
+        resid *= rule.weights[:, None]
         osc_sq[lo:hi] = _node_sum(resid) * scale[lo:hi]
         lo = hi
     return loads, osc_sq
@@ -155,12 +158,12 @@ def _node_sum(terms: np.ndarray) -> np.ndarray:
     return acc
 
 
-def element_data(mesh: Mesh, f: Callable, degree: int):
+def element_data(mesh: Mesh, f: Callable, data_degree: int):
     """``(loads, osc_sq)`` of f on the elements (see ``_data_pass``): (ne, d+1) and (ne,)."""
-    return _data_pass(f, "f", mesh.points[mesh.simplices], mesh.volumes, degree)
+    return _data_pass(f, "f", mesh.points, mesh.simplices, mesh.volumes, data_degree)
 
 
-def neumann_data(mesh: Mesh, g_N: Callable | None, degree: int):
+def neumann_data(mesh: Mesh, g_N: Callable | None, data_degree: int):
     """``(loads, osc_sq)`` of g_N on the Neumann facets: (n_N, d) and (n_N,).
 
     Rows follow ``mesh.neumann``; zero when g_N is None.
@@ -168,8 +171,8 @@ def neumann_data(mesh: Mesh, g_N: Callable | None, degree: int):
     idx = mesh.neumann
     if g_N is None or len(idx) == 0:
         return np.zeros((len(idx), mesh.dim)), np.zeros(len(idx))
-    return _data_pass(g_N, "g_N", mesh.points[mesh.facets[idx]],
-                      mesh.facet_measures[idx], degree)
+    return _data_pass(g_N, "g_N", mesh.points, mesh.facets[idx],
+                      mesh.facet_measures[idx], data_degree)
 
 
 @dataclass(frozen=True)
@@ -333,13 +336,13 @@ def _pcg(A, inv_diag, b, max_iter: int, target: float):
 class FemSolution:
     """Nodal P1 solution with its problem data, data loads and solver diagnostics.
 
-    ``f_loads``/``gn_loads`` are the hat loads of f and g_N at ``data_degree``, for
-    a Galerkin u_h the arrays summed into b. The residuals, the Neumann fluxes and
-    Pi_K f read them here, so the patch problems use the loads of the solve.
+    ``f_loads``/``gn_loads`` are the hat loads of f and g_N, for a Galerkin u_h
+    the arrays summed into b. The residuals, the Neumann fluxes and Pi_K f read
+    them here, so the patch problems use the loads of the solve.
     ``f_osc_sq``/``gn_osc_sq`` are ||f - Pi_K f||_K^2 and ||g_N - Pi_gamma g_N||_gamma^2
-    at OSC_DEGREE for those projections, from the same data pass; the
-    oscillations weight them. Only the collapsed extensions evaluate ``data``
-    again.
+    for those projections, from the same data pass (see ``data_rule_degree``);
+    the oscillations weight them. Only the collapsed extensions evaluate
+    ``data`` again.
     """
 
     mesh: Mesh

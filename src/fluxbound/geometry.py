@@ -172,7 +172,9 @@ def build_facet_adjacency(simplices: np.ndarray):
     order = np.lexsort(faces.T[::-1])
     faces_sorted = faces[order]
     new_group = np.ones(len(faces_sorted), dtype=bool)
-    new_group[1:] = np.any(faces_sorted[1:] != faces_sorted[:-1], axis=1)
+    new_group[1:] = faces_sorted[1:, 0] != faces_sorted[:-1, 0]
+    for j in range(1, d):       # whole columns, not a reduction over each short row
+        new_group[1:] |= faces_sorted[1:, j] != faces_sorted[:-1, j]
     group_ids = np.cumsum(new_group) - 1
     nf = group_ids[-1] + 1 if len(group_ids) else 0
     counts = np.bincount(group_ids, minlength=nf)

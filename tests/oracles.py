@@ -51,8 +51,8 @@ from fluxbound.equilibration import CONSTRAINT_TOL, RANK_TOL
 from fluxbound.errors import InfeasibleConstraints, InvalidVariant
 from fluxbound.equilibration import EXTENSION_DEGREE
 from fluxbound.estimator import trace_constants
-from fluxbound.fem import (OSC_DEGREE, _mass_inverse_times, _mass_norm_sq, _mass_times,
-                           data_values, element_data, neumann_data)
+from fluxbound.fem import (ProblemData, _mass_inverse_times, _mass_norm_sq, _mass_times,
+                           data_rule_degree, data_values, element_data, neumann_data)
 from fluxbound.geometry import (NEUMANN, _dot, facet_vertices, simplex_geometry,
                                 simplex_gradients, simplex_measure)
 from fluxbound.quadrature import integrate_simplices, rule_for, simplex_moment
@@ -63,6 +63,7 @@ TOP_DEGREE = 2    # (affine)^2 beyond the cutoff
 
 
 PROJECTION_DEGREE = 8     # quadrature degree of the single-simplex projections
+DEFAULT_DATA_RULE = data_rule_degree(ProblemData.data_degree)   # the data pass's rule by default
 
 
 # ---------------------------------------------------------------------------
@@ -1052,8 +1053,9 @@ def eta2_terms_longdouble(mesh, R, r_vals, sel):
 # data oscillations by quadrature against a given projection
 # ---------------------------------------------------------------------------
 
-def oscillation_f(mesh, f, proj: np.ndarray, degree: int = OSC_DEGREE) -> np.ndarray:
-    """osc_K(f) = min(h_K/pi, 1/kappa_K) ||f - Pi_K f||_K per element.
+def oscillation_f(mesh, f, proj: np.ndarray, degree: int = DEFAULT_DATA_RULE) -> np.ndarray:
+    """osc_K(f) = min(h_K/pi, 1/kappa_K) ||f - Pi_K f||_K per element, by quadrature
+    of ``degree``, by default that of the one data rule at the default data_degree.
 
     ``proj`` (ne, d+1) holds the vertex values of Pi_K f, the projection that
     enters the divergence residual.
@@ -1066,8 +1068,9 @@ def oscillation_f(mesh, f, proj: np.ndarray, degree: int = OSC_DEGREE) -> np.nda
     return weight * norm
 
 
-def oscillation_gN(mesh, g_N, proj: np.ndarray) -> np.ndarray:
-    """(nf,) per-facet osc_gamma(g_N); nonzero only on Neumann facets.
+def oscillation_gN(mesh, g_N, proj: np.ndarray, degree: int = DEFAULT_DATA_RULE) -> np.ndarray:
+    """(nf,) per-facet osc_gamma(g_N), by quadrature of ``degree`` as ``oscillation_f``;
+    nonzero only on Neumann facets.
 
     ``proj`` (nf, d) holds facet-vertex values whose Neumann rows are the
     L2(gamma) projection Pi_gamma g_N, as in ``BoundaryFluxSet.gplus``.
@@ -1078,8 +1081,7 @@ def oscillation_gN(mesh, g_N, proj: np.ndarray) -> np.ndarray:
     neu = mesh.neumann
     pn = proj[neu]
     sq = integrate_simplices(lambda x, lam: (data_values(g_N, x, "g_N") - pn @ lam) ** 2,
-                             mesh.points[mesh.facets[neu]], mesh.facet_measures[neu],
-                             OSC_DEGREE)
+                             mesh.points[mesh.facets[neu]], mesh.facet_measures[neu], degree)
     e = mesh.facet_elems[neu, 0]
     tc = trace_constants(mesh.dim, mesh.diameters[e], mesh.volumes[e],
                          mesh.facet_measures[neu], mesh.kappa[e])

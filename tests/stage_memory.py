@@ -36,6 +36,7 @@ STAGES = (
     ("fluxbound.fem", "assemble"),
     ("fluxbound.fem", "solve"),
     ("fluxbound.fem", "element_data"),
+    ("fluxbound.fem", "neumann_data"),
     ("fluxbound.estimator", "estimate"),
     ("fluxbound.estimator", "equilibrate"),
     ("fluxbound.equilibration", "residual_functionals"),

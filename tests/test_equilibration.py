@@ -267,9 +267,9 @@ def test_extension_volume_terms_match_subsimplex_route(dim, seed, monkeypatch):
     scale = extension_volume_terms_subsimplex(mesh, size, sel)
     const = dataclasses.replace(sol, data=fem.ProblemData(f=lambda x: np.full(len(x), 7.0)))
     nodes = dim * (dim + 1) * eq.rule_for(dim, eq.EXTENSION_DEGREE).n_points
-    assert len(sel) * nodes <= eq.EXTENSION_CHUNK
-    for chunk in (eq.EXTENSION_CHUNK, 3 * nodes):
-        monkeypatch.setattr(eq, "EXTENSION_CHUNK", chunk)
+    assert len(sel) * nodes <= fem.DATA_CHUNK
+    for chunk in (fem.DATA_CHUNK, 3 * nodes):
+        monkeypatch.setattr(fem, "DATA_CHUNK", chunk)
         got = eq._extension_volume_terms(mesh, sol, sel)
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
         assert np.array_equal(eq._extension_volume_terms(mesh, const, sel),

@@ -228,21 +228,24 @@ def test_oscillation_measures_the_indicator_projection():
     report = est.estimate(mesh, sol, data, "both")
 
     # both norms come from the solve's data pass, equal bit for bit to
-    # quadrature of the data against the projections themselves
+    # quadrature over the one data rule of the data against the projections themselves
+    rule = fem.data_rule_degree(data.data_degree)
     pf = fem.project_element_bulk(mesh, sol.f_loads)
     assert np.array_equal(report.osc_f, est.oscillation_f(mesh, sol))
-    assert np.array_equal(report.osc_f, oracles.oscillation_f(mesh, f, pf))
-    # an inexact projection can only raise the oscillation above the accurate one's
-    assert np.all(report.osc_f >= _element_osc(mesh, f) * (1.0 - 1e-12))
+    assert np.array_equal(report.osc_f, oracles.oscillation_f(mesh, f, pf, rule))
+    # the rule's own projection is the best affine fit in the rule's measure,
+    # so any other projection, here the degree-8 one, measures at least as much
+    pf8 = fem.project_element_bulk(mesh, fem.element_data(mesh, f, 8)[0])
+    assert np.all(report.osc_f <= oracles.oscillation_f(mesh, f, pf8, rule) * (1.0 + 1e-12))
 
-    per_facet = oracles.oscillation_gN(mesh, g, eq.equilibrate(mesh, sol).gplus)
+    per_facet = oracles.oscillation_gN(mesh, g, eq.equilibrate(mesh, sol).gplus, rule)
     assert np.array_equal(per_facet, est.oscillation_gN(mesh, sol))
     neu = np.flatnonzero(mesh.facet_tag == geo.NEUMANN)
     per_elem = np.zeros(mesh.n_elements)
     np.add.at(per_elem, mesh.facet_elems[neu, 0], per_facet[neu])
     assert np.array_equal(report.osc_gn, per_elem)
-    assert np.all(per_facet[neu] >= oracles.oscillation_gN(mesh, g, _neumann_projection(mesh, g))[neu]
-                  * (1.0 - 1e-12))
+    assert np.all(per_facet[neu] <= oracles.oscillation_gN(mesh, g, _neumann_projection(mesh, g),
+                                                           rule)[neu] * (1.0 + 1e-12))
 
 
 class CountingData:
@@ -252,10 +255,12 @@ class CountingData:
         self.fn = fn
         self.calls = 0
         self.points = 0
+        self.largest = 0
 
     def __call__(self, x):
         self.calls += 1
         self.points += len(x)
+        self.largest = max(self.largest, len(x))
         return self.fn(x)
 
 
@@ -263,20 +268,21 @@ def nq(k, degree):
     return rule_for(k, degree).n_points
 
 
-def _distinct_nodes(k, degree):
-    # nodes shared by the two rules, or repeated within one, count once
-    both = np.concatenate([rule_for(k, degree).points, rule_for(k, fem.OSC_DEGREE).points])
-    return len({tuple(p) for p in np.round(both, 12)})
+def _distinct_nodes(k, data_degree):
+    # the nodes of the one data rule, a repeated node counted once
+    points = rule_for(k, fem.data_rule_degree(data_degree)).points
+    return len({tuple(p) for p in np.round(points, 12)})
 
 
 def test_data_evaluation_counts(monkeypatch):
-    # a solve evaluates f and g_N once, at the distinct nodes of the data_degree
-    # and OSC_DEGREE rules: the hat loads, which b, the residuals, Pi_K f and
-    # the Neumann fluxes share, and the oscillation norms come from the same
-    # values, one call per block of at most DATA_CHUNK (node, simplex) pairs;
-    # the estimate evaluates neither again
+    # a solve evaluates f and g_N once, at the distinct nodes of the one data
+    # rule: the hat loads, which b, the residuals, Pi_K f and the Neumann
+    # fluxes share, and the oscillation norms come from the same values, one
+    # call per block of at most DATA_CHUNK (node, simplex) pairs; the estimate
+    # evaluates neither again
     assert [_distinct_nodes(k, 8) for k in (1, 2, 3)] == [13, 34, 69]
-    assert _distinct_nodes(3, 2) == 69
+    assert [_distinct_nodes(k, 4) for k in (1, 2, 3)] == [13, 34, 69]
+    assert [_distinct_nodes(k, 2) for k in (1, 2, 3)] == [5, 10, 15]
     mesh = geo.build_cube_mesh(4, 3, 0.0)
     n_neu = int(np.sum(mesh.facet_tag == geo.NEUMANN))
     assert n_neu > 0
@@ -302,19 +308,42 @@ def test_data_evaluation_counts(monkeypatch):
 
     # where kappa*rho > 1 the collapsed extensions add the nodes of the
     # EXTENSION_DEGREE rule on each of their d(d+1) sub-simplices, evaluated
-    # in blocks of at most EXTENSION_CHUNK points (here 7 elements' worth),
+    # in blocks of at most DATA_CHUNK points (here 7 elements' worth),
     # one call per block
     nodes = 3 * 4 * nq(3, eq.EXTENSION_DEGREE)
-    monkeypatch.setattr(eq, "EXTENSION_CHUNK", 7 * nodes + 1)
+    monkeypatch.setattr(fem, "DATA_CHUNK", 7 * nodes + 1)
     mesh = geo.build_cube_mesh(4, 3, lambda c: np.where(c[:, 0] < 0, 1.0, 60.0))
     layer = int(np.sum(mesh.layer))
     assert 7 < layer < mesh.n_elements
     f = CountingData(lambda x: np.exp(x[:, 0]) + x[:, 1] ** 3)
     data = fem.ProblemData(f=f, data_degree=4)
     sol = fem.solve_problem(mesh, data)
+    assert f.points == mesh.n_elements * nodes_f
+    f.calls = f.points = 0
     est.estimate(mesh, sol, data, "both")
-    assert f.points == mesh.n_elements * nodes_f + layer * nodes
-    assert f.calls == 1 + -(-layer // 7)
+    assert (f.calls, f.points) == (-(-layer // 7), layer * nodes)
+
+
+def test_every_data_call_keeps_the_batch_limit(monkeypatch):
+    # with DATA_CHUNK lowered (to two tetrahedra's data nodes at least), no
+    # call of f or g_N gets more points than DATA_CHUNK plus one simplex's
+    # nodes: in the data pass, whose last block takes a lone simplex left
+    # over, and in the collapsed extensions, each call cut from a longer batch
+    mesh = geo.build_cube_mesh(4, 3, lambda c: np.where(c[:, 0] < 0, 1.0, 60.0))
+    assert mesh.layer.any() and len(mesh.neumann) > 0
+    nodes_f, nodes_g = _distinct_nodes(3, 4), _distinct_nodes(2, 4)
+    nodes_ext = 3 * 4 * nq(3, eq.EXTENSION_DEGREE)
+    for chunk in (2 * nodes_f, 1000, 4099):
+        monkeypatch.setattr(fem, "DATA_CHUNK", chunk)
+        f = CountingData(lambda x: np.exp(x[:, 0]) + x[:, 1] ** 3)
+        g = CountingData(lambda x: np.sin(x[:, 1] + x[:, 2]))
+        data = fem.ProblemData(f=f, g_N=g, data_degree=4)
+        sol = fem.solve_problem(mesh, data)
+        assert f.calls > 1 and f.largest <= chunk + nodes_f, chunk
+        assert g.calls > 1 and g.largest <= chunk + nodes_g, chunk
+        f.calls = f.largest = 0
+        est.estimate(mesh, sol, data, "both")
+        assert f.calls > 1 and f.largest <= chunk + nodes_ext, chunk
 
 
 def test_estimate_makes_no_neumann_data_call():
@@ -968,7 +997,6 @@ def test_element_blocks_bound_the_working_set(monkeypatch):
     cfg = RunConfig(dim=3, m=8, kappa1=100.0, kappa2=1e6)
     mesh, data = benchmark_mesh(cfg), benchmark_data(cfg)
     monkeypatch.setattr(fem, "DATA_CHUNK", 2 ** 12)
-    monkeypatch.setattr(eq, "EXTENSION_CHUNK", 2 ** 12)
     monkeypatch.setattr(eq, "PATCH_CHUNK", 2 ** 12)
 
     for audited, stage in ((False, "reconstruction.eta2_terms"),

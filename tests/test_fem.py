@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 
 import fluxbound.fem as fem
 import fluxbound.geometry as geo
-from fluxbound.errors import KappaJumpWarning, NoConvergence, UnsolvableProblem
+from fluxbound.errors import KappaJumpWarning, NoConvergence, UnsolvableProblem, UnsupportedDegree
 
 import oracles
 from conftest import (DELAUNAY_DATA, ZERO_DATA, ZONED_DATA, delaunay_mesh, dense_projection_oracle,
@@ -358,17 +359,16 @@ def _quadrature_data(fn, pts, measures, degree):
     loads = integrate_simplices(lambda x, lam: fem.data_values(fn, x, "f")[:, None] * lam,
                                 pts, measures, degree)
     proj = fem._mass_inverse_times(loads, measures[:, None], k)
-    sq = integrate_simplices(lambda x, lam: (fn(x) - proj @ lam) ** 2, pts, measures,
-                             fem.OSC_DEGREE)
+    sq = integrate_simplices(lambda x, lam: (fn(x) - proj @ lam) ** 2, pts, measures, degree)
     return loads, sq
 
 
-def _distinct_nodes(k, degree):
-    # repeated nodes are equal rationals, so equal doubles
+def _distinct_nodes(k, data_degree):
+    # the nodes of the one data rule; repeated nodes are equal rationals, so equal doubles
     from fluxbound.quadrature import rule_for
-    both = np.concatenate([rule_for(k, degree).points, rule_for(k, fem.OSC_DEGREE).points])
-    table = np.unique(both, axis=0)
-    assert len(table) == len({tuple(p) for p in np.round(both, 12)})
+    points = rule_for(k, fem.data_rule_degree(data_degree)).points
+    table = np.unique(points, axis=0)
+    assert len(table) == len({tuple(p) for p in np.round(points, 12)})
     return table
 
 
@@ -379,8 +379,8 @@ def test_data_pass_equals_quadrature(dim, chunk, monkeypatch, rng):
     # on elements and on Neumann facets, for blocks of one simplex (a mesh of
     # one), of two (the fewest a longer batch is cut into) and of several: the
     # loads equal integrate_simplices and osc_sq its quadrature against their
-    # projection, bit for bit, and each simplex sees each distinct node of the
-    # two rules exactly once
+    # projection, both over the one data rule, bit for bit, and each simplex
+    # sees each distinct node of that rule exactly once
     monkeypatch.setattr(fem, "DATA_CHUNK", chunk)
     single = one_element_mesh(random_simplex(dim, rng), 1.0, dirichlet=tuple(range(1, dim + 1)))
     for mesh in (single, geo.build_cube_mesh(3 if dim < 4 else 1, dim, 1.0)):
@@ -390,10 +390,11 @@ def test_data_pass_equals_quadrature(dim, chunk, monkeypatch, rng):
                  mesh.facet_measures[nodes])]
         for name, routine, pts, measures in sets:
             k = pts.shape[1] - 1
-            for degree in (0, 1, 2, 4, 8, 10):
+            for degree in (0, 1, 2, 3, 4, 8, 10):
                 log = PointLog(_elementwise)
                 loads, osc_sq = routine(mesh, log, degree)
-                want_loads, want_sq = _quadrature_data(_elementwise, pts, measures, degree)
+                want_loads, want_sq = _quadrature_data(_elementwise, pts, measures,
+                                                       fem.data_rule_degree(degree))
                 assert np.array_equal(loads, want_loads), (name, degree)
                 assert np.array_equal(osc_sq, want_sq), (name, degree)
                 table = _distinct_nodes(k, degree)
@@ -410,3 +411,60 @@ def test_data_pass_equals_quadrature(dim, chunk, monkeypatch, rng):
             assert min(2, len(pts)) <= per_block[-1] <= size + 1
             if chunk < 2 ** 17 and name == "f" and len(pts) > 1:
                 assert len(per_block) > 1
+
+
+def _polynomial(rng, dim, degree):
+    # seeded coefficients of every monomial of total degree <= degree, summed
+    # monomial by monomial
+    powers = [p for p in itertools.product(range(degree + 1), repeat=dim) if sum(p) <= degree]
+    coeffs = rng.uniform(-1.0, 1.0, len(powers))
+
+    def fn(x):
+        out = np.zeros(len(x))
+        for c, p in zip(coeffs, powers):
+            out += c * np.prod(x ** np.array(p), axis=1)
+        return out
+    return fn
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_data_pass_is_exact_for_data_of_the_declared_degree(dim, degree):
+    # the data_degree contract: for f and g_N polynomials of that degree the
+    # hat loads and both oscillation norms equal quadrature at MAX_DEGREE,
+    # exact for them, to 1e-12 relative to the loads of |data| and to
+    # ||data||^2 (an affine datum has a round-off oscillation)
+    from fluxbound.quadrature import MAX_DEGREE, integrate_simplices
+    rng = np.random.default_rng(100 * dim + degree)
+    mesh = geo.build_cube_mesh(2, dim, 1.0)
+    f, g = _polynomial(rng, dim, degree), _polynomial(rng, dim, degree)
+    sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points),
+                                             fem.ProblemData(f=f, g_N=g, data_degree=degree))
+    neu = mesh.neumann
+    assert len(neu) > 0
+    for fn, loads, osc_sq, pts, measures in (
+            (f, sol.f_loads, sol.f_osc_sq, mesh.points[mesh.simplices], mesh.volumes),
+            (g, sol.gn_loads, sol.gn_osc_sq, mesh.points[mesh.facets[neu]],
+             mesh.facet_measures[neu])):
+        def exact(integrand):
+            return integrate_simplices(integrand, pts, measures, MAX_DEGREE)
+
+        want = exact(lambda x, lam: fn(x)[:, None] * lam)
+        proj = fem._mass_inverse_times(want, measures[:, None], pts.shape[1] - 1)
+        want_sq = exact(lambda x, lam: (fn(x) - proj @ lam) ** 2)
+        assert np.all(np.abs(loads - want) <= 1e-12 * exact(lambda x, lam: np.abs(fn(x))[:, None] * lam))
+        assert np.all(np.abs(osc_sq - want_sq) <= 1e-12 * exact(lambda x, lam: fn(x) ** 2))
+
+
+@pytest.mark.parametrize("degree", [2.5, 2.0, "2", None, True, False, -1])
+def test_problem_data_refuses_a_data_degree_that_is_not_a_degree(degree):
+    with pytest.raises(ValueError, match="data_degree"):
+        fem.ProblemData(f=np.ones, data_degree=degree)
+
+
+def test_problem_data_accepts_integer_degrees_up_to_the_maximum():
+    from fluxbound.quadrature import MAX_DEGREE
+    for degree in (0, 4, np.int64(8), MAX_DEGREE):
+        assert fem.ProblemData(f=np.ones, data_degree=degree).data_degree == degree
+    with pytest.raises(UnsupportedDegree, match="data_degree"):
+        fem.ProblemData(f=np.ones, data_degree=MAX_DEGREE + 1)
