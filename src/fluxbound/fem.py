@@ -2,8 +2,9 @@
 
 Homogeneous Dirichlet conditions are imposed by row/column elimination, which
 keeps the reduced system symmetric positive definite and the Galerkin identity
-exact. Data callables are vectorized: they map an (n, d) array of points to
-(n,) values.
+exact. The matrix fills the CSR pattern that the mesh is built with
+(``geometry.build_matrix_pattern``) and is solved with numpy alone. Data
+callables are vectorized: they map an (n, d) array of points to (n,) values.
 
 The data f and g_N are evaluated in one pass per solution (``_data_pass``), once
 at each distinct node of one rule (``data_rule_degree``). The same values give
@@ -17,10 +18,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NoConvergence, UnsolvableProblem, UnsupportedDegree
 from .geometry import Mesh, _row_sum
@@ -62,10 +63,9 @@ class ProblemData:
 
 
 def data_rule_degree(data_degree: int) -> int:
-    """Degree of the data pass's rule: exact for ||f - Pi f||^2 (degree 2 data_degree)
-    up to OSC_DEGREE, and, as the rules have odd degrees, for the loads f lambda
-    (degree data_degree + 1) unless data_degree is 9 or 11."""
-    return max(data_degree, min(2 * data_degree, OSC_DEGREE))
+    """Degree of the data pass's rule: exact for the loads f lambda (degree
+    data_degree + 1) and for ||f - Pi f||^2 (degree 2 data_degree) up to OSC_DEGREE."""
+    return min(max(data_degree + 1, min(2 * data_degree, OSC_DEGREE)), MAX_DEGREE)
 
 
 def data_values(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
@@ -176,10 +176,60 @@ def neumann_data(mesh: Mesh, g_N: Callable | None, data_degree: int):
 
 
 @dataclass(frozen=True)
+class CsrMatrix:
+    """Square sparse matrix in compressed-row form, scipy's csr_matrix layout: row i
+    has the values data[indptr[i]:indptr[i+1]] in the columns indices[indptr[i]:indptr[i+1]].
+
+    ``solve`` reads any object with these three arrays, a scipy csr_matrix too.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @cached_property
+    def padded(self) -> "_PaddedRows":
+        """The rows padded for the matrix-vector product, built on first use."""
+        return _PaddedRows.of(self)
+
+    def __matmul__(self, x):
+        return self.padded @ x
+
+
+class _PaddedRows(NamedTuple):
+    """The rows of a CSR matrix padded to one width, slot-major, for the matrix-vector
+    product: slot k of row i holds its k-th entry, or 0 in row i's own column.
+
+    ``A @ x`` sums each row slot after slot from 0, the order of scipy's
+    csr_matvec, whose results it equals bit for bit.
+    """
+
+    cols: np.ndarray   # (width, n)
+    vals: np.ndarray   # (width, n)
+
+    @classmethod
+    def of(cls, A) -> "_PaddedRows":
+        lens = np.diff(A.indptr)
+        n = len(lens)
+        slots = np.arange(lens.max(initial=0))[:, None] < lens
+        cols = np.tile(np.arange(n), (len(slots), 1))
+        vals = np.zeros(cols.shape)
+        # a boolean mask on the transposed views selects row after row, the CSR order
+        cols.T[slots.T] = A.indices
+        vals.T[slots.T] = A.data
+        return cls(cols, vals)
+
+    def __matmul__(self, x):
+        terms = np.take(x, self.cols)
+        terms *= self.vals
+        return np.add.reduce(terms, axis=0, initial=0.0)   # slot after slot
+
+
+@dataclass(frozen=True)
 class LinearSystem:
     """Reduced SPD system over the non-Dirichlet vertices of the elements."""
 
-    A: sp.csr_matrix
+    A: CsrMatrix               # pattern from the mesh (build_matrix_pattern)
     b: np.ndarray
     free: np.ndarray           # vertex ids of the dofs
     vertex_to_dof: np.ndarray  # (n_points,), -1 on Dirichlet and unused vertices
@@ -193,9 +243,9 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
     """Assemble the P1 Galerkin system; raises UnsolvableProblem when it cannot be SPD
     or when kappa^2 overflows.
 
-    The element matrices are computed ELEMENT_CHUNK elements at a time, straight
-    into one COO triplet whose entries keep the order of the element matrices,
-    so A does not depend on the block size.
+    The element matrices are computed ELEMENT_CHUNK elements at a time and
+    added into the matrix pattern the mesh was built with, each entry at its
+    position there, in element order, so A does not depend on the block size.
     """
     dir_vertices = mesh.dirichlet_vertices
     if np.all(mesh.kappa == 0) and len(dir_vertices) == 0:
@@ -207,35 +257,26 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
     # the data pass first, while no element matrix holds memory
     loads, f_osc_sq = element_data(mesh, data.f, data.data_degree)
     gl, gn_osc_sq = neumann_data(mesh, data.g_N, data.data_degree)
-    d = mesh.dim
     # the unknowns are the non-Dirichlet vertices of some element; a point of no
     # element keeps u = 0
-    used = np.zeros(mesh.n_points, dtype=bool)
-    used[mesh.simplices] = True
-    used[dir_vertices] = False
-    free = np.flatnonzero(used)
+    free = mesh._dofs
     n = len(free)
     vertex_to_dof = np.full(mesh.n_points, -1, dtype=np.int64)
     vertex_to_dof[free] = np.arange(n)
 
-    size = mesh.n_elements * (d + 1) ** 2      # an upper bound on the kept entries
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    vals, rows, cols = np.empty(size), np.empty(size, index), np.empty(size, index)
+    nnz = len(mesh._pattern_indices)
+    values = np.zeros(nnz)
     b = np.zeros(n)
-    nnz = 0
     for blk in element_blocks(mesh.n_elements):
         local, mass = element_stiffness_mass(mesh, blk)
         local += mesh.kappa[blk, None, None] ** 2 * mass
+        pos = mesh._entry_positions[blk]
+        keep = pos < nnz        # not in a Dirichlet row or column
+        np.add.at(values, pos[keep], local[keep])
         dofs = vertex_to_dof[mesh.simplices[blk]]           # (nb, d+1)
-        keep = (dofs[:, :, None] >= 0) & (dofs[:, None, :] >= 0)
-        end = nnz + np.count_nonzero(keep)
-        vals[nnz:end] = local[keep]
-        rows[nnz:end] = np.broadcast_to(dofs[:, :, None], keep.shape)[keep]
-        cols[nnz:end] = np.broadcast_to(dofs[:, None, :], keep.shape)[keep]
-        nnz = end
         on = (dofs >= 0).ravel()
         np.add.at(b, np.compress(on, dofs), np.compress(on, loads[blk]))
-    A = sp.coo_matrix((vals[:nnz], (rows[:nnz], cols[:nnz])), shape=(n, n)).tocsr()
+    A = CsrMatrix(mesh._pattern_indptr, mesh._pattern_indices, values)
     fdofs = vertex_to_dof[mesh.facets[mesh.neumann]].ravel()
     np.add.at(b, fdofs[fdofs >= 0], gl.ravel()[fdofs >= 0])
     return LinearSystem(A=A, b=b, free=free, vertex_to_dof=vertex_to_dof,
@@ -245,7 +286,9 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
 def solve(A, b, max_iter: int | None = None):
     """Solve an SPD system: dense Cholesky below 200 unknowns, Jacobi-PCG above.
 
-    Returns ``(x, iterations, relative_residual)``. PCG has two targets for
+    ``A`` is a square CSR matrix, any object with the arrays ``indptr``,
+    ``indices`` and ``data`` (a ``CsrMatrix`` or a scipy csr_matrix). Returns
+    ``(x, iterations, relative_residual)``. PCG has two targets for
     r = b - A x, as a constrained vertex patch is solvable only up to the
     residual at its vertex: ||r|| <= SOLVE_TOL ||b||, which the PCG recurrence
     can miss as it drifts on slivers, and |r_i| <= ENTRY_TOL (|b| + |A| |x|)_i
@@ -257,14 +300,19 @@ def solve(A, b, max_iter: int | None = None):
     converge (the solution so far stands). ``iterations`` counts the PCG steps
     behind x. Raises NoConvergence when the first solve does not converge
     within max_iter (default 10n), UnsolvableProblem when the SPD precheck
-    fails or ||b|| overflows.
+    fails or ||b|| overflows, ValueError when A does not have len(b) rows.
     """
     b = np.asarray(b, dtype=float)
     n = len(b)
+    if not isinstance(A, CsrMatrix):
+        A = CsrMatrix(np.asarray(A.indptr), np.asarray(A.indices), np.asarray(A.data, dtype=float))
+    if len(A.indptr) != n + 1:
+        raise ValueError(f"A has {len(A.indptr) - 1} rows, b has {n} entries")
     if n == 0:
         return np.zeros(0), 0, 0.0
-    A = sp.csr_matrix(A)
-    diag = A.diagonal()
+    row = np.repeat(np.arange(n), np.diff(A.indptr))
+    on = A.indices == row
+    diag = np.bincount(row[on], weights=A.data[on], minlength=n)
     if np.any(diag <= 0):
         raise UnsolvableProblem("matrix has a nonpositive diagonal entry")
     with np.errstate(over="ignore"):     # an overflow is refused below
@@ -273,31 +321,34 @@ def solve(A, b, max_iter: int | None = None):
         raise UnsolvableProblem(f"the norm of the right-hand side is not finite: {nb}")
     if nb == 0.0:
         return np.zeros(n), 0, 0.0
+    padded = A.padded
     if n < DENSE_CUTOFF:
+        dense = np.zeros((n, n))
+        np.add.at(dense, (row, A.indices), A.data)
         try:
-            L = np.linalg.cholesky(A.toarray())
+            L = np.linalg.cholesky(dense)
         except np.linalg.LinAlgError as exc:
             raise UnsolvableProblem(f"dense Cholesky failed: {exc}") from None
         x = np.linalg.solve(L.T, np.linalg.solve(L, b))
-        res = float(np.linalg.norm(b - A @ x)) / nb
+        res = float(np.linalg.norm(b - padded @ x)) / nb
         return x, 1, res
 
     if max_iter is None:
         max_iter = 10 * n
-    abs_A, inv_diag = abs(A), 1.0 / diag
+    abs_A, inv_diag = _PaddedRows(padded.cols, np.abs(padded.vals)), 1.0 / diag
 
     def miss(x):
         # the residual and the worse of its two ratios to their targets
-        r = b - A @ x
+        r = b - padded @ x
         size = ENTRY_TOL * (abs_A @ np.abs(x) + np.abs(b))
         entry = np.divide(np.abs(r), size, out=np.zeros(n), where=size > 0)
         return r, max(float(np.linalg.norm(r)) / (SOLVE_TOL * nb), float(entry.max()))
 
-    x, iters = _pcg(A, inv_diag, b, max_iter, SOLVE_TOL * nb)
+    x, iters = _pcg(padded, inv_diag, b, max_iter, SOLVE_TOL * nb)
     r, worst = miss(x)
     while worst > 1.0:
         try:
-            dx, more = _pcg(A, inv_diag, r, max_iter - iters,
+            dx, more = _pcg(padded, inv_diag, r, max_iter - iters,
                             float(np.linalg.norm(r)) / (2.0 * worst))
         except NoConvergence:
             break   # the solution reached so far stands
@@ -312,7 +363,9 @@ def solve(A, b, max_iter: int | None = None):
 
 def _pcg(A, inv_diag, b, max_iter: int, target: float):
     """Jacobi-PCG for A x = b from x = 0 until the norm of the recurrence residual
-    is at most ``target``; returns ``(x, iterations)``, raises NoConvergence after max_iter."""
+    is at most ``target``; returns ``(x, iterations)``, raises NoConvergence after max_iter.
+
+    ``A`` is anything that multiplies a vector with ``@``."""
     x = np.zeros(len(b))
     r = b.copy()
     z = inv_diag * r

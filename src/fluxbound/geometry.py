@@ -11,7 +11,10 @@ Conventions used throughout the package:
   sorted element vertices this makes slot j of facet i the local vertex
   ``facet_vertices(d)[i, j]``, the same for every element;
 * each facet carries an orientation sign: +1 for the incident element with the
-  smaller element id (the "plus side"), -1 for the other.
+  smaller element id (the "plus side"), -1 for the other;
+* the unknowns of the P1 system are the non-Dirichlet vertices of some element,
+  numbered by ascending vertex id; the mesh holds the CSR pattern of the P1
+  matrix over them and the position of each element-matrix entry in it.
 
 Mesh text format (whitespace separated, '#' comments):
 
@@ -87,33 +90,6 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 # simplex geometry
 # ---------------------------------------------------------------------------
 
-def simplex_measure(verts):
-    """k-dimensional measure of the simplices in a (..., k+1, d) vertex array.
-
-    Full-dimensional simplices (k = d) use |det E| / d!; lower-dimensional ones
-    embedded in R^d (facets) use the Gram determinant of the edge vectors. No
-    degeneracy check: sub-simplices of cones and extensions are legitimately thin.
-    """
-    verts = np.asarray(verts, dtype=float)
-    k, d = verts.shape[-2] - 1, verts.shape[-1]
-    edges = verts[..., 1:, :] - verts[..., :1, :]
-    if k == d:
-        return np.abs(np.linalg.det(np.swapaxes(edges, -1, -2))) / math.factorial(d)
-    gram = edges @ np.swapaxes(edges, -1, -2)
-    return np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / math.factorial(k)
-
-
-def simplex_gradients(pts) -> np.ndarray:
-    """(k, d+1, d) barycentric gradients of the d-simplices in a (k, d+1, d)
-    vertex array; no degeneracy check, as for simplex_measure."""
-    pts = np.asarray(pts, dtype=float)
-    inv = np.linalg.inv(np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2))  # row i-1 = grad lambda_i
-    grads = np.empty_like(pts)
-    grads[:, 1:] = inv
-    grads[:, 0] = -_row_sum(inv.swapaxes(1, 2))
-    return grads
-
-
 class SimplexGeometry(NamedTuple):
     volumes: np.ndarray         # (k,)
     grads: np.ndarray           # (k, d+1, d) barycentric gradients
@@ -125,24 +101,84 @@ class SimplexGeometry(NamedTuple):
 def simplex_geometry(pts) -> SimplexGeometry:
     """Geometry of the d-simplices in a (k, d+1, d) vertex array.
 
-    A simplex of volume below DEGENERACY_FACTOR * h^d raises DegenerateSimplex.
+    |K| and the barycentric gradients come from one factorisation of the edge
+    matrix E (column i: v_{i+1} - v_0) per simplex: |K| = |det E| / d!, and row
+    i of E^-1 is grad lambda_{i+1}. A simplex of volume below
+    DEGENERACY_FACTOR * h^d, or of volume 0, raises DegenerateSimplex. The work
+    runs on (coordinate, vertex, simplex) arrays; pts laid out so underneath
+    (a transposed view) is read without a copy.
     """
     pts = np.asarray(pts, dtype=float)
     d = pts.shape[2]
-    volumes = simplex_measure(pts)
-    i, j = np.triu_indices(d + 1, 1)
-    diameters = np.sqrt(_row_max(_row_sum((pts[:, i] - pts[:, j]) ** 2)))
-    bad = volumes < DEGENERACY_FACTOR * diameters ** d
+    x = np.ascontiguousarray(pts.transpose(2, 1, 0))
+    h2 = None
+    for a, b in itertools.combinations(range(d + 1), 2):
+        edge = x[:, a] - x[:, b]
+        sq = _dot(edge, edge)
+        h2 = sq if h2 is None else np.maximum(h2, sq, out=h2)
+    diameters = np.sqrt(h2)
+    lu, det = _factor(x)
+    volumes = np.abs(det) / math.factorial(d)
+    # coincident vertices give h = 0 and a volume that is no smaller than 0 h^d
+    bad = (volumes < DEGENERACY_FACTOR * diameters ** d) | (volumes == 0.0)
     if np.any(bad):
         e = int(np.flatnonzero(bad)[0])
         raise DegenerateSimplex(f"simplex {e}: volume {volumes[e]:.3e} below "
                                 f"threshold for h={diameters[e]:.3e}")
-    grads = simplex_gradients(pts)
-    # |gamma_i| = d |K| |grad lambda_i|
-    facet_measures = d * volumes[:, None] * np.sqrt(_row_sum(grads * grads))
+    grads = np.empty((d + 1, d, len(volumes)))    # (vertex, component, simplex)
+    _back_substitute(lu, out=grads[1:])
+    del lu                 # before the copies below
+    grads[0] = -_row_sum(np.moveaxis(grads[1:], 0, -1))
+    # |gamma_i| = d |K| |grad lambda_i|, (vertex, simplex)
+    by_component = grads.swapaxes(0, 1)
+    facet_measures = d * volumes * np.sqrt(_dot(by_component, by_component))
     return SimplexGeometry(
-        volumes=volumes, grads=grads, facet_measures=facet_measures, diameters=diameters,
-        inradii=d * volumes / _row_sum(facet_measures))
+        volumes=volumes, grads=np.ascontiguousarray(grads.transpose(2, 0, 1)),
+        facet_measures=np.ascontiguousarray(facet_measures.T), diameters=diameters,
+        inradii=d * volumes / _row_sum(facet_measures.T))
+
+
+def _factor(x):
+    """Gaussian elimination with partial pivoting of the edge matrices
+    E = x[:, 1:] - x[:, :1] of the simplices x (coordinate, vertex, simplex),
+    written as whole-vector row operations over the simplices.
+
+    Returns ``(lu, det)``: lu (d, 2d, k) holds U on and above the diagonal of its
+    first d columns and L^-1 P in its last d, where P E = L U; det (k,) is det E.
+    A zero pivot has a zero column below it, so its rows are left as they are:
+    a singular E gets det 0 and no division by zero.
+    """
+    d, k = x.shape[0], x.shape[2]
+    lu = np.zeros((d, 2 * d, k))
+    np.subtract(x[:, 1:], x[:, :1], out=lu[:, :d])
+    for r in range(d):
+        lu[r, d + r] = 1.0
+    det = np.ones(k)
+    for j in range(d):
+        # bring the largest |entry| of column j at or below row j up to row j
+        for r in range(j + 1, d):
+            swap = np.abs(lu[r, j]) > np.abs(lu[j, j])
+            top = lu[j, j:].copy()
+            np.copyto(lu[j, j:], lu[r, j:], where=swap)
+            np.copyto(lu[r, j:], top, where=swap)
+            np.negative(det, out=det, where=swap)
+        pivot = lu[j, j]
+        det *= pivot
+        pivot = np.where(pivot == 0.0, 1.0, pivot)
+        for r in range(j + 1, d):
+            lu[r, j + 1:] -= (lu[r, j] / pivot) * lu[j, j + 1:]
+    return lu, det
+
+
+def _back_substitute(lu, out):
+    """E^-1 into ``out`` (d, d, k) from the factors of ``_factor``: the solution X of
+    U X = L^-1 P, row after row from the last."""
+    d = len(lu)
+    for r in reversed(range(d)):
+        acc = lu[r, d:].copy()
+        for c in range(r + 1, d):
+            acc -= lu[r, c] * out[c]
+        np.divide(acc, lu[r, r], out=out[r])
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +204,10 @@ def build_facet_adjacency(simplices: np.ndarray):
     """
     ne, dp1 = simplices.shape
     d = dp1 - 1
-    faces = simplices[:, facet_vertices(d)].reshape(ne * dp1, d)  # row e*(d+1)+i: facet i of e
+    # row e*(d+1)+i: facet i of e
+    faces = np.take(simplices, facet_vertices(d), axis=1).reshape(ne * dp1, d)
     order = np.lexsort(faces.T[::-1])
-    faces_sorted = faces[order]
+    faces_sorted = np.take(faces, order, axis=0)
     new_group = np.ones(len(faces_sorted), dtype=bool)
     new_group[1:] = faces_sorted[1:, 0] != faces_sorted[:-1, 0]
     for j in range(1, d):       # whole columns, not a reduction over each short row
@@ -184,7 +221,7 @@ def build_facet_adjacency(simplices: np.ndarray):
         raise NonConformingMesh(
             f"facet {tuple(int(v) for v in verts)} is shared by {counts[bad]} elements")
 
-    facets = faces_sorted[new_group]
+    facets = np.compress(new_group, faces_sorted, axis=0)
     facet_elems = np.full((nf, 2), -1, dtype=np.int64)
     facet_local = np.full((nf, 2), -1, dtype=np.int64)
     elems_sorted, locals_sorted = np.divmod(order, dp1)
@@ -202,6 +239,69 @@ def build_facet_adjacency(simplices: np.ndarray):
     elem_sigma = np.empty((ne, dp1), dtype=np.int8)
     elem_sigma.flat[order] = np.where(new_group, 1, -1)
     return facets, facet_elems, facet_local, elem_facets, elem_sigma
+
+
+# ---------------------------------------------------------------------------
+# the pattern of the P1 matrix
+# ---------------------------------------------------------------------------
+
+def build_matrix_pattern(dofs: np.ndarray, n: int):
+    """CSR pattern of the P1 matrix over n unknowns, and where each element entry goes.
+
+    ``dofs`` (ne, d+1) holds the unknown of each element vertex, ascending along
+    a row, or -1 for a vertex that is none. Row i of the pattern holds i and the
+    unknowns joined to it by a mesh edge, ascending. Returns ``(indptr,
+    indices, positions)``: positions (ne, d+1, d+1) is the index into
+    ``indices`` of the entry (dofs[e, a], dofs[e, b]), or nnz where either is -1.
+    The edges are found as the facets are: sorted, with the first of equal ones
+    marked.
+    """
+    ne, dp1 = dofs.shape
+    a, b = np.triu_indices(dp1, 1)
+    # row * n + col of each element edge (row < col, as dofs ascend); n * n,
+    # after every edge, where an end is no unknown
+    keys = np.take(dofs, a, axis=1) * n
+    keys += np.take(dofs, b, axis=1)
+    off = dofs < 0
+    keys[np.take(off, a, axis=1) | np.take(off, b, axis=1)] = n * n
+    keys = keys.ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = np.take(keys, order)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    distinct = np.compress(first, keys)
+    row, col = np.divmod(distinct[distinct < n * n], n)   # the edges, by (row, col)
+    del keys, distinct     # the sort's arrays go early: they set the build's peak
+    group = np.cumsum(first)
+    group -= 1
+    edge_of = np.empty(len(order), dtype=np.int64)     # edge id of each element edge,
+    edge_of[order] = group                             # len(row) where an end is no unknown
+    del order, group
+
+    n_upper, n_lower = np.bincount(row, minlength=n), np.bincount(col, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(n_lower + 1 + n_upper, out=indptr[1:])
+    nnz = int(indptr[-1])
+    diagonal = indptr[:-1] + n_lower
+    # row i: the n_lower[i] edges (j, i) by j, the diagonal, the n_upper[i] edges (i, j) by j
+    edges = np.arange(len(row))
+    upper = diagonal[row] + 1 + edges - (np.cumsum(n_upper) - n_upper)[row]
+    by_col = np.argsort(col, kind="stable")            # the edges by (col, row)
+    lower = np.empty(len(row), dtype=np.int64)
+    lower[by_col] = indptr[:-1][col[by_col]] + edges - (np.cumsum(n_lower) - n_lower)[col[by_col]]
+    indices = np.empty(nnz, dtype=np.int64)
+    indices[diagonal], indices[upper], indices[lower] = np.arange(n), col, row
+
+    index = np.int32 if nnz < np.iinfo(np.int32).max else np.int64
+    positions = np.empty((ne, dp1, dp1), dtype=index)
+    diag = np.arange(dp1)
+    # the last entry of each table is nnz, which a dof of -1 and an edge id
+    # of len(row) take
+    positions[:, diag, diag] = np.take(np.append(diagonal, nnz).astype(index), dofs)
+    for table, (r, c) in ((upper, (a, b)), (lower, (b, a))):
+        table = np.append(table, nnz).astype(index)
+        positions[:, r, c] = np.take(table, edge_of).reshape(ne, len(a))
+    return indptr, indices, positions
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +334,12 @@ class Mesh:
     _vertex_elem_offsets: np.ndarray = field(repr=False)
     _vertex_elem_data: np.ndarray = field(repr=False)   # (k, 2): element, local vertex
     _vertex_facet_data: np.ndarray = field(repr=False)  # (k, 2): facet, slot; by vertex
+    # the unknowns of the P1 system (the non-Dirichlet vertices of some element)
+    # and the pattern of its matrix, from build_matrix_pattern
+    _dofs: np.ndarray = field(repr=False)               # (n,) vertex ids, ascending
+    _pattern_indptr: np.ndarray = field(repr=False)     # (n+1,)
+    _pattern_indices: np.ndarray = field(repr=False)    # (nnz,)
+    _entry_positions: np.ndarray = field(repr=False)    # (ne, d+1, d+1), nnz if dropped
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
@@ -337,7 +443,17 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
             key = next(iter(tags))
             raise MeshFormatError(f"tagged facet {key} is not a boundary facet of the mesh")
 
-    geom = simplex_geometry(points[cells])
+    # the unknowns of the P1 system: the non-Dirichlet vertices of some element
+    used = np.zeros(len(points), dtype=bool)
+    used[cells] = True
+    used[facets[facet_tag == DIRICHLET]] = False
+    dofs = np.flatnonzero(used)
+    vertex_to_dof = np.full(len(points), -1, dtype=np.int64)
+    vertex_to_dof[dofs] = np.arange(len(dofs))
+    indptr, indices, positions = build_matrix_pattern(np.take(vertex_to_dof, cells), len(dofs))
+
+    # the corners gathered (coordinate, vertex, element), the layout simplex_geometry works in
+    geom = simplex_geometry(np.take(points.T, cells.T, axis=1).transpose(2, 1, 0))
     facet_measures = np.zeros(len(facets))
     facet_measures[elem_facets.ravel()] = geom.facet_measures.ravel()
 
@@ -356,6 +472,8 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
         volumes=geom.volumes, bary_grads=geom.grads, facet_measures=facet_measures,
         diameters=geom.diameters, inradii=geom.inradii,
         _vertex_elem_offsets=veo, _vertex_elem_data=ve, _vertex_facet_data=vf,
+        _dofs=dofs, _pattern_indptr=indptr, _pattern_indices=indices,
+        _entry_positions=positions,
     )
 
 

@@ -1,15 +1,19 @@
 """Single-element references that the batched production code is checked against.
 
 * quadrature: ``integrate``/``integrate_facet`` on one simplex or facet;
-* geometry: ``incentre``/``mesh_incentres`` (the vertices weighted by their
+* geometry: ``simplex_measure``/``simplex_gradients`` by LAPACK (``np.linalg.det``
+  and ``inv``, the route the one factorisation of ``geometry.simplex_geometry``
+  replaced), ``incentre``/``mesh_incentres`` (the vertices weighted by their
   opposite facet measures), ``locate`` (points to pieces and barycentric
   coordinates), ``vertex_patch`` (the elements sharing one vertex),
   ``vertex_facets`` (the facets containing one vertex) and ``facet_slots`` /
   ``to_local_vertices`` (facet-vertex data by element vertex, found by search);
 * projections and norms: ``project_facet``, ``energy_norm``, ``energy_norm_fe``;
 * assembly: ``assemble_one_shot``, the Galerkin matrix and load vector from
-  mesh-sized element matrices in one COO triplet, the route the element
-  blocks of ``fem.assemble`` replaced;
+  mesh-sized element matrices, with the pattern found by ``np.unique`` over
+  every kept entry, the route that the element blocks of ``fem.assemble`` and
+  the mesh's pattern replaced; ``to_scipy``, a ``fem.CsrMatrix`` as scipy's
+  csr_matrix;
 * equilibration: the collapsed extension ``extension``/``ExtensionFunction``,
   its volume terms sub-simplex by sub-simplex
   ``extension_volume_terms_subsimplex``, the patch sign matrices by dense
@@ -51,10 +55,10 @@ from fluxbound.equilibration import CONSTRAINT_TOL, RANK_TOL
 from fluxbound.errors import InfeasibleConstraints, InvalidVariant
 from fluxbound.equilibration import EXTENSION_DEGREE
 from fluxbound.estimator import trace_constants
-from fluxbound.fem import (ProblemData, _mass_inverse_times, _mass_norm_sq, _mass_times,
-                           data_rule_degree, data_values, element_data, neumann_data)
-from fluxbound.geometry import (NEUMANN, _dot, facet_vertices, simplex_geometry,
-                                simplex_gradients, simplex_measure)
+from fluxbound.fem import (CsrMatrix, ProblemData, _mass_inverse_times, _mass_norm_sq,
+                           _mass_times, data_rule_degree, data_values, element_data,
+                           neumann_data)
+from fluxbound.geometry import NEUMANN, _dot, _row_sum, facet_vertices, simplex_geometry
 from fluxbound.quadrature import integrate_simplices, rule_for, simplex_moment
 from fluxbound.reconstruction import TRACE_DEGREE, _facet_setup, _flux_moments
 
@@ -69,6 +73,33 @@ DEFAULT_DATA_RULE = data_rule_degree(ProblemData.data_degree)   # the data pass'
 # ---------------------------------------------------------------------------
 # quadrature and geometry on one simplex
 # ---------------------------------------------------------------------------
+
+def simplex_measure(verts):
+    """k-dimensional measure of the simplices in a (..., k+1, d) vertex array.
+
+    Full-dimensional simplices (k = d) use |det E| / d!; lower-dimensional ones
+    embedded in R^d (facets) use the Gram determinant of the edge vectors. No
+    degeneracy check: sub-simplices of cones and extensions are legitimately thin.
+    """
+    verts = np.asarray(verts, dtype=float)
+    k, d = verts.shape[-2] - 1, verts.shape[-1]
+    edges = verts[..., 1:, :] - verts[..., :1, :]
+    if k == d:
+        return np.abs(np.linalg.det(np.swapaxes(edges, -1, -2))) / math.factorial(d)
+    gram = edges @ np.swapaxes(edges, -1, -2)
+    return np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / math.factorial(k)
+
+
+def simplex_gradients(pts) -> np.ndarray:
+    """(k, d+1, d) barycentric gradients of the d-simplices in a (k, d+1, d)
+    vertex array; no degeneracy check, as for simplex_measure."""
+    pts = np.asarray(pts, dtype=float)
+    inv = np.linalg.inv(np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2))  # row i-1 = grad lambda_i
+    grads = np.empty_like(pts)
+    grads[:, 1:] = inv
+    grads[:, 0] = -_row_sum(inv.swapaxes(1, 2))
+    return grads
+
 
 def _integrate(f, vertices: np.ndarray, k: int, degree: int) -> float:
     rule = rule_for(k, degree)
@@ -207,8 +238,9 @@ def energy_norm_fe(sol) -> float:
 
 def assemble_one_shot(mesh, data):
     """(A, b) of ``fem.assemble`` with every element matrix at once: (ne, d+1, d+1)
-    stiffness, mass and their sum, int64 COO indices of every entry and a mask
-    of the kept ones."""
+    stiffness, mass and their sum, int64 indices of every entry and a mask of
+    the kept ones. The pattern is every distinct kept (row, column), found by
+    ``np.unique``; duplicates are summed in element order by ``np.add.at``."""
     loads = element_data(mesh, data.f, data.data_degree)[0]
     gl = neumann_data(mesh, data.g_N, data.data_degree)[0]
     d = mesh.dim
@@ -224,12 +256,24 @@ def assemble_one_shot(mesh, data):
     cols = np.tile(dofs, (1, d + 1)).ravel()
     keep = (rows >= 0) & (cols >= 0)
     n = len(free)
-    A = sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    keys = rows[keep] * n + cols[keep]
+    pattern, position = np.unique(keys, return_inverse=True)
+    values = np.zeros(len(pattern))
+    np.add.at(values, position, local.ravel()[keep])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pattern // n, minlength=n), out=indptr[1:])
+    A = CsrMatrix(indptr, pattern % n, values)
     b = np.zeros(n)
     np.add.at(b, dofs.ravel()[dofs.ravel() >= 0], loads.ravel()[dofs.ravel() >= 0])
     fdofs = vertex_to_dof[mesh.facets[mesh.neumann]].ravel()
     np.add.at(b, fdofs[fdofs >= 0], gl.ravel()[fdofs >= 0])
     return A, b
+
+
+def to_scipy(A):
+    """The ``fem.CsrMatrix`` A as scipy's csr_matrix."""
+    n = len(A.indptr) - 1
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------

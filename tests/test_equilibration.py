@@ -15,7 +15,7 @@ from fluxbound.errors import InfeasibleConstraints, KappaJumpWarning
 from conftest import (ZERO_DATA, kkt_min_norm_oracle, one_simplex, random_problem_data,
                       random_simplex, random_small_mesh)
 from oracles import (extension, extension_volume_terms_subsimplex, integrate, integrate_facet,
-                     patch_maps_nullspace, project_facet, sign_matrices_dense,
+                     patch_maps_nullspace, project_facet, sign_matrices_dense, simplex_measure,
                      solve_vertex_patch_reference, vertex_facets, vertex_patch)
 import stage_memory
 from test_fem import one_element_mesh
@@ -98,7 +98,7 @@ def dual_basis(facet_vertices):
     """Rows are the vertex values of the facet dual functions psi^m, the
     inverse of the facet P1 mass matrix, as the equilibration applies it."""
     d = facet_vertices.shape[1]
-    return fem._mass_inverse_times(np.eye(d), geo.simplex_measure(facet_vertices), d - 1)
+    return fem._mass_inverse_times(np.eye(d), simplex_measure(facet_vertices), d - 1)
 
 
 def test_dual_basis_unit_segment():

@@ -11,6 +11,7 @@ from fluxbound.errors import UnsupportedDegree
 from fluxbound.quadrature import integrate_simplices, p2_basis, quadratic_gram_factor, rule_for
 
 from conftest import bary_monomial_integral, random_simplex
+from oracles import simplex_gradients, simplex_measure
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 REF_TET = np.eye(4)[1:, :3] * 0.0  # placeholder, built below
@@ -21,7 +22,7 @@ def integrate_one(f, vertices, degree):
     """integrate_simplices on one simplex or facet; f maps (n, d) points to (n,) values."""
     vertices = np.asarray(vertices, dtype=float)
     return integrate_simplices(lambda x, lam: f(x), vertices[None],
-                               geo.simplex_measure(vertices)[None], degree)[0]
+                               simplex_measure(vertices)[None], degree)[0]
 
 
 def test_weights_sum_to_reference_volume():
@@ -153,7 +154,7 @@ def test_affine_invariance(d, degree, data):
     # the batched route on several simplices, with a trailing vector axis; the
     # integrand recovers the barycentric coordinates from the physical points
     batch = np.stack([pts] + [random_simplex(d, rng) for _ in range(3)])
-    grads = geo.simplex_gradients(batch)
+    grads = simplex_gradients(batch)
     vols = np.array([abs(np.linalg.det(p[1:] - p[0])) for p in batch]) / math.factorial(d)
 
     def f_batch(x, lam):

@@ -427,7 +427,7 @@ def test_eta2_closed_form_extremes(dim, m):
 
         shrunk = apex[:, None] + t0[:, None, None] * (pts - apex[:, None])
         quad = integrate_simplices(lambda x, lam: r_of(x) ** 2, shrunk,
-                                   geo.simplex_measure(shrunk), 2)
+                                   oracles.simplex_measure(shrunk), 2)
         closed = rec._below_cutoff_sq(r_vals, r_of(apex), t0, mesh.volumes, dim)
         np.testing.assert_allclose(closed, quad, rtol=1e-13, atol=0.0)
 
