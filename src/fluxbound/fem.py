@@ -2,9 +2,11 @@
 
 Homogeneous Dirichlet conditions are imposed by row/column elimination, which
 keeps the reduced system symmetric positive definite and the Galerkin identity
-exact. The matrix fills the CSR pattern that the mesh is built with
-(``geometry.build_matrix_pattern``) and is solved with numpy alone. Data
-callables are vectorized: they map an (n, d) array of points to (n,) values.
+exact. The matrix has one layout, ``PaddedRows``: its rows padded to one
+width, whose columns the mesh is built with (``geometry.build_matrix_pattern``).
+``assemble`` fills their values and ``solve`` reads them as they are, with
+numpy alone. Data callables are vectorized: they map an (n, d) array of points
+to (n,) values.
 
 The data f and g_N are evaluated in one pass per solution (``_data_pass``), once
 at each distinct node of one rule (``data_rule_degree``). The same values give
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -175,30 +176,10 @@ def neumann_data(mesh: Mesh, g_N: Callable | None, data_degree: int):
                       mesh.facet_measures[idx], data_degree)
 
 
-@dataclass(frozen=True)
-class CsrMatrix:
-    """Square sparse matrix in compressed-row form, scipy's csr_matrix layout: row i
-    has the values data[indptr[i]:indptr[i+1]] in the columns indices[indptr[i]:indptr[i+1]].
-
-    ``solve`` reads any object with these three arrays, a scipy csr_matrix too.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-    @cached_property
-    def padded(self) -> "_PaddedRows":
-        """The rows padded for the matrix-vector product, built on first use."""
-        return _PaddedRows.of(self)
-
-    def __matmul__(self, x):
-        return self.padded @ x
-
-
-class _PaddedRows(NamedTuple):
-    """The rows of a CSR matrix padded to one width, slot-major, for the matrix-vector
-    product: slot k of row i holds its k-th entry, or 0 in row i's own column.
+class PaddedRows(NamedTuple):
+    """Square sparse matrix as rows padded to one width, slot-major: slot k of
+    row i holds the column ``cols[k, i]`` and the value ``vals[k, i]`` of its
+    k-th entry, or i and 0 beyond the row's length.
 
     ``A @ x`` sums each row slot after slot from 0, the order of scipy's
     csr_matvec, whose results it equals bit for bit.
@@ -206,18 +187,6 @@ class _PaddedRows(NamedTuple):
 
     cols: np.ndarray   # (width, n)
     vals: np.ndarray   # (width, n)
-
-    @classmethod
-    def of(cls, A) -> "_PaddedRows":
-        lens = np.diff(A.indptr)
-        n = len(lens)
-        slots = np.arange(lens.max(initial=0))[:, None] < lens
-        cols = np.tile(np.arange(n), (len(slots), 1))
-        vals = np.zeros(cols.shape)
-        # a boolean mask on the transposed views selects row after row, the CSR order
-        cols.T[slots.T] = A.indices
-        vals.T[slots.T] = A.data
-        return cls(cols, vals)
 
     def __matmul__(self, x):
         terms = np.take(x, self.cols)
@@ -229,10 +198,9 @@ class _PaddedRows(NamedTuple):
 class LinearSystem:
     """Reduced SPD system over the non-Dirichlet vertices of the elements."""
 
-    A: CsrMatrix               # pattern from the mesh (build_matrix_pattern)
+    A: PaddedRows              # the mesh's pattern (build_matrix_pattern)
     b: np.ndarray
     free: np.ndarray           # vertex ids of the dofs
-    vertex_to_dof: np.ndarray  # (n_points,), -1 on Dirichlet and unused vertices
     f_loads: np.ndarray        # (ne, d+1) hat loads of f, summed into b
     gn_loads: np.ndarray       # (n_N, d) hat loads of g_N, summed into b
     f_osc_sq: np.ndarray       # (ne,) ||f - Pi_K f||_K^2
@@ -259,35 +227,33 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
     gl, gn_osc_sq = neumann_data(mesh, data.g_N, data.data_degree)
     # the unknowns are the non-Dirichlet vertices of some element; a point of no
     # element keeps u = 0
-    free = mesh._dofs
-    n = len(free)
-    vertex_to_dof = np.full(mesh.n_points, -1, dtype=np.int64)
-    vertex_to_dof[free] = np.arange(n)
-
-    nnz = len(mesh._pattern_indices)
-    values = np.zeros(nnz)
-    b = np.zeros(n)
+    vertex_to_dof = mesh._vertex_to_dof
+    free = np.flatnonzero(vertex_to_dof >= 0)
+    cols = mesh._pattern_cols
+    values = np.zeros(cols.size)
+    b = np.zeros(len(free))
     for blk in element_blocks(mesh.n_elements):
         local, mass = element_stiffness_mass(mesh, blk)
         local += mesh.kappa[blk, None, None] ** 2 * mass
         pos = mesh._entry_positions[blk]
-        keep = pos < nnz        # not in a Dirichlet row or column
+        keep = pos < cols.size        # not in a Dirichlet row or column
         np.add.at(values, pos[keep], local[keep])
         dofs = vertex_to_dof[mesh.simplices[blk]]           # (nb, d+1)
         on = (dofs >= 0).ravel()
         np.add.at(b, np.compress(on, dofs), np.compress(on, loads[blk]))
-    A = CsrMatrix(mesh._pattern_indptr, mesh._pattern_indices, values)
+    # A gets writeable columns of its own: np.take copies a read-only index
+    # array (the mesh's are) on every product
+    A = PaddedRows(cols.copy(), values.reshape(cols.shape))
     fdofs = vertex_to_dof[mesh.facets[mesh.neumann]].ravel()
     np.add.at(b, fdofs[fdofs >= 0], gl.ravel()[fdofs >= 0])
-    return LinearSystem(A=A, b=b, free=free, vertex_to_dof=vertex_to_dof,
-                        f_loads=loads, gn_loads=gl, f_osc_sq=f_osc_sq, gn_osc_sq=gn_osc_sq)
+    return LinearSystem(A=A, b=b, free=free, f_loads=loads, gn_loads=gl,
+                        f_osc_sq=f_osc_sq, gn_osc_sq=gn_osc_sq)
 
 
-def solve(A, b, max_iter: int | None = None):
+def solve(A: PaddedRows, b, max_iter: int | None = None):
     """Solve an SPD system: dense Cholesky below 200 unknowns, Jacobi-PCG above.
 
-    ``A`` is a square CSR matrix, any object with the arrays ``indptr``,
-    ``indices`` and ``data`` (a ``CsrMatrix`` or a scipy csr_matrix). Returns
+    ``A`` is a ``PaddedRows`` matrix, as ``assemble`` builds it. Returns
     ``(x, iterations, relative_residual)``. PCG has two targets for
     r = b - A x, as a constrained vertex patch is solvable only up to the
     residual at its vertex: ||r|| <= SOLVE_TOL ||b||, which the PCG recurrence
@@ -304,15 +270,13 @@ def solve(A, b, max_iter: int | None = None):
     """
     b = np.asarray(b, dtype=float)
     n = len(b)
-    if not isinstance(A, CsrMatrix):
-        A = CsrMatrix(np.asarray(A.indptr), np.asarray(A.indices), np.asarray(A.data, dtype=float))
-    if len(A.indptr) != n + 1:
-        raise ValueError(f"A has {len(A.indptr) - 1} rows, b has {n} entries")
+    if A.cols.shape[1] != n:
+        raise ValueError(f"A has {A.cols.shape[1]} rows, b has {n} entries")
     if n == 0:
         return np.zeros(0), 0, 0.0
-    row = np.repeat(np.arange(n), np.diff(A.indptr))
-    on = A.indices == row
-    diag = np.bincount(row[on], weights=A.data[on], minlength=n)
+    rows = np.arange(n)
+    # the entries in each row's own column: the diagonal, and the padding's zeros
+    diag = np.where(A.cols == rows, A.vals, 0.0).sum(axis=0)
     if np.any(diag <= 0):
         raise UnsolvableProblem("matrix has a nonpositive diagonal entry")
     with np.errstate(over="ignore"):     # an overflow is refused below
@@ -321,34 +285,33 @@ def solve(A, b, max_iter: int | None = None):
         raise UnsolvableProblem(f"the norm of the right-hand side is not finite: {nb}")
     if nb == 0.0:
         return np.zeros(n), 0, 0.0
-    padded = A.padded
     if n < DENSE_CUTOFF:
         dense = np.zeros((n, n))
-        np.add.at(dense, (row, A.indices), A.data)
+        np.add.at(dense, (rows, A.cols), A.vals)
         try:
             L = np.linalg.cholesky(dense)
         except np.linalg.LinAlgError as exc:
             raise UnsolvableProblem(f"dense Cholesky failed: {exc}") from None
         x = np.linalg.solve(L.T, np.linalg.solve(L, b))
-        res = float(np.linalg.norm(b - padded @ x)) / nb
+        res = float(np.linalg.norm(b - A @ x)) / nb
         return x, 1, res
 
     if max_iter is None:
         max_iter = 10 * n
-    abs_A, inv_diag = _PaddedRows(padded.cols, np.abs(padded.vals)), 1.0 / diag
+    abs_A, inv_diag = PaddedRows(A.cols, np.abs(A.vals)), 1.0 / diag
 
     def miss(x):
         # the residual and the worse of its two ratios to their targets
-        r = b - padded @ x
+        r = b - A @ x
         size = ENTRY_TOL * (abs_A @ np.abs(x) + np.abs(b))
         entry = np.divide(np.abs(r), size, out=np.zeros(n), where=size > 0)
         return r, max(float(np.linalg.norm(r)) / (SOLVE_TOL * nb), float(entry.max()))
 
-    x, iters = _pcg(padded, inv_diag, b, max_iter, SOLVE_TOL * nb)
+    x, iters = _pcg(A, inv_diag, b, max_iter, SOLVE_TOL * nb)
     r, worst = miss(x)
     while worst > 1.0:
         try:
-            dx, more = _pcg(padded, inv_diag, r, max_iter - iters,
+            dx, more = _pcg(A, inv_diag, r, max_iter - iters,
                             float(np.linalg.norm(r)) / (2.0 * worst))
         except NoConvergence:
             break   # the solution reached so far stands

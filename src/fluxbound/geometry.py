@@ -13,8 +13,9 @@ Conventions used throughout the package:
 * each facet carries an orientation sign: +1 for the incident element with the
   smaller element id (the "plus side"), -1 for the other;
 * the unknowns of the P1 system are the non-Dirichlet vertices of some element,
-  numbered by ascending vertex id; the mesh holds the CSR pattern of the P1
-  matrix over them and the position of each element-matrix entry in it.
+  numbered by ascending vertex id; the mesh holds the columns of the P1
+  matrix's rows over them, padded to one width (``build_matrix_pattern``),
+  and the position of each element-matrix entry in them.
 
 Mesh text format (whitespace separated, '#' comments):
 
@@ -246,15 +247,17 @@ def build_facet_adjacency(simplices: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def build_matrix_pattern(dofs: np.ndarray, n: int):
-    """CSR pattern of the P1 matrix over n unknowns, and where each element entry goes.
+    """Padded rows of the P1 matrix over n unknowns, and where each element entry goes.
 
     ``dofs`` (ne, d+1) holds the unknown of each element vertex, ascending along
-    a row, or -1 for a vertex that is none. Row i of the pattern holds i and the
-    unknowns joined to it by a mesh edge, ascending. Returns ``(indptr,
-    indices, positions)``: positions (ne, d+1, d+1) is the index into
-    ``indices`` of the entry (dofs[e, a], dofs[e, b]), or nnz where either is -1.
-    The edges are found as the facets are: sorted, with the first of equal ones
-    marked.
+    a row, or -1 for a vertex that is none. Row i holds i and the unknowns
+    joined to it by a mesh edge: its lower neighbours, i, its upper neighbours,
+    ascending. Returns ``(cols, positions)``: cols (width, n) is slot-major,
+    slot k of row i the column of its k-th entry, the slots beyond the row's
+    length padded with i, and width the longest row; positions (ne, d+1, d+1)
+    is the flat index ``slot * n + row`` into cols of the entry (dofs[e, a],
+    dofs[e, b]), or width * n where either is -1. The edges are found as the
+    facets are: sorted, with the first of equal ones marked.
     """
     ne, dp1 = dofs.shape
     a, b = np.triu_indices(dp1, 1)
@@ -279,29 +282,29 @@ def build_matrix_pattern(dofs: np.ndarray, n: int):
     del order, group
 
     n_upper, n_lower = np.bincount(row, minlength=n), np.bincount(col, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(n_lower + 1 + n_upper, out=indptr[1:])
-    nnz = int(indptr[-1])
-    diagonal = indptr[:-1] + n_lower
-    # row i: the n_lower[i] edges (j, i) by j, the diagonal, the n_upper[i] edges (i, j) by j
+    width = int((n_lower + 1 + n_upper).max(initial=0))
+    size = width * n
+    # row i: the n_lower[i] edges (j, i) by j in slots 0.., i in slot n_lower[i],
+    # the n_upper[i] edges (i, j) by j after it
+    diagonal = n_lower * n + np.arange(n)
     edges = np.arange(len(row))
-    upper = diagonal[row] + 1 + edges - (np.cumsum(n_upper) - n_upper)[row]
+    upper = (n_lower[row] + 1 + edges - (np.cumsum(n_upper) - n_upper)[row]) * n + row
     by_col = np.argsort(col, kind="stable")            # the edges by (col, row)
     lower = np.empty(len(row), dtype=np.int64)
-    lower[by_col] = indptr[:-1][col[by_col]] + edges - (np.cumsum(n_lower) - n_lower)[col[by_col]]
-    indices = np.empty(nnz, dtype=np.int64)
-    indices[diagonal], indices[upper], indices[lower] = np.arange(n), col, row
+    lower[by_col] = (edges - (np.cumsum(n_lower) - n_lower)[col[by_col]]) * n + col[by_col]
+    cols = np.tile(np.arange(n), width)
+    cols[upper], cols[lower] = col, row
 
-    index = np.int32 if nnz < np.iinfo(np.int32).max else np.int64
+    index = np.int32 if size < np.iinfo(np.int32).max else np.int64
     positions = np.empty((ne, dp1, dp1), dtype=index)
     diag = np.arange(dp1)
-    # the last entry of each table is nnz, which a dof of -1 and an edge id
-    # of len(row) take
-    positions[:, diag, diag] = np.take(np.append(diagonal, nnz).astype(index), dofs)
+    # the last entry of each table is width * n, which a dof of -1 and an edge
+    # id of len(row) take
+    positions[:, diag, diag] = np.take(np.append(diagonal, size).astype(index), dofs)
     for table, (r, c) in ((upper, (a, b)), (lower, (b, a))):
-        table = np.append(table, nnz).astype(index)
+        table = np.append(table, size).astype(index)
         positions[:, r, c] = np.take(table, edge_of).reshape(ne, len(a))
-    return indptr, indices, positions
+    return cols.reshape(width, n), positions
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +338,10 @@ class Mesh:
     _vertex_elem_data: np.ndarray = field(repr=False)   # (k, 2): element, local vertex
     _vertex_facet_data: np.ndarray = field(repr=False)  # (k, 2): facet, slot; by vertex
     # the unknowns of the P1 system (the non-Dirichlet vertices of some element)
-    # and the pattern of its matrix, from build_matrix_pattern
-    _dofs: np.ndarray = field(repr=False)               # (n,) vertex ids, ascending
-    _pattern_indptr: np.ndarray = field(repr=False)     # (n+1,)
-    _pattern_indices: np.ndarray = field(repr=False)    # (nnz,)
-    _entry_positions: np.ndarray = field(repr=False)    # (ne, d+1, d+1), nnz if dropped
+    # and the padded rows of its matrix, from build_matrix_pattern
+    _vertex_to_dof: np.ndarray = field(repr=False)      # (n_points,), -1 for no unknown
+    _pattern_cols: np.ndarray = field(repr=False)       # (width, n)
+    _entry_positions: np.ndarray = field(repr=False)    # (ne, d+1, d+1), width * n if dropped
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
@@ -450,7 +452,7 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
     dofs = np.flatnonzero(used)
     vertex_to_dof = np.full(len(points), -1, dtype=np.int64)
     vertex_to_dof[dofs] = np.arange(len(dofs))
-    indptr, indices, positions = build_matrix_pattern(np.take(vertex_to_dof, cells), len(dofs))
+    pattern_cols, positions = build_matrix_pattern(np.take(vertex_to_dof, cells), len(dofs))
 
     # the corners gathered (coordinate, vertex, element), the layout simplex_geometry works in
     geom = simplex_geometry(np.take(points.T, cells.T, axis=1).transpose(2, 1, 0))
@@ -472,8 +474,7 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
         volumes=geom.volumes, bary_grads=geom.grads, facet_measures=facet_measures,
         diameters=geom.diameters, inradii=geom.inradii,
         _vertex_elem_offsets=veo, _vertex_elem_data=ve, _vertex_facet_data=vf,
-        _dofs=dofs, _pattern_indptr=indptr, _pattern_indices=indices,
-        _entry_positions=positions,
+        _vertex_to_dof=vertex_to_dof, _pattern_cols=pattern_cols, _entry_positions=positions,
     )
 
 

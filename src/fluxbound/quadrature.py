@@ -8,8 +8,9 @@ so an integral over a physical simplex K is
     sum_q  w_q * |K| * d! * f(x_q).
 
 The rules are nested: every node of the rule of index s is a node of the
-rule of any higher index, and equal rationals give equal doubles, so the
-data pass of ``fem`` evaluates the data once per distinct node of two rules.
+rule of any higher index, and equal rationals give equal doubles, so a rule
+that lists a node more than once lists equal doubles; the data pass of
+``fem`` evaluates the data once per distinct node of its one rule.
 ``integrate_simplices`` integrates a batch of simplices node by node; the
 data pass keeps its summation order, and the true error uses it directly.
 The single-simplex references that the tests check it against live in

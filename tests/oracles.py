@@ -9,11 +9,12 @@
   ``vertex_facets`` (the facets containing one vertex) and ``facet_slots`` /
   ``to_local_vertices`` (facet-vertex data by element vertex, found by search);
 * projections and norms: ``project_facet``, ``energy_norm``, ``energy_norm_fe``;
-* assembly: ``assemble_one_shot``, the Galerkin matrix and load vector from
-  mesh-sized element matrices, with the pattern found by ``np.unique`` over
-  every kept entry, the route that the element blocks of ``fem.assemble`` and
-  the mesh's pattern replaced; ``to_scipy``, a ``fem.CsrMatrix`` as scipy's
-  csr_matrix;
+* assembly: ``assemble_one_shot``, the Galerkin matrix as a scipy
+  csr_matrix and the load vector from mesh-sized element matrices, with the
+  pattern found by ``np.unique`` over every kept entry, the route that the
+  element blocks of ``fem.assemble`` and the mesh's padded rows replaced;
+  ``from_scipy``, a csr_matrix as ``fem.PaddedRows``, its k-th entry of a row
+  in slot k, the layout the mesh builds;
 * equilibration: the collapsed extension ``extension``/``ExtensionFunction``,
   its volume terms sub-simplex by sub-simplex
   ``extension_volume_terms_subsimplex``, the patch sign matrices by dense
@@ -55,7 +56,7 @@ from fluxbound.equilibration import CONSTRAINT_TOL, RANK_TOL
 from fluxbound.errors import InfeasibleConstraints, InvalidVariant
 from fluxbound.equilibration import EXTENSION_DEGREE
 from fluxbound.estimator import trace_constants
-from fluxbound.fem import (CsrMatrix, ProblemData, _mass_inverse_times, _mass_norm_sq,
+from fluxbound.fem import (PaddedRows, ProblemData, _mass_inverse_times, _mass_norm_sq,
                            _mass_times, data_rule_degree, data_values, element_data,
                            neumann_data)
 from fluxbound.geometry import NEUMANN, _dot, _row_sum, facet_vertices, simplex_geometry
@@ -239,8 +240,9 @@ def energy_norm_fe(sol) -> float:
 def assemble_one_shot(mesh, data):
     """(A, b) of ``fem.assemble`` with every element matrix at once: (ne, d+1, d+1)
     stiffness, mass and their sum, int64 indices of every entry and a mask of
-    the kept ones. The pattern is every distinct kept (row, column), found by
-    ``np.unique``; duplicates are summed in element order by ``np.add.at``."""
+    the kept ones. A is a scipy csr_matrix whose pattern is every distinct kept
+    (row, column), found by ``np.unique``; duplicates are summed in element
+    order by ``np.add.at``."""
     loads = element_data(mesh, data.f, data.data_degree)[0]
     gl = neumann_data(mesh, data.g_N, data.data_degree)[0]
     d = mesh.dim
@@ -262,7 +264,7 @@ def assemble_one_shot(mesh, data):
     np.add.at(values, position, local.ravel()[keep])
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(pattern // n, minlength=n), out=indptr[1:])
-    A = CsrMatrix(indptr, pattern % n, values)
+    A = sp.csr_matrix((values, pattern % n, indptr), shape=(n, n))
     b = np.zeros(n)
     np.add.at(b, dofs.ravel()[dofs.ravel() >= 0], loads.ravel()[dofs.ravel() >= 0])
     fdofs = vertex_to_dof[mesh.facets[mesh.neumann]].ravel()
@@ -270,10 +272,18 @@ def assemble_one_shot(mesh, data):
     return A, b
 
 
-def to_scipy(A):
-    """The ``fem.CsrMatrix`` A as scipy's csr_matrix."""
-    n = len(A.indptr) - 1
-    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=(n, n))
+def from_scipy(A) -> PaddedRows:
+    """The csr_matrix A as ``fem.PaddedRows``: the k-th entry of row i in slot
+    k, the slots beyond the row's length column i and value 0."""
+    lens = np.diff(A.indptr)
+    n = len(lens)
+    slots = np.arange(lens.max(initial=0))[:, None] < lens
+    cols = np.tile(np.arange(n), (len(slots), 1))
+    vals = np.zeros(cols.shape)
+    # a boolean mask on the transposed views selects row after row, the CSR order
+    cols.T[slots.T] = A.indices
+    vals.T[slots.T] = A.data
+    return PaddedRows(cols, vals)
 
 
 # ---------------------------------------------------------------------------

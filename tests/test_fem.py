@@ -96,68 +96,66 @@ def test_assemble_refuses_a_kappa_whose_square_overflows(monkeypatch):
     # the largest kappa whose square is finite is accepted
     assert math.isfinite(fem.KAPPA_MAX ** 2)
     system = fem.assemble(geo.build_cube_mesh(2, 2, fem.KAPPA_MAX), data)
-    assert np.all(np.isfinite(system.A.data))
+    assert np.all(np.isfinite(system.A.vals))
 
 
 @pytest.mark.parametrize("dim,m", [(2, 4), (3, 2)])
 def test_blocked_assembly_matches_the_one_shot_route(dim, m, monkeypatch):
     # the element blocks add the entries of the element matrices in element
-    # order, as the one-shot route does, so the CSR matrix and the load vector
+    # order, as the one-shot route does, so the padded rows and the load vector
     # are the same arrays for any block size: Dirichlet and Neumann faces, a
     # kappa jump and a point that no element uses
     mesh = zoned_mesh(dim, m)
     A_ref, b_ref = oracles.assemble_one_shot(mesh, ZONED_DATA)
+    A_ref = oracles.from_scipy(A_ref)
     for chunk in (1, 7, mesh.n_elements):
         monkeypatch.setattr(fem, "ELEMENT_CHUNK", chunk)
         system = fem.assemble(mesh, ZONED_DATA)
-        for got, want in ((system.A.data, A_ref.data), (system.A.indices, A_ref.indices),
-                          (system.A.indptr, A_ref.indptr), (system.b, b_ref)):
+        for got, want in ((system.A.vals, A_ref.vals), (system.A.cols, A_ref.cols),
+                          (system.b, b_ref)):
             assert got.dtype == want.dtype and np.array_equal(got, want), chunk
 
 
 @pytest.mark.parametrize("case", ["zoned-2", "zoned-3", "delaunay-2"])
 def test_matvec_equals_scipys_bit_for_bit(case):
     # the padded rows sum each row slot after slot from 0, as scipy's
-    # csr_matvec does; x spans 40 orders of magnitude and holds zeros
+    # csr_matvec does on the one-shot route's own CSR matrix; x spans 40
+    # orders of magnitude and holds zeros
     mesh, data = {"zoned-2": (zoned_mesh(2, 8), ZONED_DATA),
                   "zoned-3": (zoned_mesh(3, 4), ZONED_DATA),
                   "delaunay-2": (delaunay_mesh(2, 2000), DELAUNAY_DATA)}[case]
     A = fem.assemble(mesh, data).A
-    S = oracles.to_scipy(A)
+    S = oracles.assemble_one_shot(mesh, data)[0]
     rng = np.random.default_rng(7)
-    n = len(A.indptr) - 1
+    n = S.shape[0]
     for _ in range(5):
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
         x[rng.random(n) < 0.1] = 0.0
         assert (A @ x).tobytes() == (S @ x).tobytes()
-        assert (fem._PaddedRows.of(S) @ x).tobytes() == (S @ x).tobytes()
-
-
-@pytest.mark.parametrize("m", [4, 16])
-def test_solve_reads_a_scipy_matrix_as_its_own_record(m):
-    # the dense path (M=4) and PCG (M=16) read the three arrays of either
-    system = fem.assemble(zoned_mesh(2, m), ZONED_DATA)
-    assert (len(system.b) < fem.DENSE_CUTOFF) == (m == 4)
-    own = fem.solve(system.A, system.b)
-    other = fem.solve(oracles.to_scipy(system.A), system.b)
-    assert own[0].tobytes() == other[0].tobytes() and own[1:] == other[1:]
 
 
 def test_solve_identity_system(rng):
     b = rng.standard_normal(50)
-    x, it, res = fem.solve(sp.eye(50, format="csr"), b)
+    x, it, res = fem.solve(oracles.from_scipy(sp.eye(50, format="csr")), b)
     assert np.allclose(x, b, atol=1e-14)
     assert res <= 1e-12
 
 
 def test_solve_rejects_indefinite_dense():
-    A = sp.csr_matrix(np.diag([1.0, -2.0, 3.0]))
+    A = oracles.from_scipy(sp.csr_matrix(np.diag([1.0, -2.0, 3.0])))
     with pytest.raises(UnsolvableProblem):
         fem.solve(A, np.ones(3))
     # symmetric with positive diagonal but indefinite: caught by Cholesky
     M = np.array([[1.0, 4.0], [4.0, 1.0]])
     with pytest.raises(UnsolvableProblem):
-        fem.solve(sp.csr_matrix(M), np.ones(2))
+        fem.solve(oracles.from_scipy(sp.csr_matrix(M)), np.ones(2))
+
+
+def test_solve_rejects_a_matrix_of_another_row_count():
+    system = fem.assemble(zoned_mesh(2, 4), ZONED_DATA)
+    for b in (system.b[:-1], np.append(system.b, 1.0)):
+        with pytest.raises(ValueError, match="rows"):
+            fem.solve(system.A, b)
 
 
 def test_import_loads_no_scipy():
@@ -208,7 +206,7 @@ def test_pcg_residual_small_entry_by_entry_across_a_kappa_jump(monkeypatch):
     monkeypatch.setattr(fem, "_pcg", spy)
     x, it, res = fem.solve(system.A, system.b)
     monkeypatch.setattr(fem, "_pcg", pcg)
-    A, nb = oracles.to_scipy(system.A), np.linalg.norm(system.b)
+    A, nb = oracles.assemble_one_shot(mesh, data)[0], np.linalg.norm(system.b)
     size = abs(A) @ np.abs(x) + np.abs(system.b)
     assert np.all(np.abs(system.b - A @ x) <= fem.ENTRY_TOL * size)
     assert res <= fem.SOLVE_TOL
@@ -236,9 +234,10 @@ def test_pcg_meets_both_targets_on_a_delaunay_mesh():
     # that stops on the recurrence ends with small entries but a norm above
     # SOLVE_TOL; SOLVE_TOL lies near the round-off of b - A x itself (a direct
     # solve reads 4.0e-13), so the norm target holds up to eps || |A| |x| ||
-    system = fem.assemble(delaunay_mesh(2, 20000), DELAUNAY_DATA)
+    mesh = delaunay_mesh(2, 20000)
+    system = fem.assemble(mesh, DELAUNAY_DATA)
     x, it, res = fem.solve(system.A, system.b)
-    A = oracles.to_scipy(system.A)
+    A = oracles.assemble_one_shot(mesh, DELAUNAY_DATA)[0]
     r, nb = system.b - A @ x, np.linalg.norm(system.b)
     assert res == np.linalg.norm(r) / nb
     size = abs(A) @ np.abs(x) + np.abs(system.b)

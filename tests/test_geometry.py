@@ -332,31 +332,35 @@ def test_delaunay_family_counts():
                          ids=["zoned-2", "zoned-3", "delaunay-2"])
 def test_matrix_pattern_places_every_entry_at_its_row_and_column(mesh):
     # the unknowns are the non-Dirichlet vertices of some element (zoned: a
-    # point of no element, Dirichlet faces); row i of the pattern is i and its
-    # edge neighbours, ascending; each element entry between two unknowns has
-    # its position there, every other one the position nnz
-    dofs = mesh._dofs
+    # point of no element, Dirichlet faces); row i of the padded rows is i and
+    # its edge neighbours, ascending, then i again up to the longest row's
+    # width; each element entry between two unknowns has its flat position
+    # slot * n + row there, every other one the position width * n
+    dof = mesh._vertex_to_dof
+    dofs = np.flatnonzero(dof >= 0)
     used = np.zeros(mesh.n_points, dtype=bool)
     used[mesh.simplices] = True
     assert np.array_equal(dofs, np.setdiff1d(np.flatnonzero(used), mesh.dirichlet_vertices))
-    n, indptr, indices = len(dofs), mesh._pattern_indptr, mesh._pattern_indices
-    nnz = len(indices)
-    dof = np.full(mesh.n_points, -1)
-    dof[dofs] = np.arange(n)
-    want = {(i, i) for i in range(n)}
+    assert np.array_equal(dof[dofs], np.arange(len(dofs)))
+    n, cols = len(dofs), mesh._pattern_cols
+    width = cols.shape[0]
+    want = [{i} for i in range(n)]
     for cell in dof[mesh.simplices]:
-        want |= {(int(a), int(b)) for a in cell for b in cell if a >= 0 and b >= 0}
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    assert len(indptr) == n + 1 and nnz == len(want)
-    assert set(zip(rows.tolist(), indices.tolist())) == want
-    assert np.all(np.diff(indices)[np.diff(rows) == 0] > 0)
+        for a in cell[cell >= 0]:
+            want[a] |= set(cell[cell >= 0].tolist())
+    lens = np.array([len(row) for row in want])
+    assert cols.shape == (width, n) and width == lens.max()
+    for i, row in enumerate(want):
+        assert cols[:lens[i], i].tolist() == sorted(row)
+        assert np.all(cols[lens[i]:, i] == i)     # the padding: the row's own column
     local = dof[mesh.simplices]
     rr, cc = np.broadcast_arrays(local[:, :, None], local[:, None, :])
     pos = mesh._entry_positions
     kept = (rr >= 0) & (cc >= 0)
-    assert np.all(pos[~kept] == nnz)
-    assert np.array_equal(rows[pos[kept]], rr[kept])
-    assert np.array_equal(indices[pos[kept]], cc[kept])
+    assert np.all(pos[~kept] == width * n)
+    slot, row = np.divmod(pos[kept], n)
+    assert np.array_equal(row, rr[kept]) and np.all(slot < lens[row])
+    assert np.array_equal(cols[slot, row], cc[kept])
 
 
 def test_vertex_patch_consistency():
