@@ -11,7 +11,7 @@ from .geometry import (Mesh, build_cube_mesh, build_facet_adjacency, build_mesh,
 from .quadrature import QuadratureRule, rule_for
 from .fem import ProblemData, FemSolution, assemble, solve, solve_problem
 from .equilibration import (BoundaryFluxSet, equilibrate, facet_average,
-                            residual_functionals)
+                            residual_functionals, solve_vertex_patch)
 from .reconstruction import facet_residuals
 from .estimator import (TraceConstants, trace_constants, oscillation_f, oscillation_gN,
                         estimate, true_error, ErrorReport)
@@ -25,6 +25,7 @@ __all__ = [
     "QuadratureRule", "rule_for",
     "ProblemData", "FemSolution", "assemble", "solve", "solve_problem",
     "BoundaryFluxSet", "equilibrate", "facet_average", "residual_functionals",
+    "solve_vertex_patch",
     "facet_residuals",
     "TraceConstants", "trace_constants", "oscillation_f", "oscillation_gN",
     "estimate", "true_error", "ErrorReport",

@@ -440,6 +440,21 @@ def _solve_patches(mesh: Mesh, resid: ResidualData, vertices):
     return alphas, info, scale
 
 
+def solve_vertex_patch(mesh: Mesh, v: int, resid: ResidualData):
+    """Coefficients for the non-Neumann facets containing vertex v (a batch of one).
+
+    Returns ``(facet_ids, alphas, info)``; info is (n_constraints, n_unknowns,
+    objective, constraint residual). Raises InfeasibleConstraints when the
+    equality constraints cannot be met.
+    """
+    alphas, info, _ = _solve_patches(mesh, resid, [v])
+    fids, slots = np.nonzero(mesh.facets == v)
+    free = mesh.facet_tag[fids] != NEUMANN
+    nc, nu, obj, res = info[0]
+    fids, slots = fids[free], slots[free]
+    return fids, alphas[fids, slots], (int(nc), int(nu), float(obj), float(res))
+
+
 @dataclass(frozen=True)
 class BoundaryFluxSet:
     """Solved facet fluxes; ``gplus`` holds g_K of the plus side in canonical order."""

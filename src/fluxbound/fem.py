@@ -242,7 +242,8 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
         on = (dofs >= 0).ravel()
         np.add.at(b, np.compress(on, dofs), np.compress(on, loads[blk]))
     # A gets writeable columns of its own: np.take copies a read-only index
-    # array (the mesh's are) on every product
+    # array (the mesh's are) on every product; with the copy a product is
+    # ~15% faster than x[cols] (README, the P1 system)
     A = PaddedRows(cols.copy(), values.reshape(cols.shape))
     fdofs = vertex_to_dof[mesh.facets[mesh.neumann]].ravel()
     np.add.at(b, fdofs[fdofs >= 0], gl.ravel()[fdofs >= 0])

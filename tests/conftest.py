@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 import scipy.spatial
 
-from fluxbound.equilibration import _solve_patches
 from fluxbound.errors import KappaJumpWarning
 from fluxbound.fem import ProblemData
-from fluxbound.geometry import NEUMANN, build_cube_mesh, build_mesh, simplex_geometry
+from fluxbound.geometry import build_cube_mesh, build_mesh, simplex_geometry
 from fluxbound.quadrature import rule_for
 
 
@@ -55,21 +54,6 @@ def kkt_min_norm_oracle(C, c, E, e, rcond=1e-12):
         rhs[nu:] = np.asarray(c, dtype=float)
     z, *_ = np.linalg.lstsq(K, rhs, rcond=rcond)
     return z[:nu]
-
-
-def solve_patch(mesh, v, resid):
-    """The patch problem of vertex v alone, through ``equilibration._solve_patches``.
-
-    Returns ``(alphas, info)``: the coefficients of the non-Neumann facets
-    containing v, by ascending facet id, and (n_constraints, n_unknowns,
-    objective, constraint residual). Raises InfeasibleConstraints when the
-    equality constraints cannot be met.
-    """
-    alphas, info, _ = _solve_patches(mesh, resid, [v])
-    fids, slots = np.nonzero(mesh.facets == v)
-    free = mesh.facet_tag[fids] != NEUMANN
-    nc, nu, obj, res = info[0]
-    return alphas[fids[free], slots[free]], (int(nc), int(nu), float(obj), float(res))
 
 
 def fd_divergence(flux, x, step):

@@ -19,7 +19,7 @@ import fluxbound.reconstruction as rec
 
 import oracles
 from conftest import (fd_divergence, kkt_min_norm_oracle, one_simplex, random_problem_data,
-                      random_simplex, random_small_mesh, solve_patch)
+                      random_simplex, random_small_mesh)
 
 REL_SLACK = 1e-8
 CRIT1_KAPPA1 = (1e-3, 1.0, 1e2, 1e4, 1e6)
@@ -281,7 +281,7 @@ def _oracle_checks(mesh, data, sol, rng, n_patch=8, n_div=2):
         if len(unknown) == 0:
             continue
         oracle = kkt_min_norm_oracle(C, c, E, e)
-        alpha, _ = solve_patch(mesh, v, resid)
+        _, alpha, _ = eq.solve_vertex_patch(mesh, v, resid)
         pscale = max(np.abs(c).max(initial=0.0), np.abs(e).max(initial=0.0), 1.0)
         assert np.abs(alpha - oracle).max() < 1e-9 * pscale
 

@@ -13,7 +13,7 @@ import fluxbound.geometry as geo
 from fluxbound.errors import InfeasibleConstraints, KappaJumpWarning
 
 from conftest import (ZERO_DATA, kkt_min_norm_oracle, one_simplex, random_problem_data,
-                      random_simplex, random_small_mesh, solve_patch)
+                      random_simplex, random_small_mesh)
 from oracles import (extension, extension_volume_terms_subsimplex, integrate, integrate_facet,
                      patch_maps_nullspace, project_facet, sign_matrices_dense, simplex_measure,
                      solve_vertex_patch_reference, vertex_facets, vertex_patch)
@@ -343,7 +343,7 @@ def test_zero_residuals_give_zero_alpha(two_triangle_square):
     sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points), data)
     resid = eq.residual_functionals(mesh, sol)
     for v in range(mesh.n_points):
-        alpha, _ = solve_patch(mesh, v, resid)
+        _, alpha, _ = eq.solve_vertex_patch(mesh, v, resid)
         assert np.abs(alpha).max(initial=0.0) == 0.0
 
 
@@ -369,7 +369,7 @@ def test_patch_against_dense_kkt_oracle(rng):
             C[r, np.searchsorted(unknown, fid)] = mesh.elem_sigma[e, i]
     c = -resid.D[els, locs]
     oracle = kkt_min_norm_oracle(C, c, np.zeros((0, len(unknown))), np.zeros(0))
-    alpha, info = solve_patch(mesh, centre, resid)
+    _, alpha, info = eq.solve_vertex_patch(mesh, centre, resid)
     scale = max(np.abs(c).max(), 1.0)
     assert np.abs(alpha - oracle).max() < 1e-9 * scale
     assert info[3] <= 1e-10 * scale  # constraint residual
@@ -401,7 +401,7 @@ def test_patch_with_objective_against_oracle(rng):
         cons = ~mesh.layer[els]
         oracle = kkt_min_norm_oracle(rows[cons], -resid.D[els[cons], locs[cons]],
                                      rows[~cons], -resid.D[els[~cons], locs[~cons]])
-        alpha, _ = solve_patch(mesh, v, resid)
+        _, alpha, _ = eq.solve_vertex_patch(mesh, v, resid)
         scale = max(np.abs(resid.D[els, locs]).max(), 1.0)
         assert np.abs(alpha - oracle).max() < 1e-9 * scale
         checked += 1
@@ -783,7 +783,7 @@ def test_objective_rows_without_free_coefficients_do_not_raise(unit_triangle):
     resid = eq.residual_functionals(mesh, fake)
     assert np.abs(resid.D).max() > 0.0
     for v in range(mesh.n_points):
-        assert solve_patch(mesh, v, resid)[1] == (0, 0, 0.0, 0.0)
+        assert eq.solve_vertex_patch(mesh, v, resid)[2] == (0, 0, 0.0, 0.0)
 
 
 def test_patch_report_csv(tmp_path, two_triangle_square):
