@@ -17,7 +17,7 @@ from .errors import (ConformityAuditFailed, DegenerateSimplex, DivergenceAuditFa
                      InfeasibleConstraints, MeshFormatError, NoConvergence, NonConformingMesh,
                      UnsolvableProblem)
 from .estimator import STRATEGIES
-from .geometry import read_mesh
+from .geometry import build_cube_mesh, read_mesh
 
 EXIT_OK, EXIT_AUDIT, EXIT_SOLVER, EXIT_INPUT = 0, 2, 3, 4
 
@@ -73,6 +73,9 @@ def main(argv=None) -> int:
     patches = f"{args.out}.patches.csv" if single and args.verbose and args.out else None
     try:
         mesh = read_mesh(args.mesh) if args.mesh else None
+        # the rows of a kappa sweep differ only in kappa: while this mesh of their
+        # cube is alive, each row's mesh is its with_kappa (build_cube_mesh)
+        cube = build_cube_mesh(args.m, args.dim, 0.0) if args.sweep_kappa is not None else None
         with (open(args.out, "w", encoding="utf-8") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:
             write_csv((run_benchmark(c, mesh, patches)[1] for c in configs), fh)

@@ -26,9 +26,12 @@ Mesh text format (whitespace separated, '#' comments):
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import sys
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -316,7 +319,8 @@ class Mesh:
     """Immutable conforming simplicial mesh with boundary tags and per-element kappa.
 
     All geometric quantities the estimator needs are precomputed; queries are
-    pure reads and safe for concurrent use.
+    pure reads and safe for concurrent use. Every array is read-only, so meshes
+    that differ only in kappa share the rest (``with_kappa``).
     """
 
     dim: int
@@ -348,6 +352,16 @@ class Mesh:
             val = getattr(self, name)
             if isinstance(val, np.ndarray):
                 val.setflags(write=False)
+
+    def with_kappa(self, kappa) -> Mesh:
+        """This mesh with another kappa, a scalar or an (ne,) array in the element
+        order of ``simplices``, validated and checked for jumps as by ``build_mesh``.
+
+        Every other array is this mesh's own, shared; ``layer`` follows the new kappa.
+        """
+        kappa = _kappa_array(kappa, self.n_elements)
+        _warn_kappa_jumps(kappa, self._vertex_elem_offsets, self._vertex_elem_data[:, 0])
+        return dataclasses.replace(self, kappa=kappa)
 
     @property
     def n_points(self) -> int:
@@ -407,9 +421,7 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
         raise ValueError("cells must be an (ne, d+1) array")
     if np.any(cells < 0) or np.any(cells >= len(points)):
         raise ValueError("cell vertex id out of range")
-    kappa = np.broadcast_to(np.asarray(kappa, dtype=float), (len(cells),)).copy()
-    if np.any(kappa < 0) or not np.all(np.isfinite(kappa)):
-        raise ValueError("kappa must be finite and nonnegative")
+    kappa = _kappa_array(kappa, len(cells))
 
     # canonical form: sorted vertex ids per element, elements sorted lexicographically
     cells = np.sort(cells, axis=1)
@@ -478,61 +490,100 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
     )
 
 
+def _kappa_array(kappa, ne: int) -> np.ndarray:
+    """kappa as a new (ne,) float array; ValueError for a wrong length or a
+    negative or non-finite value."""
+    try:
+        kappa = np.broadcast_to(np.asarray(kappa, dtype=float), (ne,)).copy()
+    except ValueError:
+        raise ValueError(f"kappa must be a scalar or one value per element ({ne})") from None
+    if np.any(kappa < 0) or not np.all(np.isfinite(kappa)):
+        raise ValueError("kappa must be finite and nonnegative")
+    return kappa
+
+
 def _warn_kappa_jumps(kappa, offsets, elems_sorted):
-    pos = kappa > 0
+    """KappaJumpWarning if the positive kappa of some vertex patch spans a factor
+    above KAPPA_JUMP_WARN; the patches are the runs of ``elems_sorted`` that
+    ``offsets`` delimits."""
+    kv = np.take(kappa, elems_sorted)       # kappa >= 0, validated
+    pos = kv > 0
     if not np.any(pos):
         return
-    kmax = np.zeros(len(offsets) - 1)
-    kmin = np.full(len(offsets) - 1, np.inf)
-    keys = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-    kv = kappa[elems_sorted]
-    sel = kv > 0
-    np.maximum.at(kmax, keys[sel], kv[sel])
-    np.minimum.at(kmin, keys[sel], kv[sel])
+    starts = offsets[:-1][np.diff(offsets) > 0]    # the non-empty patches
+    kmax = np.maximum.reduceat(kv, starts)
+    np.copyto(kv, np.inf, where=~pos)
+    kmin = np.minimum.reduceat(kv, starts)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = np.where(kmax > 0, kmax / kmin, 1.0)
-    worst = np.nanmax(ratios) if len(ratios) else 1.0
+        worst = np.nanmax(np.where(kmax > 0, kmax / kmin, 1.0))
     if worst > KAPPA_JUMP_WARN:
         warnings.warn(
             f"reaction coefficient jumps by a factor {worst:.3g} within a vertex patch "
             f"(warning threshold {KAPPA_JUMP_WARN:g}); robustness assumptions may be stretched",
-            KappaJumpWarning, stacklevel=3)
+            KappaJumpWarning, stacklevel=_outside_this_module())
+
+
+def _outside_this_module() -> int:
+    """The ``stacklevel`` of the first frame outside this module, for a warning
+    raised by the function that calls this one."""
+    frame, level = sys._getframe(2), 2
+    while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 # ---------------------------------------------------------------------------
 # structured cube mesh (Kuhn / Freudenthal triangulation)
 # ---------------------------------------------------------------------------
 
+# (M, dim) -> a live mesh of that cube: the other meshes of the cube are its
+# with_kappa, and the entry goes with the mesh
+_CUBES = weakref.WeakValueDictionary()
+
+
 def build_cube_mesh(M: int, dim: int, kappa_fn) -> Mesh:
     """Mesh of the cube (-1, 1)^dim: M^dim subcubes, each split into dim! simplices.
 
     The Kuhn (sort-based) triangulation is used, which is conforming across
     subcube faces and shares the main diagonal of each subcube. ``kappa_fn``
-    maps element centroids (ne, d) to kappa values (a scalar is broadcast).
-    The faces x_1 = +-1 are Dirichlet, the rest Neumann.
+    maps the element centroids (ne, d), in the canonical element order of
+    ``simplices``, to kappa values (a scalar is broadcast). The faces x_1 = +-1
+    are Dirichlet, the rest Neumann.
+
+    Only kappa depends on ``kappa_fn``: while a mesh of the same (M, dim) is
+    alive, the new one is its ``with_kappa`` and shares every other array; the
+    cube is built again once the last of them is gone.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    grid = np.stack(np.meshgrid(*([np.arange(M + 1)] * dim), indexing="ij"), axis=-1)
-    points = -1.0 + 2.0 * grid.reshape(-1, dim) / M
-    shape = (M + 1,) * dim
+    cube = _CUBES.get((M, dim))
+    if cube is None:
+        grid = np.stack(np.meshgrid(*([np.arange(M + 1)] * dim), indexing="ij"), axis=-1)
+        points = -1.0 + 2.0 * grid.reshape(-1, dim) / M
+        shape = (M + 1,) * dim
+        corners = np.stack(np.meshgrid(*([np.arange(M)] * dim), indexing="ij"),
+                           axis=-1).reshape(-1, dim)
+        steps = np.eye(dim, dtype=np.int64)
+        cell_blocks = []
+        for perm in itertools.permutations(range(dim)):
+            offsets = np.concatenate([np.zeros((1, dim), dtype=np.int64),
+                                      np.cumsum(steps[list(perm)], axis=0)])
+            multi = corners[:, None, :] + offsets[None, :, :]       # (Mc, d+1, d)
+            cell_blocks.append(np.ravel_multi_index(np.moveaxis(multi, -1, 0), shape))
+        cube = build_mesh(points, np.concatenate(cell_blocks, axis=0), 0.0,
+                          lambda c: np.abs(np.abs(c[:, 0]) - 1.0) < 1e-12)
 
-    corners = np.stack(np.meshgrid(*([np.arange(M)] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    steps = np.eye(dim, dtype=np.int64)
-    cell_blocks = []
-    for perm in itertools.permutations(range(dim)):
-        offsets = np.concatenate([np.zeros((1, dim), dtype=np.int64),
-                                  np.cumsum(steps[list(perm)], axis=0)])
-        multi = corners[:, None, :] + offsets[None, :, :]       # (Mc, d+1, d)
-        cell_blocks.append(np.ravel_multi_index(np.moveaxis(multi, -1, 0), shape))
-    cells = np.concatenate(cell_blocks, axis=0)
-
-    centroids = _row_sum(np.take(points, cells, axis=0).swapaxes(1, 2)) / (dim + 1)
-    kappa = kappa_fn(centroids) if callable(kappa_fn) else kappa_fn
-
-    return build_mesh(points, cells, kappa, lambda c: np.abs(np.abs(c[:, 0]) - 1.0) < 1e-12)
+    # the Kuhn cells list their vertex ids ascending, so these are the centroids
+    # of the Kuhn cells, bit for bit, in canonical order: vertex after vertex
+    centroids = np.take(cube.points, cube.simplices[:, 0], axis=0)
+    for j in range(1, dim + 1):
+        centroids += np.take(cube.points, cube.simplices[:, j], axis=0)
+    centroids /= dim + 1
+    mesh = cube.with_kappa(kappa_fn(centroids) if callable(kappa_fn) else kappa_fn)
+    _CUBES.setdefault((M, dim), mesh)
+    return mesh
 
 
 # ---------------------------------------------------------------------------

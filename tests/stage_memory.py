@@ -11,7 +11,9 @@ the working set of the call and do not depend on the machine.
 ``stage_times(run)`` wraps the same stages with a clock instead and returns
 each stage's wall time within one call of ``run()`` (summed over the stage's
 calls), the median over a few calls, with no tracing; a nested stage's time
-counts for the stages around it too.
+counts for the stages around it too. ``build_costs(config)`` gives the peak
+and the time of the benchmark mesh build, cold and for a second kappa1 of a
+cube that is alive; ``main`` prints them above the stages.
 
 From the root of a source checkout, for a d=3 cube of the benchmark family,
 with the peaks and times of ``estimate`` without and with the conformity
@@ -140,12 +142,33 @@ def stage_times(run) -> dict:
     return {name: statistics.median(values) for name, values in seen.items()}
 
 
+def build_costs(cfg) -> dict:
+    """Traced peak (bytes over the start) and seconds of ``benchmark_mesh``: cold,
+    with no mesh of the cube alive (each call's mesh is dropped), and for a
+    second kappa1 while a mesh of the cube is alive, which shares that mesh's
+    arrays. The seconds are ``stage_times``' median of five calls."""
+    from dataclasses import replace
+
+    from fluxbound.benchmark import benchmark_mesh
+    second = replace(cfg, kappa1=cfg.kappa1 / 10.0)
+    costs = {"benchmark_mesh.cold": (stage_peaks(lambda: benchmark_mesh(cfg))["total"],
+                                     stage_times(lambda: benchmark_mesh(cfg))["total"])}
+    first = benchmark_mesh(cfg)     # alive while the second kappa1 is built
+    costs["benchmark_mesh.second_kappa1"] = (
+        stage_peaks(lambda: benchmark_mesh(second))["total"],
+        stage_times(lambda: benchmark_mesh(second))["total"])
+    return costs
+
+
 def main(argv):
     from fluxbound import estimator, fem
     from fluxbound.benchmark import RunConfig, benchmark_data, benchmark_mesh
     m, kappa1, kappa2 = int(argv[0]), float(argv[1]), float(argv[2])
     dim = int(argv[3]) if len(argv) > 3 else 3
     cfg = RunConfig(dim=dim, m=m, kappa1=kappa1, kappa2=kappa2)
+    print(f"{'mesh build':40s} {'peak':>11s} {'time':>11s}")
+    for name, (peak, seconds) in build_costs(cfg).items():
+        print(f"{name:40s} {peak / 2 ** 20:8.2f} MB {seconds * 1e3:8.2f} ms")
     mesh, data = benchmark_mesh(cfg), benchmark_data(cfg)
     peaks, times = {}, {}
     for audited in (False, True):

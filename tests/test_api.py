@@ -105,9 +105,13 @@ def test_stage_harness_reports_every_stage(dim, capsys):
     # columns, the peak and the time of the run with the conformity audit
     assert stage_memory.main(["2", "1", "1e6", str(dim)]) == 0
     rows = {}
-    for line in capsys.readouterr().out.splitlines()[1:]:
+    for line in capsys.readouterr().out.splitlines():
         name, rest = line.split(maxsplit=1)
         rows[name] = re.findall(r"\S+ MB|\S+ ms|-", rest)
+    # the mesh build, cold and for a second kappa1 of a cube that is alive
+    for name in ("benchmark_mesh.cold", "benchmark_mesh.second_kappa1"):
+        assert len(rows[name]) == 2 and rows[name][0].endswith(" MB") \
+            and rows[name][1].endswith(" ms"), (name, rows[name])
     for mod_name, attr in stage_memory.STAGES:
         cells = rows[f"{mod_name.split('.')[-1]}.{attr}"]
         assert len(cells) == 4 and cells[1].endswith(" MB") and cells[3].endswith(" ms"), \

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import io
 import math
 from dataclasses import replace
@@ -247,6 +248,20 @@ def test_cli_sweep_to_file(tmp_path):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+def test_cli_kappa_sweep_builds_its_cube_once(monkeypatch, capsys):
+    # the rows of a kappa sweep share one cube; a row that built its own would
+    # call build_mesh again once the previous row's mesh is gone
+    gc.collect()
+    assert (3, 2) not in geo._CUBES, "a mesh of the cube is alive elsewhere"
+    calls = []
+    build = geo.build_mesh
+    monkeypatch.setattr(geo, "build_mesh", lambda *args: calls.append(1) or build(*args))
+    assert cli.main(["estimate", "--dim", "2", "--m", "3", "--kappa2", "50",
+                     "--sweep-kappa", "1,10,30"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 4
+    assert len(calls) == 1
 
 
 def test_cli_mesh_file_run(tmp_path, capsys):

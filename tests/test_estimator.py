@@ -401,13 +401,14 @@ def test_estimate_exact_solution_all_zero(two_triangle_square):
 
 def test_estimate_rejects_foreign_data_and_mesh():
     # a solve with f = 1 estimated with f = 5 would mix the solve's loads with
-    # the other data's oscillations; an equal but distinct mesh is foreign too
+    # the other data's oscillations; an equal but distinct mesh is foreign too,
+    # even one that shares every array with it
     mesh = geo.build_cube_mesh(4, 2, 0.0)
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
     sol = fem.solve_problem(mesh, data)
     five = fem.ProblemData(f=lambda x: np.full(len(x), 5.0))
     twin = geo.build_cube_mesh(4, 2, 0.0)
-    assert np.array_equal(twin.points, mesh.points)
+    assert twin.points is mesh.points
     assert np.array_equal(twin.simplices, mesh.simplices)
     with pytest.raises(ValueError, match="data"):
         est.estimate(mesh, sol, five)

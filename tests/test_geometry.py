@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -302,11 +305,6 @@ def test_element_permutation_invariance(rng):
     assert np.array_equal(base.elem_sigma, other.elem_sigma)
 
 
-def test_kappa_jump_warning():
-    with pytest.warns(KappaJumpWarning):
-        geo.build_cube_mesh(2, 2, lambda c: np.where(c[:, 0] < 0, 1e-3, 1e3))
-
-
 def test_mesh_immutable():
     mesh = geo.build_cube_mesh(1, 2, 1.0)
     with pytest.raises(ValueError):
@@ -319,6 +317,106 @@ def test_layer_is_computed_once_and_read_only():
     assert not mesh.layer.flags.writeable
     assert np.array_equal(mesh.layer, mesh.kappa * mesh.inradii > 1)
     assert mesh.layer.any() and not mesh.layer.all()
+
+
+# ---------------------------------------------------------------------------
+# meshes of one cube share all but kappa
+# ---------------------------------------------------------------------------
+
+def _cube_rule(c):
+    return np.abs(np.abs(c[:, 0]) - 1.0) < 1e-12
+
+
+def _jump(c):
+    return np.where(c[:, 0] < 0, 3.0, 700.0)
+
+
+@pytest.mark.parametrize("dim, m", [(2, 8), (3, 4), (4, 2)])
+def test_cube_meshes_share_every_array_but_kappa(dim, m):
+    sibling = geo.build_cube_mesh(m, dim, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KappaJumpWarning)     # the jump is the test case
+        mesh = geo.build_cube_mesh(m, dim, _jump)
+        # built on its own: the elements reversed, kappa from centroids taken here
+        cells = sibling.simplices[::-1]
+        fresh = geo.build_mesh(sibling.points, cells,
+                               _jump(sibling.points[cells].mean(axis=1)), _cube_rule)
+    for f in dataclasses.fields(geo.Mesh):
+        got, want = getattr(mesh, f.name), getattr(fresh, f.name)
+        assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype, \
+            f.name
+        if isinstance(got, np.ndarray):
+            assert (got is getattr(sibling, f.name)) == (f.name != "kappa"), f.name
+    assert np.array_equal(mesh.layer, fresh.layer) and mesh.layer.dtype == fresh.layer.dtype
+    assert mesh.layer.any() and not sibling.layer.any()
+    del mesh, sibling
+    gc.collect()
+    assert (m, dim) not in geo._CUBES      # the table keeps no mesh alive
+
+
+def test_with_kappa_validates_kappa_and_its_layer_follows():
+    mesh = geo.build_cube_mesh(2, 2, 1.0)
+    ne = mesh.n_elements
+    negative = np.ones(ne)
+    negative[3] = -1.0
+    for bad in (-1.0, np.nan, np.inf, negative, np.ones(ne + 1), np.ones((2, ne))):
+        with pytest.raises(ValueError, match="kappa"):
+            mesh.with_kappa(bad)
+    kappa = np.linspace(0.0, 10.0, ne)
+    other = mesh.with_kappa(kappa)
+    kappa[:] = 5.0                                  # the mesh holds its own copy
+    assert np.array_equal(other.kappa, np.linspace(0.0, 10.0, ne))
+    assert not other.kappa.flags.writeable and not other.layer.flags.writeable
+    assert np.array_equal(other.layer, other.kappa * other.inradii > 1.0)
+    assert other.layer.any() and not other.layer.all()
+    assert not mesh.layer.any() and np.array_equal(mesh.kappa, np.ones(ne))
+    assert mesh.with_kappa(1e3).layer.all()
+
+
+def test_a_kappa_sweep_holds_one_cube():
+    # ten kappa1 values of the d=2 M=32 cube held at once cost about one cube:
+    # each further mesh adds its kappa and layer, not a copy of the cube
+    gc.collect()
+    assert (32, 2) not in geo._CUBES, "a mesh of the cube is alive elsewhere"
+    meshes = []
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KappaJumpWarning)     # the jump is the test case
+            base = tracemalloc.get_traced_memory()[0]
+            for k1 in 10.0 ** np.arange(-3, 7):
+                meshes.append(geo.build_cube_mesh(
+                    32, 2, lambda c, k1=k1: np.where(c[:, 0] < 0, k1, 1e6)))
+                assert meshes[-1].layer.any()
+                if len(meshes) == 1:
+                    one = tracemalloc.get_traced_memory()[0] - base
+            ten = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert ten <= 1.3 * one, (ten, one)
+
+
+def test_kappa_jump_warning(tmp_path):
+    # each entry point warns at its caller's line, not at a line of the package
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KappaJumpWarning)
+        jumped = geo.build_cube_mesh(2, 2, lambda c: np.where(c[:, 0] < 0, 1e-3, 1e3))
+    path = tmp_path / "jump.mesh"
+    geo.write_mesh(jumped, str(path))
+    calls = {
+        "build_mesh": lambda: geo.build_mesh(jumped.points, jumped.simplices, jumped.kappa,
+                                             _cube_rule),
+        "build_cube_mesh": lambda: geo.build_cube_mesh(
+            2, 2, lambda c: np.where(c[:, 0] < 0, 1e-3, 1e3)),
+        "build_cube_mesh, cold": lambda: geo.build_cube_mesh(
+            3, 2, lambda c: np.where(c[:, 0] < 0, 1e-3, 1e3)),
+        "read_mesh": lambda: geo.read_mesh(str(path)),
+        "with_kappa": lambda: jumped.with_kappa(jumped.kappa),
+    }
+    for name, call in calls.items():
+        with pytest.warns(KappaJumpWarning) as record:
+            call()
+        assert record[0].filename == __file__, (name, record[0].filename)
 
 
 def test_delaunay_family_counts():
