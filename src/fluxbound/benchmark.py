@@ -174,14 +174,13 @@ def benchmark_data(config: RunConfig) -> ProblemData:
     return ProblemData(f=lambda x: np.full(len(x), f_val), g_N=None, data_degree=2)
 
 
-def run_benchmark(config: RunConfig, mesh: Mesh | None = None,
-                  patch_report_path: str | None = None):
+def run_benchmark(config: RunConfig, mesh: Mesh | None = None):
     """Build, solve, equilibrate and estimate one configuration.
 
     Returns ``(report, row)`` where row is the CSV record. The true error is
     the exact solution's ``energy_error``. When ``mesh`` is supplied (e.g. from a
     mesh file) it is used as-is and there is no exact solution, so the
-    true-error columns stay empty. ``patch_report_path`` goes to ``estimate``.
+    true-error columns stay empty.
     """
     t0 = time.perf_counter()
     exact = None
@@ -190,9 +189,7 @@ def run_benchmark(config: RunConfig, mesh: Mesh | None = None,
         exact = exact_solution(config.kappa1, config.kappa2, config.dim)
     data = benchmark_data(config)
     sol = solve_problem(mesh, data)
-    report = estimate(mesh, sol, data, config.strategy,
-                      check_conformity=config.conformity,
-                      patch_report_path=patch_report_path)
+    report = estimate(mesh, sol, data, config.strategy, check_conformity=config.conformity)
     err = None if exact is None else energy_error(sol, exact.energy2)
     ms = (time.perf_counter() - t0) * 1000.0
     row = {

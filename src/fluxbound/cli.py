@@ -59,6 +59,16 @@ def _configurations(args) -> list[RunConfig]:
     return [config] if args.sweep_mesh is None else sweep_mesh(config, args.sweep_mesh)
 
 
+def _rows(configs, mesh, patches: str | None):
+    """The CSV row of each run, as it finishes; with ``patches``, each run's
+    patch table is written there first (``ErrorReport.write_patches``)."""
+    for config in configs:
+        report, row = run_benchmark(config, mesh)
+        if patches:
+            report.write_patches(patches)
+        yield row
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -78,7 +88,7 @@ def main(argv=None) -> int:
         cube = build_cube_mesh(args.m, args.dim, 0.0) if args.sweep_kappa is not None else None
         with (open(args.out, "w", encoding="utf-8") if args.out
               else contextlib.nullcontext(sys.stdout)) as fh:
-            write_csv((run_benchmark(c, mesh, patches)[1] for c in configs), fh)
+            write_csv(_rows(configs, mesh, patches), fh)
     except (DivergenceAuditFailed, ConformityAuditFailed, InfeasibleConstraints) as exc:
         print(f"estimator audit failure: {exc}", file=sys.stderr)
         return EXIT_AUDIT

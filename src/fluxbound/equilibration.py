@@ -385,15 +385,16 @@ def _solve_patch_chunk(mesh: Mesh, resid: ResidualData, verts, column, k: int, n
 def _solve_patches(mesh: Mesh, resid: ResidualData, vertices):
     """Coefficients of the non-Neumann facets around each of `vertices`.
 
-    The unknowns of a vertex are its free facets in ascending order, as
-    ``Mesh._vertex_facet_data`` lists them. Patches are grouped by shape
-    (elements, unknowns, constrained elements) and solved in chunks of at most
-    PATCH_CHUNK sign-matrix entries. Before a chunk is solved, one table of
-    this call receives the position of each (facet, slot) of its vertices
-    among their unknowns, so that the chunk's sign matrices and their products
-    are gathers (``_sign_matrices``). Each distinct sign matrix of a group is
-    factored once per call, in the first chunk that holds it, and its maps are
-    kept in a dict of the group, keyed by its bytes. Returns
+    The unknowns of a vertex are its free facets in ascending order, the run
+    of ``Mesh._vertex_facet_data`` that ``_vertex_facet_offsets`` delimits.
+    Patches are grouped by shape (elements, unknowns, constrained elements)
+    and solved in chunks of at most PATCH_CHUNK sign-matrix entries. Before a
+    chunk is solved, one table of this call receives the position of each
+    (facet, slot) of its vertices among their unknowns, so that the chunk's
+    sign matrices and their products are gathers (``_sign_matrices``). Each
+    distinct sign matrix of a group is factored once per call, in the first
+    chunk that holds it, and its maps are kept in a dict of the group, keyed
+    by its bytes. Returns
     ``(alphas, info, scale)``: alphas (nf, d) holds the coefficients by facet
     and facet vertex (zero where no patch of `vertices` sets one), info
     (len(vertices), 4) the number of constraints, the number of unknowns, the
@@ -404,13 +405,9 @@ def _solve_patches(mesh: Mesh, resid: ResidualData, vertices):
     """
     vertices = np.asarray(vertices, dtype=np.int64)
     d = mesh.dim
-    vfd = mesh._vertex_facet_data
-    free = np.flatnonzero(mesh.facet_tag[vfd[:, 0]] != NEUMANN)
-    nu_all = (np.bincount(mesh.facets.ravel(), minlength=mesh.n_points)
-              - np.bincount(mesh.facets[mesh.neumann].ravel(), minlength=mesh.n_points))
-    first = np.concatenate([[0], np.cumsum(nu_all)])[vertices]
+    first = np.take(mesh._vertex_facet_offsets, vertices)
+    nu = np.take(mesh._vertex_facet_offsets, vertices + 1) - first
     k = np.diff(mesh._vertex_elem_offsets)[vertices]
-    nu = nu_all[vertices]
     nc = np.bincount(mesh.simplices[~mesh.layer].ravel(),
                      minlength=mesh.n_points)[vertices]
     # 1 + the position of each (facet, slot) among the free facets of its vertex, set
@@ -432,7 +429,8 @@ def _solve_patches(mesh: Mesh, resid: ResidualData, vertices):
         size = max(1, PATCH_CHUNK // max(kg * nug, 1))
         for lo in range(0, len(members), size):
             j = members[lo:lo + size]
-            facet, slot = np.take(vfd, free[first[j][:, None] + np.arange(nug)], axis=0).T
+            facet, slot = np.take(mesh._vertex_facet_data, first[j][:, None] + np.arange(nug),
+                                  axis=0).T
             column[facet * (d + 1) + slot] = np.arange(1, nug + 1)[:, None]
             a, info[j, 2], info[j, 3], scale[j] = _solve_patch_chunk(
                 mesh, resid, vertices[j], column, kg, ncg, nug, maps)
@@ -448,10 +446,9 @@ def solve_vertex_patch(mesh: Mesh, v: int, resid: ResidualData):
     equality constraints cannot be met.
     """
     alphas, info, _ = _solve_patches(mesh, resid, [v])
-    fids, slots = np.nonzero(mesh.facets == v)
-    free = mesh.facet_tag[fids] != NEUMANN
+    lo, hi = mesh._vertex_facet_offsets[v:v + 2]
+    fids, slots = mesh._vertex_facet_data[lo:hi].T
     nc, nu, obj, res = info[0]
-    fids, slots = fids[free], slots[free]
     return fids, alphas[fids, slots], (int(nc), int(nu), float(obj), float(res))
 
 
@@ -463,6 +460,7 @@ class BoundaryFluxSet:
     alphas: np.ndarray      # (nf, d) coefficients (fixed on Neumann facets)
     avg: np.ndarray         # (nf,) plus-side average normal flux
     eps_max_rel: float      # worst scaled equality residual over constrained elements
+    patches: np.ndarray     # (n_points, 4) per vertex patch, as _solve_patches' info
 
 
 def equilibration_residuals(mesh: Mesh, resid: ResidualData, alphas: np.ndarray,
@@ -481,8 +479,7 @@ def equilibration_residuals(mesh: Mesh, resid: ResidualData, alphas: np.ndarray,
     return np.take(resid.D, elems, axis=0) + total
 
 
-def equilibrate(mesh: Mesh, sol: FemSolution, *,
-                patch_report_path: str | None = None) -> BoundaryFluxSet:
+def equilibrate(mesh: Mesh, sol: FemSolution) -> BoundaryFluxSet:
     """Solve all vertex-patch problems and assemble the boundary fluxes.
 
     Postcondition (audited): on every element with kappa*rho <= 1 the assembled
@@ -509,10 +506,5 @@ def equilibrate(mesh: Mesh, sol: FemSolution, *,
         raise InfeasibleConstraints(
             f"assembled equilibration residual {eps_max_rel:.3e} exceeds {CONSTRAINT_TOL:g}")
 
-    if patch_report_path:
-        np.savetxt(patch_report_path, np.column_stack([np.arange(mesh.n_points), info]),
-                   fmt="%d,%d,%d,%.6e,%.6e", comments="",
-                   header="vertex,n_constraints,n_unknowns,objective,constraint_residual")
-
     return BoundaryFluxSet(gplus=gplus, alphas=alphas, avg=resid.avg,
-                           eps_max_rel=eps_max_rel)
+                           eps_max_rel=eps_max_rel, patches=info)

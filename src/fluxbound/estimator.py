@@ -124,6 +124,8 @@ class ErrorReport:
     ndof: int = 0
     solver_iterations: int = 0
     audits: dict = field(default_factory=dict)
+    # (n_points, 4) per vertex patch: constraints, unknowns, objective, constraint residual
+    patches: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
         def conv(x):
@@ -135,6 +137,12 @@ class ErrorReport:
     def dump_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh, indent=1)
+
+    def write_patches(self, path: str) -> None:
+        """The patch table as CSV, one row per vertex in vertex order."""
+        np.savetxt(path, np.column_stack([np.arange(len(self.patches)), self.patches]),
+                   fmt="%d,%d,%d,%.6e,%.6e", comments="",
+                   header="vertex,n_constraints,n_unknowns,objective,constraint_residual")
 
 
 def _total(eta_k, osc_f, osc_gn) -> float:
@@ -170,6 +178,8 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
     bounds every interior facet's tau_K.n_K + tau_K'.n_K' and above AUDIT_TOL
     raises ConformityAuditFailed. Either audit's error names the first worst
     element in mesh order. A total that is not finite raises UnsolvableProblem.
+    A run that passes writes ``report.write_patches`` to ``patch_report_path``,
+    if one is given.
 
     After the patch solves every stage is element-local, so the reconstruction
     runs ELEMENT_CHUNK elements at a time (``fem.element_blocks``): the facet
@@ -182,7 +192,7 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
         raise ValueError(f"unknown strategy {strategy!r}")
     if mesh is not sol.mesh or data != sol.data:
         raise ValueError("estimate needs the mesh and data that sol was solved with")
-    fluxes = equilibrate(mesh, sol, patch_report_path=patch_report_path)
+    fluxes = equilibrate(mesh, sol)
     ne = mesh.n_elements
     eta1_sq, eta2_sq = np.empty(ne), np.full(ne, np.inf)
     pos, over = mesh.kappa > 0, mesh.layer
@@ -240,6 +250,7 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
         ndof=sol.ndof, solver_iterations=sol.iterations,
         audits={"divergence_residual": div_worst[0],
                 "equilibration_residual": fluxes.eps_max_rel},
+        patches=fluxes.patches,
     )
 
     for name, variant in _selections(strategy, over, pos, eta1_sq, eta2_sq).items():
@@ -258,6 +269,8 @@ def estimate(mesh: Mesh, sol: FemSolution, data: ProblemData,
                 f"normal-trace defect {mismatch:.3e} (scaled, twice the worst) exceeds "
                 f"{rec.AUDIT_TOL:g} on facet {i} of element {e} (variant {v})")
         report.audits["hdiv_mismatch"] = mismatch
+    if patch_report_path:
+        report.write_patches(patch_report_path)
     return report
 
 

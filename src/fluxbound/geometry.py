@@ -340,7 +340,10 @@ class Mesh:
     inradii: np.ndarray         # (ne,) rho_K
     _vertex_elem_offsets: np.ndarray = field(repr=False)
     _vertex_elem_data: np.ndarray = field(repr=False)   # (k, 2): element, local vertex
-    _vertex_facet_data: np.ndarray = field(repr=False)  # (k, 2): facet, slot; by vertex
+    # the free (non-Neumann) (facet, slot) entries by vertex, facets ascending: the
+    # unknowns of each vertex patch, the run _vertex_facet_offsets[v:v+2] delimits
+    _vertex_facet_offsets: np.ndarray = field(repr=False)
+    _vertex_facet_data: np.ndarray = field(repr=False)  # (k, 2): facet, slot
     # the unknowns of the P1 system (the non-Dirichlet vertices of some element)
     # and the padded rows of its matrix, from build_matrix_pattern
     _vertex_to_dof: np.ndarray = field(repr=False)      # (n_points,), -1 for no unknown
@@ -471,11 +474,16 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
     facet_measures = np.zeros(len(facets))
     facet_measures[elem_facets.ravel()] = geom.facet_measures.ravel()
 
-    # the (element, local vertex) and (facet, slot) entries by vertex
+    # the (element, local vertex) and free (facet, slot) entries by vertex
     ve = np.column_stack(np.divmod(np.argsort(cells.ravel(), kind="stable"), d + 1))
-    vf = np.column_stack(np.divmod(np.argsort(facets.ravel(), kind="stable"), d))
     veo = np.zeros(len(points) + 1, dtype=np.int64)
     np.cumsum(np.bincount(cells.ravel(), minlength=len(points)), out=veo[1:])
+    free = np.flatnonzero(facet_tag != NEUMANN)
+    fv = np.take(facets, free, axis=0).ravel()
+    fid, slot = np.divmod(np.argsort(fv, kind="stable"), d)
+    vf = np.column_stack([np.take(free, fid), slot])
+    vfo = np.zeros(len(points) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(fv, minlength=len(points)), out=vfo[1:])
 
     _warn_kappa_jumps(kappa, veo, ve[:, 0])
 
@@ -485,7 +493,8 @@ def build_mesh(points, cells, kappa, boundary) -> Mesh:
         facet_tag=facet_tag, elem_facets=elem_facets, elem_sigma=elem_sigma,
         volumes=geom.volumes, bary_grads=geom.grads, facet_measures=facet_measures,
         diameters=geom.diameters, inradii=geom.inradii,
-        _vertex_elem_offsets=veo, _vertex_elem_data=ve, _vertex_facet_data=vf,
+        _vertex_elem_offsets=veo, _vertex_elem_data=ve,
+        _vertex_facet_offsets=vfo, _vertex_facet_data=vf,
         _vertex_to_dof=vertex_to_dof, _pattern_cols=pattern_cols, _entry_positions=positions,
     )
 

@@ -6,7 +6,9 @@
   replaced), ``incentre``/``mesh_incentres`` (the vertices weighted by their
   opposite facet measures), ``locate`` (points to pieces and barycentric
   coordinates), ``vertex_patch`` (the elements sharing one vertex),
-  ``vertex_facets`` (the facets containing one vertex) and ``facet_slots`` /
+  ``vertex_facets`` (the facets containing one vertex), ``free_vertex_facets``
+  (its non-Neumann facets, the unknowns of its patch, by a scan of every facet:
+  the route that ``Mesh._vertex_facet_data`` replaced) and ``facet_slots`` /
   ``to_local_vertices`` (facet-vertex data by element vertex, found by search);
 * projections and norms: ``project_facet``, ``energy_norm``, ``energy_norm_fe``;
 * assembly: ``assemble_one_shot``, the Galerkin matrix as a scipy
@@ -172,6 +174,14 @@ def vertex_patch(mesh, v: int):
 def vertex_facets(mesh, v: int):
     """(facet ids, slots) of the facets containing vertex v, by ascending facet id."""
     return np.nonzero(mesh.facets == v)
+
+
+def free_vertex_facets(mesh, v: int):
+    """(facet ids, slots) of the non-Neumann facets containing vertex v, by
+    ascending facet id: the unknowns of its patch."""
+    fids, slots = vertex_facets(mesh, v)
+    free = mesh.facet_tag[fids] != NEUMANN
+    return fids[free], slots[free]
 
 
 def facet_slots(mesh) -> np.ndarray:
@@ -837,8 +847,7 @@ def solve_vertex_patch_reference(mesh, v: int, resid):
     equality constraints cannot be met.
     """
     els, locs = vertex_patch(mesh, v)
-    fids, _ = vertex_facets(mesh, v)
-    unknown = fids[mesh.facet_tag[fids] != NEUMANN]
+    unknown, _ = free_vertex_facets(mesh, v)
     nu = len(unknown)
     k = len(els)
     if k == 0:

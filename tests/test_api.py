@@ -15,6 +15,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fluxbound
@@ -71,6 +72,21 @@ def test_benchmark_smoke_passes_meet_their_gate(monkeypatch, tmp_path):
     metrics = tracing.layer_metrics(tracer, root, results)
     assert metrics["fem.project_element_bulk_s"] > 0.0
     assert metrics["data.gN_points"] > 0
+
+    # the patch metrics come from the CSV each traced estimate writes: it is
+    # the report's own table, and the shapes read back are the table's
+    for i, (case, _, report, path) in enumerate(results):
+        own = tmp_path / f"own-{i}.csv"
+        report.write_patches(str(own))
+        assert Path(path).read_bytes() == own.read_bytes()
+        shapes = tracing.patch_shapes(case, path)
+        n_cons, k = report.patches[:, 0], np.diff(case.mesh._vertex_elem_offsets)
+        assert shapes["equilibration.patch_solves"] == len(report.patches)
+        assert shapes["equilibration.patches_constrained"] == np.sum((n_cons == k) & (k > 0))
+        assert shapes["equilibration.patches_lsq"] == np.sum((n_cons == 0) & (k > 0))
+        assert shapes["equilibration.patches_mixed"] == np.sum((n_cons > 0) & (n_cons < k))
+        assert shapes["equilibration.constraint_residual_max"] == pytest.approx(
+            report.patches[:, 3].max(), rel=1e-6, abs=0.0)
 
 
 # wrapped names that no workload reaches: equilibrate solves its patches in
@@ -132,10 +148,9 @@ def test_eta1_terms_parameters():
 
 
 def test_run_layer_parameters():
-    # the CLI passes the patch report path to run_benchmark; output paths and
-    # verbosity are not part of a run's configuration
-    assert list(inspect.signature(fluxbound.run_benchmark).parameters) == [
-        "config", "mesh", "patch_report_path"]
+    # output paths and verbosity are not part of a run: the CLI writes the
+    # patch table from the report that run_benchmark returns
+    assert list(inspect.signature(fluxbound.run_benchmark).parameters) == ["config", "mesh"]
     assert [f.name for f in dataclasses.fields(fluxbound.RunConfig)] == [
         "dim", "m", "kappa1", "kappa2", "strategy", "conformity"]
 

@@ -83,6 +83,21 @@ def test_run_benchmark_row_contents():
     assert len(line.split(",")) == len(bm.CSV_HEADER.split(","))
 
 
+def test_kappa_sweep_in_four_dimensions():
+    # the paper's kappa1 sweep at d=4 M=4 with the conformity audit: both
+    # bounds hold and every audit is within its tolerance
+    from fluxbound.equilibration import CONSTRAINT_TOL
+    from fluxbound.reconstruction import AUDIT_TOL
+    for k1 in bm.DEFAULT_KAPPA1_SWEEP:
+        rep, row = bm.run_benchmark(bm.RunConfig(dim=4, m=4, kappa1=k1, conformity=True))
+        assert row["true_error"] > 0.0, k1
+        assert row["eta_tau"] >= row["true_error"] * (1 - 1e-8), k1
+        assert row["eta_taustar"] >= row["true_error"] * (1 - 1e-8), k1
+        assert rep.audits["hdiv_mismatch"] <= AUDIT_TOL, k1
+        assert rep.audits["divergence_residual"] <= AUDIT_TOL, k1
+        assert rep.audits["equilibration_residual"] <= CONSTRAINT_TOL, k1
+
+
 def _true_error_routes(config):
     # (direct, energy) true errors of the benchmark's Galerkin solution
     mesh = bm.benchmark_mesh(config)
@@ -299,6 +314,13 @@ def test_cli_verbose_patch_report(tmp_path):
     patches = tmp_path / "run.csv.patches.csv"
     assert patches.exists()
     assert patches.read_text().startswith("vertex,")
+    # the report's table, byte for byte as estimate writes it for the same run
+    config = bm.RunConfig(dim=2, m=2, kappa1=1.0, kappa2=1.0)
+    mesh, data = bm.benchmark_mesh(config), bm.benchmark_data(config)
+    direct = tmp_path / "estimate.csv"
+    est.estimate(mesh, fem.solve_problem(mesh, data), data, config.strategy,
+                 check_conformity=config.conformity, patch_report_path=str(direct))
+    assert patches.read_bytes() == direct.read_bytes()
 
 
 def test_cli_exit_codes(monkeypatch):
@@ -334,7 +356,7 @@ def test_cli_overflowing_kappa_exits_solver_or_input(capsys):
 def test_cli_stdout_keeps_rows_before_a_failed_run(monkeypatch, capsys):
     calls = []
 
-    def second_fails(config, mesh=None, patch_report_path=None):
+    def second_fails(config, mesh=None):
         calls.append(config)
         if len(calls) == 2:
             raise NoConvergence("boom")

@@ -12,11 +12,11 @@ import fluxbound.fem as fem
 import fluxbound.geometry as geo
 from fluxbound.errors import InfeasibleConstraints, KappaJumpWarning
 
-from conftest import (ZERO_DATA, kkt_min_norm_oracle, one_simplex, random_problem_data,
-                      random_simplex, random_small_mesh)
-from oracles import (extension, extension_volume_terms_subsimplex, integrate, integrate_facet,
-                     patch_maps_nullspace, project_facet, sign_matrices_dense, simplex_measure,
-                     solve_vertex_patch_reference, vertex_facets, vertex_patch)
+from conftest import (ZERO_DATA, ZONED_DATA, kkt_min_norm_oracle, one_simplex,
+                      random_problem_data, random_simplex, random_small_mesh, zoned_mesh)
+from oracles import (extension, extension_volume_terms_subsimplex, free_vertex_facets, integrate,
+                     integrate_facet, patch_maps_nullspace, project_facet, sign_matrices_dense,
+                     simplex_measure, solve_vertex_patch_reference, vertex_facets, vertex_patch)
 import stage_memory
 from test_fem import one_element_mesh
 
@@ -791,7 +791,7 @@ def test_patch_report_csv(tmp_path, two_triangle_square):
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
     sol = fem.solve_problem(mesh, data)
     path = tmp_path / "patches.csv"
-    eq.equilibrate(mesh, sol, patch_report_path=str(path))
+    est.estimate(mesh, sol, data, patch_report_path=str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("vertex,")
     assert len(lines) == 1 + mesh.n_points
@@ -800,7 +800,7 @@ def test_patch_report_csv(tmp_path, two_triangle_square):
     # kappa*rho <= 1 patch elements and the non-Neumann facets of the vertex
     mesh = _kappa_jump_mesh()
     data = fem.ProblemData(f=lambda x: np.full(len(x), 0.25), data_degree=2)
-    eq.equilibrate(mesh, fem.solve_problem(mesh, data), patch_report_path=str(path))
+    est.estimate(mesh, fem.solve_problem(mesh, data), data, patch_report_path=str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "vertex,n_constraints,n_unknowns,objective,constraint_residual"
     number = r"-?\d\.\d{6}e[+-]\d\d"
@@ -809,8 +809,41 @@ def test_patch_report_csv(tmp_path, two_triangle_square):
     assert np.array_equal(rows[:, 0], np.arange(mesh.n_points))
     kapparho = mesh.kappa * mesh.inradii
     n_cons = [np.sum(kapparho[vertex_patch(mesh, v)[0]] <= 1.0) for v in range(mesh.n_points)]
-    n_free = [np.sum(mesh.facet_tag[vertex_facets(mesh, v)[0]] != geo.NEUMANN)
-              for v in range(mesh.n_points)]
+    n_free = [len(free_vertex_facets(mesh, v)[0]) for v in range(mesh.n_points)]
     assert np.array_equal(rows[:, 1], n_cons)
     assert np.array_equal(rows[:, 2], n_free)
     assert 0 < rows[:, 1].sum() < sum(len(vertex_patch(mesh, v)[0]) for v in range(mesh.n_points))
+
+
+@pytest.mark.parametrize("dim,m", [(2, 4), (3, 2)])
+def test_solve_vertex_patch_is_a_row_of_the_batch(dim, m):
+    # the batch of one reads its unknowns from the mesh table and returns
+    # the same bits as the batch over every vertex, the unused point included
+    mesh = zoned_mesh(dim, m)
+    resid = eq.residual_functionals(mesh, fem.solve_problem(mesh, ZONED_DATA))
+    alphas, info, _ = eq._solve_patches(mesh, resid, np.arange(mesh.n_points))
+    for v in range(mesh.n_points):
+        fids, alpha, one = eq.solve_vertex_patch(mesh, v, resid)
+        want, slots = free_vertex_facets(mesh, v)
+        assert np.array_equal(fids, want), v
+        assert np.array_equal(alpha, alphas[fids, slots]), v
+        assert np.array_equal(one, info[v]), v
+
+
+def test_the_numerics_write_no_file(monkeypatch):
+    # the solve, the equilibration and an estimate without a report path
+    # return their results and open no file
+    mesh = _kappa_jump_mesh()
+    data = fem.ProblemData(f=lambda x: np.full(len(x), 0.25), data_degree=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"file access: {args}")
+
+    monkeypatch.setattr("builtins.open", refuse)
+    monkeypatch.setattr(np, "savetxt", refuse)
+    sol = fem.solve_problem(mesh, data)
+    fluxes = eq.equilibrate(mesh, sol)
+    report = est.estimate(mesh, sol, data, check_conformity=True)
+    monkeypatch.undo()
+    assert np.array_equal(report.patches, fluxes.patches)
+    assert fluxes.patches.shape == (mesh.n_points, 4)

@@ -568,6 +568,22 @@ def test_report_json_dump(tmp_path, two_triangle_square):
     assert back["eta_taustar"] is None
 
 
+def test_report_carries_the_patch_table(tmp_path):
+    # the per-vertex patch statistics of the solves, bit for bit, in the JSON too
+    mesh = zoned_mesh(2, 4)
+    sol = fem.solve_problem(mesh, ZONED_DATA)
+    rep = est.estimate(mesh, sol, ZONED_DATA, "both")
+    resid = eq.residual_functionals(mesh, sol)
+    info = eq._solve_patches(mesh, resid, np.arange(mesh.n_points))[1]
+    assert rep.patches.shape == (mesh.n_points, 4)
+    assert np.array_equal(rep.patches, info)
+    assert (rep.patches[:, 0] > 0).any() and (rep.patches[:, 2] > 0).any()
+    path = tmp_path / "report.json"
+    rep.dump_json(str(path))
+    import json
+    assert np.array_equal(np.array(json.loads(path.read_text())["patches"]), info)
+
+
 def test_conformity_audit_covers_both_selections(monkeypatch):
     # the tau and taustar selections differ on some elements here; the audit
     # must see both, evaluating each variant once per element that uses it

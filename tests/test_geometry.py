@@ -16,8 +16,8 @@ from fluxbound.errors import (DegenerateSimplex, KappaJumpWarning,
                               MeshFormatError, NonConformingMesh)
 
 from conftest import delaunay_mesh, one_simplex, random_simplex, zoned_mesh
-from oracles import (simplex_gradients, simplex_measure, to_local_vertices, vertex_facets,
-                     vertex_patch)
+from oracles import (free_vertex_facets, simplex_gradients, simplex_measure, to_local_vertices,
+                     vertex_facets, vertex_patch)
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +471,38 @@ def test_vertex_patch_consistency():
         fids, slots = vertex_facets(mesh, v)
         assert np.all(mesh.facets[fids, slots] == v)
         assert np.array_equal(fids, np.flatnonzero((mesh.facets == v).any(axis=1)))
-        # the patch solves read the same (facet, slot) pairs, grouped by vertex
-        counts = np.bincount(mesh.facets.ravel(), minlength=mesh.n_points)
-        lo = counts[:v].sum()
-        assert np.array_equal(mesh._vertex_facet_data[lo:lo + counts[v]],
-                              np.column_stack([fids, slots]))
+        # the patch solves read the same (facet, slot) pairs, less the Neumann
+        # facets, from the run of the vertex in the table
+        lo, hi = mesh._vertex_facet_offsets[v:v + 2]
+        assert np.array_equal(mesh._vertex_facet_data[lo:hi],
+                              np.column_stack(free_vertex_facets(mesh, v)))
+
+
+def _mixed_boundary_mesh():
+    """The d=2 M=4 cube with each boundary facet Dirichlet or Neumann at random."""
+    base = geo.build_cube_mesh(4, 2, 1.0)
+    rng = np.random.default_rng(11)
+    return geo.build_mesh(base.points, base.simplices, 1.0, lambda c: rng.random(len(c)) < 0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zoned_mesh(2, 4), lambda: zoned_mesh(3, 2), lambda: delaunay_mesh(2, 2000),
+    _mixed_boundary_mesh], ids=["zoned-2d", "zoned-3d", "delaunay-2d", "mixed-boundary"])
+def test_vertex_facet_table_is_the_free_facet_scan(build):
+    # the run of each vertex holds its non-Neumann (facet, slot) pairs by
+    # ascending facet, as a scan of every facet finds them
+    mesh = build()
+    offsets, table = mesh._vertex_facet_offsets, mesh._vertex_facet_data
+    assert {geo.DIRICHLET, geo.NEUMANN} <= set(np.unique(mesh.facet_tag).tolist())
+    assert offsets.shape == (mesh.n_points + 1,) and offsets[0] == 0
+    assert offsets[-1] == len(table) and table.shape[1] == 2
+    assert offsets.dtype == table.dtype == np.int64
+    for v in range(mesh.n_points):
+        assert np.array_equal(table[offsets[v]:offsets[v + 1]],
+                              np.column_stack(free_vertex_facets(mesh, v))), v
+    # the table depends on topology and tags only: a sibling shares it
+    sibling = mesh.with_kappa(1.0)
+    assert sibling._vertex_facet_offsets is offsets and sibling._vertex_facet_data is table
 
 
 @pytest.mark.parametrize("relabel", [False, True], ids=["cube", "relabelled"])

@@ -53,7 +53,8 @@ def test_residual_constant_field(unit_triangle):
         fid = mesh.elem_facets[0, i]
         gplus[fid] = C @ normals[i]
     fluxes = eq.BoundaryFluxSet(gplus=gplus, alphas=np.zeros_like(gplus),
-                                avg=np.zeros(mesh.n_facets), eps_max_rel=0.0)
+                                avg=np.zeros(mesh.n_facets), eps_max_rel=0.0,
+                                patches=np.zeros((mesh.n_points, 4)))
     sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points), ZERO_DATA)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     for i in range(3):
@@ -509,7 +510,8 @@ def test_eta1_hand_case_single_element(unit_triangle):
         meas = mesh.facet_measures[fi]
         gplus[fi] = c_hyp if abs(meas - math.sqrt(2)) < 1e-12 else c_leg
     fluxes = eq.BoundaryFluxSet(gplus=gplus, alphas=np.zeros_like(gplus),
-                                avg=np.zeros(3), eps_max_rel=0.0)
+                                avg=np.zeros(3), eps_max_rel=0.0,
+                                patches=np.zeros((mesh.n_points, 4)))
     sol = fem.FemSolution.from_vertex_values(mesh, np.zeros(mesh.n_points), ZERO_DATA)
     R = rec.facet_residuals(mesh, fluxes, sol.grad)
     r_vals = np.ones((1, 3))  # Pi_K f = 1, kappa = 0
