@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NoConvergence, UnsolvableProblem, UnsupportedDegree
-from .geometry import Mesh, _row_sum
+from .geometry import Mesh, _dot, _row_sum
 from .quadrature import MAX_DEGREE, rule_for
 
 DENSE_CUTOFF = 200
@@ -92,13 +92,30 @@ def element_blocks(n: int) -> list:
     return [slice(lo, min(lo + ELEMENT_CHUNK, n)) for lo in range(0, n, ELEMENT_CHUNK)]
 
 
-def element_stiffness_mass(mesh: Mesh, elems=slice(None)):
-    """Stiffness |K| G G^T and unit mass |K| (1 + I) / ((d+1)(d+2)) of the elements ``elems``."""
+def element_matrices(mesh: Mesh, elems=slice(None)) -> np.ndarray:
+    """(len(elems), d+1, d+1) matrices |K| G G^T + kappa_K^2 M_K of the elements ``elems``.
+
+    Each entry i <= j is built once and written to (i, j) and (j, i): the sum
+    over the components of g_i g_j in component order (``_dot``), times |K|,
+    plus kappa^2 times the mass entry |K| (1 + delta_ij) / ((d+1)(d+2)), formed
+    as ``_mass_times`` forms it. The result is a transposed view of one
+    (d+1, d+1, len(elems)) array.
+    """
     d = mesh.dim
-    g = mesh.bary_grads[elems]
-    volumes = mesh.volumes[elems, None, None]
-    stiff = np.einsum("eid,ejd->eij", g, g) * volumes
-    return stiff, _mass_times(np.eye(d + 1), volumes, d)
+    g = mesh.bary_grads[elems].transpose(1, 2, 0)     # (d+1, d, nb)
+    volumes = mesh.volumes[elems]
+    k2 = mesh.kappa[elems] ** 2
+    denom = (d + 1) * (d + 2)
+    k2_mass = (k2 * (volumes / denom), k2 * (volumes * 2.0 / denom))   # off the diagonal, on it
+    out = np.empty((d + 1, d + 1, len(volumes)))
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            s = _dot(g[i], g[j])
+            s *= volumes
+            s += k2_mass[i == j]
+            out[i, j] = s
+            out[j, i] = s
+    return out.transpose(2, 0, 1)
 
 
 def _data_pass(fn: Callable, name: str, points: np.ndarray, cells: np.ndarray,
@@ -215,8 +232,8 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
     added into the matrix pattern the mesh was built with, each entry at its
     position there, in element order, so A does not depend on the block size.
     """
-    dir_vertices = mesh.dirichlet_vertices
-    if np.all(mesh.kappa == 0) and len(dir_vertices) == 0:
+    # the Dirichlet vertices (an np.unique) are looked up only when kappa vanishes everywhere
+    if np.all(mesh.kappa == 0) and len(mesh.dirichlet_vertices) == 0:
         raise UnsolvableProblem(
             "kappa vanishes everywhere and there is no Dirichlet boundary")
     kappa_max = float(mesh.kappa.max(initial=0.0))
@@ -233,8 +250,7 @@ def assemble(mesh: Mesh, data: ProblemData) -> LinearSystem:
     values = np.zeros(cols.size)
     b = np.zeros(len(free))
     for blk in element_blocks(mesh.n_elements):
-        local, mass = element_stiffness_mass(mesh, blk)
-        local += mesh.kappa[blk, None, None] ** 2 * mass
+        local = element_matrices(mesh, blk)
         pos = mesh._entry_positions[blk]
         keep = pos < cols.size        # not in a Dirichlet row or column
         np.add.at(values, pos[keep], local[keep])

@@ -247,22 +247,36 @@ def energy_norm_fe(sol) -> float:
 # assembly
 # ---------------------------------------------------------------------------
 
+def element_matrices(mesh):
+    """(ne, d+1, d+1) element matrices |K| G G^T + kappa_K^2 M_K, every entry (i, j)
+    on its own: s = g_i0 g_j0 + g_i1 g_j1 + ... added left to right over the
+    components, then s |K| + kappa^2 (|K| (1 + delta_ij) / ((d+1)(d+2)))."""
+    d = mesh.dim
+    g, vol, k2 = mesh.bary_grads, mesh.volumes, mesh.kappa ** 2
+    out = np.empty((mesh.n_elements, d + 1, d + 1))
+    for i in range(d + 1):
+        for j in range(d + 1):
+            s = g[:, i, 0] * g[:, j, 0]
+            for c in range(1, d):
+                s = s + g[:, i, c] * g[:, j, c]
+            mass = vol * (1.0 + (i == j)) / ((d + 1) * (d + 2))
+            out[:, i, j] = s * vol + k2 * mass
+    return out
+
+
 def assemble_one_shot(mesh, data):
-    """(A, b) of ``fem.assemble`` with every element matrix at once: (ne, d+1, d+1)
-    stiffness, mass and their sum, int64 indices of every entry and a mask of
-    the kept ones. A is a scipy csr_matrix whose pattern is every distinct kept
-    (row, column), found by ``np.unique``; duplicates are summed in element
-    order by ``np.add.at``."""
+    """(A, b) of ``fem.assemble`` with every element matrix at once: the
+    (ne, d+1, d+1) ``element_matrices``, int64 indices of every entry and a mask
+    of the kept ones. A is a scipy csr_matrix whose pattern is every distinct
+    kept (row, column), found by ``np.unique``; duplicates are summed in
+    element order by ``np.add.at``."""
     loads = element_data(mesh, data.f, data.data_degree)[0]
     gl = neumann_data(mesh, data.g_N, data.data_degree)[0]
     d = mesh.dim
     free = np.setdiff1d(np.unique(mesh.simplices), mesh.dirichlet_vertices)
     vertex_to_dof = np.full(mesh.n_points, -1, dtype=np.int64)
     vertex_to_dof[free] = np.arange(len(free))
-    g = mesh.bary_grads
-    stiff = np.einsum("eid,ejd->eij", g, g) * mesh.volumes[:, None, None]
-    mass = _mass_times(np.eye(d + 1), mesh.volumes[:, None, None], d)
-    local = stiff + mesh.kappa[:, None, None] ** 2 * mass
+    local = element_matrices(mesh)
     dofs = vertex_to_dof[mesh.simplices]
     rows = np.repeat(dofs, d + 1, axis=1).ravel()
     cols = np.tile(dofs, (1, d + 1)).ravel()

@@ -39,6 +39,7 @@ STAGES = (
     ("fluxbound.fem", "solve"),
     ("fluxbound.fem", "element_data"),
     ("fluxbound.fem", "neumann_data"),
+    ("fluxbound.fem", "element_matrices"),
     ("fluxbound.estimator", "estimate"),
     ("fluxbound.estimator", "equilibrate"),
     ("fluxbound.equilibration", "residual_functionals"),

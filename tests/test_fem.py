@@ -38,10 +38,30 @@ def test_vertex_values_must_be_finite_and_one_per_point(two_triangle_square, cha
 
 
 def test_stiffness_rows_sum_to_zero(unit_triangle):
+    # at kappa = 0 the element matrix is the stiffness; at kappa = 1 it adds the mass
     mesh = one_element_mesh(unit_triangle, 0.0, dirichlet=(0,))
-    stiff, mass = fem.element_stiffness_mass(mesh)
+    stiff = fem.element_matrices(mesh)
     assert np.abs(stiff[0].sum(axis=1)).max() < 1e-14
+    mass = fem.element_matrices(mesh.with_kappa(1.0)) - stiff
     assert mass[0].sum() == pytest.approx(0.5, rel=1e-14)  # int 1 over K
+
+
+@pytest.mark.parametrize("case", ["cube-2", "cube-3", "cube-4", "cube-5", "delaunay-3"])
+def test_element_matrices_match_the_in_order_reference(case, monkeypatch):
+    # each entry sums g_ic g_jc over the components in order, whatever the
+    # block size; on the Kuhn cubes numpy's einsum order gives the same bits,
+    # on the d = 3 Delaunay slivers it does not
+    kind, dim = case.split("-")
+    mesh = (delaunay_mesh(3, 1000) if kind == "delaunay"
+            else geo.build_cube_mesh({"2": 8, "3": 4, "4": 3, "5": 2}[dim], int(dim), 1.0))
+    kappa = np.random.default_rng(3).uniform(0.5, 2.0, mesh.n_elements)
+    mesh = mesh.with_kappa(kappa)
+    want = oracles.element_matrices(mesh)
+    for chunk in (1, 7, fem.ELEMENT_CHUNK):
+        monkeypatch.setattr(fem, "ELEMENT_CHUNK", chunk)
+        got = np.concatenate([fem.element_matrices(mesh, blk)
+                              for blk in fem.element_blocks(mesh.n_elements)])
+        assert np.array_equal(got, want), chunk
 
 
 def test_constant_solution_reproduced(two_triangle_square):
@@ -81,6 +101,27 @@ def test_unsolvable_pure_neumann_zero_kappa(two_triangle_square):
         fem.assemble(m0, fem.ProblemData(f=lambda x: np.ones(len(x))))
 
 
+@pytest.mark.parametrize("kappa", [1.0, 0.0])
+def test_dirichlet_vertices_are_read_only_where_kappa_vanishes(two_triangle_square, kappa,
+                                                                 monkeypatch):
+    # a pure-Neumann mesh is solvable unless kappa vanishes everywhere, so
+    # assemble looks for Dirichlet vertices only then
+    mesh = two_triangle_square.with_kappa(kappa)
+    calls = []
+    dirichlet_vertices = geo.Mesh.dirichlet_vertices
+    monkeypatch.setattr(geo.Mesh, "dirichlet_vertices",
+                        property(lambda self: calls.append(1) or dirichlet_vertices.fget(self)))
+    data = fem.ProblemData(f=lambda x: np.ones(len(x)))
+    if kappa > 0:
+        assert np.all(np.isfinite(fem.assemble(mesh, data).A.vals))
+        assert calls == []
+    else:
+        with pytest.raises(UnsolvableProblem, match="^kappa vanishes everywhere and there "
+                                                    "is no Dirichlet boundary$"):
+            fem.assemble(mesh, data)
+        assert calls == [1]
+
+
 def test_assemble_refuses_a_kappa_whose_square_overflows(monkeypatch):
     # kappa^2 = 1e310: the solve returned after one step with residual and
     # energy NaN; it refuses before any element matrix, and without the
@@ -90,7 +131,7 @@ def test_assemble_refuses_a_kappa_whose_square_overflows(monkeypatch):
 
     data = fem.ProblemData(f=lambda x: np.ones(len(x)))
     with monkeypatch.context() as m:
-        m.setattr(fem, "element_stiffness_mass", no_element_matrices)
+        m.setattr(fem, "element_matrices", no_element_matrices)
         with pytest.raises(UnsolvableProblem, match="kappa"):
             fem.solve_problem(geo.build_cube_mesh(4, 2, 1e155), data)
     # the largest kappa whose square is finite is accepted
@@ -99,18 +140,22 @@ def test_assemble_refuses_a_kappa_whose_square_overflows(monkeypatch):
     assert np.all(np.isfinite(system.A.vals))
 
 
-@pytest.mark.parametrize("dim,m", [(2, 4), (3, 2)])
+@pytest.mark.parametrize("dim,m", [(2, 4), (3, 2), (3, "delaunay")])
 def test_blocked_assembly_matches_the_one_shot_route(dim, m, monkeypatch):
     # the element blocks add the entries of the element matrices in element
     # order, as the one-shot route does, so the padded rows and the load vector
     # are the same arrays for any block size: Dirichlet and Neumann faces, a
-    # kappa jump and a point that no element uses
-    mesh = zoned_mesh(dim, m)
-    A_ref, b_ref = oracles.assemble_one_shot(mesh, ZONED_DATA)
+    # kappa jump and a point that no element uses; on the Delaunay slivers the
+    # component order of the stiffness sums shows too
+    if m == "delaunay":
+        mesh, data = delaunay_mesh(dim, 1000).with_kappa(1.0), DELAUNAY_DATA
+    else:
+        mesh, data = zoned_mesh(dim, m), ZONED_DATA
+    A_ref, b_ref = oracles.assemble_one_shot(mesh, data)
     A_ref = oracles.from_scipy(A_ref)
     for chunk in (1, 7, mesh.n_elements):
         monkeypatch.setattr(fem, "ELEMENT_CHUNK", chunk)
-        system = fem.assemble(mesh, ZONED_DATA)
+        system = fem.assemble(mesh, data)
         for got, want in ((system.A.vals, A_ref.vals), (system.A.cols, A_ref.cols),
                           (system.b, b_ref)):
             assert got.dtype == want.dtype and np.array_equal(got, want), chunk
